@@ -399,7 +399,7 @@ func runCluster(rc clusterRun) {
 		for addr, st := range c.ShardStats(ctx) {
 			fmt.Fprintf(os.Stderr, "  worker %s v%d:", addr, st.MapVersion)
 			for id, n := range st.Rows {
-				fmt.Fprintf(os.Stderr, " shard%d=%d", id, n)
+				fmt.Fprintf(os.Stderr, " shard%d=%d(sky=%d)", id, n, st.SkylineRows[id])
 			}
 			fmt.Fprintln(os.Stderr)
 		}

@@ -527,6 +527,16 @@ func (c *Cluster) SkylineRangeBroadcast(ctx context.Context, lo, hi zorder.ZAddr
 }
 
 func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) ([]point.Point, *ClusterReport, error) {
+	if err := checkBounds(c.enc.Words(), rng.Lo, rng.Hi); err != nil {
+		return nil, nil, err
+	}
+	// zorder.Range reads only a nil bound as "the curve's end".
+	if len(rng.Lo) == 0 {
+		rng.Lo = nil
+	}
+	if len(rng.Hi) == 0 {
+		rng.Hi = nil
+	}
 	id := obs.RequestIDFrom(ctx)
 	if id == "" {
 		id = obs.NewRequestID()
@@ -563,7 +573,7 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 		wg.Add(1)
 		go func(i, idx int) {
 			defer wg.Done()
-			groups[i], errs[i] = c.shardSkyline(ctx, c.shardIDs[idx], rng, filter)
+			groups[i], errs[i] = c.shardSkyline(ctx, c.shardIDs[idx], clipRange(rng, c.table.Range(idx)))
 		}(i, idx)
 	}
 	wg.Wait()
@@ -602,29 +612,60 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 	return sky, rep, nil
 }
 
+// clipRange drops the bounds of rng that lie outside own, the range a
+// shard owns: the shard holds no row beyond them, so they select
+// nothing, and a query that reaches the worker as "whole shard" or
+// "prefix" is answered from its cached skyline.
+func clipRange(rng, own zorder.Range) zorder.Range {
+	if rng.Lo != nil && own.Lo != nil && zorder.Compare(rng.Lo, own.Lo) <= 0 {
+		rng.Lo = nil
+	}
+	if rng.Hi != nil && own.Hi != nil && zorder.Compare(rng.Hi, own.Hi) >= 0 {
+		rng.Hi = nil
+	}
+	return rng
+}
+
+// rangeKind names the shape of a clipped shard range for the RPC event.
+func rangeKind(rng zorder.Range) string {
+	switch {
+	case rng.Lo == nil && rng.Hi == nil:
+		return "whole"
+	case rng.Lo == nil:
+		return "prefix"
+	case rng.Hi == nil:
+		return "suffix"
+	}
+	return "interior"
+}
+
 // shardSkyline asks one fresh replica of the shard's owning group for
-// the (optionally range-filtered) shard skyline, retrying inside the
+// the shard skyline restricted to rng, retrying inside the
 // group with the shard's policy and hedging to another member. When a
 // replica answers shard-moved — the query raced a rebalance — the loop
 // re-reads the shard map (the handoff updates it before dropping the
 // source) and re-routes; every address keeps exactly one owner at
 // every version, so convergence takes one hop per concurrent move.
-func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, filter bool) (plan.Group, error) {
+func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range) (plan.Group, error) {
 	pol := c.shardPolicy(sid)
+	kind := rangeKind(rng)
 	const maxHops = 4
 	for hop := 0; ; hop++ {
 		members, version := c.freshMembers(sid)
 		if len(members) == 0 {
 			return plan.Group{}, fmt.Errorf("dist: shard %d: %w", sid, ErrShardDown)
 		}
-		args := ShardSkyArgs{RuleID: c.ruleID, MapVersion: version, ShardID: sid}
-		if filter {
-			args.Lo, args.Hi = rng.Lo, rng.Hi
-		}
+		args := ShardSkyArgs{RuleID: c.ruleID, MapVersion: version, ShardID: sid,
+			Lo: rng.Lo, Hi: rng.Hi}
 		var reply ShardSkyReply
 		sp, ev, done := c.inner.startRPC(ctx, "Worker.ShardSkyline")
+		sp.SetAttr("shard", sid)
+		sp.SetAttr("range", kind)
+		ev.SetQuery(fmt.Sprintf("shard=%d,%s", sid, kind))
 		served, err := c.callShard(ctx, pol, "Worker.ShardSkyline", args, &reply, members, sp, ev)
 		if err == nil {
+			sp.SetAttr("outcome", reply.Outcome.String())
+			ev.SetCache(reply.Outcome.String())
 			done(served, nil)
 			return reply.Group, nil
 		}

@@ -10,7 +10,6 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
-	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -131,13 +130,7 @@ func rangeOracle(t *testing.T, cfg ClusterConfig, pts []point.Point, rng zorder.
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in []point.Point
-	for _, p := range pts {
-		if rng.Contains(enc.Encode(p)) {
-			in = append(in, p)
-		}
-	}
-	return seq.SB(in, nil)
+	return seq.SB(inRange(enc, pts, rng), nil)
 }
 
 func TestClusterRangeQueryExact(t *testing.T) {
@@ -470,18 +463,8 @@ func TestClusterRejectsShardsCutsMismatch(t *testing.T) {
 // must happen under the write lock, never under the read lock the
 // snapshot takes (the race detector catches the regression).
 func TestWorkerShardSkylineVersionRace(t *testing.T) {
-	rd := plan.RuleData{
-		Dims: 2, Bits: 8, Mins: []float64{0, 0}, Maxs: []float64{1, 1},
-		Pivots: [][]uint64{}, GroupOf: map[int]int{}, Groups: 1,
-		Local: plan.SB, Merge: plan.MergeZM,
-	}
-	rule, err := plan.FromData(&rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &Worker{rules: map[uint64]*plan.Rule{1: rule}, reg: obs.NewRegistry(),
-		resident: map[int]*residentShard{0: {}},
-		staged:   make(map[stageKey]*residentShard)}
+	w, _ := bareWorker(t, 2, 8, plan.SB, dominance.Descriptor{})
+	w.resident[0] = &residentShard{}
 	const goroutines, iters = 4, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

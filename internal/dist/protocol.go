@@ -163,9 +163,36 @@ type ShardSkyArgs struct {
 
 // ShardSkyReply returns the shard-local skyline as one group (Gid =
 // shard ID) carrying its Z-address column, ready for the cross-shard
-// merge rounds.
+// merge rounds, and how the replica produced it.
 type ShardSkyReply struct {
-	Group GroupPoints
+	Group   GroupPoints
+	Outcome SkyOutcome
+}
+
+// SkyOutcome says how a replica produced a ShardSkyline answer.
+type SkyOutcome uint8
+
+const (
+	// SkyComputed: the kernel ran over the (range-filtered) resident rows.
+	SkyComputed SkyOutcome = iota
+	// SkyCached: cut from the shard's cached skyline as it stood.
+	SkyCached
+	// SkyFolded: cut from the cached skyline after folding in the
+	// batches appended since the previous query.
+	SkyFolded
+)
+
+// String returns the outcome's metric-label form.
+func (o SkyOutcome) String() string {
+	switch o {
+	case SkyComputed:
+		return "computed"
+	case SkyCached:
+		return "cached"
+	case SkyFolded:
+		return "folded"
+	}
+	return "unknown"
 }
 
 // PullShardArgs streams a shard's resident data off a replica in
@@ -249,9 +276,11 @@ type DropShardReply struct{}
 // ShardStatsArgs asks a worker for its resident shard inventory.
 type ShardStatsArgs struct{}
 
-// ShardStatsReply reports the worker's installed shard-map version and
-// resident rows per shard ID.
+// ShardStatsReply reports the worker's installed shard-map version,
+// resident rows per shard ID, and the rows each shard's cached skyline
+// holds (0 until the first query after a store, commit or restart).
 type ShardStatsReply struct {
-	MapVersion uint64
-	Rows       map[int]int64
+	MapVersion  uint64
+	Rows        map[int]int64
+	SkylineRows map[int]int64
 }

@@ -491,14 +491,17 @@ func (a *ShardSkyArgs) DecodeFrom(data []byte) error {
 	return r.done()
 }
 
-// AppendTo encodes the shard-local skyline.
+// AppendTo encodes the outcome byte, then the shard-local skyline.
 func (a ShardSkyReply) AppendTo(dst []byte) ([]byte, error) {
-	return appendGroup(dst, a.Group)
+	return appendGroup(append(dst, byte(a.Outcome)), a.Group)
 }
 
 // DecodeFrom decodes a shard skyline reply.
 func (a *ShardSkyReply) DecodeFrom(data []byte) error {
 	r := wireReader{b: data}
+	if b := r.take(1); b != nil {
+		a.Outcome = SkyOutcome(b[0])
+	}
 	a.Group = r.group()
 	return r.done()
 }

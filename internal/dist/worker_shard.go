@@ -2,7 +2,11 @@ package dist
 
 import (
 	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
@@ -19,6 +23,28 @@ import (
 type residentShard struct {
 	groups []plan.Group
 	rows   int
+	sky    shardSkyline
+}
+
+// shardSkyline is a resident shard's lazily maintained skyline: group
+// is the skyline of groups[:k] under rule ruleID. Queries fold the
+// batches appended since into it (ShardSkyline); the store, stage and
+// pull paths never touch it. It lives inside the residentShard value,
+// so a handoff commit (wholesale replace) and a drop discard it along
+// with the rows it was computed from — there is nothing to invalidate.
+// Installed groups are immutable: replies alias them.
+type shardSkyline struct {
+	mu     sync.Mutex
+	ruleID uint64
+	k      int
+	group  plan.Group
+	// sorted records that group's column is non-decreasing, which is
+	// what lets a prefix range be cut out by binary search. The Z-order
+	// kernels emit Z-sorted rows; the SB kernel's first pass does not.
+	sorted bool
+	// rows mirrors group.Len() for ShardStats, which must not wait on mu
+	// behind a fold.
+	rows atomic.Int64
 }
 
 // stageKey identifies one handoff attempt's staging area.
@@ -65,6 +91,13 @@ func (w *Worker) setShardGauge(shardID, rows int) {
 	w.reg.Gauge("zsky_shard_points", obs.L("shard", fmt.Sprint(shardID))).Set(float64(rows))
 }
 
+// resetShardGauges publishes a shard whose residency was just replaced
+// or dropped: rows resident, and no cached skyline yet.
+func (w *Worker) resetShardGauges(shardID, rows int) {
+	w.setShardGauge(shardID, rows)
+	w.reg.Gauge("zsky_shard_skyline_rows", obs.L("shard", fmt.Sprint(shardID))).Set(0)
+}
+
 // StoreShard appends one routed insert batch to the shard's resident
 // data, creating the shard's residency on first store. The coordinator
 // replicates a batch by issuing the same StoreShard to every live
@@ -99,14 +132,26 @@ func (w *Worker) StoreShard(args StoreShardArgs, reply *StoreShardReply) error {
 	return nil
 }
 
-// ShardSkyline computes the skyline of the shard's resident data,
-// restricted to [Lo, Hi) when bounds are given. The error string "not
-// resident" is load-bearing: the coordinator classifies it as
-// shard-moved and re-routes from a fresh map snapshot, which is how a
-// query that raced a rebalance converges on the new owner.
+// ShardSkyline answers the skyline of the shard's resident data,
+// restricted to [Lo, Hi) when bounds are given. A whole-shard query is
+// served from the shard's cached skyline, folding in whatever batches
+// arrived since the last query; under Pareto dominance so is a prefix
+// query (Lo == nil), because a dominator never has a larger Z-address:
+// the skyline of the rows below Hi is exactly the cached skyline's rows
+// below Hi. A range with a lower bound runs the kernel over the
+// filtered rows — its dominators may lie below Lo and must not count.
+// Folding is exact because the relation is transitive, which NewCluster
+// requires.
+// The error string "not resident" is load-bearing: the coordinator
+// classifies it as shard-moved and re-routes from a fresh map snapshot,
+// which is how a query that raced a rebalance converges on the new
+// owner.
 func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 	r, err := w.rule(args.RuleID)
 	if err != nil {
+		return err
+	}
+	if err := checkBounds(r.Encoder().Words(), args.Lo, args.Hi); err != nil {
 		return err
 	}
 	// Fold the caller's map version forward under the write lock before
@@ -117,40 +162,109 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 	res := w.resident[args.ShardID]
 	var groups []plan.Group
 	if res != nil {
-		groups = append(groups, res.groups...)
+		// Batches are append-only and immutable, so a capped slice header
+		// is a consistent snapshot.
+		groups = res.groups[:len(res.groups):len(res.groups)]
 	}
 	w.smu.RUnlock()
 	if res == nil {
 		return fmt.Errorf("dist: shard %d not resident on %s", args.ShardID, w.addr)
 	}
-	if args.Lo != nil || args.Hi != nil {
-		rng := zorder.Range{Lo: args.Lo, Hi: args.Hi}
-		filtered := groups[:0:0]
-		for _, g := range groups {
-			fg := filterGroupRange(g, rng)
-			if fg.Len() > 0 {
-				filtered = append(filtered, fg)
-			}
-		}
-		groups = filtered
+	shard := obs.L("shard", fmt.Sprint(args.ShardID))
+	if len(args.Lo) == 0 && (len(args.Hi) == 0 || dominance.IsPareto(r.Provider())) {
+		reply.Group, reply.Outcome = res.sky.below(r, args.RuleID, groups, args.Hi)
+		w.reg.Gauge("zsky_shard_skyline_rows", shard).Set(float64(res.sky.rows.Load()))
+	} else {
+		reply.Group = rangeSkyline(r, groups, zorder.Range{Lo: args.Lo, Hi: args.Hi})
+		reply.Outcome = SkyComputed
 	}
-	// Concatenate the append batches into one group and run the
-	// shard-local skyline kernel over it. MergeGroupsZ would be wrong
-	// here: it assumes its inputs are already candidate skylines and
-	// only eliminates across groups.
-	out := r.LocalSkylineGroup(concatGroups(args.ShardID, groups), nil)
-	out.Gid = args.ShardID
-	reply.Group = out
+	reply.Group.Gid = args.ShardID
+	w.reg.Counter("zsky_shard_skyline_total", shard, obs.L("outcome", reply.Outcome.String())).Add(1)
 	return nil
+}
+
+// checkBounds rejects a range bound that is neither absent nor exactly
+// one address wide: zorder.Compare indexes its second operand by the
+// first one's length, so a short bound would panic the process.
+func checkBounds(words int, lo, hi []uint64) error {
+	for _, b := range [][]uint64{lo, hi} {
+		if len(b) != 0 && len(b) != words {
+			return fmt.Errorf("dist: range bound has %d words, addresses have %d", len(b), words)
+		}
+	}
+	return nil
+}
+
+// below brings the cached skyline up to date with groups — the
+// caller's snapshot of the shard's batches — and returns its rows
+// below hi (all of them when hi is empty) and how it got them.
+// Concurrent callers (hedge legs) serialize on the fold, so the work is
+// done once; a caller whose snapshot is older than the cache is
+// answered from the cache, a state the shard reached before the reply.
+func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, hi zorder.ZAddr) (plan.Group, SkyOutcome) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ruleID != ruleID {
+		// Another cluster's rule: its skyline says nothing under this one.
+		c.ruleID, c.k, c.group = ruleID, 0, plan.Group{}
+	}
+	outcome := SkyCached
+	if c.k < len(groups) {
+		sky := r.LocalSkylineGroup(concatGroups(groups[c.k:]), nil)
+		outcome = SkyComputed
+		if c.k > 0 {
+			sky = r.MergeGroupsZ([]plan.Group{c.group, sky}, nil)
+			outcome = SkyFolded
+		}
+		pareto := dominance.IsPareto(r.Provider())
+		if pareto && sky.ZCol.Len() != sky.Len() {
+			sky.ZCol = r.Encoder().EncodeBlock(zorder.ZCol{}, sky.Block)
+		}
+		c.group, c.k = sky, len(groups)
+		c.sorted = pareto && zSorted(sky.ZCol)
+		c.rows.Store(int64(sky.Len()))
+	}
+	out := c.group
+	switch {
+	case len(hi) == 0:
+	case c.sorted:
+		n := sort.Search(out.Len(), func(i int) bool { return zorder.Compare(out.ZCol.At(i), hi) >= 0 })
+		out.Block, out.ZCol = out.Block.Slice(0, n), out.ZCol.Slice(0, n)
+	default:
+		out = filterGroupRange(out, zorder.Range{Hi: hi})
+	}
+	return out, outcome
+}
+
+// zSorted reports whether the column's addresses are non-decreasing.
+func zSorted(zc zorder.ZCol) bool {
+	for i := 1; i < zc.Len(); i++ {
+		if zc.Compare(i-1, i) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeSkyline is the shard skyline restricted to rng, from the rows:
+// filter each batch, concatenate, run the shard-local kernel.
+// MergeGroupsZ would be wrong here: it assumes its inputs are already
+// candidate skylines and only eliminates across groups.
+func rangeSkyline(r *plan.Rule, groups []plan.Group, rng zorder.Range) plan.Group {
+	filtered := make([]plan.Group, 0, len(groups))
+	for _, g := range groups {
+		if fg := filterGroupRange(g, rng); fg.Len() > 0 {
+			filtered = append(filtered, fg)
+		}
+	}
+	return r.LocalSkylineGroup(concatGroups(filtered), nil)
 }
 
 // concatGroups flattens append batches into one group, carrying the
 // Z-address columns along when every batch has one.
-func concatGroups(gid int, groups []plan.Group) plan.Group {
+func concatGroups(groups []plan.Group) plan.Group {
 	if len(groups) == 1 {
-		g := groups[0]
-		g.Gid = gid
-		return g
+		return groups[0]
 	}
 	total, withCol := 0, true
 	words := 0
@@ -162,7 +276,7 @@ func concatGroups(gid int, groups []plan.Group) plan.Group {
 			words = g.ZCol.Words
 		}
 	}
-	out := plan.Group{Gid: gid}
+	var out plan.Group
 	if total == 0 {
 		return out
 	}
@@ -308,7 +422,7 @@ func (w *Worker) CommitShard(args CommitShardArgs, reply *CommitShardReply) erro
 	}
 	reply.Rows = st.rows
 	w.smu.Unlock()
-	w.setShardGauge(args.ShardID, reply.Rows)
+	w.resetShardGauges(args.ShardID, reply.Rows)
 	return nil
 }
 
@@ -335,20 +449,23 @@ func (w *Worker) DropShard(args DropShardArgs, reply *DropShardReply) error {
 	w.shardVer = args.MapVersion
 	delete(w.resident, args.ShardID)
 	w.smu.Unlock()
-	w.setShardGauge(args.ShardID, 0)
+	w.resetShardGauges(args.ShardID, 0)
 	_ = reply
 	return nil
 }
 
-// ShardStats reports the replica's installed map version and resident
-// rows per shard — what skydist -shard-report and the tests read.
+// ShardStats reports the replica's installed map version and, per
+// shard, the resident rows and the rows of the cached skyline — what
+// skydist -shard-report and the tests read.
 func (w *Worker) ShardStats(_ ShardStatsArgs, reply *ShardStatsReply) error {
 	w.smu.RLock()
 	defer w.smu.RUnlock()
 	reply.MapVersion = w.shardVer
 	reply.Rows = make(map[int]int64, len(w.resident))
+	reply.SkylineRows = make(map[int]int64, len(w.resident))
 	for id, res := range w.resident {
 		reply.Rows[id] = int64(res.rows)
+		reply.SkylineRows[id] = res.sky.rows.Load()
 	}
 	return nil
 }

@@ -39,7 +39,9 @@ type Event struct {
 	// "name@vN") the query ran against.
 	Dataset string `json:"dataset,omitempty"`
 	// Cache is "hit" or "miss" on routes served through the result
-	// cache; empty elsewhere.
+	// cache, and "cached", "folded" or "computed" on Worker.ShardSkyline
+	// rpc events (how the replica produced the shard skyline); empty
+	// elsewhere.
 	Cache string `json:"cache,omitempty"`
 	// Status is the HTTP status code (query events from the server).
 	Status int `json:"status,omitempty"`

@@ -108,7 +108,11 @@ func (c *Client) Go(method uint16, args Marshaler, reply Unmarshaler, done chan 
 	c.wmu.Unlock()
 
 	if err != nil {
-		c.forget(call.seq)
+		if !c.forget(call.seq) {
+			// The read loop saw the connection die first and already
+			// finished this call along with the other pending ones.
+			return call
+		}
 		if _, ok := err.(marshalError); ok {
 			call.finish(err) // caller bug, not a transport casualty
 		} else {
@@ -141,12 +145,15 @@ func (c *Client) Call(ctx context.Context, method uint16, args Marshaler, reply 
 	}
 }
 
-// forget abandons one pending call (deadline passed, caller moved on).
-// A response that arrives later finds no owner and is discarded.
-func (c *Client) forget(seq uint64) {
+// forget abandons one pending call (deadline passed, caller moved on)
+// and reports whether it was still pending. A response that arrives
+// later finds no owner and is discarded.
+func (c *Client) forget(seq uint64) bool {
 	c.mu.Lock()
+	_, pending := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
+	return pending
 }
 
 // Close tears the connection down and fails every pending call.
