@@ -219,15 +219,18 @@ func NewWindowSkyline(capacity, dims, bits int, mins, maxs []float64) (*WindowSk
 type ParallelOptions = parallel.Options
 
 // ParallelSkyline computes the exact skyline on shared-memory
-// multicores without the MapReduce machinery: shard -> Z-search ->
-// parallel Z-merge reduction. The lightweight choice when the input
-// already fits in memory on one machine.
+// multicores: sample skyline -> per-shard filter and Z-encode of the
+// survivors -> per-shard Z-search -> parallel Z-merge reduction, the
+// paper's three phases on a goroutine pool with no shuffle. The
+// lightweight choice when the input already fits in memory on one
+// machine.
 func ParallelSkyline(ds *Dataset, opts ParallelOptions) ([]Point, error) {
 	return parallel.Skyline(context.Background(), ds, opts)
 }
 
 // ParallelSkylineContext is ParallelSkyline honoring ctx: cancellation
-// is checked between merge rounds, matching the other substrates.
+// is checked inside the filter pass (every 1024 rows of a shard),
+// between tasks and between merge rounds.
 func ParallelSkylineContext(ctx context.Context, ds *Dataset, opts ParallelOptions) ([]Point, error) {
 	return parallel.Skyline(ctx, ds, opts)
 }

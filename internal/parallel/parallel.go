@@ -1,11 +1,15 @@
-// Package parallel computes skylines on shared-memory multicores
-// without the MapReduce machinery: the input is sharded across
-// goroutines, each shard is solved with Z-search, and the shard
-// skylines are combined with a parallel Z-merge reduction tree. The
-// phase logic and the reduction shape live in internal/plan; this
-// package is the thin shared-memory entry point for users who want
-// the paper's algorithms but run on one machine, not a simulated
-// cluster.
+// Package parallel computes skylines on shared-memory multicores: the
+// paper's three phases as internal/plan runs them, on a goroutine pool
+// (plan.LocalExec) and under the Positional strategy. Phase 1 learns
+// the data bounds and the skyline of a 2 % sample; the input is then
+// cut into one contiguous shard per worker, and each map task drops the
+// rows the sample skyline dominates and Z-encodes only the survivors,
+// reading the dataset's rows where they lie. Each shard's survivors are
+// solved with Z-search, and the shard skylines are combined by a
+// pairwise Z-merge tree whose last, lonely merges are split over the
+// idle workers. All of that is plan's; this package only fixes the
+// spec — the entry point for users who want the paper's algorithms on
+// one machine, not a simulated cluster.
 package parallel
 
 import (
@@ -15,10 +19,8 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
-	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
-	"zskyline/internal/zorder"
 )
 
 // Options tunes Skyline.
@@ -54,97 +56,45 @@ func (o Options) normalize(dims int) Options {
 	return o
 }
 
+// sampleRatio and sampleSeed fix phase 1's sample: the repository's 2 %
+// default, and one seed for every call, so the same input with the same
+// Workers always yields the same rule, the same survivors and the same
+// output order.
+const (
+	sampleRatio = 0.02
+	sampleSeed  = 1
+)
+
 // Skyline computes the exact skyline of ds using opts.Workers
-// goroutines, honoring ctx between merge rounds.
+// goroutines. ctx is honored inside the map tasks (every 1024 rows),
+// between tasks, and between merge rounds.
 //
 // When ctx carries an obs trace, Skyline emits the library's uniform
-// span taxonomy: learn covers encoder construction, map covers the
-// positional sharding, local-skyline the per-shard Z-search, and
-// merge/round-N the pairwise reduction (via plan.MergePhase).
+// span taxonomy, exactly as plan.Run produces it: learn (bounds, sample
+// skyline, SZB-tree), map (filter + encode, one task per shard),
+// local-skyline (per-shard Z-search) and merge/round-N (the pairwise
+// reduction).
 func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Point, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil
 	}
 	opts = opts.normalize(ds.Dims)
-
-	// "Learning" here is only bounds + encoder setup: the shared-memory
-	// path shards positionally instead of partitioning by Z-address.
-	learnSpan, _ := obs.StartSpan(ctx, "learn")
-	learnSpan.SetAttr("strategy", "positional")
-	prov, err := opts.Dominance.Provider()
-	if err != nil {
-		learnSpan.End()
-		return nil, err
+	spec := &plan.Spec{
+		Strategy:    plan.Positional,
+		Local:       plan.ZS,
+		Merge:       plan.MergeZM,
+		M:           opts.Workers,
+		Delta:       1,
+		MapTasks:    opts.Workers,
+		TreeMerge:   true,
+		SampleRatio: sampleRatio,
+		Seed:        sampleSeed,
+		Bits:        opts.Bits,
+		Fanout:      opts.Fanout,
+		Dominance:   opts.Dominance,
 	}
-	mins, maxs, err := ds.Bounds()
-	if err != nil {
-		learnSpan.End()
-		return nil, err
-	}
-	enc, err := zorder.NewEncoder(ds.Dims, opts.Bits, mins, maxs)
-	if err != nil {
-		learnSpan.End()
-		return nil, err
-	}
-	r := plan.NewLocalRuleUnder(prov, enc, opts.Fanout, plan.ZS, plan.MergeZM)
-	ex := plan.NewLocalExec(opts.Workers)
-	learnSpan.SetAttr("groups", opts.Workers)
-	learnSpan.End()
-
-	// Shard positionally and solve each shard with Z-search. The input
-	// is packed into one contiguous block, Z-encoded once as a single
-	// bulk pass, and sharded by re-slicing — every shard is a zero-copy
-	// view of the same flat array and the same address column, so the
-	// reduce and merge phases never encode a point again.
-	mapSpan, _ := obs.StartSpan(ctx, "map")
-	block := point.BlockOf(ds.Dims, ds.Points)
-	zc := enc.EncodeBlock(zorder.ZCol{}, block)
-	parts := block.SplitN(opts.Workers)
-	shards := make([]plan.Group, 0, len(parts))
-	off := 0
-	for s, b := range parts {
-		shards = append(shards, plan.Group{Gid: s, Block: b, ZCol: zc.Slice(off, off+b.Len())})
-		off += b.Len()
-	}
-	mapSpan.SetAttr("tasks", len(shards))
-	mapSpan.SetAttr("filtered", 0)
-	mapSpan.End()
-
-	redSpan, rctx := obs.StartSpan(ctx, "local-skyline")
-	redSpan.SetAttr("groups", len(shards))
-	skys, err := ex.RunReduces(rctx, r, shards, opts.Tally)
-	if err != nil {
-		redSpan.End()
-		return nil, err
-	}
-	candidates := 0
-	for _, g := range skys {
-		candidates += g.Len()
-	}
-	redSpan.SetAttr("candidates", candidates)
-	redSpan.End()
-
-	// Parallel pairwise Z-merge reduction.
-	sky, err := plan.MergePhase(ctx, ex, r, skys, true, opts.Tally)
-	if err != nil {
-		return nil, err
-	}
-
-	// Non-transitive relations leave the merge with a candidate
-	// superset (an eliminated shard point can still dominate a
-	// candidate); close it against the full input. Candidates are
-	// compacted copies, so coordinate-equal source rows never
-	// self-eliminate.
-	if !dominance.IsPareto(prov) && !prov.Caps().Transitive && len(sky) > 0 {
-		sp, _ := obs.StartSpan(ctx, "verify")
-		sp.SetAttr("candidates", len(sky))
-		cand := point.BlockOf(ds.Dims, sky)
-		cand = dominance.FilterBlock(prov, cand, block, opts.Tally)
-		sp.SetAttr("skyline", cand.Len())
-		sp.End()
-		sky = cand.Points()
-	}
-	return sky, nil
+	sky, _, err := plan.Run(ctx, spec, ds, plan.NewLocalExec(opts.Workers), opts.Tally)
+	return sky, err
 }
 
 // SkylineOf is a convenience wrapper over raw points.

@@ -154,7 +154,7 @@ func TestExecutorsEquivalent(t *testing.T) {
 			}
 			sameSet(t, par, want, "parallel")
 
-			for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG} {
+			for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG, plan.Positional} {
 				sameSet(t, planSkyline(t, tc.ds, st, false), want, "plan/"+st.String())
 			}
 			sameSet(t, planSkyline(t, tc.ds, plan.ZDG, true), want, "plan/ZDG/tree")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
@@ -76,62 +77,73 @@ func NewLocalExec(workers int) *LocalExec {
 // Broadcast is a no-op in-process.
 func (ex *LocalExec) Broadcast(ctx context.Context, _ *Rule) error { return ctx.Err() }
 
-// run fans f over n indices with bounded concurrency. Admission stops
-// the moment ctx is done — a task waiting for a pool slot is never
-// dispatched after cancellation — and a panic inside f is recovered
-// into the returned error instead of killing the process.
+// run fans f over n indices on at most ex.workers goroutines, each
+// taking the next index until none is left. No index is taken once ctx
+// is done, and a panic inside f is recovered into the returned error
+// instead of killing the process. A task that watches ctx itself may
+// stop early without a word, so a context that is done when the last
+// task returns fails the whole call.
 func (ex *LocalExec) run(ctx context.Context, n int, f func(i int)) error {
-	sem := make(chan struct{}, ex.workers)
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64
 		mu       sync.Mutex
 		firstErr error
 	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for i := 0; i < n; i++ {
-		// The explicit check keeps admission-stop deterministic: a select
-		// with both channels ready picks randomly.
-		if err := ctx.Err(); err != nil {
-			wg.Wait()
-			setErr(err)
-			return firstErr
-		}
-		select {
-		case <-ctx.Done():
-			wg.Wait()
-			setErr(ctx.Err())
-			return firstErr
-		case sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if p := recover(); p != nil {
-					setErr(fmt.Errorf("plan: task %d panicked: %v", i, p))
+	task := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("plan: task %d panicked: %v", i, p)
 				}
-			}()
-			f(i)
-		}(i)
+				mu.Unlock()
+			}
+		}()
+		f(i)
+	}
+	worker := func() {
+		defer wg.Done()
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			task(i)
+		}
+	}
+	for w := min(ex.workers, n); w > 0; w-- {
+		wg.Add(1)
+		go worker()
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
 	return firstErr
 }
+
+// splitChunks is how many probe ranges a split merge cuts per idle
+// worker and side: the ranges cost unequal time, and a few per worker
+// even that out.
+const splitChunks = 2
 
 // RunMaps implements Executor.
 func (ex *LocalExec) RunMaps(ctx context.Context, r *Rule, chunks []point.Block, tally *metrics.Tally) ([]MapOutput, error) {
 	outs := make([]MapOutput, len(chunks))
 	err := ex.run(ctx, len(chunks), func(i int) {
-		outs[i] = r.MapBlock(chunks[i], tally)
+		outs[i] = r.mapBlock(ctx, chunks[i], tally)
+	})
+	return outs, err
+}
+
+// runRowMaps is RunMaps over chunks of in-memory row views, for a
+// dataset that is mapped where it lies instead of being packed into
+// blocks first (see runRows).
+func (ex *LocalExec) runRowMaps(ctx context.Context, r *Rule, chunks [][]point.Point, tally *metrics.Tally) ([]MapOutput, error) {
+	outs := make([]MapOutput, len(chunks))
+	err := ex.run(ctx, len(chunks), func(i int) {
+		outs[i] = r.mapChunk(ctx, chunks[i], tally)
 	})
 	return outs, err
 }
@@ -145,8 +157,13 @@ func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, ta
 	return outs, err
 }
 
-// RunMerges implements Executor.
+// RunMerges implements Executor. A round with fewer pairwise merges
+// than half the pool would leave workers idle, so each merge is split
+// into enough probe ranges to occupy them (see splitMerge).
 func (ex *LocalExec) RunMerges(ctx context.Context, r *Rule, tasks [][]Group, tally *metrics.Tally) ([]Group, error) {
+	if len(tasks) > 0 && ex.workers >= 2*len(tasks) && r.splittable(tasks) {
+		return ex.runSplitMerges(ctx, r, tasks, splitChunks*ex.workers/len(tasks), tally)
+	}
 	outs := make([]Group, len(tasks))
 	err := ex.run(ctx, len(tasks), func(i int) {
 		outs[i] = r.MergeGroupsZ(tasks[i], tally)

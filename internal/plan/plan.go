@@ -46,6 +46,13 @@ const (
 	// ZDG is Z-order partitioning plus Dominance-based Grouping (§4.3),
 	// the paper's headline strategy.
 	ZDG
+	// Positional learns no routing at all: map task i's chunk is group
+	// i, as the input lies. Of phase 1 it keeps the sample skyline and
+	// its SZB-tree mapper filter (Algorithm 3). This is the shared-memory
+	// executor's strategy — with no shuffle to balance there is nothing
+	// for Z-partitioning to buy — and, like the baselines, it is
+	// in-process only.
+	Positional
 )
 
 // String names the strategy as the paper does.
@@ -63,6 +70,8 @@ func (s Strategy) String() string {
 		return "ZHG"
 	case ZDG:
 		return "ZDG"
+	case Positional:
+		return "Positional"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -314,6 +323,23 @@ func ChunkBy(pts []point.Point, size int) [][]point.Point {
 	return out
 }
 
+// chunkRows applies the spec's chunking policy to in-memory row views:
+// chunks of at most ChunkSize rows, or MapTasks near-equal chunks.
+func (s *Spec) chunkRows(rows []point.Point) [][]point.Point {
+	if s.ChunkSize > 0 {
+		return ChunkBy(rows, s.ChunkSize)
+	}
+	return SplitN(rows, s.mapTasks())
+}
+
+// mapTasks resolves the map task count default.
+func (s *Spec) mapTasks() int {
+	if s.MapTasks <= 0 {
+		return 8
+	}
+	return s.MapTasks
+}
+
 // chunkBlocks applies the spec's chunking policy to drained blocks
 // without copying: explicit ChunkSize re-slices each block to at most
 // ChunkSize rows; otherwise the blocks are cut into approximately
@@ -327,10 +353,7 @@ func (s *Spec) chunkBlocks(blocks []point.Block) []point.Block {
 		}
 		return out
 	}
-	n := s.MapTasks
-	if n <= 0 {
-		n = 8
-	}
+	n := s.mapTasks()
 	if len(blocks) == 1 {
 		return blocks[0].SplitN(n)
 	}

@@ -48,7 +48,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	for _, s := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG, Strategy(42)} {
+	for _, s := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG, Positional, Strategy(42)} {
 		if s.String() == "" {
 			t.Errorf("strategy %d has empty name", int(s))
 		}

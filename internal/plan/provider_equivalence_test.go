@@ -152,7 +152,7 @@ func TestProvidersAcrossExecutors(t *testing.T) {
 				}
 				sameSet(t, par, want, name+"/parallel")
 
-				for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG} {
+				for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG, plan.Positional} {
 					sameSet(t, planSkylineUnder(t, tc.ds, desc, st, plan.ZS, plan.MergeZM),
 						want, name+"/plan/"+st.String())
 				}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 
 	"zskyline/internal/dominance"
@@ -46,11 +47,21 @@ type Rule struct {
 	// the Z-address into a partition, then map partition -> group.
 	pivots  []zorder.ZAddr
 	groupOf map[int]int
+	// positional marks the Positional strategy: no routing state, map
+	// task i's survivors are group i.
+	positional bool
 	// szb is the sample-skyline ZB-tree of Algorithm 3; nil when the
-	// strategy does not filter.
-	szb *zbtree.Tree
+	// strategy does not filter. The Z-order strategies hold the pointer
+	// tree; Positional, which relearns on every query, holds the slab
+	// tree, whose build is a handful of allocations.
+	szb interface {
+		DominatesPoint(g []uint32, p point.Point) bool
+	}
 	// sampleSky is the broadcastable sample skyline backing szb.
 	sampleSky []point.Point
+	// sampleSize is |sample|; with skySize it predicts the filter's
+	// survivor count (see survivorsOf).
+	sampleSize int
 
 	dims       int
 	bits       int
@@ -119,6 +130,8 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		r.assignFn = func(p point.Point) (int, bool) { return rp.Assign(p), true }
 		r.groups, r.parts = rp.N(), rp.N()
 		return r.withUnitLocalEncoder()
+	case Positional:
+		return r.learnPositional(spec, smp, tally), nil
 	case NaiveZ, ZHG, ZDG:
 	default:
 		return nil, fmt.Errorf("plan: unknown strategy %v", spec.Strategy)
@@ -196,24 +209,22 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 	return r, nil
 }
 
-// NewLocalRule builds a routing-less rule over enc for substrates that
-// shard positionally (the shared-memory executor): only LocalSkyline
-// and MergeGroups are meaningful on it.
-func NewLocalRule(enc *zorder.Encoder, fanout int, local LocalAlgo, merge MergeAlgo) *Rule {
-	return NewLocalRuleUnder(nil, enc, fanout, local, merge)
-}
-
-// NewLocalRuleUnder is NewLocalRule under a dominance provider (nil
-// means Pareto).
-func NewLocalRuleUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, local LocalAlgo, merge MergeAlgo) *Rule {
-	if fanout <= 0 {
-		fanout = zbtree.DefaultFanout
+// learnPositional finishes Learn for the Positional strategy: spec.M
+// groups at most (the driver reports how many map tasks the input
+// actually filled), and — unless the relation or the spec turns the
+// filter off — the sample skyline indexed as the SZB-tree every map
+// task probes. Sample and tree stay on the slab path, so learning
+// costs a handful of allocations whatever the sample size.
+func (r *Rule) learnPositional(spec *Spec, smp []point.Point, tally *metrics.Tally) *Rule {
+	r.positional = true
+	r.groups, r.parts = spec.M, spec.M
+	if r.filterOff || len(smp) == 0 {
+		return r
 	}
-	if prov == nil {
-		prov = dominance.Pareto{}
-	}
-	return &Rule{local: local, merge: merge, fanout: fanout, prov: prov, caps: prov.Caps(),
-		enc: enc, localEnc: enc, dims: enc.Dims()}
+	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, point.BlockOf(r.dims, smp), zorder.ZCol{}, tally)
+	r.szb = zbtree.BuildStore(zbtree.NewStoreWithZCol(r.enc, sky, skyZ), r.fanout, tally)
+	r.skySize, r.sampleSize = sky.Len(), len(smp)
+	return r
 }
 
 // Groups returns the number of groups (= phase-2 reducers).
@@ -246,9 +257,11 @@ func (r *Rule) Provider() dominance.Provider {
 func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
 
 // Route maps a point to its group; ok is false when the point is
-// dropped (SZB-tree filtered, or routed to a pruned partition). This
-// is the one-shot entry point; per-point loops should hold a Router,
-// which reuses its quantization scratch across calls.
+// dropped (SZB-tree filtered, or routed to a pruned partition). A
+// Positional rule groups by map task, which a single point cannot name:
+// every survivor routes to group 0. This is the one-shot entry point;
+// per-point loops should hold a Router, which reuses its quantization
+// scratch across calls.
 func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 	if r.assignFn != nil {
 		return r.assignFn(p)
@@ -261,6 +274,9 @@ func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 func (r *Rule) RouteEntry(e zbtree.Entry) (gid int, ok bool) {
 	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(e.G, e.P) {
 		return 0, false
+	}
+	if r.positional {
+		return 0, true
 	}
 	gid, ok = r.groupOf[r.partitionOf(e.Z)]
 	return gid, ok
@@ -300,6 +316,9 @@ func (rt *Router) Route(p point.Point) (gid int, ok bool) {
 		return 0, false
 	}
 	r.enc.EncodeGridInto(rt.z, rt.g)
+	if r.positional {
+		return 0, true
+	}
 	gid, ok = r.groupOf[r.partitionOf(rt.z)]
 	return gid, ok
 }
@@ -407,6 +426,13 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 // pointer-per-point path; MapBlock is the flat equivalent bulk movers
 // use.
 func (r *Rule) MapChunk(pts []point.Point, tally *metrics.Tally) MapOutput {
+	return r.mapChunk(context.Background(), pts, tally)
+}
+
+func (r *Rule) mapChunk(ctx context.Context, pts []point.Point, tally *metrics.Tally) MapOutput {
+	if r.positional {
+		return r.mapPositional(ctx, len(pts), func(i int) point.Point { return pts[i] }, tally)
+	}
 	byGroup := map[int][]point.Point{}
 	var order []int
 	var out MapOutput
@@ -437,6 +463,13 @@ func (r *Rule) MapChunk(pts []point.Point, tally *metrics.Tally) MapOutput {
 // appended to the group's Z-address column, so it is encoded exactly
 // once per query: combine, shuffle, reduce, and merge all reuse it.
 func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
+	return r.mapBlock(context.Background(), b, tally)
+}
+
+func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally) MapOutput {
+	if r.positional {
+		return r.mapPositional(ctx, b.Len(), b.Row, tally)
+	}
 	builders := map[int]*point.BlockBuilder{}
 	var zcols map[int]*zorder.ZCol
 	var order []int
@@ -496,6 +529,66 @@ func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 	return out
 }
 
+// cancelStride is how many rows a positional map task handles between
+// two looks at its context.
+const cancelStride = 1024
+
+// mapPositional is the Positional strategy's map task over n rows: drop
+// the rows the sample skyline dominates, Z-encode the survivors — the
+// one time their addresses are computed; reduce and every merge round
+// reuse the column — and return them as the task's single group. The
+// local kernel runs in the reduce phase, not here. Once ctx is done the
+// task stops mid-chunk and returns nothing; the executor reports
+// ctx.Err().
+//
+// Under a non-Pareto relation the provider kernels derive what they
+// need themselves, so survivors travel without a column.
+func (r *Rule) mapPositional(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
+	filter := r.szb != nil // learnPositional builds no tree with the filter off
+	encode := r.pareto()
+	keep := r.survivorsOf(n)
+	out := Group{Block: point.Block{Dims: r.dims, Data: make([]float64, 0, keep*r.dims)}}
+	g := make([]uint32, r.dims)
+	var z zorder.ZAddr
+	if encode {
+		w := r.enc.Words()
+		z = make(zorder.ZAddr, w)
+		out.ZCol = zorder.ZCol{Words: w, Data: make([]uint64, 0, keep*w)}
+	}
+	for i := 0; i < n; i++ {
+		if i%cancelStride == 0 && ctx.Err() != nil {
+			return MapOutput{}
+		}
+		p := row(i)
+		if len(p) != r.dims {
+			panic(fmt.Sprintf("plan: map row has %d dims, want %d", len(p), r.dims))
+		}
+		g = r.enc.GridInto(g, p)
+		if filter && r.szb.DominatesPoint(g, p) {
+			continue
+		}
+		if encode {
+			z = r.enc.EncodeGridInto(z, g)
+			out.ZCol.AppendAddr(z)
+		}
+		out.Block.Data = append(out.Block.Data, p...)
+	}
+	filtered := int64(n - out.Len())
+	tally.AddPointsPruned(filtered)
+	return MapOutput{Groups: []Group{out}, Filtered: filtered}
+}
+
+// survivorsOf predicts how many of n rows pass the SZB filter, to size
+// a map task's arenas. A row drawn like the sample escapes the sample
+// skyline about as often as a sample row sits on it, so the estimate is
+// n·|sample skyline|/|sample| plus slack; append growth absorbs a miss.
+func (r *Rule) survivorsOf(n int) int {
+	if r.szb == nil {
+		return n
+	}
+	return min(n, n*r.skySize/r.sampleSize+n/16+16)
+}
+
 // MergeGroups is one phase-3 merge task over candidate groups, in the
 // given order: Z-merge one ZB-tree per group (Algorithm 4), or the
 // ZS / SB recompute baselines. Slice adapter over MergeGroupsZ.
@@ -551,11 +644,30 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 		out.Block = seq.SBBlock(bb.Build(), tally)
 		return out
 	}
-	// Shared store over all candidates, reusing columns where present.
+	st, ranges := r.candidateStore(groups, total)
+	var rows []int32
+	if r.merge == MergeZS {
+		rows = zbtree.BuildStore(st, r.fanout, tally).SkylineRows()
+	} else { // MergeZM: fold Z-merge over per-group trees (Algorithm 4)
+		acc := zbtree.NewBlockTree(st, r.fanout, tally)
+		for _, rg := range ranges {
+			acc = zbtree.MergeBlock(acc, zbtree.BuildRows(st, r.fanout, rowRange(rg), tally))
+		}
+		rows = acc.Rows()
+	}
+	out.Block, out.ZCol = st.CompactRows(rows)
+	return out
+}
+
+// candidateStore concatenates candidate groups (total rows in all)
+// into one shared columnar store, reusing each group's Z-address column
+// where it carries one and encoding only the rest. ranges holds each
+// group's [lo,hi) store rows.
+func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]int32) {
 	w := r.enc.Words()
 	bb := point.NewBlockBuilder(r.dims, total)
 	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
-	ranges := make([][2]int32, 0, len(groups)) // per-group [lo,hi) store rows
+	ranges := make([][2]int32, 0, len(groups))
 	for _, g := range groups {
 		lo := int32(bb.Len())
 		bb.AppendBlock(g.Block)
@@ -566,23 +678,17 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 		}
 		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
 	}
-	st := zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc)
-	var rows []int32
-	if r.merge == MergeZS {
-		rows = zbtree.BuildStore(st, r.fanout, tally).SkylineRows()
-	} else { // MergeZM: fold Z-merge over per-group trees (Algorithm 4)
-		acc := zbtree.NewBlockTree(st, r.fanout, tally)
-		for _, rg := range ranges {
-			seg := make([]int32, 0, rg[1]-rg[0])
-			for i := rg[0]; i < rg[1]; i++ {
-				seg = append(seg, i)
-			}
-			acc = zbtree.MergeBlock(acc, zbtree.BuildRows(st, r.fanout, seg, tally))
-		}
-		rows = acc.Rows()
+	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc), ranges
+}
+
+// rowRange lists the store rows of one [lo,hi) range, for BuildRows to
+// take ownership of.
+func rowRange(rg [2]int32) []int32 {
+	rows := make([]int32, 0, rg[1]-rg[0])
+	for i := rg[0]; i < rg[1]; i++ {
+		rows = append(rows, i)
 	}
-	out.Block, out.ZCol = st.CompactRows(rows)
-	return out
+	return rows
 }
 
 // RuleData is the gob-serializable form of a Z-order rule — what a

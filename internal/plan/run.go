@@ -47,11 +47,31 @@ type Report struct {
 	SkylineSize int
 }
 
+// driver is what the phases of one run share: what to compute, where,
+// and the report and tally they fill.
+type driver struct {
+	spec  *Spec
+	ex    Executor
+	rep   *Report
+	tally *metrics.Tally
+	start time.Time
+}
+
+func newDriver(spec *Spec, ex Executor, tally *metrics.Tally) *driver {
+	return &driver{spec: spec, ex: ex, rep: &Report{}, tally: tally, start: time.Now()}
+}
+
 // Run executes the full three-phase pipeline on ex over an in-memory
-// dataset. It is RunSource over the dataset's block adapter.
+// dataset. It is RunSource over the dataset's block adapter, with one
+// exception: a Positional run on LocalExec maps the dataset's row views
+// where they lie, so rows the SZB filter drops are never packed or
+// Z-encoded at all.
 func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, &Report{}, nil
+	}
+	if lx, ok := ex.(*LocalExec); ok && spec.Strategy == Positional {
+		return runRows(ctx, spec, ds, lx, tally)
 	}
 	return RunSource(ctx, spec, point.NewDatasetSource(ds), ex, tally)
 }
@@ -66,15 +86,14 @@ func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally 
 // local-skyline, and merge/round-N — under the context's current span,
 // so every substrate produces structurally identical trace reports.
 func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
-	rep := &Report{}
 	if src == nil {
-		return nil, rep, nil
+		return nil, &Report{}, nil
 	}
-	total := time.Now()
+	d := newDriver(spec, ex, tally)
+	rep := d.rep
 
 	// ---- Phase 1: preprocessing on the master ----
 	learnSpan, lctx := obs.StartSpan(ctx, "learn")
-	t0 := time.Now()
 	blocks, mins, maxs, n, err := ingest(src, spec)
 	if err != nil {
 		learnSpan.End()
@@ -88,62 +107,128 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 	for _, b := range blocks {
 		rows = b.AppendPoints(rows)
 	}
-	smp, err := sample.Ratio(rows, spec.SampleRatio, spec.Seed)
+	chunks := spec.chunkBlocks(blocks)
+	r, err := d.learn(lctx, learnSpan, src.Dims(), mins, maxs, rows, len(chunks))
 	if err != nil {
-		learnSpan.End()
 		return nil, nil, err
 	}
-	rep.SampleSize = len(smp)
-	r, err := Learn(spec, src.Dims(), mins, maxs, smp, tally)
-	if err != nil {
-		learnSpan.End()
-		return nil, nil, err
-	}
-	if err := ex.Broadcast(lctx, r); err != nil {
-		learnSpan.End()
-		return nil, nil, err
-	}
-	rep.Preprocess = time.Since(t0)
-	rep.Groups = r.groups
-	rep.Partitions = r.parts
-	rep.PrunedPartitions = r.pruned
-	rep.SampleSkySize = r.skySize
-	learnSpan.SetAttr("strategy", spec.Strategy)
-	learnSpan.SetAttr("points", n)
-	learnSpan.SetAttr("sample", rep.SampleSize)
-	learnSpan.SetAttr("sample_skyline", rep.SampleSkySize)
-	learnSpan.SetAttr("groups", rep.Groups)
-	learnSpan.SetAttr("partitions", rep.Partitions)
-	learnSpan.SetAttr("pruned", rep.PrunedPartitions)
-	learnSpan.End()
 
 	// ---- Phase 2: compute skyline candidates ----
 	t1 := time.Now()
-	groups, filtered, err := runPhase2(ctx, spec, r, blocks, ex, tally)
+	groups, filtered, err := runPhase2(ctx, r, blocks, chunks, ex, tally)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep.Phase2 = time.Since(t1)
 	rep.Filtered = filtered
-	perGroup := make([]int, r.groups)
+
+	// ---- Phase 3: merge skyline candidates ----
+	return d.mergeAndReport(ctx, r, groups, n, func() []point.Block { return blocks })
+}
+
+// runRows is RunSource for a dataset held as row views, on the
+// shared-memory pool: the same phases and spans, but the map tasks read
+// the rows in place (LocalExec.runRowMaps) and only the verify pass of
+// a non-transitive relation ever packs the whole input.
+func runRows(ctx context.Context, spec *Spec, ds *point.Dataset, ex *LocalExec, tally *metrics.Tally) ([]point.Point, *Report, error) {
+	d := newDriver(spec, ex, tally)
+	rep := d.rep
+
+	learnSpan, lctx := obs.StartSpan(ctx, "learn")
+	mins, maxs, err := ds.Bounds()
+	if err != nil {
+		learnSpan.End()
+		return nil, nil, err
+	}
+	chunks := spec.chunkRows(ds.Points)
+	r, err := d.learn(lctx, learnSpan, ds.Dims, mins, maxs, ds.Points, len(chunks))
+	if err != nil {
+		return nil, nil, err
+	}
+
+	t1 := time.Now()
+	mapSpan, mctx := obs.StartSpan(ctx, "map")
+	mapSpan.SetAttr("tasks", len(chunks))
+	outs, err := ex.runRowMaps(mctx, r, chunks, tally)
+	if err != nil {
+		mapSpan.End()
+		return nil, nil, err
+	}
+	groups, filtered := gather(r, outs)
+	mapSpan.SetAttr("filtered", filtered)
+	mapSpan.End()
+	if groups, err = reducePhase(ctx, ex, r, groups, tally); err != nil {
+		return nil, nil, err
+	}
+	rep.Phase2 = time.Since(t1)
+	rep.Filtered = filtered
+
+	full := func() []point.Block { return []point.Block{point.BlockOf(ds.Dims, ds.Points)} }
+	return d.mergeAndReport(ctx, r, groups, ds.Len(), full)
+}
+
+// learn is phase 1 from the point where the input's bounds and row
+// views are known: sample, learn the rule, broadcast it, fill the
+// report, and close the learn span with the taxonomy's attributes.
+// tasks is the phase-2 map task count — under Positional also the
+// group count, which Learn cannot know.
+func (d *driver) learn(ctx context.Context, span *obs.Span, dims int, mins, maxs []float64, rows []point.Point, tasks int) (*Rule, error) {
+	defer span.End()
+	spec, rep := d.spec, d.rep
+	smp, err := sample.Ratio(rows, spec.SampleRatio, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	r, err := Learn(spec, dims, mins, maxs, smp, d.tally)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.ex.Broadcast(ctx, r); err != nil {
+		return nil, err
+	}
+	rep.Preprocess = time.Since(d.start)
+	rep.SampleSize = len(smp)
+	rep.SampleSkySize = r.skySize
+	rep.Groups = r.groups
+	rep.Partitions = r.parts
+	rep.PrunedPartitions = r.pruned
+	if r.positional {
+		rep.Groups, rep.Partitions = tasks, tasks
+	}
+	span.SetAttr("strategy", spec.Strategy)
+	span.SetAttr("points", len(rows))
+	span.SetAttr("sample", rep.SampleSize)
+	span.SetAttr("sample_skyline", rep.SampleSkySize)
+	span.SetAttr("groups", rep.Groups)
+	span.SetAttr("partitions", rep.Partitions)
+	span.SetAttr("pruned", rep.PrunedPartitions)
+	return r, nil
+}
+
+// mergeAndReport is phase 3 and the close of the report: merge the
+// candidate groups, verify them against the full input when the
+// relation needs it (full packs that input on demand), and stamp the
+// run's totals on the report and on ctx's current span.
+func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n int, full func() []point.Block) ([]point.Point, *Report, error) {
+	rep := d.rep
+	perGroup := make([]int, rep.Groups)
 	for _, g := range groups {
 		rep.Candidates += g.Len()
-		if g.Gid >= 0 && g.Gid < r.groups {
+		if g.Gid >= 0 && g.Gid < len(perGroup) {
 			perGroup[g.Gid] += g.Len()
 		}
 	}
 	rep.PerGroupCandidates = perGroup
 
-	// ---- Phase 3: merge skyline candidates ----
 	t2 := time.Now()
-	sky, err := MergePhase(ctx, ex, r, groups, spec.TreeMerge, tally)
+	sky, err := MergePhase(ctx, d.ex, r, groups, d.spec.TreeMerge, d.tally)
 	if err != nil {
 		return nil, nil, err
 	}
-	sky = verifyCandidates(ctx, r, sky, blocks, tally)
+	sky = verifyCandidates(ctx, r, sky, full, d.tally)
 	rep.Phase3 = time.Since(t2)
 	rep.SkylineSize = len(sky)
-	rep.Total = time.Since(total)
+	rep.Total = time.Since(d.start)
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		if id := obs.RequestIDFrom(ctx); id != "" {
 			sp.SetAttr("request_id", id)
@@ -159,19 +244,21 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 // verifyCandidates closes the pipeline for non-transitive dominance
 // relations: local and merge phases then produce candidate supersets
 // (an eliminated point can still dominate a candidate), so every
-// candidate is retested against the full ingested dataset. Elimination
-// cites a real dataset point, which is sound under any irreflexive
-// relation; candidates are compacted copies, so their own source rows
-// are merely coordinate-equal and never self-eliminate. Transitive
-// relations (Pareto included) return sky unchanged.
-func verifyCandidates(ctx context.Context, r *Rule, sky []point.Point, blocks []point.Block, tally *metrics.Tally) []point.Point {
+// candidate is retested against the full input — every ingested row,
+// including those the mapper filter dropped; full returns it packed.
+// Elimination cites a real dataset point, which is sound under any
+// irreflexive relation; candidates are compacted copies, so their own
+// source rows are merely coordinate-equal and never self-eliminate.
+// Transitive relations (Pareto included) return sky unchanged and never
+// call full.
+func verifyCandidates(ctx context.Context, r *Rule, sky []point.Point, full func() []point.Block, tally *metrics.Tally) []point.Point {
 	if r.pareto() || r.caps.Transitive || len(sky) == 0 {
 		return sky
 	}
 	sp, _ := obs.StartSpan(ctx, "verify")
 	sp.SetAttr("candidates", len(sky))
 	cand := point.BlockOf(r.dims, sky)
-	for _, b := range blocks {
+	for _, b := range full() {
 		cand = dominance.FilterBlock(r.prov, cand, b, tally)
 	}
 	sp.SetAttr("skyline", cand.Len())
@@ -217,11 +304,10 @@ func ingest(src point.Source, spec *Spec) (blocks []point.Block, mins, maxs []fl
 // The split path emits the taxonomy's map and local-skyline spans; a
 // fused MapReducer is responsible for emitting them itself (see the
 // interface contract).
-func runPhase2(ctx context.Context, spec *Spec, r *Rule, blocks []point.Block, ex Executor, tally *metrics.Tally) ([]Group, int64, error) {
+func runPhase2(ctx context.Context, r *Rule, blocks, chunks []point.Block, ex Executor, tally *metrics.Tally) ([]Group, int64, error) {
 	if mr, ok := ex.(MapReducer); ok {
 		return mr.MapReduce(ctx, r, blocks, tally)
 	}
-	chunks := spec.chunkBlocks(blocks)
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
 	mapSpan.SetAttr("tasks", len(chunks))
 	outs, err := ex.RunMaps(mctx, r, chunks, tally)
@@ -229,23 +315,47 @@ func runPhase2(ctx context.Context, spec *Spec, r *Rule, blocks []point.Block, e
 		mapSpan.End()
 		return nil, 0, err
 	}
-	groups, filtered := Shuffle(outs)
+	groups, filtered := gather(r, outs)
 	mapSpan.SetAttr("filtered", filtered)
 	mapSpan.End()
+	groups, err = reducePhase(ctx, ex, r, groups, tally)
+	return groups, filtered, err
+}
+
+// gather turns map outputs into the reduce phase's groups: a shuffle by
+// group id, except under Positional, where map task i's survivors are
+// group i as they stand.
+func gather(r *Rule, outs []MapOutput) ([]Group, int64) {
+	if !r.positional {
+		return Shuffle(outs)
+	}
+	groups := make([]Group, 0, len(outs))
+	var filtered int64
+	for i, out := range outs {
+		filtered += out.Filtered
+		for _, g := range out.Groups {
+			g.Gid = i
+			groups = append(groups, g)
+		}
+	}
+	return groups, filtered
+}
+
+// reducePhase runs the local-skyline tasks under their taxonomy span.
+func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error) {
 	redSpan, rctx := obs.StartSpan(ctx, "local-skyline")
+	defer redSpan.End()
 	redSpan.SetAttr("groups", len(groups))
-	groups, err = ex.RunReduces(rctx, r, groups, tally)
+	groups, err := ex.RunReduces(rctx, r, groups, tally)
 	if err != nil {
-		redSpan.End()
-		return nil, 0, err
+		return nil, err
 	}
 	candidates := 0
 	for _, g := range groups {
 		candidates += g.Len()
 	}
 	redSpan.SetAttr("candidates", candidates)
-	redSpan.End()
-	return groups, filtered, nil
+	return groups, nil
 }
 
 // MergePhase is phase 3 (§5.3): one merge task over all candidate

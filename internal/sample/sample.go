@@ -34,7 +34,7 @@ func Reservoir(pts []point.Point, k int, seed int64) []point.Point {
 	return out
 }
 
-// Ratio samples ceil(ratio * len(pts)) points, the way the paper's
+// Ratio samples floor(ratio * len(pts)) points, the way the paper's
 // experiments specify sampling percentages (§6.6, 0.5%–4%). At least
 // one point is sampled from a non-empty input so the learned rule is
 // never degenerate.

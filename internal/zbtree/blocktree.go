@@ -353,6 +353,13 @@ func (t *BlockTree) DominatesRow(row int32) bool {
 	return t.dominatesPoint(t.root, t.st.Grid(row), t.st.Row(row))
 }
 
+// DominatesPoint is DominatesRow for a point outside the store: g must
+// be p's grid coordinates under the store's encoder. It only reads the
+// tree, so concurrent probes of one tree are safe.
+func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
+	return t.dominatesPoint(t.root, g, p)
+}
+
 func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 	if n < 0 {
 		return false
