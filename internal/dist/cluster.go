@@ -40,7 +40,11 @@ type ClusterConfig struct {
 	Fanout int
 	// UseZS selects Z-search as the shard-local skyline algorithm.
 	UseZS bool
-	// TreeMerge runs the cross-shard merge as rounds of pairwise tasks.
+	// TreeMerge is ignored: the cross-shard merge is the coordinator's
+	// one-way sweep under every setting.
+	//
+	// Deprecated: kept only because bench/cluster.go still sets it; to be
+	// deleted by the next benchmark-only change.
 	TreeMerge bool
 	// Dominance selects the dominance relation. It must be transitive:
 	// shard-local skylines are only sound to merge when elimination
@@ -84,7 +88,10 @@ type ClusterReport struct {
 	Routed int
 	// MapVersion is the shard-map version the query routed under.
 	MapVersion uint64
-	// SkylineSize is |S|.
+	// Candidates is how many shard-skyline rows the query pulled to the
+	// coordinator; SkylineSize, |S|, is how many of them survived the
+	// cross-shard merge.
+	Candidates  int
 	SkylineSize int
 	// WireSentBytes/WireRecvBytes are this query's TCP byte deltas
 	// summed over all worker connections.
@@ -96,11 +103,12 @@ type ClusterReport struct {
 // contiguous Z-ranges of the dataset under a versioned ShardMap,
 // inserts route to owning groups (replicated to every live member),
 // queries fan out to exactly the shards whose range they touch and
-// merge cross-shard via the existing tree-merge rounds, and Handoff
-// moves a shard between groups while serving. It wraps the unsharded
-// Coordinator for everything that is not shard-specific: dialing,
-// liveness, resurrection, the retry/hedge call layer, metrics, and
-// events.
+// merge the shard skylines where they land — on the coordinator, as a
+// one-way sweep in range order (plan.LocalExec.SweepMerge), so a
+// candidate row crosses the wire once — and Handoff moves a shard
+// between groups while serving. It wraps the unsharded Coordinator for
+// everything that is not shard-specific: dialing, liveness,
+// resurrection, the retry/hedge call layer, metrics, and events.
 type Cluster struct {
 	cfg      ClusterConfig
 	inner    *Coordinator
@@ -113,6 +121,8 @@ type Cluster struct {
 	shardIDs []int                 // range index -> stable shard ID
 	pols     map[int]*policy       // resolved per-shard policies
 	pullRows int
+	// exec runs the cross-shard merge on the coordinator's own cores.
+	exec *plan.LocalExec
 
 	mu   sync.Mutex
 	smap ShardMap
@@ -171,8 +181,8 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 	}
 	rd := plan.RuleData{
 		Dims: dims, Bits: cfg.Bits,
-		Mins: append([]float64(nil), cfg.Mins...),
-		Maxs: append([]float64(nil), cfg.Maxs...),
+		Mins:   append([]float64(nil), cfg.Mins...),
+		Maxs:   append([]float64(nil), cfg.Maxs...),
 		Pivots: [][]uint64{}, GroupOf: map[int]int{}, Groups: 1,
 		Fanout: cfg.Fanout, Local: local, Merge: plan.MergeZM,
 		Dominance: cfg.Dominance,
@@ -214,8 +224,8 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 
 	ccfg := CoordinatorConfig{
 		M: 1, Delta: 1, SampleRatio: 1, Bits: cfg.Bits, Fanout: cfg.Fanout,
-		UseZS: cfg.UseZS, TreeMerge: cfg.TreeMerge, Seed: cfg.Seed,
-		Dominance: cfg.Dominance,
+		UseZS: cfg.UseZS, Seed: cfg.Seed,
+		Dominance:  cfg.Dominance,
 		RPCTimeout: cfg.RPCTimeout, Retries: cfg.Retries, Hedge: cfg.Hedge,
 		RedialInterval: cfg.RedialInterval, DialTimeout: cfg.DialTimeout,
 		Metrics: cfg.Metrics, Events: cfg.Events,
@@ -230,6 +240,7 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 		rule: rule, ruleData: rd, enc: enc, table: table,
 		pols:     map[int]*policy{},
 		pullRows: cfg.PullRows,
+		exec:     plan.NewLocalExec(0),
 		smap:     smap,
 		stale:    map[int]map[int]bool{},
 		rows:     map[int]int64{},
@@ -566,33 +577,23 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 	wireBefore := c.WireStats()
 	start := time.Now()
 
-	groups := make([]plan.Group, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, idx := range targets {
-		wg.Add(1)
-		go func(i, idx int) {
-			defer wg.Done()
-			groups[i], errs[i] = c.shardSkyline(ctx, c.shardIDs[idx], clipRange(rng, c.table.Range(idx)))
-		}(i, idx)
-	}
-	wg.Wait()
-	var err error
-	for _, e := range errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
+	groups, err := c.shardSkylines(ctx, rng, targets)
+	fanned := time.Now()
+	ev.SetPhase("shard-skylines", fanned.Sub(start))
 	var sky []point.Point
 	if err == nil {
+		for _, g := range groups {
+			rep.Candidates += g.Len()
+		}
 		if len(groups) == 1 {
 			// A single shard's local skyline is already global for its
-			// range; skip the merge round.
+			// range; there is nothing to merge.
 			sky = groups[0].Points()
 		} else {
-			sky, err = plan.MergePhase(ctx, &rpcExec{c: c.inner, ruleID: c.ruleID},
-				c.rule, groups, c.cfg.TreeMerge, nil)
+			var merged plan.Group
+			merged, _, err = c.exec.SweepMerge(ctx, c.rule, groups, nil)
+			sky = merged.Points()
+			ev.SetPhase("merge/sweep", time.Since(fanned))
 		}
 	}
 	ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
@@ -610,6 +611,83 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 	ev.SetResults(len(sky))
 	c.inner.events.Record(*ev)
 	return sky, rep, nil
+}
+
+// shardSkylines fetches the skyline of every target range index,
+// clipped to rng, in parallel, and returns them in target — ascending
+// range — order, each checked by checkShardReply. The first failure
+// cancels the calls still in flight and is the error returned: the
+// cause, not a sibling's induced context.Canceled.
+func (c *Cluster) shardSkylines(ctx context.Context, rng zorder.Range, targets []int) ([]plan.Group, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	groups := make([]plan.Group, len(targets))
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		cause error
+	)
+	for i, idx := range targets {
+		wg.Add(1)
+		go func(i, idx int) {
+			defer wg.Done()
+			sid, in := c.shardIDs[idx], c.table.Range(idx)
+			clip := clipRange(rng, in)
+			g, err := c.shardSkyline(ctx, sid, clip)
+			if err == nil {
+				// A bound that survived the clip lies inside the shard's
+				// range and tightens it.
+				if clip.Lo != nil {
+					in.Lo = clip.Lo
+				}
+				if clip.Hi != nil {
+					in.Hi = clip.Hi
+				}
+				g, err = c.checkShardReply(sid, g, in)
+			}
+			if err != nil {
+				once.Do(func() {
+					cause = err
+					cancel()
+				})
+				return
+			}
+			groups[i] = g
+		}(i, idx)
+	}
+	wg.Wait()
+	return groups, cause
+}
+
+// checkShardReply verifies what the cross-shard sweep takes on trust
+// from a ShardSkyline reply: rows of the cluster's width, one address
+// per row, every address inside in — the part of the query the shard
+// owns. A reply without a column (relations other than Pareto send
+// none) gets one encoded here. Anything else is ErrBadShardReply: one
+// row outside its range would turn the sweep's direction into a wrong
+// answer.
+func (c *Cluster) checkShardReply(sid int, g plan.Group, in zorder.Range) (plan.Group, error) {
+	bad := func(format string, args ...any) (plan.Group, error) {
+		return plan.Group{}, fmt.Errorf("dist: shard %d: %w: %s", sid, ErrBadShardReply, fmt.Sprintf(format, args...))
+	}
+	n := g.Len()
+	if n > 0 && g.Block.Dims != c.enc.Dims() {
+		return bad("%d-dimensional rows, want %d", g.Block.Dims, c.enc.Dims())
+	}
+	switch {
+	case g.ZCol.Len() == 0 && n > 0:
+		g.ZCol = c.enc.EncodeBlock(zorder.ZCol{}, g.Block)
+	case g.ZCol.Len() != n:
+		return bad("%d addresses for %d rows", g.ZCol.Len(), n)
+	case n > 0 && g.ZCol.Words != c.enc.Words():
+		return bad("%d-word addresses, want %d", g.ZCol.Words, c.enc.Words())
+	}
+	for i := 0; i < n; i++ {
+		if !in.Contains(g.ZCol.At(i)) {
+			return bad("row %d has address %v outside [%v, %v)", i, g.ZCol.At(i), in.Lo, in.Hi)
+		}
+	}
+	return g, nil
 }
 
 // clipRange drops the bounds of rng that lie outside own, the range a

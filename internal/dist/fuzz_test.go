@@ -1,0 +1,140 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"zskyline/internal/plan"
+	"zskyline/internal/point"
+	"zskyline/internal/zorder"
+)
+
+// shardSkyCorpus is the seed corpus of FuzzShardSkyWire: well-formed
+// ShardSkyArgs / ShardSkyReply payloads, and each way a payload can lie
+// about its own size — cut short, a count or a frame length announcing
+// more than follows, a frame whose header disagrees with its payload.
+func shardSkyCorpus(t testing.TB) (good, bad map[string][]byte) {
+	t.Helper()
+	encode := func(m interface {
+		AppendTo([]byte) ([]byte, error)
+	}) []byte {
+		b, err := m.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	enc, err := zorder.NewEncoder(3, 12, []float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := point.BlockOf(3, []point.Point{{0.1, 0.2, 0.3}, {0.9, 0.8, 0.7}})
+	args := encode(ShardSkyArgs{RuleID: 7, MapVersion: 2, ShardID: 3, Lo: []uint64{1 << 40}, Hi: []uint64{1 << 50}})
+	whole := encode(ShardSkyArgs{RuleID: 7, MapVersion: 2, ShardID: 3})
+	reply := encode(ShardSkyReply{Outcome: SkyFolded,
+		Group: plan.Group{Gid: 3, Block: blk, ZCol: enc.EncodeBlock(zorder.ZCol{}, blk)}})
+	bare := encode(ShardSkyReply{Group: plan.Group{Gid: 3, Block: blk}}) // no column: flex
+	empty := encode(ShardSkyReply{Outcome: SkyCached, Group: plan.Group{Block: point.Block{Dims: 3}}})
+
+	patched := func(b []byte, off int, v uint32) []byte {
+		out := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	// Reply layout: outcome(1) gid(8) blockLen(4) [dims(4) rows(4) data] zcolLen(4) [words(4) rows(4) data].
+	const blockLenAt, blockDimsAt, blockRowsAt = 9, 13, 17
+	zcolLenAt := blockLenAt + 4 + 8 + blk.Len()*3*8
+	good = map[string][]byte{"args": args, "args-whole": whole, "reply": reply, "reply-bare": bare, "reply-empty": empty}
+	bad = map[string][]byte{
+		"args-truncated":         args[:len(args)-3],
+		"args-empty":             nil,
+		"args-trailing":          append(append([]byte(nil), args...), 0),
+		"args-bound-oversized":   patched(whole, 24, 0xFFFFFFFF), // Lo announces 4G words
+		"reply-truncated":        reply[:len(reply)-5],
+		"reply-no-group":         reply[:1],
+		"reply-trailing":         append(append([]byte(nil), reply...), 1, 2, 3),
+		"reply-block-oversized":  patched(reply, blockLenAt, 0xFFFFFFF0),  // frame longer than the payload
+		"reply-rows-oversized":   patched(reply, blockRowsAt, 0xFFFFFFFF), // rows the frame does not hold
+		"reply-dims-mismatched":  patched(reply, blockDimsAt, 4),          // 4 x 2 floats announced, 3 x 2 sent
+		"reply-dims-implausible": patched(reply, blockDimsAt, 1<<21),
+		"reply-zcol-oversized":   patched(reply, zcolLenAt, 0x7FFFFFFF),
+		"reply-words-mismatched": patched(reply, zcolLenAt+4, 2), // 2-word addresses announced, 1-word sent
+	}
+	return good, bad
+}
+
+// isReply tells which of the two messages a corpus entry is, by its name.
+func isReply(name string) bool { return strings.HasPrefix(name, "reply") }
+
+// decodeShardSky decodes data as one of the two messages and, when the
+// decoder accepts it, checks what acceptance promises: nothing was
+// allocated beyond what the payload itself holds, and encoding the
+// message again gives the payload back byte for byte.
+func decodeShardSky(t testing.TB, reply bool, data []byte) error {
+	t.Helper()
+	var (
+		out []byte
+		err error
+	)
+	if reply {
+		var m ShardSkyReply
+		if err = m.DecodeFrom(data); err != nil {
+			return err
+		}
+		if held := len(m.Group.Block.Data)*8 + len(m.Group.ZCol.Data)*8; held > len(data) {
+			t.Fatalf("a %d-byte reply decoded into %d bytes of rows and addresses", len(data), held)
+		}
+		out, err = m.AppendTo(nil)
+	} else {
+		var m ShardSkyArgs
+		if err = m.DecodeFrom(data); err != nil {
+			return err
+		}
+		if held := (len(m.Lo) + len(m.Hi)) * 8; held > len(data) {
+			t.Fatalf("a %d-byte request decoded into %d bytes of bounds", len(data), held)
+		}
+		out, err = m.AppendTo(nil)
+	}
+	if err != nil {
+		t.Fatalf("re-encoding an accepted payload: %v", err)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatalf("accepted payload does not round-trip:\n in=%x\nout=%x", data, out)
+	}
+	return nil
+}
+
+// TestShardSkyWireCorpus holds the seed corpus to its labels: the
+// well-formed payloads decode, every malformed one is an error.
+func TestShardSkyWireCorpus(t *testing.T) {
+	good, bad := shardSkyCorpus(t)
+	for name, data := range good {
+		if err := decodeShardSky(t, isReply(name), data); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, data := range bad {
+		if err := decodeShardSky(t, isReply(name), data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// FuzzShardSkyWire throws arbitrary bytes at the two decoders on the
+// cluster read path. The reply is the only large payload a query
+// receives, so its decoder must turn truncated, oversized-count and
+// mismatched-width input into an error — never a panic, and never an
+// allocation sized by a length field the payload does not back.
+func FuzzShardSkyWire(f *testing.F) {
+	good, bad := shardSkyCorpus(f)
+	for _, corpus := range []map[string][]byte{good, bad} {
+		for name, data := range corpus {
+			f.Add(isReply(name), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, reply bool, data []byte) {
+		_ = decodeShardSky(t, reply, data) // a rejection is a fine outcome
+	})
+}

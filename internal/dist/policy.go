@@ -24,6 +24,13 @@ var ErrClusterDown = errors.New("dist: no live workers")
 // errors.Is; the cluster wraps it with the shard ID.
 var ErrShardDown = errors.New("dist: shard has no live replica")
 
+// ErrBadShardReply reports a ShardSkyline reply the coordinator cannot
+// merge soundly: rows of the wrong width, a Z-address column that does
+// not line up with them, or an address outside the range the shard was
+// asked for. The query fails rather than answer from it. Match with
+// errors.Is; the cluster wraps it with the shard ID and the violation.
+var ErrBadShardReply = errors.New("dist: malformed shard skyline reply")
+
 // errCoordinatorClosed is returned by calls racing Close.
 var errCoordinatorClosed = errors.New("dist: coordinator closed")
 
@@ -108,8 +115,13 @@ func classify(err error) errClass {
 		}
 		return classFatal
 	}
-	if errors.Is(err, errUnknownMethod) {
-		return classFatal // caller bug: no worker could ever serve it
+	switch {
+	case errors.Is(err, errUnknownMethod): // caller bug: no worker could ever serve it
+		return classFatal
+	case errors.Is(err, ErrShardDown): // every replica is dead or stale
+		return classFatal
+	case errors.Is(err, ErrBadShardReply): // the replica would say the same again
+		return classFatal
 	}
 	switch {
 	case errors.Is(err, transport.ErrShutdown),

@@ -123,7 +123,7 @@ func (ex *LocalExec) run(ctx context.Context, n int, f func(i int)) error {
 	return firstErr
 }
 
-// splitChunks is how many probe ranges a split merge cuts per idle
+// splitChunks is how many probe ranges a probeMerge cuts per idle
 // worker and side: the ranges cost unequal time, and a few per worker
 // even that out.
 const splitChunks = 2
@@ -159,7 +159,7 @@ func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, ta
 
 // RunMerges implements Executor. A round with fewer pairwise merges
 // than half the pool would leave workers idle, so each merge is split
-// into enough probe ranges to occupy them (see splitMerge).
+// into enough probe ranges to occupy them (see probeMerge).
 func (ex *LocalExec) RunMerges(ctx context.Context, r *Rule, tasks [][]Group, tally *metrics.Tally) ([]Group, error) {
 	if len(tasks) > 0 && ex.workers >= 2*len(tasks) && r.splittable(tasks) {
 		return ex.runSplitMerges(ctx, r, tasks, splitChunks*ex.workers/len(tasks), tally)

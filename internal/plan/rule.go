@@ -664,6 +664,12 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 // where it carries one and encoding only the rest. ranges holds each
 // group's [lo,hi) store rows.
 func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]int32) {
+	blk, zc, ranges := r.packCandidates(groups, total)
+	return zbtree.NewStoreWithZCol(r.enc, blk, zc), ranges
+}
+
+// packCandidates is candidateStore up to, and without, the store.
+func (r *Rule) packCandidates(groups []Group, total int) (point.Block, zorder.ZCol, [][2]int32) {
 	w := r.enc.Words()
 	bb := point.NewBlockBuilder(r.dims, total)
 	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
@@ -678,7 +684,7 @@ func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]in
 		}
 		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
 	}
-	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc), ranges
+	return bb.Build(), zc, ranges
 }
 
 // rowRange lists the store rows of one [lo,hi) range, for BuildRows to
