@@ -541,19 +541,12 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 	if err := checkBounds(c.enc.Words(), rng.Lo, rng.Hi); err != nil {
 		return nil, nil, err
 	}
-	// zorder.Range reads only a nil bound as "the curve's end".
-	if len(rng.Lo) == 0 {
-		rng.Lo = nil
-	}
-	if len(rng.Hi) == 0 {
-		rng.Hi = nil
-	}
 	id := obs.RequestIDFrom(ctx)
 	if id == "" {
 		id = obs.NewRequestID()
 		ctx = obs.ContextWithRequestID(ctx, id)
 	}
-	filter := rng.Lo != nil || rng.Hi != nil
+	filter := len(rng.Lo) != 0 || len(rng.Hi) != 0
 	route := "cluster/skyline"
 	if filter {
 		route = "cluster/skyline-range"
@@ -637,10 +630,10 @@ func (c *Cluster) shardSkylines(ctx context.Context, rng zorder.Range, targets [
 			if err == nil {
 				// A bound that survived the clip lies inside the shard's
 				// range and tightens it.
-				if clip.Lo != nil {
+				if len(clip.Lo) != 0 {
 					in.Lo = clip.Lo
 				}
-				if clip.Hi != nil {
+				if len(clip.Hi) != 0 {
 					in.Hi = clip.Hi
 				}
 				g, err = c.checkShardReply(sid, g, in)
@@ -695,10 +688,10 @@ func (c *Cluster) checkShardReply(sid int, g plan.Group, in zorder.Range) (plan.
 // nothing, and a query that reaches the worker as "whole shard" or
 // "prefix" is answered from its cached skyline.
 func clipRange(rng, own zorder.Range) zorder.Range {
-	if rng.Lo != nil && own.Lo != nil && zorder.Compare(rng.Lo, own.Lo) <= 0 {
+	if len(rng.Lo) != 0 && len(own.Lo) != 0 && zorder.Compare(rng.Lo, own.Lo) <= 0 {
 		rng.Lo = nil
 	}
-	if rng.Hi != nil && own.Hi != nil && zorder.Compare(rng.Hi, own.Hi) >= 0 {
+	if len(rng.Hi) != 0 && len(own.Hi) != 0 && zorder.Compare(rng.Hi, own.Hi) >= 0 {
 		rng.Hi = nil
 	}
 	return rng
@@ -707,11 +700,11 @@ func clipRange(rng, own zorder.Range) zorder.Range {
 // rangeKind names the shape of a clipped shard range for the RPC event.
 func rangeKind(rng zorder.Range) string {
 	switch {
-	case rng.Lo == nil && rng.Hi == nil:
+	case len(rng.Lo) == 0 && len(rng.Hi) == 0:
 		return "whole"
-	case rng.Lo == nil:
+	case len(rng.Lo) == 0:
 		return "prefix"
-	case rng.Hi == nil:
+	case len(rng.Hi) == 0:
 		return "suffix"
 	}
 	return "interior"

@@ -155,9 +155,15 @@ func TestParseFaultPlan(t *testing.T) {
 func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	// Worker 2 dies on its second reduce; workers 0 and 1 straggle on
 	// their first merge so the resurrected worker 2 demonstrably picks
-	// up later merge tasks.
-	slow := NewFaultPlan(FaultRule{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 150 * time.Millisecond})
-	slow2 := NewFaultPlan(FaultRule{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 150 * time.Millisecond})
+	// up later merge tasks. They also straggle on their first reduce:
+	// a reduce of this input takes well under a millisecond, and on a
+	// loaded box two free workers would drain all sixteen before worker
+	// 2 was handed its second.
+	straggle := []FaultRule{
+		{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond},
+		{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 150 * time.Millisecond},
+	}
+	slow, slow2 := NewFaultPlan(straggle...), NewFaultPlan(straggle...)
 	dying := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 2, Action: FaultSever})
 	var addrs []string
 	var servers []*WorkerServer

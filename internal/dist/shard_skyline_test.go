@@ -325,6 +325,16 @@ func TestShardRangeBoundWidth(t *testing.T) {
 			t.Errorf("worker accepted bounds lo=%v hi=%v", args.Lo, args.Hi)
 		}
 	}
+	// A zero-length bound beside a real one is "no bound", as nil is: the
+	// wire decoder happens to produce nil, a direct caller need not, and
+	// zorder.Range used to compare addresses against the empty slice.
+	mid := rule.Encoder().Encode(ds.Points[0])
+	var reply ShardSkyReply
+	if err := w.ShardSkyline(ShardSkyArgs{RuleID: 1, ShardID: 0, Lo: mid, Hi: []uint64{}}, &reply); err != nil {
+		t.Fatalf("suffix query with a zero-length upper bound: %v", err)
+	}
+	sameSet(t, reply.Group.Block.Points(),
+		seq.BruteForce(inRange(rule.Encoder(), ds.Points, zorder.Range{Lo: mid})), "suffix with zero-length hi")
 
 	g0, _ := startGroup(t, 1)
 	g1, _ := startGroup(t, 1)

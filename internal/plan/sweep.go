@@ -71,12 +71,10 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 // of every side but the last, probe, compact. A row the pre-pass cleared
 // is dominated by a row of an earlier side, which by transitivity also
 // dominates whatever the cleared row would have — so the trees lose
-// nothing by leaving it out. The store's grid comes from the rows, not
-// from their addresses: de-interleaving them is the one step that would
-// not spread over the pool, and a third of the whole merge on two cores.
+// nothing by leaving it out.
 func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total int, tally *metrics.Tally) (Group, int, error) {
 	blk, zc, sides := r.packCandidates(groups, total)
-	m := newProbeMerge(zbtree.NewStoreQuantized(r.enc, blk, zc), sides, true)
+	m := newProbeMerge(zbtree.NewStoreWithZCol(r.enc, blk, zc), sides, true)
 	// Side 0 answers to nothing. Later sides answer to more trees, so
 	// their ranges go first and the cheap ones fill in at the end.
 	for side := len(groups) - 1; side > 0; side-- {

@@ -202,3 +202,59 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// DominatesRows steps four coordinates at a time with a tail; it must
+// agree with Dominates on widths either side of every boundary, ties
+// included (small integer domain).
+func TestDominatesRowsMatchesDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []int{1, 3, 4, 5, 7, 8, 9, 13} {
+		bb := NewBlockBuilder(d, 64)
+		for i := 0; i < 64; i++ {
+			for k, row := 0, bb.Extend(); k < d; k++ {
+				row[k] = float64(rng.Intn(3))
+			}
+		}
+		b := bb.Build()
+		for i := 0; i < b.Len(); i++ {
+			for j := 0; j < b.Len(); j++ {
+				if got, want := DominatesRows(b, i, b, j), Dominates(b.Row(i), b.Row(j)); got != want {
+					t.Fatalf("d=%d: DominatesRows(%v, %v) = %v, want %v", d, b.Row(i), b.Row(j), got, want)
+				}
+			}
+		}
+	}
+}
+
+// Random row pairs of an anti-correlated block: the shape of the
+// dominance tests a high-d skyline query is made of.
+func BenchmarkDominatesRowsAntiD8(b *testing.B) {
+	const n, d = 4096, 8
+	rng := rand.New(rand.NewSource(7))
+	bb := NewBlockBuilder(d, n)
+	for i := 0; i < n; i++ {
+		row := bb.Extend()
+		sum := 0.5 + 0.5*rng.Float64()
+		for k := range row {
+			row[k] = sum * rng.Float64()
+		}
+	}
+	blk := bb.Build()
+	pairs := make([]int32, 2<<12)
+	for k := range pairs {
+		pairs[k] = int32(rng.Intn(n))
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < len(pairs); k += 2 {
+			if DominatesRows(blk, int(pairs[k]), blk, int(pairs[k+1])) {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(len(pairs)/2), "ns/test")
+	benchSink = hits
+}
+
+var benchSink int

@@ -10,7 +10,7 @@ import (
 )
 
 // Store is the shared columnar backing of a BlockTree: the flat point
-// block, its Z-address column, and the decoded grid coordinates, all
+// block, its Z-address column, and the rows' grid coordinates, all
 // stride-indexed by row. Trees built over the same Store reference rows
 // by index instead of owning Entry copies, which is what lets the
 // pipeline encode each point's Z-address exactly once per query and
@@ -19,7 +19,7 @@ type Store struct {
 	enc  *zorder.Encoder
 	blk  point.Block
 	zc   zorder.ZCol
-	grid []uint32 // Dims() stride per row, decoded once at store build
+	grid []uint32 // Dims() stride per row, quantized once at store build
 }
 
 // NewStore encodes b's rows into a fresh Z-address column and grid
@@ -31,39 +31,22 @@ func NewStore(enc *zorder.Encoder, b point.Block) *Store {
 }
 
 // NewStoreWithZCol builds a Store over a block whose Z-addresses were
-// already encoded upstream (the encode-once path). The grid arena is
-// recovered by de-interleaving zc — a pure bit operation, so the store
-// is exactly what NewStore would have produced from the same encoder.
-// zc must have one enc-encoded address per row of b.
+// already encoded upstream (the encode-once path). zc must hold enc's
+// own address of every row of b: the grid arena is quantized from the
+// rows — a multiplication per coordinate where de-interleaving walks
+// every address bit — and equals the de-interleave of zc exactly when
+// that holds (DESIGN.md §5).
 func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store {
-	st, d := newColumnStore(enc, b, zc), enc.Dims()
-	for i := 0; i < b.Len(); i++ {
-		enc.DecodeGridInto(st.grid[i*d:(i+1)*d], zc.At(i))
-	}
-	return st
-}
-
-// NewStoreQuantized is NewStoreWithZCol with the grid arena quantized
-// from the rows instead of de-interleaved from zc: eight multiplications
-// a row at d=8 where the de-interleave walks 128 address bits. The two
-// agree exactly when zc holds enc's own addresses of b's rows, so this is
-// for callers whose columns have one encoder end to end.
-func NewStoreQuantized(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store {
-	st, d := newColumnStore(enc, b, zc), enc.Dims()
-	for i := 0; i < b.Len(); i++ {
-		enc.GridInto(st.grid[i*d:(i+1)*d], b.Row(i))
-	}
-	return st
-}
-
-// newColumnStore is a store over b and its column with the grid arena
-// allocated and still to be filled in.
-func newColumnStore(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store {
 	if zc.Len() != b.Len() || zc.Words != enc.Words() {
 		panic(fmt.Sprintf("zbtree: zcol shape %d×%d does not match block %d rows under a %d-word encoder",
 			zc.Len(), zc.Words, b.Len(), enc.Words()))
 	}
-	return &Store{enc: enc, blk: b, zc: zc, grid: make([]uint32, b.Len()*enc.Dims())}
+	d := enc.Dims()
+	st := &Store{enc: enc, blk: b, zc: zc, grid: make([]uint32, b.Len()*d)}
+	for i := 0; i < b.Len(); i++ {
+		enc.GridInto(st.grid[i*d:(i+1)*d], b.Row(i))
+	}
+	return st
 }
 
 // Len returns the number of rows in the store.
@@ -129,8 +112,7 @@ type BlockTree struct {
 	nodes  []bnode
 	// Region corner arenas, Dims() stride per node id.
 	regMin, regMax []uint32
-	scratch        zorder.ZAddr // RegionInto scratch, Words() wide
-	root           int32        // -1 when empty
+	root           int32 // -1 when empty
 }
 
 // NewBlockTree returns an empty tree over st. fanout <= 0 selects
@@ -142,8 +124,7 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 	if fanout < 2 {
 		fanout = 2
 	}
-	return &BlockTree{st: st, fanout: fanout, tally: tally,
-		scratch: make(zorder.ZAddr, st.enc.Words()), root: -1}
+	return &BlockTree{st: st, fanout: fanout, tally: tally, root: -1}
 }
 
 // newNode appends a zeroed node to the slab and grows the region
@@ -167,11 +148,14 @@ func (t *BlockTree) region(n int32) zorder.Region {
 	return zorder.Region{MinG: t.regMin[lo : lo+d : lo+d], MaxG: t.regMax[lo : lo+d : lo+d]}
 }
 
-// setRegion recomputes node n's RZ-region from the Z-addresses of rows
-// a and b, writing straight into the arenas.
+// setRegion recomputes node n's RZ-region from bounding rows a and b,
+// writing straight into the arenas: a's grid coordinates, masked below
+// the prefix the two addresses share. Nothing is decoded — the store
+// already holds every row's grid.
 func (t *BlockTree) setRegion(n, a, b int32) {
-	r := t.region(n)
-	t.st.enc.RegionInto(r.MinG, r.MaxG, t.scratch, t.st.Z(a), t.st.Z(b))
+	r, enc := t.region(n), t.st.enc
+	cpl := zorder.CommonPrefixLen(t.st.Z(a), t.st.Z(b), enc.TotalBits())
+	enc.RegionFromGrid(r.MinG, r.MaxG, t.st.Grid(a), cpl)
 }
 
 // setPointRegion sets node n's region to the degenerate region of one
@@ -364,24 +348,42 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 	return id
 }
 
+// probeCount tallies the tests of one top-level probe. Probes of one
+// tree run concurrently and share its tally, so they count on their own
+// stack and add to the shared counters once, at the end — an atomic add
+// per visited node is a cache line bouncing between cores.
+type probeCount struct{ region, dom int64 }
+
+func (t *BlockTree) flush(c *probeCount) {
+	if c.region != 0 {
+		t.tally.AddRegionTests(c.region)
+	}
+	if c.dom != 0 {
+		t.tally.AddDominanceTests(c.dom)
+	}
+}
+
 // DominatesRow reports whether some stored row strictly dominates row
 // (exact float semantics; grid tests only prune).
 func (t *BlockTree) DominatesRow(row int32) bool {
-	return t.dominatesPoint(t.root, t.st.Grid(row), t.st.Row(row))
+	return t.DominatesPoint(t.st.Grid(row), t.st.Row(row))
 }
 
 // DominatesPoint is DominatesRow for a point outside the store: g must
 // be p's grid coordinates under the store's encoder. It only reads the
 // tree, so concurrent probes of one tree are safe.
 func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
-	return t.dominatesPoint(t.root, g, p)
-}
-
-func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
-	if n < 0 {
+	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	var c probeCount
+	found := t.dominatesPoint(&c, t.root, g, p)
+	t.flush(&c)
+	return found
+}
+
+func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, p point.Point) bool {
+	c.region++
 	r := t.region(n)
 	if zorder.RegionCannotDominatePointGrid(r, g) {
 		return false
@@ -390,18 +392,36 @@ func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 		return true
 	}
 	nd := &t.nodes[n]
-	if nd.isLeaf() {
-		t.tally.AddDominanceTests(int64(len(nd.rows)))
-		for _, e := range nd.rows {
-			if point.Dominates(t.st.Row(e), p) {
+	if !nd.isLeaf() {
+		for _, kid := range nd.kids {
+			if t.dominatesPoint(c, kid, g, p) {
 				return true
 			}
 		}
 		return false
 	}
-	for _, c := range nd.kids {
-		if t.dominatesPoint(c, g, p) {
-			return true
+	// The leaf scan is point.Dominates(row, p) over the block's flat
+	// array: no row view, no call, four coordinates to a branch.
+	c.dom += int64(len(nd.rows))
+	data, d := t.st.blk.Data, len(p)
+rows:
+	for _, e := range nd.rows {
+		q := data[int(e)*d:][:d]
+		k := 0
+		for ; k+4 <= d; k += 4 {
+			if point.AnyGreater4(q[k:], p[k:]) {
+				continue rows
+			}
+		}
+		for ; k < d; k++ {
+			if q[k] > p[k] {
+				continue rows
+			}
+		}
+		for k, pv := range p {
+			if q[k] < pv {
+				return true
+			}
 		}
 	}
 	return false
@@ -410,14 +430,17 @@ func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 // DominatesAllOfRegion reports whether some single stored row strictly
 // dominates every float point that could lie in region r.
 func (t *BlockTree) DominatesAllOfRegion(r zorder.Region) bool {
-	return t.dominatesRegion(t.root, r)
-}
-
-func (t *BlockTree) dominatesRegion(n int32, r zorder.Region) bool {
-	if n < 0 {
+	if t.root < 0 {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	var c probeCount
+	found := t.dominatesRegion(&c, t.root, r)
+	t.flush(&c)
+	return found
+}
+
+func (t *BlockTree) dominatesRegion(c *probeCount, n int32, r zorder.Region) bool {
+	c.region++
 	nr := t.region(n)
 	if !zorder.GridStrictDominates(nr.MinG, r.MinG) {
 		return false
@@ -434,8 +457,8 @@ func (t *BlockTree) dominatesRegion(n int32, r zorder.Region) bool {
 		}
 		return false
 	}
-	for _, c := range nd.kids {
-		if t.dominatesRegion(c, r) {
+	for _, kid := range nd.kids {
+		if t.dominatesRegion(c, kid, r) {
 			return true
 		}
 	}
@@ -449,44 +472,45 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 	if t.root < 0 {
 		return 0
 	}
-	removed := t.removeDominated(t.root, t.st.Grid(row), t.st.Row(row))
+	var c probeCount
+	removed := t.removeDominated(&c, t.root, t.st.Grid(row), row)
+	t.flush(&c)
 	if t.nodes[t.root].count == 0 {
 		t.root = -1
 	}
 	return removed
 }
 
-func (t *BlockTree) removeDominated(n int32, g []uint32, p point.Point) int {
-	t.tally.AddRegionTests(1)
+// removeDominated is RemoveDominatedBy under node n; g is row's grid.
+func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, row int32) int {
+	c.region++
 	if zorder.GridSomeGreater(g, t.region(n).MaxG) {
 		return 0
 	}
 	nd := &t.nodes[n]
 	if nd.isLeaf() {
+		c.dom += int64(len(nd.rows))
 		kept := nd.rows[:0]
-		removed := 0
-		t.tally.AddDominanceTests(int64(len(nd.rows)))
 		for _, e := range nd.rows {
-			if point.Dominates(p, t.st.Row(e)) {
-				removed++
-				continue
+			if !point.DominatesRows(t.st.blk, int(row), t.st.blk, int(e)) {
+				kept = append(kept, e)
 			}
-			kept = append(kept, e)
 		}
+		removed := len(nd.rows) - len(kept)
 		nd.rows = kept
 		nd.count = int32(len(kept))
 		return removed
 	}
 	removed := 0
 	kept := nd.kids[:0]
-	for _, c := range nd.kids {
-		if zorder.PointGridDominatesRegion(g, t.region(c)) {
-			removed += int(t.nodes[c].count)
+	for _, kid := range nd.kids {
+		if zorder.PointGridDominatesRegion(g, t.region(kid)) {
+			removed += int(t.nodes[kid].count)
 			continue
 		}
-		removed += t.removeDominated(c, g, p)
-		if t.nodes[c].count > 0 {
-			kept = append(kept, c)
+		removed += t.removeDominated(c, kid, g, row)
+		if t.nodes[kid].count > 0 {
+			kept = append(kept, kid)
 		}
 	}
 	nd.kids = kept
@@ -528,11 +552,18 @@ func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
 // incomparableWith mirrors Tree.incomparableWith: a conservative,
 // depth-bounded check that no stored row and no float point of region
 // r can dominate one another.
-func (t *BlockTree) incomparableWith(n int32, r zorder.Region, depth int) bool {
-	if n < 0 {
+func (t *BlockTree) incomparableWith(r zorder.Region, depth int) bool {
+	if t.root < 0 {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	var c probeCount
+	inc := t.incomparable(&c, t.root, r, depth)
+	t.flush(&c)
+	return inc
+}
+
+func (t *BlockTree) incomparable(c *probeCount, n int32, r zorder.Region, depth int) bool {
+	c.region++
 	if zorder.RegionsIncomparable(t.region(n), r) {
 		return true
 	}
@@ -540,8 +571,8 @@ func (t *BlockTree) incomparableWith(n int32, r zorder.Region, depth int) bool {
 	if depth == 0 || nd.isLeaf() {
 		return false
 	}
-	for _, c := range nd.kids {
-		if !t.incomparableWith(c, r, depth-1) {
+	for _, kid := range nd.kids {
+		if !t.incomparable(c, kid, r, depth-1) {
 			return false
 		}
 	}
@@ -572,7 +603,7 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 		if sky.DominatesAllOfRegion(src.region(n)) {
 			continue
 		}
-		if sky.incomparableWith(sky.root, src.region(n), 2) {
+		if sky.incomparableWith(src.region(n), 2) {
 			stash = src.appendRows(n, stash)
 			continue
 		}

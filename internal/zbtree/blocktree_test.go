@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 	"zskyline/internal/zorder"
@@ -153,25 +154,36 @@ func TestBuildFromBlockZ(t *testing.T) {
 	samePointSet(t, "skyline", tr.Skyline(), want.Skyline())
 }
 
-// NewStoreWithZCol must reproduce NewStore's grid arena exactly: the
-// decoded grids are a pure de-interleave of the shared addresses.
+// A store's grid is quantized from its rows, and must equal both
+// NewStore's arena and the de-interleave of its own column — the
+// provenance rule of DESIGN.md §5 — also where quantization is not a
+// plain scale: rows outside the encoder's box (clamped) and a
+// degenerate dimension (always cell 0).
 func TestStoreWithZColMatchesNewStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	b := genBlock(rng, "anti", 150, 5)
-	enc, err := zorder.NewUnitEncoder(5, 11)
+	unit, err := zorder.NewUnitEncoder(5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewStore(enc, b)
-	reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
-	for i := int32(0); i < int32(b.Len()); i++ {
-		if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
-			t.Fatalf("row %d: z mismatch", i)
-		}
-		fg, rg := fresh.Grid(i), reused.Grid(i)
-		for k := range fg {
-			if fg[k] != rg[k] {
-				t.Fatalf("row %d dim %d: grid %d vs %d", i, k, fg[k], rg[k])
+	// The anti block spans [0,1]^5: this box cuts through it and pins
+	// dimension 3.
+	cut, err := zorder.NewEncoder(5, 11, []float64{0.2, 0, 0.3, 0.5, 0}, []float64{0.6, 1, 0.7, 0.5, 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := genBlock(rng, "anti", 150, 5)
+	for name, enc := range map[string]*zorder.Encoder{"unit": unit, "cut box": cut} {
+		fresh := NewStore(enc, b)
+		reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
+		for i := int32(0); i < int32(b.Len()); i++ {
+			if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
+				t.Fatalf("%s row %d: z mismatch", name, i)
+			}
+			fg, rg, dg := fresh.Grid(i), reused.Grid(i), enc.DecodeGrid(reused.Z(i))
+			for k := range fg {
+				if fg[k] != rg[k] || dg[k] != rg[k] {
+					t.Fatalf("%s row %d dim %d: grid %d, NewStore %d, decoded column %d", name, i, k, rg[k], fg[k], dg[k])
+				}
 			}
 		}
 	}
@@ -272,4 +284,38 @@ func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 		}
 	}()
 	inc.Append(bulk.Rows()[0])
+}
+
+// BlockTree probes count their tests in locals and add them to the
+// shared tally once per probe; what they count must not drift. The
+// pointer Tree mirrors the block tree node for node and still counts as
+// it goes, so the two tallies must agree exactly — over a Z-search, and
+// over a Z-merge of two halves' skylines.
+func TestBlockTreeTallyMatchesTree(t *testing.T) {
+	enc, blk, zc := kernelBenchInput(t, 3000, 8)
+	pts := blk.Points()
+	var tree, block metrics.Tally
+	_ = BuildFromPoints(enc, 0, pts, &tree).Skyline()
+	_, _ = ZSearchGroup(enc, 0, blk, zc, &block)
+	if tree.Snapshot() != block.Snapshot() || block.Snapshot().DominanceTests == 0 {
+		t.Fatalf("Z-search: tree counted %+v, block tree %+v", tree.Snapshot(), block.Snapshot())
+	}
+
+	half := len(pts) / 2
+	ta, tb := BuildFromPoints(enc, 0, pts[:half], nil).SkylineTree(), BuildFromPoints(enc, 0, pts[half:], nil).SkylineTree()
+	ta.tally, tb.tally = &tree, &tree
+	Merge(ta, tb)
+	st := NewStoreWithZCol(enc, blk, zc)
+	lo, hi := make([]int32, half), make([]int32, st.Len()-half)
+	for r := range lo {
+		lo[r] = int32(r)
+	}
+	for r := range hi {
+		hi[r] = int32(half + r)
+	}
+	MergeBlock(BuildRows(st, 0, BuildRows(st, 0, lo, nil).SkylineRows(), &block),
+		BuildRows(st, 0, BuildRows(st, 0, hi, nil).SkylineRows(), &block))
+	if tree.Snapshot() != block.Snapshot() {
+		t.Fatalf("Z-merge: tree counted %+v, block tree %+v", tree.Snapshot(), block.Snapshot())
+	}
 }

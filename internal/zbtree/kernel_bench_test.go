@@ -102,3 +102,55 @@ func BenchmarkZMergeBlock(b *testing.B) {
 		_ = MergeBlock(skyA, skyB)
 	}
 }
+
+// The three benchmarks below isolate the steps of the kernel speed pass
+// on the anti-d8 shape (16k anti-correlated rows, d=8, 16 bits): the
+// store's grid set-up, the tree's region set-up, and the point probe.
+
+func BenchmarkNewStore16kD8(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 16384, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = NewStoreWithZCol(enc, blk, zc)
+	}
+	b.ReportMetric(float64(blk.Len())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+func BenchmarkBuildRows16kD8(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 16384, 8)
+	st := NewStoreWithZCol(enc, blk, zc)
+	// Sorted once here, so an iteration is the bulk load and its one
+	// region per node, not the sort.
+	sorted := BuildStore(st, 0, nil).Rows()
+	rows := make([]int32, len(sorted))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rows, sorted)
+		_ = BuildRows(st, 0, rows, nil)
+	}
+	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// Every row of the input probes the tree of its own skyline (about 4k
+// rows): the call Z-search, Z-merge, the SZB filter and the cross-shard
+// sweep all spend their time in.
+func BenchmarkDominatesPointAntiD8(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 16384, 8)
+	st := NewStoreWithZCol(enc, blk, zc)
+	sky := BuildRows(st, 0, BuildStore(st, 0, nil).SkylineRows(), nil)
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < st.Len(); r++ {
+			if sky.DominatesPoint(st.Grid(int32(r)), st.Row(int32(r))) {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(float64(st.Len())*float64(b.N)/b.Elapsed().Seconds(), "probes/s")
+	if want := (st.Len() - sky.Len()) * b.N; hits != want {
+		b.Fatalf("%d probes dominated, want %d", hits, want)
+	}
+}

@@ -40,6 +40,36 @@ func FuzzEncodeDecode(f *testing.F) {
 	})
 }
 
+// FuzzEncodeDecodeGrid: whatever the shape selects — tables or bit
+// loops — EncodeGridInto and DecodeGridInto must agree with the bit
+// loops bit for bit and round-trip. Seeds cover one-word, straddling
+// and many-word addresses, with and without tables.
+func FuzzEncodeDecodeGrid(f *testing.F) {
+	f.Add(uint16(8), uint16(16), int64(1))   // two words, both tables
+	f.Add(uint16(3), uint16(32), int64(2))   // levels straddle the word boundary
+	f.Add(uint16(12), uint16(16), int64(3))  // three words, gather table only
+	f.Add(uint16(225), uint16(32), int64(4)) // 113 words, no table
+	f.Add(uint16(1), uint16(1), int64(5))
+	f.Fuzz(func(t *testing.T, dRaw, bitsRaw uint16, seed int64) {
+		enc, err := NewUnitEncoder(int(dRaw%256)+1, int(bitsRaw%MaxBits)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := randGrid(rand.New(rand.NewSource(seed)), enc)
+		z := enc.EncodeGrid(g)
+		if want := enc.encodeGridBits(make(ZAddr, enc.Words()), g); !Equal(z, want) {
+			t.Fatalf("d=%d bits=%d: encode %v, bit loop %v", enc.Dims(), enc.Bits(), z, want)
+		}
+		back := enc.DecodeGrid(z)
+		if want := enc.decodeGridBits(make([]uint32, enc.Dims()), z); !equalU32(back, want) {
+			t.Fatalf("d=%d bits=%d: decode %v, bit loop %v", enc.Dims(), enc.Bits(), back, want)
+		}
+		if !equalU32(back, g) {
+			t.Fatalf("d=%d bits=%d: roundtrip %v -> %v", enc.Dims(), enc.Bits(), g, back)
+		}
+	})
+}
+
 // FuzzZColEncode: the columnar bulk encoder must agree with the scalar
 // path row for row — identical addresses, identical ordering, and
 // identical RZ-regions derived from adjacent rows.

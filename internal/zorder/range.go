@@ -1,9 +1,10 @@
 package zorder
 
-// Range is a half-open interval [Lo, Hi) of the Z-order curve. A nil
-// Lo means the curve's origin (all-zero address) and a nil Hi means
-// past-the-end (every address compares below it), so the full curve is
-// Range{} — the zero value. Ranges are the ownership unit of the
+// Range is a half-open interval [Lo, Hi) of the Z-order curve. An
+// absent Lo — nil or zero-length, decoders produce either — means the
+// curve's origin (all-zero address) and an absent Hi means past-the-end
+// (every address compares below it), so the full curve is Range{} — the
+// zero value. Ranges are the ownership unit of the
 // sharded distributed tier: a shard owns every point whose Z-address
 // falls inside its range.
 type Range struct {
@@ -12,10 +13,10 @@ type Range struct {
 
 // Contains reports whether address a falls inside the range.
 func (r Range) Contains(a ZAddr) bool {
-	if r.Lo != nil && Compare(a, r.Lo) < 0 {
+	if len(r.Lo) != 0 && Compare(a, r.Lo) < 0 {
 		return false
 	}
-	return r.Hi == nil || Compare(a, r.Hi) < 0
+	return len(r.Hi) == 0 || Compare(a, r.Hi) < 0
 }
 
 // Overlaps reports whether the two ranges share at least one address.
@@ -24,17 +25,17 @@ func (r Range) Overlaps(o Range) bool {
 	if r.empty() || o.empty() {
 		return false
 	}
-	if r.Hi != nil && o.Lo != nil && Compare(o.Lo, r.Hi) >= 0 {
+	if len(r.Hi) != 0 && len(o.Lo) != 0 && Compare(o.Lo, r.Hi) >= 0 {
 		return false
 	}
-	if o.Hi != nil && r.Lo != nil && Compare(r.Lo, o.Hi) >= 0 {
+	if len(o.Hi) != 0 && len(r.Lo) != 0 && Compare(r.Lo, o.Hi) >= 0 {
 		return false
 	}
 	return true
 }
 
 func (r Range) empty() bool {
-	return r.Lo != nil && r.Hi != nil && Compare(r.Lo, r.Hi) >= 0
+	return len(r.Lo) != 0 && len(r.Hi) != 0 && Compare(r.Lo, r.Hi) >= 0
 }
 
 // FilterRows appends to dst the indices of column rows whose address

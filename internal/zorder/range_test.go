@@ -35,15 +35,15 @@ func TestRangeOverlaps(t *testing.T) {
 		o    Range
 		want bool
 	}{
-		{Range{}, true},                               // full curve
-		{Range{Lo: ZAddr{20}, Hi: ZAddr{30}}, false},  // adjacent above
-		{Range{Lo: ZAddr{0}, Hi: ZAddr{10}}, false},   // adjacent below
-		{Range{Lo: ZAddr{19}, Hi: ZAddr{25}}, true},   // one shared address
-		{Range{Lo: ZAddr{12}, Hi: ZAddr{15}}, true},   // nested
-		{Range{Lo: ZAddr{15}, Hi: ZAddr{15}}, false},  // empty
-		{Range{Lo: ZAddr{15}, Hi: ZAddr{12}}, false},  // inverted = empty
-		{Range{Hi: ZAddr{11}}, true},                  // open head
-		{Range{Lo: ZAddr{19}}, true},                  // open tail
+		{Range{}, true}, // full curve
+		{Range{Lo: ZAddr{20}, Hi: ZAddr{30}}, false}, // adjacent above
+		{Range{Lo: ZAddr{0}, Hi: ZAddr{10}}, false},  // adjacent below
+		{Range{Lo: ZAddr{19}, Hi: ZAddr{25}}, true},  // one shared address
+		{Range{Lo: ZAddr{12}, Hi: ZAddr{15}}, true},  // nested
+		{Range{Lo: ZAddr{15}, Hi: ZAddr{15}}, false}, // empty
+		{Range{Lo: ZAddr{15}, Hi: ZAddr{12}}, false}, // inverted = empty
+		{Range{Hi: ZAddr{11}}, true},                 // open head
+		{Range{Lo: ZAddr{19}}, true},                 // open tail
 	}
 	for i, c := range cases {
 		if got := a.Overlaps(c.o); got != c.want {
@@ -69,5 +69,28 @@ func TestRangeFilterRows(t *testing.T) {
 	}
 	if rows := (Range{}).FilterRows(nil, zc); len(rows) != 5 {
 		t.Fatalf("full curve kept %d rows", len(rows))
+	}
+}
+
+// A zero-length bound is an absent bound, exactly like nil: decoders
+// hand back either for "no bound", and reading it as an address indexed
+// past its end.
+func TestRangeZeroLengthBoundIsAbsent(t *testing.T) {
+	none := ZAddr{}
+	zc := ZCol{Words: 1, Data: []uint64{5, 10, 15}}
+	if r := (Range{Lo: none, Hi: none}); !r.Contains(ZAddr{7}) || !r.Overlaps(Range{Lo: ZAddr{1}, Hi: ZAddr{2}}) ||
+		len(r.FilterRows(nil, zc)) != 3 {
+		t.Fatal("zero-length bounds are not the full curve")
+	}
+	head := Range{Lo: none, Hi: ZAddr{10}}
+	if !head.Contains(ZAddr{0}) || head.Contains(ZAddr{10}) || len(head.FilterRows(nil, zc)) != 1 {
+		t.Fatal("zero-length Lo is not the origin")
+	}
+	tail := Range{Lo: ZAddr{10}, Hi: none}
+	if tail.Contains(ZAddr{9}) || !tail.Contains(ZAddr{^uint64(0)}) || len(tail.FilterRows(nil, zc)) != 2 {
+		t.Fatal("zero-length Hi is not past-the-end")
+	}
+	if head.Overlaps(tail) || tail.Overlaps(head) {
+		t.Fatal("[origin,10) and [10,end) overlap")
 	}
 }

@@ -84,7 +84,6 @@ func TestEncodeIntoAndRegionInto(t *testing.T) {
 	z := make(ZAddr, enc.Words())
 	minG := make([]uint32, enc.Dims())
 	maxG := make([]uint32, enc.Dims())
-	scratch := make(ZAddr, enc.Words())
 	for trial := 0; trial < 50; trial++ {
 		b := randBlock(rng, 2, 5)
 		p, q := b.Row(0), b.Row(1)
@@ -97,7 +96,7 @@ func TestEncodeIntoAndRegionInto(t *testing.T) {
 			alpha, beta = beta, alpha
 		}
 		want := enc.RegionOf(alpha, beta)
-		got := enc.RegionInto(minG, maxG, scratch, alpha, beta)
+		got := enc.RegionInto(minG, maxG, alpha, beta)
 		if !equalU32(got.MinG, want.MinG) || !equalU32(got.MaxG, want.MaxG) {
 			t.Fatalf("RegionInto %v/%v, want %v/%v", got.MinG, got.MaxG, want.MinG, want.MaxG)
 		}

@@ -42,6 +42,10 @@ type Encoder struct {
 	width []float64 // cell width per dimension (0 if degenerate)
 	words int       // number of uint64 words per address
 	maxG  uint32    // largest grid coordinate: 2^bits - 1
+	// Interleave tables (table.go); nil when the shape makes them too
+	// large, and the bit loops run instead.
+	spread []uint64
+	gather []uint64
 }
 
 // NewEncoder builds an Encoder for dims dimensions at bits resolution
@@ -81,6 +85,7 @@ func NewEncoder(dims, bitsPerDim int, mins, maxs []float64) (*Encoder, error) {
 		e.scale[i] = cells / span
 		e.width[i] = span / cells
 	}
+	e.buildTables()
 	return e, nil
 }
 
@@ -175,6 +180,16 @@ func (e *Encoder) EncodeGrid(g []uint32) ZAddr {
 // entries, and is zeroed first) and returns z — the allocation-free
 // variant for hot loops that reuse one scratch address.
 func (e *Encoder) EncodeGridInto(z ZAddr, g []uint32) ZAddr {
+	if e.spread == nil {
+		return e.encodeGridBits(z, g)
+	}
+	return e.encodeGridTable(z, g)
+}
+
+// encodeGridBits is EncodeGridInto one address bit at a time: the
+// definition of the layout, the path for shapes too large for a table,
+// and the reference the table is tested against.
+func (e *Encoder) encodeGridBits(z ZAddr, g []uint32) ZAddr {
 	for i := range z {
 		z[i] = 0
 	}
@@ -199,6 +214,15 @@ func (e *Encoder) DecodeGrid(z ZAddr) []uint32 {
 // DecodeGridInto reverses EncodeGrid into g (which must have Dims()
 // entries) and returns g — the allocation-free variant.
 func (e *Encoder) DecodeGridInto(g []uint32, z ZAddr) []uint32 {
+	if e.gather == nil {
+		return e.decodeGridBits(g, z)
+	}
+	return e.decodeGridTable(g, z)
+}
+
+// decodeGridBits is DecodeGridInto one address bit at a time; see
+// encodeGridBits.
+func (e *Encoder) decodeGridBits(g []uint32, z ZAddr) []uint32 {
 	for i := range g {
 		g[i] = 0
 	}
@@ -283,25 +307,37 @@ type Region struct {
 // alpha <= beta: the common prefix padded with zeros gives minpt, with
 // ones gives maxpt.
 func (e *Encoder) RegionOf(alpha, beta ZAddr) Region {
-	return e.RegionInto(make([]uint32, e.dims), make([]uint32, e.dims),
-		make(ZAddr, e.words), alpha, beta)
+	return e.RegionInto(make([]uint32, e.dims), make([]uint32, e.dims), alpha, beta)
 }
 
 // RegionInto computes RegionOf into caller-owned storage: minG and
-// maxG (Dims() entries each) receive the corner grids, and scratch
-// (Words() entries) holds the intermediate padded address. Nothing
+// maxG (Dims() entries each) receive the corner grids. Nothing
 // allocates, so index builds can compute one region per node into
 // slab arenas.
-func (e *Encoder) RegionInto(minG, maxG []uint32, scratch ZAddr, alpha, beta ZAddr) Region {
-	total := e.TotalBits()
-	cpl := CommonPrefixLen(alpha, beta, total)
-	for i := range scratch {
-		scratch[i] = 0
+func (e *Encoder) RegionInto(minG, maxG []uint32, alpha, beta ZAddr) Region {
+	e.DecodeGridInto(minG, alpha)
+	return e.RegionFromGrid(minG, maxG, minG, CommonPrefixLen(alpha, beta, e.TotalBits()))
+}
+
+// RegionFromGrid is RegionInto for a caller that already holds the grid
+// coordinates g of one boundary address and the length cpl of the
+// prefix the two share, so no address is decoded. Levels interleave
+// most-significant first, one bit per dimension, so the first cpl
+// address bits fix the top cpl/d bits of every coordinate plus one more
+// in the first cpl%d dimensions; minpt clears each coordinate's
+// remaining low bits and maxpt sets them — one mask per dimension.
+// minG may alias g.
+func (e *Encoder) RegionFromGrid(minG, maxG, g []uint32, cpl int) Region {
+	levels, extra := cpl/e.dims, cpl%e.dims
+	// A shift by the full width yields 0, so levels == 0 at 32 bits
+	// still gives the all-ones mask.
+	free := uint32(1)<<uint(e.bits-levels) - 1
+	for k := 0; k < extra; k++ {
+		minG[k], maxG[k] = g[k]&^(free>>1), g[k]|free>>1
 	}
-	copyPrefix(scratch, alpha, cpl)
-	e.DecodeGridInto(minG, scratch)
-	setOnes(scratch, cpl, total)
-	e.DecodeGridInto(maxG, scratch)
+	for k := extra; k < e.dims; k++ {
+		minG[k], maxG[k] = g[k]&^free, g[k]|free
+	}
 	return Region{MinG: minG, MaxG: maxG}
 }
 
@@ -309,22 +345,6 @@ func (e *Encoder) RegionInto(minG, maxG []uint32, scratch ZAddr, alpha, beta ZAd
 func (e *Encoder) RegionOfPoint(z ZAddr) Region {
 	g := e.DecodeGrid(z)
 	return Region{MinG: g, MaxG: g}
-}
-
-func copyPrefix(dst, src ZAddr, n int) {
-	fullWords := n / 64
-	copy(dst[:fullWords], src[:fullWords])
-	rem := n % 64
-	if rem > 0 && fullWords < len(src) {
-		mask := ^uint64(0) << uint(64-rem)
-		dst[fullWords] = src[fullWords] & mask
-	}
-}
-
-func setOnes(a ZAddr, from, to int) {
-	for i := from; i < to; i++ {
-		a[i/64] |= 1 << uint(63-i%64)
-	}
 }
 
 // --- Conservative grid-level dominance tests (DESIGN.md §5) ---

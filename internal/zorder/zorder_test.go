@@ -8,7 +8,7 @@ import (
 	"zskyline/internal/point"
 )
 
-func mustEnc(t *testing.T, dims, bits int) *Encoder {
+func mustEnc(t testing.TB, dims, bits int) *Encoder {
 	t.Helper()
 	e, err := NewUnitEncoder(dims, bits)
 	if err != nil {
