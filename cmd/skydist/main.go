@@ -1,7 +1,7 @@
 // Command skydist coordinates a distributed skyline query across
 // skyworker processes: phase 1 runs here (sampling, Z-order
-// partitioning, ZDG/ZHG grouping), phases 2 and 3 run on the workers
-// over TCP.
+// partitioning, ZDG/ZHG grouping), phase 2 runs on the workers over
+// TCP, and phase 3 merges their candidates here.
 //
 // Usage:
 //
@@ -55,7 +55,7 @@ func main() {
 		metrics_  = flag.String("metrics-addr", "", "serve GET /metrics and /debug/pprof/ on this address during the run")
 		rpcTO     = flag.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = default 15s, negative = no deadline)")
 		retries   = flag.Int("retries", 0, "retries after a failed RPC attempt (0 = default 3, negative = none)")
-		hedge     = flag.Duration("hedge", 0, "duplicate straggling reduce/merge RPCs on a second worker after this delay (0 = off)")
+		hedge     = flag.Duration("hedge", 0, "duplicate a straggling reduce (or, sharded, shard-skyline) RPC on a second worker after this delay (0 = off)")
 		redial    = flag.Duration("redial-interval", 0, "interval between redials of suspect/dead workers (0 = default 500ms, negative = off)")
 		eventsOut = flag.String("events-out", "", "write the run's event log (query + per-RPC records) as NDJSON to this file ('-' for stderr)")
 
@@ -295,7 +295,7 @@ func runCluster(rc clusterRun) {
 	cfg := dist.ClusterConfig{
 		Mins: mins, Maxs: maxs,
 		UseZS: !rc.useSB, Dominance: rc.dominance,
-		Shards:  rc.shards,
+		Shards:     rc.shards,
 		RPCTimeout: rc.rpcTO, Retries: rc.retries, Hedge: rc.hedge,
 		RedialInterval: rc.redial,
 		Metrics:        rc.reg, Seed: rc.seed,

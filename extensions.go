@@ -2,13 +2,13 @@ package zskyline
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"zskyline/internal/approx"
 	"zskyline/internal/dist"
 	"zskyline/internal/dominance"
 	"zskyline/internal/estimate"
-	"zskyline/internal/kdom"
 	"zskyline/internal/maintain"
 	"zskyline/internal/ooc"
 	"zskyline/internal/parallel"
@@ -176,14 +176,30 @@ func NewWindowSkylineUnder(desc DominanceDescriptor, capacity, dims, bits int, m
 // --- k-dominant skylines ---
 
 // KDominates reports whether p k-dominates q: no worse on at least k
-// dimensions and strictly better on one of them.
-func KDominates(p, q Point, k int) bool { return kdom.KDominates(p, q, k) }
+// dimensions and strictly better on one of them. It is false for an
+// invalid k (outside [1, dims]) and for points of different widths.
+func KDominates(p, q Point, k int) bool {
+	prov, err := dominance.NewKDom(k)
+	return err == nil && prov.Dominates(p, q)
+}
 
-// KDominantSkyline computes the k-dominant skyline (Two-Scan
-// Algorithm) — the standard way to shrink unmanageably large
-// high-dimensional skylines. k == dims reproduces the classic skyline.
+// KDominantSkyline computes the k-dominant skyline — the standard way
+// to shrink unmanageably large high-dimensional skylines. k-dominance
+// is not transitive, so the candidate window is closed by a
+// verification scan against the full input. k == dims reproduces the
+// classic skyline; k outside [1, dims] is an error.
 func KDominantSkyline(pts []Point, k int) ([]Point, error) {
-	return kdom.Skyline(pts, k, nil)
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	if d := len(pts[0]); k > d {
+		return nil, fmt.Errorf("zskyline: k must be in [1,%d], got %d", d, k)
+	}
+	prov, err := dominance.NewKDom(k)
+	if err != nil {
+		return nil, err
+	}
+	return dominance.Skyline(prov, pts, nil), nil
 }
 
 // --- Cardinality estimation ---

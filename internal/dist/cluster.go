@@ -121,8 +121,6 @@ type Cluster struct {
 	shardIDs []int                 // range index -> stable shard ID
 	pols     map[int]*policy       // resolved per-shard policies
 	pullRows int
-	// exec runs the cross-shard merge on the coordinator's own cores.
-	exec *plan.LocalExec
 
 	mu   sync.Mutex
 	smap ShardMap
@@ -240,7 +238,6 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 		rule: rule, ruleData: rd, enc: enc, table: table,
 		pols:     map[int]*policy{},
 		pullRows: cfg.PullRows,
-		exec:     plan.NewLocalExec(0),
 		smap:     smap,
 		stale:    map[int]map[int]bool{},
 		rows:     map[int]int64{},
@@ -584,7 +581,7 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 			sky = groups[0].Points()
 		} else {
 			var merged plan.Group
-			merged, _, err = c.exec.SweepMerge(ctx, c.rule, groups, nil)
+			merged, _, err = c.inner.exec.SweepMerge(ctx, c.rule, groups, nil)
 			sky = merged.Points()
 			ev.SetPhase("merge/sweep", time.Since(fanned))
 		}

@@ -41,11 +41,6 @@ type CoordinatorConfig struct {
 	Heuristic bool
 	// ChunkSize bounds the points per MapChunk call; 0 selects 8192.
 	ChunkSize int
-	// TreeMerge, when true, runs phase 3 as a parallel merge reduction
-	// across all workers instead of the paper's single merge reducer:
-	// each round pairs up partial skylines and Z-merges them on
-	// whichever workers are free.
-	TreeMerge bool
 	// Seed drives sampling (and the retry jitter schedule).
 	Seed int64
 	// Dominance selects the dominance relation (see internal/dominance);
@@ -62,8 +57,8 @@ type CoordinatorConfig struct {
 	// 0 selects 3; negative disables retries.
 	Retries int
 	// Hedge, when positive, speculatively re-issues a straggling
-	// reduce or merge call on a second live worker after this delay
-	// and takes whichever reply lands first. 0 disables hedging.
+	// reduce call on a second live worker after this delay and takes
+	// whichever reply lands first. 0 disables hedging.
 	Hedge time.Duration
 	// RedialInterval is the period of the resurrection sweep that
 	// re-dials suspect/dead workers, re-broadcasts the current rule,
@@ -105,9 +100,12 @@ func (cfg *CoordinatorConfig) spec() *plan.Spec {
 		Bits:        cfg.Bits,
 		Fanout:      cfg.Fanout,
 		Seed:        cfg.Seed,
-		TreeMerge:   cfg.TreeMerge,
-		ChunkSize:   cfg.ChunkSize,
-		Dominance:   cfg.Dominance,
+		// Phase 3 runs on the coordinator's own pool, scheduled as
+		// parallel schedules it: pairwise rounds, the lonely last ones
+		// split into probe ranges.
+		TreeMerge: true,
+		ChunkSize: cfg.ChunkSize,
+		Dominance: cfg.Dominance,
 	}
 }
 
@@ -227,7 +225,9 @@ const (
 
 var stateNames = [...]string{"live", "suspect", "dead", "resurrecting"}
 
-// Coordinator drives a set of TCP workers through the three phases.
+// Coordinator drives a set of TCP workers through phases 1 and 2 and
+// merges their candidates on its own cores (exec): after the last
+// reduce reply no query touches the network again.
 // Every RPC runs under the configured fault-tolerance policy:
 // per-attempt deadlines, bounded retries with jittered backoff, and
 // failover to live workers. A worker that fails an RPC is suspected
@@ -243,6 +243,9 @@ type Coordinator struct {
 	reg    *obs.Registry
 	events *obs.EventLog
 	bo     *backoff
+	// exec is the process's one in-process pool: phase 3 of every query,
+	// and the Cluster's cross-shard sweep.
+	exec *plan.LocalExec
 
 	mu       sync.Mutex
 	clients  []*transport.Client
@@ -285,6 +288,7 @@ func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, 
 	}
 	c := &Coordinator{cfg: cfg, pol: cfg.policy(), addrs: workerAddrs,
 		salt: salt, reg: reg, events: events, bo: newBackoff(cfg.Seed + int64(salt)),
+		exec:     plan.NewLocalExec(0),
 		state:    make([]workerState, len(workerAddrs)),
 		inflight: make([]int, len(workerAddrs)),
 		changed:  make(chan struct{}),
@@ -393,7 +397,7 @@ func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.P
 	}
 	wireBefore := c.WireStats()
 	start := time.Now()
-	sky, prep, err := plan.Run(ctx, c.cfg.spec(), ds, &rpcExec{c: c}, nil)
+	sky, prep, err := plan.Run(ctx, c.cfg.spec(), ds, &rpcExec{LocalExec: c.exec, c: c}, nil)
 	ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		ev.SetError(className(classify(err)), err.Error())
@@ -753,8 +757,8 @@ type callOpts struct {
 	// retry rotates onward from it.
 	preferred int
 	// hedge allows a speculative duplicate on a second worker after
-	// the policy's hedge delay (reduce/merge tasks only: they are
-	// idempotent and few, so duplicates are cheap insurance).
+	// the policy's hedge delay (reduce tasks and shard reads only: they
+	// are idempotent and few, so duplicates are cheap insurance).
 	hedge bool
 	// pol, when non-nil, overrides the coordinator's policy for this
 	// call — how the sharded tier applies per-shard timeout/retry/hedge
@@ -968,10 +972,12 @@ func (c *Coordinator) resendRule(ctx context.Context, w int) error {
 
 // ---- executor plumbing ----
 
-// rpcExec is the plan.Executor that fans tasks out over the
-// coordinator's worker connections, with failover. One rpcExec serves
-// one query: Broadcast assigns the query's rule ID.
+// rpcExec is the plan.Executor that fans map and reduce tasks out over
+// the coordinator's worker connections, with failover, and merges where
+// the reduce replies land: RunMerges is the embedded pool's. One
+// rpcExec serves one query: Broadcast assigns the query's rule ID.
 type rpcExec struct {
+	*plan.LocalExec
 	c      *Coordinator
 	ruleID uint64
 }
@@ -987,22 +993,28 @@ func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
 	return ex.c.broadcast(ctx, RuleBlob{ID: ex.ruleID, Data: *rd})
 }
 
+// task issues one phase-2 task as a traced, event-logged call under the
+// full policy, starting on the worker the scheduler reserved.
+func (c *Coordinator) task(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, worker int, hedge bool) error {
+	sp, ev, done := c.startRPC(ctx, method)
+	served, err := c.call(ctx, method, args, reply, callOpts{preferred: worker, hedge: hedge, sp: sp, ev: ev})
+	done(served, err)
+	return err
+}
+
+// mapChunk runs one Worker.MapChunk task.
+func (c *Coordinator) mapChunk(ctx context.Context, ruleID uint64, chunk point.Block, worker int) (plan.MapOutput, error) {
+	var reply MapReply
+	err := c.task(ctx, "Worker.MapChunk", MapArgs{RuleID: ruleID, Block: chunk}, &reply, worker, false)
+	return plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered}, err
+}
+
 // RunMaps implements plan.Executor via Worker.MapChunk RPCs.
 func (ex *rpcExec) RunMaps(ctx context.Context, _ *plan.Rule, chunks []point.Block, _ *metrics.Tally) ([]plan.MapOutput, error) {
 	outs := make([]plan.MapOutput, len(chunks))
-	err := ex.c.forEach(ctx, len(chunks), func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.MapChunk")
-		var reply MapReply
-		served, err := ex.c.call(ctx, "Worker.MapChunk",
-			MapArgs{RuleID: ex.ruleID, Block: chunks[i]}, &reply,
-			callOpts{preferred: worker, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
-			return err
-		}
-		done(served, nil)
-		outs[i] = plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered}
-		return nil
+	err := ex.c.forEach(ctx, len(chunks), func(i, worker int) (err error) {
+		outs[i], err = ex.c.mapChunk(ctx, ex.ruleID, chunks[i], worker)
+		return err
 	})
 	return outs, err
 }
@@ -1011,48 +1023,14 @@ func (ex *rpcExec) RunMaps(ctx context.Context, _ *plan.Rule, chunks []point.Blo
 func (ex *rpcExec) RunReduces(ctx context.Context, _ *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
 	outs := make([]plan.Group, len(groups))
 	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.ReduceGroup")
 		var reply ReduceReply
-		served, err := ex.c.call(ctx, "Worker.ReduceGroup",
-			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply,
-			callOpts{preferred: worker, hedge: true, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
-			return err
-		}
-		done(served, nil)
+		err := ex.c.task(ctx, "Worker.ReduceGroup",
+			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply, worker, true)
 		outs[i] = reply.Candidates
 		outs[i].Gid = groups[i].Gid
-		return nil
+		return err
 	})
 	return outs, err
-}
-
-// RunMerges implements plan.Executor via Worker.MergeGroups RPCs. A
-// single task runs on one worker — the paper's lone merge reducer;
-// multiple tasks (tree-merge rounds) fan out across the fleet. Merge
-// tasks are the classic straggler magnet (the last round is one call
-// on one worker), so they hedge when the policy allows.
-func (ex *rpcExec) RunMerges(ctx context.Context, _ *plan.Rule, tasks [][]plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
-	outs := make([]plan.Group, len(tasks))
-	mergeOne := func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.MergeGroups")
-		var merged MergeReply
-		served, err := ex.c.call(ctx, "Worker.MergeGroups",
-			MergeArgs{RuleID: ex.ruleID, Groups: tasks[i]}, &merged,
-			callOpts{preferred: worker, hedge: true, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
-			return err
-		}
-		done(served, nil)
-		outs[i] = merged.Skyline
-		return nil
-	}
-	if len(tasks) == 1 {
-		return outs, mergeOne(0, 0)
-	}
-	return outs, ex.c.forEach(ctx, len(tasks), mergeOne)
 }
 
 // broadcast installs the rule on every live worker and records it as

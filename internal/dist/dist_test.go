@@ -247,29 +247,6 @@ func TestAllWorkersDead(t *testing.T) {
 	}
 }
 
-func TestTreeMergeExact(t *testing.T) {
-	addrs := startCluster(t, 3)
-	ds := gen.Synthetic(gen.AntiCorrelated, 6000, 4, 31)
-	want := seq.SB(ds.Points, nil)
-	cfg := DefaultCoordinatorConfig()
-	cfg.M = 16
-	cfg.SampleRatio = 0.05
-	cfg.TreeMerge = true
-	coord, err := NewCoordinator(cfg, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	got, rep, err := coord.Skyline(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, want, "tree merge")
-	if rep.Groups < 3 {
-		t.Skipf("only %d groups; reduction path barely exercised", rep.Groups)
-	}
-}
-
 func TestSkylineFileStreaming(t *testing.T) {
 	addrs := startCluster(t, 2)
 	ds := gen.Synthetic(gen.AntiCorrelated, 12000, 4, 41)

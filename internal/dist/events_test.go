@@ -79,12 +79,15 @@ func TestQueryAndRPCEvents(t *testing.T) {
 	if rpcs == 0 {
 		t.Fatal("no rpc events recorded")
 	}
-	// Every phase's RPC method shows up: the rule broadcast, maps,
-	// reduces, and the merge.
-	for _, m := range []string{"Worker.LoadRule", "Worker.MapChunk", "Worker.ReduceGroup", "Worker.MergeGroups"} {
+	// Every remote phase's RPC method shows up — the rule broadcast,
+	// maps, reduces — and nothing else: phase 3 runs on the coordinator.
+	for _, m := range []string{"Worker.LoadRule", "Worker.MapChunk", "Worker.ReduceGroup"} {
 		if methods[m] == 0 {
 			t.Errorf("no rpc events for %s (got %v)", m, methods)
 		}
+	}
+	if len(methods) != 3 {
+		t.Errorf("rpc events for methods %v, want the three above only", methods)
 	}
 }
 

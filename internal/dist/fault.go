@@ -76,9 +76,9 @@ func NewFaultPlan(rules ...FaultRule) *FaultPlan {
 // ParseFaultPlan parses a comma-separated fault spec, one rule per
 // entry, each "method:nth[xCount]:action[:delay]":
 //
-//	Worker.MergeGroups:1:delay:2s    delay the first merge by 2s
+//	Worker.ReduceGroup:1:delay:2s    delay the first reduce by 2s
 //	Worker.MapChunk:2x3:sever        kill the conn on map calls 2-4
-//	Worker.ReduceGroup:1:drop        swallow the first reduce reply
+//	Worker.ReduceGroup:4:drop        swallow the fourth reduce reply
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	var rules []FaultRule
 	for _, ent := range strings.Split(spec, ",") {

@@ -110,6 +110,7 @@ func TestClassify(t *testing.T) {
 		{transport.ServerError("dist: rule 5 not loaded on 127.0.0.1:1"), classRuleMissing},
 		{transport.ServerError("plan: dims mismatch"), classFatal},
 		{transport.ServerError("zorder: bad rule hash"), classFatal},
+		{transport.ServerError("transport: handler panicked on method 3: ragged row"), classFatal},
 		{errors.New("read tcp: connection reset by peer"), classRetryable},
 	}
 	for _, tc := range cases {
@@ -120,12 +121,12 @@ func TestClassify(t *testing.T) {
 }
 
 func TestParseFaultPlan(t *testing.T) {
-	p, err := ParseFaultPlan("Worker.MergeGroups:1:delay:2s, Worker.MapChunk:2x3:sever,Worker.ReduceGroup:4:drop")
+	p, err := ParseFaultPlan("Worker.ReduceGroup:1:delay:2s, Worker.MapChunk:2x3:sever,Worker.ReduceGroup:4:drop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := p.match("Worker.MergeGroups"); r == nil || r.Action != FaultDelay || r.Delay != 2*time.Second {
-		t.Errorf("merge rule: %+v", r)
+	if r := p.match("Worker.ReduceGroup"); r == nil || r.Action != FaultDelay || r.Delay != 2*time.Second {
+		t.Errorf("reduce rule: %+v", r)
 	}
 	// MapChunk calls 2..4 sever, 1 and 5 pass.
 	if r := p.match("Worker.MapChunk"); r != nil {
@@ -150,20 +151,16 @@ func TestParseFaultPlan(t *testing.T) {
 }
 
 // A worker severed after its first successful reduce must be
-// resurrected (with the rule re-broadcast) and serve later phase-3
-// merge rounds, while the query stays exact.
+// resurrected (with the rule re-broadcast) and serve later reduces,
+// while the query stays exact.
 func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	// Worker 2 dies on its second reduce; workers 0 and 1 straggle on
-	// their first merge so the resurrected worker 2 demonstrably picks
-	// up later merge tasks. They also straggle on their first reduce:
-	// a reduce of this input takes well under a millisecond, and on a
-	// loaded box two free workers would drain all sixteen before worker
-	// 2 was handed its second.
-	straggle := []FaultRule{
-		{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond},
-		{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 150 * time.Millisecond},
-	}
-	slow, slow2 := NewFaultPlan(straggle...), NewFaultPlan(straggle...)
+	// their first, so the resurrected worker 2 demonstrably picks up
+	// later ones: a reduce of this input takes well under a millisecond,
+	// and on a loaded box two free workers would drain all sixteen before
+	// worker 2 was handed its second.
+	straggle := FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond}
+	slow, slow2 := NewFaultPlan(straggle), NewFaultPlan(straggle)
 	dying := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 2, Action: FaultSever})
 	var addrs []string
 	var servers []*WorkerServer
@@ -179,9 +176,7 @@ func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 8000, 4, 23)
 	want := seq.SB(ds.Points, nil)
 
-	cfg := ftConfig()
-	cfg.TreeMerge = true
-	coord, err := NewCoordinator(cfg, addrs)
+	coord, err := NewCoordinator(ftConfig(), addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +206,10 @@ func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	if n := sumMetric(string(lr), "zsky_rpc_requests_total"); n < 2 {
 		t.Errorf("resurrected worker served %v RPCs total, want >= 2 (LoadRule re-broadcast + later tasks)", n)
 	}
-	// ...and served later work after dying: phase-3 merges or the
-	// retried reduce.
-	text := string(lr)
-	merges := sumLabeled(text, "zsky_rpc_requests_total", `method="MergeGroups"`)
-	reduces := sumLabeled(text, "zsky_rpc_requests_total", `method="ReduceGroup"`)
-	if merges < 1 && reduces < 2 {
-		t.Errorf("resurrected worker served merges=%v reduces=%v; expected post-resurrection work", merges, reduces)
+	// ...and served later work after dying: the severed call never
+	// counted, so a second served reduce is a post-resurrection one.
+	if reduces := sumLabeled(string(lr), "zsky_rpc_requests_total", `method="ReduceGroup"`); reduces < 2 {
+		t.Errorf("resurrected worker served reduces=%v; expected post-resurrection work", reduces)
 	}
 }
 
@@ -301,11 +293,12 @@ func TestDropRescuedByDeadline(t *testing.T) {
 	}
 }
 
-// Hedging must beat an injected straggler: with the only merge task
-// delayed 2s on its primary worker, the hedged duplicate on the idle
-// worker answers and the query finishes far sooner.
+// Hedging must beat an injected straggler: with worker 0's first
+// reduce — and every call queued behind it on that connection —
+// delayed 2s, the hedged duplicates on the other worker answer and
+// the query finishes far sooner.
 func TestHedgeBeatsStraggler(t *testing.T) {
-	p := NewFaultPlan(FaultRule{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 2 * time.Second})
+	p := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 2 * time.Second})
 	ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
@@ -321,8 +314,8 @@ func TestHedgeBeatsStraggler(t *testing.T) {
 	want := seq.SB(ds.Points, nil)
 	cfg := ftConfig()
 	cfg.Hedge = 50 * time.Millisecond
-	// The straggler (worker 0) is first in the list, so the lone
-	// phase-3 merge prefers it.
+	// The straggler (worker 0) is first in the list, so the first
+	// reduce is handed to it.
 	coord, err := NewCoordinator(cfg, []string{ws.Addr(), ws2.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -458,5 +451,10 @@ func TestFatalErrorNotRetried(t *testing.T) {
 	}
 	if n := counterTotal(t, coord.Metrics(), "zsky_dist_retries_total"); n != 0 {
 		t.Errorf("fatal error was retried %v times", n)
+	}
+	// A coordinator from before the merge RPC was retired still sends
+	// id 5; the worker answers with the same typed verdict.
+	if _, err := ws.worker.ServeFrame(5, nil); !errors.Is(err, errUnknownMethod) {
+		t.Errorf("retired method id 5: err = %v, want errUnknownMethod", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zskyline/internal/codec"
+	"zskyline/internal/dominance"
 	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
@@ -70,11 +71,12 @@ func (c *Coordinator) SkylineFile(ctx context.Context, path string) (_ []point.P
 	}
 
 	// ---- Phase 1 on the sample (identical to the in-memory path) ----
-	r, err := plan.Learn(c.cfg.spec(), dims, mins, maxs, smp, nil)
+	spec := c.cfg.spec()
+	r, err := plan.Learn(spec, dims, mins, maxs, smp, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := &rpcExec{c: c}
+	ex := &rpcExec{LocalExec: c.exec, c: c}
 	if err := ex.Broadcast(ctx, r); err != nil {
 		return nil, nil, err
 	}
@@ -99,9 +101,12 @@ func (c *Coordinator) SkylineFile(ctx context.Context, path string) (_ []point.P
 	}
 	rep.Phase2 = time.Since(t1)
 
-	// ---- Phase 3 ----
+	// ---- Phase 3, on the coordinator's own pool ----
 	t2 := time.Now()
-	sky, err := plan.MergePhase(ctx, ex, r, groups, c.cfg.TreeMerge, nil)
+	sky, err := plan.MergePhase(ctx, ex, r, groups, spec.TreeMerge, nil)
+	if err == nil && !r.Provider().Caps().Transitive {
+		sky, err = c.verifyFile(path, r.Provider(), sky)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -152,6 +157,34 @@ func (c *Coordinator) scanFile(path string) (dims int, n int64, mins, maxs []flo
 	return dims, n, mins, maxs, res.Sample(), nil
 }
 
+// verifyFile closes the pipeline for a non-transitive relation, as
+// plan.Run does in memory: the merged rows are a candidate superset (an
+// eliminated row can still dominate a candidate), so a third pass
+// retests them against every row of the file, one batch at a time.
+func (c *Coordinator) verifyFile(path string, prov dominance.Provider, sky []point.Point) ([]point.Point, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br, err := codec.NewBinaryReader(f)
+	if err != nil {
+		return nil, err
+	}
+	cand := point.BlockOf(br.Dims(), sky)
+	for cand.Len() > 0 {
+		batch, err := br.NextBlock(c.cfg.ChunkSize)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		cand = dominance.FilterBlock(prov, cand, batch, nil)
+	}
+	return cand.Points(), nil
+}
+
 // streamMap streams the file's chunks to the workers with bounded
 // in-flight RPCs (one per worker connection), so coordinator memory
 // holds at most workers+1 batches at any moment.
@@ -197,24 +230,16 @@ func (c *Coordinator) streamMap(ctx context.Context, path string, ruleID uint64)
 		go func(batch point.Block, worker int) {
 			defer wg.Done()
 			defer c.release(worker)
-			sp, ev, done := c.startRPC(ctx, "Worker.MapChunk")
-			var reply MapReply
-			served, err := c.call(ctx, "Worker.MapChunk",
-				MapArgs{RuleID: ruleID, Block: batch}, &reply,
-				callOpts{preferred: worker, sp: sp, ev: ev})
+			out, err := c.mapChunk(ctx, ruleID, batch, worker)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				done(served, err)
-				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
-				mu.Unlock()
 				return
 			}
-			done(served, nil)
-			mu.Lock()
-			outs = append(outs, plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered})
-			mu.Unlock()
+			outs = append(outs, out)
 		}(batch, worker)
 	}
 	wg.Wait()

@@ -56,8 +56,8 @@ type policy struct {
 	// backoffBase/backoffMax shape the exponential backoff between
 	// retries; the actual sleep is jittered in [d/2, d).
 	backoffBase, backoffMax time.Duration
-	// hedge, when > 0, re-issues a reduce/merge call on a second live
-	// worker after this delay and takes whichever answers first.
+	// hedge, when > 0, re-issues a reduce call or shard read on a second
+	// live worker after this delay and takes whichever answers first.
 	hedge time.Duration
 	// redial is the interval between resurrection sweeps over
 	// suspect/dead workers (0 = resurrection disabled: a suspected

@@ -8,8 +8,9 @@
 // report) ride an embedded gob payload. It is the share-*nothing*
 // deployment of the same phase logic internal/plan defines — phase 1
 // happens on the coordinator (master node), phase 2's map+combine and
-// reduce run on the workers, and phase 3's Z-merge runs on one worker,
-// exactly mirroring the paper's Hadoop layout (Figure 5).
+// reduce run on the workers, and phase 3's Z-merge runs on the
+// coordinator, where the reduce replies land: the paper's single merge
+// reducer (Figure 5) without a second trip over the wire.
 //
 // Workers are stateful only in that they cache the broadcast
 // partitioning rule (the distributed-cache step of Algorithm 3) keyed
@@ -26,7 +27,7 @@
 // suspect/dead workers are re-dialed every RedialInterval and rejoin
 // the task rotation only after a ping and a re-broadcast of the
 // current rule succeed, so a restarted worker process serves
-// correctly. Straggling reduce/merge calls can be hedged on a second
+// correctly. Straggling reduce calls can be hedged on a second
 // worker. A query fails with ErrClusterDown only once every worker is
 // confirmed dead. FaultPlan injects deterministic delay/drop/sever
 // faults for tests and chaos drills. docs/OPERATIONS.md is the
@@ -96,17 +97,12 @@ type ReduceReply struct {
 	Candidates GroupPoints
 }
 
-// MergeArgs carries candidate groups for a phase-3 Z-merge task.
+// MergeArgs carried candidate groups to the retired merge RPC (method
+// id 5). No call sends it any more; bench/layers.go, which still times
+// its codec, is its last user.
 type MergeArgs struct {
 	RuleID uint64
 	Groups []GroupPoints
-}
-
-// MergeReply returns the merged skyline as one group; tree-merge
-// rounds feed it straight back into the next MergeArgs, column and
-// all.
-type MergeReply struct {
-	Skyline GroupPoints
 }
 
 // PingArgs/PingReply support liveness checks.

@@ -11,7 +11,7 @@ import (
 )
 
 // Per provider, a distributed run under injected faults (a severed
-// reduce plus a straggling merge, exercising retry, resurrection, and
+// reduce plus a straggling one, exercising retry, resurrection, and
 // the rule re-broadcast that carries the dominance descriptor) must
 // return exactly the sequential reference result.
 func TestProvidersUnderFaults(t *testing.T) {
@@ -36,7 +36,7 @@ func TestProvidersUnderFaults(t *testing.T) {
 			// worker, so this one always serves at least one; whether it
 			// gets a second depends on how fast the other two drain the rest.
 			dying := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultSever})
-			slow := NewFaultPlan(FaultRule{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond})
+			slow := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond})
 			var addrs []string
 			for _, p := range []*FaultPlan{dying, slow, nil} {
 				ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
@@ -47,7 +47,6 @@ func TestProvidersUnderFaults(t *testing.T) {
 				addrs = append(addrs, ws.Addr())
 			}
 			cfg := ftConfig()
-			cfg.TreeMerge = true
 			cfg.Dominance = desc
 			coord, err := NewCoordinator(cfg, addrs)
 			if err != nil {

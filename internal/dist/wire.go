@@ -23,7 +23,7 @@ const (
 	mLoadRule
 	mMapChunk
 	mReduceGroup
-	mMergeGroups
+	_ // 5 was Worker.MergeGroups; reserved so the ids after it never shift
 	mStoreShard
 	mShardSkyline
 	mPullShard
@@ -39,7 +39,6 @@ var methodNames = map[uint16]string{
 	mLoadRule:     "Worker.LoadRule",
 	mMapChunk:     "Worker.MapChunk",
 	mReduceGroup:  "Worker.ReduceGroup",
-	mMergeGroups:  "Worker.MergeGroups",
 	mStoreShard:   "Worker.StoreShard",
 	mShardSkyline: "Worker.ShardSkyline",
 	mPullShard:    "Worker.PullShard",
@@ -67,8 +66,9 @@ func methodID(name string) (uint16, error) {
 	return id, nil
 }
 
-// errUnknownMethod marks a call to a method name outside the registry —
-// a caller bug, classified fatal so it is never retried.
+// errUnknownMethod marks a call to a method name or id outside the
+// registry — a caller bug (or a peer from another release), classified
+// fatal so it is never retried.
 var errUnknownMethod = errors.New("dist: unknown rpc method")
 
 // methodName resolves a wire id back to its "Worker.X" name.
@@ -422,18 +422,6 @@ func (a *MergeArgs) DecodeFrom(data []byte) error {
 	for i := 0; i < n && r.err == nil; i++ {
 		a.Groups = append(a.Groups, r.group())
 	}
-	return r.done()
-}
-
-// AppendTo encodes the merged skyline.
-func (a MergeReply) AppendTo(dst []byte) ([]byte, error) {
-	return appendGroup(dst, a.Skyline)
-}
-
-// DecodeFrom decodes a merge reply.
-func (a *MergeReply) DecodeFrom(data []byte) error {
-	r := wireReader{b: data}
-	a.Skyline = r.group()
 	return r.done()
 }
 

@@ -8,6 +8,54 @@ import (
 	"zskyline/internal/zorder"
 )
 
+// rpcTotals tallies a coordinator's rpc events: calls per method and
+// the summed request and response frame bytes.
+func rpcTotals(c *Coordinator) (calls map[string]int, sent, recv int64) {
+	calls = map[string]int{}
+	for _, ev := range c.Events().Snapshot() {
+		if ev.Kind == "rpc" {
+			calls[ev.Route]++
+			sent += ev.WireSentBytes
+			recv += ev.WireRecvBytes
+		}
+	}
+	return calls, sent, recv
+}
+
+// tcpTotals sums the coordinator's per-connection TCP byte counters.
+func tcpTotals(c *Coordinator) (sent, recv int64) {
+	for _, ws := range c.WireStats() {
+		sent += ws.Sent
+		recv += ws.Recv
+	}
+	return sent, recv
+}
+
+// checkBatchRPCs asserts what every fault-free batch query must leave
+// behind: rpc events for the rule broadcast, the maps and the reduces
+// and no other method — phase 3 issues none — whose frame sizes sum to
+// precisely the TCP bytes moved since (sentBefore, recvBefore).
+func checkBatchRPCs(t *testing.T, c *Coordinator, sentBefore, recvBefore int64) map[string]int {
+	t.Helper()
+	calls, sent, recv := rpcTotals(c)
+	for _, m := range []string{"Worker.LoadRule", "Worker.MapChunk", "Worker.ReduceGroup"} {
+		if calls[m] == 0 {
+			t.Errorf("no rpc events for %s (got %v)", m, calls)
+		}
+	}
+	if len(calls) != 3 {
+		t.Errorf("rpc events for methods %v, want LoadRule, MapChunk and ReduceGroup only", calls)
+	}
+	tcpSent, tcpRecv := tcpTotals(c)
+	if want := tcpSent - sentBefore; sent != want {
+		t.Errorf("rpc events sum sent=%d, TCP counters measured %d", sent, want)
+	}
+	if want := tcpRecv - recvBefore; recv != want {
+		t.Errorf("rpc events sum recv=%d, TCP counters measured %d", recv, want)
+	}
+	return calls
+}
+
 // TestRPCEventBytesMatchTCP pins the exact-accounting contract of the
 // framed transport: with one worker and no faults (so no retries,
 // hedges, or abandoned legs), the per-RPC events' frame sizes must sum
@@ -28,25 +76,12 @@ func TestRPCEventBytesMatchTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	before := coord.WireStats()[0]
+	sentBefore, recvBefore := tcpTotals(coord)
 	ds := gen.Synthetic(gen.Independent, 3000, 3, 7)
 	if _, _, err := coord.Skyline(context.Background(), ds); err != nil {
 		t.Fatal(err)
 	}
-	after := coord.WireStats()[0]
-	var sent, recv int64
-	for _, ev := range coord.Events().Snapshot() {
-		if ev.Kind == "rpc" {
-			sent += ev.WireSentBytes
-			recv += ev.WireRecvBytes
-		}
-	}
-	if wantSent := after.Sent - before.Sent; sent != wantSent {
-		t.Errorf("rpc events sum sent=%d, TCP counters measured %d", sent, wantSent)
-	}
-	if wantRecv := after.Recv - before.Recv; recv != wantRecv {
-		t.Errorf("rpc events sum recv=%d, TCP counters measured %d", recv, wantRecv)
-	}
+	checkBatchRPCs(t, coord, sentBefore, recvBefore)
 }
 
 // TestClusterWireBytesRoutedVsBroadcast measures the wire traffic of

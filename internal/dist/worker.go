@@ -92,16 +92,6 @@ func (w *Worker) ServeFrame(method uint16, payload []byte) (transport.Marshaler,
 			return nil, err
 		}
 		return reply, nil
-	case mMergeGroups:
-		var args MergeArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply MergeReply
-		if err := w.MergeGroups(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
 	case mStoreShard:
 		var args StoreShardArgs
 		if err := args.DecodeFrom(payload); err != nil {
@@ -183,7 +173,7 @@ func (w *Worker) ServeFrame(method uint16, payload []byte) (transport.Marshaler,
 		}
 		return reply, nil
 	}
-	return nil, fmt.Errorf("dist: unknown method id %d", method)
+	return nil, fmt.Errorf("%w id %d", errUnknownMethod, method)
 }
 
 // faultInterceptor adapts a FaultPlan to the transport's frame
@@ -382,16 +372,5 @@ func (w *Worker) ReduceGroup(args ReduceArgs, reply *ReduceReply) error {
 		return err
 	}
 	reply.Candidates = r.LocalSkylineGroup(args.Group, nil)
-	return nil
-}
-
-// MergeGroups is one phase-3 merge task: Z-merge the candidate groups
-// into a partial (or, with all groups, the global) skyline.
-func (w *Worker) MergeGroups(args MergeArgs, reply *MergeReply) error {
-	r, err := w.rule(args.RuleID)
-	if err != nil {
-		return err
-	}
-	reply.Skyline = r.MergeGroupsZ(args.Groups, nil)
 	return nil
 }

@@ -1,14 +1,34 @@
-package kdom
+package dominance_test
+
+// k-dominance through the provider-generic kernels: the cases the
+// retired internal/kdom facade carried, on dominance.NewKDom directly.
 
 import (
 	"math/rand"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 )
+
+// kDominates is p k-dominates q, false for a k no provider accepts.
+func kDominates(p, q point.Point, k int) bool {
+	prov, err := dominance.NewKDom(k)
+	return err == nil && prov.Dominates(p, q)
+}
+
+// kSkyline is the k-dominant skyline of pts.
+func kSkyline(t *testing.T, pts []point.Point, k int, tally *metrics.Tally) []point.Point {
+	t.Helper()
+	prov, err := dominance.NewKDom(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dominance.Skyline(prov, pts, tally)
+}
 
 func TestKDominatesBasics(t *testing.T) {
 	cases := []struct {
@@ -27,8 +47,8 @@ func TestKDominatesBasics(t *testing.T) {
 		{point.Point{1, 1}, point.Point{2, 2}, 3, false},       // k > d
 	}
 	for _, c := range cases {
-		if got := KDominates(c.p, c.q, c.k); got != c.want {
-			t.Errorf("KDominates(%v, %v, %d) = %v, want %v", c.p, c.q, c.k, got, c.want)
+		if got := kDominates(c.p, c.q, c.k); got != c.want {
+			t.Errorf("kDominates(%v, %v, %d) = %v, want %v", c.p, c.q, c.k, got, c.want)
 		}
 	}
 }
@@ -46,7 +66,7 @@ func TestClassicImpliesKDominance(t *testing.T) {
 		}
 		if point.Dominates(p, q) {
 			for k := 1; k <= d; k++ {
-				if !KDominates(p, q, k) {
+				if !kDominates(p, q, k) {
 					t.Fatalf("classic dominance without %d-dominance: %v %v", k, p, q)
 				}
 			}
@@ -54,21 +74,8 @@ func TestClassicImpliesKDominance(t *testing.T) {
 	}
 }
 
-func TestSkylineValidation(t *testing.T) {
-	pts := []point.Point{{1, 2}}
-	if _, err := Skyline(pts, 0, nil); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := Skyline(pts, 3, nil); err == nil {
-		t.Error("k>d accepted")
-	}
-	got, err := Skyline(nil, 1, nil)
-	if err != nil || got != nil {
-		t.Errorf("empty input: %v %v", got, err)
-	}
-}
-
-// Property: TSA equals the brute-force k-dominant skyline.
+// Property: the window-plus-verification kernel equals the brute-force
+// k-dominant skyline, over random widths and every k they admit.
 func TestTwoScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 80; iter++ {
@@ -87,11 +94,12 @@ func TestTwoScanMatchesOracle(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		want := BruteForce(pts, k)
-		got, err := Skyline(pts, k, nil)
+		prov, err := dominance.NewKDom(k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := dominance.BruteForce(prov, pts)
+		got := dominance.Skyline(prov, pts, nil)
 		if len(got) != len(want) {
 			t.Fatalf("d=%d k=%d n=%d: got %d, want %d", d, k, n, len(got), len(want))
 		}
@@ -112,23 +120,16 @@ func TestTwoScanMatchesOracle(t *testing.T) {
 func TestContainmentHierarchy(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 800, 5, 11)
 	classic := seq.BruteForce(ds.Points)
-	full, err := Skyline(ds.Points, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := kSkyline(t, ds.Points, 5, nil)
 	if len(full) != len(classic) {
 		t.Fatalf("k=d gave %d, classic %d", len(full), len(classic))
 	}
 	prev := len(full)
 	for k := 4; k >= 2; k-- {
-		sub, err := Skyline(ds.Points, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := kSkyline(t, ds.Points, k, nil)
 		if len(sub) > prev {
 			t.Fatalf("k=%d grew the result: %d > %d", k, len(sub), prev)
 		}
-		// Subset of classic skyline.
 		inClassic := map[string]int{}
 		for _, p := range classic {
 			inClassic[p.String()]++
@@ -147,8 +148,8 @@ func TestContainmentHierarchy(t *testing.T) {
 // much smaller than the full skyline.
 func TestShrinksHighDimensionalSkylines(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 1000, 8, 13)
-	full, _ := Skyline(ds.Points, 8, nil)
-	reduced, _ := Skyline(ds.Points, 6, nil)
+	full := kSkyline(t, ds.Points, 8, nil)
+	reduced := kSkyline(t, ds.Points, 6, nil)
 	if len(reduced) >= len(full)/2 {
 		t.Errorf("6-dominant skyline %d not much smaller than full %d", len(reduced), len(full))
 	}
@@ -156,11 +157,7 @@ func TestShrinksHighDimensionalSkylines(t *testing.T) {
 
 func TestDuplicatesSurvive(t *testing.T) {
 	pts := []point.Point{{1, 1}, {1, 1}, {5, 5}}
-	got, err := Skyline(pts, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
+	if got := kSkyline(t, pts, 2, nil); len(got) != 2 {
 		t.Fatalf("duplicates: got %d, want 2 copies of (1,1)", len(got))
 	}
 }
@@ -168,9 +165,7 @@ func TestDuplicatesSurvive(t *testing.T) {
 func TestTally(t *testing.T) {
 	tal := &metrics.Tally{}
 	ds := gen.Synthetic(gen.Independent, 300, 4, 1)
-	if _, err := Skyline(ds.Points, 3, tal); err != nil {
-		t.Fatal(err)
-	}
+	kSkyline(t, ds.Points, 3, tal)
 	if tal.Snapshot().DominanceTests == 0 {
 		t.Error("no tests recorded")
 	}

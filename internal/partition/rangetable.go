@@ -75,12 +75,6 @@ func (t *RangeTable) Locate(a zorder.ZAddr) int {
 	})
 }
 
-// LocateCol locates row i of a Z-address column without materializing
-// the address.
-func (t *RangeTable) LocateCol(zc zorder.ZCol, i int) int {
-	return t.Locate(zc.At(i))
-}
-
 // Range returns range i as a zorder.Range (nil ends at the curve's
 // extremes).
 func (t *RangeTable) Range(i int) zorder.Range {

@@ -162,10 +162,6 @@ func (z *ZCurve) Assign(p point.Point) int {
 	return z.assignAddr(z.enc.Encode(p))
 }
 
-// AssignAddr routes an already-encoded Z-address to its partition —
-// the hot path for mappers that have the address at hand.
-func (z *ZCurve) AssignAddr(a zorder.ZAddr) int { return z.assignAddr(a) }
-
 func (z *ZCurve) assignAddr(a zorder.ZAddr) int {
 	return sort.Search(len(z.pivots), func(i int) bool {
 		return zorder.Compare(a, z.pivots[i]) < 0

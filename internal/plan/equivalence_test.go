@@ -84,13 +84,12 @@ func coreSkyline(t *testing.T, ds *point.Dataset, local plan.LocalAlgo) []point.
 	return sky
 }
 
-func distSkyline(t *testing.T, ds *point.Dataset, addrs []string, treeMerge bool) []point.Point {
+func distSkyline(t *testing.T, ds *point.Dataset, addrs []string) []point.Point {
 	t.Helper()
 	cfg := dist.DefaultCoordinatorConfig()
 	cfg.M = 8
 	cfg.SampleRatio = 0.05
 	cfg.ChunkSize = 500
-	cfg.TreeMerge = treeMerge
 	cfg.Seed = 99
 	coord, err := dist.NewCoordinator(cfg, addrs)
 	if err != nil {
@@ -145,8 +144,7 @@ func TestExecutorsEquivalent(t *testing.T) {
 
 			sameSet(t, coreSkyline(t, tc.ds, plan.SB), want, "core/SB")
 			sameSet(t, coreSkyline(t, tc.ds, plan.ZS), want, "core/ZS")
-			sameSet(t, distSkyline(t, tc.ds, addrs, false), want, "dist")
-			sameSet(t, distSkyline(t, tc.ds, addrs, true), want, "dist/tree")
+			sameSet(t, distSkyline(t, tc.ds, addrs), want, "dist")
 
 			par, err := parallel.Skyline(context.Background(), tc.ds, parallel.Options{Workers: 4})
 			if err != nil {

@@ -77,10 +77,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// UsesZOrder reports whether the strategy routes by Z-address and may
-// apply the SZB-tree mapper filter of Algorithm 3.
-func (s Strategy) UsesZOrder() bool { return s == NaiveZ || s == ZHG || s == ZDG }
-
 // LocalAlgo selects the per-group skyline algorithm of phase 2.
 type LocalAlgo int
 

@@ -269,19 +269,6 @@ func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 	return r.NewRouter().Route(p)
 }
 
-// RouteEntry routes an already-encoded ZB-tree entry — for mappers
-// that hold the entry anyway (Algorithm 3).
-func (r *Rule) RouteEntry(e zbtree.Entry) (gid int, ok bool) {
-	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(e.G, e.P) {
-		return 0, false
-	}
-	if r.positional {
-		return 0, true
-	}
-	gid, ok = r.groupOf[r.partitionOf(e.Z)]
-	return gid, ok
-}
-
 // Router is per-task routing state: one grid/Z-address scratch pair
 // reused across every point the task routes, so a record-oriented
 // mapper pays zero allocations per point. A Rule is shared and
@@ -354,13 +341,6 @@ func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Poi
 	return g.Block.Points()
 }
 
-// LocalSkylineBlock computes one group's skyline over a block. The
-// survivors are compacted into a freshly owned block, so the result
-// never pins the (much larger) input block's backing array.
-func (r *Rule) LocalSkylineBlock(b point.Block, tally *metrics.Tally) point.Block {
-	return r.localSkylineGroup(Group{Block: b}, tally, false).Block
-}
-
 // LocalSkylineGroup is phase 2's reduce on the encode-once path: it
 // reuses the group's Z-address column when its shape matches the
 // rule's bounds encoder, and returns candidates carrying their own
@@ -371,7 +351,7 @@ func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 
 // localSkylineGroup runs the configured local kernel over g. carryZ
 // selects whether the result should carry a bounds-encoder column for
-// the merge phase; slice/block adapters skip that work.
+// the merge phase; the slice adapter skips that work.
 func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Group {
 	out := Group{Gid: g.Gid, Block: point.Block{Dims: g.Block.Dims}}
 	n := g.Block.Len()
@@ -594,12 +574,6 @@ func (r *Rule) survivorsOf(n int) int {
 // ZS / SB recompute baselines. Slice adapter over MergeGroupsZ.
 func (r *Rule) MergeGroups(groups []Group, tally *metrics.Tally) []point.Point {
 	return r.MergeGroupsZ(groups, tally).Block.Points()
-}
-
-// MergeGroupsBlock is MergeGroups with the merged skyline compacted
-// into an owned block.
-func (r *Rule) MergeGroupsBlock(groups []Group, tally *metrics.Tally) point.Block {
-	return r.MergeGroupsZ(groups, tally).Block
 }
 
 // MergeGroupsZ is one phase-3 merge task on the encode-once path. For

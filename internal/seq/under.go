@@ -21,22 +21,3 @@ func SkylineUnder(prov dominance.Provider, pts []point.Point, tally *metrics.Tal
 	}
 	return dominance.Skyline(prov, pts, tally)
 }
-
-// SkylineBlockUnder is SkylineUnder over a block, compacting survivors
-// into a fresh block.
-func SkylineBlockUnder(prov dominance.Provider, b point.Block, tally *metrics.Tally) point.Block {
-	if dominance.IsPareto(prov) {
-		return SBBlock(b, tally)
-	}
-	return dominance.SkylineBlock(prov, b, tally)
-}
-
-// FilterBlockUnder removes from candidates every row some row of
-// against provider-dominates (membership-sound under any irreflexive
-// relation, since eliminations cite a real point).
-func FilterBlockUnder(prov dominance.Provider, candidates, against point.Block, tally *metrics.Tally) point.Block {
-	if dominance.IsPareto(prov) {
-		return FilterBlock(candidates, against, tally)
-	}
-	return dominance.FilterBlock(prov, candidates, against, tally)
-}

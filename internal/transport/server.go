@@ -3,8 +3,11 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -12,9 +15,10 @@ import (
 // Handler serves one decoded request frame: decode payload, execute,
 // and return the reply as a Marshaler (marshaled by the server into
 // the response frame). A returned error becomes a FlagError response —
-// a worker verdict the client surfaces as ServerError. Handlers run
-// concurrently, one goroutine per in-flight call, exactly like
-// net/rpc's service methods.
+// a worker verdict the client surfaces as ServerError — and so does a
+// panic, which is logged with its stack and fails that call alone.
+// Handlers run concurrently, one goroutine per in-flight call, exactly
+// like net/rpc's service methods.
 type Handler interface {
 	ServeFrame(method uint16, payload []byte) (Marshaler, error)
 }
@@ -115,12 +119,25 @@ func (s *connServer) serve() {
 	}
 }
 
+// serveFrame runs the handler, recovering a panic into the call's
+// error: unrecovered it would end the process, and with it every other
+// caller's connection and whatever state the handler keeps in memory.
+func (s *connServer) serveFrame(h Header, payload []byte) (reply Marshaler, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			reply, err = nil, fmt.Errorf("transport: handler panicked on method %d: %v", h.Method, p)
+			log.Printf("%v\n%s", err, debug.Stack())
+		}
+	}()
+	return s.h.ServeFrame(h.Method, payload)
+}
+
 // dispatch executes one call and writes (or, for dropped calls,
 // discards) its response frame.
 func (s *connServer) dispatch(h Header, payload []byte, drop bool) {
 	defer s.wg.Done()
 	start := time.Now()
-	reply, err := s.h.ServeFrame(h.Method, payload)
+	reply, err := s.serveFrame(h, payload)
 
 	out := getScratch()
 	buf := *out

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +31,8 @@ func (badMarshal) AppendTo([]byte) ([]byte, error) { return nil, errors.New("boo
 
 // testHandler echoes payloads back; method 99 answers with an error,
 // method 50 sleeps 200ms first (the deadline-mid-frame case's slow
-// call), method 60 replies with an unmarshalable body.
+// call), method 60 replies with an unmarshalable body, method 70
+// panics.
 type testHandler struct{ served sync.Map }
 
 func (h *testHandler) ServeFrame(method uint16, payload []byte) (Marshaler, error) {
@@ -44,6 +48,8 @@ func (h *testHandler) ServeFrame(method uint16, payload []byte) (Marshaler, erro
 		time.Sleep(200 * time.Millisecond)
 	case 60:
 		return badMarshal{}, nil
+	case 70:
+		panic("ragged row")
 	}
 	return &echoPayload{b: append([]byte(nil), payload...)}, nil
 }
@@ -310,6 +316,42 @@ func TestUnmarshalableReply(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicFailsOnlyItsCall: a handler that panics answers its
+// caller with a ServerError and a logged stack; a call already in
+// flight on the same connection completes, and the connection serves
+// on.
+func TestHandlerPanicFailsOnlyItsCall(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	addr, stop := startServer(t, &testHandler{}, ServeOptions{})
+	cl := dialClient(t, addr)
+
+	var slowReply echoPayload
+	slow := cl.Go(50, &echoPayload{b: []byte("slow")}, &slowReply, nil)
+	_, _, err := cl.Call(context.Background(), 70, &echoPayload{b: []byte("x")}, &echoPayload{})
+	var se ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Error(), "panicked on method 70: ragged row") {
+		t.Fatalf("err = %v, want ServerError naming the panic", err)
+	}
+	select {
+	case <-slow.Done:
+		t.Fatal("the slow call finished before the panicking one; nothing was in flight")
+	default:
+	}
+	if done := <-slow.Done; done.Err != nil || string(slowReply.b) != "slow" {
+		t.Fatalf("in-flight call: reply %q, err %v", slowReply.b, done.Err)
+	}
+	if _, _, err := cl.Call(context.Background(), 1, &echoPayload{b: []byte("y")}, &echoPayload{}); err != nil {
+		t.Fatalf("call after panic: %v", err)
+	}
+	cl.Close()
+	stop() // every handler has returned: the log is complete
+	if out := logged.String(); !strings.Contains(out, "ragged row") || !strings.Contains(out, "ServeFrame") {
+		t.Errorf("panic log lacks the value or the stack: %q", out)
+	}
+}
+
 // TestObserveExactSizes checks the server-side observe hook reports
 // header+payload sizes that match what the client measured.
 func TestObserveExactSizes(t *testing.T) {
@@ -322,11 +364,11 @@ func TestObserveExactSizes(t *testing.T) {
 		mu.Unlock()
 	}}
 	addr, stop := startServer(t, &testHandler{}, opts)
-	defer stop()
 	cl := dialClient(t, addr)
-	defer cl.Close()
 
 	req, resp, err := cl.Call(context.Background(), 11, &echoPayload{b: []byte("measure me")}, &echoPayload{})
+	cl.Close()
+	stop() // the hook runs after the response is written: wait the handler out
 	if err != nil {
 		t.Fatal(err)
 	}

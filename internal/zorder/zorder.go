@@ -407,12 +407,6 @@ func RegionsIncomparable(a, b Region) bool {
 	return GridSomeGreater(a.MinG, b.MaxG) && GridSomeGreater(b.MinG, a.MaxG)
 }
 
-// RegionPartiallyDominates reports Lemma 1 case 3: a is not a full
-// dominator of b, but a's best corner could dominate part of b.
-func RegionPartiallyDominates(a, b Region) bool {
-	return !RegionDominatesRegion(a, b) && !GridSomeGreater(a.MinG, b.MaxG)
-}
-
 // PointGridDominatesRegion reports that a float point with grid
 // coordinates g strictly dominates every float point in region r.
 func PointGridDominatesRegion(g []uint32, r Region) bool {

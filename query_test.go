@@ -352,3 +352,19 @@ func TestFacadeMaintainerPersistence(t *testing.T) {
 		t.Fatalf("restored: %v size=%d", err, got.Size())
 	}
 }
+
+// KDominantSkyline bounds k by the input's width; empty input has an
+// empty skyline under any k.
+func TestKDominantSkylineValidation(t *testing.T) {
+	pts := []Point{{1, 2}}
+	if _, err := KDominantSkyline(pts, 0); err == nil {
+		t.Error("k=0 accepted")
+	}
+	if _, err := KDominantSkyline(pts, 3); err == nil {
+		t.Error("k>d accepted")
+	}
+	got, err := KDominantSkyline(nil, 1)
+	if err != nil || got != nil {
+		t.Errorf("empty input: %v %v", got, err)
+	}
+}
