@@ -1,7 +1,8 @@
 // Command skydist coordinates a distributed skyline query across
 // skyworker processes: phase 1 runs here (sampling, Z-order
-// partitioning, ZDG/ZHG grouping), phase 2 runs on the workers over
-// TCP, and phase 3 merges their candidates here.
+// partitioning, ZDG/ZHG grouping), so does phase 2's map (the sample
+// skyline filter and the routing), the per-group reduces run on the
+// workers over TCP, and phase 3 merges their candidates here.
 //
 // Usage:
 //
@@ -50,7 +51,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "sampling seed")
 		dominance = flag.String("dominance", "pareto", "dominance relation: pareto | flex:w1,w2;... | kdom:k | robust:rho")
 		report    = flag.Bool("report", false, "print the run report to stderr")
-		stream    = flag.Bool("stream", false, "stream a ZSKY binary file to the workers without loading it (requires -format binary and a file path)")
+		stream    = flag.Bool("stream", false, "read a ZSKY binary file batch by batch without loading it, routing each batch here before its survivors go to the workers (requires -format binary and a file path)")
 		trace     = flag.Bool("trace", false, "print a per-run trace report (phase + RPC spans, wire bytes) to stderr")
 		metrics_  = flag.String("metrics-addr", "", "serve GET /metrics and /debug/pprof/ on this address during the run")
 		rpcTO     = flag.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = default 15s, negative = no deadline)")
@@ -220,6 +221,9 @@ func main() {
 			rep.Workers, rep.Groups, rep.Partitions,
 			inputSize, len(sky), rep.Candidates, rep.Filtered,
 			rep.Preprocess.Round(1000), rep.Phase2.Round(1000), rep.Phase3.Round(1000), rep.Total.Round(1000))
+		for _, ln := range rep.Ledger {
+			fmt.Fprintf(os.Stderr, "rpc %s calls=%d req=%dB resp=%dB\n", ln.Method, ln.Calls, ln.ReqBytes, ln.RespBytes)
+		}
 	}
 }
 

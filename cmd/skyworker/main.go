@@ -35,7 +35,7 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:7071", "address to listen on")
 		trace    = flag.Bool("trace", false, "print the worker's RPC counter report to stderr on shutdown")
 		metrics_ = flag.String("metrics-addr", "", "serve GET /metrics and /debug/pprof/ on this address")
-		fault    = flag.String("fault", "", "deterministic fault plan for chaos drills, e.g. 'Worker.ReduceGroup:1:delay:2s,Worker.MapChunk:2x3:sever,Worker.ReduceGroup:4:drop'")
+		fault    = flag.String("fault", "", "deterministic fault plan for chaos drills, e.g. 'Worker.ReduceGroup:1:delay:2s,Worker.ReduceGroup:2x3:sever,Worker.ReduceGroup:5:drop'")
 		maxRes   = flag.Int("max-resident", 0, "cap resident rows per shard in cluster mode; stores past the cap are rejected (0 = unlimited)")
 	)
 	flag.Parse()

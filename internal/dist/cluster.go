@@ -181,7 +181,6 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 		Dims: dims, Bits: cfg.Bits,
 		Mins:   append([]float64(nil), cfg.Mins...),
 		Maxs:   append([]float64(nil), cfg.Maxs...),
-		Pivots: [][]uint64{}, GroupOf: map[int]int{}, Groups: 1,
 		Fanout: cfg.Fanout, Local: local, Merge: plan.MergeZM,
 		Dominance: cfg.Dominance,
 	}

@@ -229,8 +229,9 @@ func TestClusterFanOutFailsFast(t *testing.T) {
 	}
 }
 
-// lastQueryEvent returns the latest query event recorded under id.
-func lastQueryEvent(c *Cluster, id string) obs.Event {
+// lastQueryEvent returns the latest query event a Cluster or a
+// Coordinator recorded under id.
+func lastQueryEvent(c interface{ Events() *obs.EventLog }, id string) obs.Event {
 	var last obs.Event
 	for _, ev := range c.Events().Snapshot() {
 		if ev.Kind == "query" && ev.ID == id {
@@ -240,38 +241,30 @@ func lastQueryEvent(c *Cluster, id string) obs.Event {
 	return last
 }
 
-// lyingWorker is a worker whose ShardSkyline replies pass through
-// mutate on their way out.
+// lyingWorker is a worker whose replies pass through lie on their way
+// out; lie sees each call's method and request payload too.
 type lyingWorker struct {
 	*Worker
-	mutate func(args ShardSkyArgs, reply *ShardSkyReply)
+	lie func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler
 }
 
 func (l lyingWorker) ServeFrame(method uint16, payload []byte) (transport.Marshaler, error) {
-	if method != mShardSkyline {
-		return l.Worker.ServeFrame(method, payload)
-	}
-	var args ShardSkyArgs
-	if err := args.DecodeFrom(payload); err != nil {
+	reply, err := l.Worker.ServeFrame(method, payload)
+	if err != nil {
 		return nil, err
 	}
-	var reply ShardSkyReply
-	if err := l.Worker.ShardSkyline(args, &reply); err != nil {
-		return nil, err
-	}
-	l.mutate(args, &reply)
-	return reply, nil
+	return l.lie(method, payload, reply), nil
 }
 
 // startLyingWorker serves a lyingWorker on a loopback port until the
 // test ends.
-func startLyingWorker(t *testing.T, mutate func(ShardSkyArgs, *ShardSkyReply)) string {
+func startLyingWorker(t *testing.T, lie func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := lyingWorker{mutate: mutate, Worker: &Worker{rules: map[uint64]*plan.Rule{}, addr: ln.Addr().String(),
+	l := lyingWorker{lie: lie, Worker: &Worker{rules: map[uint64]*plan.Rule{}, addr: ln.Addr().String(),
 		reg: obs.NewRegistry(), resident: map[int]*residentShard{}, staged: map[stageKey]*residentShard{}}}
 	var (
 		mu    sync.Mutex
@@ -352,10 +345,13 @@ func TestClusterRejectsBadShardReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			liar := startLyingWorker(t, func(args ShardSkyArgs, reply *ShardSkyReply) {
-				if args.ShardID == 0 {
-					tc.mutate(enc, &reply.Group)
+			liar := startLyingWorker(t, func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler {
+				var args ShardSkyArgs
+				if sky, ok := reply.(ShardSkyReply); ok && args.DecodeFrom(payload) == nil && args.ShardID == 0 {
+					tc.mutate(enc, &sky.Group)
+					return sky
 				}
+				return reply
 			})
 			g1, _ := startGroup(t, 1)
 			ctx := obs.ContextWithRequestID(context.Background(), "bad-reply")

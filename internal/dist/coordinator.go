@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/transport"
 	"zskyline/internal/zbtree"
+	"zskyline/internal/zorder"
 )
 
 // CoordinatorConfig parameterizes a distributed run; it mirrors
@@ -39,7 +41,8 @@ type CoordinatorConfig struct {
 	UseZS bool
 	// Heuristic selects ZHG instead of ZDG grouping.
 	Heuristic bool
-	// ChunkSize bounds the points per MapChunk call; 0 selects 8192.
+	// ChunkSize bounds the points per map task on the coordinator's pool
+	// and per batch SkylineFile reads; 0 selects 8192.
 	ChunkSize int
 	// Seed drives sampling (and the retry jitter schedule).
 	Seed int64
@@ -162,6 +165,50 @@ type Report struct {
 	// connected (cumulative across queries and reconnects on a reused
 	// coordinator).
 	Wire []WireStat
+	// Ledger is this query's RPC traffic per method, in method order:
+	// the calls issued and the exact request and response frame bytes
+	// of each call's serving attempt, as its rpc event carries them.
+	// Without retries or hedges it sums to the query's TCP bytes.
+	Ledger []LedgerLine
+}
+
+// LedgerLine is one method's row of a query's RPC ledger.
+type LedgerLine struct {
+	Method    string
+	Calls     int
+	ReqBytes  int64
+	RespBytes int64
+}
+
+// ledger collects a query's LedgerLines as its RPCs finish. It rides
+// the query's context, so every call startRPC opens reaches it.
+type ledger struct {
+	mu    sync.Mutex
+	lines map[string]LedgerLine
+}
+
+type ledgerKey struct{}
+
+func (l *ledger) add(method string, req, resp int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ln := l.lines[method]
+	ln.Method = method
+	ln.Calls++
+	ln.ReqBytes += req
+	ln.RespBytes += resp
+	l.lines[method] = ln
+}
+
+func (l *ledger) sorted() []LedgerLine {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]LedgerLine, 0, len(l.lines))
+	for _, ln := range l.lines {
+		out = append(out, ln)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Method < out[j].Method })
+	return out
 }
 
 // WireStat is one worker connection's byte totals as measured on the
@@ -375,44 +422,56 @@ func (c *Coordinator) Close() error {
 }
 
 // Skyline runs the full distributed pipeline and returns the exact
-// skyline of ds. Each run records one "query" event (joined by request
-// ID to the "rpc" events it caused); a ctx without a request ID gets a
-// fresh one, so standalone coordinator runs are observable too.
+// skyline of ds: the coordinator filters and routes every row on its
+// own pool, each group's survivors cross the wire once to a worker's
+// ReduceGroup, and the candidates are merged here.
 func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point, *Report, error) {
-	rep := &Report{Workers: len(c.addrs)}
 	if ds == nil || ds.Len() == 0 {
-		return nil, rep, nil
+		return nil, &Report{Workers: len(c.addrs)}, nil
 	}
+	shape := fmt.Sprintf("skyline:n=%d,dims=%d", ds.Len(), ds.Dims)
+	return c.runQuery(ctx, "dist/skyline", shape, func(ctx context.Context, rep *Report) ([]point.Point, error) {
+		sky, prep, err := plan.Run(ctx, c.cfg.spec(), ds, &rpcExec{LocalExec: c.exec, c: c}, nil)
+		if err != nil {
+			return nil, err
+		}
+		rep.Groups = prep.Groups
+		rep.Partitions = prep.Partitions
+		rep.Candidates = prep.Candidates
+		rep.Filtered = prep.Filtered
+		rep.Preprocess = prep.Preprocess
+		rep.Phase2 = prep.Phase2
+		rep.Phase3 = prep.Phase3
+		rep.Total = prep.Total
+		return sky, nil
+	})
+}
+
+// runQuery runs one batch query q, which fills rep's phase fields, and
+// records it as one "query" event joined by request ID to the "rpc"
+// events it caused; a ctx without a request ID gets a fresh one, so
+// standalone coordinator runs are observable too. The report gets the
+// wire totals and the query's ledger.
+func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(context.Context, *Report) ([]point.Point, error)) ([]point.Point, *Report, error) {
 	id := obs.RequestIDFrom(ctx)
 	if id == "" {
 		id = obs.NewRequestID()
 		ctx = obs.ContextWithRequestID(ctx, id)
 	}
-	ev := &obs.Event{
-		ID:        id,
-		Kind:      "query",
-		Route:     "dist/skyline",
-		Query:     fmt.Sprintf("skyline:n=%d,dims=%d", ds.Len(), ds.Dims),
-		Dominance: c.cfg.Dominance.String(),
-	}
+	ev := &obs.Event{ID: id, Kind: "query", Route: route, Query: shape, Dominance: c.cfg.Dominance.String()}
+	led := &ledger{lines: map[string]LedgerLine{}}
+	rep := &Report{Workers: len(c.addrs)}
 	wireBefore := c.WireStats()
 	start := time.Now()
-	sky, prep, err := plan.Run(ctx, c.cfg.spec(), ds, &rpcExec{LocalExec: c.exec, c: c}, nil)
+	sky, err := q(context.WithValue(ctx, ledgerKey{}, led), rep)
 	ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		ev.SetError(className(classify(err)), err.Error())
 		c.events.RecordForced(*ev)
 		return nil, nil, err
 	}
-	rep.Groups = prep.Groups
-	rep.Partitions = prep.Partitions
-	rep.Candidates = prep.Candidates
-	rep.Filtered = prep.Filtered
-	rep.Preprocess = prep.Preprocess
-	rep.Phase2 = prep.Phase2
-	rep.Phase3 = prep.Phase3
-	rep.Total = prep.Total
 	rep.Wire = c.WireStats()
+	rep.Ledger = led.sorted()
 	ev.SetPhase("preprocess", rep.Preprocess)
 	ev.SetPhase("phase2", rep.Phase2)
 	ev.SetPhase("phase3", rep.Phase3)
@@ -442,7 +501,8 @@ func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.P
 // commits the event (errors bypass sampling); span and event are
 // handed to the call layer so retry and hedge attempts show up on
 // both. Events record even with tracing off — the span is simply nil
-// then, and every span method tolerates that.
+// then, and every span method tolerates that. A batch query's ledger
+// (runQuery) gets the same frame sizes.
 func (c *Coordinator) startRPC(ctx context.Context, method string) (*obs.Span, *obs.Event, func(worker int, err error)) {
 	sp := obs.SpanFrom(ctx).Child("rpc/" + method)
 	ev := &obs.Event{
@@ -459,6 +519,9 @@ func (c *Coordinator) startRPC(ctx context.Context, method string) (*obs.Span, *
 		}
 		sp.End()
 		ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
+		if led, ok := ctx.Value(ledgerKey{}).(*ledger); ok {
+			led.add(method, ev.WireSentBytes, ev.WireRecvBytes)
+		}
 		if err != nil {
 			ev.SetError(className(classify(err)), err.Error())
 			c.events.RecordForced(*ev)
@@ -972,10 +1035,11 @@ func (c *Coordinator) resendRule(ctx context.Context, w int) error {
 
 // ---- executor plumbing ----
 
-// rpcExec is the plan.Executor that fans map and reduce tasks out over
-// the coordinator's worker connections, with failover, and merges where
-// the reduce replies land: RunMerges is the embedded pool's. One
-// rpcExec serves one query: Broadcast assigns the query's rule ID.
+// rpcExec is the plan.Executor that fans reduce tasks out over the
+// coordinator's worker connections, with failover. Everything else runs
+// on the embedded pool: RunMaps filters and routes every row before any
+// of it is shipped, and RunMerges merges where the reduce replies land.
+// One rpcExec serves one query: Broadcast assigns the query's rule ID.
 type rpcExec struct {
 	*plan.LocalExec
 	c      *Coordinator
@@ -1002,35 +1066,46 @@ func (c *Coordinator) task(ctx context.Context, method string, args transport.Ma
 	return err
 }
 
-// mapChunk runs one Worker.MapChunk task.
-func (c *Coordinator) mapChunk(ctx context.Context, ruleID uint64, chunk point.Block, worker int) (plan.MapOutput, error) {
-	var reply MapReply
-	err := c.task(ctx, "Worker.MapChunk", MapArgs{RuleID: ruleID, Block: chunk}, &reply, worker, false)
-	return plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered}, err
-}
-
-// RunMaps implements plan.Executor via Worker.MapChunk RPCs.
-func (ex *rpcExec) RunMaps(ctx context.Context, _ *plan.Rule, chunks []point.Block, _ *metrics.Tally) ([]plan.MapOutput, error) {
-	outs := make([]plan.MapOutput, len(chunks))
-	err := ex.c.forEach(ctx, len(chunks), func(i, worker int) (err error) {
-		outs[i], err = ex.c.mapChunk(ctx, ex.ruleID, chunks[i], worker)
-		return err
-	})
-	return outs, err
-}
-
-// RunReduces implements plan.Executor via Worker.ReduceGroup RPCs.
-func (ex *rpcExec) RunReduces(ctx context.Context, _ *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
+// RunReduces implements plan.Executor via Worker.ReduceGroup RPCs: each
+// group's rows and Z-column travel out once, its candidates come back
+// once, and checkReduceReply vets them before the merge sees them.
+func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
 	outs := make([]plan.Group, len(groups))
 	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
 		var reply ReduceReply
 		err := ex.c.task(ctx, "Worker.ReduceGroup",
 			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply, worker, true)
+		if err == nil {
+			err = checkReduceReply(r.Encoder(), groups[i], reply.Candidates)
+		}
 		outs[i] = reply.Candidates
 		outs[i].Gid = groups[i].Gid
 		return err
 	})
 	return outs, err
+}
+
+// checkReduceReply verifies what the merge takes on trust from a
+// ReduceGroup reply: rows of the rule's width, no more of them than the
+// group sent, and a Z-address column that is either absent (relations
+// other than Pareto send none) or one address of the rule's width per
+// row. Anything else is errBadReduceReply.
+func checkReduceReply(enc *zorder.Encoder, sent, got plan.Group) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("dist: group %d: %w: %s", sent.Gid, errBadReduceReply, fmt.Sprintf(format, args...))
+	}
+	n := got.Len()
+	switch {
+	case n > 0 && got.Block.Dims != enc.Dims():
+		return bad("%d-dimensional rows, want %d", got.Block.Dims, enc.Dims())
+	case n > sent.Len():
+		return bad("%d candidates from %d rows", n, sent.Len())
+	case len(got.ZCol.Data) > 0 && got.ZCol.Words != enc.Words():
+		return bad("%d-word addresses, want %d", got.ZCol.Words, enc.Words())
+	case len(got.ZCol.Data) > 0 && len(got.ZCol.Data) != n*got.ZCol.Words:
+		return bad("%d address words for %d rows", len(got.ZCol.Data), n)
+	}
+	return nil
 }
 
 // broadcast installs the rule on every live worker and records it as

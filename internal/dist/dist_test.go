@@ -149,9 +149,9 @@ func TestUnknownRuleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	var reply MapReply
+	var reply ReduceReply
 	w := ws.worker
-	if err := w.MapChunk(MapArgs{RuleID: 999}, &reply); err == nil {
+	if err := w.ReduceGroup(ReduceArgs{RuleID: 999}, &reply); err == nil {
 		t.Error("unknown rule accepted")
 	}
 }

@@ -79,15 +79,15 @@ func TestQueryAndRPCEvents(t *testing.T) {
 	if rpcs == 0 {
 		t.Fatal("no rpc events recorded")
 	}
-	// Every remote phase's RPC method shows up — the rule broadcast,
-	// maps, reduces — and nothing else: phase 3 runs on the coordinator.
-	for _, m := range []string{"Worker.LoadRule", "Worker.MapChunk", "Worker.ReduceGroup"} {
+	// Every remote phase's RPC method shows up — the rule broadcast and
+	// the reduces — and nothing else: the coordinator maps and merges.
+	for _, m := range []string{"Worker.LoadRule", "Worker.ReduceGroup"} {
 		if methods[m] == 0 {
 			t.Errorf("no rpc events for %s (got %v)", m, methods)
 		}
 	}
-	if len(methods) != 3 {
-		t.Errorf("rpc events for methods %v, want the three above only", methods)
+	if len(methods) != 2 {
+		t.Errorf("rpc events for methods %v, want the two above only", methods)
 	}
 }
 

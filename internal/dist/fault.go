@@ -77,8 +77,8 @@ func NewFaultPlan(rules ...FaultRule) *FaultPlan {
 // entry, each "method:nth[xCount]:action[:delay]":
 //
 //	Worker.ReduceGroup:1:delay:2s    delay the first reduce by 2s
-//	Worker.MapChunk:2x3:sever        kill the conn on map calls 2-4
-//	Worker.ReduceGroup:4:drop        swallow the fourth reduce reply
+//	Worker.ReduceGroup:2x3:sever     kill the conn on reduce calls 2-4
+//	Worker.ReduceGroup:5:drop        swallow the fifth reduce reply
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	var rules []FaultRule
 	for _, ent := range strings.Split(spec, ",") {

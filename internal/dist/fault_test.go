@@ -121,24 +121,24 @@ func TestClassify(t *testing.T) {
 }
 
 func TestParseFaultPlan(t *testing.T) {
-	p, err := ParseFaultPlan("Worker.ReduceGroup:1:delay:2s, Worker.MapChunk:2x3:sever,Worker.ReduceGroup:4:drop")
+	p, err := ParseFaultPlan("Worker.ReduceGroup:1:delay:2s, Worker.LoadRule:2x3:sever,Worker.ReduceGroup:4:drop")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := p.match("Worker.ReduceGroup"); r == nil || r.Action != FaultDelay || r.Delay != 2*time.Second {
 		t.Errorf("reduce rule: %+v", r)
 	}
-	// MapChunk calls 2..4 sever, 1 and 5 pass.
-	if r := p.match("Worker.MapChunk"); r != nil {
-		t.Errorf("map call 1 matched %+v", r)
+	// LoadRule calls 2..4 sever, 1 and 5 pass.
+	if r := p.match("Worker.LoadRule"); r != nil {
+		t.Errorf("load call 1 matched %+v", r)
 	}
 	for i := 0; i < 3; i++ {
-		if r := p.match("Worker.MapChunk"); r == nil || r.Action != FaultSever {
-			t.Errorf("map call %d: %+v", i+2, r)
+		if r := p.match("Worker.LoadRule"); r == nil || r.Action != FaultSever {
+			t.Errorf("load call %d: %+v", i+2, r)
 		}
 	}
-	if r := p.match("Worker.MapChunk"); r != nil {
-		t.Errorf("map call 5 matched %+v", r)
+	if r := p.match("Worker.LoadRule"); r != nil {
+		t.Errorf("load call 5 matched %+v", r)
 	}
 	if p.Injected() != 4 {
 		t.Errorf("injected = %d, want 4", p.Injected())
@@ -213,14 +213,14 @@ func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	}
 }
 
-// Every worker flaps at once mid-map: the cluster must ride out the
+// Every worker flaps at once mid-reduce: the cluster must ride out the
 // window where nobody is live (resurrection readmits the workers and
 // re-broadcasts the rule) and still answer exactly.
 func TestAllWorkersFlap(t *testing.T) {
 	var addrs []string
 	var plans []*FaultPlan
 	for i := 0; i < 2; i++ {
-		p := NewFaultPlan(FaultRule{Method: "Worker.MapChunk", Nth: 2, Action: FaultSever})
+		p := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 2, Action: FaultSever})
 		ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
 		if err != nil {
 			t.Fatal(err)
@@ -443,7 +443,7 @@ func TestFatalErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	var reply MapReply
+	var reply PingReply
 	_, err = coord.call(context.Background(), "Worker.NoSuchMethod",
 		PingArgs{}, &reply, callOpts{})
 	if err == nil {
@@ -452,9 +452,12 @@ func TestFatalErrorNotRetried(t *testing.T) {
 	if n := counterTotal(t, coord.Metrics(), "zsky_dist_retries_total"); n != 0 {
 		t.Errorf("fatal error was retried %v times", n)
 	}
-	// A coordinator from before the merge RPC was retired still sends
-	// id 5; the worker answers with the same typed verdict.
-	if _, err := ws.worker.ServeFrame(5, nil); !errors.Is(err, errUnknownMethod) {
-		t.Errorf("retired method id 5: err = %v, want errUnknownMethod", err)
+	// A coordinator from before the map and merge RPCs were retired
+	// still sends ids 3 and 5; the worker answers with the same typed,
+	// fatal verdict.
+	for _, id := range []uint16{3, 5} {
+		if _, err := ws.worker.ServeFrame(id, nil); !errors.Is(err, errUnknownMethod) || classify(err) != classFatal {
+			t.Errorf("retired method id %d: err = %v, want fatal errUnknownMethod", id, err)
+		}
 	}
 }

@@ -122,6 +122,162 @@ func TestShardSkyWireCorpus(t *testing.T) {
 	}
 }
 
+// Batch-path message kinds FuzzWireMessages decodes, in its kind byte.
+const (
+	kindReduceArgs = iota
+	kindReduceReply
+	kindLoadRule
+	wireKinds
+)
+
+// wireCorpus is the seed corpus of FuzzWireMessages, keyed by message
+// kind: well-formed ReduceArgs / ReduceReply / LoadRuleArgs payloads, and
+// each way a payload can lie about its own size — cut short, trailing
+// bytes, a frame length or row count announcing more than follows, a
+// frame whose header disagrees with its payload.
+func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
+	t.Helper()
+	encode := func(m interface {
+		AppendTo([]byte) ([]byte, error)
+	}) []byte {
+		b, err := m.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	enc, err := zorder.NewEncoder(3, 12, []float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := point.BlockOf(3, []point.Point{{0.1, 0.2, 0.3}, {0.9, 0.8, 0.7}})
+	g := plan.Group{Gid: 3, Block: blk, ZCol: enc.EncodeBlock(zorder.ZCol{}, blk)}
+	bare := plan.Group{Gid: 3, Block: blk} // no column: flex
+	empty := plan.Group{Block: point.Block{Dims: 3}}
+	args := encode(ReduceArgs{RuleID: 7, Group: g})
+	reply := encode(ReduceReply{Candidates: g})
+	rule := encode(LoadRuleArgs{Rule: RuleBlob{ID: 7,
+		Data:   plan.RuleData{Dims: 3, Bits: 12, Mins: []float64{0, 0, 0}, Maxs: []float64{1, 1, 1}, Local: plan.ZS},
+		Shards: UniformShardMap(1, 4, 2)}})
+
+	patched := func(b []byte, off int, v uint32) []byte {
+		out := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	// ReduceArgs lead with an 8-byte rule ID, then both messages carry one
+	// group: gid(8) blockLen(4) [dims(4) rows(4) data] zcolLen(4) [words(4) rows(4) data].
+	lies := func(b []byte, groupAt int) map[string][]byte {
+		blockLenAt := groupAt + 8
+		zcolLenAt := blockLenAt + 4 + 8 + blk.Len()*3*8
+		return map[string][]byte{
+			"truncated":         b[:len(b)-5],
+			"no-group":          b[:groupAt],
+			"trailing":          append(append([]byte(nil), b...), 1, 2, 3),
+			"block-oversized":   patched(b, blockLenAt, 0xFFFFFFF0),   // frame longer than the payload
+			"rows-oversized":    patched(b, blockLenAt+8, 0xFFFFFFFF), // rows the frame does not hold
+			"dims-mismatched":   patched(b, blockLenAt+4, 4),          // 4 x 2 floats announced, 3 x 2 sent
+			"dims-implausible":  patched(b, blockLenAt+4, 1<<21),
+			"zcol-oversized":    patched(b, zcolLenAt, 0x7FFFFFFF),
+			"words-mismatched":  patched(b, zcolLenAt+4, 2), // 2-word addresses announced, 1-word sent
+			"zcol-rows-too-few": patched(b, zcolLenAt+8, 1),
+		}
+	}
+	good = map[int]map[string][]byte{
+		kindReduceArgs: {"args": args, "args-bare": encode(ReduceArgs{RuleID: 7, Group: bare}),
+			"args-empty": encode(ReduceArgs{Group: empty})},
+		kindReduceReply: {"reply": reply, "reply-bare": encode(ReduceReply{Candidates: bare}),
+			"reply-empty": encode(ReduceReply{Candidates: empty})},
+		kindLoadRule: {"rule": rule},
+	}
+	bad = map[int]map[string][]byte{
+		kindReduceArgs:  lies(args, 8),
+		kindReduceReply: lies(reply, 0),
+		kindLoadRule: {"truncated": rule[:len(rule)/2], "empty": nil,
+			"trailing": append(append([]byte(nil), rule...), 0), "garbage": []byte("not a gob stream")},
+	}
+	return good, bad
+}
+
+// decodeWire decodes data as the message of the given kind and, when
+// the decoder accepts a hand-written frame, checks what acceptance
+// promises: nothing was allocated beyond what the payload itself holds,
+// and encoding the message again gives the payload back byte for byte.
+func decodeWire(t testing.TB, kind int, data []byte) error {
+	t.Helper()
+	var g plan.Group
+	var m interface {
+		AppendTo([]byte) ([]byte, error)
+	}
+	switch kind {
+	case kindReduceArgs:
+		var a ReduceArgs
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		g, m = a.Group, a
+	case kindReduceReply:
+		var a ReduceReply
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		g, m = a.Candidates, a
+	default:
+		var a LoadRuleArgs
+		return a.DecodeFrom(data) // gob: not canonical, so no round trip
+	}
+	if held := len(g.Block.Data)*8 + len(g.ZCol.Data)*8; held > len(data) {
+		t.Fatalf("a %d-byte payload decoded into %d bytes of rows and addresses", len(data), held)
+	}
+	out, err := m.AppendTo(nil)
+	if err != nil {
+		t.Fatalf("re-encoding an accepted payload: %v", err)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatalf("accepted payload does not round-trip:\n in=%x\nout=%x", data, out)
+	}
+	return nil
+}
+
+// TestWireMessagesCorpus holds the batch-path seed corpus to its labels:
+// the well-formed payloads decode, every malformed one is an error.
+func TestWireMessagesCorpus(t *testing.T) {
+	good, bad := wireCorpus(t)
+	for kind, corpus := range good {
+		for name, data := range corpus {
+			if err := decodeWire(t, kind, data); err != nil {
+				t.Errorf("kind %d %s: %v", kind, name, err)
+			}
+		}
+	}
+	for kind, corpus := range bad {
+		for name, data := range corpus {
+			if err := decodeWire(t, kind, data); err == nil {
+				t.Errorf("kind %d %s: decoded without error", kind, name)
+			}
+		}
+	}
+}
+
+// FuzzWireMessages throws arbitrary bytes at the decoders a batch query
+// runs: the ReduceGroup request and reply and the rule broadcast. Each
+// must turn truncated, oversized-count and mismatched-width input into
+// an error — never a panic, and never an allocation sized by a length
+// field the payload does not back.
+func FuzzWireMessages(f *testing.F) {
+	good, bad := wireCorpus(f)
+	for _, corpus := range []map[int]map[string][]byte{good, bad} {
+		for kind, msgs := range corpus {
+			for _, data := range msgs {
+				f.Add(uint8(kind), data)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		_ = decodeWire(t, int(kind)%wireKinds, data) // a rejection is a fine outcome
+	})
+}
+
 // FuzzShardSkyWire throws arbitrary bytes at the two decoders on the
 // cluster read path. The reply is the only large payload a query
 // receives, so its decoder must turn truncated, oversized-count and

@@ -3,18 +3,13 @@ package dist
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"zskyline/internal/codec"
-	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/obs"
-	"zskyline/internal/point"
 	"zskyline/internal/seq"
 )
 
@@ -43,39 +38,14 @@ func (c *cancelAtMerge) Err() error {
 // runs: on the coordinator, under the one schedule there is (pairwise
 // rounds on its own pool). Per dominance relation, in memory and
 // streamed from a file: the result is the sequential oracle's and the
-// workers were asked for the rule, the maps and the reduces only; a
+// workers were asked for the rule and the reduces only; a
 // cluster that severs every connection on anything it is asked after
 // the last reduce cannot fail the query; and a context cancelled inside
 // phase 3 ends the query with its error at once.
 func TestCoordinatorMergesLocally(t *testing.T) {
-	const d = 4
-	ds := gen.Synthetic(gen.AntiCorrelated, 6000, d, 37)
-	path := filepath.Join(t.TempDir(), "in.zsky")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := codec.WriteBinary(f, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	type query func(context.Context, *Coordinator) ([]point.Point, *Report, error)
-	paths := map[string]query{
-		"Skyline": func(ctx context.Context, c *Coordinator) ([]point.Point, *Report, error) {
-			return c.Skyline(ctx, ds)
-		},
-		"SkylineFile": func(ctx context.Context, c *Coordinator) ([]point.Point, *Report, error) {
-			return c.SkylineFile(ctx, path)
-		},
-	}
-	descs := []dominance.Descriptor{
-		{},
-		{Kind: dominance.KindFlex, Weights: [][]float64{{1, 1, 1, 1}, {3, 1, 1, 1}}},
-		{Kind: dominance.KindKDom, K: 3},
-	}
-	for _, desc := range descs {
+	ds := gen.Synthetic(gen.AntiCorrelated, 6000, 4, 37)
+	paths := batchQueries(t, ds)
+	for _, desc := range batchDescriptors {
 		prov, err := desc.Provider()
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +76,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 					return c
 				}
 
-				// Fault-free: exact, three RPC methods, bytes accounted for.
+				// Fault-free: exact, two RPC methods, bytes accounted for.
 				healthy := start(nil)
 				coord := connect(healthy)
 				sent, recv := tcpTotals(coord)
@@ -118,7 +88,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 				if rep.Groups < 3 {
 					t.Fatalf("%d groups: the merge rounds were not exercised", rep.Groups)
 				}
-				calls := checkBatchRPCs(t, coord, sent, recv)
+				calls := checkBatchRPCs(t, coord, rep, sent, recv)
 
 				// The same query against workers sharing one plan that severs
 				// whatever arrives beyond that query's own phase-1/2 calls,

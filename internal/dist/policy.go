@@ -31,6 +31,12 @@ var ErrShardDown = errors.New("dist: shard has no live replica")
 // errors.Is; the cluster wraps it with the shard ID and the violation.
 var ErrBadShardReply = errors.New("dist: malformed shard skyline reply")
 
+// errBadReduceReply reports a ReduceGroup reply the coordinator cannot
+// merge soundly: rows of the wrong width, more rows than the group sent,
+// or a Z-address column that does not line up with them. The query
+// fails rather than answer from it.
+var errBadReduceReply = errors.New("dist: malformed reduce reply")
+
 // errCoordinatorClosed is returned by calls racing Close.
 var errCoordinatorClosed = errors.New("dist: coordinator closed")
 
@@ -120,7 +126,7 @@ func classify(err error) errClass {
 		return classFatal
 	case errors.Is(err, ErrShardDown): // every replica is dead or stale
 		return classFatal
-	case errors.Is(err, ErrBadShardReply): // the replica would say the same again
+	case errors.Is(err, ErrBadShardReply), errors.Is(err, errBadReduceReply): // the worker would say the same again
 		return classFatal
 	}
 	switch {

@@ -7,10 +7,12 @@
 // control structs with maps inside (the rule blob, the shard-stats
 // report) ride an embedded gob payload. It is the share-*nothing*
 // deployment of the same phase logic internal/plan defines — phase 1
-// happens on the coordinator (master node), phase 2's map+combine and
-// reduce run on the workers, and phase 3's Z-merge runs on the
-// coordinator, where the reduce replies land: the paper's single merge
-// reducer (Figure 5) without a second trip over the wire.
+// happens on the coordinator (master node); so does phase 2's map,
+// which filters and routes every row before any of it is shipped, so
+// each group's survivors cross the wire once to a worker's reduce; and
+// phase 3's Z-merge runs on the coordinator, where the reduce replies
+// land: the paper's single merge reducer (Figure 5) without a second
+// trip over the wire.
 //
 // Workers are stateful only in that they cache the broadcast
 // partitioning rule (the distributed-cache step of Algorithm 3) keyed
@@ -39,13 +41,13 @@ import (
 	"zskyline/internal/point"
 )
 
-// RuleBlob is the serialized phase-1 routing rule broadcast to every
-// worker: everything a mapper needs to filter and route points.
+// RuleBlob is the serialized phase-1 rule broadcast to every worker:
+// everything a reducer needs to compute a group's local skyline.
 type RuleBlob struct {
 	// ID identifies the rule so workers can cache it across calls.
 	ID uint64
-	// Data is the backend-agnostic rule payload (encoder bounds, Z-curve
-	// pivots, partition->group map, sample skyline, algorithms).
+	// Data is the backend-agnostic reduce half of the rule (encoder
+	// bounds, algorithms, dominance relation).
 	Data plan.RuleData
 	// Shards, when non-empty, is the sharded tier's ownership table
 	// riding the broadcast. Workers install it before the rule-cache
@@ -66,9 +68,9 @@ type LoadRuleReply struct {
 	Cached bool // true if the worker already had this rule
 }
 
-// MapArgs carries one input chunk for phase 2's map+combine step. The
-// chunk travels as one flat block frame — a single binary write of the
-// backing array — instead of a per-point gob encode.
+// MapArgs carried one input chunk to the retired map RPC (method id 3).
+// No call sends it any more; bench/layers.go, which still times its
+// codec, is its last user.
 type MapArgs struct {
 	RuleID uint64
 	Block  point.Block
@@ -77,14 +79,8 @@ type MapArgs struct {
 // GroupPoints is a group's worth of routed points or candidates.
 type GroupPoints = plan.Group
 
-// MapReply returns the chunk's local skyline candidates per group.
-type MapReply struct {
-	Groups   []GroupPoints
-	Filtered int64 // points dropped by the SZB filter / pruned partitions
-}
-
-// ReduceArgs carries all of one group's candidates for the per-group
-// skyline (phase 2 reduce).
+// ReduceArgs carries all of one group's routed rows, with their
+// Z-address column, for the per-group skyline (phase 2 reduce).
 type ReduceArgs struct {
 	RuleID uint64
 	Group  GroupPoints

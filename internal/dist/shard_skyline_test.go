@@ -25,7 +25,6 @@ func bareWorker(t testing.TB, dims, bits int, local plan.LocalAlgo, desc dominan
 	t.Helper()
 	rd := plan.RuleData{
 		Dims: dims, Bits: bits, Mins: make([]float64, dims), Maxs: make([]float64, dims),
-		Pivots: [][]uint64{}, GroupOf: map[int]int{}, Groups: 1,
 		Local: local, Merge: plan.MergeZM, Dominance: desc,
 	}
 	for i := range rd.Maxs {

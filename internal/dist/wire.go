@@ -21,9 +21,9 @@ import (
 const (
 	mPing uint16 = iota + 1
 	mLoadRule
-	mMapChunk
+	_ // 3 was Worker.MapChunk; reserved so the ids after it never shift
 	mReduceGroup
-	_ // 5 was Worker.MergeGroups; reserved so the ids after it never shift
+	_ // 5 was Worker.MergeGroups; reserved likewise
 	mStoreShard
 	mShardSkyline
 	mPullShard
@@ -37,7 +37,6 @@ const (
 var methodNames = map[uint16]string{
 	mPing:         "Worker.Ping",
 	mLoadRule:     "Worker.LoadRule",
-	mMapChunk:     "Worker.MapChunk",
 	mReduceGroup:  "Worker.ReduceGroup",
 	mStoreShard:   "Worker.StoreShard",
 	mShardSkyline: "Worker.ShardSkyline",
@@ -277,8 +276,17 @@ func gobAppend(dst []byte, v any) ([]byte, error) {
 	return append(dst, buf.Bytes()...), nil
 }
 
+// gobDecode decodes the one gob value data holds; like the hand-written
+// decoders it refuses trailing bytes a correct encoder would never leave.
 func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	r := bytes.NewReader(data)
+	if err := gob.NewDecoder(r).Decode(v); err != nil {
+		return err
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("dist: payload has %d trailing bytes", r.Len())
+	}
+	return nil
 }
 
 // ---- per-type encoders ----
@@ -311,9 +319,8 @@ func (p *PingReply) DecodeFrom(data []byte) error {
 }
 
 // AppendTo encodes the rule broadcast via gob (the control-struct
-// escape hatch: RuleData holds maps and a dominance descriptor, and a
-// broadcast happens once per query, not per chunk). The embedded
-// sample-skyline Block still gob-encodes as its flat binary frame.
+// escape hatch: RuleData holds a dominance descriptor, the shard map
+// nested slices, and a broadcast happens once per query, not per group).
 func (a LoadRuleArgs) AppendTo(dst []byte) ([]byte, error) { return gobAppend(dst, &a) }
 
 // DecodeFrom decodes the rule broadcast.
@@ -347,31 +354,6 @@ func (a *MapArgs) DecodeFrom(data []byte) error {
 		return err
 	}
 	return a.Block.UnmarshalBinary(rest)
-}
-
-// AppendTo encodes the filtered count and the routed groups.
-func (a MapReply) AppendTo(dst []byte) ([]byte, error) {
-	dst = appendI64(dst, a.Filtered)
-	dst = appendU32(dst, uint32(len(a.Groups)))
-	var err error
-	for _, g := range a.Groups {
-		if dst, err = appendGroup(dst, g); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
-// DecodeFrom decodes a map reply.
-func (a *MapReply) DecodeFrom(data []byte) error {
-	r := wireReader{b: data}
-	a.Filtered = r.i64()
-	n := int(r.u32())
-	a.Groups = nil
-	for i := 0; i < n && r.err == nil; i++ {
-		a.Groups = append(a.Groups, r.group())
-	}
-	return r.done()
 }
 
 // AppendTo encodes the rule ID and the group to reduce.

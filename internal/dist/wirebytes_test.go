@@ -32,19 +32,20 @@ func tcpTotals(c *Coordinator) (sent, recv int64) {
 }
 
 // checkBatchRPCs asserts what every fault-free batch query must leave
-// behind: rpc events for the rule broadcast, the maps and the reduces
-// and no other method — phase 3 issues none — whose frame sizes sum to
-// precisely the TCP bytes moved since (sentBefore, recvBefore).
-func checkBatchRPCs(t *testing.T, c *Coordinator, sentBefore, recvBefore int64) map[string]int {
+// behind: rpc events for the rule broadcast and the reduces and no
+// other method — the coordinator maps and merges itself — whose frame
+// sizes sum to precisely the TCP bytes moved since (sentBefore,
+// recvBefore); and a report ledger that says the same per method.
+func checkBatchRPCs(t *testing.T, c *Coordinator, rep *Report, sentBefore, recvBefore int64) map[string]int {
 	t.Helper()
 	calls, sent, recv := rpcTotals(c)
-	for _, m := range []string{"Worker.LoadRule", "Worker.MapChunk", "Worker.ReduceGroup"} {
+	for _, m := range []string{"Worker.LoadRule", "Worker.ReduceGroup"} {
 		if calls[m] == 0 {
 			t.Errorf("no rpc events for %s (got %v)", m, calls)
 		}
 	}
-	if len(calls) != 3 {
-		t.Errorf("rpc events for methods %v, want LoadRule, MapChunk and ReduceGroup only", calls)
+	if len(calls) != 2 {
+		t.Errorf("rpc events for methods %v, want LoadRule and ReduceGroup only", calls)
 	}
 	tcpSent, tcpRecv := tcpTotals(c)
 	if want := tcpSent - sentBefore; sent != want {
@@ -53,14 +54,30 @@ func checkBatchRPCs(t *testing.T, c *Coordinator, sentBefore, recvBefore int64) 
 	if want := tcpRecv - recvBefore; recv != want {
 		t.Errorf("rpc events sum recv=%d, TCP counters measured %d", recv, want)
 	}
+	var ledSent, ledRecv int64
+	for _, ln := range rep.Ledger {
+		if ln.Calls != calls[ln.Method] {
+			t.Errorf("ledger counts %d %s calls, the events %d", ln.Calls, ln.Method, calls[ln.Method])
+		}
+		ledSent += ln.ReqBytes
+		ledRecv += ln.RespBytes
+	}
+	if len(rep.Ledger) != 2 || rep.Ledger[0].Method != "Worker.LoadRule" || rep.Ledger[1].Method != "Worker.ReduceGroup" {
+		t.Errorf("ledger %+v, want LoadRule and ReduceGroup lines only", rep.Ledger)
+	}
+	if ledSent != tcpSent-sentBefore || ledRecv != tcpRecv-recvBefore {
+		t.Errorf("ledger sums sent=%d recv=%d, TCP counters measured %d/%d",
+			ledSent, ledRecv, tcpSent-sentBefore, tcpRecv-recvBefore)
+	}
 	return calls
 }
 
 // TestRPCEventBytesMatchTCP pins the exact-accounting contract of the
 // framed transport: with one worker and no faults (so no retries,
-// hedges, or abandoned legs), the per-RPC events' frame sizes must sum
-// to precisely the TCP byte deltas the connection counters measured —
-// not an estimate, the same bytes counted two independent ways.
+// hedges, or abandoned legs), the per-RPC events' frame sizes, and the
+// report's per-method ledger, must sum to precisely the TCP byte deltas
+// the connection counters measured — not an estimate, the same bytes
+// counted independently.
 func TestRPCEventBytesMatchTCP(t *testing.T) {
 	ws, err := StartWorker("127.0.0.1:0")
 	if err != nil {
@@ -78,10 +95,11 @@ func TestRPCEventBytesMatchTCP(t *testing.T) {
 	defer coord.Close()
 	sentBefore, recvBefore := tcpTotals(coord)
 	ds := gen.Synthetic(gen.Independent, 3000, 3, 7)
-	if _, _, err := coord.Skyline(context.Background(), ds); err != nil {
+	_, rep, err := coord.Skyline(context.Background(), ds)
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatchRPCs(t, coord, sentBefore, recvBefore)
+	checkBatchRPCs(t, coord, rep, sentBefore, recvBefore)
 }
 
 // TestClusterWireBytesRoutedVsBroadcast measures the wire traffic of

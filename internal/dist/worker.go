@@ -72,16 +72,6 @@ func (w *Worker) ServeFrame(method uint16, payload []byte) (transport.Marshaler,
 			return nil, err
 		}
 		return reply, nil
-	case mMapChunk:
-		var args MapArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply MapReply
-		if err := w.MapChunk(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
 	case mReduceGroup:
 		var args ReduceArgs
 		if err := args.DecodeFrom(payload); err != nil {
@@ -351,21 +341,9 @@ func (w *Worker) rule(id uint64) (*plan.Rule, error) {
 	return r, nil
 }
 
-// MapChunk is phase 2's map+combine: filter against the SZB-tree,
-// route to groups, and emit the chunk-local skyline per group.
-func (w *Worker) MapChunk(args MapArgs, reply *MapReply) error {
-	r, err := w.rule(args.RuleID)
-	if err != nil {
-		return err
-	}
-	out := r.MapBlock(args.Block, nil)
-	reply.Groups = out.Groups
-	reply.Filtered = out.Filtered
-	return nil
-}
-
 // ReduceGroup is phase 2's reduce: the skyline of one group's routed
-// points.
+// points. It is the worker's only batch task: the coordinator filters
+// and routes every row itself.
 func (w *Worker) ReduceGroup(args ReduceArgs, reply *ReduceReply) error {
 	r, err := w.rule(args.RuleID)
 	if err != nil {

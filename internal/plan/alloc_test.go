@@ -11,8 +11,7 @@ import (
 
 // The block map path must allocate at least 5x less than the per-point
 // path on identical data — the data-plane refactor's headline number.
-// SB as the local algorithm keeps the combine step's allocations the
-// same on both sides, so the ratio measures routing alone.
+// Both paths only filter and route, so the ratio measures routing alone.
 func TestMapBlockAllocReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")

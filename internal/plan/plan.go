@@ -1,22 +1,23 @@
 // Package plan holds the paper's three-phase skyline pipeline exactly
 // once, independent of where it runs. The phase logic — learn the
-// partitioning rule from a sample (§5.1), filter/route/combine points
-// in mappers (§5.2, Algorithm 3), reduce each group to its skyline
+// partitioning rule from a sample (§5.1), filter and route points in
+// mappers (§5.2, Algorithm 3), reduce each group to its skyline
 // candidates, and merge candidates into the global skyline (§5.3,
 // Algorithm 4) — lives here; the execution substrates supply only an
 // Executor that says where tasks run:
 //
 //   - internal/core adapts the in-process MapReduce simulator
 //     (combiner + shuffle accounting, stragglers, faults);
-//   - internal/dist adapts a TCP coordinator and framed-transport
-//     workers (internal/transport);
+//   - internal/dist adapts a TCP coordinator, which maps and merges on
+//     its own pool, and framed-transport workers that reduce
+//     (internal/transport);
 //   - internal/parallel adapts a shared-memory goroutine pool
 //     (plan.LocalExec).
 //
 // A Rule is the learned phase-1 artifact. It is directly executable
-// in-process and, for the Z-order strategies, serializable (RuleData)
-// so a coordinator can broadcast it to remote workers — the paper's
-// distributed-cache step.
+// in-process and, for the Z-order strategies, its reduce half is
+// serializable (RuleData) so a coordinator can broadcast it to remote
+// workers — the paper's distributed-cache step.
 package plan
 
 import (
@@ -224,15 +225,15 @@ func (g Group) Len() int { return g.Block.Len() }
 // Points materializes zero-copy row views of the group's block.
 func (g Group) Points() []point.Point { return g.Block.Points() }
 
-// MapOutput is one map task's result: the chunk-local skyline
-// candidates per group, plus how many input points the task dropped
-// (SZB-tree filter or pruned partitions).
+// MapOutput is one map task's result: the chunk's surviving rows per
+// group, plus how many input points the task dropped (SZB-tree filter
+// or pruned partitions).
 type MapOutput struct {
 	Groups   []Group
 	Filtered int64
 }
 
-// Shuffle gathers map outputs into per-group candidate blocks in
+// Shuffle gathers map outputs into per-group row blocks in
 // deterministic first-seen group order — the coordinator-side shuffle
 // of the RPC and shared-memory substrates — and sums the filter drops.
 // Z-address columns are concatenated alongside their blocks; a group

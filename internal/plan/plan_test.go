@@ -142,7 +142,9 @@ func learnRule(t *testing.T, spec *Spec, ds *point.Dataset) *Rule {
 }
 
 // TestRuleDataRoundTrip broadcasts a rule through gob — the dist wire
-// format — and checks the compiled copy routes and merges identically.
+// format — and checks the compiled copy reduces and merges exactly as
+// the original: the same local skyline of every routed group and the
+// same merge of them, rows and Z-address columns byte for byte.
 func TestRuleDataRoundTrip(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 4, 5)
 	r := learnRule(t, validSpec(), ds)
@@ -162,22 +164,24 @@ func TestRuleDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Groups() != r.Groups() || r2.Partitions() != r.Partitions() {
-		t.Fatalf("shape drift: %d/%d groups, %d/%d partitions",
-			r2.Groups(), r.Groups(), r2.Partitions(), r.Partitions())
-	}
-	for _, p := range ds.Points[:500] {
-		g1, ok1 := r.Route(p)
-		g2, ok2 := r2.Route(p)
-		if g1 != g2 || ok1 != ok2 {
-			t.Fatalf("route drift for %v: (%d,%v) vs (%d,%v)", p, g1, ok1, g2, ok2)
+	same := func(a, b Group, what string) {
+		t.Helper()
+		if string(mustBinary(t, a.Block)) != string(mustBinary(t, b.Block)) ||
+			string(mustBinary(t, a.ZCol)) != string(mustBinary(t, b.ZCol)) {
+			t.Fatalf("%s: the broadcast rule computes %d rows, the original %d", what, b.Len(), a.Len())
 		}
 	}
-	out1 := r.MapChunk(ds.Points, nil)
-	out2 := r2.MapChunk(ds.Points, nil)
-	if out1.Filtered != out2.Filtered || len(out1.Groups) != len(out2.Groups) {
-		t.Fatalf("map drift: %+v vs %+v", out1.Filtered, out2.Filtered)
+	routed := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups
+	if len(routed) < 2 {
+		t.Fatalf("%d routed groups: nothing to merge", len(routed))
 	}
+	var cand1, cand2 []Group
+	for _, g := range routed {
+		c1, c2 := r.LocalSkylineGroup(g, nil), r2.LocalSkylineGroup(g, nil)
+		same(c1, c2, "local skyline")
+		cand1, cand2 = append(cand1, c1), append(cand2, c2)
+	}
+	same(r.MergeGroupsZ(cand1, nil), r2.MergeGroupsZ(cand2, nil), "merge")
 }
 
 // Baseline rules close over in-memory partitioners; they must refuse

@@ -17,7 +17,8 @@ import (
 // Rule is the learned phase-1 artifact: how to route a point to its
 // group (or drop it), how to compute a group's local skyline, and how
 // to merge candidate groups. One Rule drives every substrate; the
-// Z-order variants additionally serialize to RuleData for broadcast.
+// Z-order variants additionally serialize their reduce half to RuleData
+// for broadcast.
 type Rule struct {
 	local     LocalAlgo
 	merge     MergeAlgo
@@ -51,14 +52,12 @@ type Rule struct {
 	// task i's survivors are group i.
 	positional bool
 	// szb is the sample-skyline ZB-tree of Algorithm 3; nil when the
-	// strategy does not filter. The Z-order strategies hold the pointer
-	// tree; Positional, which relearns on every query, holds the slab
-	// tree, whose build is a handful of allocations.
+	// strategy or the relation does not filter. The Z-order strategies
+	// hold the pointer tree; Positional, which relearns on every query,
+	// holds the slab tree, whose build is a handful of allocations.
 	szb interface {
 		DominatesPoint(g []uint32, p point.Point) bool
 	}
-	// sampleSky is the broadcastable sample skyline backing szb.
-	sampleSky []point.Point
 	// sampleSize is |sample|; with skySize it predicts the filter's
 	// survivor count (see survivorsOf).
 	sampleSize int
@@ -149,10 +148,9 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	skyPts := zbtree.ZSearch(enc, spec.fanout(), smp, tally)
 	r.skySize = len(skyPts)
 	// Naive-Z is the bare §4.1 partitioner: pivots only, no sample
-	// skyline broadcast, no grouping. Only the grouped strategies run
+	// skyline filter, no grouping. Only the grouped strategies run
 	// Algorithm 3's SZB-tree mapper filter.
-	if spec.Strategy != NaiveZ {
-		r.sampleSky = skyPts
+	if spec.Strategy != NaiveZ && !r.filterOff {
 		r.szb = zbtree.BuildFromPoints(enc, spec.fanout(), skyPts, tally)
 	}
 
@@ -299,7 +297,7 @@ func (rt *Router) Route(p point.Point) (gid int, ok bool) {
 		return r.assignFn(p)
 	}
 	r.enc.GridInto(rt.g, p)
-	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(rt.g, p) {
+	if r.szb != nil && r.szb.DominatesPoint(rt.g, p) {
 		return 0, false
 	}
 	r.enc.EncodeGridInto(rt.z, rt.g)
@@ -330,8 +328,8 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 }
 
 // LocalSkyline computes one group's skyline with the configured local
-// algorithm (phase 2's combine/reduce) — the slice adapter over the
-// block-native kernels.
+// algorithm (the simulator's combine/reduce) — the slice adapter over
+// the block-native kernels.
 func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Point {
 	dims := r.dims
 	if dims == 0 && len(pts) > 0 {
@@ -400,11 +398,11 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 	return out
 }
 
-// MapChunk is phase 2's map+combine over one chunk of individual
-// points: filter against the SZB-tree, route to groups (first-seen
-// order), and emit the chunk-local skyline per group. This is the
-// pointer-per-point path; MapBlock is the flat equivalent bulk movers
-// use.
+// MapChunk is phase 2's map over one chunk of individual points: filter
+// against the SZB-tree and route the survivors to their groups
+// (first-seen order). There is no combine: the reduce computes each
+// group's skyline over the union anyway. This is the pointer-per-point
+// path; MapBlock is the flat equivalent bulk movers use.
 func (r *Rule) MapChunk(pts []point.Point, tally *metrics.Tally) MapOutput {
 	return r.mapChunk(context.Background(), pts, tally)
 }
@@ -430,18 +428,17 @@ func (r *Rule) mapChunk(ctx context.Context, pts []point.Point, tally *metrics.T
 	tally.AddPointsPruned(out.Filtered)
 	out.Groups = make([]Group, len(order))
 	for i, gid := range order {
-		out.Groups[i] = NewGroup(gid, r.dims, r.LocalSkyline(byGroup[gid], tally))
+		out.Groups[i] = NewGroup(gid, r.dims, byGroup[gid])
 	}
 	return out
 }
 
 // MapBlock is MapChunk over a contiguous block — the phase-2 hot path.
-// Routing reuses one grid/Z-address scratch pair across all rows and
-// routed points accumulate in per-group arenas, so the per-point cost
-// is zero allocations (the old path paid an encoded ZB-tree entry per
-// point). On the Z-order path the address computed for routing is
-// appended to the group's Z-address column, so it is encoded exactly
-// once per query: combine, shuffle, reduce, and merge all reuse it.
+// Routing reuses one Router's scratch across all rows and routed points
+// accumulate in per-group arenas, so the per-point cost is zero
+// allocations. On the Z-order path under Pareto the address computed
+// for routing is appended to the group's Z-address column, so it is
+// encoded exactly once per query: shuffle, reduce, and merge reuse it.
 func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 	return r.mapBlock(context.Background(), b, tally)
 }
@@ -450,61 +447,39 @@ func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally
 	if r.positional {
 		return r.mapPositional(ctx, b.Len(), b.Row, tally)
 	}
-	builders := map[int]*point.BlockBuilder{}
-	var zcols map[int]*zorder.ZCol
-	var order []int
+	// Under a non-Pareto relation the provider kernels derive what they
+	// need themselves, so survivors travel without a column.
+	keepZ := r.assignFn == nil && r.pareto()
+	rt := r.NewRouter()
+	at := map[int]int{} // gid -> its index in out.Groups and arenas
+	var arenas []*point.BlockBuilder
 	var out MapOutput
-
-	var g []uint32
-	var z zorder.ZAddr
-	zRoute := r.assignFn == nil
-	if zRoute {
-		g = make([]uint32, r.enc.Dims())
-		z = make(zorder.ZAddr, r.enc.Words())
-		zcols = map[int]*zorder.ZCol{}
-	}
 	rows := b.Len()
 	for i := 0; i < rows; i++ {
 		p := b.Row(i)
-		var gid int
-		var ok bool
-		if !zRoute {
-			gid, ok = r.assignFn(p)
-		} else {
-			g = r.enc.GridInto(g, p)
-			if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(g, p) {
-				ok = false
-			} else {
-				z = r.enc.EncodeGridInto(z, g)
-				gid, ok = r.groupOf[r.partitionOf(z)]
-			}
-		}
+		gid, ok := rt.Route(p)
 		if !ok {
 			out.Filtered++
 			continue
 		}
-		bb := builders[gid]
-		if bb == nil {
-			bb = point.NewBlockBuilder(b.Dims, 0)
-			builders[gid] = bb
-			if zRoute {
-				zcols[gid] = &zorder.ZCol{Words: r.enc.Words()}
+		k, seen := at[gid]
+		if !seen {
+			k = len(arenas)
+			at[gid] = k
+			arenas = append(arenas, point.NewBlockBuilder(b.Dims, 0))
+			out.Groups = append(out.Groups, Group{Gid: gid})
+			if keepZ {
+				out.Groups[k].ZCol.Words = r.enc.Words()
 			}
-			order = append(order, gid)
 		}
-		bb.Append(p)
-		if zRoute {
-			zcols[gid].AppendAddr(z)
+		arenas[k].Append(p)
+		if keepZ {
+			out.Groups[k].ZCol.AppendAddr(rt.Z())
 		}
 	}
 	tally.AddPointsPruned(out.Filtered)
-	out.Groups = make([]Group, len(order))
-	for i, gid := range order {
-		in := Group{Gid: gid, Block: builders[gid].Build()}
-		if zRoute {
-			in.ZCol = *zcols[gid]
-		}
-		out.Groups[i] = r.LocalSkylineGroup(in, tally)
+	for k, bb := range arenas {
+		out.Groups[k].Block = bb.Build()
 	}
 	return out
 }
@@ -671,55 +646,46 @@ func rowRange(rg [2]int32) []int32 {
 	return rows
 }
 
-// RuleData is the gob-serializable form of a Z-order rule — what a
-// coordinator broadcasts to remote workers (the paper's
-// distributed-cache step). The sample skyline ships as one flat block
-// frame rather than a slice of per-point allocations.
+// RuleData is the gob-serializable reduce half of a Z-order rule — what
+// a coordinator broadcasts to remote workers (the paper's
+// distributed-cache step). Workers only reduce and merge: the
+// coordinator filters and routes every row itself, so nothing only the
+// map reads (pivots, the partition->group map, the sample skyline)
+// travels.
 type RuleData struct {
-	Dims, Bits    int
-	Mins, Maxs    []float64
-	Pivots        [][]uint64
-	GroupOf       map[int]int
-	Groups        int
-	SampleSkyline point.Block
-	Fanout        int
-	Local         LocalAlgo
-	Merge         MergeAlgo
-	DisableFilter bool
+	Dims, Bits int
+	Mins, Maxs []float64
+	Fanout     int
+	Local      LocalAlgo
+	Merge      MergeAlgo
 	// Dominance is the wire descriptor of the rule's dominance
 	// provider; the zero value means classic Pareto, so payloads from
 	// peers that predate providers keep their meaning.
 	Dominance dominance.Descriptor
 }
 
-// Data serializes the rule. Only Z-order rules serialize: the
-// baselines close over in-memory partitioners and are in-process only.
+// Data serializes the rule's reduce half. The baselines refuse: their
+// local kernels run under a unit-box encoder RuleData cannot express.
+// So does Positional, which is in-process only.
 func (r *Rule) Data() (*RuleData, error) {
-	if r.assignFn != nil || r.groupOf == nil {
+	if r.localEnc != r.enc || r.positional {
 		return nil, fmt.Errorf("plan: only Z-order rules serialize for broadcast")
 	}
-	rd := &RuleData{
-		Dims:          r.dims,
-		Bits:          r.bits,
-		Mins:          r.mins,
-		Maxs:          r.maxs,
-		GroupOf:       r.groupOf,
-		Groups:        r.groups,
-		SampleSkyline: point.BlockOf(r.dims, r.sampleSky),
-		Fanout:        r.fanout,
-		Local:         r.local,
-		Merge:         r.merge,
-		DisableFilter: r.filterOff,
-		Dominance:     r.Provider().Descriptor(),
-	}
-	rd.Pivots = make([][]uint64, len(r.pivots))
-	for i, p := range r.pivots {
-		rd.Pivots[i] = p.Clone()
-	}
-	return rd, nil
+	return &RuleData{
+		Dims:      r.dims,
+		Bits:      r.bits,
+		Mins:      r.mins,
+		Maxs:      r.maxs,
+		Fanout:    r.fanout,
+		Local:     r.local,
+		Merge:     r.merge,
+		Dominance: r.Provider().Descriptor(),
+	}, nil
 }
 
-// FromData compiles a broadcast rule back into executable form.
+// FromData compiles a broadcast rule into a reduce-and-merge rule: its
+// local skylines and merges equal those of the rule it came from, and
+// it routes nothing.
 func FromData(rd *RuleData) (*Rule, error) {
 	enc, err := zorder.NewEncoder(rd.Dims, rd.Bits, rd.Mins, rd.Maxs)
 	if err != nil {
@@ -729,37 +695,21 @@ func FromData(rd *RuleData) (*Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	skyPts := rd.SampleSkyline.Points()
 	r := &Rule{
-		local:     rd.Local,
-		merge:     rd.Merge,
-		fanout:    rd.Fanout,
-		filterOff: rd.DisableFilter,
-		prov:      prov,
-		caps:      prov.Caps(),
-		enc:       enc,
-		localEnc:  enc,
-		groupOf:   rd.GroupOf,
-		sampleSky: skyPts,
-		dims:      rd.Dims,
-		bits:      rd.Bits,
-		mins:      rd.Mins,
-		maxs:      rd.Maxs,
-		groups:    rd.Groups,
-		parts:     len(rd.Pivots) + 1,
-		skySize:   len(skyPts),
+		local:    rd.Local,
+		merge:    rd.Merge,
+		fanout:   rd.Fanout,
+		prov:     prov,
+		caps:     prov.Caps(),
+		enc:      enc,
+		localEnc: enc,
+		dims:     rd.Dims,
+		bits:     rd.Bits,
+		mins:     rd.Mins,
+		maxs:     rd.Maxs,
 	}
 	if r.fanout <= 0 {
 		r.fanout = zbtree.DefaultFanout
-	}
-	for _, p := range rd.Pivots {
-		if len(p) != enc.Words() {
-			return nil, fmt.Errorf("plan: pivot has %d words, want %d", len(p), enc.Words())
-		}
-		r.pivots = append(r.pivots, zorder.ZAddr(p))
-	}
-	if len(skyPts) > 0 {
-		r.szb = zbtree.BuildFromPoints(enc, r.fanout, skyPts, nil)
 	}
 	return r, nil
 }

@@ -78,7 +78,7 @@ func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally 
 
 // RunSource executes the full three-phase pipeline on ex: drain src
 // into contiguous blocks (folding bounds in the same pass), learn the
-// rule from a sample, map/combine/reduce to per-group skyline
+// rule from a sample, map/shuffle/reduce to per-group skyline
 // candidates, and merge them into the exact global skyline.
 //
 // When ctx carries an obs trace (obs.ContextWithTrace), RunSource

@@ -22,7 +22,6 @@ import (
 func clusterRule(t testing.TB, dims, bits int, local LocalAlgo, desc dominance.Descriptor) *Rule {
 	t.Helper()
 	rd := RuleData{Dims: dims, Bits: bits, Mins: make([]float64, dims), Maxs: make([]float64, dims),
-		Pivots: [][]uint64{}, GroupOf: map[int]int{}, Groups: 1,
 		Local: local, Merge: MergeZM, Dominance: desc}
 	for i := range rd.Maxs {
 		rd.Maxs[i] = 1
