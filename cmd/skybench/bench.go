@@ -2,8 +2,8 @@ package main
 
 // Benchmark-suite mode (-bench-tag): fixed named dataset configs
 // (small / medium / large, all pinned — never scaled) pushed through
-// all three executors — the in-process MapReduce simulator, the
-// shared-memory parallel path, and the TCP coordinator against
+// all three executors — the core engine, the shared-memory parallel
+// path, and the TCP coordinator against
 // loopback workers — with wall clock, allocation, wire-byte, and
 // skyline-size measurements for every config written to one
 // BENCH_<tag>.json. Pinned sizes make the numbers comparable across
@@ -167,7 +167,7 @@ func runBenchConfig(name string, n, workers int, seed int64) (benchConfig, error
 		Dataset: benchDataset{Distribution: gen.AntiCorrelated.String(), Points: n, Dims: d, Seed: seed},
 	}
 
-	// Executor 1: the fused MapReduce simulator.
+	// Executor 1: the core engine (ZDG on its own worker pool).
 	res, err := measure("core", func() (int, error) {
 		cfg := core.Defaults()
 		cfg.Workers = workers

@@ -32,11 +32,9 @@ func main() {
 	var (
 		run       = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		scale     = flag.Float64("scale", 1.0, "dataset size multiplier")
-		workers   = flag.Int("workers", 8, "simulated cluster worker slots")
+		workers   = flag.Int("workers", 8, "tasks each run executes at once")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		netMBps   = flag.Float64("net-mbps", 0, "simulated shuffle bandwidth in MB/s (0 = free in-process shuffle)")
-		overhead  = flag.Int("task-overhead-ms", 0, "simulated per-task startup cost in ms")
 		list      = flag.Bool("list", false, "list available experiments and exit")
 		outdir    = flag.String("outdir", "", "also write each experiment's table as <outdir>/<id>.csv")
 		trace     = flag.Bool("trace", false, "print a per-run trace report (one span tree per experiment) to stderr")
@@ -129,8 +127,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skybench: metrics on http://%s/metrics\n", addr)
 	}
 
-	params := exp.Params{Scale: *scale, Workers: *workers, Seed: *seed,
-		NetworkMBps: *netMBps, TaskOverheadMs: *overhead}
+	params := exp.Params{Scale: *scale, Workers: *workers, Seed: *seed}
 	ctx := context.Background()
 	var tr *obs.Trace
 	if *trace {

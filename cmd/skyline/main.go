@@ -7,8 +7,8 @@
 //	skygen -dist anti -n 100000 -d 5 > anti.csv
 //	skyline -in anti.csv -strategy zdg -local zs -merge zm -m 32
 //
-// The report flag prints the pipeline's phase timings, candidate
-// counts, shuffle volume and balance statistics.
+// The report flag prints the pipeline's phase timings, routed and
+// candidate counts, and both balance statistics.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 		local    = flag.String("local", "zs", "local skyline algorithm: sb|zs")
 		merge    = flag.String("merge", "zm", "merge algorithm: sb|zs|zm")
 		m        = flag.Int("m", 32, "number of groups")
-		workers  = flag.Int("workers", 8, "simulated cluster worker slots")
+		workers  = flag.Int("workers", 8, "tasks run at once")
 		ratio    = flag.Float64("sample", 0.02, "sampling ratio")
 		seed     = flag.Int64("seed", 42, "sampling seed")
 		report   = flag.Bool("report", false, "print the pipeline report to stderr")
@@ -164,8 +164,6 @@ func main() {
 	}
 	tr.Finish()
 	reg.AbsorbTally(rep.Tally)
-	reg.AbsorbJobStats(rep.Job1)
-	reg.AbsorbJobStats(rep.Job2)
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
@@ -187,13 +185,14 @@ func main() {
 				"points=%d skyline=%d candidates=%d filtered=%d\n"+
 				"groups=%d partitions=%d pruned=%d sample=%d\n"+
 				"preprocess=%v phase2=%v phase3=%v total=%v\n"+
-				"shuffleBytes=%d dominanceTests=%d regionTests=%d\n"+
+				"routed=%d dominanceTests=%d regionTests=%d\n"+
+				"inputBalance: %v\n"+
 				"candidateBalance: %v\n",
 			rep.Strategy, rep.Local, rep.Merge,
 			ds.Len(), rep.SkylineSize, rep.Candidates, rep.MapperFiltered,
 			rep.Groups, rep.Partitions, rep.PrunedPartitions, rep.SampleSize,
 			rep.Preprocess.Round(1000), rep.Phase2.Round(1000), rep.Phase3.Round(1000), rep.Total.Round(1000),
-			rep.Job1.ShuffleBytes+rep.Job2.ShuffleBytes, rep.Tally.DominanceTests, rep.Tally.RegionTests,
-			rep.CandidateBalance())
+			int64(ds.Len())-rep.MapperFiltered, rep.Tally.DominanceTests, rep.Tally.RegionTests,
+			rep.InputBalance(), rep.CandidateBalance())
 	}
 }

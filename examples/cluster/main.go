@@ -1,15 +1,12 @@
-// Cluster: run the same workload on a healthy and on a degraded
-// simulated cluster (one straggling worker, flaky tasks) and compare —
-// a demonstration of the substrate's straggler/fault injection and of
-// why the paper's grouping strategies matter. A final act moves from
-// simulation to real processes: a TCP worker is killed mid-run and
-// restarted, and the distributed answer still matches the sequential
-// reference.
+// Cluster: run the pipeline on real worker processes and ride out a
+// failure. A traced run first shows the paper's two balance goals —
+// rows routed per group and candidates per group — as numbers; then a
+// TCP worker is killed mid-run and restarted, and the distributed
+// answer still matches the sequential reference.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -18,7 +15,6 @@ import (
 
 	"zskyline"
 	"zskyline/internal/dist"
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/obs"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -27,66 +23,30 @@ import (
 func main() {
 	ds := zskyline.Generate(zskyline.AntiCorrelated, 60_000, 5, 11)
 
-	healthy := mapreduce.NewCluster(mapreduce.ClusterConfig{Workers: 8})
-	degraded := mapreduce.NewCluster(mapreduce.ClusterConfig{
-		Workers: 8,
-		// Worker 0 has a "faulty disk": everything it touches runs 4x
-		// slower (the paper's §3.3 straggler scenario).
-		Slowdown: func(worker int) float64 {
-			if worker == 0 {
-				return 4
-			}
-			return 1
-		},
-		// And 1 in 10 first attempts fails outright, forcing retries.
-		MaxAttempts: 3,
-		FailTask: func(job string, kind mapreduce.TaskKind, task, attempt int) error {
-			if attempt == 1 && task%10 == 0 {
-				return errors.New("injected: lost container")
-			}
-			return nil
-		},
-	})
-
-	for _, tc := range []struct {
-		name    string
-		cluster *mapreduce.Cluster
-	}{
-		{"healthy cluster ", healthy},
-		{"degraded cluster", degraded},
-	} {
-		cfg := zskyline.Defaults()
-		cfg.M = 16
-		cfg.Cluster = tc.cluster
-		eng, err := zskyline.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Trace the run: the same phase spans every executor emits,
-		// plus the registry's absorbed work and task-attempt counters
-		// (retries show up as zsky_mr_task_attempts_total exceeding
-		// zsky_mr_tasks_total).
-		tr := obs.NewTrace(tc.name)
-		ctx := obs.ContextWithTrace(context.Background(), tr)
-		start := time.Now()
-		sky, rep, err := eng.Skyline(ctx, ds)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr.Finish()
-		fmt.Printf("%s: skyline=%d in %v (reduce-input imbalance: %.2f)\n",
-			tc.name, len(sky), time.Since(start).Round(time.Millisecond),
-			rep.Job1.ReduceInputBalance().Imbalance)
-		reg := obs.NewRegistry()
-		reg.AbsorbTally(rep.Tally)
-		reg.AbsorbJobStats(rep.Job1)
-		reg.AbsorbJobStats(rep.Job2)
-		obs.WriteReport(os.Stdout, tr, reg)
-		fmt.Println()
+	cfg := zskyline.Defaults()
+	cfg.M = 16
+	eng, err := zskyline.New(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	fmt.Println("results are identical under faults; only wall time differs.")
+	// Trace the run: the same phase spans every executor emits, plus the
+	// registry's absorbed work counters.
+	tr := obs.NewTrace("engine")
+	ctx := obs.ContextWithTrace(context.Background(), tr)
+	start := time.Now()
+	sky, rep, err := eng.Skyline(ctx, ds)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr.Finish()
+	fmt.Printf("engine: skyline=%d in %v (input imbalance %.2f, candidate imbalance %.2f)\n",
+		len(sky), time.Since(start).Round(time.Millisecond),
+		rep.InputBalance().Imbalance, rep.CandidateBalance().Imbalance)
+	reg := obs.NewRegistry()
+	reg.AbsorbTally(rep.Tally)
+	obs.WriteReport(os.Stdout, tr, reg)
 	fmt.Println()
+
 	killAndRestart(ds)
 }
 

@@ -5,7 +5,7 @@
 // distance"), k-dominance (a stricter relation that shrinks
 // unmanageable high-dimensional skylines), and robust dominance (a
 // margin that ignores wins smaller than measurement noise). Each
-// variant runs on the simulated cluster AND on real TCP workers and is
+// variant runs on the in-process engine AND on real TCP workers and is
 // checked against the sequential reference — one descriptor, every
 // executor, identical answers.
 package main
@@ -59,7 +59,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The simulated MapReduce cluster under the same descriptor.
+		// The in-process engine under the same descriptor.
 		cfg := zskyline.Defaults()
 		cfg.M = 16
 		cfg.Dominance = desc

@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("preprocess %v | compute %v | merge %v | total %v\n",
 		report.Preprocess.Round(1000), report.Phase2.Round(1000),
 		report.Phase3.Round(1000), report.Total.Round(1000))
-	fmt.Printf("shuffle volume: %.1f KiB\n", float64(report.Job1.ShuffleBytes)/1024)
+	fmt.Printf("routed to groups:   %d\n", int64(ds.Len())-report.MapperFiltered)
 
 	// Spot-check three skyline points.
 	for i, p := range sky {

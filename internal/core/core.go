@@ -1,21 +1,20 @@
 // Package core runs the paper's three-phase parallel skyline pipeline
-// (Figure 5) on the in-process MapReduce simulator. The phase logic
-// itself — rule learning, mapper filter/routing, local skylines, and
-// candidate merging — lives once in internal/plan; core contributes
-// the executor that schedules those phases as simulator jobs:
+// (Figure 5) with the paper's configuration surface: strategy, local
+// and merge algorithm, M, delta, sampling ratio. The phase logic itself
+// — rule learning, mapper filter/routing, local skylines, and candidate
+// merging — lives once in internal/plan; an Engine lowers its Config to
+// a plan.Spec and runs it with plan.Run on a plan.LocalExec it owns:
 //
 //	Phase 1  (§5.1)  master-side preprocessing: reservoir sample, learn
 //	                 the partitioning rule (Grid / Angle / Random /
 //	                 Naive-Z / ZHG / ZDG), compute the sample skyline
 //	                 and its ZB-tree (the SZB-tree).
-//	Phase 2  (§5.2)  MapReduce job 1: mappers filter points against the
-//	                 SZB-tree and route them partition->group;
-//	                 combiners and reducers run a local skyline
-//	                 algorithm (SB or ZS) per group, emitting skyline
-//	                 candidates.
-//	Phase 3  (§5.3)  MapReduce job 2: merge candidates with Z-merge
-//	                 (ZM), or with the SB / ZS baselines the evaluation
-//	                 compares against.
+//	Phase 2  (§5.2)  map tasks filter points against the SZB-tree and
+//	                 route them partition->group; one reduce task per
+//	                 group runs a local skyline algorithm (SB or ZS),
+//	                 emitting skyline candidates.
+//	Phase 3  (§5.3)  merge candidates with Z-merge (ZM), or with the
+//	                 SB / ZS baselines the evaluation compares against.
 //
 // The Engine is the library's primary public entry point (re-exported
 // by the root zskyline package).
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"zskyline/internal/dominance"
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/metrics"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
@@ -100,16 +98,13 @@ type Config struct {
 	Bits int
 	// Fanout is the ZB-tree node capacity.
 	Fanout int
-	// Workers is the simulated cluster's concurrent task slots.
+	// Workers is how many tasks the engine's pool runs at once.
 	Workers int
 	// MapSplits is the number of map tasks; 0 selects 2x workers.
 	MapSplits int
 	// Seed drives sampling (and nothing else; the pipeline is
 	// deterministic given data and seed).
 	Seed int64
-	// Cluster optionally supplies a prebuilt cluster (for straggler or
-	// fault injection); nil builds a plain one from Workers.
-	Cluster *mapreduce.Cluster
 	// DisableSZBFilter turns off the Algorithm 3 mapper filter against
 	// the sample-skyline ZB-tree. Used by the ablation experiments to
 	// quantify the filter's contribution; leave false for normal runs.
@@ -200,6 +195,9 @@ type Report struct {
 	// MapperFiltered counts input points dropped by the SZB-tree filter
 	// or by pruned partitions before the shuffle.
 	MapperFiltered int64
+	// PerGroupInput are the rows routed to each group; they sum to the
+	// input size minus MapperFiltered.
+	PerGroupInput []int
 	// Candidates is the phase-2 output size (the paper's "number of
 	// skyline candidates", Figure 9).
 	Candidates int
@@ -208,22 +206,26 @@ type Report struct {
 	// SkylineSize is |S|.
 	SkylineSize int
 
-	// Job1 and Job2 are the MapReduce-level statistics.
-	Job1, Job2 *mapreduce.JobStats
-	// Tally aggregates dominance tests, region tests, shuffle bytes.
+	// Tally aggregates dominance tests, region tests and pruned points.
 	Tally metrics.Snapshot
 }
 
+// InputBalance summarizes the spread of routed rows across groups — the
+// paper's first balance goal, and the straggler metric for phase 2.
+func (r *Report) InputBalance() metrics.Balance {
+	return metrics.NewBalance(r.PerGroupInput)
+}
+
 // CandidateBalance summarizes the spread of candidates across groups —
-// the straggler metric for phase 3.
+// the paper's second balance goal, and the straggler metric for phase 3.
 func (r *Report) CandidateBalance() metrics.Balance {
 	return metrics.NewBalance(r.PerGroupCandidates)
 }
 
-// Engine executes the three-phase pipeline.
+// Engine executes the three-phase pipeline on its own worker pool.
 type Engine struct {
-	cfg     Config
-	cluster *mapreduce.Cluster
+	cfg  Config
+	exec *plan.LocalExec
 }
 
 // NewEngine validates cfg and builds an engine.
@@ -234,11 +236,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cl := cfg.Cluster
-	if cl == nil {
-		cl = mapreduce.NewCluster(mapreduce.ClusterConfig{Workers: cfg.Workers})
-	}
-	return &Engine{cfg: cfg, cluster: cl}, nil
+	return &Engine{cfg: cfg, exec: plan.NewLocalExec(cfg.Workers)}, nil
 }
 
 // Skyline computes the exact skyline of ds with the configured
@@ -248,13 +246,7 @@ func (e *Engine) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point,
 		return nil, &Report{Strategy: e.cfg.Strategy, Local: e.cfg.Local, Merge: e.cfg.Merge}, nil
 	}
 	tally := &metrics.Tally{}
-	ex := &mrExec{
-		LocalExec: plan.NewLocalExec(e.cfg.Workers),
-		cluster:   e.cluster,
-		splits:    e.cfg.splits(),
-		dims:      ds.Dims,
-	}
-	sky, prep, err := plan.Run(ctx, e.cfg.spec(), ds, ex, tally)
+	sky, prep, err := plan.Run(ctx, e.cfg.spec(), ds, e.exec, tally)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,16 +264,11 @@ func (e *Engine) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point,
 		Partitions:         prep.Partitions,
 		PrunedPartitions:   prep.PrunedPartitions,
 		MapperFiltered:     prep.Filtered,
+		PerGroupInput:      prep.PerGroupInput,
 		Candidates:         prep.Candidates,
 		PerGroupCandidates: prep.PerGroupCandidates,
 		SkylineSize:        prep.SkylineSize,
-		Job1:               ex.job1,
-		Job2:               ex.job2,
 		Tally:              tally.Snapshot(),
-	}
-	if rep.Job2 == nil {
-		// Phase 3 never scheduled a job (no candidates survived).
-		rep.Job2 = &mapreduce.JobStats{Name: "skyline-merge"}
 	}
 	return sky, rep, nil
 }

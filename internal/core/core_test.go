@@ -2,13 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
-	"zskyline/internal/mapreduce"
+	"zskyline/internal/obs"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 )
@@ -177,11 +178,8 @@ func TestReportFields(t *testing.T) {
 	if rep.Candidates == 0 || rep.Candidates < rep.SkylineSize {
 		t.Errorf("candidates=%d skyline=%d", rep.Candidates, rep.SkylineSize)
 	}
-	if rep.Job1 == nil || rep.Job2 == nil {
-		t.Fatal("missing job stats")
-	}
-	if rep.Job1.ShuffleBytes == 0 {
-		t.Error("no shuffle bytes in job 1")
+	if routed := sum(rep.PerGroupInput); routed == 0 || routed != ds.Len()-int(rep.MapperFiltered) {
+		t.Errorf("routed %d rows of %d with %d filtered", routed, ds.Len(), rep.MapperFiltered)
 	}
 	if rep.Total <= 0 || rep.Phase2 <= 0 || rep.Phase3 <= 0 {
 		t.Errorf("phase durations: %+v", rep)
@@ -192,9 +190,55 @@ func TestReportFields(t *testing.T) {
 	if b := rep.CandidateBalance(); b.N != rep.Groups {
 		t.Errorf("candidate balance over %d groups, want %d", b.N, rep.Groups)
 	}
+	if b := rep.InputBalance(); b.N != rep.Groups {
+		t.Errorf("input balance over %d groups, want %d", b.N, rep.Groups)
+	}
 }
 
-// ZDG must shuffle fewer intermediate records than Grid on correlated
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// The paper's two balance goals as counts: for every strategy, under
+// Pareto and under a flexible relation, the per-group input covers
+// exactly the rows the mappers kept and the per-group candidates are
+// exactly the phase-2 output.
+func TestPerGroupCountsAddUp(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 3000, 4, 37)
+	flex := dominance.Descriptor{Kind: dominance.KindFlex, Weights: [][]float64{{1, 1, 1, 1}, {3, 1, 1, 1}}}
+	for _, desc := range []dominance.Descriptor{{}, flex} {
+		for _, st := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG} {
+			cfg := smallCfg()
+			cfg.Strategy = st
+			cfg.Dominance = desc
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := e.Skyline(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := desc.String() + "/" + st.String()
+			if len(rep.PerGroupInput) != rep.Groups || len(rep.PerGroupCandidates) != rep.Groups {
+				t.Errorf("%s: %d input and %d candidate entries for %d groups",
+					label, len(rep.PerGroupInput), len(rep.PerGroupCandidates), rep.Groups)
+			}
+			if got, want := sum(rep.PerGroupInput), ds.Len()-int(rep.MapperFiltered); got != want {
+				t.Errorf("%s: per-group input sums to %d, want n - filtered = %d", label, got, want)
+			}
+			if got := sum(rep.PerGroupCandidates); got != rep.Candidates {
+				t.Errorf("%s: per-group candidates sum to %d, want %d", label, got, rep.Candidates)
+			}
+		}
+	}
+}
+
+// ZDG must route fewer rows to the reducers than Grid on correlated
 // data (the SZB filter and dominated-partition pruning at work).
 func TestZDGPrunesMoreThanGrid(t *testing.T) {
 	ds := gen.Synthetic(gen.Correlated, 8000, 5, 21)
@@ -213,9 +257,8 @@ func TestZDGPrunesMoreThanGrid(t *testing.T) {
 	if zdg.MapperFiltered == 0 {
 		t.Error("ZDG filtered nothing on correlated data")
 	}
-	if zdg.Job1.ShuffleBytes >= grid.Job1.ShuffleBytes {
-		t.Errorf("ZDG shuffled %d bytes, grid %d; want less",
-			zdg.Job1.ShuffleBytes, grid.Job1.ShuffleBytes)
+	if z, g := sum(zdg.PerGroupInput), sum(grid.PerGroupInput); z >= g {
+		t.Errorf("ZDG routed %d rows, grid %d; want less", z, g)
 	}
 }
 
@@ -293,65 +336,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// The pipeline must survive injected task faults (retries) and still be
-// exact.
-func TestFaultToleranceExact(t *testing.T) {
-	ds := gen.Synthetic(gen.Independent, 2000, 3, 33)
-	want := seq.SB(ds.Points, nil)
-	// The hook fires concurrently from map-task goroutines.
-	var mu sync.Mutex
-	failures := map[string]int{}
-	cfg := smallCfg()
-	cfg.Cluster = mapreduce.NewCluster(mapreduce.ClusterConfig{
-		Workers:     4,
-		MaxAttempts: 3,
-		FailTask: func(job string, kind mapreduce.TaskKind, task, attempt int) error {
-			// First attempt of every third task fails.
-			if task%3 == 0 && attempt == 1 {
-				mu.Lock()
-				failures[job]++
-				mu.Unlock()
-				return context.DeadlineExceeded
-			}
-			return nil
-		},
-	})
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := e.Skyline(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, want, "faulty cluster")
-	if len(failures) == 0 {
-		t.Error("fault injector never fired")
-	}
-}
-
-// Straggler injection slows some workers; result must be unchanged.
-func TestStragglersExact(t *testing.T) {
-	ds := gen.Synthetic(gen.Independent, 1500, 3, 35)
-	want := seq.SB(ds.Points, nil)
-	cfg := smallCfg()
-	cfg.Cluster = mapreduce.NewCluster(mapreduce.ClusterConfig{
-		Workers: 4,
-		Slowdown: func(worker int) float64 {
-			if worker == 0 {
-				return 3
-			}
-			return 1
-		},
-	})
-	e, _ := NewEngine(cfg)
-	got, _, err := e.Skyline(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, want, "stragglers")
-}
-
 func TestRealisticSimulatedDatasets(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -426,6 +410,44 @@ func TestEngineContextCancellation(t *testing.T) {
 	_, _, err := e.Skyline(ctx, ds)
 	if err == nil {
 		t.Fatal("cancelled context produced a result")
+	}
+}
+
+// cancelInMerge is a context that cancels itself the first time it is
+// asked for its error once phase 3's merge span has started.
+type cancelInMerge struct {
+	context.Context
+	cancel context.CancelFunc
+	tr     *obs.Trace
+}
+
+func (c *cancelInMerge) Err() error {
+	for _, sp := range c.tr.Root().Children() {
+		if sp.Name() == "merge/round-1" {
+			c.cancel()
+		}
+	}
+	return c.Context.Err()
+}
+
+func TestEngineCancelMidRun(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 5000, 4, 7)
+	e, err := NewEngine(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("cancel")
+	inner, cancel := context.WithCancel(obs.ContextWithTrace(context.Background(), tr))
+	defer cancel()
+	sky, rep, err := e.Skyline(&cancelInMerge{Context: inner, cancel: cancel, tr: tr}, ds)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sky != nil || rep != nil {
+		t.Fatalf("cancelled run returned %d rows and report %v", len(sky), rep)
+	}
+	if inner.Err() == nil {
+		t.Fatal("the run finished without reaching phase 3")
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 
 // The ablation experiments quantify the design choices DESIGN.md calls
 // out: the SZB mapper filter, the partition expansion factor delta,
-// the Z-order grid resolution, the ZB-tree fanout, worker scaling, and
-// the shuffle I/O model.
+// the Z-order grid resolution, the ZB-tree fanout, and worker scaling.
 func init() {
 	register(Experiment{
 		ID:       "abl-szb",
@@ -55,7 +54,6 @@ func ablConfig(p Params, ds int) core.Config {
 }
 
 func runAbl(ctx context.Context, cfg core.Config, p Params, n, d int) (*core.Report, error) {
-	cfg.Cluster = p.cluster()
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -67,7 +65,7 @@ func runAbl(ctx context.Context, cfg core.Config, p Params, n, d int) (*core.Rep
 func runAblSZB(ctx context.Context, p Params) (*Table, error) {
 	p = p.normalize()
 	t := &Table{ID: "abl-szb", Title: "SZB filter contribution",
-		Columns: []string{"filter", "total (ms)", "candidates", "shuffled (KiB)", "filtered"}}
+		Columns: []string{"filter", "total (ms)", "candidates", "routed rows", "filtered"}}
 	n := p.n(50)
 	for _, off := range []bool{false, true} {
 		cfg := ablConfig(p, n)
@@ -81,8 +79,7 @@ func runAblSZB(ctx context.Context, p Params) (*Table, error) {
 			label = "off"
 		}
 		t.AddRow(label, ms(rep.Total), fmt.Sprint(rep.Candidates),
-			fmt.Sprintf("%.0f", float64(rep.Job1.ShuffleBytes)/1024),
-			fmt.Sprint(rep.MapperFiltered))
+			fmt.Sprint(int64(n)-rep.MapperFiltered), fmt.Sprint(rep.MapperFiltered))
 	}
 	return t, nil
 }
@@ -143,7 +140,7 @@ func runAblFanout(ctx context.Context, p Params) (*Table, error) {
 
 func runAblWorkers(ctx context.Context, p Params) (*Table, error) {
 	p = p.normalize()
-	t := &Table{ID: "abl-workers", Title: "speedup vs simulated worker slots",
+	t := &Table{ID: "abl-workers", Title: "speedup vs worker count",
 		Columns: []string{"workers", "total (ms)", "phase2 (ms)"}}
 	n := p.n(80)
 	for _, w := range []int{1, 2, 4, 8, 16} {

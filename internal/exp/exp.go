@@ -7,7 +7,9 @@
 //
 // Dataset sizes are the paper's divided by 1000 by default (the paper
 // runs 10M-110M points on a cluster; we run goroutine workers), and
-// scale linearly with Params.Scale.
+// scale linearly with Params.Scale. The pipeline's runs execute on the
+// engine's worker pool; only the MR-GPMRS baseline still runs on the
+// MapReduce simulator.
 package exp
 
 import (
@@ -19,7 +21,6 @@ import (
 
 	"zskyline/internal/core"
 	"zskyline/internal/gpmrs"
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/point"
 )
 
@@ -28,26 +29,11 @@ type Params struct {
 	// Scale multiplies every dataset size. 1.0 reproduces the default
 	// laptop-scale sizes (paper sizes / 1000).
 	Scale float64
-	// Workers is the simulated cluster width. Zero selects 8.
+	// Workers is how many tasks each run executes at once. Zero
+	// selects 8.
 	Workers int
 	// Seed drives data generation and sampling.
 	Seed int64
-	// NetworkMBps, when positive, turns on the substrate's shuffle I/O
-	// model: intermediate data costs wall-clock time, as on the paper's
-	// Hadoop cluster. Zero leaves the in-process shuffle free.
-	NetworkMBps float64
-	// TaskOverheadMs, when positive, charges each task attempt a fixed
-	// startup cost (container/JVM launch).
-	TaskOverheadMs int
-}
-
-// cluster builds a cluster honoring the Params I/O model.
-func (p Params) cluster() *mapreduce.Cluster {
-	return mapreduce.NewCluster(mapreduce.ClusterConfig{
-		Workers:      p.Workers,
-		NetworkMBps:  p.NetworkMBps,
-		TaskOverhead: time.Duration(p.TaskOverheadMs) * time.Millisecond,
-	})
 }
 
 func (p Params) normalize() Params {
@@ -194,7 +180,6 @@ func runPipeline(ctx context.Context, ds *point.Dataset, c combo, m int, p Param
 	cfg.Seed = p.Seed
 	cfg.SampleRatio = sampleRatioFor(ds.Len())
 	cfg.Bits = bitsFor(ds.Dims)
-	cfg.Cluster = p.cluster()
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -241,7 +226,6 @@ func runGPMRS(ctx context.Context, ds *point.Dataset, p Params) (*gpmrs.Report, 
 		Workers:     p.Workers,
 		SampleRatio: sampleRatioFor(ds.Len()),
 		Seed:        p.Seed,
-		Cluster:     p.cluster(),
 	})
 	return rep, err
 }

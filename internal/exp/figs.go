@@ -309,7 +309,7 @@ func runFig10(ctx context.Context, p Params) (*Table, error) {
 	t := &Table{
 		ID:      "fig10",
 		Title:   "ZDG+ZS+ZM while varying the group count M",
-		Columns: []string{"M", "total (ms)", "candidates", "reduce-imbalance", "pruned-parts"},
+		Columns: []string{"M", "total (ms)", "candidates", "input-imbalance", "pruned-parts"},
 		Notes:   "reconstructed experiment: §6.4 is missing from the available text",
 	}
 	ds := gen.Synthetic(gen.Independent, p.n(50), 5, p.Seed)
@@ -319,7 +319,7 @@ func runFig10(ctx context.Context, p Params) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(m), ms(rep.Total), fmt.Sprint(rep.Candidates),
-			fmt.Sprintf("%.2f", rep.Job1.ReduceInputBalance().Imbalance),
+			fmt.Sprintf("%.2f", rep.InputBalance().Imbalance),
 			fmt.Sprint(rep.PrunedPartitions))
 	}
 	return t, nil

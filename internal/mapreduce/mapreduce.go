@@ -1,12 +1,11 @@
-// Package mapreduce is the share-nothing execution substrate the
-// pipeline runs on — an in-process stand-in for the paper's Hadoop
-// cluster. It models the pieces of MapReduce the paper's evaluation
-// depends on:
+// Package mapreduce is an in-process stand-in for a Hadoop cluster, the
+// substrate the MR-GPMRS baseline (internal/gpmrs) runs its two jobs on.
+// It models the pieces of MapReduce that baseline depends on:
 //
 //   - map tasks over input splits, executed on a bounded pool of
 //     simulated worker slots;
-//   - per-map-task combiners (the paper uses combiners to compute
-//     local skyline candidates before the shuffle, §5.2);
+//   - per-map-task combiners (local skyline candidates before the
+//     shuffle);
 //   - a hash/custom-partitioned shuffle with byte accounting, so
 //     experiments can report intermediate data volume;
 //   - reduce tasks with a strict map->reduce barrier, as in Hadoop;
@@ -65,16 +64,6 @@ type ClusterConfig struct {
 	// MaxAttempts bounds task retries. Zero selects 3, like Hadoop's
 	// default of 4 attempts total being overkill for a simulation.
 	MaxAttempts int
-	// NetworkMBps, when positive, models the cluster interconnect and
-	// spill disks: every map task sleeps emittedBytes/NetworkMBps after
-	// running and every reduce task sleeps inputBytes/NetworkMBps
-	// before running, so jobs that shuffle more intermediate data pay
-	// for it in wall-clock time the way Hadoop jobs do. Zero disables
-	// the model (in-process shuffle is free).
-	NetworkMBps float64
-	// TaskOverhead, when positive, is slept at the start of every task
-	// attempt, modelling container launch / JVM startup cost.
-	TaskOverhead time.Duration
 	// SpeculativeAfter, when positive, enables speculative execution:
 	// if a task attempt has not finished after this duration, a
 	// duplicate attempt is launched on another worker slot and the
@@ -141,11 +130,6 @@ type JobStats struct {
 	ShuffleBytes  int64
 	MapOutRecords int64
 	Wall          time.Duration
-	// MapWall covers the map phase up to the shuffle barrier;
-	// ReduceWall covers the reduce phase after it. The two sum to Wall
-	// (minus shuffle accounting, which MapWall includes).
-	MapWall    time.Duration
-	ReduceWall time.Duration
 }
 
 // MapDurations returns per-map-task durations in task order.
@@ -263,7 +247,7 @@ func Run[I any, K comparable, V any, O any](
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			stat, out, err := runMapTask(ctx, c, &job, t, splits[t], nRed, part, sizeOf)
+			stat, out, err := runMapTask(ctx, c, &job, t, splits[t], nRed, part)
 			if err != nil {
 				setErr(fmt.Errorf("mapreduce: job %q map task %d: %w", job.Name, t, err))
 				return
@@ -295,7 +279,6 @@ func Run[I any, K comparable, V any, O any](
 	}
 	stats.ShuffleBytes = shuffle
 	job.Tally.AddBytesShuffled(shuffle)
-	stats.MapWall = time.Since(start)
 
 	// ---- Reduce phase (after the barrier) ----
 	type redResult struct {
@@ -320,7 +303,7 @@ func Run[I any, K comparable, V any, O any](
 					}
 				}
 			}
-			stat, out, err := runReduceTask(ctx, c, &job, r, merged, sizeOf)
+			stat, out, err := runReduceTask(ctx, c, &job, r, merged)
 			if err != nil {
 				setErr(fmt.Errorf("mapreduce: job %q reduce task %d: %w", job.Name, r, err))
 				return
@@ -338,7 +321,6 @@ func Run[I any, K comparable, V any, O any](
 		stats.ReduceStats = append(stats.ReduceStats, results[r].stat)
 	}
 	stats.Wall = time.Since(start)
-	stats.ReduceWall = stats.Wall - stats.MapWall
 	return outs, stats, nil
 }
 
@@ -406,16 +388,6 @@ func (c *Cluster) acquire(ctx context.Context) (int, error) {
 
 func (c *Cluster) release(w int) { c.slots <- w }
 
-// simulateIO sleeps for the simulated transfer time of n bytes.
-func (c *Cluster) simulateIO(n int64) time.Duration {
-	if c.cfg.NetworkMBps <= 0 || n <= 0 {
-		return 0
-	}
-	d := time.Duration(float64(n) / (c.cfg.NetworkMBps * 1e6) * float64(time.Second))
-	time.Sleep(d)
-	return d
-}
-
 // stretch models a straggling worker by sleeping the extra fraction of
 // the task's real duration.
 func (c *Cluster) stretch(worker int, elapsed time.Duration) time.Duration {
@@ -433,7 +405,7 @@ func (c *Cluster) stretch(worker int, elapsed time.Duration) time.Duration {
 
 func runMapTask[I any, K comparable, V any, O any](
 	ctx context.Context, c *Cluster, job *Job[I, K, V, O], task int, split []I,
-	nRed int, part func(K, int) int, sizeOf func(K, V) int,
+	nRed int, part func(K, int) int,
 ) (TaskStat, []*keyedValues[K, V], error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
@@ -444,7 +416,7 @@ func runMapTask[I any, K comparable, V any, O any](
 				return TaskStat{}, nil, err
 			}
 			defer c.release(worker)
-			return mapAttempt(c, job, task, worker, attempt, split, nRed, part, sizeOf)
+			return mapAttempt(c, job, task, worker, attempt, split, nRed, part)
 		})
 		if err == nil {
 			return stat, out, nil
@@ -456,7 +428,7 @@ func runMapTask[I any, K comparable, V any, O any](
 
 func mapAttempt[I any, K comparable, V any, O any](
 	c *Cluster, job *Job[I, K, V, O], task, worker, attempt int, split []I,
-	nRed int, part func(K, int) int, sizeOf func(K, V) int,
+	nRed int, part func(K, int) int,
 ) (TaskStat, []*keyedValues[K, V], error) {
 	tctx := &TaskContext{Job: job.Name, Kind: MapTask, Task: task, Worker: worker,
 		Cache: job.Cache, Tally: job.Tally}
@@ -466,9 +438,6 @@ func mapAttempt[I any, K comparable, V any, O any](
 		}
 	}
 	begin := time.Now()
-	if c.cfg.TaskOverhead > 0 {
-		time.Sleep(c.cfg.TaskOverhead)
-	}
 	local := newKeyed[K, V]()
 	emit := func(k K, v V) { local.add(k, v) }
 	for _, rec := range split {
@@ -497,18 +466,6 @@ func mapAttempt[I any, K comparable, V any, O any](
 		}
 	}
 	job.Tally.AddRecordsEmitted(int64(outRecords))
-	var emittedBytes int64
-	for _, kv := range out {
-		if kv == nil {
-			continue
-		}
-		for _, k := range kv.keys {
-			for _, v := range kv.vals[k] {
-				emittedBytes += int64(sizeOf(k, v))
-			}
-		}
-	}
-	c.simulateIO(emittedBytes)
 	dur := c.stretch(worker, time.Since(begin))
 	return TaskStat{Kind: MapTask, Task: task, Worker: worker, Attempts: attempt,
 		Duration: dur, InputRecords: len(split), OutputRecords: outRecords}, out, nil
@@ -516,7 +473,6 @@ func mapAttempt[I any, K comparable, V any, O any](
 
 func runReduceTask[I any, K comparable, V any, O any](
 	ctx context.Context, c *Cluster, job *Job[I, K, V, O], task int, merged *keyedValues[K, V],
-	sizeOf func(K, V) int,
 ) (TaskStat, []O, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
@@ -527,7 +483,7 @@ func runReduceTask[I any, K comparable, V any, O any](
 				return TaskStat{}, nil, err
 			}
 			defer c.release(worker)
-			return reduceAttempt(c, job, task, worker, attempt, merged, sizeOf)
+			return reduceAttempt(c, job, task, worker, attempt, merged)
 		})
 		if err == nil {
 			return stat, out, nil
@@ -539,7 +495,6 @@ func runReduceTask[I any, K comparable, V any, O any](
 
 func reduceAttempt[I any, K comparable, V any, O any](
 	c *Cluster, job *Job[I, K, V, O], task, worker, attempt int, merged *keyedValues[K, V],
-	sizeOf func(K, V) int,
 ) (TaskStat, []O, error) {
 	tctx := &TaskContext{Job: job.Name, Kind: ReduceTask, Task: task, Worker: worker,
 		Cache: job.Cache, Tally: job.Tally}
@@ -549,16 +504,6 @@ func reduceAttempt[I any, K comparable, V any, O any](
 		}
 	}
 	begin := time.Now()
-	if c.cfg.TaskOverhead > 0 {
-		time.Sleep(c.cfg.TaskOverhead)
-	}
-	var inBytes int64
-	for _, k := range merged.keys {
-		for _, v := range merged.vals[k] {
-			inBytes += int64(sizeOf(k, v))
-		}
-	}
-	c.simulateIO(inBytes)
 	var out []O
 	emit := func(o O) { out = append(out, o) }
 	inRecords := 0

@@ -401,51 +401,6 @@ func TestManyTasksFewWorkers(t *testing.T) {
 	}
 }
 
-func TestNetworkModelSlowsShuffleHeavyJobs(t *testing.T) {
-	// Identical job on a free-network and a slow-network cluster: the
-	// slow one must take at least the simulated transfer time.
-	lines := make([]string, 200)
-	for i := range lines {
-		lines[i] = "alpha beta gamma delta"
-	}
-	job := wordCountJob(nil)
-	job.Combine = nil // keep the shuffle fat
-	fast := NewCluster(ClusterConfig{Workers: 4})
-	slow := NewCluster(ClusterConfig{Workers: 4, NetworkMBps: 0.5})
-	_, sFast, err := Run(context.Background(), fast, job, SplitSlice(lines, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sSlow, err := Run(context.Background(), slow, job, SplitSlice(lines, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200 lines x 4 words x 16 bytes ~ 12.8KB; at 0.5 MB/s that is
-	// ~25ms each way. Wall must reflect it.
-	if sSlow.Wall < sFast.Wall+20*time.Millisecond {
-		t.Errorf("network model had no effect: fast %v slow %v", sFast.Wall, sSlow.Wall)
-	}
-	if sSlow.ShuffleBytes != sFast.ShuffleBytes {
-		t.Errorf("byte accounting changed: %d vs %d", sSlow.ShuffleBytes, sFast.ShuffleBytes)
-	}
-}
-
-func TestTaskOverheadApplied(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 4, TaskOverhead: 10 * time.Millisecond})
-	out, stats, err := Run(context.Background(), c, wordCountJob(nil), SplitSlice([]string{"a", "b"}, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("out = %v", out)
-	}
-	for _, st := range stats.MapStats {
-		if st.Duration < 10*time.Millisecond {
-			t.Errorf("map task duration %v misses overhead", st.Duration)
-		}
-	}
-}
-
 // Speculative execution: with one pathologically slow worker, a
 // speculative duplicate on a healthy worker should win and cut wall
 // time well below the straggler's stretched duration.

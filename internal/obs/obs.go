@@ -1,9 +1,9 @@
 // Package obs is the engine's observability layer: named, nested
 // phase spans (a lightweight tracer), a counter/gauge/histogram
 // registry, and two exporters — a human-readable per-run trace report
-// and Prometheus text exposition. All three execution substrates
-// (core's MapReduce simulator, dist's TCP coordinator/workers, and the
-// shared-memory pool) emit the same span taxonomy
+// and Prometheus text exposition. Every executor (the shared-memory
+// pool core and parallel run on, and dist's TCP coordinator/workers)
+// emits the same span taxonomy
 //
 //	learn  ->  map  ->  local-skyline  ->  merge/round-N
 //
@@ -30,7 +30,7 @@ type Attr struct {
 
 // Span is one named, timed region of a run. Spans nest: children are
 // created with Child (started now) or ChildAt (reconstructed from a
-// measured start/duration, e.g. the simulator's phase walls). A Span
+// measured start/duration). A Span
 // is safe for concurrent use — parallel tasks may attach children and
 // attributes to the same parent.
 type Span struct {
@@ -136,10 +136,9 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// ChildAt attaches an already-measured child span — how substrates
-// that only learn phase timings after the fact (the MapReduce
-// simulator's job stats) still contribute exact spans. The child is
-// returned ended; attributes may still be set on it.
+// ChildAt attaches an already-measured child span — how code that only
+// learns a phase's timing after the fact still contributes an exact
+// span. The child is returned ended; attributes may still be set on it.
 func (s *Span) ChildAt(name string, start time.Time, dur time.Duration) *Span {
 	if s == nil {
 		return nil

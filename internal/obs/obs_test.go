@@ -99,7 +99,6 @@ func TestNilSafety(t *testing.T) {
 	reg.Gauge("g").Set(1)
 	reg.Histogram("h", nil).Observe(1)
 	reg.AbsorbTally(metrics.Snapshot{})
-	reg.AbsorbJobStats(nil)
 }
 
 func TestContextHelpers(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/metrics"
 )
 
@@ -279,29 +278,6 @@ func (r *Registry) AbsorbTally(s metrics.Snapshot) {
 	r.Counter("zsky_points_pruned_total").Add(s.PointsPruned)
 	r.Counter("zsky_shuffle_bytes_total").Add(s.BytesShuffled)
 	r.Counter("zsky_records_emitted_total").Add(s.RecordsEmitted)
-}
-
-// AbsorbJobStats adds one finished MapReduce job's statistics, labeled
-// by job name.
-func (r *Registry) AbsorbJobStats(js *mapreduce.JobStats) {
-	if r == nil || js == nil {
-		return
-	}
-	job := L("job", js.Name)
-	r.Counter("zsky_mr_jobs_total", job).Add(1)
-	r.Counter("zsky_mr_shuffle_bytes_total", job).Add(js.ShuffleBytes)
-	r.Counter("zsky_mr_map_records_total", job).Add(js.MapOutRecords)
-	var mapAtt, redAtt int64
-	for _, st := range js.MapStats {
-		mapAtt += int64(st.Attempts)
-	}
-	for _, st := range js.ReduceStats {
-		redAtt += int64(st.Attempts)
-	}
-	r.Counter("zsky_mr_tasks_total", job, L("kind", "map")).Add(int64(len(js.MapStats)))
-	r.Counter("zsky_mr_tasks_total", job, L("kind", "reduce")).Add(int64(len(js.ReduceStats)))
-	r.Counter("zsky_mr_task_attempts_total", job, L("kind", "map")).Add(mapAtt)
-	r.Counter("zsky_mr_task_attempts_total", job, L("kind", "reduce")).Add(redAtt)
 }
 
 // famView is a point-in-time copy of one family's structure, taken

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/metrics"
 )
 
@@ -75,28 +74,15 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-func TestAbsorbTallyAndJobStats(t *testing.T) {
+func TestAbsorbTally(t *testing.T) {
 	r := NewRegistry()
 	r.AbsorbTally(metrics.Snapshot{DominanceTests: 10, BytesShuffled: 99})
 	r.AbsorbTally(metrics.Snapshot{DominanceTests: 5})
 	if got := r.Counter("zsky_dominance_tests_total").Value(); got != 15 {
 		t.Fatalf("dominance counter = %d, want 15", got)
 	}
-	js := &mapreduce.JobStats{
-		Name:         "skyline-candidates",
-		ShuffleBytes: 1024,
-		MapStats: []mapreduce.TaskStat{
-			{Attempts: 1}, {Attempts: 2},
-		},
-		ReduceStats: []mapreduce.TaskStat{{Attempts: 1}},
-	}
-	r.AbsorbJobStats(js)
-	job := L("job", "skyline-candidates")
-	if got := r.Counter("zsky_mr_shuffle_bytes_total", job).Value(); got != 1024 {
-		t.Fatalf("shuffle bytes = %d", got)
-	}
-	if got := r.Counter("zsky_mr_task_attempts_total", job, L("kind", "map")).Value(); got != 3 {
-		t.Fatalf("map attempts = %d", got)
+	if got := r.Counter("zsky_shuffle_bytes_total").Value(); got != 99 {
+		t.Fatalf("shuffle bytes counter = %d, want 99", got)
 	}
 }
 

@@ -1,11 +1,10 @@
 package plan_test
 
 // Cross-executor equivalence: the same dataset and seed must yield the
-// identical exact skyline through every substrate — the in-process
-// MapReduce simulator (core, SB and ZS), the TCP coordinator/worker
-// deployment (dist, over loopback), the shared-memory pool (parallel),
-// and the raw plan driver on a LocalExec — all checked against the
-// brute-force oracle.
+// identical exact skyline through every substrate — the engine (core,
+// SB and ZS), the TCP coordinator/worker deployment (dist, over
+// loopback), the shared-memory pool (parallel), and the raw plan driver
+// on a LocalExec — all checked against the brute-force oracle.
 
 import (
 	"context"

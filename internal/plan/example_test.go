@@ -11,9 +11,8 @@ import (
 
 // Run executes the paper's three-phase pipeline on any Executor; the
 // shared-memory LocalExec is the simplest substrate. The same Spec on
-// the MapReduce simulator or the TCP coordinator yields the same
-// skyline — the phase semantics live in plan, the Executor only
-// decides placement and fault handling.
+// the TCP coordinator yields the same skyline — the phase semantics
+// live in plan, the Executor only decides placement and fault handling.
 func ExampleRun() {
 	ds, err := point.NewDataset(2, []point.Point{
 		{1, 9}, {2, 2}, {9, 1}, {5, 5}, {3, 8}, {8, 3}, {4, 4}, {6, 7},

@@ -39,25 +39,8 @@ type Executor interface {
 	RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error)
 	// RunMerges executes r.MergeGroupsZ once per task, preserving task
 	// order. Results are Groups so the merged candidates keep their
-	// Z-address columns across tree-merge rounds; executors that cannot
-	// carry a column may return groups without one.
+	// Z-address columns across tree-merge rounds.
 	RunMerges(ctx context.Context, r *Rule, tasks [][]Group, tally *metrics.Tally) ([]Group, error)
-}
-
-// MapReducer is an optional Executor refinement for substrates with a
-// native shuffle (the MapReduce simulator): one fused call replaces
-// RunMaps + Shuffle + RunReduces for phase 2, so the substrate keeps
-// its own combiner and shuffle accounting. Groups must come back in
-// deterministic order with their candidate points; filtered is the
-// mapper-side drop count.
-//
-// Observability contract: because the fused call bypasses runPhase2's
-// span emission, implementations must attach the taxonomy's "map" and
-// "local-skyline" spans to ctx's current span themselves (e.g. with
-// Span.ChildAt from measured phase walls), so traces stay structurally
-// identical across substrates.
-type MapReducer interface {
-	MapReduce(ctx context.Context, r *Rule, chunks []point.Block, tally *metrics.Tally) (groups []Group, filtered int64, err error)
 }
 
 // LocalExec runs tasks on a bounded pool of goroutines in-process —

@@ -6,13 +6,12 @@
 // Algorithm 4) — lives here; the execution substrates supply only an
 // Executor that says where tasks run:
 //
-//   - internal/core adapts the in-process MapReduce simulator
-//     (combiner + shuffle accounting, stragglers, faults);
+//   - LocalExec is a shared-memory goroutine pool; internal/core runs
+//     the paper's strategies on it, and internal/parallel runs the
+//     Positional strategy;
 //   - internal/dist adapts a TCP coordinator, which maps and merges on
-//     its own pool, and framed-transport workers that reduce
-//     (internal/transport);
-//   - internal/parallel adapts a shared-memory goroutine pool
-//     (plan.LocalExec).
+//     its own LocalExec, and framed-transport workers that reduce
+//     (internal/transport).
 //
 // A Rule is the learned phase-1 artifact. It is directly executable
 // in-process and, for the Z-order strategies, its reduce half is
@@ -196,7 +195,7 @@ func (s *Spec) fanout() int {
 // Group is one group's worth of routed points or skyline candidates —
 // the unit phase-2 reducers and phase-3 merge tasks operate on. The
 // payload is a contiguous Block, so a group crosses an executor
-// boundary (goroutine, simulator shuffle, TCP) as one flat array.
+// boundary (goroutine, TCP) as one flat array.
 //
 // ZCol is the group's Z-address column on the encode-once path:
 // when non-empty it holds one address per block row, encoded with the

@@ -1,10 +1,10 @@
 package plan_test
 
 // Provider × executor equivalence: every dominance relation must yield
-// the identical result set through every substrate — the in-process
-// MapReduce simulator (core), the TCP coordinator/worker deployment
-// (dist), the shared-memory pool (parallel), and the raw plan driver —
-// all checked against the per-provider brute-force oracle.
+// the identical result set through every substrate — the engine (core),
+// the TCP coordinator/worker deployment (dist), the shared-memory pool
+// (parallel), and the raw plan driver — all checked against the
+// per-provider brute-force oracle.
 
 import (
 	"context"

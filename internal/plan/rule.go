@@ -258,29 +258,27 @@ func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
 // dropped (SZB-tree filtered, or routed to a pruned partition). A
 // Positional rule groups by map task, which a single point cannot name:
 // every survivor routes to group 0. This is the one-shot entry point;
-// per-point loops should hold a Router, which reuses its quantization
-// scratch across calls.
+// per-point loops hold a router, which reuses its quantization scratch
+// across calls.
 func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 	if r.assignFn != nil {
 		return r.assignFn(p)
 	}
-	return r.NewRouter().Route(p)
+	return r.newRouter().route(p)
 }
 
-// Router is per-task routing state: one grid/Z-address scratch pair
-// reused across every point the task routes, so a record-oriented
-// mapper pays zero allocations per point. A Rule is shared and
-// immutable after Learn, so the scratch cannot live on it — each
-// goroutine takes its own Router.
-type Router struct {
+// router is per-task routing state: one grid/Z-address scratch pair
+// reused across every point the task routes, so a map task pays zero
+// allocations per point. A Rule is shared and immutable after Learn, so
+// the scratch cannot live on it — each task takes its own router.
+type router struct {
 	r *Rule
 	g []uint32
 	z zorder.ZAddr
 }
 
-// NewRouter builds a Router over r.
-func (r *Rule) NewRouter() *Router {
-	rt := &Router{r: r}
+func (r *Rule) newRouter() *router {
+	rt := &router{r: r}
 	if r.assignFn == nil {
 		rt.g = make([]uint32, r.enc.Dims())
 		rt.z = make(zorder.ZAddr, r.enc.Words())
@@ -288,10 +286,10 @@ func (r *Rule) NewRouter() *Router {
 	return rt
 }
 
-// Route maps a point to its group without allocating; ok is false when
-// the point is dropped. After a Z-routed accept, Z returns the
-// encoded address until the next call.
-func (rt *Router) Route(p point.Point) (gid int, ok bool) {
+// route maps a point to its group without allocating; ok is false when
+// the point is dropped. After a Z-routed accept, rt.z holds the encoded
+// address until the next call.
+func (rt *router) route(p point.Point) (gid int, ok bool) {
 	r := rt.r
 	if r.assignFn != nil {
 		return r.assignFn(p)
@@ -308,10 +306,6 @@ func (rt *Router) Route(p point.Point) (gid int, ok bool) {
 	return gid, ok
 }
 
-// Z returns the Z-address of the last point Route accepted on the
-// Z-order path (a view of the router's scratch — copy to keep it).
-func (rt *Router) Z() zorder.ZAddr { return rt.z }
-
 // partitionOf binary-searches the Z-address into its partition
 // (Algorithm 3's searchPT step).
 func (r *Rule) partitionOf(a zorder.ZAddr) int {
@@ -327,30 +321,12 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 	return lo
 }
 
-// LocalSkyline computes one group's skyline with the configured local
-// algorithm (the simulator's combine/reduce) — the slice adapter over
-// the block-native kernels.
-func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Point {
-	dims := r.dims
-	if dims == 0 && len(pts) > 0 {
-		dims = len(pts[0])
-	}
-	g := r.localSkylineGroup(Group{Block: point.BlockOf(dims, pts)}, tally, false)
-	return g.Block.Points()
-}
-
 // LocalSkylineGroup is phase 2's reduce on the encode-once path: it
-// reuses the group's Z-address column when its shape matches the
-// rule's bounds encoder, and returns candidates carrying their own
-// column (unless the merge phase is SB, which has no use for one).
+// runs the configured local kernel over g, reusing the group's
+// Z-address column when its shape matches the rule's bounds encoder,
+// and returns candidates carrying their own column (unless the merge
+// phase is SB, which has no use for one).
 func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
-	return r.localSkylineGroup(g, tally, true)
-}
-
-// localSkylineGroup runs the configured local kernel over g. carryZ
-// selects whether the result should carry a bounds-encoder column for
-// the merge phase; the slice adapter skips that work.
-func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Group {
 	out := Group{Gid: g.Gid, Block: point.Block{Dims: g.Block.Dims}}
 	n := g.Block.Len()
 	if n == 0 {
@@ -369,7 +345,7 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 		}
 		return out
 	}
-	carryZ = carryZ && r.merge != MergeSB
+	carryZ := r.merge != MergeSB
 	if r.local == ZS {
 		if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
 			// Encode-once: the column is bounds-encoded, so the kernel must
@@ -434,7 +410,7 @@ func (r *Rule) mapChunk(ctx context.Context, pts []point.Point, tally *metrics.T
 }
 
 // MapBlock is MapChunk over a contiguous block — the phase-2 hot path.
-// Routing reuses one Router's scratch across all rows and routed points
+// Routing reuses one router's scratch across all rows and routed points
 // accumulate in per-group arenas, so the per-point cost is zero
 // allocations. On the Z-order path under Pareto the address computed
 // for routing is appended to the group's Z-address column, so it is
@@ -450,14 +426,14 @@ func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally
 	// Under a non-Pareto relation the provider kernels derive what they
 	// need themselves, so survivors travel without a column.
 	keepZ := r.assignFn == nil && r.pareto()
-	rt := r.NewRouter()
+	rt := r.newRouter()
 	at := map[int]int{} // gid -> its index in out.Groups and arenas
 	var arenas []*point.BlockBuilder
 	var out MapOutput
 	rows := b.Len()
 	for i := 0; i < rows; i++ {
 		p := b.Row(i)
-		gid, ok := rt.Route(p)
+		gid, ok := rt.route(p)
 		if !ok {
 			out.Filtered++
 			continue
@@ -474,7 +450,7 @@ func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally
 		}
 		arenas[k].Append(p)
 		if keepZ {
-			out.Groups[k].ZCol.AppendAddr(rt.Z())
+			out.Groups[k].ZCol.AppendAddr(rt.z)
 		}
 	}
 	tally.AddPointsPruned(out.Filtered)
@@ -544,15 +520,9 @@ func (r *Rule) survivorsOf(n int) int {
 	return min(n, n*r.skySize/r.sampleSize+n/16+16)
 }
 
-// MergeGroups is one phase-3 merge task over candidate groups, in the
+// MergeGroupsZ is one phase-3 merge task over candidate groups, in the
 // given order: Z-merge one ZB-tree per group (Algorithm 4), or the
-// ZS / SB recompute baselines. Slice adapter over MergeGroupsZ.
-func (r *Rule) MergeGroups(groups []Group, tally *metrics.Tally) []point.Point {
-	return r.MergeGroupsZ(groups, tally).Block.Points()
-}
-
-// MergeGroupsZ is one phase-3 merge task on the encode-once path. For
-// the Z-order merges it concatenates the groups' blocks and Z-address
+// ZS / SB recompute baselines. For the Z-order merges it concatenates the groups' blocks and Z-address
 // columns into one shared columnar store (encoding only rows whose
 // groups arrived without a column), builds index-based ZB-trees over
 // row ranges of that store, and Z-merges (or Z-searches) without

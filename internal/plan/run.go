@@ -15,7 +15,7 @@ import (
 
 // Report describes one pipeline run at the plan level: the phase
 // numbers every substrate shares. Substrates wrap it with their own
-// execution statistics (job stats, worker counts).
+// execution statistics (worker counts, wire bytes).
 type Report struct {
 	// Phase wall-clock durations. Preprocess covers ingest, sampling,
 	// rule learning, and the broadcast.
@@ -39,8 +39,13 @@ type Report struct {
 	// Filtered counts input points dropped by the SZB-tree filter or by
 	// pruned partitions before the shuffle.
 	Filtered int64
+	// PerGroupInput counts the rows routed to each group (indexed by
+	// gid), as the reduce phase receives them: the paper's first balance
+	// goal. It sums to the input size minus Filtered.
+	PerGroupInput []int
 	// Candidates is the phase-2 output size; PerGroupCandidates its
-	// per-group breakdown (indexed by gid).
+	// per-group breakdown (indexed by gid), the paper's second balance
+	// goal.
 	Candidates         int
 	PerGroupCandidates []int
 	// SkylineSize is |S|.
@@ -90,7 +95,6 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 		return nil, &Report{}, nil
 	}
 	d := newDriver(spec, ex, tally)
-	rep := d.rep
 
 	// ---- Phase 1: preprocessing on the master ----
 	learnSpan, lctx := obs.StartSpan(ctx, "learn")
@@ -101,7 +105,7 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 	}
 	if n == 0 {
 		learnSpan.End()
-		return nil, rep, nil
+		return nil, d.rep, nil
 	}
 	rows := make([]point.Point, 0, n)
 	for _, b := range blocks {
@@ -114,13 +118,12 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 	}
 
 	// ---- Phase 2: compute skyline candidates ----
-	t1 := time.Now()
-	groups, filtered, err := runPhase2(ctx, r, blocks, chunks, ex, tally)
+	groups, err := d.phase2(ctx, r, len(chunks), func(mctx context.Context) ([]MapOutput, error) {
+		return ex.RunMaps(mctx, r, chunks, tally)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Phase2 = time.Since(t1)
-	rep.Filtered = filtered
 
 	// ---- Phase 3: merge skyline candidates ----
 	return d.mergeAndReport(ctx, r, groups, n, func() []point.Block { return blocks })
@@ -132,7 +135,6 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 // a non-transitive relation ever packs the whole input.
 func runRows(ctx context.Context, spec *Spec, ds *point.Dataset, ex *LocalExec, tally *metrics.Tally) ([]point.Point, *Report, error) {
 	d := newDriver(spec, ex, tally)
-	rep := d.rep
 
 	learnSpan, lctx := obs.StartSpan(ctx, "learn")
 	mins, maxs, err := ds.Bounds()
@@ -146,22 +148,12 @@ func runRows(ctx context.Context, spec *Spec, ds *point.Dataset, ex *LocalExec, 
 		return nil, nil, err
 	}
 
-	t1 := time.Now()
-	mapSpan, mctx := obs.StartSpan(ctx, "map")
-	mapSpan.SetAttr("tasks", len(chunks))
-	outs, err := ex.runRowMaps(mctx, r, chunks, tally)
+	groups, err := d.phase2(ctx, r, len(chunks), func(mctx context.Context) ([]MapOutput, error) {
+		return ex.runRowMaps(mctx, r, chunks, tally)
+	})
 	if err != nil {
-		mapSpan.End()
 		return nil, nil, err
 	}
-	groups, filtered := gather(r, outs)
-	mapSpan.SetAttr("filtered", filtered)
-	mapSpan.End()
-	if groups, err = reducePhase(ctx, ex, r, groups, tally); err != nil {
-		return nil, nil, err
-	}
-	rep.Phase2 = time.Since(t1)
-	rep.Filtered = filtered
 
 	full := func() []point.Block { return []point.Block{point.BlockOf(ds.Dims, ds.Points)} }
 	return d.mergeAndReport(ctx, r, groups, ds.Len(), full)
@@ -211,14 +203,10 @@ func (d *driver) learn(ctx context.Context, span *obs.Span, dims int, mins, maxs
 // run's totals on the report and on ctx's current span.
 func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n int, full func() []point.Block) ([]point.Point, *Report, error) {
 	rep := d.rep
-	perGroup := make([]int, rep.Groups)
 	for _, g := range groups {
 		rep.Candidates += g.Len()
-		if g.Gid >= 0 && g.Gid < len(perGroup) {
-			perGroup[g.Gid] += g.Len()
-		}
 	}
-	rep.PerGroupCandidates = perGroup
+	rep.PerGroupCandidates = perGroup(rep.Groups, groups)
 
 	t2 := time.Now()
 	sky, err := MergePhase(ctx, d.ex, r, groups, d.spec.TreeMerge, d.tally)
@@ -236,6 +224,7 @@ func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n 
 		sp.SetAttr("points", n)
 		sp.SetAttr("skyline", rep.SkylineSize)
 		sp.SetAttr("candidates", rep.Candidates)
+		sp.SetAttr("input_balance", metrics.NewBalance(rep.PerGroupInput).String())
 		sp.SetAttr("candidate_balance", metrics.NewBalance(rep.PerGroupCandidates).String())
 	}
 	return sky, rep, nil
@@ -299,27 +288,40 @@ func ingest(src point.Source, spec *Spec) (blocks []point.Block, mins, maxs []fl
 	return blocks, mins, maxs, n, nil
 }
 
-// runPhase2 prefers the substrate's fused map-reduce when offered,
-// falling back to map tasks + coordinator-side shuffle + reduce tasks.
-// The split path emits the taxonomy's map and local-skyline spans; a
-// fused MapReducer is responsible for emitting them itself (see the
-// interface contract).
-func runPhase2(ctx context.Context, r *Rule, blocks, chunks []point.Block, ex Executor, tally *metrics.Tally) ([]Group, int64, error) {
-	if mr, ok := ex.(MapReducer); ok {
-		return mr.MapReduce(ctx, r, blocks, tally)
-	}
+// phase2 is phase 2 (§5.2): maps runs the phase's map tasks (tasks of
+// them) under the taxonomy's map span; their survivors are gathered into
+// groups, what each group receives is recorded, and every group is
+// reduced to its skyline candidates under the local-skyline span.
+func (d *driver) phase2(ctx context.Context, r *Rule, tasks int, maps func(context.Context) ([]MapOutput, error)) ([]Group, error) {
+	start := time.Now()
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
-	mapSpan.SetAttr("tasks", len(chunks))
-	outs, err := ex.RunMaps(mctx, r, chunks, tally)
+	mapSpan.SetAttr("tasks", tasks)
+	outs, err := maps(mctx)
 	if err != nil {
 		mapSpan.End()
-		return nil, 0, err
+		return nil, err
 	}
 	groups, filtered := gather(r, outs)
 	mapSpan.SetAttr("filtered", filtered)
 	mapSpan.End()
-	groups, err = reducePhase(ctx, ex, r, groups, tally)
-	return groups, filtered, err
+	d.rep.Filtered = filtered
+	d.rep.PerGroupInput = perGroup(d.rep.Groups, groups)
+	if groups, err = reducePhase(ctx, d.ex, r, groups, d.tally); err != nil {
+		return nil, err
+	}
+	d.rep.Phase2 = time.Since(start)
+	return groups, nil
+}
+
+// perGroup counts the rows of groups per gid, over n groups.
+func perGroup(n int, groups []Group) []int {
+	counts := make([]int, n)
+	for _, g := range groups {
+		if g.Gid >= 0 && g.Gid < n {
+			counts[g.Gid] += g.Len()
+		}
+	}
+	return counts
 }
 
 // gather turns map outputs into the reduce phase's groups: a shuffle by

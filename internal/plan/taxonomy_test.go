@@ -3,8 +3,8 @@ package plan_test
 // Cross-executor span taxonomy: a traced run must emit the same
 // top-level phase spans — learn, map, local-skyline, then merge/round-1
 // up to however many rounds the executor's merge schedule takes —
-// whether it executes on the in-process MapReduce simulator (core),
-// the TCP coordinator/worker deployment (dist, over loopback), or the
+// whether it executes through the engine (core), the TCP
+// coordinator/worker deployment (dist, over loopback), or the
 // shared-memory pool (parallel). The uniform taxonomy is what makes
 // trace reports comparable across deployment substrates.
 
@@ -46,8 +46,8 @@ func assertTaxonomy(t *testing.T, label string, got []string) {
 func TestSpanTaxonomyUniformAcrossExecutors(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 2000, 4, 7)
 
-	// Core: fused simulator — the MapReducer reconstructs map and
-	// local-skyline spans from the job's phase walls.
+	// Core: plan.Run on the engine's own LocalExec — the same driver
+	// spans as parallel, under a Z-order strategy with one merge task.
 	coreTr := obs.NewTrace("core")
 	{
 		cfg := core.Defaults()

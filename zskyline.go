@@ -11,12 +11,13 @@
 // The library's centerpiece is the paper's three-phase pipeline:
 // Z-order-curve partitioning with dominance-based partition grouping
 // (ZDG), per-group skyline computation with Z-search over ZB-trees,
-// and candidate merging with Z-merge — all executed on an in-process
-// MapReduce substrate whose workers model the paper's Hadoop cluster.
-// The classic Grid, Angle, Random and MR-GPMRS schemes are included as
-// baselines, as are the sequential BNL/sort-based algorithms.
+// and candidate merging with Z-merge — executed by an Engine on its own
+// goroutine pool, the paper's two Hadoop jobs becoming map, reduce and
+// merge tasks. The classic Grid, Angle,
+// Random and MR-GPMRS schemes are included as baselines, as are the
+// sequential BNL/sort-based algorithms.
 //
-// The same pipeline also runs on a shared-memory goroutine pool and,
+// The same pipeline also runs as a shared-memory parallel solver and,
 // via the skydist/skyworker commands, across real processes over TCP
 // with fault tolerance (per-attempt deadlines, retries with backoff,
 // worker resurrection with rule re-broadcast, optional hedging); all
