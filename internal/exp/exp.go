@@ -7,9 +7,8 @@
 //
 // Dataset sizes are the paper's divided by 1000 by default (the paper
 // runs 10M-110M points on a cluster; we run goroutine workers), and
-// scale linearly with Params.Scale. The pipeline's runs execute on the
-// engine's worker pool; only the MR-GPMRS baseline still runs on the
-// MapReduce simulator.
+// scale linearly with Params.Scale. Every run, the MR-GPMRS baseline's
+// included, executes on a goroutine pool of Params.Workers.
 package exp
 
 import (

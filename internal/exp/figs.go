@@ -368,9 +368,11 @@ func runFig11(ctx context.Context, p Params) (*Table, error) {
 func runFig12(ctx context.Context, p Params) (*Table, error) {
 	p = p.normalize()
 	t := &Table{
-		ID:      "fig12",
-		Title:   "Scalability: Grid+ZS vs Angle+ZS vs MR-GPMRS vs ZDG+ZM",
-		Columns: []string{"n (x1000*scale)", "Grid+ZS (ms)", "Angle+ZS (ms)", "MR-GPMRS (ms)", "ZDG+ZM (ms)"},
+		ID:    "fig12",
+		Title: "Scalability: Grid+ZS vs Angle+ZS vs MR-GPMRS vs ZDG+ZM",
+		Columns: []string{"n (x1000*scale)", "Grid+ZS (ms)", "Angle+ZS (ms)", "MR-GPMRS (ms)", "ZDG+ZM (ms)",
+			"ZDG+ZM cands", "MR-GPMRS cands", "MR-GPMRS dup"},
+		Notes: "cands = local-skyline candidates entering the merge; dup = candidate copies MR-GPMRS sends to foreign merge reducers",
 	}
 	for _, x := range []int{2, 10, 20, 30} {
 		ds := gen.Synthetic(gen.Independent, p.n(x), 8, p.Seed)
@@ -390,7 +392,8 @@ func runFig12(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprint(x), ms(grid.Total), ms(angle.Total), ms(gp.Total), ms(zdg.Total))
+		t.AddRow(fmt.Sprint(x), ms(grid.Total), ms(angle.Total), ms(gp.Total), ms(zdg.Total),
+			fmt.Sprint(zdg.Candidates), fmt.Sprint(gp.Candidates), fmt.Sprint(gp.DuplicatedRecords))
 	}
 	return t, nil
 }

@@ -5,17 +5,25 @@
 //  1. Learn a median split per (used) dimension from a sample; each
 //     point maps to a binary grid cell, identified by a bitmask with
 //     bit i set when the point is above dimension i's median.
-//  2. Job 1 computes the global cell bitstring (which cells are
-//     non-empty) and drops every point whose cell is fully dominated
-//     by a non-empty cell (with two divisions per dimension, cell a
-//     fully dominates cell b only when a is all-zeros and b all-ones
-//     in the dimensions where they differ in the strict sense below).
-//  3. Local skylines are computed per cell (combiners + reducers).
+//  2. The global cell bitstring (which cells are non-empty) decides
+//     which cell is fully dominated by a non-empty cell (with two
+//     divisions per dimension, only the all-ones cell can be, by the
+//     all-zeros cell).
+//  3. Job 1 computes local skylines per cell: 2×Workers map tasks
+//     cell-tag their rows, drop the dominated cell and SB-combine per
+//     cell, then Reducers tasks SB the cells they own (cell c belongs
+//     to reducer c mod Reducers).
 //  4. Job 2 merges globally with MULTIPLE reducers — GPMRS's
 //     distinguishing trick: each reducer owns a subset of cells and
 //     receives, besides its own candidates, copies of every candidate
 //     from subset-cells that could dominate into its territory, so all
 //     reducers verify independently and no single-node merge exists.
+//
+// Both jobs keep [12]'s task shape and run as task fan-outs on one
+// plan.LocalExec sized by Workers. Tasks share memory, so job 2's
+// reducers read the subset cells' candidates where job 1 left them;
+// the copies a cluster would ship are counted exactly
+// (Report.DuplicatedRecords), not made.
 //
 // The result is exact; the baseline's weakness in high dimensions
 // (cell pruning degrades, candidate duplication grows) is intrinsic to
@@ -28,8 +36,8 @@ import (
 	"sort"
 	"time"
 
-	"zskyline/internal/mapreduce"
 	"zskyline/internal/metrics"
+	"zskyline/internal/plan"
 	"zskyline/internal/point"
 	"zskyline/internal/sample"
 	"zskyline/internal/seq"
@@ -41,19 +49,16 @@ const MaxGridDims = 12
 
 // Config parameterizes a GPMRS run.
 type Config struct {
-	// Reducers is the number of merge reducers (the multi-reducer
-	// global skyline). Zero selects Workers.
+	// Reducers is the number of reduce tasks in each job (the
+	// multi-reducer global skyline). Zero selects Workers.
 	Reducers int
-	// Workers is the simulated cluster size.
+	// Workers sizes the task pool both jobs run on; job 1 has 2×Workers
+	// map tasks. Zero selects 8.
 	Workers int
-	// MapSplits is the map-task count; zero selects 2x workers.
-	MapSplits int
 	// SampleRatio feeds the median estimation. Zero selects 0.02.
 	SampleRatio float64
 	// Seed drives sampling.
 	Seed int64
-	// Cluster optionally supplies a prebuilt cluster.
-	Cluster *mapreduce.Cluster
 }
 
 // Report describes a run.
@@ -67,18 +72,12 @@ type Report struct {
 	// Candidates is the number of local-skyline candidates entering the
 	// global merge.
 	Candidates int
-	// DuplicatedRecords counts the candidate copies shipped to foreign
+	// DuplicatedRecords counts the candidate copies bound for foreign
 	// reducers during the merge — GPMRS's replication overhead.
 	DuplicatedRecords int64
-	Job1, Job2        *mapreduce.JobStats
 	Preprocess        time.Duration
 	Total             time.Duration
 	Tally             metrics.Snapshot
-}
-
-type cellPoint struct {
-	cell uint32
-	p    point.Point
 }
 
 // Skyline computes the exact skyline of ds with the MR-GPMRS scheme.
@@ -96,14 +95,7 @@ func Skyline(ctx context.Context, ds *point.Dataset, cfg Config) ([]point.Point,
 	if cfg.SampleRatio <= 0 {
 		cfg.SampleRatio = 0.02
 	}
-	cl := cfg.Cluster
-	if cl == nil {
-		cl = mapreduce.NewCluster(mapreduce.ClusterConfig{Workers: cfg.Workers})
-	}
-	splits := cfg.MapSplits
-	if splits <= 0 {
-		splits = 2 * cfg.Workers
-	}
+	ex := plan.NewLocalExec(cfg.Workers)
 	tally := &metrics.Tally{}
 	start := time.Now()
 
@@ -138,10 +130,10 @@ func Skyline(ctx context.Context, ds *point.Dataset, cfg Config) ([]point.Point,
 	}
 	rep.Preprocess = time.Since(t0)
 
-	// ---- Job 1: bitstring + dominated-cell filter + local skylines ----
-	// First pass (cheap, inline): global bitstring. The original
-	// computes it with a tiny MapReduce round; a scan is equivalent and
-	// keeps the job count at two, like the paper's pipeline.
+	// ---- Global bitstring and the dominated cell ----
+	// The original computes the bitstring with a tiny MapReduce round;
+	// a scan is equivalent and keeps the job count at two, like the
+	// paper's pipeline.
 	nonEmpty := map[uint32]bool{}
 	for _, p := range ds.Points {
 		nonEmpty[cellOf(p)] = true
@@ -152,129 +144,127 @@ func Skyline(ctx context.Context, ds *point.Dataset, cfg Config) ([]point.Point,
 	// a is the all-zeros cell and b the all-ones cell. Dropping is only
 	// sound when the grid spans all dataset dimensions (k == Dims);
 	// otherwise ungridded dimensions could break dominance.
-	dominated := map[uint32]bool{}
 	full := uint32(1)<<uint(k) - 1
-	if k == ds.Dims && nonEmpty[0] && nonEmpty[full] && full != 0 {
-		dominated[full] = true
+	dropFull := k == ds.Dims && nonEmpty[0] && nonEmpty[full] && full != 0
+	if dropFull {
+		rep.DroppedCells = 1
 	}
-	var filtered metrics.Tally
-	job1 := mapreduce.Job[point.Point, uint32, point.Point, cellPoint]{
-		Name: "gpmrs-local",
-		Map: func(_ *mapreduce.TaskContext, p point.Point, emit func(uint32, point.Point)) error {
-			c := cellOf(p)
-			if dominated[c] {
-				filtered.AddPointsPruned(1)
-				return nil
-			}
-			emit(c, p)
-			return nil
-		},
-		Combine: func(_ *mapreduce.TaskContext, _ uint32, vals []point.Point) []point.Point {
-			return seq.SB(vals, tally)
-		},
-		Reduce: func(_ *mapreduce.TaskContext, c uint32, vals []point.Point, emit func(cellPoint)) error {
-			for _, p := range seq.SB(vals, tally) {
-				emit(cellPoint{cell: c, p: p})
-			}
-			return nil
-		},
-		Partition: func(c uint32, n int) int { return int(c) % n },
-		Reducers:  cfg.Reducers,
-		SizeOf:    func(_ uint32, p point.Point) int { return 8*len(p) + 8 },
-		Tally:     tally,
-	}
-	cands, j1, err := mapreduce.Run(ctx, cl, job1, mapreduce.SplitSlice(ds.Points, splits))
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Job1 = j1
-	rep.FilteredPoints = filtered.Snapshot().PointsPruned
-	rep.DroppedCells = len(dominated)
-	rep.Candidates = len(cands)
-
-	// ---- Job 2: multi-reducer global merge ----
-	// targets[c] = reducers that own a non-empty cell c'' with
-	// c subset-of c'' (the cells whose candidates p could dominate),
-	// plus p's own reducer.
-	reducerOf := func(c uint32) int { return int(c) % cfg.Reducers }
-	targets := map[uint32][]int{}
 	cells := make([]uint32, 0, len(nonEmpty))
 	for c := range nonEmpty {
-		if !dominated[c] {
+		if !dropFull || c != full {
 			cells = append(cells, c)
 		}
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-	for _, c := range cells {
-		seen := map[int]bool{reducerOf(c): true}
-		list := []int{reducerOf(c)}
+	reducerOf := func(c uint32) int { return int(c) % cfg.Reducers }
+
+	// ---- Job 1 map: cell-tag, drop the dominated cell, SB-combine ----
+	rows := ds.Points
+	splits := min(2*cfg.Workers, len(rows))
+	combined := make([]map[uint32][]point.Point, splits)
+	filtered := make([]int64, splits)
+	err = ex.FanOut(ctx, splits, func(i int) {
+		byCell := map[uint32][]point.Point{}
+		for _, p := range rows[i*len(rows)/splits : (i+1)*len(rows)/splits] {
+			c := cellOf(p)
+			if dropFull && c == full {
+				filtered[i]++
+				continue
+			}
+			byCell[c] = append(byCell[c], p)
+		}
+		for c, vals := range byCell {
+			byCell[c] = seq.SB(vals, tally)
+		}
+		combined[i] = byCell
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("gpmrs: job 1 map: %w", err)
+	}
+	for _, f := range filtered {
+		rep.FilteredPoints += f
+	}
+
+	// ---- Job 1 reduce: each reducer SBs the cells it owns ----
+	// cands[j] is the local skyline of cells[j].
+	cands := make([][]point.Point, len(cells))
+	err = ex.FanOut(ctx, cfg.Reducers, func(r int) {
+		for j, c := range cells {
+			if reducerOf(c) != r {
+				continue
+			}
+			var vals []point.Point
+			for _, byCell := range combined {
+				vals = append(vals, byCell[c]...)
+			}
+			cands[j] = seq.SB(vals, tally)
+		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("gpmrs: job 1 reduce: %w", err)
+	}
+
+	// ---- Job 2: multi-reducer global merge ----
+	// A candidate of cell c goes to c's reducer and, as a copy, to the
+	// reducer of every cell c is a subset of: every dimension where c
+	// is "high", the superset is too, so c's points can dominate there.
+	seen := make([]bool, cfg.Reducers)
+	for j, c := range cells {
+		rep.Candidates += len(cands[j])
+		clear(seen)
+		seen[reducerOf(c)] = true
+		copies := 0
 		for _, sup := range cells {
-			// c subset-of sup: every dimension where c is "high", sup is
-			// too, so points of c can dominate points of sup.
-			if c&^sup == 0 && sup != c {
-				r := reducerOf(sup)
-				if !seen[r] {
-					seen[r] = true
-					list = append(list, r)
+			if r := reducerOf(sup); c&^sup == 0 && !seen[r] {
+				seen[r] = true
+				copies++
+			}
+		}
+		rep.DuplicatedRecords += int64(copies * len(cands[j]))
+	}
+	out := make([][]point.Point, cfg.Reducers)
+	err = ex.FanOut(ctx, cfg.Reducers, func(r int) {
+		var tests int64
+		for j, c := range cells {
+			if reducerOf(c) != r {
+				continue
+			}
+			for _, p := range cands[j] {
+				if !dominatedBySubsets(p, c, cells, cands, &tests) {
+					out[r] = append(out[r], p)
 				}
 			}
 		}
-		targets[c] = list
-	}
-	type taggedPoint struct {
-		cell    uint32
-		p       point.Point
-		primary bool
-	}
-	var duplicated metrics.Tally
-	job2 := mapreduce.Job[cellPoint, int, taggedPoint, point.Point]{
-		Name: "gpmrs-merge",
-		Map: func(_ *mapreduce.TaskContext, cp cellPoint, emit func(int, taggedPoint)) error {
-			own := reducerOf(cp.cell)
-			for _, r := range targets[cp.cell] {
-				emit(r, taggedPoint{cell: cp.cell, p: cp.p, primary: r == own})
-				if r != own {
-					duplicated.AddRecordsEmitted(1)
-				}
-			}
-			return nil
-		},
-		Reduce: func(_ *mapreduce.TaskContext, _ int, vals []taggedPoint, emit func(point.Point)) error {
-			for _, cand := range vals {
-				if !cand.primary {
-					continue
-				}
-				dominatedPt := false
-				for _, other := range vals {
-					// Only points from subset cells can dominate.
-					if other.cell&^cand.cell == 0 {
-						tally.AddDominanceTests(1)
-						if point.Dominates(other.p, cand.p) {
-							dominatedPt = true
-							break
-						}
-					}
-				}
-				if !dominatedPt {
-					emit(cand.p)
-				}
-			}
-			return nil
-		},
-		Partition: func(r, n int) int { return r % n },
-		Reducers:  cfg.Reducers,
-		SizeOf:    func(_ int, tp taggedPoint) int { return 8*len(tp.p) + 9 },
-		Tally:     tally,
-	}
-	sky, j2, err := mapreduce.Run(ctx, cl, job2, mapreduce.SplitSlice(cands, splits))
+		tally.AddDominanceTests(tests)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("gpmrs: job 2: %w", err)
 	}
-	rep.Job2 = j2
-	rep.DuplicatedRecords = duplicated.Snapshot().RecordsEmitted
+	var sky []point.Point
+	for _, part := range out {
+		sky = append(sky, part...)
+	}
 	rep.Total = time.Since(start)
 	rep.Tally = tally.Snapshot()
 	return sky, rep, nil
+}
+
+// dominatedBySubsets reports whether a candidate of cell c is dominated
+// by a candidate of c or of a subset cell — the only cells whose points
+// can dominate it — counting the dominance tests it makes.
+func dominatedBySubsets(p point.Point, c uint32, cells []uint32, cands [][]point.Point, tests *int64) bool {
+	for i, sub := range cells {
+		if sub&^c != 0 {
+			continue
+		}
+		for _, q := range cands[i] {
+			*tests++
+			if point.Dominates(q, p) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // String summarizes a report.

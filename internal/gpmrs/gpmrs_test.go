@@ -2,7 +2,10 @@ package gpmrs
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +16,16 @@ import (
 
 func sameSet(t *testing.T, got, want []point.Point, label string) {
 	t.Helper()
+	if err := diffSets(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// diffSets describes the first difference between two point sets, or
+// returns nil when they hold the same points.
+func diffSets(got, want []point.Point) error {
 	if len(got) != len(want) {
-		t.Fatalf("%s: got %d points, want %d", label, len(got), len(want))
+		return fmt.Errorf("got %d points, want %d", len(got), len(want))
 	}
 	g := append([]point.Point(nil), got...)
 	w := append([]point.Point(nil), want...)
@@ -22,9 +33,10 @@ func sameSet(t *testing.T, got, want []point.Point, label string) {
 	point.SortLexicographic(w)
 	for i := range g {
 		if !g[i].Equal(w[i]) {
-			t.Fatalf("%s: [%d] = %v, want %v", label, i, g[i], w[i])
+			return fmt.Errorf("[%d] = %v, want %v", i, g[i], w[i])
 		}
 	}
+	return nil
 }
 
 func TestEmptyAndNil(t *testing.T) {
@@ -142,11 +154,95 @@ func TestQuickGPMRSExact(t *testing.T) {
 			Seed:        seed,
 		})
 		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		return len(got) == len(seq.BruteForce(ds.Points))
+		if err := diffSets(got, seq.BruteForce(ds.Points)); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountsPinned pins every Report count on a fixed matrix. The
+// values were captured from a MapReduce-engine implementation of the
+// same two jobs; a change in any of them means the grid, the dropped
+// cell, the candidates or the copies the scheme describes changed.
+func TestCountsPinned(t *testing.T) {
+	type pin struct {
+		usedDims, nonEmpty, dropped int
+		filtered                    int64
+		candidates                  int
+		duplicated                  int64
+	}
+	cases := []struct {
+		dist     gen.Distribution
+		d        int
+		reducers int
+		want     pin
+	}{
+		{gen.Independent, 3, 1, pin{3, 8, 1, 472, 160, 0}},
+		{gen.Independent, 3, 5, pin{3, 8, 1, 472, 160, 210}},
+		{gen.Independent, 8, 1, pin{8, 256, 1, 6, 2878, 0}},
+		{gen.Independent, 8, 5, pin{8, 256, 1, 6, 2878, 10452}},
+		{gen.Correlated, 3, 1, pin{3, 8, 1, 1395, 48, 0}},
+		{gen.Correlated, 3, 5, pin{3, 8, 1, 1395, 48, 56}},
+		{gen.Correlated, 8, 1, pin{8, 162, 1, 1254, 392, 0}},
+		{gen.Correlated, 8, 5, pin{8, 162, 1, 1254, 392, 1120}},
+		{gen.AntiCorrelated, 3, 1, pin{3, 8, 1, 66, 198, 0}},
+		{gen.AntiCorrelated, 3, 5, pin{3, 8, 1, 66, 198, 342}},
+		{gen.AntiCorrelated, 8, 1, pin{8, 253, 0, 0, 2824, 0}},
+		{gen.AntiCorrelated, 8, 5, pin{8, 253, 0, 0, 2824, 10585}},
+	}
+	for _, tc := range cases {
+		label := fmt.Sprintf("%v/d=%d/reducers=%d", tc.dist, tc.d, tc.reducers)
+		ds := gen.Synthetic(tc.dist, 3000, tc.d, 29)
+		sky, rep, err := Skyline(context.Background(), ds, Config{Workers: 3, Reducers: tc.reducers, SampleRatio: 0.05, Seed: 29})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got := pin{rep.UsedDims, rep.NonEmptyCells, rep.DroppedCells, rep.FilteredPoints, rep.Candidates, rep.DuplicatedRecords}
+		if got != tc.want {
+			t.Errorf("%s: counts %+v, want %+v", label, got, tc.want)
+		}
+		sameSet(t, sky, seq.SB(ds.Points, nil), label)
+	}
+}
+
+// selfCancel is a context that cancels itself the second time a task
+// pool asks whether it is done. Nothing before job 1's map fan-out
+// consults the context, so with one worker the first map task runs
+// and the second is never admitted.
+type selfCancel struct {
+	context.Context
+	cancel context.CancelFunc
+	asked  *atomic.Int64
+}
+
+func (c selfCancel) Err() error {
+	if c.asked.Add(1) == 2 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+func TestCancelInsideJob1(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 4, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sc := selfCancel{Context: ctx, cancel: cancel, asked: &atomic.Int64{}}
+	sky, rep, err := Skyline(sc, ds, Config{Workers: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sky != nil || rep != nil {
+		t.Fatalf("cancelled run returned %d rows and report %v", len(sky), rep)
+	}
+	if sc.asked.Load() < 2 {
+		t.Fatalf("context consulted %d times; the cancel never fired inside job 1", sc.asked.Load())
 	}
 }

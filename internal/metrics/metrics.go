@@ -1,6 +1,6 @@
 // Package metrics provides the lightweight counters the library
 // threads through its algorithms so experiments can report dominance
-// tests, shuffle volume, and load-balance statistics the way the
+// tests, pruned points, and load-balance statistics the way the
 // paper's evaluation does.
 package metrics
 
@@ -17,8 +17,6 @@ type Tally struct {
 	dominanceTests atomic.Int64
 	regionTests    atomic.Int64
 	pointsPruned   atomic.Int64
-	bytesShuffled  atomic.Int64
-	recordsEmitted atomic.Int64
 }
 
 // AddDominanceTests records n exact point-vs-point dominance tests.
@@ -42,27 +40,14 @@ func (t *Tally) AddPointsPruned(n int64) {
 	}
 }
 
-// AddBytesShuffled records n bytes moved between map and reduce tasks.
-func (t *Tally) AddBytesShuffled(n int64) {
-	if t != nil {
-		t.bytesShuffled.Add(n)
-	}
-}
-
-// AddRecordsEmitted records n key/value records emitted.
-func (t *Tally) AddRecordsEmitted(n int64) {
-	if t != nil {
-		t.recordsEmitted.Add(n)
-	}
-}
-
 // Snapshot is an immutable copy of a Tally's counters.
 type Snapshot struct {
 	DominanceTests int64
 	RegionTests    int64
 	PointsPruned   int64
-	BytesShuffled  int64
-	RecordsEmitted int64
+	// BytesShuffled is always zero: nothing in the library shuffles
+	// records any more. The field stays for readers that still print it.
+	BytesShuffled int64
 }
 
 // Snapshot captures the current counter values.
@@ -74,8 +59,6 @@ func (t *Tally) Snapshot() Snapshot {
 		DominanceTests: t.dominanceTests.Load(),
 		RegionTests:    t.regionTests.Load(),
 		PointsPruned:   t.pointsPruned.Load(),
-		BytesShuffled:  t.bytesShuffled.Load(),
-		RecordsEmitted: t.recordsEmitted.Load(),
 	}
 }
 
@@ -85,8 +68,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		DominanceTests: s.DominanceTests + o.DominanceTests,
 		RegionTests:    s.RegionTests + o.RegionTests,
 		PointsPruned:   s.PointsPruned + o.PointsPruned,
-		BytesShuffled:  s.BytesShuffled + o.BytesShuffled,
-		RecordsEmitted: s.RecordsEmitted + o.RecordsEmitted,
 	}
 }
 
@@ -97,8 +78,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		DominanceTests: s.DominanceTests - o.DominanceTests,
 		RegionTests:    s.RegionTests - o.RegionTests,
 		PointsPruned:   s.PointsPruned - o.PointsPruned,
-		BytesShuffled:  s.BytesShuffled - o.BytesShuffled,
-		RecordsEmitted: s.RecordsEmitted - o.RecordsEmitted,
 	}
 }
 

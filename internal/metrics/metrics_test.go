@@ -12,8 +12,6 @@ func TestNilTallyIsSafe(t *testing.T) {
 	tal.AddDominanceTests(5)
 	tal.AddRegionTests(5)
 	tal.AddPointsPruned(5)
-	tal.AddBytesShuffled(5)
-	tal.AddRecordsEmitted(5)
 	if s := tal.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil tally snapshot = %+v, want zero", s)
 	}
@@ -28,21 +26,21 @@ func TestTallyConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				tal.AddDominanceTests(1)
-				tal.AddBytesShuffled(2)
+				tal.AddPointsPruned(2)
 			}
 		}()
 	}
 	wg.Wait()
 	s := tal.Snapshot()
-	if s.DominanceTests != 8000 || s.BytesShuffled != 16000 {
+	if s.DominanceTests != 8000 || s.PointsPruned != 16000 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }
 
 func TestSnapshotAdd(t *testing.T) {
-	a := Snapshot{DominanceTests: 1, RegionTests: 2, PointsPruned: 3, BytesShuffled: 4, RecordsEmitted: 5}
+	a := Snapshot{DominanceTests: 1, RegionTests: 2, PointsPruned: 3}
 	b := a.Add(a)
-	if b.DominanceTests != 2 || b.RecordsEmitted != 10 {
+	if b.DominanceTests != 2 || b.PointsPruned != 6 || b.Sub(a) != a {
 		t.Errorf("Add = %+v", b)
 	}
 }

@@ -29,10 +29,8 @@ type Attr struct {
 }
 
 // Span is one named, timed region of a run. Spans nest: children are
-// created with Child (started now) or ChildAt (reconstructed from a
-// measured start/duration). A Span
-// is safe for concurrent use — parallel tasks may attach children and
-// attributes to the same parent.
+// created with Child, started now. A Span is safe for concurrent use —
+// parallel tasks may attach children and attributes to the same parent.
 type Span struct {
 	name  string
 	start time.Time
@@ -130,20 +128,6 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	c := &Span{name: name, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
-// ChildAt attaches an already-measured child span — how code that only
-// learns a phase's timing after the fact still contributes an exact
-// span. The child is returned ended; attributes may still be set on it.
-func (s *Span) ChildAt(name string, start time.Time, dur time.Duration) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, start: start, dur: dur, ended: true}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

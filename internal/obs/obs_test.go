@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"zskyline/internal/metrics"
 )
@@ -44,18 +43,6 @@ func TestSpanSetAttrOverwrites(t *testing.T) {
 	}
 }
 
-func TestSpanChildAt(t *testing.T) {
-	tr := NewTrace("run")
-	start := time.Now().Add(-time.Second)
-	c := tr.Root().ChildAt("map", start, 250*time.Millisecond)
-	if c.Duration() != 250*time.Millisecond {
-		t.Fatalf("duration = %v", c.Duration())
-	}
-	if !c.Start().Equal(start) {
-		t.Fatalf("start = %v, want %v", c.Start(), start)
-	}
-}
-
 // TestSpanConcurrency hammers one parent from many goroutines; run
 // with -race to check the locking.
 func TestSpanConcurrency(t *testing.T) {
@@ -89,7 +76,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Finish()
 	sp = tr.Root().Child("x")
 	sp.SetAttr("k", "v")
-	sp.ChildAt("y", time.Now(), 0).End()
 	sp.End()
 	_ = sp.Children()
 	_ = sp.Attrs()

@@ -276,8 +276,6 @@ func (r *Registry) AbsorbTally(s metrics.Snapshot) {
 	r.Counter("zsky_dominance_tests_total").Add(s.DominanceTests)
 	r.Counter("zsky_region_tests_total").Add(s.RegionTests)
 	r.Counter("zsky_points_pruned_total").Add(s.PointsPruned)
-	r.Counter("zsky_shuffle_bytes_total").Add(s.BytesShuffled)
-	r.Counter("zsky_records_emitted_total").Add(s.RecordsEmitted)
 }
 
 // famView is a point-in-time copy of one family's structure, taken

@@ -76,13 +76,13 @@ func TestRegistryConcurrency(t *testing.T) {
 
 func TestAbsorbTally(t *testing.T) {
 	r := NewRegistry()
-	r.AbsorbTally(metrics.Snapshot{DominanceTests: 10, BytesShuffled: 99})
+	r.AbsorbTally(metrics.Snapshot{DominanceTests: 10, PointsPruned: 99})
 	r.AbsorbTally(metrics.Snapshot{DominanceTests: 5})
 	if got := r.Counter("zsky_dominance_tests_total").Value(); got != 15 {
 		t.Fatalf("dominance counter = %d, want 15", got)
 	}
-	if got := r.Counter("zsky_shuffle_bytes_total").Value(); got != 99 {
-		t.Fatalf("shuffle bytes counter = %d, want 99", got)
+	if got := r.Counter("zsky_points_pruned_total").Value(); got != 99 {
+		t.Fatalf("points pruned counter = %d, want 99", got)
 	}
 }
 

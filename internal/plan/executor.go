@@ -60,13 +60,13 @@ func NewLocalExec(workers int) *LocalExec {
 // Broadcast is a no-op in-process.
 func (ex *LocalExec) Broadcast(ctx context.Context, _ *Rule) error { return ctx.Err() }
 
-// run fans f over n indices on at most ex.workers goroutines, each
+// FanOut fans f over n indices on at most ex.workers goroutines, each
 // taking the next index until none is left. No index is taken once ctx
 // is done, and a panic inside f is recovered into the returned error
 // instead of killing the process. A task that watches ctx itself may
 // stop early without a word, so a context that is done when the last
 // task returns fails the whole call.
-func (ex *LocalExec) run(ctx context.Context, n int, f func(i int)) error {
+func (ex *LocalExec) FanOut(ctx context.Context, n int, f func(i int)) error {
 	var (
 		wg       sync.WaitGroup
 		next     atomic.Int64
@@ -114,7 +114,7 @@ const splitChunks = 2
 // RunMaps implements Executor.
 func (ex *LocalExec) RunMaps(ctx context.Context, r *Rule, chunks []point.Block, tally *metrics.Tally) ([]MapOutput, error) {
 	outs := make([]MapOutput, len(chunks))
-	err := ex.run(ctx, len(chunks), func(i int) {
+	err := ex.FanOut(ctx, len(chunks), func(i int) {
 		outs[i] = r.mapBlock(ctx, chunks[i], tally)
 	})
 	return outs, err
@@ -125,7 +125,7 @@ func (ex *LocalExec) RunMaps(ctx context.Context, r *Rule, chunks []point.Block,
 // blocks first (see runRows).
 func (ex *LocalExec) runRowMaps(ctx context.Context, r *Rule, chunks [][]point.Point, tally *metrics.Tally) ([]MapOutput, error) {
 	outs := make([]MapOutput, len(chunks))
-	err := ex.run(ctx, len(chunks), func(i int) {
+	err := ex.FanOut(ctx, len(chunks), func(i int) {
 		outs[i] = r.mapChunk(ctx, chunks[i], tally)
 	})
 	return outs, err
@@ -134,7 +134,7 @@ func (ex *LocalExec) runRowMaps(ctx context.Context, r *Rule, chunks [][]point.P
 // RunReduces implements Executor.
 func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error) {
 	outs := make([]Group, len(groups))
-	err := ex.run(ctx, len(groups), func(i int) {
+	err := ex.FanOut(ctx, len(groups), func(i int) {
 		outs[i] = r.LocalSkylineGroup(groups[i], tally)
 	})
 	return outs, err
@@ -148,7 +148,7 @@ func (ex *LocalExec) RunMerges(ctx context.Context, r *Rule, tasks [][]Group, ta
 		return ex.runSplitMerges(ctx, r, tasks, splitChunks*ex.workers/len(tasks), tally)
 	}
 	outs := make([]Group, len(tasks))
-	err := ex.run(ctx, len(tasks), func(i int) {
+	err := ex.FanOut(ctx, len(tasks), func(i int) {
 		outs[i] = r.MergeGroupsZ(tasks[i], tally)
 	})
 	return outs, err

@@ -17,7 +17,7 @@ func TestLocalExecStopsAdmissionOnCancel(t *testing.T) {
 	ex := NewLocalExec(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ex.run(ctx, 100, func(i int) {
+	err := ex.FanOut(ctx, 100, func(i int) {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
@@ -38,7 +38,7 @@ func TestLocalExecStopsAdmissionOnCancel(t *testing.T) {
 // not kill the process, and must not wedge the pool.
 func TestLocalExecRecoversPanic(t *testing.T) {
 	ex := NewLocalExec(4)
-	err := ex.run(context.Background(), 8, func(i int) {
+	err := ex.FanOut(context.Background(), 8, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -47,7 +47,7 @@ func TestLocalExecRecoversPanic(t *testing.T) {
 		t.Fatalf("err = %v, want task-5 panic error", err)
 	}
 	// The pool is reusable after a panic.
-	if err := ex.run(context.Background(), 4, func(int) {}); err != nil {
+	if err := ex.FanOut(context.Background(), 4, func(int) {}); err != nil {
 		t.Fatalf("pool wedged after panic: %v", err)
 	}
 }

@@ -7,8 +7,9 @@
 // Executor that says where tasks run:
 //
 //   - LocalExec is a shared-memory goroutine pool; internal/core runs
-//     the paper's strategies on it, and internal/parallel runs the
-//     Positional strategy;
+//     the paper's strategies on it, internal/parallel runs the
+//     Positional strategy, and internal/gpmrs fans the MR-GPMRS
+//     baseline's own tasks over it (LocalExec.FanOut);
 //   - internal/dist adapts a TCP coordinator, which maps and merges on
 //     its own LocalExec, and framed-transport workers that reduce
 //     (internal/transport).

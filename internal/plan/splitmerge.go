@@ -149,7 +149,7 @@ type step struct {
 // steps, and stops at the first that fails.
 func (ex *LocalExec) runSteps(ctx context.Context, steps ...step) error {
 	for _, s := range steps {
-		if err := ex.run(ctx, s.n, s.f); err != nil {
+		if err := ex.FanOut(ctx, s.n, s.f); err != nil {
 			return err
 		}
 	}

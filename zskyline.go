@@ -131,10 +131,14 @@ func Skyline(ctx context.Context, dims int, pts []Point) ([]Point, error) {
 // single-machine algorithm — handy as a reference and for small inputs.
 func SequentialSkyline(pts []Point) []Point { return seq.SB(pts, nil) }
 
-// GPMRSConfig parameterizes the MR-GPMRS baseline.
+// GPMRSConfig parameterizes the MR-GPMRS baseline: Workers sizes the
+// goroutine pool both of its jobs run on (job 1 has 2×Workers map
+// tasks), Reducers the reduce-task count of each job.
 type GPMRSConfig = gpmrs.Config
 
-// GPMRSReport describes an MR-GPMRS run.
+// GPMRSReport describes an MR-GPMRS run. Candidates and
+// DuplicatedRecords are its communication: the rows entering the
+// global merge and the copies its reducers would ship each other.
 type GPMRSReport = gpmrs.Report
 
 // GPMRSSkyline runs the MR-GPMRS baseline pipeline.
