@@ -245,8 +245,8 @@ func ParallelSkyline(ds *Dataset, opts ParallelOptions) ([]Point, error) {
 }
 
 // ParallelSkylineContext is ParallelSkyline honoring ctx: cancellation
-// is checked inside the filter pass (every 1024 rows of a shard),
-// between tasks and between merge rounds.
+// is checked inside the filter pass and the merge probes (every 1024
+// rows) and between tasks.
 func ParallelSkylineContext(ctx context.Context, ds *Dataset, opts ParallelOptions) ([]Point, error) {
 	return parallel.Skyline(ctx, ds, opts)
 }

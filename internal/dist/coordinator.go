@@ -84,6 +84,8 @@ type CoordinatorConfig struct {
 }
 
 // spec lowers the config to the backend-agnostic plan parameters.
+// Phase 3 runs on the coordinator's own pool under plan's one schedule:
+// one ZB-tree over every candidate, probed in row ranges.
 func (cfg *CoordinatorConfig) spec() *plan.Spec {
 	strat := plan.ZDG
 	if cfg.Heuristic {
@@ -103,12 +105,8 @@ func (cfg *CoordinatorConfig) spec() *plan.Spec {
 		Bits:        cfg.Bits,
 		Fanout:      cfg.Fanout,
 		Seed:        cfg.Seed,
-		// Phase 3 runs on the coordinator's own pool, scheduled as
-		// parallel schedules it: pairwise rounds, the lonely last ones
-		// split into probe ranges.
-		TreeMerge: true,
-		ChunkSize: cfg.ChunkSize,
-		Dominance: cfg.Dominance,
+		ChunkSize:   cfg.ChunkSize,
+		Dominance:   cfg.Dominance,
 	}
 }
 
@@ -1038,7 +1036,7 @@ func (c *Coordinator) resendRule(ctx context.Context, w int) error {
 // rpcExec is the plan.Executor that fans reduce tasks out over the
 // coordinator's worker connections, with failover. Everything else runs
 // on the embedded pool: RunMaps filters and routes every row before any
-// of it is shipped, and RunMerges merges where the reduce replies land.
+// of it is shipped, and phase 3 merges where the reduce replies land.
 // One rpcExec serves one query: Broadcast assigns the query's rule ID.
 type rpcExec struct {
 	*plan.LocalExec

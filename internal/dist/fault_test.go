@@ -155,11 +155,13 @@ func TestParseFaultPlan(t *testing.T) {
 // while the query stays exact.
 func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	// Worker 2 dies on its second reduce; workers 0 and 1 straggle on
-	// their first, so the resurrected worker 2 demonstrably picks up
-	// later ones: a reduce of this input takes well under a millisecond,
-	// and on a loaded box two free workers would drain all sixteen before
-	// worker 2 was handed its second.
-	straggle := FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond}
+	// every reduce, so the resurrected worker 2 demonstrably picks up
+	// later ones. A reduce of this input takes well under a millisecond:
+	// had workers 0 and 1 straggled only once, they could drain all the
+	// groups before a loaded box redialled worker 2. Straggling on every
+	// call, they need 100 ms per reduce — hundreds of milliseconds for the
+	// groups worker 2 leaves — against its 10 ms redial.
+	straggle := FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Count: 1 << 30, Action: FaultDelay, Delay: 100 * time.Millisecond}
 	slow, slow2 := NewFaultPlan(straggle), NewFaultPlan(straggle)
 	dying := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 2, Action: FaultSever})
 	var addrs []string

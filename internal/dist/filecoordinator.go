@@ -70,7 +70,7 @@ func (c *Coordinator) SkylineFile(ctx context.Context, path string) ([]point.Poi
 
 		// ---- Phase 3, on the coordinator's own pool ----
 		t2 := time.Now()
-		sky, err := plan.MergePhase(ctx, ex, r, groups, spec.TreeMerge, nil)
+		sky, err := plan.MergePhase(ctx, c.exec, r, groups, false, nil)
 		if err == nil && !r.Provider().Caps().Transitive {
 			sky, err = c.verifyFile(path, r.Provider(), sky)
 		}

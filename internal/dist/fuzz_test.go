@@ -122,19 +122,25 @@ func TestShardSkyWireCorpus(t *testing.T) {
 	}
 }
 
-// Batch-path message kinds FuzzWireMessages decodes, in its kind byte.
+// Message kinds FuzzWireMessages decodes, in its kind byte: the batch
+// path's, then the shard tier's that carry a batch as raw frames.
 const (
 	kindReduceArgs = iota
 	kindReduceReply
 	kindLoadRule
+	kindStoreShard
+	kindStageShard
+	kindPullShard
 	wireKinds
 )
 
 // wireCorpus is the seed corpus of FuzzWireMessages, keyed by message
-// kind: well-formed ReduceArgs / ReduceReply / LoadRuleArgs payloads, and
-// each way a payload can lie about its own size — cut short, trailing
-// bytes, a frame length or row count announcing more than follows, a
-// frame whose header disagrees with its payload.
+// kind: well-formed ReduceArgs / ReduceReply / LoadRuleArgs /
+// StoreShardArgs / StageShardArgs / PullShardReply payloads, and each way
+// a payload can lie about its own size — cut short, trailing bytes, a
+// frame length or row count announcing more than follows, a frame whose
+// header disagrees with its payload, block and Z frames that disagree
+// with each other.
 func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	t.Helper()
 	encode := func(m interface {
@@ -159,6 +165,29 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	rule := encode(LoadRuleArgs{Rule: RuleBlob{ID: 7,
 		Data:   plan.RuleData{Dims: 3, Bits: 12, Mins: []float64{0, 0, 0}, Maxs: []float64{1, 1, 1}, Local: plan.ZS},
 		Shards: UniformShardMap(1, 4, 2)}})
+	frame := func(m interface{ MarshalBinary() ([]byte, error) }) []byte {
+		b, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	bf, zf := frame(blk), frame(g.ZCol)
+	ebf, ezf := frame(empty.Block), frame(zorder.ZCol{Words: 1})
+	// One message of a frame-carrying kind around the given frames.
+	shardMsg := func(kind int, bf, zf []byte) []byte {
+		switch kind {
+		case kindStoreShard:
+			return encode(StoreShardArgs{RuleID: 7, MapVersion: 2, ShardID: 3, BlockFrame: bf, ZFrame: zf})
+		case kindStageShard:
+			return encode(StageShardArgs{ShardID: 3, Epoch: 9, BlockFrame: bf, ZFrame: zf})
+		}
+		return encode(PullShardReply{Rows: blk.Len(), Next: 4, Done: true, BlockFrame: bf, ZFrame: zf})
+	}
+	// Where each such kind's block frame length sits: after the rule ID,
+	// map version and shard ID; the shard ID and epoch; or the row count,
+	// cursor and done flag.
+	framesAt := map[int]int{kindStoreShard: 24, kindStageShard: 16, kindPullShard: 17}
 
 	patched := func(b []byte, off int, v uint32) []byte {
 		out := append([]byte(nil), b...)
@@ -167,12 +196,12 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	}
 	// ReduceArgs lead with an 8-byte rule ID, then both messages carry one
 	// group: gid(8) blockLen(4) [dims(4) rows(4) data] zcolLen(4) [words(4) rows(4) data].
-	lies := func(b []byte, groupAt int) map[string][]byte {
-		blockLenAt := groupAt + 8
+	// The shard messages carry the same two length-prefixed frames.
+	lies := func(b []byte, blockLenAt int) map[string][]byte {
 		zcolLenAt := blockLenAt + 4 + 8 + blk.Len()*3*8
 		return map[string][]byte{
 			"truncated":         b[:len(b)-5],
-			"no-group":          b[:groupAt],
+			"no-frames":         b[:blockLenAt],
 			"trailing":          append(append([]byte(nil), b...), 1, 2, 3),
 			"block-oversized":   patched(b, blockLenAt, 0xFFFFFFF0),   // frame longer than the payload
 			"rows-oversized":    patched(b, blockLenAt+8, 0xFFFFFFFF), // rows the frame does not hold
@@ -191,21 +220,35 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 		kindLoadRule: {"rule": rule},
 	}
 	bad = map[int]map[string][]byte{
-		kindReduceArgs:  lies(args, 8),
-		kindReduceReply: lies(reply, 0),
+		kindReduceArgs:  lies(args, 16),
+		kindReduceReply: lies(reply, 8),
 		kindLoadRule: {"truncated": rule[:len(rule)/2], "empty": nil,
 			"trailing": append(append([]byte(nil), rule...), 0), "garbage": []byte("not a gob stream")},
 	}
+	one := blk.Slice(0, 1)
+	for kind, at := range framesAt {
+		good[kind] = map[string][]byte{"batch": shardMsg(kind, bf, zf),
+			"seed": shardMsg(kind, nil, nil), "empty": shardMsg(kind, ebf, ezf)}
+		bad[kind] = lies(shardMsg(kind, bf, zf), at)
+		bad[kind]["frames-disagree"] = shardMsg(kind, bf, frame(enc.EncodeBlock(zorder.ZCol{}, one)))
+		bad[kind]["block-only"] = shardMsg(kind, bf, nil)
+		bad[kind]["zcol-only"] = shardMsg(kind, nil, zf)
+	}
+	done := shardMsg(kindPullShard, bf, zf)
+	done[framesAt[kindPullShard]-1] = 2 // a bool byte no encoder writes
+	bad[kindPullShard]["done-not-bool"] = done
 	return good, bad
 }
 
-// decodeWire decodes data as the message of the given kind and, when
-// the decoder accepts a hand-written frame, checks what acceptance
-// promises: nothing was allocated beyond what the payload itself holds,
-// and encoding the message again gives the payload back byte for byte.
+// decodeWire decodes data as the message of the given kind — for a shard
+// message, also its raw frames, as the worker does — and, when the
+// decoders accept a hand-written frame, checks what acceptance promises:
+// nothing was allocated beyond what the payload itself holds, and
+// encoding the message again gives the payload back byte for byte.
 func decodeWire(t testing.TB, kind int, data []byte) error {
 	t.Helper()
 	var g plan.Group
+	var frames [][]byte // a shard message's block and Z frames, still raw
 	var m interface {
 		AppendTo([]byte) ([]byte, error)
 	}
@@ -222,9 +265,36 @@ func decodeWire(t testing.TB, kind int, data []byte) error {
 			return err
 		}
 		g, m = a.Candidates, a
+	case kindStoreShard:
+		var a StoreShardArgs
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
+	case kindStageShard:
+		var a StageShardArgs
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
+	case kindPullShard:
+		var a PullShardReply
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
 	default:
 		var a LoadRuleArgs
 		return a.DecodeFrom(data) // gob: not canonical, so no round trip
+	}
+	if frames != nil {
+		if held := len(frames[0]) + len(frames[1]); held > len(data) {
+			t.Fatalf("a %d-byte payload decoded into %d bytes of frames", len(data), held)
+		}
+		var err error
+		if g, err = decodeShardFrames(3, frames[0], frames[1]); err != nil {
+			return err
+		}
 	}
 	if held := len(g.Block.Data)*8 + len(g.ZCol.Data)*8; held > len(data) {
 		t.Fatalf("a %d-byte payload decoded into %d bytes of rows and addresses", len(data), held)
@@ -260,8 +330,10 @@ func TestWireMessagesCorpus(t *testing.T) {
 }
 
 // FuzzWireMessages throws arbitrary bytes at the decoders a batch query
-// runs: the ReduceGroup request and reply and the rule broadcast. Each
-// must turn truncated, oversized-count and mismatched-width input into
+// runs — the ReduceGroup request and reply and the rule broadcast — and
+// at the shard tier's batch carriers: the StoreShard and StageShard
+// requests and the PullShard reply, with the block and Z frames inside
+// them decoded as the worker decodes them. Each must turn truncated, oversized-count and mismatched-width input into
 // an error — never a panic, and never an allocation sized by a length
 // field the payload does not back.
 func FuzzWireMessages(f *testing.F) {

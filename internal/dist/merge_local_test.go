@@ -35,8 +35,8 @@ func (c *cancelAtMerge) Err() error {
 }
 
 // TestCoordinatorMergesLocally pins where phase 3 of a batch query
-// runs: on the coordinator, under the one schedule there is (pairwise
-// rounds on its own pool). Per dominance relation, in memory and
+// runs: on the coordinator, under the one schedule there is (one
+// probed ZB-tree on its own pool). Per dominance relation, in memory and
 // streamed from a file: the result is the sequential oracle's and the
 // workers were asked for the rule and the reduces only; a
 // cluster that severs every connection on anything it is asked after
@@ -86,7 +86,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 				}
 				sameSet(t, got, want, "fault-free")
 				if rep.Groups < 3 {
-					t.Fatalf("%d groups: the merge rounds were not exercised", rep.Groups)
+					t.Fatalf("%d groups: the one-tree merge was not exercised", rep.Groups)
 				}
 				calls := checkBatchRPCs(t, coord, rep, sent, recv)
 

@@ -155,7 +155,7 @@ type ShardSkyArgs struct {
 
 // ShardSkyReply returns the shard-local skyline as one group (Gid =
 // shard ID) carrying its Z-address column, ready for the cross-shard
-// merge rounds, and how the replica produced it.
+// sweep, and how the replica produced it.
 type ShardSkyReply struct {
 	Group   GroupPoints
 	Outcome SkyOutcome

@@ -197,9 +197,14 @@ func (r *wireReader) u64() uint64 {
 
 func (r *wireReader) i64() int64 { return int64(r.u64()) }
 
+// bool reads a 1-byte bool; any byte but 0 or 1 is malformed, since an
+// encoder never writes one.
 func (r *wireReader) bool() bool {
 	b := r.take(1)
-	return b != nil && b[0] != 0
+	if b != nil && b[0] > 1 {
+		r.fail("dist: bool byte is %d", b[0])
+	}
+	return b != nil && b[0] == 1
 }
 
 // bytes reads a u32-length-prefixed byte string, copied out of the

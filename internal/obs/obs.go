@@ -5,7 +5,7 @@
 // pool core and parallel run on, and dist's TCP coordinator/workers)
 // emits the same span taxonomy
 //
-//	learn  ->  map  ->  local-skyline  ->  merge/round-N
+//	learn  ->  map  ->  local-skyline  ->  merge/round-1
 //
 // so a figure-style experiment is reproducible from one trace artifact
 // regardless of where it ran.

@@ -5,11 +5,11 @@
 // cut into one contiguous shard per worker, and each map task drops the
 // rows the sample skyline dominates and Z-encodes only the survivors,
 // reading the dataset's rows where they lie. Each shard's survivors are
-// solved with Z-search, and the shard skylines are combined by a
-// pairwise Z-merge tree whose last, lonely merges are split over the
-// idle workers. All of that is plan's; this package only fixes the
-// spec — the entry point for users who want the paper's algorithms on
-// one machine, not a simulated cluster.
+// solved with Z-search, and the shard skylines are merged on the same
+// workers: two shards probe each other's ZB-tree, three or more probe
+// one tree over all their rows. All of that is plan's; this package
+// only fixes the spec — the entry point for users who want the paper's
+// algorithms on one machine, not a simulated cluster.
 package parallel
 
 import (
@@ -66,14 +66,13 @@ const (
 )
 
 // Skyline computes the exact skyline of ds using opts.Workers
-// goroutines. ctx is honored inside the map tasks (every 1024 rows),
-// between tasks, and between merge rounds.
+// goroutines. ctx is honored inside the map tasks and the merge probes
+// (every 1024 rows) and between tasks.
 //
 // When ctx carries an obs trace, Skyline emits the library's uniform
 // span taxonomy, exactly as plan.Run produces it: learn (bounds, sample
 // skyline, SZB-tree), map (filter + encode, one task per shard),
-// local-skyline (per-shard Z-search) and merge/round-N (the pairwise
-// reduction).
+// local-skyline (per-shard Z-search) and merge/round-1 (the merge).
 func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Point, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil
@@ -86,7 +85,6 @@ func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Poin
 		M:           opts.Workers,
 		Delta:       1,
 		MapTasks:    opts.Workers,
-		TreeMerge:   true,
 		SampleRatio: sampleRatio,
 		Seed:        sampleSeed,
 		Bits:        opts.Bits,

@@ -102,7 +102,7 @@ func distSkyline(t *testing.T, ds *point.Dataset, addrs []string) []point.Point 
 	return sky
 }
 
-func planSkyline(t *testing.T, ds *point.Dataset, strategy plan.Strategy, treeMerge bool) []point.Point {
+func planSkyline(t *testing.T, ds *point.Dataset, strategy plan.Strategy) []point.Point {
 	t.Helper()
 	spec := &plan.Spec{
 		Strategy:    strategy,
@@ -113,7 +113,6 @@ func planSkyline(t *testing.T, ds *point.Dataset, strategy plan.Strategy, treeMe
 		SampleRatio: 0.05,
 		Bits:        12,
 		Seed:        99,
-		TreeMerge:   treeMerge,
 		MapTasks:    6,
 	}
 	if err := spec.Validate(); err != nil {
@@ -152,9 +151,8 @@ func TestExecutorsEquivalent(t *testing.T) {
 			sameSet(t, par, want, "parallel")
 
 			for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG, plan.Positional} {
-				sameSet(t, planSkyline(t, tc.ds, st, false), want, "plan/"+st.String())
+				sameSet(t, planSkyline(t, tc.ds, st), want, "plan/"+st.String())
 			}
-			sameSet(t, planSkyline(t, tc.ds, plan.ZDG, true), want, "plan/ZDG/tree")
 		})
 	}
 }

@@ -37,10 +37,9 @@ type Executor interface {
 	// RunReduces executes r.LocalSkylineGroup over each group, preserving
 	// group order and ids.
 	RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error)
-	// RunMerges executes r.MergeGroupsZ once per task, preserving task
-	// order. Results are Groups so the merged candidates keep their
-	// Z-address columns across tree-merge rounds.
-	RunMerges(ctx context.Context, r *Rule, tasks [][]Group, tally *metrics.Tally) ([]Group, error)
+	// pool is the in-process pool phase 3 runs on, where the candidates
+	// land: an executor gets it by embedding *LocalExec.
+	pool() *LocalExec
 }
 
 // LocalExec runs tasks on a bounded pool of goroutines in-process —
@@ -106,9 +105,9 @@ func (ex *LocalExec) FanOut(ctx context.Context, n int, f func(i int)) error {
 	return firstErr
 }
 
-// splitChunks is how many probe ranges a probeMerge cuts per idle
-// worker and side: the ranges cost unequal time, and a few per worker
-// even that out.
+// splitChunks is how many probe ranges a probeMerge cuts per worker
+// and side: the ranges cost unequal time, and a few per worker even
+// that out.
 const splitChunks = 2
 
 // RunMaps implements Executor.
@@ -140,16 +139,4 @@ func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, ta
 	return outs, err
 }
 
-// RunMerges implements Executor. A round with fewer pairwise merges
-// than half the pool would leave workers idle, so each merge is split
-// into enough probe ranges to occupy them (see probeMerge).
-func (ex *LocalExec) RunMerges(ctx context.Context, r *Rule, tasks [][]Group, tally *metrics.Tally) ([]Group, error) {
-	if len(tasks) > 0 && ex.workers >= 2*len(tasks) && r.splittable(tasks) {
-		return ex.runSplitMerges(ctx, r, tasks, splitChunks*ex.workers/len(tasks), tally)
-	}
-	outs := make([]Group, len(tasks))
-	err := ex.FanOut(ctx, len(tasks), func(i int) {
-		outs[i] = r.MergeGroupsZ(tasks[i], tally)
-	})
-	return outs, err
-}
+func (ex *LocalExec) pool() *LocalExec { return ex }

@@ -149,8 +149,8 @@ type Spec struct {
 	// DisableSZBFilter turns off the Algorithm 3 mapper filter against
 	// the sample-skyline ZB-tree (ablation experiments).
 	DisableSZBFilter bool
-	// TreeMerge runs phase 3 as rounds of pairwise merge tasks instead
-	// of the paper's single merge reducer.
+	// TreeMerge is ignored. It chose pairwise merge rounds for phase 3,
+	// which now has one schedule (see MergePhase).
 	TreeMerge bool
 	// MapTasks is the phase-2 map task count when ChunkSize is zero.
 	MapTasks int

@@ -8,13 +8,11 @@ import (
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
-	"zskyline/internal/zorder"
 )
 
 func positionalSpec() *Spec {
 	spec := validSpec()
 	spec.Strategy = Positional
-	spec.TreeMerge = true
 	spec.MapTasks = 5
 	return spec
 }
@@ -89,46 +87,6 @@ func TestPositionalWithoutFilter(t *testing.T) {
 	out := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)
 	if out.Filtered != 0 || len(out.Groups) != 1 || out.Groups[0].Len() != 500 || out.Groups[0].ZCol.Len() != 500 {
 		t.Errorf("filtered=%d groups=%d", out.Filtered, len(out.Groups))
-	}
-}
-
-// LocalExec splits a pairwise Z-merge over its idle workers; the result
-// must be the merge MergeGroupsZ computes, as a set, with a column that
-// still lines up — including when one side is empty or the sides share
-// coordinate-equal rows.
-func TestSplitMergeMatchesMergeGroupsZ(t *testing.T) {
-	ds := gen.Synthetic(gen.AntiCorrelated, 4000, 5, 8)
-	spec := positionalSpec()
-	r := learnRule(t, spec, ds)
-	half := func(lo, hi int) Group {
-		return r.LocalSkylineGroup(Group{Block: point.BlockOf(ds.Dims, ds.Points[lo:hi])}, nil)
-	}
-	a, b := half(0, 2000), half(2000, 4000)
-	dup := half(0, 2000) // coordinate-equal to a: neither copy dominates the other
-	empty := Group{Block: point.Block{Dims: ds.Dims}}
-	ex := NewLocalExec(4)
-	for name, pair := range map[string][]Group{"a+b": {a, b}, "a+a": {a, dup}, "a+empty": {a, empty}, "empty+b": {empty, b}} {
-		if !r.splittable([][]Group{pair}) {
-			t.Fatalf("%s: pairwise Pareto Z-merge not splittable", name)
-		}
-		outs, err := ex.RunMerges(context.Background(), r, [][]Group{pair}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := r.MergeGroupsZ(pair, nil)
-		sameSet(t, outs[0].Points(), want.Points(), name)
-		zc := r.Encoder().EncodeBlock(zorder.ZCol{}, outs[0].Block)
-		if outs[0].ZCol.Len() != outs[0].Len() || string(mustBinary(t, zc)) != string(mustBinary(t, outs[0].ZCol)) {
-			t.Errorf("%s: merged column does not match its rows", name)
-		}
-	}
-	// Three groups in one task, or a recompute merge, stay on the plain path.
-	if r.splittable([][]Group{{a, b, dup}}) {
-		t.Error("three-way merge reported splittable")
-	}
-	spec.Merge = MergeZS
-	if learnRule(t, spec, ds).splittable([][]Group{{a, b}}) {
-		t.Error("ZS recompute merge reported splittable")
 	}
 }
 

@@ -520,14 +520,16 @@ func (r *Rule) survivorsOf(n int) int {
 	return min(n, n*r.skySize/r.sampleSize+n/16+16)
 }
 
-// MergeGroupsZ is one phase-3 merge task over candidate groups, in the
-// given order: Z-merge one ZB-tree per group (Algorithm 4), or the
-// ZS / SB recompute baselines. For the Z-order merges it concatenates the groups' blocks and Z-address
-// columns into one shared columnar store (encoding only rows whose
-// groups arrived without a column), builds index-based ZB-trees over
-// row ranges of that store, and Z-merges (or Z-searches) without
-// materializing a single per-point entry. The result carries its own
-// column so tree-merge rounds keep reusing addresses.
+// MergeGroupsZ is one merge task over candidate groups, in the given
+// order: Z-merge one ZB-tree per group (Algorithm 4), or the ZS / SB
+// recompute baselines. For the Z-order merges it concatenates the
+// groups' blocks and Z-address columns into one shared columnar store
+// (encoding only rows whose groups arrived without a column), builds
+// index-based ZB-trees over row ranges of that store, and Z-merges (or
+// Z-searches) without materializing a single per-point entry. The
+// result carries its own column so a later merge reuses its addresses.
+// Phase 3 runs it for the recompute merges and the non-Pareto
+// relations; a worker folds its shard cache with it.
 func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	total := 0
@@ -583,12 +585,6 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 // where it carries one and encoding only the rest. ranges holds each
 // group's [lo,hi) store rows.
 func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]int32) {
-	blk, zc, ranges := r.packCandidates(groups, total)
-	return zbtree.NewStoreWithZCol(r.enc, blk, zc), ranges
-}
-
-// packCandidates is candidateStore up to, and without, the store.
-func (r *Rule) packCandidates(groups []Group, total int) (point.Block, zorder.ZCol, [][2]int32) {
 	w := r.enc.Words()
 	bb := point.NewBlockBuilder(r.dims, total)
 	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
@@ -603,7 +599,7 @@ func (r *Rule) packCandidates(groups []Group, total int) (point.Block, zorder.ZC
 		}
 		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
 	}
-	return bb.Build(), zc, ranges
+	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc), ranges
 }
 
 // rowRange lists the store rows of one [lo,hi) range, for BuildRows to

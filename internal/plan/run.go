@@ -88,7 +88,7 @@ func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally 
 //
 // When ctx carries an obs trace (obs.ContextWithTrace), RunSource
 // emits the library's uniform span taxonomy — learn, map,
-// local-skyline, and merge/round-N — under the context's current span,
+// local-skyline, and merge/round-1 — under the context's current span,
 // so every substrate produces structurally identical trace reports.
 func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
 	if src == nil {
@@ -209,7 +209,7 @@ func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n 
 	rep.PerGroupCandidates = perGroup(rep.Groups, groups)
 
 	t2 := time.Now()
-	sky, err := MergePhase(ctx, d.ex, r, groups, d.spec.TreeMerge, d.tally)
+	sky, err := MergePhase(ctx, d.ex.pool(), r, groups, false, d.tally)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -360,57 +360,20 @@ func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tall
 	return groups, nil
 }
 
-// MergePhase is phase 3 (§5.3): one merge task over all candidate
-// groups, or — with tree set — rounds of pairwise merge tasks until a
-// single result remains, checking ctx between rounds. Each round is
-// one merge/round-N span.
-func MergePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tree bool, tally *metrics.Tally) ([]point.Point, error) {
+// MergePhase is phase 3 (§5.3) on ex's pool, as one merge/round-1 span
+// whatever the schedule (see LocalExec.merge). tree is ignored: it
+// chose pairwise merge rounds, which one probed tree replaced.
+func MergePhase(ctx context.Context, ex *LocalExec, r *Rule, groups []Group, tree bool, tally *metrics.Tally) ([]point.Point, error) {
 	if len(groups) == 0 {
 		return nil, nil
 	}
-	if !tree || len(groups) <= 2 {
-		sp, mctx := obs.StartSpan(ctx, "merge/round-1")
-		sp.SetAttr("tasks", 1)
-		sp.SetAttr("groups", len(groups))
-		outs, err := ex.RunMerges(mctx, r, [][]Group{groups}, tally)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		sp.SetAttr("skyline", outs[0].Len())
-		sp.End()
-		return outs[0].Block.Points(), nil
+	sp, mctx := obs.StartSpan(ctx, "merge/round-1")
+	defer sp.End()
+	sp.SetAttr("groups", len(groups))
+	out, err := ex.merge(mctx, r, groups, tally)
+	if err != nil {
+		return nil, err
 	}
-	for round := 1; len(groups) > 1; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tasks := make([][]Group, 0, (len(groups)+1)/2)
-		for i := 0; i+1 < len(groups); i += 2 {
-			tasks = append(tasks, []Group{groups[i], groups[i+1]})
-		}
-		sp, mctx := obs.StartSpan(ctx, fmt.Sprintf("merge/round-%d", round))
-		sp.SetAttr("tasks", len(tasks))
-		sp.SetAttr("groups", len(groups))
-		outs, err := ex.RunMerges(mctx, r, tasks, tally)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		sp.End()
-		// Merged groups keep their Z-address columns (when the executor
-		// carries them) so the next round's merge reuses every address.
-		next := make([]Group, 0, len(outs)+1)
-		for i, g := range outs {
-			g.Gid = i
-			next = append(next, g)
-		}
-		if len(groups)%2 == 1 {
-			last := groups[len(groups)-1]
-			last.Gid = len(next)
-			next = append(next, last)
-		}
-		groups = next
-	}
-	return groups[0].Points(), nil
+	sp.SetAttr("skyline", out.Len())
+	return out.Points(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"zskyline/internal/metrics"
 	"zskyline/internal/obs"
 	"zskyline/internal/point"
-	"zskyline/internal/zbtree"
 )
 
 // sweepReps is how many representative rows each side lends to the
@@ -47,10 +46,7 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 	switch {
 	case stats.Candidates == 0:
 	case !r.pareto():
-		var outs []Group
-		if outs, err = ex.RunMerges(ctx, r, [][]Group{groups}, tally); err == nil {
-			out = outs[0]
-		}
+		out, err = ex.mergeOne(ctx, r, groups, tally)
 	default:
 		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, stats.Candidates, tally)
 	}
@@ -73,8 +69,8 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 // dominates whatever the cleared row would have — so the trees lose
 // nothing by leaving it out.
 func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total int, tally *metrics.Tally) (Group, int, error) {
-	blk, zc, sides := r.packCandidates(groups, total)
-	m := newProbeMerge(zbtree.NewStoreWithZCol(r.enc, blk, zc), sides, true)
+	st, sides := r.candidateStore(groups, total)
+	m := newProbeMerge(st, sides, earlier)
 	// Side 0 answers to nothing. Later sides answer to more trees, so
 	// their ranges go first and the cheap ones fill in at the end.
 	for side := len(groups) - 1; side > 0; side-- {

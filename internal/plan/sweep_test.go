@@ -270,7 +270,7 @@ func TestSweepMergeCancelled(t *testing.T) {
 	groups := []Group{NewGroup(0, 2, []point.Point{{0.1, 0.1}}), NewGroup(1, 2, later)}
 
 	st, sides := r.candidateStore(groups, 1+len(later))
-	m := newProbeMerge(st, sides, true)
+	m := newProbeMerge(st, sides, earlier)
 	m.cut(1, 1)
 	m.build(0, r.fanout, nil)
 	m.probe(countdown(1), 0)
