@@ -122,10 +122,16 @@ func BenchmarkZMergeVsRecompute(b *testing.B) {
 	skyA := zbtree.ZSearch(enc, 16, a.Points, nil)
 	skyB := zbtree.ZSearch(enc, 16, c.Points, nil)
 	b.Run("zmerge", func(b *testing.B) {
+		st := zbtree.NewStore(enc, point.BlockOf(4, append(append([]Point{}, skyA...), skyB...)))
 		for i := 0; i < b.N; i++ {
-			ta := zbtree.BuildFromPoints(enc, 16, skyA, nil)
-			tb := zbtree.BuildFromPoints(enc, 16, skyB, nil)
-			zbtree.Merge(ta, tb)
+			rowsA, rowsB := make([]int32, len(skyA)), make([]int32, len(skyB))
+			for r := range rowsA {
+				rowsA[r] = int32(r)
+			}
+			for r := range rowsB {
+				rowsB[r] = int32(len(skyA) + r)
+			}
+			zbtree.MergeBlock(zbtree.BuildRows(st, 16, rowsA, nil), zbtree.BuildRows(st, 16, rowsB, nil))
 		}
 	})
 	b.Run("sb-recompute", func(b *testing.B) {

@@ -89,19 +89,22 @@ func ReadBinary(r io.Reader) (*point.Dataset, error) {
 	if count > 1<<40 {
 		return nil, fmt.Errorf("codec: implausible count %d", count)
 	}
+	// The header's counts are not trusted with an allocation: rows and
+	// coordinates grow as they arrive, so a short input claiming a huge
+	// payload fails having spent about what it holds.
 	crc := crc32.NewIEEE()
-	pts := make([]point.Point, count)
+	pts := make([]point.Point, 0, min(count, 1024))
 	buf := make([]byte, 8)
-	for i := range pts {
-		p := make(point.Point, dims)
+	for i := uint64(0); i < count; i++ {
+		p := make(point.Point, 0, min(dims, 1024))
 		for k := 0; k < dims; k++ {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("codec: truncated payload at point %d: %w", i, err)
 			}
 			crc.Write(buf)
-			p[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+			p = append(p, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 		}
-		pts[i] = p
+		pts = append(pts, p)
 	}
 	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("codec: missing checksum: %w", err)

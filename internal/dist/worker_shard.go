@@ -26,24 +26,20 @@ type residentShard struct {
 	sky    shardSkyline
 }
 
-// shardSkyline is a resident shard's lazily maintained skyline: group
-// is the skyline of groups[:k] under rule ruleID. Queries fold the
+// shardSkyline is a resident shard's lazily maintained skyline: fold
+// holds the skyline of groups[:k] under rule ruleID. Queries fold the
 // batches appended since into it (ShardSkyline); the store, stage and
 // pull paths never touch it. It lives inside the residentShard value,
 // so a handoff commit (wholesale replace) and a drop discard it along
 // with the rows it was computed from — there is nothing to invalidate.
-// Installed groups are immutable: replies alias them.
+// A fold installs a fresh group on every add, so replies alias them.
 type shardSkyline struct {
 	mu     sync.Mutex
 	ruleID uint64
 	k      int
-	group  plan.Group
-	// sorted records that group's column is non-decreasing, which is
-	// what lets a prefix range be cut out by binary search. The Z-order
-	// kernels emit Z-sorted rows; the SB kernel's first pass does not.
-	sorted bool
-	// rows mirrors group.Len() for ShardStats, which must not wait on mu
-	// behind a fold.
+	fold   *plan.Fold
+	// rows mirrors the fold's skyline size for ShardStats, which must
+	// not wait on mu behind a fold.
 	rows atomic.Int64
 }
 
@@ -197,53 +193,35 @@ func checkBounds(words int, lo, hi []uint64) error {
 
 // below brings the cached skyline up to date with groups — the
 // caller's snapshot of the shard's batches — and returns its rows
-// below hi (all of them when hi is empty) and how it got them.
-// Concurrent callers (hedge legs) serialize on the fold, so the work is
-// done once; a caller whose snapshot is older than the cache is
-// answered from the cache, a state the shard reached before the reply.
+// below hi (all of them when hi is empty) and how it got them. A bound
+// comes only with a Pareto rule, whose fold keeps its rows Z-sorted,
+// so the rows below it are a prefix. Concurrent callers (hedge legs)
+// serialize on the fold, so the work is done once; a caller whose
+// snapshot is older than the cache is answered from the cache, a state
+// the shard reached before the reply.
 func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, hi zorder.ZAddr) (plan.Group, SkyOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ruleID != ruleID {
+	if c.fold == nil || c.ruleID != ruleID {
 		// Another cluster's rule: its skyline says nothing under this one.
-		c.ruleID, c.k, c.group = ruleID, 0, plan.Group{}
+		c.ruleID, c.k, c.fold = ruleID, 0, plan.NewFold(r, nil)
 	}
 	outcome := SkyCached
 	if c.k < len(groups) {
-		sky := r.LocalSkylineGroup(concatGroups(groups[c.k:]), nil)
 		outcome = SkyComputed
 		if c.k > 0 {
-			sky = r.MergeGroupsZ([]plan.Group{c.group, sky}, nil)
 			outcome = SkyFolded
 		}
-		pareto := dominance.IsPareto(r.Provider())
-		if pareto && sky.ZCol.Len() != sky.Len() {
-			sky.ZCol = r.Encoder().EncodeBlock(zorder.ZCol{}, sky.Block)
-		}
-		c.group, c.k = sky, len(groups)
-		c.sorted = pareto && zSorted(sky.ZCol)
-		c.rows.Store(int64(sky.Len()))
+		c.fold.Add(concatGroups(groups[c.k:]))
+		c.k = len(groups)
+		c.rows.Store(int64(c.fold.Skyline().Len()))
 	}
-	out := c.group
-	switch {
-	case len(hi) == 0:
-	case c.sorted:
+	out := c.fold.Skyline()
+	if len(hi) > 0 {
 		n := sort.Search(out.Len(), func(i int) bool { return zorder.Compare(out.ZCol.At(i), hi) >= 0 })
 		out.Block, out.ZCol = out.Block.Slice(0, n), out.ZCol.Slice(0, n)
-	default:
-		out = filterGroupRange(out, zorder.Range{Hi: hi})
 	}
 	return out, outcome
-}
-
-// zSorted reports whether the column's addresses are non-decreasing.
-func zSorted(zc zorder.ZCol) bool {
-	for i := 1; i < zc.Len(); i++ {
-		if zc.Compare(i-1, i) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // rangeSkyline is the shard skyline restricted to rng, from the rows:

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -84,6 +85,62 @@ func TestInsertReturnsAcceptedCount(t *testing.T) {
 	}
 	if m.Size() != 1 {
 		t.Errorf("size = %d, want 1", m.Size())
+	}
+
+	// Random batches under Pareto and flex: the count is the number of
+	// batch rows nothing inserted so far dominates. Batches mix fresh
+	// rows, copies of current skyline rows, copies inside the batch, and
+	// rows a skyline row dominates; every fourth batch is only the last.
+	rng := rand.New(rand.NewSource(37))
+	const d = 3
+	for _, prov := range append([]dominance.Provider{dominance.Pareto{}}, transitiveProviders(t, d)[0]) {
+		m := newUnitUnder(t, prov, d, 8)
+		var all []point.Point
+		for batch := 0; batch < 40; batch++ {
+			sky := m.Skyline()
+			var pts []point.Point
+			for n := 1 + rng.Intn(30); len(pts) < n; {
+				k := rng.Intn(4)
+				if batch%4 == 3 {
+					k = 0
+				}
+				switch {
+				case k == 0 && len(sky) > 0:
+					q := sky[rng.Intn(len(sky))].Clone()
+					q[rng.Intn(d)] += 0.05
+					pts = append(pts, q)
+				case k == 1 && len(sky) > 0:
+					pts = append(pts, sky[rng.Intn(len(sky))].Clone())
+				case k == 2 && len(pts) > 0:
+					pts = append(pts, pts[rng.Intn(len(pts))].Clone())
+				default:
+					p := make(point.Point, d)
+					for i := range p {
+						p[i] = float64(rng.Intn(20)) / 20
+					}
+					pts = append(pts, p)
+				}
+			}
+			all = append(all, pts...)
+			want := 0
+		rows:
+			for _, p := range pts {
+				for _, q := range all {
+					if prov.Dominates(q, p) {
+						continue rows
+					}
+				}
+				want++
+			}
+			got, err := m.Insert(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s batch %d: accepted %d of %d rows, brute force says %d", prov.Name(), batch, got, len(pts), want)
+			}
+		}
+		sameSet(t, m.Skyline(), dominance.BruteForce(prov, all), prov.Name())
 	}
 }
 

@@ -529,7 +529,7 @@ func (r *Rule) survivorsOf(n int) int {
 // Z-searches) without materializing a single per-point entry. The
 // result carries its own column so a later merge reuses its addresses.
 // Phase 3 runs it for the recompute merges and the non-Pareto
-// relations; a worker folds its shard cache with it.
+// relations; a Fold runs its Z-merge branch.
 func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	total := 0
@@ -569,15 +569,22 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	var rows []int32
 	if r.merge == MergeZS {
 		rows = zbtree.BuildStore(st, r.fanout, tally).SkylineRows()
-	} else { // MergeZM: fold Z-merge over per-group trees (Algorithm 4)
-		acc := zbtree.NewBlockTree(st, r.fanout, tally)
-		for _, rg := range ranges {
-			acc = zbtree.MergeBlock(acc, zbtree.BuildRows(st, r.fanout, rowRange(rg), tally))
-		}
-		rows = acc.Rows()
+	} else {
+		rows = r.zmerge(st, ranges, tally)
 	}
 	out.Block, out.ZCol = st.CompactRows(rows)
 	return out
+}
+
+// zmerge folds Z-merge (Algorithm 4) over one ZB-tree per range of st,
+// each range a candidate skyline, and returns the surviving store rows
+// in Z-order.
+func (r *Rule) zmerge(st *zbtree.Store, ranges [][2]int32, tally *metrics.Tally) []int32 {
+	acc := zbtree.NewBlockTree(st, r.fanout, tally)
+	for _, rg := range ranges {
+		acc = zbtree.MergeBlock(acc, zbtree.BuildRows(st, r.fanout, rowRange(rg), tally))
+	}
+	return acc.Rows()
 }
 
 // candidateStore concatenates candidate groups (total rows in all)

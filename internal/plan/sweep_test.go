@@ -298,7 +298,11 @@ func TestSweepMergeCancelled(t *testing.T) {
 
 // BenchmarkClusterSweep100kD8 is the cross-shard merge of a cluster-mixed
 // sized query: 100k independent d=8 rows in eight uniform Z-range shards,
-// each reduced to its skyline up front, then swept.
+// each reduced to its skyline up front, then merged by the sweep the
+// cluster runs and by one tree over every candidate, as batch phase 3
+// runs. The straddle input is a range one shard wide across a cut: the
+// skylines of the half shards either side of it, merged by the sweep and
+// by the two-sided pair.
 func BenchmarkClusterSweep100kD8(b *testing.B) {
 	const dims, shards = 8, 8
 	r := clusterRule(b, dims, 16, ZS, dominance.Descriptor{})
@@ -306,24 +310,59 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 	for k := uint64(1); k < shards; k++ {
 		cuts = append(cuts, zorder.ZAddr{k << 61, 0})
 	}
-	groups := rangeSkylines(r, gen.Synthetic(gen.Independent, 100000, dims, 42).Points, cuts)
-	ex := NewLocalExec(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ex.SweepMerge(context.Background(), r, groups, nil); err != nil {
-			b.Fatal(err)
+	pts := gen.Synthetic(gen.Independent, 100000, dims, 42).Points
+	// From the middle of shard 3 to the middle of shard 4.
+	lo, hi := zorder.ZAddr{7 << 60, 0}, zorder.ZAddr{9 << 60, 0}
+	var across []point.Point
+	for _, p := range pts {
+		if z := r.Encoder().Encode(p); zorder.Compare(z, lo) >= 0 && zorder.Compare(z, hi) < 0 {
+			across = append(across, p)
 		}
 	}
-	// Counted outside the timed loop: a tally shared by two cores slows
-	// the probes it counts.
-	b.StopTimer()
-	tally := &metrics.Tally{}
-	_, stats, err := ex.SweepMerge(context.Background(), r, groups, tally)
-	if err != nil {
-		b.Fatal(err)
+	whole, straddle := rangeSkylines(r, pts, cuts), rangeSkylines(r, across, cuts[3:4])
+	ex := NewLocalExec(0)
+	sweep := func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
+		return ex.SweepMerge(context.Background(), r, groups, tally)
 	}
-	b.ReportMetric(float64(stats.Candidates), "candidates/op")
-	b.ReportMetric(float64(stats.RepKilled), "rep_killed/op")
-	b.ReportMetric(float64(stats.Skyline), "skyline/op")
-	b.ReportMetric(float64(tally.Snapshot().DominanceTests), "dom_tests/op")
+	probe := func(rc reach) func([]Group, *metrics.Tally) (Group, SweepStats, error) {
+		return func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
+			out, err := ex.probeGroups(context.Background(), r, groups, rc, tally)
+			return out, SweepStats{}, err
+		}
+	}
+	for _, arm := range []struct {
+		name   string
+		groups []Group
+		merge  func([]Group, *metrics.Tally) (Group, SweepStats, error)
+	}{
+		{"sweep", whole, sweep},
+		{"one-tree", whole, probe(every)},
+		{"straddle/sweep", straddle, sweep},
+		{"straddle/pair", straddle, probe(others)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := arm.merge(arm.groups, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Counted outside the timed loop: a tally shared by two cores
+			// slows the probes it counts.
+			b.StopTimer()
+			tally := &metrics.Tally{}
+			out, stats, err := arm.merge(arm.groups, tally)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cands := 0
+			for _, g := range arm.groups {
+				cands += g.Len()
+			}
+			b.ReportMetric(float64(cands), "candidates/op")
+			b.ReportMetric(float64(stats.RepKilled), "rep_killed/op")
+			b.ReportMetric(float64(out.Len()), "skyline/op")
+			b.ReportMetric(float64(tally.Snapshot().DominanceTests), "dom_tests/op")
+			b.ReportMetric(float64(tally.Snapshot().RegionTests), "region_tests/op")
+		})
+	}
 }

@@ -208,7 +208,7 @@ func TestStringRendering(t *testing.T) {
 // included (small integer domain).
 func TestDominatesRowsMatchesDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, d := range []int{1, 3, 4, 5, 7, 8, 9, 13} {
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
 		bb := NewBlockBuilder(d, 64)
 		for i := 0; i < 64; i++ {
 			for k, row := 0, bb.Extend(); k < d; k++ {

@@ -549,9 +549,9 @@ func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
 	}
 }
 
-// incomparableWith mirrors Tree.incomparableWith: a conservative,
-// depth-bounded check that no stored row and no float point of region
-// r can dominate one another.
+// incomparableWith is a conservative, depth-bounded check that no
+// stored row and no float point of region r can dominate one another,
+// so Z-merge can take a whole src branch without opening it.
 func (t *BlockTree) incomparableWith(r zorder.Region, depth int) bool {
 	if t.root < 0 {
 		return false
@@ -580,11 +580,10 @@ func (t *BlockTree) incomparable(c *probeCount, n int32, r zorder.Region, depth 
 }
 
 // MergeBlock implements Z-merge (Algorithm 4) over two trees sharing
-// one Store, mirroring Merge entry for entry: BFS over src, discard
-// branches an existing skyline row region-dominates, stash branches
-// incomparable with the whole skyline, and let surviving leaf rows
-// prune dominated sky rows before the final rebalance. Both inputs
-// must individually be skyline candidate sets.
+// one Store: BFS over src, discard branches an existing skyline row
+// region-dominates, stash branches incomparable with the whole skyline,
+// and let surviving leaf rows prune dominated sky rows before the final
+// rebalance. Both inputs must individually be skyline candidate sets.
 func MergeBlock(sky, src *BlockTree) *BlockTree {
 	if sky.st != src.st {
 		panic("zbtree: MergeBlock requires both trees to share one Store")
@@ -651,27 +650,4 @@ func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol
 	}
 	rows := BuildStore(st, fanout, tally).SkylineRows()
 	return st.CompactRows(rows)
-}
-
-// BuildFromBlockZ builds a legacy Tree over a block whose Z-addresses
-// were already encoded (one address per row). Entries reference the
-// block's rows and the column's addresses zero-copy; only the decoded
-// grid coordinates are materialized, in one arena. This is the bridge
-// for long-lived legacy-tree owners (incremental maintenance) to join
-// the encode-once path.
-func BuildFromBlockZ(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) *Tree {
-	n := b.Len()
-	if zc.Len() != n || zc.Words != enc.Words() {
-		panic(fmt.Sprintf("zbtree: zcol shape %d×%d does not match block %d rows under a %d-word encoder",
-			zc.Len(), zc.Words, n, enc.Words()))
-	}
-	entries := make([]Entry, n)
-	d := enc.Dims()
-	garena := make([]uint32, n*d)
-	for i := 0; i < n; i++ {
-		g := garena[i*d : (i+1)*d : (i+1)*d]
-		enc.DecodeGridInto(g, zc.At(i))
-		entries[i] = Entry{Z: zc.At(i), G: g, P: b.Row(i)}
-	}
-	return Build(enc, fanout, entries, tally)
 }

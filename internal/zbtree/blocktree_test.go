@@ -92,9 +92,9 @@ func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 	}
 }
 
-// MergeBlock over a shared store must agree with legacy Merge and the
-// brute-force skyline of the union.
-func TestMergeBlockMatchesLegacy(t *testing.T) {
+// MergeBlock over a shared store must agree with the brute-force
+// skyline of the union.
+func TestMergeBlockMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, kind := range []string{"correlated", "independent", "anti"} {
 		for _, d := range []int{2, 4, 8} {
@@ -106,8 +106,7 @@ func TestMergeBlockMatchesLegacy(t *testing.T) {
 			b := genBlock(rng, kind, 250, d)
 			skyA := seq.BruteForce(a.Points())
 			skyB := seq.BruteForce(b.Points())
-			want := Merge(BuildFromPoints(enc, 8, skyA, nil),
-				BuildFromPoints(enc, 8, skyB, nil)).Points()
+			want := seq.BruteForce(append(a.Points(), b.Points()...))
 
 			// Shared store over the concatenation of both candidate sets.
 			bb := point.NewBlockBuilder(d, len(skyA)+len(skyB))
@@ -133,25 +132,6 @@ func TestMergeBlockMatchesLegacy(t *testing.T) {
 			samePointSet(t, kind+"/merge", got.Points(), want)
 		}
 	}
-}
-
-// BuildFromBlockZ must produce a legacy tree indistinguishable from
-// BuildFromPoints over the same rows.
-func TestBuildFromBlockZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	b := genBlock(rng, "independent", 200, 6)
-	enc, err := zorder.NewUnitEncoder(6, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zc := enc.EncodeBlock(zorder.ZCol{}, b)
-	tr := BuildFromBlockZ(enc, 8, b, zc, nil)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := BuildFromPoints(enc, 8, b.Points(), nil)
-	samePointSet(t, "entries", tr.Points(), want.Points())
-	samePointSet(t, "skyline", tr.Skyline(), want.Skyline())
 }
 
 // A store's grid is quantized from its rows, and must equal both
@@ -289,8 +269,9 @@ func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 // BlockTree probes count their tests in locals and add them to the
 // shared tally once per probe; what they count must not drift. The
 // pointer Tree mirrors the block tree node for node and still counts as
-// it goes, so the two tallies must agree exactly — over a Z-search, and
-// over a Z-merge of two halves' skylines.
+// it goes, so over a Z-search the two tallies must agree exactly. The
+// Z-merge of two halves' skylines is pinned to the counts the pointer
+// tree's Z-merge made on this input, and to the brute-force skyline.
 func TestBlockTreeTallyMatchesTree(t *testing.T) {
 	enc, blk, zc := kernelBenchInput(t, 3000, 8)
 	pts := blk.Points()
@@ -301,10 +282,8 @@ func TestBlockTreeTallyMatchesTree(t *testing.T) {
 		t.Fatalf("Z-search: tree counted %+v, block tree %+v", tree.Snapshot(), block.Snapshot())
 	}
 
+	var merge metrics.Tally
 	half := len(pts) / 2
-	ta, tb := BuildFromPoints(enc, 0, pts[:half], nil).SkylineTree(), BuildFromPoints(enc, 0, pts[half:], nil).SkylineTree()
-	ta.tally, tb.tally = &tree, &tree
-	Merge(ta, tb)
 	st := NewStoreWithZCol(enc, blk, zc)
 	lo, hi := make([]int32, half), make([]int32, st.Len()-half)
 	for r := range lo {
@@ -313,9 +292,11 @@ func TestBlockTreeTallyMatchesTree(t *testing.T) {
 	for r := range hi {
 		hi[r] = int32(half + r)
 	}
-	MergeBlock(BuildRows(st, 0, BuildRows(st, 0, lo, nil).SkylineRows(), &block),
-		BuildRows(st, 0, BuildRows(st, 0, hi, nil).SkylineRows(), &block))
-	if tree.Snapshot() != block.Snapshot() {
-		t.Fatalf("Z-merge: tree counted %+v, block tree %+v", tree.Snapshot(), block.Snapshot())
+	merged := MergeBlock(BuildRows(st, 0, BuildRows(st, 0, lo, nil).SkylineRows(), &merge),
+		BuildRows(st, 0, BuildRows(st, 0, hi, nil).SkylineRows(), &merge))
+	if s := merge.Snapshot(); s.DominanceTests != 213294 || s.RegionTests != 33698 {
+		t.Fatalf("Z-merge counted %+v, want 213294 dominance and 33698 region tests", s)
 	}
+	got, _ := st.CompactRows(merged.Rows())
+	samePointSet(t, "Z-merge", got.Points(), seq.BruteForce(pts))
 }

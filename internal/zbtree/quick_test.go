@@ -87,7 +87,7 @@ func TestQuickSkylinePermutationInvariant(t *testing.T) {
 	}
 }
 
-// Property: Merge is order-insensitive — merging A into B and B into A
+// Property: Z-merge is order-insensitive — merging A into B and B into A
 // yield the same skyline set.
 func TestQuickMergeCommutes(t *testing.T) {
 	f := func(seed int64) bool {
@@ -104,8 +104,8 @@ func TestQuickMergeCommutes(t *testing.T) {
 		}
 		skyA := seq.BruteForce(ptsA)
 		skyB := seq.BruteForce(ptsB)
-		ab := Merge(BuildFromPoints(enc, 8, skyA, nil), BuildFromPoints(enc, 8, skyB, nil)).Points()
-		ba := Merge(BuildFromPoints(enc, 8, skyB, nil), BuildFromPoints(enc, 8, skyA, nil)).Points()
+		ab := mergeSkylines(enc, 8, nil, skyA, skyB)
+		ba := mergeSkylines(enc, 8, nil, skyB, skyA)
 		if len(ab) != len(ba) {
 			return false
 		}

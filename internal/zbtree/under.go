@@ -7,7 +7,7 @@ import (
 	"zskyline/internal/zorder"
 )
 
-// Provider-aware Z-search and Z-merge. The grid-level cuts of the
+// Provider-aware Z-search and point probes. The grid-level cuts of the
 // Pareto kernels are Pareto facts, so each is gated on the capability
 // that transfers it to the provider's relation (see package dominance):
 //
@@ -16,10 +16,7 @@ import (
 //     Pareto dominance implies provider dominance (Caps.ParetoImplies);
 //   - negative cuts ("nothing in this region can grid-dominate p, so
 //     don't descend") skip provider dominators only when provider
-//     dominance implies Pareto dominance (Caps.ImpliesPareto);
-//   - branch stashing in Z-merge ("these regions are incomparable")
-//     needs only ImpliesPareto: grid incomparability rules out Pareto
-//     dominance in both directions, hence provider dominance too.
+//     dominance implies Pareto dominance (Caps.ImpliesPareto).
 //
 // When a capability is absent the walk degrades to exhaustive region
 // scans — every entry is tested point-by-point — which is always
@@ -168,56 +165,6 @@ func (t *Tree) removeDominatedUnder(n *node, prov dominance.Provider, caps domin
 	n.children = kept
 	n.count -= removed
 	return removed
-}
-
-// MergeUnder is Z-merge under a provider: it merges the candidate tree
-// src into sky with capability-gated pruning and returns a freshly
-// balanced tree over the survivors. Inputs follow the Merge
-// precondition (each tree individually holds mutually non-dominated
-// points under prov); for non-transitive relations the result is a
-// candidate superset that the pipeline's final verification pass
-// closes. The classic relation routes to the hardcoded Merge.
-func MergeUnder(prov dominance.Provider, sky, src *Tree) *Tree {
-	if dominance.IsPareto(prov) {
-		return Merge(sky, src)
-	}
-	if src.Empty() {
-		return sky
-	}
-	if sky.Empty() {
-		return src
-	}
-	caps := prov.Caps()
-	enc, fanout, tally := sky.enc, sky.fanout, sky.tally
-	var stash []Entry
-	var survivors []Entry
-	queue := []*node{src.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if caps.ParetoImplies && sky.DominatesAllOfRegion(n.region) {
-			continue
-		}
-		if caps.ImpliesPareto && sky.incomparableWith(sky.root, n.region, 2) {
-			collectEntries(n, &stash)
-			continue
-		}
-		if !n.isLeaf() {
-			queue = append(queue, n.children...)
-			continue
-		}
-		for _, e := range n.entries {
-			if sky.dominatesPointUnder(sky.root, prov, caps, e.G, e.P) {
-				continue
-			}
-			sky.removeDominatedByUnder(prov, caps, e.G, e.P)
-			survivors = append(survivors, e)
-		}
-	}
-	all := sky.Entries()
-	all = append(all, survivors...)
-	all = append(all, stash...)
-	return Build(enc, fanout, all, tally)
 }
 
 // ZSearchUnder indexes pts into a ZB-tree and computes the provider

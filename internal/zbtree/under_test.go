@@ -70,11 +70,13 @@ func TestSkylineUnderParetoFastPath(t *testing.T) {
 	sameSet(t, tr.SkylineUnder(dominance.Pareto{}), tr.Skyline(), "Pareto{}")
 }
 
-// TestMergeUnderMatchesOracle merges two local provider skylines and
-// compares against the oracle of the full dataset. Transitive
-// providers must be exact directly; the non-transitive provider's
-// merge output is a candidate superset that must become exact after
-// the closing verification against the full dataset.
+// TestMergeUnderMatchesOracle merges two local provider skylines the
+// way the provider fallback of phase 3 does — the capability-gated
+// Z-search over their union — and compares against the oracle of the
+// full dataset. Transitive providers must be exact directly; the
+// non-transitive provider's merge output is a candidate superset that
+// must become exact after the closing verification against the full
+// dataset.
 func TestMergeUnderMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	const d = 3
@@ -84,9 +86,7 @@ func TestMergeUnderMatchesOracle(t *testing.T) {
 	for _, prov := range underProviders(t, d) {
 		left := BuildFromPoints(enc, 4, pts[:half], nil).SkylineUnder(prov)
 		right := BuildFromPoints(enc, 4, pts[half:], nil).SkylineUnder(prov)
-		merged := MergeUnder(prov,
-			BuildFromPoints(enc, 4, left, nil),
-			BuildFromPoints(enc, 4, right, nil)).Points()
+		merged := ZSearchUnder(prov, enc, 4, append(left, right...), nil)
 		want := dominance.BruteForce(prov, pts)
 		if prov.Caps().Transitive {
 			sameSet(t, merged, want, prov.Name())

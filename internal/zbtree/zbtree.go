@@ -6,8 +6,9 @@
 //   - ZSearch: the state-of-the-art centralized skyline algorithm
 //     ("ZS" in the paper's evaluation), which visits points in Z-order
 //     and prunes whole subtrees with RZ-region dominance tests; and
-//   - Merge: the paper's Z-merge (Algorithm 4) for merging skyline
-//     candidate sets, the third-phase workhorse.
+//   - MergeBlock: the paper's Z-merge (Algorithm 4) for merging skyline
+//     candidate sets, over the slab BlockTree that shares one columnar
+//     Store between the trees it merges.
 //
 // All region-level pruning uses the conservative grid tests of package
 // zorder, so results are exact with respect to the original float

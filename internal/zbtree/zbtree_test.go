@@ -296,6 +296,28 @@ func TestSkylineTreeValidatesAndMatches(t *testing.T) {
 	sameSet(t, skyTree.Points(), seq.BruteForce(pts), "skyline tree")
 }
 
+// mergeSkylines Z-merges candidate skylines the way phase 3 does: one
+// shared store over their concatenation, one tree per set, MergeBlock
+// folded left to right. It returns the merged skyline's points.
+func mergeSkylines(enc *zorder.Encoder, fanout int, tally *metrics.Tally, sets ...[]point.Point) []point.Point {
+	var all []point.Point
+	for _, s := range sets {
+		all = append(all, s...)
+	}
+	st := NewStore(enc, point.BlockOf(enc.Dims(), all))
+	acc, lo := NewBlockTree(st, fanout, tally), int32(0)
+	for _, s := range sets {
+		rows := make([]int32, len(s))
+		for i := range rows {
+			rows[i] = lo + int32(i)
+		}
+		lo += int32(len(s))
+		acc = MergeBlock(acc, BuildRows(st, fanout, rows, tally))
+	}
+	out, _ := st.CompactRows(acc.Rows())
+	return out.Points()
+}
+
 func TestMergeTwoSkylines(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 60; iter++ {
@@ -303,25 +325,20 @@ func TestMergeTwoSkylines(t *testing.T) {
 		enc := unitEnc(t, d, 8)
 		a := randPts(rng, 100+rng.Intn(100), d, 0)
 		b := randPts(rng, 100+rng.Intn(100), d, 0)
-		skyA := BuildFromPoints(enc, 8, seq.BruteForce(a), nil)
-		skyB := BuildFromPoints(enc, 8, seq.BruteForce(b), nil)
-		merged := Merge(skyA, skyB)
-		if err := merged.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		merged := mergeSkylines(enc, 8, nil, seq.BruteForce(a), seq.BruteForce(b))
 		want := seq.BruteForce(append(append([]point.Point{}, a...), b...))
-		sameSet(t, merged.Points(), want, "merge")
+		sameSet(t, merged, want, "merge")
 	}
 }
 
 func TestMergeWithEmpty(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	empty := New(enc, 4, nil)
-	sky := BuildFromPoints(enc, 4, []point.Point{{0.1, 0.9}, {0.9, 0.1}}, nil)
-	if got := Merge(empty, sky); got.Len() != 2 {
+	st := NewStore(enc, point.BlockOf(2, []point.Point{{0.1, 0.9}, {0.9, 0.1}}))
+	empty := NewBlockTree(st, 4, nil)
+	if got := MergeBlock(empty, BuildStore(st, 4, nil)); got.Len() != 2 {
 		t.Errorf("merge(empty, sky) len = %d", got.Len())
 	}
-	if got := Merge(sky, empty); got.Len() != 2 {
+	if got := MergeBlock(BuildStore(st, 4, nil), empty); got.Len() != 2 {
 		t.Errorf("merge(sky, empty) len = %d", got.Len())
 	}
 }
@@ -334,11 +351,9 @@ func TestMergeDisjointIncomparableSets(t *testing.T) {
 		a = append(a, point.Point{float64(i) / 100, float64(40-i) / 100})
 		b = append(b, point.Point{float64(60+i) / 100, float64(20-i) / 1000})
 	}
-	skyA := BuildFromPoints(enc, 4, seq.BruteForce(a), nil)
-	skyB := BuildFromPoints(enc, 4, seq.BruteForce(b), nil)
-	merged := Merge(skyA, skyB)
+	merged := mergeSkylines(enc, 4, nil, seq.BruteForce(a), seq.BruteForce(b))
 	want := seq.BruteForce(append(append([]point.Point{}, a...), b...))
-	sameSet(t, merged.Points(), want, "disjoint merge")
+	sameSet(t, merged, want, "disjoint merge")
 }
 
 func TestMergeAllManyGroups(t *testing.T) {
@@ -347,15 +362,14 @@ func TestMergeAllManyGroups(t *testing.T) {
 		d := 2 + rng.Intn(4)
 		enc := unitEnc(t, d, 8)
 		var all []point.Point
-		var trees []*Tree
+		var skies [][]point.Point
 		groups := 2 + rng.Intn(6)
 		for g := 0; g < groups; g++ {
 			pts := randPts(rng, 50+rng.Intn(100), d, 0)
 			all = append(all, pts...)
-			trees = append(trees, BuildFromPoints(enc, 8, seq.BruteForce(pts), nil))
+			skies = append(skies, seq.BruteForce(pts))
 		}
-		merged := MergeAll(enc, 8, trees, nil)
-		sameSet(t, merged.Points(), seq.BruteForce(all), "merge-all")
+		sameSet(t, mergeSkylines(enc, 8, nil, skies...), seq.BruteForce(all), "merge-all")
 	}
 }
 
@@ -380,9 +394,7 @@ func TestMergeCheaperThanRecompute(t *testing.T) {
 		b = append(b, point.Point{float64(500+i/2) / 1000, float64(400-i) / 1000})
 	}
 	talM := &metrics.Tally{}
-	skyA := BuildFromPoints(enc, 16, seq.BruteForce(a), talM)
-	skyB := BuildFromPoints(enc, 16, seq.BruteForce(b), talM)
-	Merge(skyA, skyB)
+	mergeSkylines(enc, 16, talM, seq.BruteForce(a), seq.BruteForce(b))
 	talS := &metrics.Tally{}
 	seq.SB(append(append([]point.Point{}, a...), b...), talS)
 	if talM.Snapshot().DominanceTests >= talS.Snapshot().DominanceTests {
@@ -410,9 +422,7 @@ func BenchmarkMergeAnti(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		skyA := BuildFromPoints(enc, 16, a2, nil)
-		skyB := BuildFromPoints(enc, 16, b2, nil)
-		Merge(skyA, skyB)
+		mergeSkylines(enc, 16, nil, a2, b2)
 	}
 }
 

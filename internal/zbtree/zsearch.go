@@ -57,98 +57,3 @@ func (t *Tree) SkylineTree() *Tree {
 func ZSearch(enc *zorder.Encoder, fanout int, pts []point.Point, tally *metrics.Tally) []point.Point {
 	return ZSearchBlock(enc, fanout, point.BlockOf(enc.Dims(), pts), tally).Points()
 }
-
-// Merge implements Z-merge (Algorithm 4): it merges the skyline tree
-// src ("new coming data points") into sky ("the existing skyline set")
-// and returns a freshly balanced tree holding the skyline of the union.
-//
-// Precondition: each input tree individually holds a set of mutually
-// non-dominated points (a skyline candidate set), which is exactly
-// what phase 2 of the pipeline produces. The traversal is BFS over
-// src; whole src branches are discarded when an existing skyline point
-// dominates their RZ-region, appended wholesale when they are
-// incomparable with the skyline tree, and opened otherwise. Surviving
-// leaf points prune dominated sky entries (the UDominate step) before
-// the final rebalance.
-func Merge(sky, src *Tree) *Tree {
-	if src.Empty() {
-		return sky
-	}
-	if sky.Empty() {
-		return src
-	}
-	enc, fanout, tally := sky.enc, sky.fanout, sky.tally
-	var stash []Entry
-	var survivors []Entry
-	queue := []*node{src.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if sky.DominatesAllOfRegion(n.region) {
-			continue
-		}
-		if sky.incomparableWith(sky.root, n.region, 2) {
-			collectEntries(n, &stash)
-			continue
-		}
-		if !n.isLeaf() {
-			queue = append(queue, n.children...)
-			continue
-		}
-		for _, e := range n.entries {
-			if sky.DominatesPoint(e.G, e.P) {
-				continue
-			}
-			sky.RemoveDominatedBy(e.G, e.P)
-			survivors = append(survivors, e)
-		}
-	}
-	all := sky.Entries()
-	all = append(all, survivors...)
-	all = append(all, stash...)
-	return Build(enc, fanout, all, tally)
-}
-
-// incomparableWith reports (conservatively, descending at most depth
-// levels) that no point under skyN and no float point in region r can
-// dominate one another, so a whole src branch can be stashed without
-// opening it — the fast path that gives Z-merge its speed.
-func (t *Tree) incomparableWith(skyN *node, r zorder.Region, depth int) bool {
-	if skyN == nil {
-		return false
-	}
-	t.tally.AddRegionTests(1)
-	if zorder.RegionsIncomparable(skyN.region, r) {
-		return true
-	}
-	if depth == 0 || skyN.isLeaf() {
-		return false
-	}
-	for _, c := range skyN.children {
-		if !t.incomparableWith(c, r, depth-1) {
-			return false
-		}
-	}
-	return true
-}
-
-func collectEntries(n *node, out *[]Entry) {
-	if n.isLeaf() {
-		*out = append(*out, n.entries...)
-		return
-	}
-	for _, c := range n.children {
-		collectEntries(c, out)
-	}
-}
-
-// MergeAll left-folds Merge over a list of candidate trees, returning
-// the skyline tree of their union. Empty input yields an empty tree
-// built on enc.
-func MergeAll(enc *zorder.Encoder, fanout int, trees []*Tree, tally *metrics.Tally) *Tree {
-	acc := New(enc, fanout, tally)
-	for _, t := range trees {
-		acc = Merge(acc, t)
-	}
-	return acc
-}
