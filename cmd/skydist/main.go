@@ -412,13 +412,15 @@ func runCluster(rc clusterRun) {
 		fmt.Fprintf(os.Stderr, "groups=%d shards=%d routed=%d mapversion=%d\npoints=%d skyline=%d queries=%d\n",
 			c.Groups(), rep.Shards, rep.Routed, rep.MapVersion, ds.Len(), len(sky), n)
 		// What the last query pulled to the coordinator against what it
-		// kept: the share of shard-skyline rows the cross-shard merge threw
-		// away is wire traffic a worker-side filter could still save.
+		// kept, and how it merged: after a sweep, the share of shard-skyline
+		// rows the merge threw away is wire traffic a worker-side filter
+		// could still save; a fold pulled only the rows new since the
+		// previous full query.
 		ratio := 1.0
 		if rep.SkylineSize > 0 {
 			ratio = float64(rep.Candidates) / float64(rep.SkylineSize)
 		}
-		fmt.Fprintf(os.Stderr, "candidates=%d candidates/skyline=%.2f wire_sent=%dB wire_recv=%dB\n",
-			rep.Candidates, ratio, rep.WireSentBytes, rep.WireRecvBytes)
+		fmt.Fprintf(os.Stderr, "merge=%s candidates=%d candidates/skyline=%.2f wire_sent=%dB wire_recv=%dB\n",
+			rep.Merge, rep.Candidates, ratio, rep.WireSentBytes, rep.WireRecvBytes)
 	}
 }

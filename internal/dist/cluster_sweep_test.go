@@ -27,6 +27,10 @@ import (
 // restricted to the range, and must have cost no Worker.MergeGroups call.
 // Coarse coordinates make ties, Z ties and duplicates common; under flex
 // a dominator may have the larger address, so direction must not be used.
+// Under Pareto a full query after inserts folds the shards' new rows
+// into the previous full answer — also in the round right after each
+// handoff — while the first full query and the one right after a
+// handoff sweep; flex always sweeps.
 func TestClusterSweepMatchesBruteForce(t *testing.T) {
 	const dims = 3
 	flex := dominance.Descriptor{Kind: dominance.KindFlex,
@@ -65,7 +69,8 @@ func TestClusterSweepMatchesBruteForce(t *testing.T) {
 						return rows
 					}
 					randomAddr := func() zorder.ZAddr { return c.enc.Encode(randomRows(1)[0]) }
-					check := func(label string, qr zorder.Range, broadcast bool) {
+					pareto := dominance.IsPareto(prov)
+					check := func(label string, qr zorder.Range, broadcast bool) *ClusterReport {
 						t.Helper()
 						query := c.SkylineRange
 						if broadcast {
@@ -76,8 +81,18 @@ func TestClusterSweepMatchesBruteForce(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						sameSet(t, got, oracleUnder(prov, inRange(c.enc, held, qr)), label)
-						if rep.Candidates < rep.SkylineSize || rep.SkylineSize != len(got) {
+						if rep.SkylineSize != len(got) || (rep.Merge == "sweep" && rep.Candidates < rep.SkylineSize) {
 							t.Fatalf("%s: report %+v for %d rows", label, rep, len(got))
+						}
+						return rep
+					}
+					full := func(label, want string) {
+						t.Helper()
+						if !pareto {
+							want = "sweep"
+						}
+						if rep := check(label, zorder.Range{}, false); rep.Merge != want {
+							t.Fatalf("%s: merged by %q, want %q", label, rep.Merge, want)
 						}
 					}
 					cuts := c.Map().Cuts
@@ -87,7 +102,7 @@ func TestClusterSweepMatchesBruteForce(t *testing.T) {
 							t.Fatal(err)
 						}
 						held = append(held, rows...)
-						check("full", zorder.Range{}, false)
+						full("full", map[bool]string{true: "sweep", false: "fold"}[round == 0])
 						check("prefix", zorder.Range{Hi: randomAddr()}, false)
 						check("suffix", zorder.Range{Lo: randomAddr()}, false)
 						lo, hi := randomAddr(), randomAddr()
@@ -111,7 +126,7 @@ func TestClusterSweepMatchesBruteForce(t *testing.T) {
 							if _, err := c.Handoff(ctx, 0, to); err != nil {
 								t.Fatal(err)
 							}
-							check("full after handoff", zorder.Range{}, false)
+							full("full after handoff", "sweep")
 						}
 					}
 					for _, ev := range c.Events().Snapshot() {
@@ -179,9 +194,13 @@ func TestClusterQueryMovesRowsOnce(t *testing.T) {
 		if rep.WireSentBytes > 300*shards {
 			t.Errorf("%s: sent %d bytes for %d shard requests", desc, rep.WireSentBytes, shards)
 		}
-		// A row is its coordinates and, under Pareto, its address; a reply
-		// adds a frame header, the outcome, the gid and two framed lengths.
-		rowBytes := int64(dims*8 + c.enc.Words()*8)
+		if rep.Merge != "sweep" {
+			t.Errorf("%s: the first full query merged by %q, want a sweep", desc, rep.Merge)
+		}
+		// A row is its coordinates: replies carry no address column. A
+		// reply adds a frame header, the outcome, the gid, two framed
+		// lengths and the batch count.
+		rowBytes := int64(dims * 8)
 		if limit := int64(rep.Candidates)*rowBytes + 64*shards; rep.WireRecvBytes > limit {
 			t.Errorf("%s: received %d bytes for %d candidate rows, want at most %d", desc, rep.WireRecvBytes, rep.Candidates, limit)
 		}
@@ -302,10 +321,13 @@ func startLyingWorker(t *testing.T, lie func(method uint16, payload []byte, repl
 }
 
 // TestClusterRejectsBadShardReply: a replica that answers for shard 0
-// with a row from another shard's range, a column that does not line up,
-// or rows of the wrong width gets the query failed with ErrBadShardReply
-// — classed fatal, recorded — never a skyline. A reply that merely
-// leaves its column out is merged exactly.
+// with a row from another shard's range, rows of the wrong width or a
+// negative batch count gets the query failed with ErrBadShardReply —
+// classed fatal, recorded — never a skyline. The coordinator encodes
+// every reply's rows itself, so a column that is short, missing, or
+// inside the range but not the rows' own cannot touch the answer: the
+// first full query (a sweep) and the next one after an insert (a fold
+// into the first) are both exact.
 func TestClusterRejectsBadShardReply(t *testing.T) {
 	const dims = 3
 	ds := gen.Synthetic(gen.Independent, 600, dims, 3)
@@ -321,20 +343,33 @@ func TestClusterRejectsBadShardReply(t *testing.T) {
 	cases := []struct {
 		name   string
 		bad    bool
-		mutate func(enc *zorder.Encoder, g *plan.Group)
+		mutate func(enc *zorder.Encoder, r *ShardSkyReply)
 	}{
-		{"out-of-range row", true, func(enc *zorder.Encoder, g *plan.Group) {
-			g.Block = rebuild(*g, far)
-			g.ZCol = enc.EncodeBlock(zorder.ZCol{}, g.Block)
+		{"out-of-range row", true, func(enc *zorder.Encoder, r *ShardSkyReply) {
+			r.Group.Block = rebuild(r.Group, far)
 		}},
-		{"short column", true, func(_ *zorder.Encoder, g *plan.Group) {
-			g.ZCol = g.ZCol.Slice(0, g.ZCol.Len()-1)
+		{"narrow rows", true, func(_ *zorder.Encoder, r *ShardSkyReply) {
+			r.Group.Block = point.Block{Dims: dims - 1, Data: make([]float64, dims-1)}
 		}},
-		{"narrow rows", true, func(_ *zorder.Encoder, g *plan.Group) {
-			g.Block, g.ZCol = point.Block{Dims: dims - 1, Data: make([]float64, dims-1)}, zorder.ZCol{}
+		{"negative batch count", true, func(_ *zorder.Encoder, r *ShardSkyReply) {
+			r.Batches = -1
 		}},
-		{"no column", false, func(_ *zorder.Encoder, g *plan.Group) {
-			g.ZCol = zorder.ZCol{}
+		{"short column", false, func(enc *zorder.Encoder, r *ShardSkyReply) {
+			if zc := enc.EncodeBlock(zorder.ZCol{}, r.Group.Block); zc.Len() > 0 {
+				r.Group.ZCol = zc.Slice(0, zc.Len()-1)
+			}
+		}},
+		{"column lies inside the range", false, func(enc *zorder.Encoder, r *ShardSkyReply) {
+			// Every row claims the first row's address: in range, sorted,
+			// and wrong for all but the rows that share it.
+			zc := zorder.ZCol{Words: enc.Words()}
+			for i := 0; i < r.Group.Len(); i++ {
+				zc.AppendAddr(enc.Encode(r.Group.Block.Row(0)))
+			}
+			r.Group.ZCol = zc
+		}},
+		{"no column", false, func(_ *zorder.Encoder, r *ShardSkyReply) {
+			r.Group.ZCol = zorder.ZCol{}
 		}},
 	}
 	for _, tc := range cases {
@@ -348,7 +383,7 @@ func TestClusterRejectsBadShardReply(t *testing.T) {
 			liar := startLyingWorker(t, func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler {
 				var args ShardSkyArgs
 				if sky, ok := reply.(ShardSkyReply); ok && args.DecodeFrom(payload) == nil && args.ShardID == 0 {
-					tc.mutate(enc, &sky.Group)
+					tc.mutate(enc, &sky)
 					return sky
 				}
 				return reply
@@ -360,13 +395,22 @@ func TestClusterRejectsBadShardReply(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			insertBatches(t, c, ds.Points, 200)
+			insertBatches(t, c, ds.Points[:400], 200)
 			got, _, err := c.Skyline(ctx)
 			if !tc.bad {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameSet(t, got, oracleUnder(c.rule.Provider(), ds.Points), tc.name)
+				sameSet(t, got, oracleUnder(c.rule.Provider(), ds.Points[:400]), tc.name)
+				insertBatches(t, c, ds.Points[400:], 200)
+				got, rep, err := c.Skyline(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Merge != "fold" {
+					t.Fatalf("the second full query merged by %q, want a fold", rep.Merge)
+				}
+				sameSet(t, got, oracleUnder(c.rule.Provider(), ds.Points), tc.name+", folded")
 				return
 			}
 			if !errors.Is(err, ErrBadShardReply) || got != nil {

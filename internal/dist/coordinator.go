@@ -299,6 +299,10 @@ type Coordinator struct {
 	lastRule *RuleBlob
 	changed  chan struct{} // closed+replaced on any state/inflight change
 	closed   bool
+	// revivals counts resurrections. It moves before the revived worker
+	// serves, so a Cluster that reads it at the start and the end of a
+	// full query knows whether a restarted process could have answered.
+	revivals atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -781,6 +785,7 @@ func (c *Coordinator) resurrect(w int) {
 	}
 	old := c.clients[w]
 	c.clients[w] = cl
+	c.revivals.Add(1)
 	c.setStateLocked(w, wsLive)
 	c.reg.Counter("zsky_dist_resurrections_total", obs.L("worker", c.addrs[w])).Add(1)
 	c.mu.Unlock()

@@ -6,15 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
 
 // shardSkyCorpus is the seed corpus of FuzzShardSkyWire: well-formed
-// ShardSkyArgs / ShardSkyReply payloads, and each way a payload can lie
-// about its own size — cut short, a count or a frame length announcing
-// more than follows, a frame whose header disagrees with its payload.
+// ShardSkyArgs / ShardSkyReply payloads — delta cursors negative, huge
+// and beyond the request's among them, which decode and are the
+// worker's and the coordinator's to refuse or read — and each way a
+// payload can lie about its own size: cut short (inside a cursor too),
+// a count or a frame length announcing more than follows, a frame whose
+// header disagrees with its payload.
 func shardSkyCorpus(t testing.TB) (good, bad map[string][]byte) {
 	t.Helper()
 	encode := func(m interface {
@@ -33,7 +37,8 @@ func shardSkyCorpus(t testing.TB) (good, bad map[string][]byte) {
 	blk := point.BlockOf(3, []point.Point{{0.1, 0.2, 0.3}, {0.9, 0.8, 0.7}})
 	args := encode(ShardSkyArgs{RuleID: 7, MapVersion: 2, ShardID: 3, Lo: []uint64{1 << 40}, Hi: []uint64{1 << 50}})
 	whole := encode(ShardSkyArgs{RuleID: 7, MapVersion: 2, ShardID: 3})
-	reply := encode(ShardSkyReply{Outcome: SkyFolded,
+	delta := encode(ShardSkyArgs{RuleID: 7, MapVersion: 2, ShardID: 3, Since: 5})
+	reply := encode(ShardSkyReply{Outcome: SkyFolded, Batches: 9,
 		Group: plan.Group{Gid: 3, Block: blk, ZCol: enc.EncodeBlock(zorder.ZCol{}, blk)}})
 	bare := encode(ShardSkyReply{Group: plan.Group{Gid: 3, Block: blk}}) // no column: flex
 	empty := encode(ShardSkyReply{Outcome: SkyCached, Group: plan.Group{Block: point.Block{Dims: 3}}})
@@ -46,12 +51,23 @@ func shardSkyCorpus(t testing.TB) (good, bad map[string][]byte) {
 	// Reply layout: outcome(1) gid(8) blockLen(4) [dims(4) rows(4) data] zcolLen(4) [words(4) rows(4) data].
 	const blockLenAt, blockDimsAt, blockRowsAt = 9, 13, 17
 	zcolLenAt := blockLenAt + 4 + 8 + blk.Len()*3*8
-	good = map[string][]byte{"args": args, "args-whole": whole, "reply": reply, "reply-bare": bare, "reply-empty": empty}
+	good = map[string][]byte{"args": args, "args-whole": whole, "reply": reply, "reply-bare": bare, "reply-empty": empty,
+		"args-delta":           delta,
+		"args-cursor-negative": encode(ShardSkyArgs{RuleID: 7, ShardID: 3, Since: -1}),
+		"args-cursor-huge":     encode(ShardSkyArgs{RuleID: 7, ShardID: 3, Since: 1 << 62}),
+		// Whole skyline: the replica's list ends before the request's cursor 5.
+		"reply-cursor-below-request": encode(ShardSkyReply{Outcome: SkyCached, Batches: 2,
+			Group: plan.Group{Gid: 3, Block: blk}}),
+		"reply-cursor-negative": encode(ShardSkyReply{Batches: -1, Group: plan.Group{Gid: 3, Block: blk}}),
+	}
 	bad = map[string][]byte{
 		"args-truncated":         args[:len(args)-3],
 		"args-empty":             nil,
 		"args-trailing":          append(append([]byte(nil), args...), 0),
 		"args-bound-oversized":   patched(whole, 24, 0xFFFFFFFF), // Lo announces 4G words
+		"args-cursor-truncated":  delta[:len(delta)-4],
+		"reply-cursor-truncated": reply[:len(reply)-1],
+		"reply-cursor-missing":   reply[:len(reply)-8],
 		"reply-truncated":        reply[:len(reply)-5],
 		"reply-no-group":         reply[:1],
 		"reply-trailing":         append(append([]byte(nil), reply...), 1, 2, 3),
@@ -107,12 +123,43 @@ func decodeShardSky(t testing.TB, reply bool, data []byte) error {
 }
 
 // TestShardSkyWireCorpus holds the seed corpus to its labels: the
-// well-formed payloads decode, every malformed one is an error.
+// well-formed payloads decode, every malformed one is an error. A
+// replica handed each well-formed request refuses a negative cursor,
+// answers one beyond its batch list with the whole skyline, and a
+// cursor inside the list with the delta.
 func TestShardSkyWireCorpus(t *testing.T) {
 	good, bad := shardSkyCorpus(t)
 	for name, data := range good {
 		if err := decodeShardSky(t, isReply(name), data); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+	w, rule := bareWorker(t, 3, 12, plan.ZS, dominance.Descriptor{})
+	w.rules[7] = rule
+	for i := 0; i < 6; i++ { // six incomparable one-row batches
+		bf, zf := shardFrames(t, rule.Encoder(), point.BlockOf(3, []point.Point{{0.05 * float64(i), 0.9 - 0.05*float64(i), 0.5}}))
+		if err := w.StoreShard(StoreShardArgs{RuleID: 7, ShardID: 3, BlockFrame: bf, ZFrame: zf}, &StoreShardReply{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range good {
+		var args ShardSkyArgs
+		if isReply(name) || args.DecodeFrom(data) != nil {
+			continue
+		}
+		var reply ShardSkyReply
+		err := w.ShardSkyline(args, &reply)
+		switch {
+		case args.Since < 0:
+			if err == nil {
+				t.Errorf("%s: a negative cursor was answered", name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", name, err)
+		case args.Since > reply.Batches && reply.Group.Len() != 6:
+			t.Errorf("%s: a cursor beyond the %d batches got %d rows, want the whole skyline", name, reply.Batches, reply.Group.Len())
+		case args.Since == 5 && reply.Group.Len() != 1:
+			t.Errorf("%s: the delta from batch 5 holds %d rows, want 1", name, reply.Group.Len())
 		}
 	}
 	for name, data := range bad {
@@ -123,7 +170,9 @@ func TestShardSkyWireCorpus(t *testing.T) {
 }
 
 // Message kinds FuzzWireMessages decodes, in its kind byte: the batch
-// path's, then the shard tier's that carry a batch as raw frames.
+// path's, the shard tier's that carry a batch as raw frames, then the
+// control messages — fixed-width fields or an empty payload — and the
+// gob-encoded shard inventory.
 const (
 	kindReduceArgs = iota
 	kindReduceReply
@@ -131,8 +180,42 @@ const (
 	kindStoreShard
 	kindStageShard
 	kindPullShard
+	kindPullShardArgs
+	kindCommitShardArgs
+	kindDropStagedArgs
+	kindDropShardArgs
+	kindLoadRuleReply
+	kindStoreShardReply
+	kindStageShardReply
+	kindCommitShardReply
+	kindDropStagedReply
+	kindDropShardReply
+	kindShardStatsArgs
+	kindShardStats
 	wireKinds
 )
+
+// wireMsg is a message with its codec pair.
+type wireMsg interface {
+	AppendTo([]byte) ([]byte, error)
+	DecodeFrom([]byte) error
+}
+
+// controlMsgs are the control kinds with a canonical encoding, each with
+// one well-formed sample.
+var controlMsgs = map[int]func() wireMsg{
+	kindPullShardArgs:    func() wireMsg { return &PullShardArgs{ShardID: 3, Cursor: 4, MaxRows: 4096} },
+	kindCommitShardArgs:  func() wireMsg { return &CommitShardArgs{ShardID: 3, Epoch: 9, MapVersion: 2} },
+	kindDropStagedArgs:   func() wireMsg { return &DropStagedArgs{ShardID: 3, Epoch: 9} },
+	kindDropShardArgs:    func() wireMsg { return &DropShardArgs{ShardID: 3, MapVersion: 2} },
+	kindLoadRuleReply:    func() wireMsg { return &LoadRuleReply{Cached: true} },
+	kindStoreShardReply:  func() wireMsg { return &StoreShardReply{Rows: 1024} },
+	kindStageShardReply:  func() wireMsg { return &StageShardReply{Rows: 1024} },
+	kindCommitShardReply: func() wireMsg { return &CommitShardReply{Rows: 1024} },
+	kindDropStagedReply:  func() wireMsg { return &DropStagedReply{} },
+	kindDropShardReply:   func() wireMsg { return &DropShardReply{} },
+	kindShardStatsArgs:   func() wireMsg { return &ShardStatsArgs{} },
+}
 
 // wireCorpus is the seed corpus of FuzzWireMessages, keyed by message
 // kind: well-formed ReduceArgs / ReduceReply / LoadRuleArgs /
@@ -237,6 +320,20 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	done := shardMsg(kindPullShard, bf, zf)
 	done[framesAt[kindPullShard]-1] = 2 // a bool byte no encoder writes
 	bad[kindPullShard]["done-not-bool"] = done
+	for kind, sample := range controlMsgs {
+		msg := encode(sample())
+		good[kind] = map[string][]byte{"msg": msg}
+		bad[kind] = map[string][]byte{"trailing": append(append([]byte(nil), msg...), 0)}
+		if len(msg) > 0 {
+			bad[kind]["truncated"] = msg[:len(msg)-1]
+		}
+	}
+	bad[kindLoadRuleReply]["not-bool"] = []byte{2}
+	stats := encode(ShardStatsReply{MapVersion: 2, Rows: map[int]int64{0: 7312, 3: 12},
+		SkylineRows: map[int]int64{0: 1840}})
+	good[kindShardStats] = map[string][]byte{"stats": stats, "empty-maps": encode(ShardStatsReply{})}
+	bad[kindShardStats] = map[string][]byte{"truncated": stats[:len(stats)/2], "empty": nil,
+		"trailing": append(append([]byte(nil), stats...), 0), "garbage": []byte("not a gob stream")}
 	return good, bad
 }
 
@@ -283,9 +380,18 @@ func decodeWire(t testing.TB, kind int, data []byte) error {
 			return err
 		}
 		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
-	default:
-		var a LoadRuleArgs
+	case kindShardStats:
+		var a ShardStatsReply
 		return a.DecodeFrom(data) // gob: not canonical, so no round trip
+	case kindLoadRule:
+		var a LoadRuleArgs
+		return a.DecodeFrom(data)
+	default:
+		a := controlMsgs[kind]()
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		m = a
 	}
 	if frames != nil {
 		if held := len(frames[0]) + len(frames[1]); held > len(data) {
@@ -330,10 +436,12 @@ func TestWireMessagesCorpus(t *testing.T) {
 }
 
 // FuzzWireMessages throws arbitrary bytes at the decoders a batch query
-// runs — the ReduceGroup request and reply and the rule broadcast — and
-// at the shard tier's batch carriers: the StoreShard and StageShard
+// runs — the ReduceGroup request and reply and the rule broadcast — at
+// the shard tier's batch carriers: the StoreShard and StageShard
 // requests and the PullShard reply, with the block and Z frames inside
-// them decoded as the worker decodes them. Each must turn truncated, oversized-count and mismatched-width input into
+// them decoded as the worker decodes them — and at every control
+// message: the pull, commit and drop requests, the small replies and
+// the shard inventory. Each must turn truncated, oversized-count and mismatched-width input into
 // an error — never a panic, and never an allocation sized by a length
 // field the payload does not back.
 func FuzzWireMessages(f *testing.F) {

@@ -134,7 +134,12 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		done = reply.Done
 	}
 
-	// Commit: staged → resident on every surviving target.
+	// Commit: staged → resident on every surviving target. A commit
+	// rewrites a replica's batch list, so the full-query memo, whose
+	// cursors index those lists, stands aside until the handoff settles.
+	c.mu.Lock()
+	c.moving++
+	c.mu.Unlock()
 	committed := map[int]bool{}
 	for _, t := range staging {
 		err := c.callOn(ctx, t, sid, "Worker.CommitShard",
@@ -145,6 +150,10 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		}
 	}
 	if len(committed) == 0 {
+		c.mu.Lock()
+		c.epoch++
+		c.moving--
+		c.mu.Unlock()
 		return fail(fmt.Errorf("dist: handoff of shard %d: no target in group %d committed", sid, toGroup))
 	}
 	rep.Replicas = len(committed)
@@ -153,6 +162,8 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	// commit start stale — they rejoin via a repair handoff.
 	c.mu.Lock()
 	c.smap = c.smap.WithOwner(idx, toGroup)
+	c.epoch++
+	c.moving--
 	if c.smap.Version != targetVer {
 		// Unreachable while handoffs are serialized; guard the invariant
 		// loudly rather than serving under a torn version.

@@ -25,9 +25,8 @@ var ErrClusterDown = errors.New("dist: no live workers")
 var ErrShardDown = errors.New("dist: shard has no live replica")
 
 // ErrBadShardReply reports a ShardSkyline reply the coordinator cannot
-// merge soundly: rows of the wrong width, a Z-address column that does
-// not line up with them, or an address outside the range the shard was
-// asked for. The query fails rather than answer from it. Match with
+// merge soundly: rows of the wrong width, a negative batch count, or a
+// row whose address lies outside the range the shard was asked for. The query fails rather than answer from it. Match with
 // errors.Is; the cluster wraps it with the shard ID and the violation.
 var ErrBadShardReply = errors.New("dist: malformed shard skyline reply")
 

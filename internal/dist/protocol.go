@@ -151,14 +151,26 @@ type ShardSkyArgs struct {
 	MapVersion uint64
 	ShardID    int
 	Lo, Hi     []uint64
+	// Since, when positive, asks a whole-shard Pareto query for a delta:
+	// only the skyline rows that came from batches Since and later, the
+	// batches the caller has not merged yet. 0 asks for the whole skyline.
+	Since int
 }
 
 // ShardSkyReply returns the shard-local skyline as one group (Gid =
-// shard ID) carrying its Z-address column, ready for the cross-shard
-// sweep, and how the replica produced it.
+// shard ID), and how the replica produced it. The rows travel without
+// their Z-address column: the coordinator encodes them itself, so a
+// column cannot disagree with its rows.
 type ShardSkyReply struct {
 	Group   GroupPoints
 	Outcome SkyOutcome
+	// Batches is how many of the shard's batches the replica's skyline
+	// covered when it answered a whole-shard query (0 for ranges). When
+	// the request's Since is positive and at most Batches, Group holds
+	// the delta: the skyline rows of batches [Since, Batches). Otherwise
+	// it holds the whole skyline — also when Since lies beyond the
+	// replica's batch list.
+	Batches int
 }
 
 // SkyOutcome says how a replica produced a ShardSkyline answer.

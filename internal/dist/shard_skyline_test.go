@@ -11,10 +11,12 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
+	"zskyline/internal/metrics"
 	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -92,7 +94,11 @@ func inRange(enc *zorder.Encoder, pts []point.Point, rng zorder.Range) []point.P
 // every answer, as a multiset, with the reference skyline of the rows
 // resident at that moment restricted to the range. Under flex —
 // transitive, but a dominator may have the larger Z-address — a prefix
-// query must not be cut from the cached skyline.
+// query must not be cut from the cached skyline. Under Pareto every
+// whole-shard query is followed by a delta query from a random cursor:
+// its reply must be the whole shard's reference skyline ∩ the rows of
+// the batches from the cursor on, and a cursor beyond the batch list
+// must get the whole skyline back.
 func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 	const dims = 3
 	flex := dominance.Descriptor{Kind: dominance.KindFlex,
@@ -113,7 +119,8 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 				enc, prov := rule.Encoder(), rule.Provider()
 				pareto := dominance.IsPareto(prov)
 				rng := rand.New(rand.NewSource(seed))
-				var held []point.Point // rows resident on the replica
+				var held []point.Point      // rows resident on the replica
+				var batches [][]point.Point // held, as the replica's batch list
 				resident := false
 				version, epoch := uint64(1), uint64(0)
 				seen := map[SkyOutcome]int{}
@@ -151,9 +158,29 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sameSet(t, reply.Group.Points(), oracleUnder(prov, inRange(enc, held, qr)), label)
-					if reply.Group.Gid != 0 {
-						t.Fatalf("%s: reply gid %d", label, reply.Group.Gid)
+					want := oracleUnder(prov, inRange(enc, held, qr))
+					sameSet(t, reply.Group.Points(), want, label)
+					if reply.Group.Gid != 0 || reply.Group.ZCol.Len() != 0 {
+						t.Fatalf("%s: reply gid %d, %d addresses", label, reply.Group.Gid, reply.Group.ZCol.Len())
+					}
+					if qr.Lo == nil && qr.Hi == nil && pareto {
+						since := 1 + rng.Intn(len(batches)+2)
+						var delta ShardSkyReply
+						if err := w.ShardSkyline(ShardSkyArgs{RuleID: 1, ShardID: 0, MapVersion: version,
+							Since: since}, &delta); err != nil {
+							t.Fatalf("%s, delta from %d: %v", label, since, err)
+						}
+						if delta.Batches != len(batches) {
+							t.Fatalf("%s: reply covers %d batches, the replica holds %d", label, delta.Batches, len(batches))
+						}
+						if since <= len(batches) {
+							var fresh []point.Point
+							for _, b := range batches[since:] {
+								fresh = append(fresh, b...)
+							}
+							want = intersect(want, fresh)
+						}
+						sameSet(t, delta.Group.Points(), want, fmt.Sprintf("%s, delta from %d of %d", label, since, len(batches)))
 					}
 					if qr.Lo != nil || (qr.Hi != nil && !pareto) {
 						if reply.Outcome != SkyComputed {
@@ -170,6 +197,9 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 						b := randomBlock(rng.Intn(4) * rng.Intn(12))
 						storeBatch(t, w, enc, b)
 						held = append(held, b.Clone().Points()...)
+						if b.Len() > 0 {
+							batches = append(batches, b.Clone().Points())
+						}
 						resident = true
 					case op < 6:
 						query(zorder.Range{}, "whole")
@@ -185,7 +215,7 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 						query(zorder.Range{Lo: lo, Hi: hi}, "interior")
 					case op == 10: // handoff commit: wholesale replace
 						epoch++
-						held = held[:0]
+						held, batches = held[:0], nil
 						for i := rng.Intn(3); i > 0; i-- {
 							b := randomBlock(1 + rng.Intn(30))
 							bf, zf := shardFrames(t, enc, b)
@@ -194,6 +224,7 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 								t.Fatal(err)
 							}
 							held = append(held, b.Clone().Points()...)
+							batches = append(batches, b.Clone().Points())
 						}
 						version++
 						if err := w.CommitShard(CommitShardArgs{ShardID: 0, Epoch: epoch,
@@ -208,11 +239,24 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 							&DropShardReply{}); err != nil {
 							t.Fatal(err)
 						}
-						held, resident = held[:0], false
+						held, batches, resident = held[:0], nil, false
 						query(zorder.Range{}, "whole after drop")
 					}
 				}
 				query(zorder.Range{}, "final whole")
+				if resident {
+					// A cursor is only for a whole-shard Pareto query.
+					refused := []ShardSkyArgs{{Since: -1}, {Since: 1, Hi: randomAddr()}, {Since: 1, Lo: randomAddr()}}
+					if !pareto {
+						refused = append(refused, ShardSkyArgs{Since: 1})
+					}
+					for _, args := range refused {
+						args.RuleID, args.MapVersion = 1, version
+						if err := w.ShardSkyline(args, &ShardSkyReply{}); err == nil {
+							t.Errorf("cursor %d with bounds %v..%v answered", args.Since, args.Lo, args.Hi)
+						}
+					}
+				}
 				var stats ShardStatsReply
 				if err := w.ShardStats(ShardStatsArgs{}, &stats); err != nil {
 					t.Fatal(err)
@@ -426,12 +470,28 @@ func TestClusterHandoffDiscardsCachedSkyline(t *testing.T) {
 	sameSet(t, got, seq.SB(held, nil), "full skyline after A->B->A")
 }
 
+// intersect returns the rows of a that b holds, as multisets.
+func intersect(a, b []point.Point) []point.Point {
+	left := map[string]int{}
+	for _, p := range b {
+		left[fmt.Sprint(p)]++
+	}
+	var out []point.Point
+	for _, p := range a {
+		if k := fmt.Sprint(p); left[k] > 0 {
+			left[k]--
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // ---- microbenchmarks ----
 
 // benchShard loads one replica with the cluster-mixed shard shape:
 // independent d=8 rows arriving in 128-row batches, Z-search kernel,
 // two-word addresses. It returns the median address for range bounds.
-func benchShard(b *testing.B, rows int) (*Worker, *zorder.Encoder, zorder.ZAddr, *gen.Source) {
+func benchShard(b testing.TB, rows int) (*Worker, *zorder.Encoder, zorder.ZAddr, *gen.Source) {
 	const dims, batch = 8, 128
 	w, rule := bareWorker(b, dims, 16, plan.ZS, dominance.Descriptor{})
 	enc := rule.Encoder()
@@ -451,6 +511,65 @@ func benchShard(b *testing.B, rows int) (*Worker, *zorder.Encoder, zorder.ZAddr,
 	}
 	sort.Slice(order, func(i, j int) bool { return all.Compare(order[i], order[j]) < 0 })
 	return w, enc, all.At(order[len(order)/2]).Clone(), src
+}
+
+// TestShardSuffixCacheIsNoFilter counts what probing a suffix's rows
+// against the cached skyline's rows in the suffix would save the kernel,
+// on BenchmarkShardSkylineSuffix's shard. Nothing: a cached row that
+// dominates a suffix row has the smaller Z-address, so Z-search meets it
+// first and already holds it in its running skyline when it tests that
+// row. The probe only adds its own tests. The counts are deterministic
+// (EXPERIMENTS.md "Fold each full query's new rows").
+func TestShardSuffixCacheIsNoFilter(t *testing.T) {
+	w, enc, mid, _ := benchShard(t, 15000)
+	var whole ShardSkyReply
+	if err := w.ShardSkyline(ShardSkyArgs{RuleID: 1}, &whole); err != nil {
+		t.Fatal(err)
+	}
+	res, rule := w.resident[0], w.rules[1]
+	suffix := zorder.Range{Lo: mid}
+	filtered := make([]plan.Group, len(res.groups))
+	for i, g := range res.groups {
+		filtered[i] = filterGroupRange(g, suffix)
+	}
+	in := concatGroups(filtered)
+	st := zbtree.NewStoreWithZCol(enc, in.Block, in.ZCol)
+	sky := res.sky.fold.Skyline()
+	from := sort.Search(sky.Len(), func(i int) bool { return zorder.Compare(sky.ZCol.At(i), mid) >= 0 })
+	cached := make(map[string]bool, sky.Len()-from)
+	for i := from; i < sky.Len(); i++ {
+		cached[fmt.Sprint(sky.Block.Row(i))] = true
+	}
+	var cachedRows []int32
+	for i := 0; i < in.Len(); i++ {
+		if cached[fmt.Sprint(in.Block.Row(i))] {
+			cachedRows = append(cachedRows, int32(i))
+		}
+	}
+
+	var alone metrics.Tally
+	want := rule.LocalSkylineGroup(in, &alone)
+
+	var probed metrics.Tally
+	tree := zbtree.BuildRows(st, zbtree.DefaultFanout, cachedRows, &probed)
+	var keep []int32
+	for i := int32(0); i < int32(in.Len()); i++ {
+		if !tree.DominatesRow(i) {
+			keep = append(keep, i)
+		}
+	}
+	survivors := plan.Group{}
+	survivors.Block, survivors.ZCol = st.CompactRows(keep)
+	got := rule.LocalSkylineGroup(survivors, &probed)
+
+	sameSet(t, got.Points(), want.Points(), "kernel after the probe")
+	a, p := alone.Snapshot(), probed.Snapshot()
+	t.Logf("suffix rows %d, cached rows in the suffix %d, its skyline %d", in.Len(), len(cachedRows), want.Len())
+	t.Logf("kernel alone: %d dominance tests, %d region tests", a.DominanceTests, a.RegionTests)
+	t.Logf("probe, then kernel: %d dominance tests, %d region tests", p.DominanceTests, p.RegionTests)
+	if p.DominanceTests <= a.DominanceTests || p.RegionTests <= a.RegionTests {
+		t.Errorf("the probe saved tests: %+v against %+v", p, a)
+	}
 }
 
 func benchShardSkyline(b *testing.B, w *Worker, args ShardSkyArgs) {

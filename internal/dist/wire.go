@@ -452,7 +452,8 @@ func (a ShardSkyArgs) AppendTo(dst []byte) ([]byte, error) {
 	dst = appendU64(dst, a.MapVersion)
 	dst = appendI64(dst, int64(a.ShardID))
 	dst = appendU64s(dst, a.Lo)
-	return appendU64s(dst, a.Hi), nil
+	dst = appendU64s(dst, a.Hi)
+	return appendI64(dst, int64(a.Since)), nil
 }
 
 // DecodeFrom decodes a shard skyline request.
@@ -463,12 +464,15 @@ func (a *ShardSkyArgs) DecodeFrom(data []byte) error {
 	a.ShardID = int(r.i64())
 	a.Lo = r.u64s()
 	a.Hi = r.u64s()
+	a.Since = int(r.i64())
 	return r.done()
 }
 
-// AppendTo encodes the outcome byte, then the shard-local skyline.
+// AppendTo encodes the outcome byte, the shard-local skyline, then the
+// batch count it covers.
 func (a ShardSkyReply) AppendTo(dst []byte) ([]byte, error) {
-	return appendGroup(append(dst, byte(a.Outcome)), a.Group)
+	dst, err := appendGroup(append(dst, byte(a.Outcome)), a.Group)
+	return appendI64(dst, int64(a.Batches)), err
 }
 
 // DecodeFrom decodes a shard skyline reply.
@@ -478,6 +482,7 @@ func (a *ShardSkyReply) DecodeFrom(data []byte) error {
 		a.Outcome = SkyOutcome(b[0])
 	}
 	a.Group = r.group()
+	a.Batches = int(r.i64())
 	return r.done()
 }
 

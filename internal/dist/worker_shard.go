@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,9 @@ func (w *Worker) StoreShard(args StoreShardArgs, reply *StoreShardReply) error {
 // below Hi. A range with a lower bound runs the kernel over the
 // filtered rows — its dominators may lie below Lo and must not count.
 // Folding is exact because the relation is transitive, which NewCluster
-// requires.
+// requires. A whole-shard Pareto query with a positive Since is
+// answered with the delta the coordinator has not merged yet (see
+// ShardSkyReply.Batches). Replies leave the Z-address column out.
 // The error string "not resident" is load-bearing: the coordinator
 // classifies it as shard-moved and re-routes from a fresh map snapshot,
 // which is how a query that raced a rebalance converges on the new
@@ -149,6 +152,11 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 	}
 	if err := checkBounds(r.Encoder().Words(), args.Lo, args.Hi); err != nil {
 		return err
+	}
+	whole := len(args.Lo) == 0 && len(args.Hi) == 0
+	pareto := dominance.IsPareto(r.Provider())
+	if args.Since < 0 || (args.Since > 0 && !(whole && pareto)) {
+		return fmt.Errorf("dist: shard %d: cursor %d needs a whole-shard Pareto query", args.ShardID, args.Since)
 	}
 	// Fold the caller's map version forward under the write lock before
 	// snapshotting the shard: shardVer must never be written under the
@@ -167,16 +175,63 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 		return fmt.Errorf("dist: shard %d not resident on %s", args.ShardID, w.addr)
 	}
 	shard := obs.L("shard", fmt.Sprint(args.ShardID))
-	if len(args.Lo) == 0 && (len(args.Hi) == 0 || dominance.IsPareto(r.Provider())) {
-		reply.Group, reply.Outcome = res.sky.below(r, args.RuleID, groups, args.Hi)
+	if len(args.Lo) == 0 && (len(args.Hi) == 0 || pareto) {
+		var k int
+		reply.Group, reply.Outcome, k = res.sky.below(r, args.RuleID, groups, args.Hi)
 		w.reg.Gauge("zsky_shard_skyline_rows", shard).Set(float64(res.sky.rows.Load()))
+		if whole {
+			reply.Batches = k
+		}
+		if args.Since > 0 && args.Since <= k {
+			if k > len(groups) {
+				// Another caller folded batches this snapshot predates.
+				w.smu.RLock()
+				groups = res.groups[:k:k]
+				w.smu.RUnlock()
+			}
+			reply.Group = deltaRows(reply.Group, groups[args.Since:k])
+		}
 	} else {
 		reply.Group = rangeSkyline(r, groups, zorder.Range{Lo: args.Lo, Hi: args.Hi})
 		reply.Outcome = SkyComputed
 	}
 	reply.Group.Gid = args.ShardID
+	reply.Group.ZCol = zorder.ZCol{}
 	w.reg.Counter("zsky_shard_skyline_total", shard, obs.L("outcome", reply.Outcome.String())).Add(1)
 	return nil
+}
+
+// deltaRows returns the rows of sky that came from batches, in sky's
+// Z-order. Each batch row claims one unclaimed row of sky with its
+// address and its coordinates, found by a binary search on sky's
+// Z-sorted column; a batch row that claims nothing is not on sky.
+// Claiming keeps copies exact: copies of a point are on a Pareto
+// skyline all together or not at all, so each copy in batches claims
+// one and the copies from earlier batches stay unclaimed.
+func deltaRows(sky plan.Group, batches []plan.Group) plan.Group {
+	n := sky.Len()
+	claimed := make([]bool, n)
+	found := 0
+	for _, b := range batches {
+		for i := 0; i < b.Len(); i++ {
+			z, row := b.ZCol.At(i), b.Block.Row(i)
+			j := sort.Search(n, func(j int) bool { return zorder.Compare(sky.ZCol.At(j), z) >= 0 })
+			for ; j < n && zorder.Compare(sky.ZCol.At(j), z) == 0; j++ {
+				if !claimed[j] && slices.Equal(sky.Block.Row(j), row) {
+					claimed[j] = true
+					found++
+					break
+				}
+			}
+		}
+	}
+	bb := point.NewBlockBuilder(sky.Block.Dims, found)
+	for j, ok := range claimed {
+		if ok {
+			bb.Append(sky.Block.Row(j))
+		}
+	}
+	return plan.Group{Block: bb.Build()}
 }
 
 // checkBounds rejects a range bound that is neither absent nor exactly
@@ -193,13 +248,13 @@ func checkBounds(words int, lo, hi []uint64) error {
 
 // below brings the cached skyline up to date with groups — the
 // caller's snapshot of the shard's batches — and returns its rows
-// below hi (all of them when hi is empty) and how it got them. A bound
-// comes only with a Pareto rule, whose fold keeps its rows Z-sorted,
-// so the rows below it are a prefix. Concurrent callers (hedge legs)
-// serialize on the fold, so the work is done once; a caller whose
-// snapshot is older than the cache is answered from the cache, a state
-// the shard reached before the reply.
-func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, hi zorder.ZAddr) (plan.Group, SkyOutcome) {
+// below hi (all of them when hi is empty), how it got them, and how
+// many batches the skyline covers. A bound comes only with a Pareto
+// rule, whose fold keeps its rows Z-sorted, so the rows below it are a
+// prefix. Concurrent callers (hedge legs) serialize on the fold, so the
+// work is done once; a caller whose snapshot is older than the cache is
+// answered from the cache, a state the shard reached before the reply.
+func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, hi zorder.ZAddr) (plan.Group, SkyOutcome, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fold == nil || c.ruleID != ruleID {
@@ -221,7 +276,7 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 		n := sort.Search(out.Len(), func(i int) bool { return zorder.Compare(out.ZCol.At(i), hi) >= 0 })
 		out.Block, out.ZCol = out.Block.Slice(0, n), out.ZCol.Slice(0, n)
 	}
-	return out, outcome
+	return out, outcome, c.k
 }
 
 // rangeSkyline is the shard skyline restricted to rng, from the rows:

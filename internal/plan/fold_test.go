@@ -91,3 +91,34 @@ func TestFoldMatchesBruteForce(t *testing.T) {
 		t.Errorf("empty batch counted %d rows", got)
 	}
 }
+
+// TestFoldFromSeed seeds a fold with another fold's skyline and adds the
+// same batches to both: the seeded fold must give the same skyline and
+// the same counts as the one that computed its seed.
+func TestFoldFromSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	r := clusterRule(t, 4, 8, ZS, dominance.Descriptor{})
+	batch := func() Group {
+		pts := make([]point.Point, 1+rng.Intn(60))
+		for i := range pts {
+			pts[i] = make(point.Point, 4)
+			for k := range pts[i] {
+				pts[i][k] = float64(rng.Intn(10)) / 10
+			}
+		}
+		return NewGroup(0, 4, pts)
+	}
+	computed := NewFold(r, nil)
+	for i := 0; i < 5; i++ {
+		computed.Add(batch())
+	}
+	seeded := NewFoldFrom(r, nil, computed.Skyline())
+	for i := 0; i < 10; i++ {
+		label := fmt.Sprintf("batch %d", i)
+		b := batch()
+		if got, want := seeded.Add(b), computed.Add(b); got != want {
+			t.Fatalf("%s: seeded fold counted %d rows, computed one %d", label, got, want)
+		}
+		sameSet(t, seeded.Skyline().Points(), computed.Skyline().Points(), label)
+	}
+}

@@ -239,7 +239,15 @@ type Fold struct {
 
 // NewFold starts an empty fold under r; tally may be nil.
 func NewFold(r *Rule, tally *metrics.Tally) *Fold {
-	return &Fold{r: r, tally: tally, sky: Group{Block: point.Block{Dims: r.dims}}}
+	return NewFoldFrom(r, tally, Group{Block: point.Block{Dims: r.dims}})
+}
+
+// NewFoldFrom starts a fold whose skyline is sky, taken as it is: the
+// caller vouches that sky is a skyline under r in Z-order and, under
+// Pareto, carries its column — what a Fold's own Skyline or a Pareto
+// SweepMerge returns. Nothing is recomputed.
+func NewFoldFrom(r *Rule, tally *metrics.Tally, sky Group) *Fold {
+	return &Fold{r: r, tally: tally, sky: sky}
 }
 
 // Skyline returns the skyline of every row added so far, in Z-order.
