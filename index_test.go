@@ -2,7 +2,10 @@ package zskyline
 
 import (
 	"context"
+	"sync"
 	"testing"
+
+	"zskyline/internal/point"
 )
 
 func TestIndexBasics(t *testing.T) {
@@ -95,4 +98,122 @@ func TestIndexExplain(t *testing.T) {
 	if ix.Stats().RegionTests == 0 {
 		t.Error("no stats recorded")
 	}
+}
+
+// sortedCopy returns pts sorted lexicographically, without touching
+// the caller's slice.
+func sortedCopy(pts []Point) []Point {
+	out := append([]Point(nil), pts...)
+	point.SortLexicographic(out)
+	return out
+}
+
+func samePoints(t *testing.T, label string, got, want []Point) {
+	t.Helper()
+	g, w := sortedCopy(got), sortedCopy(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d points %v, want %d %v", label, len(g), g, len(w), w)
+	}
+	for i := range g {
+		if !g[i].Equal(w[i]) {
+			t.Fatalf("%s: point %d = %v, want %v", label, i, g[i], w[i])
+		}
+	}
+}
+
+// The index owns its data: overwriting a point an answer returned, or
+// a point of the indexed dataset, changes no later answer.
+func TestIndexAnswersDoNotAliasData(t *testing.T) {
+	ds, err := NewDataset(2, []Point{{0.1, 0.9}, {0.9, 0.1}, {0.5, 0.5}, {0.6, 0.6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(ds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSky := []Point{{0.1, 0.9}, {0.9, 0.1}, {0.5, 0.5}}
+	all := []Point{{0.1, 0.9}, {0.9, 0.1}, {0.5, 0.5}, {0.6, 0.6}}
+	lo, hi := Point{0, 0}, Point{1, 1}
+	check := func(label string) {
+		t.Helper()
+		samePoints(t, label+": skyline", ix.Skyline(), wantSky)
+		in, _ := ix.Range(lo, hi)
+		samePoints(t, label+": range", in, all)
+		doms, _ := ix.Dominators(Point{0.7, 0.7})
+		samePoints(t, label+": dominators", doms, []Point{{0.5, 0.5}, {0.6, 0.6}})
+		if n, _ := ix.DominatedCount(Point{0.05, 0.05}); n != 4 {
+			t.Fatalf("%s: (0.05,0.05) dominates %d points, want 4", label, n)
+		}
+	}
+	check("fresh")
+
+	for _, p := range ix.Skyline() {
+		p[0], p[1] = 0, 0
+	}
+	in, _ := ix.Range(lo, hi)
+	for _, p := range in {
+		p[0], p[1] = 0, 0
+	}
+	within, _ := ix.SkylineWithin(lo, hi)
+	for _, p := range within {
+		p[0], p[1] = 0, 0
+	}
+	for p := range ix.SkylineProgressive(context.Background()) {
+		p[0], p[1] = 0, 0
+	}
+	check("answers overwritten")
+
+	for _, p := range ds.Points {
+		p[0], p[1] = 0, 0
+	}
+	check("dataset overwritten")
+}
+
+// An Index is safe for concurrent reads: goroutines running every query
+// at once all get the answers a lone caller gets.
+func TestIndexConcurrentReads(t *testing.T) {
+	ds := Generate(AntiCorrelated, 3000, 3, 29)
+	ix, err := BuildIndex(ds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := Point{0.2, 0.2, 0.2}, Point{0.8, 0.8, 0.8}
+	probe := Point{0.6, 0.6, 0.6}
+	wantSky := ix.Skyline()
+	wantRange, _ := ix.Range(lo, hi)
+	wantWithin, _ := ix.SkylineWithin(lo, hi)
+	wantDoms, _ := ix.Dominators(probe)
+	wantCount, _ := ix.DominatedCount(probe)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prog []Point
+			for p := range ix.SkylineProgressive(context.Background()) {
+				prog = append(prog, p)
+			}
+			in, _ := ix.Range(lo, hi)
+			within, _ := ix.SkylineWithin(lo, hi)
+			doms, _ := ix.Dominators(probe)
+			n, _ := ix.DominatedCount(probe)
+			switch {
+			case len(ix.Skyline()) != len(wantSky), len(prog) != len(wantSky):
+				errs <- "skyline"
+			case len(in) != len(wantRange), len(within) != len(wantWithin):
+				errs <- "range"
+			case len(doms) != len(wantDoms), n != wantCount:
+				errs <- "dominance"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("concurrent %s answer differs from the serial one", e)
+	}
+	samePoints(t, "skyline", ix.Skyline(), SequentialSkyline(ds.Points))
 }

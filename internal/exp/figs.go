@@ -9,6 +9,7 @@ import (
 	"zskyline/internal/grouping"
 	"zskyline/internal/partition"
 	"zskyline/internal/point"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -75,7 +76,7 @@ func runFig3(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, ds.Points, parts)
+		zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +460,7 @@ func runFig4(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	zc, err := partition.NewZCurve(enc, ds.Points, 16)
+	zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), 16)
 	if err != nil {
 		return nil, err
 	}

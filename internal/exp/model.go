@@ -16,6 +16,7 @@ import (
 	"zskyline/internal/partition"
 	"zskyline/internal/point"
 	"zskyline/internal/sample"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -53,7 +54,7 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, smp, m)
+		zc, err := partition.NewZCurve(enc, smp, zbtree.ZSearch(enc, 0, smp, nil), m)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +137,7 @@ func runAblSkew(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, smp, m)
+		zc, err := partition.NewZCurve(enc, smp, zbtree.ZSearch(enc, 0, smp, nil), m)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
 	"zskyline/internal/partition"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -16,7 +17,7 @@ func learn(t *testing.T, dist gen.Distribution, n, d, parts int) (*zorder.Encode
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := partition.NewZCurve(enc, ds.Points, parts)
+	z, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestHeuristicCoversAllPartitions(t *testing.T) {
 }
 
 func TestHeuristicBalancesSkyline(t *testing.T) {
-	_, z := learn(t, gen.AntiCorrelated, 5000, 4, 64)
+	enc, z := learn(t, gen.AntiCorrelated, 5000, 4, 64)
 	m := 8
 	// Redistribute first, as ZHG prescribes.
 	ds := gen.Synthetic(gen.AntiCorrelated, 5000, 4, 7)
@@ -61,7 +62,7 @@ func TestHeuristicBalancesSkyline(t *testing.T) {
 	for _, in := range z.Infos() {
 		totalSky += in.SkyCount
 	}
-	rz := z.Redistribute(ds.Points, totalSky/m)
+	rz := z.Redistribute(ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), totalSky/m)
 	pg, err := Heuristic(rz.Infos(), m)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"zskyline/internal/gen"
 	"zskyline/internal/partition"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -27,7 +28,7 @@ func TestQuickGroupingInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		zc, err := partition.NewZCurve(enc, ds.Points, parts)
+		zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
 		if err != nil {
 			return false
 		}

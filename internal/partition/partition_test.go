@@ -8,6 +8,7 @@ import (
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
+	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -115,7 +116,7 @@ func TestGridImbalanceVsZCurveOnSkewedData(t *testing.T) {
 	gridBal := metrics.NewBalance(checkCoverage(t, g, pts))
 
 	enc, _ := zorder.NewUnitEncoder(4, 12)
-	z, err := NewZCurve(enc, pts, 16)
+	z, err := newZCurve(enc, pts, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRandomPartitioner(t *testing.T) {
 func TestZCurveBasics(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 3000, 5, 11)
 	enc, _ := zorder.NewUnitEncoder(5, 12)
-	z, err := NewZCurve(enc, ds.Points, 32)
+	z, err := newZCurve(enc, ds.Points, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestZCurveBasics(t *testing.T) {
 	if bal.Imbalance > 1.35 {
 		t.Errorf("zcurve imbalance %.2f on its own sample: %v", bal.Imbalance, counts)
 	}
-	if _, err := NewZCurve(enc, nil, 4); err == nil {
+	if _, err := newZCurve(enc, nil, 4); err == nil {
 		t.Error("empty sample should fail")
 	}
 }
@@ -220,7 +221,7 @@ func TestZCurveBalancedOnUnseenData(t *testing.T) {
 	train := gen.Synthetic(gen.AntiCorrelated, 2000, 4, 13)
 	test := gen.Synthetic(gen.AntiCorrelated, 20000, 4, 14)
 	enc, _ := zorder.NewUnitEncoder(4, 12)
-	z, _ := NewZCurve(enc, train.Points, 16)
+	z, _ := newZCurve(enc, train.Points, 16)
 	bal := metrics.NewBalance(checkCoverage(t, z, test.Points))
 	if bal.Imbalance > 1.6 {
 		t.Errorf("zcurve generalization imbalance %.2f", bal.Imbalance)
@@ -230,7 +231,7 @@ func TestZCurveBalancedOnUnseenData(t *testing.T) {
 func TestZCurveInfos(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 2000, 3, 15)
 	enc, _ := zorder.NewUnitEncoder(3, 10)
-	z, _ := NewZCurve(enc, ds.Points, 8)
+	z, _ := newZCurve(enc, ds.Points, 8)
 	infos := z.Infos()
 	if len(infos) != z.N() {
 		t.Fatalf("infos len = %d, want %d", len(infos), z.N())
@@ -263,7 +264,7 @@ func TestZCurveIntervalRegionContainsAssignedPoints(t *testing.T) {
 	train := gen.Synthetic(gen.Independent, 500, 3, 17)
 	test := gen.Synthetic(gen.Independent, 5000, 3, 18)
 	enc, _ := zorder.NewUnitEncoder(3, 8)
-	z, _ := NewZCurve(enc, train.Points, 16)
+	z, _ := newZCurve(enc, train.Points, 16)
 	infos := z.Infos()
 	for _, p := range test.Points {
 		id := z.Assign(p)
@@ -283,7 +284,7 @@ func TestZCurveRedistribute(t *testing.T) {
 	// band; redistribution should split heavy partitions.
 	ds := gen.Synthetic(gen.AntiCorrelated, 3000, 3, 19)
 	enc, _ := zorder.NewUnitEncoder(3, 10)
-	z, _ := NewZCurve(enc, ds.Points, 8)
+	z, _ := newZCurve(enc, ds.Points, 8)
 	maxSky := 0
 	totalSky := 0
 	for _, in := range z.Infos() {
@@ -296,7 +297,7 @@ func TestZCurveRedistribute(t *testing.T) {
 	if target < 1 {
 		target = 1
 	}
-	rz := z.Redistribute(ds.Points, target)
+	rz := z.Redistribute(ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), target)
 	if rz.N() <= z.N() {
 		t.Fatalf("redistribute did not split: %d -> %d (maxSky=%d target=%d)",
 			z.N(), rz.N(), maxSky, target)
@@ -321,7 +322,7 @@ func TestZCurveDuplicateHeavySample(t *testing.T) {
 		pts[i] = point.Point{0.5, 0.5}
 	}
 	enc, _ := zorder.NewUnitEncoder(2, 8)
-	z, err := NewZCurve(enc, pts, 8)
+	z, err := newZCurve(enc, pts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +330,10 @@ func TestZCurveDuplicateHeavySample(t *testing.T) {
 		t.Fatalf("N = %d", z.N())
 	}
 	checkCoverage(t, z, pts)
+}
+
+// newZCurve learns a Z-curve from pts, computing the sample skyline the
+// way plan.Learn does.
+func newZCurve(enc *zorder.Encoder, pts []point.Point, m int) (*ZCurve, error) {
+	return NewZCurve(enc, pts, zbtree.ZSearch(enc, 0, pts, nil), m)
 }

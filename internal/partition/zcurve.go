@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"zskyline/internal/point"
-	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
 
@@ -43,9 +42,9 @@ type ZCurve struct {
 }
 
 // NewZCurve learns a Z-curve partitioner with m partitions from
-// sample. The sample skyline is computed with Z-search to fill the
-// per-partition skyline counts.
-func NewZCurve(enc *zorder.Encoder, sample []point.Point, m int) (*ZCurve, error) {
+// sample. sky is the sample's skyline, computed once by the caller; it
+// fills the per-partition skyline counts.
+func NewZCurve(enc *zorder.Encoder, sample, sky []point.Point, m int) (*ZCurve, error) {
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("partition: zcurve needs a non-empty sample")
 	}
@@ -66,8 +65,6 @@ func NewZCurve(enc *zorder.Encoder, sample []point.Point, m int) (*ZCurve, error
 		z.pivots = append(z.pivots, zc.At(perm[c*len(perm)/m]).Clone())
 	}
 	z.dedupePivots()
-	// Sample skyline for the per-partition skyline histogram.
-	sky := zbtree.ZSearch(enc, 0, sample, nil)
 	z.buildInfos(sample, sky)
 	return z, nil
 }
@@ -178,13 +175,12 @@ func (z *ZCurve) Infos() []Info { return z.infos }
 // Redistribute implements the redistribute() step of Algorithms 1 and
 // 2: every partition holding more than maxSky sample skyline points is
 // split at the Z-addresses of its sample skyline quantiles, so the
-// greedy grouping can spread skyline load. A new partitioner is
-// returned; the receiver is unchanged.
-func (z *ZCurve) Redistribute(sample []point.Point, maxSky int) *ZCurve {
+// greedy grouping can spread skyline load. sky is the skyline of
+// sample. A new partitioner is returned; the receiver is unchanged.
+func (z *ZCurve) Redistribute(sample, sky []point.Point, maxSky int) *ZCurve {
 	if maxSky < 1 {
 		maxSky = 1
 	}
-	sky := zbtree.ZSearch(z.enc, 0, sample, nil)
 	// One bulk encode of the sample skyline; partitions hold row
 	// indices into the shared column.
 	skyZ := z.enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(z.enc.Dims(), sky))

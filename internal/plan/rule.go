@@ -52,12 +52,8 @@ type Rule struct {
 	// task i's survivors are group i.
 	positional bool
 	// szb is the sample-skyline ZB-tree of Algorithm 3; nil when the
-	// strategy or the relation does not filter. The Z-order strategies
-	// hold the pointer tree; Positional, which relearns on every query,
-	// holds the slab tree, whose build is a handful of allocations.
-	szb interface {
-		DominatesPoint(g []uint32, p point.Point) bool
-	}
+	// strategy or the relation does not filter.
+	szb *zbtree.BlockTree
 	// sampleSize is |sample|; with skySize it predicts the filter's
 	// survivor count (see survivorsOf).
 	sampleSize int
@@ -141,17 +137,13 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	if spec.Strategy != NaiveZ {
 		parts = spec.M * spec.Delta
 	}
-	zc, err := partition.NewZCurve(enc, smp, parts)
-	if err != nil {
-		return nil, err
-	}
-	skyPts := zbtree.ZSearch(enc, spec.fanout(), smp, tally)
-	r.skySize = len(skyPts)
 	// Naive-Z is the bare §4.1 partitioner: pivots only, no sample
 	// skyline filter, no grouping. Only the grouped strategies run
 	// Algorithm 3's SZB-tree mapper filter.
-	if spec.Strategy != NaiveZ && !r.filterOff {
-		r.szb = zbtree.BuildFromPoints(enc, spec.fanout(), skyPts, tally)
+	skyPts := r.sampleSkyline(smp, spec.Strategy != NaiveZ && !r.filterOff, tally).Points()
+	zc, err := partition.NewZCurve(enc, smp, skyPts, parts)
+	if err != nil {
+		return nil, err
 	}
 
 	var pg *grouping.PGMap
@@ -159,10 +151,10 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	case NaiveZ:
 		pg = grouping.Identity(zc.Infos())
 	case ZHG:
-		zc = zc.Redistribute(smp, sconsOf(skyPts, spec.M))
+		zc = zc.Redistribute(smp, skyPts, sconsOf(skyPts, spec.M))
 		pg, err = grouping.Heuristic(zc.Infos(), spec.M)
 	case ZDG:
-		zc = zc.Redistribute(smp, sconsOf(skyPts, spec.M))
+		zc = zc.Redistribute(smp, skyPts, sconsOf(skyPts, spec.M))
 		if r.caps.ParetoImplies {
 			pg, err = grouping.Dominance(enc, zc.Infos(), spec.M)
 		} else {
@@ -211,18 +203,29 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 // groups at most (the driver reports how many map tasks the input
 // actually filled), and — unless the relation or the spec turns the
 // filter off — the sample skyline indexed as the SZB-tree every map
-// task probes. Sample and tree stay on the slab path, so learning
-// costs a handful of allocations whatever the sample size.
+// task probes.
 func (r *Rule) learnPositional(spec *Spec, smp []point.Point, tally *metrics.Tally) *Rule {
 	r.positional = true
 	r.groups, r.parts = spec.M, spec.M
-	if r.filterOff || len(smp) == 0 {
-		return r
+	if !r.filterOff && len(smp) > 0 {
+		r.sampleSkyline(smp, true, tally)
 	}
-	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, point.BlockOf(r.dims, smp), zorder.ZCol{}, tally)
-	r.szb = zbtree.BuildStore(zbtree.NewStoreWithZCol(r.enc, sky, skyZ), r.fanout, tally)
-	r.skySize, r.sampleSize = sky.Len(), len(smp)
 	return r
+}
+
+// sampleSkyline computes the sample's skyline — the one Z-search of
+// phase 1, counted in tally — and, when index is set, builds the
+// SZB-tree of Algorithm 3 over it, reusing the search's compacted rows
+// and Z-column as the tree's store. Sample and tree stay on the slab
+// path, so learning costs a handful of allocations whatever the sample
+// size.
+func (r *Rule) sampleSkyline(smp []point.Point, index bool, tally *metrics.Tally) point.Block {
+	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, point.BlockOf(r.dims, smp), zorder.ZCol{}, tally)
+	if index {
+		r.szb = zbtree.BuildStore(zbtree.NewStoreWithZCol(r.enc, sky, skyZ), r.fanout, tally)
+	}
+	r.skySize, r.sampleSize = sky.Len(), len(smp)
+	return sky
 }
 
 // Groups returns the number of groups (= phase-2 reducers).

@@ -85,11 +85,12 @@ func TopKByDominance(sky, data []point.Point, enc *zorder.Encoder, k int, tally 
 	if k <= 0 || len(sky) == 0 {
 		return nil
 	}
-	tree := zbtree.BuildFromPoints(enc, 0, data, tally)
+	tree := zbtree.BuildStore(zbtree.NewStore(enc, point.BlockOf(enc.Dims(), data)), 0, tally)
 	scored := make([]Scored, len(sky))
+	g := make([]uint32, enc.Dims())
 	for i, p := range sky {
-		e := zbtree.NewEntry(enc, p)
-		scored[i] = Scored{P: p, Score: float64(tree.CountDominatedBy(e.G, e.P))}
+		g = enc.GridInto(g, p)
+		scored[i] = Scored{P: p, Score: float64(tree.CountDominatedBy(g, p))}
 	}
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Score != scored[j].Score {

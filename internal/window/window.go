@@ -5,11 +5,12 @@
 // be retained.
 //
 // The implementation keeps the window in a ring buffer and the current
-// skyline in a ZB-tree. Arrivals update the tree incrementally (the
-// cheap, common case); expiries of non-skyline points are free, while
-// expiry of a skyline point triggers a recompute of the skyline from
-// the live window — the classic lazy strategy, exact at every step and
-// amortized well because most expiring points are not skyline points.
+// skyline in a plan.Fold — the same incremental skyline package
+// maintain is. An arrival is folded in as a one-row batch (the cheap,
+// common case); expiries of non-skyline points are free, while expiry
+// of a skyline point triggers a recompute of the skyline from the live
+// window — the classic lazy strategy, exact at every step and amortized
+// well because most expiring points are not skyline points.
 package window
 
 import (
@@ -17,25 +18,23 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
+	"zskyline/internal/plan"
 	"zskyline/internal/point"
-	"zskyline/internal/zbtree"
-	"zskyline/internal/zorder"
 )
 
 // Skyline is a sliding-window skyline maintainer. Not safe for
 // concurrent use; wrap with a mutex if shared.
 type Skyline struct {
-	enc      *zorder.Encoder
-	prov     dominance.Provider
+	rule     *plan.Rule
+	fold     *plan.Fold
+	tally    *metrics.Tally
 	capacity int
 	ring     []point.Point
 	head     int // index of the oldest point
 	size     int
-	sky      *zbtree.Tree
-	tally    *metrics.Tally
-	// dirty marks that the tree must be rebuilt from the ring before
-	// the next read (set when a skyline point expired, and on every
-	// push under a non-transitive relation — see Push).
+	// dirty marks that the fold must be rebuilt from the ring before the
+	// next read (set when a skyline point expired, and on every push
+	// under a non-transitive relation — see push).
 	dirty bool
 	subs  []func([]point.Point)
 }
@@ -50,28 +49,29 @@ func New(capacity, dims, bits int, mins, maxs []float64) (*Skyline, error) {
 // dominance provider (nil selects classic Pareto dominance). Unlike
 // package maintain, any irreflexive relation is supported: the window
 // retains all live points, so a non-transitive relation simply
-// recomputes from the ring on every push instead of updating the tree
-// incrementally (the incremental path tests arrivals only against the
-// current skyline, which is conclusive only under transitivity).
+// recomputes from the ring on every push instead of folding arrivals in
+// (a fold tests arrivals only against the current skyline, which is
+// conclusive only under transitivity). The relation is rebuilt from its
+// descriptor, so its kind must be registered.
 func NewUnder(prov dominance.Provider, capacity, dims, bits int, mins, maxs []float64) (*Skyline, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("window: capacity must be positive, got %d", capacity)
 	}
-	enc, err := zorder.NewEncoder(dims, bits, mins, maxs)
+	if prov == nil {
+		prov = dominance.Pareto{}
+	}
+	rule, err := plan.FromData(&plan.RuleData{Dims: dims, Bits: bits, Mins: mins, Maxs: maxs,
+		Local: plan.ZS, Merge: plan.MergeZM, Dominance: prov.Descriptor()})
 	if err != nil {
 		return nil, err
 	}
 	tally := &metrics.Tally{}
-	if prov == nil {
-		prov = dominance.Pareto{}
-	}
 	return &Skyline{
-		enc:      enc,
-		prov:     prov,
+		rule:     rule,
+		fold:     plan.NewFold(rule, tally),
+		tally:    tally,
 		capacity: capacity,
 		ring:     make([]point.Point, capacity),
-		sky:      zbtree.New(enc, 0, tally),
-		tally:    tally,
 	}, nil
 }
 
@@ -88,6 +88,9 @@ func NewUnit(capacity, dims, bits int) (*Skyline, error) {
 // Len returns the number of live points in the window.
 func (w *Skyline) Len() int { return w.size }
 
+// dims returns the width of the window's points.
+func (w *Skyline) dims() int { return w.rule.Encoder().Dims() }
+
 // Subscribe registers fn to be called after every Push that changes
 // the skyline, with the new skyline (in Z-order; callers must not
 // mutate it). Subscribing makes maintenance eager: detecting a change
@@ -99,17 +102,14 @@ func (w *Skyline) Subscribe(fn func([]point.Point)) {
 // Push appends p to the stream, expiring the oldest point if the
 // window is full. It returns whether p is currently a skyline point.
 func (w *Skyline) Push(p point.Point) (bool, error) {
-	if len(p) != w.enc.Dims() {
-		return false, fmt.Errorf("window: point has %d dims, want %d", len(p), w.enc.Dims())
+	if len(p) != w.dims() {
+		return false, fmt.Errorf("window: point has %d dims, want %d", len(p), w.dims())
 	}
 	var before []point.Point
 	if len(w.subs) > 0 {
 		before = w.Current()
 	}
-	on, err := w.push(p)
-	if err != nil {
-		return false, err
-	}
+	on := w.push(p)
 	if len(w.subs) > 0 {
 		after := w.Current()
 		if !sameZOrdered(before, after) {
@@ -121,12 +121,12 @@ func (w *Skyline) Push(p point.Point) (bool, error) {
 	return on, nil
 }
 
-func (w *Skyline) push(p point.Point) (bool, error) {
+func (w *Skyline) push(p point.Point) bool {
 	// A non-transitive relation invalidates both incremental shortcuts:
 	// an arrival undominated by the skyline may still be dominated by a
 	// live non-skyline point, and a non-skyline expiry may resurrect
 	// points only it was dominating. Recompute from the ring instead.
-	if !w.prov.Caps().Transitive {
+	if !w.rule.Provider().Caps().Transitive {
 		w.dirty = true
 	}
 	// Expire the oldest point first.
@@ -135,45 +135,30 @@ func (w *Skyline) push(p point.Point) (bool, error) {
 		w.ring[w.head] = nil
 		w.head = (w.head + 1) % w.capacity
 		w.size--
-		if !w.dirty && w.contains(old) {
+		if !w.dirty && w.onSkyline(old) {
 			// A skyline point left the window: lazily rebuild.
 			w.dirty = true
 		}
 	}
 	w.ring[(w.head+w.size)%w.capacity] = p
 	w.size++
-
-	e := zbtree.NewEntry(w.enc, p)
 	if w.dirty {
 		// The rebuild recomputes the exact skyline of the live window,
-		// which already includes p — do not insert it a second time.
+		// which already includes p — do not fold it in a second time.
 		w.rebuild()
-		if !w.prov.Caps().Transitive {
-			// The tree holds the exact skyline; membership is
-			// coordinate-determined, so a coordinate match decides.
-			return w.contains(p), nil
-		}
-		return !w.sky.DominatesPointUnder(w.prov, e.G, e.P), nil
+		return w.onSkyline(p)
 	}
-	// Incremental arrival: if p is dominated by the current skyline it
-	// changes nothing; otherwise it evicts what it dominates and joins.
-	// Sound for transitive relations only (see push's dirty rule).
-	if w.sky.DominatesPointUnder(w.prov, e.G, e.P) {
-		return false, nil
-	}
-	w.sky.RemoveDominatedByUnder(w.prov, e.G, e.P)
-	// Rebuild-and-insert keeps the tree balanced and sidesteps the
-	// append-only Z-order restriction for out-of-order arrivals.
-	entries := append(w.sky.Entries(), e)
-	w.sky = zbtree.Build(w.enc, 0, entries, w.tally)
-	return true, nil
+	// Incremental arrival: p joins exactly when the fold keeps its row.
+	return w.fold.Add(plan.Group{Block: point.BlockOf(w.dims(), []point.Point{p})}) == 1
 }
 
-// contains reports whether the current skyline holds a point with
-// exactly p's coordinates.
-func (w *Skyline) contains(p point.Point) bool {
-	for _, q := range w.sky.Points() {
-		if q.Equal(p) {
+// onSkyline reports whether the current skyline holds a point with
+// exactly p's coordinates. Dominance is decided by coordinates, so a
+// point equal to a skyline point is itself on the skyline.
+func (w *Skyline) onSkyline(p point.Point) bool {
+	sky := w.fold.Skyline().Block
+	for i := 0; i < sky.Len(); i++ {
+		if sky.Row(i).Equal(p) {
 			return true
 		}
 	}
@@ -191,20 +176,16 @@ func (w *Skyline) Live() []point.Point {
 	return live
 }
 
-// rebuild recomputes the skyline from the live window.
+// rebuild recomputes the skyline from the live window and starts a
+// fresh fold from it.
 func (w *Skyline) rebuild() {
-	live := w.Live()
-	if dominance.IsPareto(w.prov) {
-		w.sky = zbtree.BuildFromPoints(w.enc, 0, live, w.tally).SkylineTree()
-	} else {
-		sky := zbtree.ZSearchUnder(w.prov, w.enc, 0, live, w.tally)
-		w.sky = zbtree.BuildFromPoints(w.enc, 0, sky, w.tally)
-	}
+	live := plan.Group{Block: point.BlockOf(w.dims(), w.Live())}
+	w.fold = plan.NewFoldFrom(w.rule, w.tally, w.rule.LocalSkylineGroup(live, w.tally))
 	w.dirty = false
 }
 
-// sameZOrdered compares two skyline snapshots, both read off a ZB-tree
-// and therefore in Z-order, so equal sets compare equal element-wise.
+// sameZOrdered compares two skyline snapshots, both read off a fold and
+// therefore in Z-order, so equal sets compare equal element-wise.
 func sameZOrdered(a, b []point.Point) bool {
 	if len(a) != len(b) {
 		return false
@@ -222,7 +203,7 @@ func (w *Skyline) Current() []point.Point {
 	if w.dirty {
 		w.rebuild()
 	}
-	return w.sky.Points()
+	return w.fold.Skyline().Points()
 }
 
 // Stats exposes the accumulated test counters.

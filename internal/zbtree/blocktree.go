@@ -1,3 +1,25 @@
+// Package zbtree implements the ZB-tree of Lee et al. [5] that the
+// paper builds on: a balanced tree over Z-addresses whose leaf nodes
+// hold data points and whose internal nodes hold the RZ-region of
+// their subtree. There is one tree type, BlockTree: its nodes live in a
+// slab and its entries are rows of a shared columnar Store. On top of
+// it the package provides
+//
+//   - ZSearch: the state-of-the-art centralized skyline algorithm
+//     ("ZS" in the paper's evaluation), which visits points in Z-order
+//     and prunes whole subtrees with RZ-region dominance tests;
+//   - MergeBlock: the paper's Z-merge (Algorithm 4) for merging skyline
+//     candidate sets, over trees that share one Store;
+//   - DominatesPoint: the point probe of the SZB map filter
+//     (Algorithm 3) and of every merge;
+//   - the index queries of the public Index: range, dominator and
+//     dominance-count walks and a progressive Z-search; and
+//   - ZSearchBlockUnder: Z-search under any dominance provider, with
+//     each grid-level cut gated on the capability that keeps it sound.
+//
+// All region-level pruning uses the conservative grid tests of package
+// zorder, so results are exact with respect to the original float
+// coordinates (see DESIGN.md §5).
 package zbtree
 
 import (
@@ -8,6 +30,9 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
+
+// DefaultFanout is the node capacity used when callers pass 0.
+const DefaultFanout = 16
 
 // Store is the shared columnar backing of a BlockTree: the flat point
 // block, its Z-address column, and the rows' grid coordinates, all
@@ -85,9 +110,9 @@ func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
 
 // bnode is one slab-allocated tree node, addressed by index into
 // BlockTree.nodes. kids == nil marks a leaf. minRow/maxRow reference
-// store rows whose Z-addresses bound the subtree; like the legacy
-// tree, they (and the region arenas) are left as stale supersets after
-// RemoveDominatedBy compaction — Z-merge re-balances once at the end.
+// store rows whose Z-addresses bound the subtree; they (and the region
+// arenas) are left as stale supersets after RemoveDominatedBy
+// compaction — Z-merge re-balances once at the end.
 type bnode struct {
 	kids   []int32 // child node ids; nil for leaves
 	rows   []int32 // leaf rows in Z-order
@@ -99,12 +124,10 @@ type bnode struct {
 func (n *bnode) isLeaf() bool { return n.kids == nil }
 
 // BlockTree is a ZB-tree whose nodes live in one slab and whose
-// entries are (row index into a shared Store) instead of owned
-// Entry copies: no per-node heap allocation on the bulk-load path, no
-// per-point ZAddr/grid clones anywhere. Structure and pruning mirror
-// Tree exactly — same RZ-regions, same conservative grid tests, same
-// stale-region-after-delete strategy — so the two implementations are
-// interchangeable oracles for one another.
+// entries are row indices into a shared Store: no per-node heap
+// allocation on the bulk-load path, no per-point ZAddr/grid clones
+// anywhere. Read-only walks (every probe and query) may run
+// concurrently; Append and RemoveDominatedBy may not.
 type BlockTree struct {
 	st     *Store
 	fanout int
@@ -210,9 +233,9 @@ func BuildStore(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 }
 
 // BuildRows bulk-loads a balanced tree holding the given store rows,
-// sorting them by Z-address first (stably, so ties keep input order —
-// the same tie rule as Build). It takes ownership of rows and sorts it
-// in place; the slice becomes the leaf-row arena.
+// sorting them by Z-address first (stably, so ties keep input order).
+// It takes ownership of rows and sorts it in place; the slice becomes
+// the leaf-row arena.
 func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *BlockTree {
 	t := NewBlockTree(st, fanout, tally)
 	if len(rows) == 0 {
@@ -267,10 +290,10 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 }
 
 // Append inserts a row whose Z-address is >= every address already in
-// the tree (rightmost-edge insertion), mirroring Tree.Append. It
-// panics on an out-of-order insert for the same reason the legacy tree
-// does: a silently corrupted index would invalidate every later
-// dominance test.
+// the tree (rightmost-edge insertion). This is the only insertion
+// Z-search needs: skyline rows arrive in Z-order. It panics on an
+// out-of-order insert, because a silently corrupted index would
+// invalidate every later dominance test.
 func (t *BlockTree) Append(row int32) {
 	if t.root < 0 {
 		id := t.newNode()
@@ -467,7 +490,8 @@ func (t *BlockTree) dominatesRegion(c *probeCount, n int32, r zorder.Region) boo
 
 // RemoveDominatedBy deletes every stored row strictly dominated by row
 // and returns how many were removed. Interior regions are left as-is
-// (valid supersets), matching Tree.RemoveDominatedBy.
+// (they remain valid supersets), matching the paper's strategy of
+// re-balancing once at the end of a merge.
 func (t *BlockTree) RemoveDominatedBy(row int32) int {
 	if t.root < 0 {
 		return 0
@@ -519,8 +543,13 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, row int3
 }
 
 // SkylineRows runs Z-search over the tree and returns the skyline's
-// row indices in Z-order. Semantics mirror Tree.Skyline: the running
-// skyline lives in a second BlockTree over the same store.
+// row indices in Z-order: a depth-first traversal in Z-order that
+// keeps the running skyline in a second BlockTree over the same store.
+// Because Z-order is a topological order for dominance (a dominator's
+// Z-address is never larger than its dominatee's), each row only needs
+// to be tested against already-accepted rows; the only exception is
+// grid-level ties, which the per-acceptance RemoveDominatedBy sweep
+// repairs. The result is the exact skyline of the stored float points.
 func (t *BlockTree) SkylineRows() []int32 {
 	sky := NewBlockTree(t.st, t.fanout, t.tally)
 	t.zsearch(t.root, sky)
@@ -650,4 +679,10 @@ func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol
 	}
 	rows := BuildStore(st, fanout, tally).SkylineRows()
 	return st.CompactRows(rows)
+}
+
+// ZSearch is the slice entry point of the "ZS" algorithm: the skyline
+// of pts in Z-order, as fresh points that share nothing with pts.
+func ZSearch(enc *zorder.Encoder, fanout int, pts []point.Point, tally *metrics.Tally) []point.Point {
+	return ZSearchBlock(enc, fanout, point.BlockOf(enc.Dims(), pts), tally).Points()
 }

@@ -56,9 +56,9 @@ func samePointSet(t *testing.T, label string, got, want []point.Point) {
 	}
 }
 
-// The block-native ZS path must agree point for point with the legacy
-// slice kernel and the brute-force oracle across correlation profiles
-// and dimensionalities (satellite: kernel equivalence).
+// The block-native ZS path must agree point for point with the slice
+// entry point and the brute-force oracle across correlation profiles
+// and dimensionalities.
 func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, kind := range []string{"correlated", "independent", "anti"} {
@@ -70,9 +70,9 @@ func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 			}
 			pts := b.Points()
 			oracle := seq.BruteForce(pts)
-			legacy := BuildFromPoints(enc, 8, pts, nil).Skyline()
+			slice := ZSearch(enc, 8, pts, nil)
 			block := ZSearchBlock(enc, 8, b, nil)
-			samePointSet(t, kind+"/legacy", legacy, oracle)
+			samePointSet(t, kind+"/slice", slice, oracle)
 			samePointSet(t, kind+"/block", block.Points(), oracle)
 
 			// Encode-once path: a pre-built column must give the same
@@ -267,20 +267,20 @@ func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 }
 
 // BlockTree probes count their tests in locals and add them to the
-// shared tally once per probe; what they count must not drift. The
-// pointer Tree mirrors the block tree node for node and still counts as
-// it goes, so over a Z-search the two tallies must agree exactly. The
-// Z-merge of two halves' skylines is pinned to the counts the pointer
-// tree's Z-merge made on this input, and to the brute-force skyline.
+// shared tally once per probe; what they count must not drift. Over one
+// seeded input the Z-search and the Z-merge of two halves' skylines are
+// pinned to the counts they made when the pointer tree they replaced
+// still counted node by node, and to the brute-force skyline.
 func TestBlockTreeTallyMatchesTree(t *testing.T) {
 	enc, blk, zc := kernelBenchInput(t, 3000, 8)
 	pts := blk.Points()
-	var tree, block metrics.Tally
-	_ = BuildFromPoints(enc, 0, pts, &tree).Skyline()
-	_, _ = ZSearchGroup(enc, 0, blk, zc, &block)
-	if tree.Snapshot() != block.Snapshot() || block.Snapshot().DominanceTests == 0 {
-		t.Fatalf("Z-search: tree counted %+v, block tree %+v", tree.Snapshot(), block.Snapshot())
+	want := seq.BruteForce(pts)
+	var search metrics.Tally
+	sky, _ := ZSearchGroup(enc, 0, blk, zc, &search)
+	if s := search.Snapshot(); s.DominanceTests != 336692 || s.RegionTests != 53924 {
+		t.Fatalf("Z-search counted %+v, want 336692 dominance and 53924 region tests", s)
 	}
+	samePointSet(t, "Z-search", sky.Points(), want)
 
 	var merge metrics.Tally
 	half := len(pts) / 2
@@ -298,5 +298,5 @@ func TestBlockTreeTallyMatchesTree(t *testing.T) {
 		t.Fatalf("Z-merge counted %+v, want 213294 dominance and 33698 region tests", s)
 	}
 	got, _ := st.CompactRows(merged.Rows())
-	samePointSet(t, "Z-merge", got.Points(), seq.BruteForce(pts))
+	samePointSet(t, "Z-merge", got.Points(), want)
 }

@@ -10,66 +10,83 @@ import (
 	"zskyline/internal/seq"
 )
 
+// progressive collects every row SkylineProgressive emits.
+func progressive(ctx context.Context, tr *BlockTree) []int32 {
+	var rows []int32
+	tr.SkylineProgressive(ctx, func(row int32) bool {
+		rows = append(rows, row)
+		return true
+	})
+	return rows
+}
+
 func TestSkylineProgressiveMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 40; iter++ {
 		d := 2 + rng.Intn(4)
 		enc := unitEnc(t, d, 6) // coarse grid: force same-address ties
 		pts := randPts(rng, 250, d, 5)
-		tr := BuildFromPoints(enc, 8, pts, nil)
-		var got []point.Point
-		for p := range tr.SkylineProgressive(context.Background()) {
-			got = append(got, p)
-		}
-		sameSet(t, got, seq.BruteForce(pts), "progressive")
+		tr := buildPts(enc, 8, pts, nil)
+		sameSet(t, rowPoints(tr, progressive(context.Background(), tr)), seq.BruteForce(pts), "progressive")
 	}
 }
 
+// Cancelling the context or refusing a row stops the walk: no row is
+// emitted after either.
 func TestSkylineProgressiveCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
 	enc := unitEnc(t, 2, 16)
 	// Anti-chain: everything is skyline, so the stream is long.
 	var pts []point.Point
 	for i := 0; i < 5000; i++ {
 		pts = append(pts, point.Point{float64(i) / 5000, float64(4999-i) / 5000})
 	}
-	_ = rng
-	tr := BuildFromPoints(enc, 8, pts, nil)
+	tr := buildPts(enc, 8, pts, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := tr.SkylineProgressive(ctx)
 	got := 0
-	for range ch {
-		got++
-		if got == 10 {
-			cancel()
-			break
-		}
-	}
-	// Channel must close promptly after cancellation.
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case _, open := <-ch:
-			if !open {
-				return
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.SkylineProgressive(ctx, func(int32) bool {
+			got++
+			if got == 10 {
+				cancel()
 			}
-		case <-deadline:
-			t.Fatal("progressive stream did not close after cancel")
-		}
+			return ctx.Err() == nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("progressive walk did not stop after cancel")
+	}
+	if got != 10 {
+		t.Fatalf("emitted %d rows, want 10", got)
+	}
+	refused := 0
+	tr.SkylineProgressive(context.Background(), func(int32) bool {
+		refused++
+		return false
+	})
+	if refused != 1 {
+		t.Fatalf("walk asked %d times after emit refused, want 1", refused)
 	}
 }
 
 func TestSkylineProgressiveEmpty(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := New(enc, 4, nil)
-	count := 0
-	for range tr.SkylineProgressive(context.Background()) {
-		count++
+	if rows := progressive(context.Background(), buildPts(enc, 4, nil, nil)); len(rows) != 0 {
+		t.Errorf("empty tree streamed %d rows", len(rows))
 	}
-	if count != 0 {
-		t.Errorf("empty tree streamed %d points", count)
+}
+
+func inBox(p, lo, hi point.Point) bool {
+	for k := range p {
+		if p[k] < lo[k] || p[k] > hi[k] {
+			return false
+		}
 	}
+	return true
 }
 
 func TestRangeQueryMatchesScan(t *testing.T) {
@@ -78,7 +95,7 @@ func TestRangeQueryMatchesScan(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 300, d, 10)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := buildPts(enc, 8, pts, nil)
 		lo := make(point.Point, d)
 		hi := make(point.Point, d)
 		for k := 0; k < d; k++ {
@@ -94,8 +111,15 @@ func TestRangeQueryMatchesScan(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		sameSet(t, tr.RangeQuery(lo, hi), want, "range")
+		sameSet(t, rowPoints(tr, tr.RangeRows(lo, hi)), want, "range")
 	}
+}
+
+// skylineWithin is the constrained skyline as the public Index runs it:
+// range rows, a tree over them, Z-search.
+func skylineWithin(tr *BlockTree, lo, hi point.Point) []point.Point {
+	in := BuildRows(tr.Store(), 0, tr.RangeRows(lo, hi), nil)
+	return rowPoints(tr, in.SkylineRows())
 }
 
 func TestSkylineWithinMatchesOracle(t *testing.T) {
@@ -104,7 +128,7 @@ func TestSkylineWithinMatchesOracle(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 300, d, 0)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := buildPts(enc, 8, pts, nil)
 		lo := make(point.Point, d)
 		hi := make(point.Point, d)
 		for k := 0; k < d; k++ {
@@ -116,7 +140,7 @@ func TestSkylineWithinMatchesOracle(t *testing.T) {
 				inside = append(inside, p)
 			}
 		}
-		sameSet(t, tr.SkylineWithin(lo, hi), seq.BruteForce(inside), "constrained")
+		sameSet(t, skylineWithin(tr, lo, hi), seq.BruteForce(inside), "constrained")
 	}
 }
 
@@ -125,11 +149,11 @@ func TestSkylineWithinMatchesOracle(t *testing.T) {
 func TestConstrainedResurrection(t *testing.T) {
 	enc := unitEnc(t, 2, 10)
 	pts := []point.Point{{0.05, 0.05}, {0.5, 0.5}}
-	tr := BuildFromPoints(enc, 4, pts, nil)
-	if n := len(tr.Skyline()); n != 1 {
+	tr := buildPts(enc, 4, pts, nil)
+	if n := len(tr.SkylineRows()); n != 1 {
 		t.Fatalf("global skyline = %d", n)
 	}
-	got := tr.SkylineWithin(point.Point{0.3, 0.3}, point.Point{1, 1})
+	got := skylineWithin(tr, point.Point{0.3, 0.3}, point.Point{1, 1})
 	if len(got) != 1 || !got[0].Equal(point.Point{0.5, 0.5}) {
 		t.Fatalf("constrained skyline = %v", got)
 	}

@@ -38,17 +38,16 @@ func quickPoints(seed int64, maxN, maxD int) ([]point.Point, *zorder.Encoder) {
 func TestQuickBuildIsPermutation(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 300, 5)
-		tr := BuildFromPoints(enc, 2+int(seed%13+13)%13, pts, nil)
-		got := tr.Points()
+		tr := buildPts(enc, 2+int(seed%13+13)%13, pts, nil)
+		got := rowPoints(tr, tr.Rows())
 		if len(got) != len(pts) {
 			return false
 		}
-		g := append([]point.Point(nil), got...)
 		w := append([]point.Point(nil), pts...)
-		point.SortLexicographic(g)
+		point.SortLexicographic(got)
 		point.SortLexicographic(w)
-		for i := range g {
-			if !g[i].Equal(w[i]) {
+		for i := range got {
+			if !got[i].Equal(w[i]) {
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/point"
+	"zskyline/internal/zorder"
 )
 
 // underProviders builds one provider of each kind for d-dimensional
@@ -38,22 +39,24 @@ func underProviders(t testing.TB, d int) []dominance.Provider {
 	return []dominance.Provider{dominance.Pareto{}, flex, kdom, robust}
 }
 
+// skylineUnder is ZSearchBlockUnder over points.
+func skylineUnder(prov dominance.Provider, d, bits int, pts []point.Point) []point.Point {
+	enc, _ := zorder.NewUnitEncoder(d, bits)
+	return ZSearchBlockUnder(prov, enc, 4, point.BlockOf(d, pts), nil).Points()
+}
+
 // TestSkylineUnderMatchesOracle pins the capability-gated Z-search to
 // the per-provider brute-force oracle, duplicates included.
 func TestSkylineUnderMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, d := range []int{2, 4} {
-		enc := unitEnc(t, d, 6)
 		for _, n := range []int{0, 1, 30, 400} {
 			pts := randPts(r, n, d, 8)
 			for i := 0; i < n/10; i++ {
 				pts = append(pts, pts[r.Intn(n)].Clone())
 			}
-			tr := BuildFromPoints(enc, 4, pts, nil)
 			for _, prov := range underProviders(t, d) {
-				got := tr.SkylineUnder(prov)
-				want := dominance.BruteForce(prov, pts)
-				sameSet(t, got, want, prov.Name())
+				sameSet(t, skylineUnder(prov, d, 6, pts), dominance.BruteForce(prov, pts), prov.Name())
 			}
 		}
 	}
@@ -65,9 +68,9 @@ func TestSkylineUnderParetoFastPath(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	enc := unitEnc(t, 3, 6)
 	pts := randPts(r, 200, 3, 16)
-	tr := BuildFromPoints(enc, 4, pts, nil)
-	sameSet(t, tr.SkylineUnder(nil), tr.Skyline(), "nil provider")
-	sameSet(t, tr.SkylineUnder(dominance.Pareto{}), tr.Skyline(), "Pareto{}")
+	want := ZSearch(enc, 4, pts, nil)
+	sameSet(t, skylineUnder(nil, 3, 6, pts), want, "nil provider")
+	sameSet(t, skylineUnder(dominance.Pareto{}, 3, 6, pts), want, "Pareto{}")
 }
 
 // TestMergeUnderMatchesOracle merges two local provider skylines the
@@ -80,13 +83,12 @@ func TestSkylineUnderParetoFastPath(t *testing.T) {
 func TestMergeUnderMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	const d = 3
-	enc := unitEnc(t, d, 6)
 	pts := randPts(r, 300, d, 8)
 	half := len(pts) / 2
 	for _, prov := range underProviders(t, d) {
-		left := BuildFromPoints(enc, 4, pts[:half], nil).SkylineUnder(prov)
-		right := BuildFromPoints(enc, 4, pts[half:], nil).SkylineUnder(prov)
-		merged := ZSearchUnder(prov, enc, 4, append(left, right...), nil)
+		left := skylineUnder(prov, d, 6, pts[:half])
+		right := skylineUnder(prov, d, 6, pts[half:])
+		merged := skylineUnder(prov, d, 6, append(left, right...))
 		want := dominance.BruteForce(prov, pts)
 		if prov.Caps().Transitive {
 			sameSet(t, merged, want, prov.Name())
@@ -94,22 +96,19 @@ func TestMergeUnderMatchesOracle(t *testing.T) {
 		}
 		// Candidate superset: every true result point must survive the
 		// pipeline, and verification closes it.
-		closed := verifyAgainst(prov, merged, pts, nil)
-		sameSet(t, closed, want, prov.Name()+" after verify")
+		closed := dominance.VerifyBlock(prov, point.BlockOf(d, merged), point.BlockOf(d, pts), nil)
+		sameSet(t, closed.Points(), want, prov.Name()+" after verify")
 	}
 }
 
-// TestZSearchBlockUnderMatchesSlice pins the block adapter to the
-// slice path.
+// TestZSearchBlockUnderMatchesSlice pins the block kernel to the slice
+// oracle on a coarse, tie-heavy grid, where the grid cuts decide most
+// of the walk.
 func TestZSearchBlockUnderMatchesSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	const d = 4
-	enc := unitEnc(t, d, 6)
 	pts := randPts(r, 250, d, 8)
-	b := point.BlockOf(d, pts)
 	for _, prov := range underProviders(t, d) {
-		got := ZSearchBlockUnder(prov, enc, 4, b, nil).Points()
-		want := ZSearchUnder(prov, enc, 4, pts, nil)
-		sameSet(t, got, want, prov.Name())
+		sameSet(t, skylineUnder(prov, d, 3, pts), dominance.BruteForce(prov, pts), prov.Name())
 	}
 }

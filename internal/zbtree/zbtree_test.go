@@ -2,7 +2,6 @@ package zbtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"zskyline/internal/metrics"
@@ -36,6 +35,30 @@ func randPts(r *rand.Rand, n, d, domain int) []point.Point {
 	return pts
 }
 
+// buildPts indexes pts in a fresh store, one row per point in input
+// order.
+func buildPts(enc *zorder.Encoder, fanout int, pts []point.Point, tally *metrics.Tally) *BlockTree {
+	return BuildStore(NewStore(enc, point.BlockOf(enc.Dims(), pts)), fanout, tally)
+}
+
+// rowPoints copies rows of t's store out as points.
+func rowPoints(t *BlockTree, rows []int32) []point.Point {
+	b, _ := t.Store().CompactRows(rows)
+	return b.Points()
+}
+
+// withProbe indexes pts and appends q as one more store row that the
+// tree does not hold, so the row-based mutators can take q.
+func withProbe(enc *zorder.Encoder, fanout int, pts []point.Point, q point.Point) (*BlockTree, int32) {
+	all := append(append([]point.Point(nil), pts...), q)
+	st := NewStore(enc, point.BlockOf(enc.Dims(), all))
+	rows := make([]int32, len(pts))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return BuildRows(st, fanout, rows, nil), int32(len(pts))
+}
+
 func sameSet(t *testing.T, got, want []point.Point, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -54,13 +77,16 @@ func sameSet(t *testing.T, got, want []point.Point, label string) {
 
 func TestBuildEmptyAndSmall(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := Build(enc, 4, nil, nil)
-	if !tr.Empty() || tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("empty tree: len=%d h=%d", tr.Len(), tr.Height())
+	tr := buildPts(enc, 4, nil, nil)
+	if !tr.Empty() || tr.Len() != 0 || len(tr.Rows()) != 0 {
+		t.Errorf("empty tree: len=%d rows=%v", tr.Len(), tr.Rows())
 	}
-	tr = BuildFromPoints(enc, 4, []point.Point{{0.5, 0.5}}, nil)
-	if tr.Len() != 1 || tr.Height() != 1 {
-		t.Errorf("singleton: len=%d h=%d", tr.Len(), tr.Height())
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tr = buildPts(enc, 4, []point.Point{{0.5, 0.5}}, nil)
+	if tr.Len() != 1 || len(tr.Rows()) != 1 {
+		t.Errorf("singleton: len=%d", tr.Len())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -72,7 +98,7 @@ func TestBuildInvariants(t *testing.T) {
 	for _, n := range []int{1, 3, 4, 5, 16, 17, 64, 100, 257, 1000} {
 		for _, fanout := range []int{2, 3, 4, 16} {
 			enc := unitEnc(t, 3, 10)
-			tr := BuildFromPoints(enc, fanout, randPts(rng, n, 3, 0), nil)
+			tr := buildPts(enc, fanout, randPts(rng, n, 3, 0), nil)
 			if tr.Len() != n {
 				t.Fatalf("n=%d fanout=%d: Len=%d", n, fanout, tr.Len())
 			}
@@ -86,31 +112,28 @@ func TestBuildInvariants(t *testing.T) {
 func TestEntriesAreZSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	enc := unitEnc(t, 4, 8)
-	tr := BuildFromPoints(enc, 8, randPts(rng, 500, 4, 0), nil)
-	es := tr.Entries()
-	if len(es) != 500 {
-		t.Fatalf("Entries len = %d", len(es))
+	tr := buildPts(enc, 8, randPts(rng, 500, 4, 0), nil)
+	rows := tr.Rows()
+	if len(rows) != 500 {
+		t.Fatalf("Rows len = %d", len(rows))
 	}
-	for i := 1; i < len(es); i++ {
-		if zorder.Compare(es[i-1].Z, es[i].Z) > 0 {
-			t.Fatalf("entries out of Z-order at %d", i)
+	for i := 1; i < len(rows); i++ {
+		if zorder.Compare(tr.Store().Z(rows[i-1]), tr.Store().Z(rows[i])) > 0 {
+			t.Fatalf("rows out of Z-order at %d", i)
 		}
 	}
 }
 
+// Appending rows in Z-order, one at a time, must give a valid tree
+// holding the bulk build's rows in the bulk build's order.
 func TestAppendMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	enc := unitEnc(t, 3, 8)
 	for _, n := range []int{1, 2, 7, 33, 200, 1025} {
-		pts := randPts(rng, n, 3, 0)
-		entries := make([]Entry, n)
-		for i, p := range pts {
-			entries[i] = NewEntry(enc, p)
-		}
-		sort.SliceStable(entries, func(i, j int) bool { return zorder.Compare(entries[i].Z, entries[j].Z) < 0 })
-		tr := New(enc, 4, nil)
-		for _, e := range entries {
-			tr.Append(e)
+		bulk := buildPts(enc, 4, randPts(rng, n, 3, 0), nil)
+		tr := NewBlockTree(bulk.Store(), 4, nil)
+		for _, row := range bulk.Rows() {
+			tr.Append(row)
 		}
 		if tr.Len() != n {
 			t.Fatalf("append n=%d: Len=%d", n, tr.Len())
@@ -118,10 +141,9 @@ func TestAppendMatchesBuild(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("append n=%d: %v", n, err)
 		}
-		got := tr.Points()
-		want := Build(enc, 4, entries, nil).Points()
+		got, want := tr.Rows(), bulk.Rows()
 		for i := range want {
-			if !got[i].Equal(want[i]) {
+			if got[i] != want[i] {
 				t.Fatalf("append vs build mismatch at %d", i)
 			}
 		}
@@ -130,19 +152,20 @@ func TestAppendMatchesBuild(t *testing.T) {
 
 func TestAppendOutOfOrderPanics(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := New(enc, 4, nil)
-	tr.Append(NewEntry(enc, point.Point{0.9, 0.9}))
+	st := NewStore(enc, point.BlockOf(2, []point.Point{{0.9, 0.9}, {0.1, 0.1}}))
+	tr := NewBlockTree(st, 4, nil)
+	tr.Append(0)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-order Append did not panic")
 		}
 	}()
-	tr.Append(NewEntry(enc, point.Point{0.1, 0.1}))
+	tr.Append(1)
 }
 
 func TestDominatesPoint(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := BuildFromPoints(enc, 4, []point.Point{{0.5, 0.5}, {0.1, 0.9}}, nil)
+	tr := buildPts(enc, 4, []point.Point{{0.5, 0.5}, {0.1, 0.9}}, nil)
 	cases := []struct {
 		p    point.Point
 		want bool
@@ -154,8 +177,7 @@ func TestDominatesPoint(t *testing.T) {
 		{point.Point{0.05, 0.05}, false},
 	}
 	for _, c := range cases {
-		e := NewEntry(enc, c.p)
-		if got := tr.DominatesPoint(e.G, e.P); got != c.want {
+		if got := tr.DominatesPoint(enc.Grid(c.p), c.p); got != c.want {
 			t.Errorf("DominatesPoint(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -168,7 +190,7 @@ func TestDominatesPointAgreesWithScan(t *testing.T) {
 		d := 1 + rng.Intn(5)
 		enc := unitEnc(t, d, 6) // coarse grid: exercise tie handling
 		pts := randPts(rng, 150, d, 8)
-		tr := BuildFromPoints(enc, 4, pts, nil)
+		tr := buildPts(enc, 4, pts, nil)
 		for probe := 0; probe < 30; probe++ {
 			q := randPts(rng, 1, d, 8)[0]
 			want := false
@@ -178,38 +200,33 @@ func TestDominatesPointAgreesWithScan(t *testing.T) {
 					break
 				}
 			}
-			e := NewEntry(enc, q)
-			if got := tr.DominatesPoint(e.G, e.P); got != want {
+			if got := tr.DominatesPoint(enc.Grid(q), q); got != want {
 				t.Fatalf("DominatesPoint(%v) = %v, want %v", q, got, want)
 			}
 		}
 	}
 }
 
-// Property: RemoveDominatedBy removes exactly the dominated points.
+// Property: RemoveDominatedBy removes exactly the dominated rows and
+// leaves a tree whose rows are the survivors.
 func TestRemoveDominatedBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 60; iter++ {
 		d := 1 + rng.Intn(4)
 		enc := unitEnc(t, d, 6)
 		pts := randPts(rng, 120, d, 6)
-		tr := BuildFromPoints(enc, 4, pts, nil)
 		q := randPts(rng, 1, d, 6)[0]
+		tr, qRow := withProbe(enc, 4, pts, q)
 		var want []point.Point
-		wantRemoved := 0
 		for _, p := range pts {
-			if point.Dominates(q, p) {
-				wantRemoved++
-			} else {
+			if !point.Dominates(q, p) {
 				want = append(want, p)
 			}
 		}
-		e := NewEntry(enc, q)
-		got := tr.RemoveDominatedBy(e.G, e.P)
-		if got != wantRemoved {
-			t.Fatalf("removed %d, want %d", got, wantRemoved)
+		if got := tr.RemoveDominatedBy(qRow); got != len(pts)-len(want) {
+			t.Fatalf("removed %d, want %d", got, len(pts)-len(want))
 		}
-		sameSet(t, tr.Points(), want, "survivors")
+		sameSet(t, rowPoints(tr, tr.Rows()), want, "survivors")
 		if tr.Len() != len(want) {
 			t.Fatalf("Len=%d want %d", tr.Len(), len(want))
 		}
@@ -218,9 +235,8 @@ func TestRemoveDominatedBy(t *testing.T) {
 
 func TestRemoveAllThenEmpty(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := BuildFromPoints(enc, 2, []point.Point{{0.5, 0.5}, {0.6, 0.6}, {0.9, 0.9}}, nil)
-	e := NewEntry(enc, point.Point{0.01, 0.01})
-	if got := tr.RemoveDominatedBy(e.G, e.P); got != 3 {
+	tr, q := withProbe(enc, 2, []point.Point{{0.5, 0.5}, {0.6, 0.6}, {0.9, 0.9}}, point.Point{0.01, 0.01})
+	if got := tr.RemoveDominatedBy(q); got != 3 {
 		t.Fatalf("removed %d, want 3", got)
 	}
 	if !tr.Empty() {
@@ -230,16 +246,15 @@ func TestRemoveAllThenEmpty(t *testing.T) {
 
 func TestDominatesAllOfRegion(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := BuildFromPoints(enc, 4, []point.Point{{0.1, 0.1}}, nil)
+	tr := buildPts(enc, 4, []point.Point{{0.1, 0.1}}, nil)
 	// Region well above the point.
-	lo := NewEntry(enc, point.Point{0.5, 0.5})
-	hi := NewEntry(enc, point.Point{0.6, 0.6})
-	r := enc.RegionOf(lo.Z, hi.Z)
+	hi := enc.Encode(point.Point{0.6, 0.6})
+	r := enc.RegionOf(enc.Encode(point.Point{0.5, 0.5}), hi)
 	if !tr.DominatesAllOfRegion(r) {
 		t.Error("point should dominate the whole region")
 	}
 	// Region containing the point itself can never be fully dominated.
-	r2 := enc.RegionOf(NewEntry(enc, point.Point{0, 0}).Z, hi.Z)
+	r2 := enc.RegionOf(enc.Encode(point.Point{0, 0}), hi)
 	if tr.DominatesAllOfRegion(r2) {
 		t.Error("region containing the dominator cannot be fully dominated")
 	}
@@ -284,16 +299,17 @@ func TestSkylineDuplicates(t *testing.T) {
 	}
 }
 
+// The skyline rows bulk-load into a valid tree of exactly the skyline.
 func TestSkylineTreeValidatesAndMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	enc := unitEnc(t, 4, 10)
 	pts := randPts(rng, 400, 4, 0)
-	tr := BuildFromPoints(enc, 8, pts, nil)
-	skyTree := tr.SkylineTree()
+	tr := buildPts(enc, 8, pts, nil)
+	skyTree := BuildRows(tr.Store(), 8, tr.SkylineRows(), nil)
 	if err := skyTree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sameSet(t, skyTree.Points(), seq.BruteForce(pts), "skyline tree")
+	sameSet(t, rowPoints(skyTree, skyTree.Rows()), seq.BruteForce(pts), "skyline tree")
 }
 
 // mergeSkylines Z-merges candidate skylines the way phase 3 does: one
@@ -314,8 +330,7 @@ func mergeSkylines(enc *zorder.Encoder, fanout int, tally *metrics.Tally, sets .
 		lo += int32(len(s))
 		acc = MergeBlock(acc, BuildRows(st, fanout, rows, tally))
 	}
-	out, _ := st.CompactRows(acc.Rows())
-	return out.Points()
+	return rowPoints(acc, acc.Rows())
 }
 
 func TestMergeTwoSkylines(t *testing.T) {
@@ -432,7 +447,7 @@ func TestDominatorsOf(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 200, d, 6)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := buildPts(enc, 8, pts, nil)
 		q := randPts(rng, 1, d, 6)[0]
 		var want []point.Point
 		for _, p := range pts {
@@ -440,9 +455,7 @@ func TestDominatorsOf(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		e := NewEntry(enc, q)
-		got := tr.DominatorsOf(e.G, e.P)
-		sameSet(t, got, want, "dominators")
+		sameSet(t, rowPoints(tr, tr.DominatorsOf(enc.Grid(q), q)), want, "dominators")
 	}
 }
 
@@ -452,16 +465,18 @@ func TestCountDominatedByMatchesScan(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 200, d, 6)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := buildPts(enc, 8, pts, nil)
 		q := randPts(rng, 1, d, 6)[0]
+		if iter%4 == 0 {
+			q = make(point.Point, d) // the origin: whole subtrees count at once
+		}
 		want := 0
 		for _, p := range pts {
 			if point.Dominates(q, p) {
 				want++
 			}
 		}
-		e := NewEntry(enc, q)
-		if got := tr.CountDominatedBy(e.G, e.P); got != want {
+		if got := tr.CountDominatedBy(enc.Grid(q), q); got != want {
 			t.Fatalf("count = %d, want %d", got, want)
 		}
 	}

@@ -341,12 +341,6 @@ func (e *Encoder) RegionFromGrid(minG, maxG, g []uint32, cpl int) Region {
 	return Region{MinG: minG, MaxG: maxG}
 }
 
-// RegionOfPoint is the degenerate region covering a single address.
-func (e *Encoder) RegionOfPoint(z ZAddr) Region {
-	g := e.DecodeGrid(z)
-	return Region{MinG: g, MaxG: g}
-}
-
 // --- Conservative grid-level dominance tests (DESIGN.md §5) ---
 //
 // gridStrictlyLess(a, b) in every dimension implies strict float
