@@ -11,7 +11,6 @@ import (
 	"zskyline/internal/partition"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
-	"zskyline/internal/transport"
 	"zskyline/internal/zorder"
 )
 
@@ -287,9 +286,9 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 	for i, s := range smap.Shards {
 		ok := 0
 		for _, w := range c.groups[s.Group] {
-			err := c.callOn(ctx, w, s.ID, "Worker.StoreShard",
+			_, err := inner.call(ctx, "Worker.StoreShard",
 				StoreShardArgs{RuleID: c.ruleID, MapVersion: smap.Version, ShardID: s.ID},
-				&StoreShardReply{})
+				&StoreShardReply{}, c.pinned(s.ID, w))
 			if err != nil {
 				c.markShardStale(s.ID, w)
 				continue
@@ -344,6 +343,12 @@ func (c *Cluster) shardPolicy(sid int) *policy {
 		return p
 	}
 	return &c.inner.pol
+}
+
+// pinned is the call options of a replica-addressed call to worker w
+// for shard sid: it never fails over.
+func (c *Cluster) pinned(sid, w int) callOpts {
+	return callOpts{pool: []int{w}, pin: true, pol: c.shardPolicy(sid)}
 }
 
 // shardLock returns the per-shard insert/handoff mutex.
@@ -454,7 +459,7 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 		BlockFrame: blockFrame, ZFrame: zFrame}
 	ok := 0
 	for mi, w := range members {
-		if err := c.callOn(ctx, w, sid, "Worker.StoreShard", args, &StoreShardReply{}); err != nil {
+		if _, err := c.inner.call(ctx, "Worker.StoreShard", args, &StoreShardReply{}, c.pinned(sid, w)); err != nil {
 			fatal := classify(err) == classFatal
 			if fatal || ctx.Err() != nil {
 				// Aborting mid-replication must not leave replicas that
@@ -491,38 +496,6 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 	c.mu.Unlock()
 	c.inner.reg.Gauge("zsky_shard_points", obs.L("shard", fmt.Sprint(sid))).Set(float64(total))
 	return nil
-}
-
-// callOn issues one method on one specific worker with bounded retries
-// pinned to it — replica-addressed writes have no failover: the write
-// must land on that member or the member goes stale.
-func (c *Cluster) callOn(ctx context.Context, w, sid int, method string, args transport.Marshaler, reply transport.Unmarshaler) error {
-	pol := c.shardPolicy(sid)
-	sp, ev, done := c.inner.startRPC(ctx, method)
-	var err error
-	for attempt := 0; ; attempt++ {
-		_, err = c.inner.attempt(ctx, method, args, reply, w, callOpts{pol: pol, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || class == classShardMoved || attempt >= pol.retries {
-			break
-		}
-		if class == classRuleMissing {
-			if rerr := c.inner.resendRule(ctx, w); rerr != nil {
-				break
-			}
-			continue
-		}
-		c.inner.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
-	done(w, err)
-	return err
 }
 
 // ---- queries ----
@@ -599,7 +572,7 @@ func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) 
 	}
 	rep.WireSentBytes, rep.WireRecvBytes = ev.WireSentBytes, ev.WireRecvBytes
 	if err != nil {
-		ev.SetError(className(classify(err)), err.Error())
+		ev.SetError(classify(err).String(), err.Error())
 		c.inner.events.RecordForced(*ev)
 		return nil, nil, err
 	}
@@ -821,14 +794,13 @@ func rangeKind(rng zorder.Range) string {
 
 // shardSkyline asks one fresh replica of the shard's owning group for
 // the shard skyline restricted to rng, or its delta from batch since
-// on, retrying inside the
-// group with the shard's policy and hedging to another member. When a
-// replica answers shard-moved — the query raced a rebalance — the loop
-// re-reads the shard map (the handoff updates it before dropping the
-// source) and re-routes; every address keeps exactly one owner at
-// every version, so convergence takes one hop per concurrent move.
+// on, retrying inside the group with the shard's policy and hedging to
+// another member. When a replica answers shard-moved — the query raced
+// a rebalance — the loop re-reads the shard map (the handoff updates it
+// before dropping the source) and re-routes; every address keeps
+// exactly one owner at every version, so convergence takes one hop per
+// concurrent move.
 func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, since int) (ShardSkyReply, error) {
-	pol := c.shardPolicy(sid)
 	kind := rangeKind(rng)
 	const maxHops = 4
 	for hop := 0; ; hop++ {
@@ -839,115 +811,38 @@ func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, s
 		args := ShardSkyArgs{RuleID: c.ruleID, MapVersion: version, ShardID: sid,
 			Lo: rng.Lo, Hi: rng.Hi, Since: since}
 		var reply ShardSkyReply
-		sp, ev, done := c.inner.startRPC(ctx, "Worker.ShardSkyline")
-		sp.SetAttr("shard", sid)
-		sp.SetAttr("range", kind)
-		ev.SetQuery(fmt.Sprintf("shard=%d,%s", sid, kind))
-		served, err := c.callShard(ctx, pol, "Worker.ShardSkyline", args, &reply, members, sp, ev)
+		_, err := c.inner.call(ctx, "Worker.ShardSkyline", args, &reply, callOpts{
+			pool: members, hedge: true, pol: c.shardPolicy(sid),
+			note: func(sp *obs.Span, ev *obs.Event, err error) {
+				sp.SetAttr("shard", sid)
+				sp.SetAttr("range", kind)
+				ev.SetQuery(fmt.Sprintf("shard=%d,%s", sid, kind))
+				if err == nil {
+					sp.SetAttr("outcome", reply.Outcome.String())
+					ev.SetCache(reply.Outcome.String())
+				}
+			}})
 		if err == nil {
-			sp.SetAttr("outcome", reply.Outcome.String())
-			ev.SetCache(reply.Outcome.String())
-			done(served, nil)
 			return reply, nil
 		}
-		done(served, err)
-		if classify(err) == classShardMoved && hop < maxHops {
-			continue
-		}
-		return ShardSkyReply{}, err
-	}
-}
-
-// callShard is the group-restricted analogue of Coordinator.call:
-// retries rotate over the pool members only, hedge legs stay inside
-// the pool, and exhaustion of the pool (all members dead) is
-// ErrShardDown rather than ErrClusterDown.
-func (c *Cluster) callShard(ctx context.Context, pol *policy, method string, args transport.Marshaler, reply transport.Unmarshaler, pool []int, sp *obs.Span, ev *obs.Event) (int, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
-		w, err := c.pickLiveIn(ctx, pool, attempt)
-		if err != nil {
-			if lastErr != nil {
-				return -1, fmt.Errorf("dist: %s: %v: %w", method, lastErr, err)
-			}
-			return -1, fmt.Errorf("dist: %s: %w", method, err)
-		}
-		served, err := c.inner.attempt(ctx, method, args, reply, w,
-			callOpts{pol: pol, hedge: true, pool: pool, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		if err == nil {
-			return served, nil
-		}
-		lastErr = err
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || class == classShardMoved || ctx.Err() != nil {
-			return served, err
-		}
-		if class == classRuleMissing && served >= 0 {
-			if rerr := c.inner.resendRule(ctx, served); rerr != nil {
-				c.inner.markSuspect(served)
-			}
-		}
-		if attempt >= pol.retries {
-			return served, fmt.Errorf("dist: %s: attempts exhausted: %w", method, lastErr)
-		}
-		c.inner.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
-}
-
-// pickLiveIn returns a live worker from pool, rotating by rotation,
-// waiting out windows where members are suspect/resurrecting. It fails
-// with ErrShardDown once every pool member is confirmed dead.
-func (c *Cluster) pickLiveIn(ctx context.Context, pool []int, rotation int) (int, error) {
-	in := c.inner
-	for {
-		in.mu.Lock()
-		if in.closed {
-			in.mu.Unlock()
-			return -1, errCoordinatorClosed
-		}
-		for i := 0; i < len(pool); i++ {
-			w := pool[(rotation+i)%len(pool)]
-			if in.state[w] == wsLive {
-				in.mu.Unlock()
-				return w, nil
-			}
-		}
-		allDead := true
-		for _, w := range pool {
-			if in.state[w] != wsDead {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			in.mu.Unlock()
-			return -1, ErrShardDown
-		}
-		ch := in.changed
-		in.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return -1, ctx.Err()
-		case <-ch:
+		if classify(err) != classShardMoved || hop >= maxHops {
+			return ShardSkyReply{}, err
 		}
 	}
 }
 
 // ShardStats collects every reachable worker's resident shard
 // inventory, keyed by worker address — the raw data behind skydist
-// -shard-report. Unreachable workers are skipped.
+// -shard-report. Each worker gets one attempt; unreachable workers are
+// skipped.
 func (c *Cluster) ShardStats(ctx context.Context) map[string]ShardStatsReply {
 	out := make(map[string]ShardStatsReply)
+	once := c.inner.pol
+	once.retries = 0
 	for w, addr := range c.inner.addrs {
 		var reply ShardStatsReply
-		if _, err := c.inner.attempt(ctx, "Worker.ShardStats", ShardStatsArgs{}, &reply, w, callOpts{}); err == nil {
+		if _, err := c.inner.call(ctx, "Worker.ShardStats", ShardStatsArgs{}, &reply,
+			callOpts{pool: []int{w}, pin: true, pol: &once}); err == nil {
 			out[addr] = reply
 		}
 	}

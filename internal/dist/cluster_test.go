@@ -301,6 +301,39 @@ func TestClusterHandoffSeveredMidStream(t *testing.T) {
 	if faults.Injected() == 0 {
 		t.Error("fault plan never fired; test exercised nothing")
 	}
+	// Each pulled cursor is one call and one rpc event, whose attempt
+	// count covers every PullShard request the sources received: the
+	// severed ones and the one served. Every re-issue is a counted retry.
+	calls, attempts := 0, 0
+	for _, ev := range c.Events().Snapshot() {
+		if ev.Kind == "rpc" && ev.Route == "Worker.PullShard" {
+			if ev.Error != "" {
+				t.Errorf("PullShard event for one failed attempt: %+v", ev)
+			}
+			calls++
+			attempts += ev.Attempts
+		}
+	}
+	received := faults.Injected()
+	for _, ws := range []*WorkerServer{wa, wb} {
+		var buf writerBuf
+		if err := ws.Metrics().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		received += int(sumLabeled(string(buf), "zsky_rpc_requests_total", `method="PullShard"`))
+	}
+	if attempts != received {
+		t.Errorf("PullShard events carry %d attempts, the sources received %d requests", attempts, received)
+	}
+	var prom writerBuf
+	if err := c.Metrics().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	retries := sumLabeled(string(prom), "zsky_dist_retries_total", `method="Worker.PullShard"`)
+	if retries == 0 || int(retries) != attempts-calls {
+		t.Errorf(`zsky_dist_retries_total{method="Worker.PullShard"} = %v, want %d (attempts %d over %d calls)`,
+			retries, attempts-calls, attempts, calls)
+	}
 }
 
 func TestClusterShardMapVersionRace(t *testing.T) {

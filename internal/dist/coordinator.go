@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -292,6 +293,9 @@ type Coordinator struct {
 	// and the Cluster's cross-shard sweep.
 	exec *plan.LocalExec
 
+	// all lists every worker index: the pool of a call that names none.
+	all []int
+
 	mu       sync.Mutex
 	clients  []*transport.Client
 	state    []workerState
@@ -338,12 +342,14 @@ func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, 
 	c := &Coordinator{cfg: cfg, pol: cfg.policy(), addrs: workerAddrs,
 		salt: salt, reg: reg, events: events, bo: newBackoff(cfg.Seed + int64(salt)),
 		exec:     plan.NewLocalExec(0),
+		all:      make([]int, len(workerAddrs)),
 		state:    make([]workerState, len(workerAddrs)),
 		inflight: make([]int, len(workerAddrs)),
 		changed:  make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
-	for _, addr := range workerAddrs {
+	for w, addr := range workerAddrs {
+		c.all[w] = w
 		conn, err := net.DialTimeout("tcp", addr, c.pol.dialTimeout)
 		if err != nil {
 			c.closeClients()
@@ -468,7 +474,7 @@ func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(
 	sky, err := q(context.WithValue(ctx, ledgerKey{}, led), rep)
 	ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
-		ev.SetError(className(classify(err)), err.Error())
+		ev.SetError(classify(err).String(), err.Error())
 		c.events.RecordForced(*ev)
 		return nil, nil, err
 	}
@@ -525,7 +531,7 @@ func (c *Coordinator) startRPC(ctx context.Context, method string) (*obs.Span, *
 			led.add(method, ev.WireSentBytes, ev.WireRecvBytes)
 		}
 		if err != nil {
-			ev.SetError(className(classify(err)), err.Error())
+			ev.SetError(classify(err).String(), err.Error())
 			c.events.RecordForced(*ev)
 			return
 		}
@@ -575,47 +581,56 @@ func (c *Coordinator) markSuspect(w int) {
 	}
 }
 
-// allDownLocked reports whether every worker is confirmed dead (no
-// live, suspect, or resurrecting worker can serve or come back before
-// the next sweep). Callers hold c.mu.
-func (c *Coordinator) allDownLocked() bool {
-	for _, s := range c.state {
-		if s != wsDead {
-			return false
-		}
+// await is the one liveness wait. It runs pick under c.mu until pick
+// returns a worker, waiting out each state or inflight change between
+// tries. It fails once every worker of pool is confirmed dead (none is
+// live, suspect or resurrecting, so none can serve or come back before
+// the next sweep) — with ErrClusterDown for a nil pool, which is every
+// worker, and with ErrShardDown for a shard's members — or with ctx's
+// error, or after Close.
+func (c *Coordinator) await(ctx context.Context, pool []int, pick func() int) (int, error) {
+	down := ErrShardDown
+	if pool == nil {
+		pool, down = c.all, ErrClusterDown
 	}
-	return true
-}
-
-// acquire blocks until a live worker with no in-flight task is
-// available and reserves it. It fails with ErrClusterDown once every
-// worker is confirmed dead, or with ctx's error.
-func (c *Coordinator) acquire(ctx context.Context) (int, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return -1, errCoordinatorClosed
 		}
-		for w := range c.addrs {
-			if c.state[w] == wsLive && c.inflight[w] == 0 {
-				c.inflight[w]++
-				c.mu.Unlock()
-				return w, nil
-			}
-		}
-		if c.allDownLocked() {
+		if w := pick(); w >= 0 {
 			c.mu.Unlock()
-			return -1, ErrClusterDown
+			return w, nil
 		}
-		ch := c.changed
+		dead, ch := true, c.changed
+		for _, w := range pool {
+			dead = dead && c.state[w] == wsDead
+		}
 		c.mu.Unlock()
+		if dead {
+			return -1, down
+		}
 		select {
 		case <-ctx.Done():
 			return -1, ctx.Err()
 		case <-ch:
 		}
 	}
+}
+
+// acquire reserves a live worker with no task in flight, waiting for
+// one.
+func (c *Coordinator) acquire(ctx context.Context) (int, error) {
+	return c.await(ctx, nil, func() int {
+		for w, s := range c.state {
+			if s == wsLive && c.inflight[w] == 0 {
+				c.inflight[w]++
+				return w
+			}
+		}
+		return -1
+	})
 }
 
 // release returns a worker reserved by acquire to the rotation.
@@ -628,57 +643,18 @@ func (c *Coordinator) release(w int) {
 	c.mu.Unlock()
 }
 
-// pickLiveWait returns a live worker, preferring pref, waiting out
-// windows where every worker is suspect/resurrecting. It fails with
-// ErrClusterDown once all workers are confirmed dead.
-func (c *Coordinator) pickLiveWait(ctx context.Context, pref int) (int, error) {
-	n := len(c.addrs)
-	if pref < 0 || pref >= n {
-		pref = 0
-	}
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return -1, errCoordinatorClosed
-		}
-		for i := 0; i < n; i++ {
-			w := (pref + i) % n
-			if c.state[w] == wsLive {
-				c.mu.Unlock()
-				return w, nil
-			}
-		}
-		if c.allDownLocked() {
-			c.mu.Unlock()
-			return -1, ErrClusterDown
-		}
-		ch := c.changed
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return -1, ctx.Err()
-		case <-ch:
-		}
-	}
-}
-
-// pickLiveExcept returns a live worker other than skip for hedging,
-// preferring an idle one; ok is false when none exists right now. A
-// non-nil pool restricts candidates to those worker indices (shard
-// hedges must stay inside the owning group).
+// pickLiveExcept returns a live worker of pool (nil: every worker)
+// other than skip for hedging, preferring an idle one; ok is false when
+// none exists right now. Shard calls hedge inside the owning group,
+// since only its members hold the data.
 func (c *Coordinator) pickLiveExcept(skip int, pool []int) (int, bool) {
+	if pool == nil {
+		pool = c.all
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	candidates := pool
-	if candidates == nil {
-		candidates = make([]int, len(c.addrs))
-		for w := range c.addrs {
-			candidates[w] = w
-		}
-	}
 	pick, found := -1, false
-	for _, w := range candidates {
+	for _, w := range pool {
 		if w == skip || c.state[w] != wsLive {
 			continue
 		}
@@ -690,13 +666,6 @@ func (c *Coordinator) pickLiveExcept(skip int, pool []int) (int, bool) {
 		}
 	}
 	return pick, found
-}
-
-// client returns worker w's current connection (nil while severed).
-func (c *Coordinator) client(w int) *transport.Client {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.clients[w]
 }
 
 // ---- resurrection ----
@@ -817,62 +786,85 @@ func (c *Coordinator) callDirect(cl *transport.Client, method string, args trans
 
 // ---- the retrying, hedging call layer ----
 
-// callOpts tunes one coordinator call.
+// callOpts tunes one call.
 type callOpts struct {
-	// preferred is the worker the scheduler reserved for this task; a
-	// retry rotates onward from it.
-	preferred int
-	// hedge allows a speculative duplicate on a second worker after
+	// pool is the workers the call may run on; nil is every worker. When
+	// the whole pool is dead the call fails with ErrClusterDown for a nil
+	// pool and with ErrShardDown for a shard's members.
+	pool []int
+	// from is the pool position the first attempt starts its search at:
+	// for a reduce, the worker the scheduler reserved.
+	from int
+	// pin confines every attempt to pool[0], whatever its state: a
+	// replica-addressed write must land on that member or the member goes
+	// stale, so it never fails over.
+	pin bool
+	// hedge allows a speculative duplicate on a second pool member after
 	// the policy's hedge delay (reduce tasks and shard reads only: they
 	// are idempotent and few, so duplicates are cheap insurance).
 	hedge bool
 	// pol, when non-nil, overrides the coordinator's policy for this
 	// call — how the sharded tier applies per-shard timeout/retry/hedge
-	// settings without forking the call layer.
+	// settings. attempt takes it resolved.
 	pol *policy
-	// pool, when non-nil, restricts hedge legs to these worker indices
-	// — shard calls must hedge inside the owning group, since only its
-	// members hold the data.
-	pool []int
-	// sp, when non-nil, collects attempt/hedge attributes.
+	// note, when non-nil, annotates the call's span and event with its
+	// outcome before they are recorded.
+	note func(sp *obs.Span, ev *obs.Event, err error)
+	// sp and ev collect attempt and hedge detail; call opens them.
 	sp *obs.Span
-	// ev, when non-nil, collects attempt/hedge detail on the RPC's
-	// event record.
 	ev *obs.Event
 }
 
-// pickPolicy resolves a call's effective policy.
-func (c *Coordinator) pickPolicy(opt callOpts) *policy {
-	if opt.pol != nil {
-		return opt.pol
+// call is the one loop that issues and re-issues a worker RPC: a
+// per-attempt deadline, classification, bounded retries with jittered
+// backoff, optional hedging inside the pool, and a rule re-broadcast to
+// a worker that answers rule-missing. Each attempt goes to the first
+// live pool member at or after the rotation position, waiting while
+// none is live; a retry starts after the worker that failed. A pinned
+// call re-issues on its one worker in whatever state it is. A fatal or
+// shard-moved verdict returns at once: only the caller can re-route.
+// The call is one rpc event and span, carrying its attempt count; it
+// returns the worker that served.
+func (c *Coordinator) call(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, opt callOpts) (served int, err error) {
+	var done func(int, error)
+	opt.sp, opt.ev, done = c.startRPC(ctx, method)
+	defer func() {
+		if opt.note != nil {
+			opt.note(opt.sp, opt.ev, err)
+		}
+		done(served, err)
+	}()
+	if opt.pol == nil {
+		opt.pol = &c.pol
 	}
-	return &c.pol
-}
-
-// call invokes one worker method under the full policy: per-attempt
-// deadline, classification, bounded retries with jittered backoff,
-// failover to live workers, optional hedging, and rule re-broadcast
-// when a worker answers "rule not loaded". It returns the index of the
-// worker that served the call.
-func (c *Coordinator) call(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, opt callOpts) (int, error) {
+	pol, pool := opt.pol, opt.pool
+	if pool == nil {
+		pool = c.all
+	}
+	from := opt.from
+	live := func() int {
+		for i := range pool {
+			if w := pool[(from+i)%len(pool)]; c.state[w] == wsLive {
+				return w
+			}
+		}
+		return -1
+	}
 	var lastErr error
-	pol := c.pickPolicy(opt)
-	pref := opt.preferred
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return -1, err
 		}
-		w, err := c.pickLiveWait(ctx, pref)
-		if err != nil {
-			if errors.Is(err, ErrClusterDown) {
+		w := pool[0]
+		if !opt.pin {
+			if w, err = c.await(ctx, opt.pool, live); err != nil {
 				if lastErr != nil {
-					return -1, fmt.Errorf("dist: %s: %v: %w", method, lastErr, ErrClusterDown)
+					err = fmt.Errorf("%v: %w", lastErr, err)
 				}
-				return -1, fmt.Errorf("dist: %s: %w", method, ErrClusterDown)
+				return -1, fmt.Errorf("dist: %s: %w", method, err)
 			}
-			return -1, err
 		}
-		served, err := c.attempt(ctx, method, args, reply, w, opt)
+		served, err = c.attempt(ctx, method, args, reply, w, opt)
 		opt.ev.SetAttempts(attempt + 1)
 		if err == nil {
 			if attempt > 0 {
@@ -883,15 +875,21 @@ func (c *Coordinator) call(ctx context.Context, method string, args transport.Ma
 		lastErr = err
 		class := classify(err)
 		c.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || ctx.Err() != nil {
+			obs.L("method", method), obs.L("class", class.String())).Add(1)
+		if class == classFatal || class == classShardMoved || ctx.Err() != nil {
 			return served, err
 		}
 		if class == classRuleMissing && served >= 0 {
 			// The worker is alive but lost the rule (e.g. a process
 			// restarted at the same address between sweeps): reinstall
-			// and let the retry land on it.
-			if rerr := c.resendRule(ctx, served); rerr != nil {
+			// it before the retry.
+			c.mu.Lock()
+			blob := c.lastRule
+			c.mu.Unlock()
+			if blob == nil {
+				c.markSuspect(served)
+			} else if _, err := c.attempt(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: *blob},
+				&LoadRuleReply{}, served, callOpts{pol: pol}); err != nil {
 				c.markSuspect(served)
 			}
 		}
@@ -901,21 +899,8 @@ func (c *Coordinator) call(ctx context.Context, method string, args transport.Ma
 		c.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
 		sleep(ctx, c.bo.delay(pol, attempt))
 		if served >= 0 {
-			pref = (served + 1) % len(c.addrs)
+			from = slices.Index(pool, served) + 1
 		}
-	}
-}
-
-func className(class errClass) string {
-	switch class {
-	case classRetryable:
-		return "retryable"
-	case classRuleMissing:
-		return "rule-missing"
-	case classShardMoved:
-		return "shard-moved"
-	default:
-		return "fatal"
 	}
 }
 
@@ -938,10 +923,12 @@ func (c *Coordinator) attempt(ctx context.Context, method string, args transport
 	if err != nil {
 		return -1, err
 	}
-	pol := c.pickPolicy(opt)
+	pol := opt.pol
 	resCh := make(chan legRes, 2)
 	leg := func(w int) {
-		cl := c.client(w)
+		c.mu.Lock()
+		cl := c.clients[w]
+		c.mu.Unlock()
 		if cl == nil {
 			resCh <- legRes{w: w, err: errNotConnected}
 			return
@@ -1023,19 +1010,6 @@ func copyReply(dst, src transport.Unmarshaler) {
 	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }
 
-// resendRule reinstalls the current rule on one worker.
-func (c *Coordinator) resendRule(ctx context.Context, w int) error {
-	c.mu.Lock()
-	blob := c.lastRule
-	c.mu.Unlock()
-	if blob == nil {
-		return fmt.Errorf("dist: no rule to re-broadcast")
-	}
-	var ack LoadRuleReply
-	_, err := c.attempt(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: *blob}, &ack, w, callOpts{})
-	return err
-}
-
 // ---- executor plumbing ----
 
 // rpcExec is the plan.Executor that fans reduce tasks out over the
@@ -1060,15 +1034,6 @@ func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
 	return ex.c.broadcast(ctx, RuleBlob{ID: ex.ruleID, Data: *rd})
 }
 
-// task issues one phase-2 task as a traced, event-logged call under the
-// full policy, starting on the worker the scheduler reserved.
-func (c *Coordinator) task(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, worker int, hedge bool) error {
-	sp, ev, done := c.startRPC(ctx, method)
-	served, err := c.call(ctx, method, args, reply, callOpts{preferred: worker, hedge: hedge, sp: sp, ev: ev})
-	done(served, err)
-	return err
-}
-
 // RunReduces implements plan.Executor via Worker.ReduceGroup RPCs: each
 // group's rows and Z-column travel out once, its candidates come back
 // once, and checkReduceReply vets them before the merge sees them.
@@ -1076,8 +1041,8 @@ func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.G
 	outs := make([]plan.Group, len(groups))
 	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
 		var reply ReduceReply
-		err := ex.c.task(ctx, "Worker.ReduceGroup",
-			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply, worker, true)
+		_, err := ex.c.call(ctx, "Worker.ReduceGroup",
+			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply, callOpts{from: worker, hedge: true})
 		if err == nil {
 			err = checkReduceReply(r.Encoder(), groups[i], reply.Candidates)
 		}
@@ -1121,15 +1086,30 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 	c.mu.Lock()
 	c.lastRule = &blob
 	c.mu.Unlock()
-	for round := 0; ; round++ {
-		c.mu.Lock()
+	// An offer is one attempt: a worker that misses the rule gets it on
+	// resurrection instead.
+	once := c.pol
+	once.retries = 0
+	for {
+		// Offer the rule to every live worker, waiting while none is.
 		var targets []int
-		for w := range c.addrs {
-			if c.state[w] == wsLive {
-				targets = append(targets, w)
+		if _, err := c.await(ctx, nil, func() int {
+			targets = targets[:0]
+			for w, s := range c.state {
+				if s == wsLive {
+					targets = append(targets, w)
+				}
 			}
+			if len(targets) == 0 {
+				return -1
+			}
+			return targets[0]
+		}); err != nil {
+			if errors.Is(err, ErrClusterDown) {
+				return fmt.Errorf("dist: rule broadcast: %w", err)
+			}
+			return err
 		}
-		c.mu.Unlock()
 		var (
 			wg       sync.WaitGroup
 			mu       sync.Mutex
@@ -1140,14 +1120,8 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sp, ev, done := c.startRPC(ctx, "Worker.LoadRule")
-				// Broadcast offers are single attempts (a worker that
-				// misses the rule gets it on resurrection instead).
-				ev.SetAttempts(1)
-				var ack LoadRuleReply
-				served, err := c.attempt(ctx, "Worker.LoadRule",
-					LoadRuleArgs{Rule: blob}, &ack, w, callOpts{sp: sp, ev: ev})
-				done(served, err)
+				_, err := c.call(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: blob}, &LoadRuleReply{},
+					callOpts{pool: []int{w}, pin: true, pol: &once})
 				mu.Lock()
 				defer mu.Unlock()
 				if err == nil {
@@ -1167,24 +1141,9 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 		if okCount > 0 {
 			return nil
 		}
-		// Nobody took the rule: wait for a liveness change (a
-		// resurrected worker already carries lastRule) and re-offer.
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return errCoordinatorClosed
-		}
-		if c.allDownLocked() {
-			c.mu.Unlock()
-			return fmt.Errorf("dist: rule broadcast: %w", ErrClusterDown)
-		}
-		ch := c.changed
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ch:
-		}
+		// Nobody took the rule: every target failed and is suspected. Offer
+		// it again once a worker is live (a resurrected worker already
+		// carries lastRule).
 	}
 }
 

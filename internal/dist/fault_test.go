@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -107,10 +108,16 @@ func TestClassify(t *testing.T) {
 		{io.ErrUnexpectedEOF, classRetryable},
 		{errAttemptTimeout, classRetryable},
 		{errNotConnected, classRetryable},
-		{transport.ServerError("dist: rule 5 not loaded on 127.0.0.1:1"), classRuleMissing},
-		{transport.ServerError("plan: dims mismatch"), classFatal},
-		{transport.ServerError("zorder: bad rule hash"), classFatal},
-		{transport.ServerError("transport: handler panicked on method 3: ragged row"), classFatal},
+		// Worker verdicts classify by status code, never by message.
+		{transport.ServerError{Status: transport.StatusRuleMissing, Msg: "dist: rule 5 not loaded on 127.0.0.1:1"}, classRuleMissing},
+		{transport.ServerError{Status: transport.StatusShardMoved, Msg: "dist: shard 2 not resident on 127.0.0.1:1"}, classShardMoved},
+		{transport.ServerError{Msg: "dist: rule 5 not loaded on 127.0.0.1:1"}, classFatal},
+		{transport.ServerError{Msg: "dist: stale shard map v1 on 127.0.0.1:1 (have v2)"}, classFatal},
+		{transport.ServerError{Msg: "plan: dims mismatch"}, classFatal},
+		{transport.ServerError{Msg: "transport: handler panicked on method 3: ragged row"}, classFatal},
+		{fmt.Errorf("dist: Worker.ShardSkyline: attempts exhausted: %w",
+			transport.ServerError{Status: transport.StatusShardMoved, Msg: "x"}), classShardMoved},
+		{fmt.Errorf("dist: Worker.ShardSkyline: %w", ErrShardDown), classFatal},
 		{errors.New("read tcp: connection reset by peer"), classRetryable},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"zskyline/internal/obs"
@@ -29,7 +30,9 @@ type HandoffReport struct {
 //     index and replicas hold identical group lists, so when the
 //     source dies or the stream is severed mid-pull, the pull resumes
 //     at the same cursor on another member — the resurrection state
-//     machine supplies the liveness verdicts.
+//     machine supplies the liveness verdicts. A source that answers
+//     shard-moved no longer holds the shard; it leaves the sources and
+//     the cursor is pulled from the next.
 //  2. Stage: forward each pulled frame pair verbatim (no decode and
 //     re-encode on the coordinator) to every member of the target
 //     group under a staging epoch. A member that fails staging is
@@ -41,9 +44,9 @@ type HandoffReport struct {
 //     re-broadcast the rule blob so resurrection re-installs the new
 //     ownership. Targets that failed staging or commit start stale.
 //  5. Drop: best-effort DropShard on old members that left the owning
-//     group. A query that raced the flip and still hits them gets
-//     "not resident", which the coordinator classifies as shard-moved
-//     and re-routes from the fresh map.
+//     group. A query that raced the flip and still hits them gets a
+//     verdict with status shard-moved, and re-routes from the fresh
+//     map.
 //
 // Inserts to the shard are blocked for the duration (the per-shard
 // lock), so the streamed copy is complete; queries are never blocked.
@@ -87,11 +90,11 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		// Abort: discard whatever staged. The map never flipped, so the
 		// cluster is exactly as before.
 		for _, t := range c.groups[toGroup] {
-			_ = c.callOn(ctx, t, sid, "Worker.DropStaged",
-				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{})
+			_, _ = c.inner.call(ctx, "Worker.DropStaged",
+				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{}, c.pinned(sid, t))
 		}
 		ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-		ev.SetError(className(classify(err)), err.Error())
+		ev.SetError(classify(err).String(), err.Error())
 		c.inner.events.RecordForced(*ev)
 		return nil, err
 	}
@@ -108,15 +111,23 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	pullArgs := PullShardArgs{ShardID: sid, MaxRows: c.pullRows}
 	for done := false; !done; {
 		var reply PullShardReply
-		if err := c.pullFrom(ctx, sid, sources, &pullArgs, &reply); err != nil {
-			return fail(err)
+		served, err := c.inner.call(ctx, "Worker.PullShard", pullArgs, &reply,
+			callOpts{pool: sources, pol: c.shardPolicy(sid)})
+		if err != nil && classify(err) == classShardMoved && len(sources) > 1 {
+			// This source no longer holds the shard (it restarted, say). The
+			// cursor is portable, so pull it from another source.
+			sources = slices.DeleteFunc(sources, func(w int) bool { return w == served })
+			continue
+		}
+		if err != nil {
+			return fail(fmt.Errorf("dist: pull of shard %d: %w", sid, err))
 		}
 		rep.Rows += reply.Rows
 		rep.WireBytes += int64(len(reply.BlockFrame) + len(reply.ZFrame))
 		sargs := StageShardArgs{ShardID: sid, Epoch: epoch,
 			BlockFrame: reply.BlockFrame, ZFrame: reply.ZFrame}
 		for i := 0; i < len(staging); {
-			err := c.callOn(ctx, staging[i], sid, "Worker.StageShard", sargs, &StageShardReply{})
+			_, err := c.inner.call(ctx, "Worker.StageShard", sargs, &StageShardReply{}, c.pinned(sid, staging[i]))
 			if err != nil {
 				if ctx.Err() != nil {
 					return fail(ctx.Err())
@@ -142,9 +153,9 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	c.mu.Unlock()
 	committed := map[int]bool{}
 	for _, t := range staging {
-		err := c.callOn(ctx, t, sid, "Worker.CommitShard",
+		_, err := c.inner.call(ctx, "Worker.CommitShard",
 			CommitShardArgs{ShardID: sid, Epoch: epoch, MapVersion: targetVer},
-			&CommitShardReply{})
+			&CommitShardReply{}, c.pinned(sid, t))
 		if err == nil {
 			committed[t] = true
 		}
@@ -194,8 +205,8 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	// guard makes a late drop harmless if the shard moves back.
 	if fromGroup != toGroup {
 		for _, w := range c.groups[fromGroup] {
-			_ = c.callOn(ctx, w, sid, "Worker.DropShard",
-				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{})
+			_, _ = c.inner.call(ctx, "Worker.DropShard",
+				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{}, c.pinned(sid, w))
 		}
 	}
 
@@ -205,44 +216,4 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	ev.SetResults(rep.Rows)
 	c.inner.events.RecordForced(*ev)
 	return rep, nil
-}
-
-// pullFrom fetches one batch at args.Cursor from any fresh source
-// replica, rotating on transport failure. Identical replica group
-// lists make the cursor portable across members.
-func (c *Cluster) pullFrom(ctx context.Context, sid int, sources []int, args *PullShardArgs, reply *PullShardReply) error {
-	pol := c.shardPolicy(sid)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		w, err := c.pickLiveIn(ctx, sources, attempt)
-		if err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("dist: pull shard %d: %v: %w", sid, lastErr, err)
-			}
-			return fmt.Errorf("dist: pull shard %d: %w", sid, err)
-		}
-		*reply = PullShardReply{}
-		sp, ev, done := c.inner.startRPC(ctx, "Worker.PullShard")
-		_, err = c.inner.attempt(ctx, "Worker.PullShard", *args, reply, w,
-			callOpts{pol: pol, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		done(w, err)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", "Worker.PullShard"), obs.L("class", className(class))).Add(1)
-		if class == classFatal || ctx.Err() != nil {
-			return err
-		}
-		if attempt >= pol.retries+len(sources) {
-			return fmt.Errorf("dist: pull shard %d: attempts exhausted: %w", sid, lastErr)
-		}
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
 }

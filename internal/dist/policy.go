@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,8 +25,9 @@ var ErrShardDown = errors.New("dist: shard has no live replica")
 
 // ErrBadShardReply reports a ShardSkyline reply the coordinator cannot
 // merge soundly: rows of the wrong width, a negative batch count, or a
-// row whose address lies outside the range the shard was asked for. The query fails rather than answer from it. Match with
-// errors.Is; the cluster wraps it with the shard ID and the violation.
+// row whose address lies outside the range the shard was asked for.
+// The query fails rather than answer from it. Match with errors.Is; the
+// cluster wraps it with the shard ID and the violation.
 var ErrBadShardReply = errors.New("dist: malformed shard skyline reply")
 
 // errBadReduceReply reports a ReduceGroup reply the coordinator cannot
@@ -86,36 +86,42 @@ const (
 	// transport.ErrShutdown), so the task is safe to re-issue on
 	// another worker.
 	classRetryable
-	// classRuleMissing is a worker answering "rule not loaded": it is
-	// alive but lost (or never received) the broadcast rule, e.g. a
+	// classRuleMissing is a worker verdict with status rule-missing: it
+	// is alive but lost (or never received) the broadcast rule, e.g. a
 	// fresh process resurrected at an old address. The cure is a
 	// re-broadcast to that worker, then retry.
 	classRuleMissing
-	// classShardMoved is a worker answering "not resident" or "stale
-	// shard map": it is alive but no longer (or not yet) owns the shard
-	// the call addressed — the caller raced a rebalance. The cure is a
-	// shard-map snapshot refresh on the coordinator, then re-routing.
+	// classShardMoved is a worker verdict with status shard-moved ("not
+	// resident" or "stale shard map"): it is alive but no longer (or not
+	// yet) owns the shard the call addressed — the caller raced a
+	// rebalance. The cure is a shard-map snapshot refresh on the
+	// coordinator, then re-routing, which only the caller can do.
 	classShardMoved
 )
+
+// classNames name the classes on events and metrics.
+var classNames = [...]string{classFatal: "fatal", classRetryable: "retryable",
+	classRuleMissing: "rule-missing", classShardMoved: "shard-moved"}
+
+func (k errClass) String() string { return classNames[k] }
 
 // classify sorts an RPC error into the retry taxonomy. The framed
 // transport surfaces worker-side verdicts as transport.ServerError
 // (the call reached the worker and the worker answered) and transport
 // failures as everything else, which makes the split crisp: server
-// errors are application verdicts (fatal, unless they are the
-// rule-cache miss or a shard-residency miss), all other errors mean
-// the bytes may never have made it.
+// errors are application verdicts, fatal unless their status code is
+// rule-missing or shard-moved; all other errors mean the bytes may
+// never have made it.
 func classify(err error) errClass {
 	if err == nil {
 		return classFatal // not meaningful; callers check err first
 	}
 	var se transport.ServerError
 	if errors.As(err, &se) {
-		if strings.Contains(se.Error(), "not loaded") {
+		switch se.Status {
+		case transport.StatusRuleMissing:
 			return classRuleMissing
-		}
-		if strings.Contains(se.Error(), "not resident") ||
-			strings.Contains(se.Error(), "stale shard map") {
+		case transport.StatusShardMoved:
 			return classShardMoved
 		}
 		return classFatal

@@ -336,9 +336,15 @@ func (w *Worker) rule(id uint64) (*plan.Rule, error) {
 	r := w.rules[id]
 	w.mu.RUnlock()
 	if r == nil {
-		return nil, fmt.Errorf("dist: rule %d not loaded on %s", id, w.addr)
+		return nil, verdictf(transport.StatusRuleMissing, "dist: rule %d not loaded on %s", id, w.addr)
 	}
 	return r, nil
+}
+
+// verdictf is a worker verdict whose status code tells the coordinator
+// what cures it, so it is never read out of the message.
+func verdictf(s transport.Status, format string, args ...any) error {
+	return transport.ServerError{Status: s, Msg: fmt.Sprintf(format, args...)}
 }
 
 // ReduceGroup is phase 2's reduce: the skyline of one group's routed

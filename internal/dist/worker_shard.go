@@ -11,6 +11,7 @@ import (
 	"zskyline/internal/obs"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
+	"zskyline/internal/transport"
 	"zskyline/internal/zorder"
 )
 
@@ -141,10 +142,9 @@ func (w *Worker) StoreShard(args StoreShardArgs, reply *StoreShardReply) error {
 // requires. A whole-shard Pareto query with a positive Since is
 // answered with the delta the coordinator has not merged yet (see
 // ShardSkyReply.Batches). Replies leave the Z-address column out.
-// The error string "not resident" is load-bearing: the coordinator
-// classifies it as shard-moved and re-routes from a fresh map snapshot,
-// which is how a query that raced a rebalance converges on the new
-// owner.
+// A replica without the shard answers with status shard-moved, which
+// the coordinator re-routes from a fresh map snapshot: that is how a
+// query that raced a rebalance converges on the new owner.
 func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 	r, err := w.rule(args.RuleID)
 	if err != nil {
@@ -172,7 +172,7 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 	}
 	w.smu.RUnlock()
 	if res == nil {
-		return fmt.Errorf("dist: shard %d not resident on %s", args.ShardID, w.addr)
+		return verdictf(transport.StatusShardMoved, "dist: shard %d not resident on %s", args.ShardID, w.addr)
 	}
 	shard := obs.L("shard", fmt.Sprint(args.ShardID))
 	if len(args.Lo) == 0 && (len(args.Hi) == 0 || pareto) {
@@ -364,7 +364,7 @@ func (w *Worker) PullShard(args PullShardArgs, reply *PullShardReply) error {
 	}
 	w.smu.RUnlock()
 	if res == nil {
-		return fmt.Errorf("dist: shard %d not resident on %s", args.ShardID, w.addr)
+		return verdictf(transport.StatusShardMoved, "dist: shard %d not resident on %s", args.ShardID, w.addr)
 	}
 	maxRows := args.MaxRows
 	if maxRows <= 0 {
@@ -476,7 +476,7 @@ func (w *Worker) DropShard(args DropShardArgs, reply *DropShardReply) error {
 	w.smu.Lock()
 	if args.MapVersion < w.shardVer {
 		w.smu.Unlock()
-		return fmt.Errorf("dist: stale shard map v%d on %s (have v%d)",
+		return verdictf(transport.StatusShardMoved, "dist: stale shard map v%d on %s (have v%d)",
 			args.MapVersion, w.addr, w.shardVer)
 	}
 	w.shardVer = args.MapVersion

@@ -217,7 +217,7 @@ func (c *Client) readLoop() {
 		call.RespBytes = int64(HeaderLen) + int64(h.Len)
 		switch {
 		case h.Flags&FlagError != 0:
-			call.finish(ServerError(payload))
+			call.finish(ServerError{Status: h.Status, Msg: string(payload)})
 		case call.Reply == nil:
 			call.finish(nil)
 		default:

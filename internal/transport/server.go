@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,8 +16,9 @@ import (
 // Handler serves one decoded request frame: decode payload, execute,
 // and return the reply as a Marshaler (marshaled by the server into
 // the response frame). A returned error becomes a FlagError response —
-// a worker verdict the client surfaces as ServerError — and so does a
-// panic, which is logged with its stack and fails that call alone.
+// a worker verdict the client surfaces as ServerError, with the status
+// of a ServerError the error wraps — and so does a panic, which is
+// logged with its stack and fails that call alone.
 // Handlers run concurrently, one goroutine per in-flight call, exactly
 // like net/rpc's service methods.
 type Handler interface {
@@ -144,6 +146,10 @@ func (s *connServer) dispatch(h Header, payload []byte, drop bool) {
 	resp := Header{Method: h.Method, Seq: h.Seq}
 	if err != nil {
 		resp.Flags |= FlagError
+		var se ServerError
+		if errors.As(err, &se) {
+			resp.Status = se.Status
+		}
 		buf = resp.AppendTo(buf[:0])
 		buf = append(buf, err.Error()...)
 	} else {

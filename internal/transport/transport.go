@@ -12,7 +12,8 @@
 //	0      4    magic   0x5A465231 ("ZFR1"), little-endian
 //	4      2    method  numeric method id (the caller's registry)
 //	6      1    flags   bit0 = error response (payload is the message)
-//	7      1    reserved, must be zero
+//	7      1    status  an error response's verdict code (0 plain,
+//	                    1 rule-missing, 2 shard-moved); zero otherwise
 //	8      8    sequence, echoed by the response
 //	16     4    payload length
 //	20     …    payload  the method's binary frame
@@ -64,10 +65,30 @@ const (
 	FlagError Flags = 1 << 0
 )
 
+// Status is the verdict code an error response carries in header byte
+// 7, so a caller can tell the verdicts it can cure apart without reading
+// the message.
+type Status uint8
+
+const (
+	// StatusPlain is an ordinary verdict: the worker rejected the call.
+	StatusPlain Status = iota
+	// StatusRuleMissing: the worker does not hold the rule the call
+	// names.
+	StatusRuleMissing
+	// StatusShardMoved: the worker does not hold the shard the call
+	// names at the caller's map version.
+	StatusShardMoved
+	numStatus
+)
+
 // Header is a decoded frame header.
 type Header struct {
 	Method uint16
 	Flags  Flags
+	// Status is an error response's verdict code; zero on every other
+	// frame.
+	Status Status
 	Seq    uint64
 	Len    uint32
 }
@@ -78,14 +99,15 @@ func (h Header) AppendTo(dst []byte) []byte {
 	binary.LittleEndian.PutUint32(b[0:4], Magic)
 	binary.LittleEndian.PutUint16(b[4:6], h.Method)
 	b[6] = byte(h.Flags)
-	b[7] = 0
+	b[7] = byte(h.Status)
 	binary.LittleEndian.PutUint64(b[8:16], h.Seq)
 	binary.LittleEndian.PutUint32(b[16:20], h.Len)
 	return append(dst, b[:]...)
 }
 
 // DecodeHeader parses one frame header, validating magic and the
-// reserved byte. maxPayload guards the announced length; pass 0 for
+// status byte: a known code, and zero unless the frame is an error
+// response. maxPayload guards the announced length; pass 0 for
 // DefaultMaxPayload.
 func DecodeHeader(b []byte, maxPayload uint32) (Header, error) {
 	var h Header
@@ -95,11 +117,12 @@ func DecodeHeader(b []byte, maxPayload uint32) (Header, error) {
 	if m := binary.LittleEndian.Uint32(b[0:4]); m != Magic {
 		return h, fmt.Errorf("transport: bad magic %#08x (framed and gob endpoints don't mix)", m)
 	}
-	if b[7] != 0 {
-		return h, fmt.Errorf("transport: reserved header byte = %#02x", b[7])
-	}
 	h.Method = binary.LittleEndian.Uint16(b[4:6])
 	h.Flags = Flags(b[6])
+	h.Status = Status(b[7])
+	if h.Status >= numStatus || (h.Status != StatusPlain && h.Flags&FlagError == 0) {
+		return h, fmt.Errorf("transport: status byte %#02x on a frame with flags %#02x", b[7], b[6])
+	}
 	h.Seq = binary.LittleEndian.Uint64(b[8:16])
 	h.Len = binary.LittleEndian.Uint32(b[16:20])
 	if maxPayload == 0 {
@@ -126,11 +149,16 @@ type Unmarshaler interface {
 // response: the call reached the worker and the worker answered with
 // an error. It is the framed analogue of rpc.ServerError, and the
 // retry layer's classifier keys on the distinction — a ServerError
-// means the bytes arrived, everything else means they may not have.
-type ServerError string
+// means the bytes arrived, everything else means they may not have —
+// and on its Status. A handler returns one (wrapped or not) to set the
+// response's status code; any other error answers StatusPlain.
+type ServerError struct {
+	Status Status
+	Msg    string
+}
 
 // Error returns the worker's message.
-func (e ServerError) Error() string { return string(e) }
+func (e ServerError) Error() string { return e.Msg }
 
 // ErrShutdown is returned by calls issued on (or in flight over) a
 // closed client connection. Retryable: the request may never have

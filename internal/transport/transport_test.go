@@ -30,7 +30,7 @@ type badMarshal struct{}
 func (badMarshal) AppendTo([]byte) ([]byte, error) { return nil, errors.New("boom") }
 
 // testHandler echoes payloads back; method 99 answers with an error,
-// method 50 sleeps 200ms first (the deadline-mid-frame case's slow
+// method 98 with a wrapped shard-moved verdict, method 50 sleeps 200ms first (the deadline-mid-frame case's slow
 // call), method 60 replies with an unmarshalable body, method 70
 // panics.
 type testHandler struct{ served sync.Map }
@@ -44,6 +44,8 @@ func (h *testHandler) ServeFrame(method uint16, payload []byte) (Marshaler, erro
 	switch method {
 	case 99:
 		return nil, fmt.Errorf("verdict: method 99 rejected")
+	case 98:
+		return nil, fmt.Errorf("wrapped: %w", ServerError{Status: StatusShardMoved, Msg: "shard 3 not resident"})
 	case 50:
 		time.Sleep(200 * time.Millisecond)
 	case 60:
@@ -129,6 +131,63 @@ func TestServerError(t *testing.T) {
 	var reply echoPayload
 	if _, _, err := cl.Call(context.Background(), 1, &echoPayload{b: []byte("y")}, &reply); err != nil {
 		t.Fatalf("call after verdict: %v", err)
+	}
+}
+
+// TestServerErrorStatus: a handler's verdict code crosses the wire in
+// header byte 7, through any wrapping, and costs no frame bytes; a plain
+// error answers StatusPlain.
+func TestServerErrorStatus(t *testing.T) {
+	addr, stop := startServer(t, &testHandler{}, ServeOptions{})
+	defer stop()
+	cl := dialClient(t, addr)
+	defer cl.Close()
+
+	for _, tc := range []struct {
+		method uint16
+		status Status
+		msg    string
+	}{
+		{98, StatusShardMoved, "wrapped: shard 3 not resident"},
+		{99, StatusPlain, "verdict: method 99 rejected"},
+	} {
+		_, resp, err := cl.Call(context.Background(), tc.method, &echoPayload{b: []byte("x")}, &echoPayload{})
+		var se ServerError
+		if !errors.As(err, &se) || se.Status != tc.status || se.Msg != tc.msg {
+			t.Errorf("method %d: err = %#v, want status %d with %q", tc.method, err, tc.status, tc.msg)
+		}
+		if want := int64(HeaderLen + len(tc.msg)); resp != want {
+			t.Errorf("method %d: response frame %d bytes, want %d", tc.method, resp, want)
+		}
+	}
+}
+
+// TestDecodeHeaderStatus: byte 7 is a known code on an error frame and
+// zero on every other frame; anything else is a protocol violation.
+func TestDecodeHeaderStatus(t *testing.T) {
+	for _, tc := range []struct {
+		flags  Flags
+		status byte
+		ok     bool
+	}{
+		{0, 0, true},
+		{FlagError, byte(StatusPlain), true},
+		{FlagError, byte(StatusRuleMissing), true},
+		{FlagError, byte(StatusShardMoved), true},
+		{FlagError, byte(numStatus), false},
+		{FlagError, 0x80, false},
+		{0, byte(StatusShardMoved), false},
+		{0, 0x80, false},
+	} {
+		b := Header{Method: 1, Flags: tc.flags, Seq: 2}.AppendTo(nil)
+		b[7] = tc.status
+		h, err := DecodeHeader(b, 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("flags %#x status %#x: err = %v, want ok=%v", tc.flags, tc.status, err, tc.ok)
+		}
+		if err == nil && h.Status != Status(tc.status) {
+			t.Errorf("flags %#x status %#x decoded as %d", tc.flags, tc.status, h.Status)
+		}
 	}
 }
 
