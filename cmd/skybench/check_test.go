@@ -22,7 +22,7 @@ func gateFixture() *benchReport {
 					{Executor: "dist", WallMS: 16, Allocs: 15000, AllocBytes: 1 << 21,
 						WireSentBytes: 250000, WireRecvBytes: 160000, SkylineSize: 600},
 				},
-				MapPath: benchMapPath{Points: 2500, Dims: 5, AllocsPerOpPoints: 5000, AllocsPerOpBlock: 40, Ratio: 125},
+				MapPath: benchMapPath{Points: 2500, Dims: 5, AllocsPerOpBlock: 40},
 			},
 		},
 	}

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -66,53 +67,19 @@ func WriteBinary(w io.Writer, ds *point.Dataset) error {
 // ReadBinary parses a ZSKY stream, validating magic, version, payload
 // length and checksum.
 func ReadBinary(r io.Reader) (*point.Dataset, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("codec: reading magic: %w", err)
+	br, err := NewBinaryReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("codec: bad magic %q", magic)
+	var pts []point.Point
+	err = br.Blocks(func(int) int { return 1 << 12 }, func(b point.Block) error {
+		pts = b.AppendPoints(pts)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	hdr := make([]byte, 14)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("codec: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != Version {
-		return nil, fmt.Errorf("codec: unsupported version %d", v)
-	}
-	dims := int(binary.LittleEndian.Uint32(hdr[2:6]))
-	count := binary.LittleEndian.Uint64(hdr[6:14])
-	if dims <= 0 || dims > 1<<20 {
-		return nil, fmt.Errorf("codec: implausible dims %d", dims)
-	}
-	if count > 1<<40 {
-		return nil, fmt.Errorf("codec: implausible count %d", count)
-	}
-	// The header's counts are not trusted with an allocation: rows and
-	// coordinates grow as they arrive, so a short input claiming a huge
-	// payload fails having spent about what it holds.
-	crc := crc32.NewIEEE()
-	pts := make([]point.Point, 0, min(count, 1024))
-	buf := make([]byte, 8)
-	for i := uint64(0); i < count; i++ {
-		p := make(point.Point, 0, min(dims, 1024))
-		for k := 0; k < dims; k++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("codec: truncated payload at point %d: %w", i, err)
-			}
-			crc.Write(buf)
-			p = append(p, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-		}
-		pts = append(pts, p)
-	}
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
-		return nil, fmt.Errorf("codec: missing checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(buf[:4]); got != crc.Sum32() {
-		return nil, fmt.Errorf("codec: checksum mismatch: stored %08x, computed %08x", got, crc.Sum32())
-	}
-	return point.NewDataset(dims, pts)
+	return point.NewDataset(br.Dims(), pts)
 }
 
 // WriteCSV serializes ds as CSV with full float64 round-trip precision.
@@ -244,6 +211,10 @@ type BinaryReader struct {
 	buf       []byte
 }
 
+// readChunk is the bytes NextBlock reads, checksums and decodes at a
+// time.
+const readChunk = 1 << 16
+
 // NewBinaryReader validates the header and prepares to stream points.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	br := bufio.NewReader(r)
@@ -266,8 +237,26 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	if dims <= 0 || dims > 1<<20 {
 		return nil, fmt.Errorf("codec: implausible dims %d", dims)
 	}
+	if count > 1<<40 {
+		return nil, fmt.Errorf("codec: implausible count %d", count)
+	}
 	return &BinaryReader{br: br, dims: dims, remaining: count,
-		crc: crc32.NewIEEE(), buf: make([]byte, 8)}, nil
+		crc: crc32.NewIEEE(), buf: make([]byte, readChunk)}, nil
+}
+
+// ReadFile opens the ZSKY file at path, checks its header, and hands
+// the reader to f; the file is closed when f returns.
+func ReadFile(path string, f func(*BinaryReader) error) error {
+	fh, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer fh.Close()
+	br, err := NewBinaryReader(fh)
+	if err != nil {
+		return err
+	}
+	return f(br)
 }
 
 // Dims returns the stream's dimensionality.
@@ -276,49 +265,11 @@ func (b *BinaryReader) Dims() int { return b.dims }
 // Remaining returns how many points are left to read.
 func (b *BinaryReader) Remaining() uint64 { return b.remaining }
 
-// Next reads up to max points; it returns io.EOF (with zero points)
-// once the stream is exhausted and the checksum verified.
-func (b *BinaryReader) Next(max int) ([]point.Point, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("codec: batch size must be positive")
-	}
-	if b.remaining == 0 {
-		if b.crc != nil {
-			if _, err := io.ReadFull(b.br, b.buf[:4]); err != nil {
-				return nil, fmt.Errorf("codec: missing checksum: %w", err)
-			}
-			if got := binary.LittleEndian.Uint32(b.buf[:4]); got != b.crc.Sum32() {
-				return nil, fmt.Errorf("codec: checksum mismatch")
-			}
-			b.crc = nil
-		}
-		return nil, io.EOF
-	}
-	n := uint64(max)
-	if n > b.remaining {
-		n = b.remaining
-	}
-	pts := make([]point.Point, n)
-	for i := range pts {
-		p := make(point.Point, b.dims)
-		for k := 0; k < b.dims; k++ {
-			if _, err := io.ReadFull(b.br, b.buf); err != nil {
-				return nil, fmt.Errorf("codec: truncated payload: %w", err)
-			}
-			b.crc.Write(b.buf)
-			p[k] = math.Float64frombits(binary.LittleEndian.Uint64(b.buf))
-		}
-		pts[i] = p
-	}
-	b.remaining -= n
-	return pts, nil
-}
-
-// NextBlock reads up to max points into one contiguous block. It is
-// Next on the block data plane: the batch payload is read and
-// checksummed in a single bulk transfer, and the batch costs two
-// allocations regardless of row count. io.EOF (with an empty block)
-// signals exhaustion after checksum verification.
+// NextBlock reads up to max points into one contiguous block. io.EOF
+// (with an empty block) signals exhaustion after checksum verification.
+// The header's count is not trusted with an allocation: the block grows
+// as its bytes arrive, so a short input claiming a huge payload fails
+// having spent about what it holds.
 func (b *BinaryReader) NextBlock(max int) (point.Block, error) {
 	if max < 1 {
 		return point.Block{}, fmt.Errorf("codec: batch size must be positive")
@@ -335,21 +286,41 @@ func (b *BinaryReader) NextBlock(max int) (point.Block, error) {
 		}
 		return point.Block{}, io.EOF
 	}
-	n := uint64(max)
-	if n > b.remaining {
-		n = b.remaining
-	}
-	payload := make([]byte, int(n)*b.dims*8)
-	if _, err := io.ReadFull(b.br, payload); err != nil {
-		return point.Block{}, fmt.Errorf("codec: truncated payload: %w", err)
-	}
-	b.crc.Write(payload)
-	data := make([]float64, int(n)*b.dims)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+	n := min(uint64(max), b.remaining)
+	want := int(n) * b.dims
+	data := make([]float64, 0, min(want, readChunk/8))
+	for len(data) < want {
+		chunk := b.buf[:8*min(want-len(data), readChunk/8)]
+		if _, err := io.ReadFull(b.br, chunk); err != nil {
+			return point.Block{}, fmt.Errorf("codec: truncated payload: %w", err)
+		}
+		b.crc.Write(chunk)
+		for i := 0; i < len(chunk); i += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
 	b.remaining -= n
 	return point.Block{Dims: b.dims, Data: data}, nil
+}
+
+// Blocks streams the rest of the stream through f in order, block i
+// holding at most size(i) rows (fewer only at the end), and verifies
+// the checksum once the payload is read: the one loop every consumer
+// of a ZSKY stream reads it with.
+func (b *BinaryReader) Blocks(size func(i int) int, f func(point.Block) error) error {
+	for i := 0; b.remaining > 0; i++ {
+		blk, err := b.NextBlock(size(i))
+		if err != nil {
+			return err
+		}
+		if err := f(blk); err != nil {
+			return err
+		}
+	}
+	if _, err := b.NextBlock(1); err != io.EOF {
+		return err
+	}
+	return nil
 }
 
 // Source adapts the reader to the point.Source streaming interface, so

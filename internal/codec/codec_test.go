@@ -2,9 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -258,8 +260,8 @@ func TestReadNamedCSVErrors(t *testing.T) {
 	}
 }
 
-// NextBlock must yield exactly the same points as the per-point Next
-// path, verify the CRC at EOF, and feed the Source adapter.
+// NextBlock must yield exactly the dataset's points in order, verify
+// the CRC at EOF, and feed the Source adapter.
 func TestBinaryReaderNextBlock(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 257, 3, 21)
 	var buf bytes.Buffer
@@ -362,5 +364,38 @@ func TestBlockFrameStream(t *testing.T) {
 	}
 	if err == io.EOF {
 		t.Error("truncated tail frame reported clean EOF")
+	}
+}
+
+// hostileHeader is a bare ZSKY header, with no payload, claiming count
+// rows of dims coordinates each.
+func hostileHeader(dims uint32, count uint64) []byte {
+	hdr := []byte(Magic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
+	hdr = binary.LittleEndian.AppendUint32(hdr, dims)
+	return binary.LittleEndian.AppendUint64(hdr, count)
+}
+
+// A header's counts are not trusted with an allocation: a batch over a
+// payload-free stream claiming 2^40 rows of 1024 coordinates fails
+// having spent about what the stream holds, not the 64 MiB its first
+// 8192 rows would take.
+func TestNextBlockHostileHeader(t *testing.T) {
+	br, err := NewBinaryReader(bytes.NewReader(hostileHeader(1024, 1<<40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = br.NextBlock(8192)
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF {
+		t.Fatalf("NextBlock over a missing payload: err = %v", err)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+		t.Errorf("NextBlock allocated %d bytes for an empty payload", spent)
+	}
+	if _, err := NewBinaryReader(bytes.NewReader(hostileHeader(2, 1<<40+1))); err == nil {
+		t.Error("count above 2^40 accepted")
 	}
 }

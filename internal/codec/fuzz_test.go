@@ -31,6 +31,34 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
+// FuzzBinaryReader hardens the streaming reader: arbitrary bytes through
+// NewBinaryReader and a NextBlock loop must never panic, and a header
+// claiming a giant payload must not be trusted with an allocation.
+func FuzzBinaryReader(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, mustTinyDataset()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hostileHeader(1<<20, 1<<40))
+	f.Add(hostileHeader(1024, 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br, err := NewBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for {
+			b, err := br.NextBlock(8192)
+			if err != nil {
+				return
+			}
+			if b.Dims != br.Dims() || len(b.Data)%b.Dims != 0 {
+				t.Fatalf("ragged block: %d coords, %d dims", len(b.Data), b.Dims)
+			}
+		}
+	})
+}
+
 // FuzzReadCSV hardens the CSV parser the same way.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2\n3,4\n")

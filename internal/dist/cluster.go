@@ -14,16 +14,6 @@ import (
 	"zskyline/internal/zorder"
 )
 
-// ShardPolicy overrides the cluster-wide fault-tolerance policy for
-// one shard — a hot shard can run tighter deadlines and more
-// aggressive hedging than a cold one. Zero fields inherit the cluster
-// policy; negative values disable the knob.
-type ShardPolicy struct {
-	RPCTimeout time.Duration
-	Retries    int
-	Hedge      time.Duration
-}
-
 // ClusterConfig parameterizes a sharded cluster. Unlike
 // CoordinatorConfig there is no sampling or partition learning: the
 // dataset lives on the workers, cut by Z-range, and the "rule" is just
@@ -68,8 +58,6 @@ type ClusterConfig struct {
 	Hedge          time.Duration
 	RedialInterval time.Duration
 	DialTimeout    time.Duration
-	// PerShard overrides the policy for individual shard IDs.
-	PerShard map[int]ShardPolicy
 
 	// Metrics/Events as in CoordinatorConfig.
 	Metrics *obs.Registry
@@ -125,7 +113,6 @@ type Cluster struct {
 	enc      *zorder.Encoder
 	table    *partition.RangeTable // cuts are immutable across versions
 	shardIDs []int                 // range index -> stable shard ID
-	pols     map[int]*policy       // resolved per-shard policies
 	pullRows int
 
 	mu   sync.Mutex
@@ -250,7 +237,6 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 	c := &Cluster{
 		cfg: cfg, inner: inner, groups: groupIdx,
 		rule: rule, ruleData: rd, enc: enc, table: table,
-		pols:     map[int]*policy{},
 		pullRows: cfg.PullRows,
 		smap:     smap,
 		stale:    map[int]map[int]bool{},
@@ -260,19 +246,6 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 	for _, s := range smap.Shards {
 		c.shardIDs = append(c.shardIDs, s.ID)
 		c.locks[s.ID] = &sync.Mutex{}
-	}
-	for sid, sp := range cfg.PerShard {
-		pol := inner.pol
-		if sp.RPCTimeout != 0 {
-			pol.rpcTimeout = max(sp.RPCTimeout, 0)
-		}
-		if sp.Retries != 0 {
-			pol.retries = max(sp.Retries, 0)
-		}
-		if sp.Hedge != 0 {
-			pol.hedge = max(sp.Hedge, 0)
-		}
-		c.pols[sid] = &pol
 	}
 	c.ruleID = inner.salt<<32 | ruleCounter.Add(1)
 
@@ -288,7 +261,7 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 		for _, w := range c.groups[s.Group] {
 			_, err := inner.call(ctx, "Worker.StoreShard",
 				StoreShardArgs{RuleID: c.ruleID, MapVersion: smap.Version, ShardID: s.ID},
-				&StoreShardReply{}, c.pinned(s.ID, w))
+				&StoreShardReply{}, pinned(w))
 			if err != nil {
 				c.markShardStale(s.ID, w)
 				continue
@@ -337,18 +310,10 @@ func (c *Cluster) ShardRows() map[int]int64 {
 	return out
 }
 
-// shardPolicy resolves the effective policy for one shard.
-func (c *Cluster) shardPolicy(sid int) *policy {
-	if p := c.pols[sid]; p != nil {
-		return p
-	}
-	return &c.inner.pol
-}
-
-// pinned is the call options of a replica-addressed call to worker w
-// for shard sid: it never fails over.
-func (c *Cluster) pinned(sid, w int) callOpts {
-	return callOpts{pool: []int{w}, pin: true, pol: c.shardPolicy(sid)}
+// pinned is the call options of a replica-addressed call to worker w:
+// it never fails over.
+func pinned(w int) callOpts {
+	return callOpts{pool: []int{w}, pin: true}
 }
 
 // shardLock returns the per-shard insert/handoff mutex.
@@ -459,7 +424,7 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 		BlockFrame: blockFrame, ZFrame: zFrame}
 	ok := 0
 	for mi, w := range members {
-		if _, err := c.inner.call(ctx, "Worker.StoreShard", args, &StoreShardReply{}, c.pinned(sid, w)); err != nil {
+		if _, err := c.inner.call(ctx, "Worker.StoreShard", args, &StoreShardReply{}, pinned(w)); err != nil {
 			fatal := classify(err) == classFatal
 			if fatal || ctx.Err() != nil {
 				// Aborting mid-replication must not leave replicas that
@@ -812,7 +777,7 @@ func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, s
 			Lo: rng.Lo, Hi: rng.Hi, Since: since}
 		var reply ShardSkyReply
 		_, err := c.inner.call(ctx, "Worker.ShardSkyline", args, &reply, callOpts{
-			pool: members, hedge: true, pol: c.shardPolicy(sid),
+			pool: members, hedge: true,
 			note: func(sp *obs.Span, ev *obs.Event, err error) {
 				sp.SetAttr("shard", sid)
 				sp.SetAttr("range", kind)

@@ -646,29 +646,3 @@ func TestClusterHandoffRetryAfterAbortedStage(t *testing.T) {
 	}
 	sameSet(t, got, want, "post-aborted-stage retry")
 }
-
-func TestClusterPerShardPolicy(t *testing.T) {
-	g0, _ := startGroup(t, 2)
-	cfg := testClusterConfig(3)
-	cfg.Shards = 2
-	cfg.PerShard = map[int]ShardPolicy{1: {Retries: 7, RPCTimeout: time.Minute}}
-	c, err := NewCluster(context.Background(), cfg, [][]string{g0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if p := c.shardPolicy(1); p.retries != 7 || p.rpcTimeout != time.Minute {
-		t.Errorf("shard 1 policy = %+v", *p)
-	}
-	if p := c.shardPolicy(0); p.retries != cfg.Retries {
-		t.Errorf("shard 0 inherited retries %d, want %d", p.retries, cfg.Retries)
-	}
-	// Per-shard overrides must not break serving.
-	ds := gen.Synthetic(gen.Independent, 500, 3, 43)
-	insertBatches(t, c, ds.Points, 200)
-	got, _, err := c.Skyline(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, seq.SB(ds.Points, nil), "per-shard policy")
-}

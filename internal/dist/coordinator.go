@@ -438,29 +438,29 @@ func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.P
 		return nil, &Report{Workers: len(c.addrs)}, nil
 	}
 	shape := fmt.Sprintf("skyline:n=%d,dims=%d", ds.Len(), ds.Dims)
-	return c.runQuery(ctx, "dist/skyline", shape, func(ctx context.Context, rep *Report) ([]point.Point, error) {
-		sky, prep, err := plan.Run(ctx, c.cfg.spec(), ds, &rpcExec{LocalExec: c.exec, c: c}, nil)
-		if err != nil {
-			return nil, err
-		}
-		rep.Groups = prep.Groups
-		rep.Partitions = prep.Partitions
-		rep.Candidates = prep.Candidates
-		rep.Filtered = prep.Filtered
-		rep.Preprocess = prep.Preprocess
-		rep.Phase2 = prep.Phase2
-		rep.Phase3 = prep.Phase3
-		rep.Total = prep.Total
-		return sky, nil
+	return c.runQuery(ctx, "dist/skyline", shape, func(ctx context.Context, ex plan.Executor) ([]point.Point, *plan.Report, error) {
+		return plan.Run(ctx, c.cfg.spec(), ds, ex, nil)
 	})
 }
 
-// runQuery runs one batch query q, which fills rep's phase fields, and
-// records it as one "query" event joined by request ID to the "rpc"
-// events it caused; a ctx without a request ID gets a fresh one, so
-// standalone coordinator runs are observable too. The report gets the
-// wire totals and the query's ledger.
-func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(context.Context, *Report) ([]point.Point, error)) ([]point.Point, *Report, error) {
+// SkylineFile is Skyline over a ZSKY binary file, never loaded into the
+// coordinator's memory: plan.RunFile reads it in passes, filtering and
+// routing each batch on the coordinator's own pool as it arrives, so
+// memory holds a few batches plus the survivors. This is the deployment
+// shape for datasets larger than the coordinator — the same regime the
+// paper's HDFS-resident inputs live in.
+func (c *Coordinator) SkylineFile(ctx context.Context, path string) ([]point.Point, *Report, error) {
+	return c.runQuery(ctx, "dist/skyline-file", "file:"+path, func(ctx context.Context, ex plan.Executor) ([]point.Point, *plan.Report, error) {
+		return plan.RunFile(ctx, c.cfg.spec(), path, ex, nil)
+	})
+}
+
+// runQuery runs one batch query q on a fresh rpcExec and records it as
+// one "query" event joined by request ID to the "rpc" events it caused;
+// a ctx without a request ID gets a fresh one, so standalone
+// coordinator runs are observable too. The report carries q's phase
+// numbers, the wire totals and the query's ledger.
+func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(context.Context, plan.Executor) ([]point.Point, *plan.Report, error)) ([]point.Point, *Report, error) {
 	id := obs.RequestIDFrom(ctx)
 	if id == "" {
 		id = obs.NewRequestID()
@@ -468,18 +468,21 @@ func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(
 	}
 	ev := &obs.Event{ID: id, Kind: "query", Route: route, Query: shape, Dominance: c.cfg.Dominance.String()}
 	led := &ledger{lines: map[string]LedgerLine{}}
-	rep := &Report{Workers: len(c.addrs)}
 	wireBefore := c.WireStats()
 	start := time.Now()
-	sky, err := q(context.WithValue(ctx, ledgerKey{}, led), rep)
+	sky, prep, err := q(context.WithValue(ctx, ledgerKey{}, led), &rpcExec{LocalExec: c.exec, c: c})
 	ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		ev.SetError(classify(err).String(), err.Error())
 		c.events.RecordForced(*ev)
 		return nil, nil, err
 	}
-	rep.Wire = c.WireStats()
-	rep.Ledger = led.sorted()
+	rep := &Report{
+		Workers: len(c.addrs), Groups: prep.Groups, Partitions: prep.Partitions,
+		Candidates: prep.Candidates, Filtered: prep.Filtered,
+		Preprocess: prep.Preprocess, Phase2: prep.Phase2, Phase3: prep.Phase3, Total: prep.Total,
+		Wire: c.WireStats(), Ledger: led.sorted(),
+	}
 	ev.SetPhase("preprocess", rep.Preprocess)
 	ev.SetPhase("phase2", rep.Phase2)
 	ev.SetPhase("phase3", rep.Phase3)
@@ -1014,8 +1017,9 @@ func copyReply(dst, src transport.Unmarshaler) {
 
 // rpcExec is the plan.Executor that fans reduce tasks out over the
 // coordinator's worker connections, with failover. Everything else runs
-// on the embedded pool: RunMaps filters and routes every row before any
-// of it is shipped, and phase 3 merges where the reduce replies land.
+// on the embedded pool: the map tasks filter and route every row before
+// any of it is shipped, and phase 3 merges where the reduce replies
+// land.
 // One rpcExec serves one query: Broadcast assigns the query's rule ID.
 type rpcExec struct {
 	*plan.LocalExec

@@ -91,7 +91,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		// cluster is exactly as before.
 		for _, t := range c.groups[toGroup] {
 			_, _ = c.inner.call(ctx, "Worker.DropStaged",
-				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{}, c.pinned(sid, t))
+				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{}, pinned(t))
 		}
 		ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 		ev.SetError(classify(err).String(), err.Error())
@@ -112,7 +112,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	for done := false; !done; {
 		var reply PullShardReply
 		served, err := c.inner.call(ctx, "Worker.PullShard", pullArgs, &reply,
-			callOpts{pool: sources, pol: c.shardPolicy(sid)})
+			callOpts{pool: sources})
 		if err != nil && classify(err) == classShardMoved && len(sources) > 1 {
 			// This source no longer holds the shard (it restarted, say). The
 			// cursor is portable, so pull it from another source.
@@ -127,7 +127,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		sargs := StageShardArgs{ShardID: sid, Epoch: epoch,
 			BlockFrame: reply.BlockFrame, ZFrame: reply.ZFrame}
 		for i := 0; i < len(staging); {
-			_, err := c.inner.call(ctx, "Worker.StageShard", sargs, &StageShardReply{}, c.pinned(sid, staging[i]))
+			_, err := c.inner.call(ctx, "Worker.StageShard", sargs, &StageShardReply{}, pinned(staging[i]))
 			if err != nil {
 				if ctx.Err() != nil {
 					return fail(ctx.Err())
@@ -155,7 +155,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	for _, t := range staging {
 		_, err := c.inner.call(ctx, "Worker.CommitShard",
 			CommitShardArgs{ShardID: sid, Epoch: epoch, MapVersion: targetVer},
-			&CommitShardReply{}, c.pinned(sid, t))
+			&CommitShardReply{}, pinned(t))
 		if err == nil {
 			committed[t] = true
 		}
@@ -206,7 +206,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	if fromGroup != toGroup {
 		for _, w := range c.groups[fromGroup] {
 			_, _ = c.inner.call(ctx, "Worker.DropShard",
-				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{}, c.pinned(sid, w))
+				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{}, pinned(w))
 		}
 	}
 

@@ -200,3 +200,43 @@ func TestCoordinatorRejectsBadReduceReply(t *testing.T) {
 		})
 	}
 }
+
+// TestSkylineFileReportsLikeSkyline: SkylineFile over a ZSKY copy of a
+// dataset runs the in-memory pipeline's driver in passes — the same
+// sample draws, rule, cuts and verify — so under ZDG, Pareto and a
+// non-transitive relation alike it reports the same groups,
+// partitions, candidates and filtered rows as Skyline on the dataset,
+// and the same answer.
+func TestSkylineFileReportsLikeSkyline(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 5000, 4, 43)
+	addrs := startCluster(t, 2)
+	queries := batchQueries(t, ds)
+	for _, desc := range []dominance.Descriptor{{}, {Kind: dominance.KindKDom, K: 3}} {
+		cfg := ftConfig()
+		cfg.Dominance = desc
+		c, err := NewCoordinator(cfg, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRep, err := queries["Skyline"](context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := queries["SkylineFile"](context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		label := desc.String()
+		sameSet(t, got, want, label)
+		if rep.Groups != wantRep.Groups || rep.Partitions != wantRep.Partitions ||
+			rep.Candidates != wantRep.Candidates || rep.Filtered != wantRep.Filtered {
+			t.Errorf("%s: file groups=%d partitions=%d candidates=%d filtered=%d, in memory %d/%d/%d/%d", label,
+				rep.Groups, rep.Partitions, rep.Candidates, rep.Filtered,
+				wantRep.Groups, wantRep.Partitions, wantRep.Candidates, wantRep.Filtered)
+		}
+		if rep.Filtered == 0 {
+			t.Errorf("%s: the filter dropped nothing, so the test proves little", label)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 const (
 	mPing uint16 = iota + 1
 	mLoadRule
-	_ // 3 was Worker.MapChunk; reserved so the ids after it never shift
+	_ // 3 was the retired per-chunk map call; reserved so the ids after it never shift
 	mReduceGroup
 	_ // 5 was Worker.MergeGroups; reserved likewise
 	mStoreShard

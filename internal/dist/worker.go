@@ -53,117 +53,46 @@ func (w *Worker) observe(method uint16, dur time.Duration, reqBytes, respBytes i
 func (w *Worker) ServeFrame(method uint16, payload []byte) (transport.Marshaler, error) {
 	switch method {
 	case mPing:
-		var args PingArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply PingReply
-		if err := w.Ping(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.Ping)
 	case mLoadRule:
-		var args LoadRuleArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply LoadRuleReply
-		if err := w.LoadRule(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.LoadRule)
 	case mReduceGroup:
-		var args ReduceArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply ReduceReply
-		if err := w.ReduceGroup(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.ReduceGroup)
 	case mStoreShard:
-		var args StoreShardArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply StoreShardReply
-		if err := w.StoreShard(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.StoreShard)
 	case mShardSkyline:
-		var args ShardSkyArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply ShardSkyReply
-		if err := w.ShardSkyline(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.ShardSkyline)
 	case mPullShard:
-		var args PullShardArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply PullShardReply
-		if err := w.PullShard(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.PullShard)
 	case mStageShard:
-		var args StageShardArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply StageShardReply
-		if err := w.StageShard(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.StageShard)
 	case mCommitShard:
-		var args CommitShardArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply CommitShardReply
-		if err := w.CommitShard(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.CommitShard)
 	case mDropStaged:
-		var args DropStagedArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply DropStagedReply
-		if err := w.DropStaged(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.DropStaged)
 	case mDropShard:
-		var args DropShardArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply DropShardReply
-		if err := w.DropShard(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.DropShard)
 	case mShardStats:
-		var args ShardStatsArgs
-		if err := args.DecodeFrom(payload); err != nil {
-			return nil, err
-		}
-		var reply ShardStatsReply
-		if err := w.ShardStats(args, &reply); err != nil {
-			return nil, err
-		}
-		return reply, nil
+		return serve(payload, w.ShardStats)
 	}
 	return nil, fmt.Errorf("%w id %d", errUnknownMethod, method)
+}
+
+// serve is one ServeFrame arm: decode call's args from payload, run
+// call, and hand back its reply for the server to frame.
+func serve[A any, PA interface {
+	*A
+	DecodeFrom([]byte) error
+}, R transport.Marshaler](payload []byte, call func(A, *R) error) (transport.Marshaler, error) {
+	var args A
+	if err := PA(&args).DecodeFrom(payload); err != nil {
+		return nil, err
+	}
+	var reply R
+	if err := call(args, &reply); err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
 // faultInterceptor adapts a FaultPlan to the transport's frame

@@ -74,7 +74,7 @@ func TestEventLogNDJSONSink(t *testing.T) {
 	l := NewEventLog(2)
 	l.SetSink(&buf)
 	l.Record(Event{Kind: "query", ID: "a", Results: 3})
-	l.Record(Event{Kind: "rpc", Parent: "a", Route: "Worker.MapChunk"})
+	l.Record(Event{Kind: "rpc", Parent: "a", Route: "Worker.ReduceGroup"})
 	sc := bufio.NewScanner(&buf)
 	var lines []Event
 	for sc.Scan() {

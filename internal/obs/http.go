@@ -8,47 +8,6 @@ import (
 	"time"
 )
 
-// statusRecorder captures the response status for request counters.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so instrumented handlers can
-// still stream responses.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController, so
-// capabilities we don't wrap (hijacking, deadlines) keep working.
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
-// InstrumentHandler wraps next with per-endpoint observability: a
-// request counter labeled by route and status code, and a latency
-// histogram labeled by route. A nil registry returns next unchanged.
-func (r *Registry) InstrumentHandler(route string, next http.Handler) http.Handler {
-	if r == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, req)
-		r.Counter("zsky_http_requests_total",
-			L("route", route), L("code", fmt.Sprintf("%d", rec.status))).Add(1)
-		r.Histogram("zsky_http_request_seconds", nil, L("route", route)).
-			Observe(time.Since(start).Seconds())
-	})
-}
-
 // PrometheusHandler serves the registry in text exposition format —
 // mount it at GET /metrics.
 func (r *Registry) PrometheusHandler() http.Handler {

@@ -9,7 +9,6 @@ package ooc
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"zskyline/internal/codec"
 	"zskyline/internal/maintain"
@@ -44,24 +43,29 @@ func SkylineReader(r io.Reader, opts Options) ([]point.Point, error) {
 // SkylineFile computes the skyline of a ZSKY file. Without explicit
 // bounds it makes two passes: one to find the bounding box (needed for
 // a well-fitted Z-order grid), one to maintain the skyline.
-func SkylineFile(path string, opts Options) ([]point.Point, error) {
+func SkylineFile(path string, opts Options) (sky []point.Point, err error) {
+	opts = opts.normalize()
 	if opts.Mins == nil || opts.Maxs == nil {
-		mins, maxs, err := scanBounds(path, opts)
+		var mins, maxs []float64
+		err = codec.ReadFile(path, func(br *codec.BinaryReader) error {
+			return br.Blocks(opts.batch, func(b point.Block) error {
+				mins, maxs = b.UpdateBounds(mins, maxs)
+				return nil
+			})
+		})
 		if err != nil {
 			return nil, err
 		}
+		if mins == nil {
+			return nil, fmt.Errorf("ooc: empty file")
+		}
 		opts.Mins, opts.Maxs = mins, maxs
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br, err := codec.NewBinaryReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return streamSkyline(br, opts)
+	err = codec.ReadFile(path, func(br *codec.BinaryReader) (err error) {
+		sky, err = streamSkyline(br, opts)
+		return err
+	})
+	return sky, err
 }
 
 func (o Options) normalize() Options {
@@ -74,33 +78,8 @@ func (o Options) normalize() Options {
 	return o
 }
 
-func scanBounds(path string, opts Options) ([]float64, []float64, error) {
-	opts = opts.normalize()
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	br, err := codec.NewBinaryReader(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mins, maxs []float64
-	for {
-		batch, err := br.NextBlock(opts.BatchSize)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		mins, maxs = batch.UpdateBounds(mins, maxs)
-	}
-	if mins == nil {
-		return nil, nil, fmt.Errorf("ooc: empty file")
-	}
-	return mins, maxs, nil
-}
+// batch is the rows a pass reads as block i: BatchSize, whatever i.
+func (o Options) batch(int) int { return o.BatchSize }
 
 func streamSkyline(br *codec.BinaryReader, opts Options) ([]point.Point, error) {
 	opts = opts.normalize()
@@ -111,17 +90,12 @@ func streamSkyline(br *codec.BinaryReader, opts Options) ([]point.Point, error) 
 	if err != nil {
 		return nil, err
 	}
-	for {
-		batch, err := br.NextBlock(opts.BatchSize)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.InsertBlock(batch); err != nil {
-			return nil, err
-		}
+	err = br.Blocks(opts.batch, func(b point.Block) error {
+		_, err := m.InsertBlock(b)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m.Skyline(), nil
 }

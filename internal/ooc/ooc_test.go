@@ -56,6 +56,22 @@ func TestSkylineFileTwoPass(t *testing.T) {
 	}
 }
 
+// Half a bounding box is no bounding box: the bounds pass runs, from
+// scratch, and leaves the caller's slice as it was.
+func TestSkylineFileHalfBounds(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 3000, 3, 13)
+	path := writeTemp(t, ds)
+	mins := []float64{0.5, 0.5, 0.5}
+	got, err := SkylineFile(path, Options{BatchSize: 500, Mins: mins})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSet(t, got, seq.SB(ds.Points, nil), "mins only")
+	if !point.Point(mins).Equal(point.Point{0.5, 0.5, 0.5}) {
+		t.Errorf("caller's Mins rewritten to %v", mins)
+	}
+}
+
 func TestSkylineReaderOnePass(t *testing.T) {
 	ds := gen.Synthetic(gen.Correlated, 5000, 3, 5)
 	var buf bytes.Buffer

@@ -3,8 +3,11 @@ package plan_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 
+	"zskyline/internal/codec"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
 )
@@ -40,16 +43,36 @@ func ExampleRun() {
 	// (9, 1)
 }
 
-// RunSource drives the same pipeline from a streaming point.Source, so
+// RunFile drives the same pipeline over a ZSKY file, read in passes, so
 // the dataset never has to exist as one []point.Point in memory.
-func ExampleRunSource() {
-	pts := []point.Point{{1, 9}, {2, 2}, {9, 1}, {5, 5}, {3, 8}, {8, 3}}
+func ExampleRunFile() {
+	ds, err := point.NewDataset(2, []point.Point{{1, 9}, {2, 2}, {9, 1}, {5, 5}, {3, 8}, {8, 3}})
+	if err != nil {
+		fmt.Println("dataset:", err)
+		return
+	}
+	dir, err := os.MkdirTemp("", "runfile")
+	if err != nil {
+		fmt.Println("tempdir:", err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "points.zsky")
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Println("create:", err)
+		return
+	}
+	if err := codec.WriteBinary(f, ds); err != nil {
+		fmt.Println("write:", err)
+		return
+	}
+	f.Close()
 	spec := &plan.Spec{
 		Strategy: plan.ZDG, Local: plan.ZS, Merge: plan.MergeZM,
 		M: 2, Delta: 2, SampleRatio: 1, Bits: 8, Seed: 1, ChunkSize: 2,
 	}
-	src := point.NewSliceSource(2, pts)
-	sky, _, err := plan.RunSource(context.Background(), spec, src, plan.NewLocalExec(2), nil)
+	sky, _, err := plan.RunFile(context.Background(), spec, path, plan.NewLocalExec(2), nil)
 	if err != nil {
 		fmt.Println("run:", err)
 		return

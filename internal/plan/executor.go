@@ -8,15 +8,15 @@ import (
 	"sync/atomic"
 
 	"zskyline/internal/metrics"
-	"zskyline/internal/point"
 )
 
-// Executor runs the pipeline's tasks on some substrate. Implementations
+// Executor runs the pipeline's reduce tasks on some substrate; the map
+// tasks run on its in-process pool, next to the input. Implementations
 // decide placement, transport, and fault handling; the phase semantics
 // stay in plan. Bulk data crosses the interface as point.Blocks —
 // contiguous batches that substrates can ship as single payloads.
 //
-// Error contract: the driver (Run, RunSource, MergePhase) returns
+// Error contract: the driver (Run, RunFile, MergePhase) returns
 // executor errors unwrapped, so typed sentinels an implementation
 // exposes stay matchable with errors.Is at the API boundary — the
 // dist executor's ErrClusterDown is the worked example. Transient
@@ -32,13 +32,12 @@ type Executor interface {
 	// Broadcast installs the rule wherever tasks will run (the paper's
 	// distributed-cache step). In-process executors may no-op.
 	Broadcast(ctx context.Context, r *Rule) error
-	// RunMaps executes r.MapBlock over each chunk.
-	RunMaps(ctx context.Context, r *Rule, chunks []point.Block, tally *metrics.Tally) ([]MapOutput, error)
 	// RunReduces executes r.LocalSkylineGroup over each group, preserving
 	// group order and ids.
 	RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error)
-	// pool is the in-process pool phase 3 runs on, where the candidates
-	// land: an executor gets it by embedding *LocalExec.
+	// pool is the in-process pool the map tasks and phase 3 run on: the
+	// driver reads the input where it lies and the candidates land
+	// there. An executor gets it by embedding *LocalExec.
 	pool() *LocalExec
 }
 
@@ -109,26 +108,6 @@ func (ex *LocalExec) FanOut(ctx context.Context, n int, f func(i int)) error {
 // and side: the ranges cost unequal time, and a few per worker even
 // that out.
 const splitChunks = 2
-
-// RunMaps implements Executor.
-func (ex *LocalExec) RunMaps(ctx context.Context, r *Rule, chunks []point.Block, tally *metrics.Tally) ([]MapOutput, error) {
-	outs := make([]MapOutput, len(chunks))
-	err := ex.FanOut(ctx, len(chunks), func(i int) {
-		outs[i] = r.mapBlock(ctx, chunks[i], tally)
-	})
-	return outs, err
-}
-
-// runRowMaps is RunMaps over chunks of in-memory row views, for a
-// dataset that is mapped where it lies instead of being packed into
-// blocks first (see runRows).
-func (ex *LocalExec) runRowMaps(ctx context.Context, r *Rule, chunks [][]point.Point, tally *metrics.Tally) ([]MapOutput, error) {
-	outs := make([]MapOutput, len(chunks))
-	err := ex.FanOut(ctx, len(chunks), func(i int) {
-		outs[i] = r.mapChunk(ctx, chunks[i], tally)
-	})
-	return outs, err
-}
 
 // RunReduces implements Executor.
 func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error) {

@@ -2,11 +2,17 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"zskyline/internal/codec"
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
 
@@ -52,30 +58,83 @@ func TestLocalExecRecoversPanic(t *testing.T) {
 	}
 }
 
-// RunSource over a streaming generator must produce the same skyline
-// as Run over the materialized dataset (same seed, same spec).
-func TestRunSourceMatchesRun(t *testing.T) {
+// writeZSKY writes ds to a ZSKY file under t's temporary directory and
+// returns its path.
+func writeZSKY(t testing.TB, ds *point.Dataset) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.zsky")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteBinary(f, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// RunFile over a ZSKY copy of a dataset learns the same rule from the
+// same sample and maps the same cuts as Run over the dataset, so it
+// returns the same skyline and the same report numbers.
+func TestRunFileMatchesRun(t *testing.T) {
 	const n, d, seed = 3000, 4, 17
-	spec := validSpec()
-	spec.ChunkSize = 700 // exercise multi-block ingest + chunking
 	ds := gen.Synthetic(gen.AntiCorrelated, n, d, seed)
-	want, _, err := Run(context.Background(), spec, ds, NewLocalExec(4), nil)
+	path := writeZSKY(t, ds)
+	for _, chunk := range []int{0, 700} { // MapTasks cuts, and ChunkSize cuts over several waves
+		spec := validSpec()
+		spec.ChunkSize = chunk
+		want, wantRep, err := Run(context.Background(), spec, ds, NewLocalExec(4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := RunFile(context.Background(), spec, path, NewLocalExec(2), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSet(t, got, want, fmt.Sprintf("chunk=%d", chunk))
+		if rep.SampleSize != wantRep.SampleSize || rep.SampleSkySize != wantRep.SampleSkySize ||
+			rep.Groups != wantRep.Groups || rep.Filtered != wantRep.Filtered ||
+			rep.Candidates != wantRep.Candidates || rep.SkylineSize != len(want) ||
+			fmt.Sprint(rep.PerGroupInput) != fmt.Sprint(wantRep.PerGroupInput) {
+			t.Errorf("chunk=%d: file report %+v, in-memory %+v", chunk, rep, wantRep)
+		}
+	}
+	// An empty file is an empty result, not an error; a missing one is
+	// an error.
+	empty, err := point.NewDataset(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := RunSource(context.Background(), spec,
-		gen.NewSource(gen.AntiCorrelated, n, d, seed), NewLocalExec(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, want, "source-vs-materialized")
-	if rep.SkylineSize != len(want) {
-		t.Errorf("report skyline = %d, want %d", rep.SkylineSize, len(want))
-	}
-	// An empty source is an empty result, not an error.
-	sky, rep, err := RunSource(context.Background(), validSpec(),
-		point.NewSliceSource(3, nil), NewLocalExec(2), nil)
+	sky, rep, err := RunFile(context.Background(), validSpec(), writeZSKY(t, empty), NewLocalExec(2), nil)
 	if err != nil || sky != nil || rep == nil {
-		t.Errorf("empty source: %v %v %v", sky, rep, err)
+		t.Errorf("empty file: %v %v %v", sky, rep, err)
 	}
+	if _, _, err := RunFile(context.Background(), validSpec(), filepath.Join(t.TempDir(), "nope.zsky"), NewLocalExec(2), nil); err == nil {
+		t.Error("missing file accepted")
+	}
+}
+
+// Under k-dominance, which is not transitive, the SZB filter still
+// drops rows, and only a verify pass that reads them back from the file
+// returns the exact answer.
+func TestRunFileVerifiesAgainstTheWholeFile(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 4, 5)
+	spec := validSpec()
+	spec.Dominance = dominance.Descriptor{Kind: dominance.KindKDom, K: 3}
+	prov, err := spec.Dominance.Provider()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tal := &metrics.Tally{}
+	got, _, err := RunFile(context.Background(), spec, writeZSKY(t, ds), NewLocalExec(3), tal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tal.Snapshot().PointsPruned == 0 {
+		t.Fatal("the filter dropped nothing, so the test proves nothing")
+	}
+	sameSet(t, got, dominance.BruteForce(prov, ds.Points), "kdom file")
 }

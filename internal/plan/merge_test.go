@@ -37,22 +37,19 @@ func mergeInputs(d int) map[string]*point.Dataset {
 	}
 }
 
-// candidates runs phases 1 and 2 of spec over ds on ex as RunSource
-// does, and returns the rule and the groups phase 3 is handed.
+// candidates runs phases 1 and 2 of spec over a ZSKY copy of ds on ex
+// as RunFile does, and returns the rule and the groups phase 3 is
+// handed.
 func candidates(t testing.TB, spec *Spec, ds *point.Dataset, ex *LocalExec) (*Rule, []Group) {
 	t.Helper()
 	d := newDriver(spec, ex, nil)
-	mins, maxs, err := ds.Bounds()
+	in := fileInput{writeZSKY(t, ds)}
+	r, cuts, err := d.learn(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := spec.chunkBlocks([]point.Block{point.BlockOf(ds.Dims, ds.Points)})
-	r, err := d.learn(context.Background(), nil, ds.Dims, mins, maxs, ds.Points, len(chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := d.phase2(context.Background(), r, len(chunks), func(ctx context.Context) ([]MapOutput, error) {
-		return ex.RunMaps(ctx, r, chunks, nil)
+	groups, err := d.phase2(context.Background(), r, len(cuts), func(ctx context.Context) ([]MapOutput, error) {
+		return in.mapCuts(ctx, d, r, cuts)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -368,52 +368,32 @@ func Shuffle(outs []MapOutput) ([]Group, int64) {
 	return groups, filtered
 }
 
-// SplitN cuts points into n near-equal contiguous chunks (at least one
-// point per chunk; fewer chunks when the input is small).
-func SplitN(pts []point.Point, n int) [][]point.Point {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(pts) {
-		n = len(pts)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([][]point.Point, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * len(pts) / n
-		hi := (i + 1) * len(pts) / n
-		if lo < hi {
-			out = append(out, pts[lo:hi:hi])
-		}
-	}
-	return out
-}
-
-// ChunkBy cuts points into contiguous chunks of at most size points.
-func ChunkBy(pts []point.Point, size int) [][]point.Point {
-	if size < 1 {
-		size = 1
-	}
-	var out [][]point.Point
-	for lo := 0; lo < len(pts); lo += size {
-		hi := lo + size
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		out = append(out, pts[lo:hi:hi])
-	}
-	return out
-}
-
-// chunkRows applies the spec's chunking policy to in-memory row views:
-// chunks of at most ChunkSize rows, or MapTasks near-equal chunks.
-func (s *Spec) chunkRows(rows []point.Point) [][]point.Point {
+// cuts splits n input rows into the map tasks' [lo,hi) row ranges:
+// ChunkSize rows each when it is set, else MapTasks near-equal ranges
+// (one per row when there are fewer rows than tasks). Every input,
+// in memory or in a file, is cut by this one rule.
+func (s *Spec) cuts(n int) [][2]int {
+	var out [][2]int
 	if s.ChunkSize > 0 {
-		return ChunkBy(rows, s.ChunkSize)
+		for lo := 0; lo < n; lo += s.ChunkSize {
+			out = append(out, [2]int{lo, min(lo+s.ChunkSize, n)})
+		}
+		return out
 	}
-	return SplitN(rows, s.mapTasks())
+	k := min(s.mapTasks(), n)
+	for i := 0; i < k; i++ {
+		out = append(out, [2]int{i * n / k, (i + 1) * n / k})
+	}
+	return out
+}
+
+// batch is the rows a file pass reads as block i where no cut says
+// otherwise: ChunkSize, or 1<<16 when it is unset.
+func (s *Spec) batch(int) int {
+	if s.ChunkSize > 0 {
+		return s.ChunkSize
+	}
+	return 1 << 16
 }
 
 // mapTasks resolves the map task count default.
@@ -422,35 +402,4 @@ func (s *Spec) mapTasks() int {
 		return 8
 	}
 	return s.MapTasks
-}
-
-// chunkBlocks applies the spec's chunking policy to drained blocks
-// without copying: explicit ChunkSize re-slices each block to at most
-// ChunkSize rows; otherwise the blocks are cut into approximately
-// MapTasks near-equal chunks. Chunk boundaries never cross source
-// block boundaries, so every chunk stays a contiguous view.
-func (s *Spec) chunkBlocks(blocks []point.Block) []point.Block {
-	var out []point.Block
-	if s.ChunkSize > 0 {
-		for _, b := range blocks {
-			out = append(out, b.ChunkBy(s.ChunkSize)...)
-		}
-		return out
-	}
-	n := s.mapTasks()
-	if len(blocks) == 1 {
-		return blocks[0].SplitN(n)
-	}
-	var total int
-	for _, b := range blocks {
-		total += b.Len()
-	}
-	if total == 0 {
-		return nil
-	}
-	target := (total + n - 1) / n
-	for _, b := range blocks {
-		out = append(out, b.ChunkBy(target)...)
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"testing"
 
 	"zskyline/internal/gen"
@@ -65,38 +66,26 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestSplitNAndChunkBy(t *testing.T) {
-	pts := make([]point.Point, 10)
-	for i := range pts {
-		pts[i] = point.Point{float64(i)}
-	}
-	check := func(chunks [][]point.Point, label string) {
-		t.Helper()
-		var total int
-		for _, c := range chunks {
-			total += len(c)
+// Every input is cut into map tasks by one rule: ChunkSize rows each
+// when set, else MapTasks near-equal ranges, one per row when rows are
+// fewer; the cuts cover the rows in order.
+func TestSpecCuts(t *testing.T) {
+	for _, tc := range []struct {
+		n, tasks, chunk int
+		want            string
+	}{
+		{10, 3, 0, "[[0 3] [3 6] [6 10]]"},
+		{10, 99, 0, "[[0 1] [1 2] [2 3] [3 4] [4 5] [5 6] [6 7] [7 8] [8 9] [9 10]]"},
+		{10, 0, 0, "[[0 1] [1 2] [2 3] [3 5] [5 6] [6 7] [7 8] [8 10]]"},
+		{10, 3, 4, "[[0 4] [4 8] [8 10]]"},
+		{10, 3, 99, "[[0 10]]"},
+		{0, 3, 0, "[]"},
+		{0, 3, 4, "[]"},
+	} {
+		spec := &Spec{MapTasks: tc.tasks, ChunkSize: tc.chunk}
+		if got := fmt.Sprint(spec.cuts(tc.n)); got != tc.want {
+			t.Errorf("cuts(%d) with MapTasks=%d ChunkSize=%d = %s, want %s", tc.n, tc.tasks, tc.chunk, got, tc.want)
 		}
-		if total != len(pts) {
-			t.Fatalf("%s: chunks cover %d points, want %d", label, total, len(pts))
-		}
-	}
-	for _, n := range []int{0, 1, 3, 10, 99} {
-		check(SplitN(pts, n), "splitN")
-	}
-	if got := len(SplitN(pts, 3)); got != 3 {
-		t.Errorf("SplitN(10,3) = %d chunks", got)
-	}
-	if got := len(SplitN(pts, 99)); got != 10 {
-		t.Errorf("SplitN(10,99) = %d chunks (want one per point)", got)
-	}
-	for _, size := range []int{0, 1, 4, 10, 99} {
-		check(ChunkBy(pts, size), "chunkBy")
-	}
-	if got := len(ChunkBy(pts, 4)); got != 3 {
-		t.Errorf("ChunkBy(10,4) = %d chunks", got)
-	}
-	if SplitN(nil, 4) != nil {
-		t.Error("SplitN(nil) != nil")
 	}
 }
 

@@ -17,9 +17,9 @@ func positionalSpec() *Spec {
 	return spec
 }
 
-// A Positional run maps row views in place on LocalExec (Run) and
-// packed blocks everywhere else (RunSource). Both must be exact, drop
-// the same rows, and report one group per map task.
+// A Positional run maps row views in place (Run) or blocks read from a
+// file (RunFile). Both must be exact, drop the same rows, and report
+// one group per map task.
 func TestPositionalRowsAndBlocksAgree(t *testing.T) {
 	for _, dist := range []gen.Distribution{gen.Correlated, gen.AntiCorrelated} {
 		ds := gen.Synthetic(dist, 3000, 4, 17)
@@ -31,7 +31,7 @@ func TestPositionalRowsAndBlocksAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocksSky, blocksRep, err := RunSource(context.Background(), spec, point.NewDatasetSource(ds), NewLocalExec(3), blocksTally)
+		blocksSky, blocksRep, err := RunFile(context.Background(), spec, writeZSKY(t, ds), NewLocalExec(3), blocksTally)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestPositionalRowsAndBlocksAgree(t *testing.T) {
 func TestPositionalRouteIsTotal(t *testing.T) {
 	ds := gen.Synthetic(gen.Correlated, 2000, 3, 4)
 	r := learnRule(t, positionalSpec(), ds)
-	out := r.MapChunk(ds.Points, nil)
+	out := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)
 	kept := 0
 	for _, p := range ds.Points {
 		gid, ok := r.Route(p)

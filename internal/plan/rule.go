@@ -29,8 +29,8 @@ type Rule struct {
 	// under (never nil; Pareto by default), with its capability flags
 	// cached. Learn disables the SZB-tree filter and dominance-based
 	// partition pruning when the relation does not transfer Pareto
-	// eliminations (ParetoImplies false), and RunSource appends a
-	// full-dataset verification pass when the relation is not
+	// eliminations (ParetoImplies false), and the driver appends a
+	// full-input verification pass when the relation is not
 	// transitive.
 	prov dominance.Provider
 	caps dominance.Caps
@@ -377,65 +377,48 @@ func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 	return out
 }
 
-// MapChunk is phase 2's map over one chunk of individual points: filter
-// against the SZB-tree and route the survivors to their groups
-// (first-seen order). There is no combine: the reduce computes each
-// group's skyline over the union anyway. This is the pointer-per-point
-// path; MapBlock is the flat equivalent bulk movers use.
-func (r *Rule) MapChunk(pts []point.Point, tally *metrics.Tally) MapOutput {
-	return r.mapChunk(context.Background(), pts, tally)
-}
-
-func (r *Rule) mapChunk(ctx context.Context, pts []point.Point, tally *metrics.Tally) MapOutput {
-	if r.positional {
-		return r.mapPositional(ctx, len(pts), func(i int) point.Point { return pts[i] }, tally)
-	}
-	byGroup := map[int][]point.Point{}
-	var order []int
-	var out MapOutput
-	for _, p := range pts {
-		gid, ok := r.Route(p)
-		if !ok {
-			out.Filtered++
-			continue
-		}
-		if _, seen := byGroup[gid]; !seen {
-			order = append(order, gid)
-		}
-		byGroup[gid] = append(byGroup[gid], p)
-	}
-	tally.AddPointsPruned(out.Filtered)
-	out.Groups = make([]Group, len(order))
-	for i, gid := range order {
-		out.Groups[i] = NewGroup(gid, r.dims, byGroup[gid])
-	}
-	return out
-}
-
-// MapBlock is MapChunk over a contiguous block — the phase-2 hot path.
-// Routing reuses one router's scratch across all rows and routed points
-// accumulate in per-group arenas, so the per-point cost is zero
-// allocations. On the Z-order path under Pareto the address computed
-// for routing is appended to the group's Z-address column, so it is
-// encoded exactly once per query: shuffle, reduce, and merge reuse it.
+// MapBlock is phase 2's map over one block: see mapRows.
 func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
-	return r.mapBlock(context.Background(), b, tally)
+	return r.mapRows(context.Background(), b.Len(), b.Row, tally)
 }
 
-func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally) MapOutput {
-	if r.positional {
-		return r.mapPositional(ctx, b.Len(), b.Row, tally)
-	}
+// cancelStride is how many rows a map task handles between two looks
+// at its context.
+const cancelStride = 1024
+
+// mapRows is phase 2's map task over n rows, wherever they lie: filter
+// each row against the SZB-tree and route the survivors to their groups
+// (first-seen order), or under Positional keep them all as the task's
+// one group. There is no combine: the reduce computes each group's
+// skyline over the union anyway. Routing reuses one router's scratch
+// across all rows and routed rows accumulate in per-group arenas, so
+// the per-row cost is zero allocations. On the Z-order paths under
+// Pareto the address computed for routing is appended to the group's
+// Z-address column, so it is encoded exactly once per query: shuffle,
+// reduce, and merge reuse it. Once ctx is done the task stops mid-way
+// and returns nothing; the executor reports ctx.Err().
+func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
 	// Under a non-Pareto relation the provider kernels derive what they
 	// need themselves, so survivors travel without a column.
 	keepZ := r.assignFn == nil && r.pareto()
+	// Positional's one group is sized by the filter's predicted
+	// survivors; routed groups grow as their rows arrive.
+	hint := 0
+	if r.positional {
+		hint = r.survivorsOf(n)
+	}
 	rt := r.newRouter()
 	at := map[int]int{} // gid -> its index in out.Groups and arenas
 	var arenas []*point.BlockBuilder
 	var out MapOutput
-	rows := b.Len()
-	for i := 0; i < rows; i++ {
-		p := b.Row(i)
+	for i := 0; i < n; i++ {
+		if i%cancelStride == 0 && ctx.Err() != nil {
+			return MapOutput{}
+		}
+		p := row(i)
+		if len(p) != r.dims {
+			panic(fmt.Sprintf("plan: map row has %d dims, want %d", len(p), r.dims))
+		}
 		gid, ok := rt.route(p)
 		if !ok {
 			out.Filtered++
@@ -445,10 +428,11 @@ func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally
 		if !seen {
 			k = len(arenas)
 			at[gid] = k
-			arenas = append(arenas, point.NewBlockBuilder(b.Dims, 0))
+			arenas = append(arenas, point.NewBlockBuilder(r.dims, hint))
 			out.Groups = append(out.Groups, Group{Gid: gid})
 			if keepZ {
-				out.Groups[k].ZCol.Words = r.enc.Words()
+				w := r.enc.Words()
+				out.Groups[k].ZCol = zorder.ZCol{Words: w, Data: make([]uint64, 0, hint*w)}
 			}
 		}
 		arenas[k].Append(p)
@@ -461,55 +445,6 @@ func (r *Rule) mapBlock(ctx context.Context, b point.Block, tally *metrics.Tally
 		out.Groups[k].Block = bb.Build()
 	}
 	return out
-}
-
-// cancelStride is how many rows a positional map task handles between
-// two looks at its context.
-const cancelStride = 1024
-
-// mapPositional is the Positional strategy's map task over n rows: drop
-// the rows the sample skyline dominates, Z-encode the survivors — the
-// one time their addresses are computed; reduce and every merge round
-// reuse the column — and return them as the task's single group. The
-// local kernel runs in the reduce phase, not here. Once ctx is done the
-// task stops mid-chunk and returns nothing; the executor reports
-// ctx.Err().
-//
-// Under a non-Pareto relation the provider kernels derive what they
-// need themselves, so survivors travel without a column.
-func (r *Rule) mapPositional(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
-	filter := r.szb != nil // learnPositional builds no tree with the filter off
-	encode := r.pareto()
-	keep := r.survivorsOf(n)
-	out := Group{Block: point.Block{Dims: r.dims, Data: make([]float64, 0, keep*r.dims)}}
-	g := make([]uint32, r.dims)
-	var z zorder.ZAddr
-	if encode {
-		w := r.enc.Words()
-		z = make(zorder.ZAddr, w)
-		out.ZCol = zorder.ZCol{Words: w, Data: make([]uint64, 0, keep*w)}
-	}
-	for i := 0; i < n; i++ {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			return MapOutput{}
-		}
-		p := row(i)
-		if len(p) != r.dims {
-			panic(fmt.Sprintf("plan: map row has %d dims, want %d", len(p), r.dims))
-		}
-		g = r.enc.GridInto(g, p)
-		if filter && r.szb.DominatesPoint(g, p) {
-			continue
-		}
-		if encode {
-			z = r.enc.EncodeGridInto(z, g)
-			out.ZCol.AppendAddr(z)
-		}
-		out.Block.Data = append(out.Block.Data, p...)
-	}
-	filtered := int64(n - out.Len())
-	tally.AddPointsPruned(filtered)
-	return MapOutput{Groups: []Group{out}, Filtered: filtered}
 }
 
 // survivorsOf predicts how many of n rows pass the SZB filter, to size

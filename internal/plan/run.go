@@ -3,9 +3,9 @@ package plan
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
+	"zskyline/internal/codec"
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
 	"zskyline/internal/obs"
@@ -17,8 +17,8 @@ import (
 // numbers every substrate shares. Substrates wrap it with their own
 // execution statistics (worker counts, wire bytes).
 type Report struct {
-	// Phase wall-clock durations. Preprocess covers ingest, sampling,
-	// rule learning, and the broadcast.
+	// Phase wall-clock durations. Preprocess covers the bounds scan,
+	// sampling, rule learning, and the broadcast.
 	Preprocess time.Duration
 	Phase2     time.Duration
 	Phase3     time.Duration
@@ -67,141 +67,202 @@ func newDriver(spec *Spec, ex Executor, tally *metrics.Tally) *driver {
 }
 
 // Run executes the full three-phase pipeline on ex over an in-memory
-// dataset. It is RunSource over the dataset's block adapter, with one
-// exception: a Positional run on LocalExec maps the dataset's row views
-// where they lie, so rows the SZB filter drops are never packed or
-// Z-encoded at all.
+// dataset, reading its rows where they lie: learn the rule from the
+// dataset's bounds and a sample, map/shuffle/reduce to per-group
+// skyline candidates, and merge them into the exact global skyline.
+// Map task i reads its cut of the rows through their own views, so rows
+// the SZB filter drops are never copied or Z-encoded; only the verify
+// pass of a non-transitive relation packs the whole input.
+//
+// When ctx carries an obs trace (obs.ContextWithTrace), Run emits the
+// library's uniform span taxonomy — learn, map, local-skyline, and
+// merge/round-1 — under the context's current span, so every substrate
+// produces structurally identical trace reports.
 func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, &Report{}, nil
 	}
-	if lx, ok := ex.(*LocalExec); ok && spec.Strategy == Positional {
-		return runRows(ctx, spec, ds, lx, tally)
-	}
-	return RunSource(ctx, spec, point.NewDatasetSource(ds), ex, tally)
+	return newDriver(spec, ex, tally).run(ctx, memInput{ds})
 }
 
-// RunSource executes the full three-phase pipeline on ex: drain src
-// into contiguous blocks (folding bounds in the same pass), learn the
-// rule from a sample, map/shuffle/reduce to per-group skyline
-// candidates, and merge them into the exact global skyline.
-//
-// When ctx carries an obs trace (obs.ContextWithTrace), RunSource
-// emits the library's uniform span taxonomy — learn, map,
-// local-skyline, and merge/round-1 — under the context's current span,
-// so every substrate produces structurally identical trace reports.
-func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
-	if src == nil {
-		return nil, &Report{}, nil
-	}
-	d := newDriver(spec, ex, tally)
+// RunFile is Run over the ZSKY file at path, read in passes so the
+// file is never held: pass 1 streams it for its bounds, count and a
+// sample of Run's size and draws — a file and its in-memory copy learn
+// the same rule — and pass 2 reads the same cuts as Run, one block
+// each, mapping them as they arrive a wave of the pool's width at a
+// time, so memory holds one wave plus the survivors. A non-transitive
+// relation reads the file a third time to verify the candidates. The
+// phases, spans and report are Run's.
+func RunFile(ctx context.Context, spec *Spec, path string, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
+	return newDriver(spec, ex, tally).run(ctx, fileInput{path})
+}
 
-	// ---- Phase 1: preprocessing on the master ----
-	learnSpan, lctx := obs.StartSpan(ctx, "learn")
-	blocks, mins, maxs, n, err := ingest(src, spec)
+// input is a run's rows as the driver reads them, wherever they lie.
+type input interface {
+	// scan is phase 1's read: the rows' width, count, bounds and sample.
+	scan(spec *Spec) (scanned, error)
+	// mapCuts runs the map task of every cut on the pool, in cut order.
+	mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error)
+	// each streams every row through f, one block at a time.
+	each(spec *Spec, f func(point.Block) error) error
+}
+
+// scanned is what phase 1 reads off an input.
+type scanned struct {
+	dims, n    int
+	mins, maxs []float64
+	smp        []point.Point
+}
+
+// run is the pipeline over in: learn, map and reduce, merge, and
+// verify when the relation needs it.
+func (d *driver) run(ctx context.Context, in input) ([]point.Point, *Report, error) {
+	r, cuts, err := d.learn(ctx, in)
 	if err != nil {
-		learnSpan.End()
 		return nil, nil, err
 	}
-	if n == 0 {
-		learnSpan.End()
+	if r == nil {
 		return nil, d.rep, nil
 	}
-	rows := make([]point.Point, 0, n)
-	for _, b := range blocks {
-		rows = b.AppendPoints(rows)
-	}
-	chunks := spec.chunkBlocks(blocks)
-	r, err := d.learn(lctx, learnSpan, src.Dims(), mins, maxs, rows, len(chunks))
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// ---- Phase 2: compute skyline candidates ----
-	groups, err := d.phase2(ctx, r, len(chunks), func(mctx context.Context) ([]MapOutput, error) {
-		return ex.RunMaps(mctx, r, chunks, tally)
+	groups, err := d.phase2(ctx, r, len(cuts), func(mctx context.Context) ([]MapOutput, error) {
+		return in.mapCuts(mctx, d, r, cuts)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// ---- Phase 3: merge skyline candidates ----
-	return d.mergeAndReport(ctx, r, groups, n, func() []point.Block { return blocks })
+	return d.mergeAndReport(ctx, r, groups, cuts[len(cuts)-1][1], in)
 }
 
-// runRows is RunSource for a dataset held as row views, on the
-// shared-memory pool: the same phases and spans, but the map tasks read
-// the rows in place (LocalExec.runRowMaps) and only the verify pass of
-// a non-transitive relation ever packs the whole input.
-func runRows(ctx context.Context, spec *Spec, ds *point.Dataset, ex *LocalExec, tally *metrics.Tally) ([]point.Point, *Report, error) {
-	d := newDriver(spec, ex, tally)
+// memInput is an in-memory dataset, read through its row views.
+type memInput struct{ ds *point.Dataset }
 
-	learnSpan, lctx := obs.StartSpan(ctx, "learn")
-	mins, maxs, err := ds.Bounds()
+func (m memInput) scan(spec *Spec) (scanned, error) {
+	mins, maxs, err := m.ds.Bounds()
 	if err != nil {
-		learnSpan.End()
-		return nil, nil, err
+		return scanned{}, err
 	}
-	chunks := spec.chunkRows(ds.Points)
-	r, err := d.learn(lctx, learnSpan, ds.Dims, mins, maxs, ds.Points, len(chunks))
-	if err != nil {
-		return nil, nil, err
-	}
+	smp, err := sample.Ratio(m.ds.Points, spec.SampleRatio, spec.Seed)
+	return scanned{dims: m.ds.Dims, n: m.ds.Len(), mins: mins, maxs: maxs, smp: smp}, err
+}
 
-	groups, err := d.phase2(ctx, r, len(chunks), func(mctx context.Context) ([]MapOutput, error) {
-		return ex.runRowMaps(mctx, r, chunks, tally)
+func (m memInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error) {
+	outs := make([]MapOutput, len(cuts))
+	err := d.ex.pool().FanOut(ctx, len(cuts), func(i int) {
+		rows := m.ds.Points[cuts[i][0]:cuts[i][1]]
+		outs[i] = r.mapRows(ctx, len(rows), func(j int) point.Point { return rows[j] }, d.tally)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	full := func() []point.Block { return []point.Block{point.BlockOf(ds.Dims, ds.Points)} }
-	return d.mergeAndReport(ctx, r, groups, ds.Len(), full)
+	return outs, err
 }
 
-// learn is phase 1 from the point where the input's bounds and row
-// views are known: sample, learn the rule, broadcast it, fill the
-// report, and close the learn span with the taxonomy's attributes.
-// tasks is the phase-2 map task count — under Positional also the
-// group count, which Learn cannot know.
-func (d *driver) learn(ctx context.Context, span *obs.Span, dims int, mins, maxs []float64, rows []point.Point, tasks int) (*Rule, error) {
+func (m memInput) each(_ *Spec, f func(point.Block) error) error {
+	return f(point.BlockOf(m.ds.Dims, m.ds.Points))
+}
+
+// fileInput is a ZSKY file, read in passes.
+type fileInput struct{ path string }
+
+func (fi fileInput) scan(spec *Spec) (in scanned, err error) {
+	err = codec.ReadFile(fi.path, func(br *codec.BinaryReader) error {
+		k, err := sample.Size(spec.SampleRatio, int(br.Remaining()))
+		if err != nil {
+			return err
+		}
+		res, err := sample.NewStream(max(k, 1), spec.Seed)
+		if err != nil {
+			return err
+		}
+		in.dims = br.Dims()
+		err = br.Blocks(spec.batch, func(b point.Block) error {
+			in.mins, in.maxs = b.UpdateBounds(in.mins, in.maxs)
+			res.AddBlock(b)
+			in.n += b.Len()
+			return nil
+		})
+		in.smp = res.Sample()
+		return err
+	})
+	return in, err
+}
+
+func (fi fileInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error) {
+	pool := d.ex.pool()
+	outs := make([]MapOutput, 0, len(cuts))
+	wave := make([]point.Block, 0, pool.workers)
+	flush := func() error {
+		got := make([]MapOutput, len(wave))
+		err := pool.FanOut(ctx, len(wave), func(i int) {
+			got[i] = r.mapRows(ctx, wave[i].Len(), wave[i].Row, d.tally)
+		})
+		outs, wave = append(outs, got...), wave[:0]
+		return err
+	}
+	n := cuts[len(cuts)-1][1]
+	err := codec.ReadFile(fi.path, func(br *codec.BinaryReader) error {
+		if br.Remaining() != uint64(n) {
+			return fmt.Errorf("plan: %s changed between passes: %d rows, then %d", fi.path, n, br.Remaining())
+		}
+		return br.Blocks(func(i int) int { return cuts[i][1] - cuts[i][0] }, func(b point.Block) error {
+			if wave = append(wave, b); len(wave) < cap(wave) {
+				return nil
+			}
+			return flush()
+		})
+	})
+	if err == nil && len(wave) > 0 {
+		err = flush()
+	}
+	return outs, err
+}
+
+func (fi fileInput) each(spec *Spec, f func(point.Block) error) error {
+	return codec.ReadFile(fi.path, func(br *codec.BinaryReader) error { return br.Blocks(spec.batch, f) })
+}
+
+// learn is phase 1 under the taxonomy's learn span: scan the input for
+// its bounds and sample, learn the rule, broadcast it, fill the report,
+// and close the span with the taxonomy's attributes. It returns the map
+// tasks' cuts — under Positional also the groups, which Learn cannot
+// know — and a nil rule for an empty input.
+func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
+	span, ctx := obs.StartSpan(ctx, "learn")
 	defer span.End()
 	spec, rep := d.spec, d.rep
-	smp, err := sample.Ratio(rows, spec.SampleRatio, spec.Seed)
-	if err != nil {
-		return nil, err
+	sc, err := in.scan(spec)
+	if err != nil || sc.n == 0 {
+		return nil, nil, err
 	}
-	r, err := Learn(spec, dims, mins, maxs, smp, d.tally)
+	r, err := Learn(spec, sc.dims, sc.mins, sc.maxs, sc.smp, d.tally)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := d.ex.Broadcast(ctx, r); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	cuts := spec.cuts(sc.n)
 	rep.Preprocess = time.Since(d.start)
-	rep.SampleSize = len(smp)
+	rep.SampleSize = len(sc.smp)
 	rep.SampleSkySize = r.skySize
 	rep.Groups = r.groups
 	rep.Partitions = r.parts
 	rep.PrunedPartitions = r.pruned
 	if r.positional {
-		rep.Groups, rep.Partitions = tasks, tasks
+		rep.Groups, rep.Partitions = len(cuts), len(cuts)
 	}
 	span.SetAttr("strategy", spec.Strategy)
-	span.SetAttr("points", len(rows))
+	span.SetAttr("points", sc.n)
 	span.SetAttr("sample", rep.SampleSize)
 	span.SetAttr("sample_skyline", rep.SampleSkySize)
 	span.SetAttr("groups", rep.Groups)
 	span.SetAttr("partitions", rep.Partitions)
 	span.SetAttr("pruned", rep.PrunedPartitions)
-	return r, nil
+	return r, cuts, nil
 }
 
 // mergeAndReport is phase 3 and the close of the report: merge the
 // candidate groups, verify them against the full input when the
-// relation needs it (full packs that input on demand), and stamp the
-// run's totals on the report and on ctx's current span.
-func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n int, full func() []point.Block) ([]point.Point, *Report, error) {
+// relation needs it, and stamp the run's totals on the report and on
+// ctx's current span.
+func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n int, in input) ([]point.Point, *Report, error) {
 	rep := d.rep
 	for _, g := range groups {
 		rep.Candidates += g.Len()
@@ -213,7 +274,9 @@ func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n 
 	if err != nil {
 		return nil, nil, err
 	}
-	sky = verifyCandidates(ctx, r, sky, full, d.tally)
+	if sky, err = d.verify(ctx, r, sky, in); err != nil {
+		return nil, nil, err
+	}
 	rep.Phase3 = time.Since(t2)
 	rep.SkylineSize = len(sky)
 	rep.Total = time.Since(d.start)
@@ -230,62 +293,30 @@ func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n 
 	return sky, rep, nil
 }
 
-// verifyCandidates closes the pipeline for non-transitive dominance
-// relations: local and merge phases then produce candidate supersets
-// (an eliminated point can still dominate a candidate), so every
-// candidate is retested against the full input — every ingested row,
-// including those the mapper filter dropped; full returns it packed.
+// verify closes the pipeline for non-transitive dominance relations:
+// local and merge phases then produce candidate supersets (an
+// eliminated point can still dominate a candidate), so every candidate
+// is retested against the full input — every row of in, including
+// those the mapper filter dropped.
 // Elimination cites a real dataset point, which is sound under any
 // irreflexive relation; candidates are compacted copies, so their own
 // source rows are merely coordinate-equal and never self-eliminate.
 // Transitive relations (Pareto included) return sky unchanged and never
-// call full.
-func verifyCandidates(ctx context.Context, r *Rule, sky []point.Point, full func() []point.Block, tally *metrics.Tally) []point.Point {
+// read in.
+func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in input) ([]point.Point, error) {
 	if r.pareto() || r.caps.Transitive || len(sky) == 0 {
-		return sky
+		return sky, nil
 	}
 	sp, _ := obs.StartSpan(ctx, "verify")
+	defer sp.End()
 	sp.SetAttr("candidates", len(sky))
 	cand := point.BlockOf(r.dims, sky)
-	for _, b := range full() {
-		cand = dominance.FilterBlock(r.prov, cand, b, tally)
-	}
+	err := in.each(d.spec, func(b point.Block) error {
+		cand = dominance.FilterBlock(r.prov, cand, b, d.tally)
+		return nil
+	})
 	sp.SetAttr("skyline", cand.Len())
-	sp.End()
-	return cand.Points()
-}
-
-// ingest drains the source into blocks, folding the running bounds in
-// the same pass. The drain batch size follows the spec's ChunkSize so
-// streaming sources hand back blocks already shaped for the map phase.
-func ingest(src point.Source, spec *Spec) (blocks []point.Block, mins, maxs []float64, n int, err error) {
-	dims := src.Dims()
-	if dims <= 0 {
-		return nil, nil, nil, 0, fmt.Errorf("plan: source has no dimensionality")
-	}
-	batch := spec.ChunkSize
-	if batch <= 0 {
-		batch = 1 << 16
-	}
-	for {
-		b, err := src.Next(batch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if b.Dims != dims {
-			return nil, nil, nil, 0, fmt.Errorf("plan: source block has %d dims, want %d", b.Dims, dims)
-		}
-		mins, maxs = b.UpdateBounds(mins, maxs)
-		blocks = append(blocks, b)
-		n += b.Len()
-	}
-	return blocks, mins, maxs, n, nil
+	return cand.Points(), err
 }
 
 // phase2 is phase 2 (§5.2): maps runs the phase's map tasks (tasks of

@@ -3,16 +3,19 @@ package plan_test
 // Cross-executor span taxonomy: a traced run must emit the same
 // top-level phase spans — learn, map, local-skyline, then the one
 // merge/round-1 of phase 3 — whether it executes through the engine (core), the TCP
-// coordinator/worker deployment (dist, over loopback), or the
-// shared-memory pool (parallel). The uniform taxonomy is what makes
+// coordinator/worker deployment (dist, over loopback, in memory or
+// streamed from a file), or the shared-memory pool (parallel). The uniform taxonomy is what makes
 // trace reports comparable across deployment substrates.
 
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"zskyline/internal/codec"
 	"zskyline/internal/core"
 	"zskyline/internal/dist"
 	"zskyline/internal/gen"
@@ -64,8 +67,19 @@ func TestSpanTaxonomyUniformAcrossExecutors(t *testing.T) {
 	}
 
 	// Dist: real RPC over loopback workers.
-	distTr := obs.NewTrace("dist")
+	distTr, fileTr := obs.NewTrace("dist"), obs.NewTrace("dist-file")
+	path := filepath.Join(t.TempDir(), "in.zsky")
 	{
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := codec.WriteBinary(f, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 		addrs := startCluster(t, 2)
 		cfg := dist.DefaultCoordinatorConfig()
 		cfg.M = 8
@@ -81,6 +95,13 @@ func TestSpanTaxonomyUniformAcrossExecutors(t *testing.T) {
 			t.Fatal(err)
 		}
 		distTr.Finish()
+
+		// The same coordinator over a ZSKY copy of ds.
+		ctx = obs.ContextWithTrace(context.Background(), fileTr)
+		if _, _, err := coord.SkylineFile(ctx, path); err != nil {
+			t.Fatal(err)
+		}
+		fileTr.Finish()
 	}
 
 	// Parallel: shared-memory pool. Its two groups merge as a pair, while
@@ -99,21 +120,25 @@ func TestSpanTaxonomyUniformAcrossExecutors(t *testing.T) {
 	parNames := phaseNames(parTr)
 	assertTaxonomy(t, "core", coreNames)
 	assertTaxonomy(t, "dist", distNames)
+	assertTaxonomy(t, "dist-file", phaseNames(fileTr))
 	assertTaxonomy(t, "parallel", parNames)
 
-	// The dist run's RPC spans must nest inside the phases, never at
-	// the top level: the reduce phase carries its calls, and the merge —
-	// run on the coordinator — carries none.
-	for _, c := range distTr.Root().Children() {
-		kids := spanNames(c.Children())
-		switch {
-		case c.Name() == "local-skyline":
-			if len(kids) == 0 || kids[0] != "rpc/Worker.ReduceGroup" {
-				t.Fatalf("dist local-skyline has no rpc/Worker.ReduceGroup child; children: %v", kids)
-			}
-		case strings.HasPrefix(c.Name(), "merge/"):
-			if len(kids) != 0 {
-				t.Fatalf("dist %s has children %v; phase 3 issues no RPC", c.Name(), kids)
+	// The dist runs' RPC spans must nest inside the phases, never at
+	// the top level: the learn phase carries the rule broadcast, the
+	// reduce phase its calls, and the merge — run on the coordinator —
+	// none.
+	for label, tr := range map[string]*obs.Trace{"dist": distTr, "dist-file": fileTr} {
+		for _, c := range tr.Root().Children() {
+			kids := spanNames(c.Children())
+			switch {
+			case c.Name() == "local-skyline":
+				if len(kids) == 0 || kids[0] != "rpc/Worker.ReduceGroup" {
+					t.Fatalf("%s local-skyline has no rpc/Worker.ReduceGroup child; children: %v", label, kids)
+				}
+			case strings.HasPrefix(c.Name(), "merge/"):
+				if len(kids) != 0 {
+					t.Fatalf("%s %s has children %v; phase 3 issues no RPC", label, c.Name(), kids)
+				}
 			}
 		}
 	}

@@ -34,27 +34,34 @@ func Reservoir(pts []point.Point, k int, seed int64) []point.Point {
 	return out
 }
 
-// Ratio samples floor(ratio * len(pts)) points, the way the paper's
-// experiments specify sampling percentages (§6.6, 0.5%–4%). At least
-// one point is sampled from a non-empty input so the learned rule is
-// never degenerate.
+// Ratio samples Size(ratio, len(pts)) points, the way the paper's
+// experiments specify sampling percentages (§6.6, 0.5%–4%).
 func Ratio(pts []point.Point, ratio float64, seed int64) ([]point.Point, error) {
-	if ratio <= 0 || ratio > 1 {
-		return nil, fmt.Errorf("sample: ratio must be in (0,1], got %v", ratio)
-	}
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	k := int(ratio * float64(len(pts)))
-	if k < 1 {
-		k = 1
+	k, err := Size(ratio, len(pts))
+	if err != nil || k == 0 {
+		return nil, err
 	}
 	return Reservoir(pts, k, seed), nil
 }
 
+// Size is how many of n points a ratio samples: floor(ratio * n), and
+// at least one from a non-empty input so the learned rule is never
+// degenerate.
+func Size(ratio float64, n int) (int, error) {
+	if ratio <= 0 || ratio > 1 {
+		return 0, fmt.Errorf("sample: ratio must be in (0,1], got %v", ratio)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	return max(1, int(ratio*float64(n))), nil
+}
+
 // Stream is an online reservoir: feed points one batch at a time and
 // read a uniform k-sample of everything seen so far. This is how a
-// coordinator samples a dataset it never holds in memory.
+// dataset that is never held in memory is sampled. Its draws are
+// Reservoir's, so streaming a dataset in any batches samples the same
+// points Reservoir picks from it whole.
 type Stream struct {
 	k    int
 	seen int64
@@ -70,28 +77,8 @@ func NewStream(k int, seed int64) (*Stream, error) {
 	return &Stream{k: k, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Add feeds one point through Vitter's Algorithm R.
-func (s *Stream) Add(p point.Point) {
-	s.seen++
-	if len(s.res) < s.k {
-		s.res = append(s.res, p)
-		return
-	}
-	j := s.rng.Int63n(s.seen)
-	if j < int64(s.k) {
-		s.res[j] = p
-	}
-}
-
-// AddBatch feeds a batch.
-func (s *Stream) AddBatch(pts []point.Point) {
-	for _, p := range pts {
-		s.Add(p)
-	}
-}
-
-// AddBlock feeds every row of a block. Admitted rows are copied out of
-// the block, so a long-lived reservoir never pins a transient block's
+// AddBlock feeds every row of a block through Vitter's Algorithm R.
+// Admitted rows are copied out of the block, so a long-lived reservoir never pins a transient block's
 // whole backing array.
 func (s *Stream) AddBlock(b point.Block) {
 	rows := b.Len()
@@ -101,8 +88,7 @@ func (s *Stream) AddBlock(b point.Block) {
 			s.res = append(s.res, b.Row(i).Clone())
 			continue
 		}
-		j := s.rng.Int63n(s.seen)
-		if j < int64(s.k) {
+		if j := s.rng.Intn(int(s.seen)); j < s.k {
 			s.res[j] = b.Row(i).Clone()
 		}
 	}

@@ -113,11 +113,11 @@ func TestStreamFillsThenSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := seqPoints(5)
-	s.AddBatch(pts)
+	s.AddBlock(point.BlockOf(1, pts))
 	if s.Seen() != 5 || len(s.Sample()) != 5 {
 		t.Errorf("partial fill: seen=%d sample=%d", s.Seen(), len(s.Sample()))
 	}
-	s.AddBatch(seqPoints(100))
+	s.AddBlock(point.BlockOf(1, seqPoints(100)))
 	if len(s.Sample()) != 10 {
 		t.Errorf("overfull reservoir holds %d", len(s.Sample()))
 	}
@@ -136,7 +136,7 @@ func TestStreamUniformity(t *testing.T) {
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
 		s, _ := NewStream(k, int64(trial))
-		s.AddBatch(seqPoints(n))
+		s.AddBlock(point.BlockOf(1, seqPoints(n)))
 		for _, p := range s.Sample() {
 			counts[int(p[0])]++
 		}
@@ -146,6 +146,33 @@ func TestStreamUniformity(t *testing.T) {
 	for i, c := range counts {
 		if math.Abs(float64(c)-want) > 5*sigma {
 			t.Fatalf("element %d sampled %d times, want ~%.0f", i, c, want)
+		}
+	}
+}
+
+// A stream fed in any batches draws what Reservoir draws from the whole
+// input under the same seed, so a file and its in-memory copy learn
+// from the same sample.
+func TestStreamDrawsLikeReservoir(t *testing.T) {
+	pts := seqPoints(1000)
+	for _, k := range []int{1, 7, 100, 1000, 2000} {
+		want := Reservoir(pts, k, 42)
+		s, err := NewStream(k, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := point.BlockOf(1, pts)
+		for lo := 0; lo < b.Len(); lo += 333 {
+			s.AddBlock(b.Slice(lo, min(lo+333, b.Len())))
+		}
+		got := s.Sample()
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: stream drew %d points, reservoir %d", k, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("k=%d: draw %d is %v, reservoir drew %v", k, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -230,7 +230,7 @@ func (s *Service) SetAccessLog(w io.Writer) { s.accessLog = w }
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.reg.InstrumentHandler(name, s.observe(name, h)))
+		mux.Handle(pattern, s.observe(name, h))
 	}
 	// Legacy single-dataset surface -> the "default" dataset.
 	route("GET /healthz", "/healthz", s.forDefault(s.handleHealth))
@@ -284,9 +284,8 @@ func (s *Service) forNamed(h engineHandler) http.HandlerFunc {
 	}
 }
 
-// respRecorder captures the response status for the event record and
-// the access log (obs.InstrumentHandler keeps its own; this one feeds
-// the layers it cannot see).
+// respRecorder captures the response status for the request counter,
+// the event record and the access log.
 type respRecorder struct {
 	http.ResponseWriter
 	status int
@@ -316,7 +315,8 @@ func (r *respRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 //   - a structured Event in the ring (errors and slow queries are
 //     recorded unsampled), carrying the dataset identity ("name@vN"),
 //     dominance descriptor, and cache outcome set by the handler;
-//   - a per-(route, dataset) latency quantile family and one
+//   - a request counter by route and status code, a latency histogram
+//     by route, a per-(route, dataset) latency quantile family, and one
 //     access-log line.
 func (s *Service) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -364,6 +364,8 @@ func (s *Service) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 			labels = append(labels, obs.L("dataset", ds))
 		}
 		s.reg.Latency("zsky_query_seconds", labels...).Observe(dur)
+		s.reg.Counter("zsky_http_requests_total", obs.L("route", route), obs.L("code", strconv.Itoa(rec.status))).Add(1)
+		s.reg.Histogram("zsky_http_request_seconds", nil, obs.L("route", route)).Observe(dur.Seconds())
 		s.logAccess(id, route, rec.status, dur)
 	}
 }
@@ -437,5 +439,6 @@ func tagEvent(r *http.Request, e *Engine, version uint64) *obs.Event {
 }
 
 // Engines returns the registered engines sorted by name.
-func (s *Service) Engines() []*Engine { return s.datasets.List()
+func (s *Service) Engines() []*Engine {
+	return s.datasets.List()
 }
