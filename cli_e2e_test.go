@@ -123,16 +123,67 @@ func TestCLIDistributed(t *testing.T) {
 	}()
 	waitForPorts(t, addrs)
 
-	distOut, _ := run(t, bins["skydist"], nil,
-		"-workers", strings.Join(addrs, ","), "-in", csv, "-m", "8")
-	localOut, _ := run(t, bins["skyline"], nil, "-in", csv, "-m", "8")
+	zsky := filepath.Join(dir, "data.zsky")
+	run(t, bins["skygen"], nil, "-dist", "independent", "-n", "8000", "-d", "4", "-seed", "3", "-format", "binary", "-o", zsky)
+
+	pool := strings.Join(addrs, ",")
+	distOut, distRep := run(t, bins["skydist"], nil, "-workers", pool, "-in", csv, "-m", "8", "-report")
+	streamOut, streamRep := run(t, bins["skydist"], nil, "-workers", pool, "-in", zsky, "-format", "binary", "-stream", "-m", "8", "-report")
+	localOut, localRep := run(t, bins["skyline"], nil, "-in", csv, "-m", "8", "-report")
 	norm := func(s string) string {
 		lines := strings.Split(strings.TrimSpace(s), "\n")
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
 	}
-	if norm(distOut) != norm(localOut) {
+	if norm(distOut) != norm(localOut) || norm(streamOut) != norm(localOut) {
 		t.Error("distributed and local skylines differ")
+	}
+	// Every -report prints the same plan report: the same counts line,
+	// in memory and streamed, and both balance goals.
+	counts := func(rep string) string {
+		for _, ln := range strings.Split(rep, "\n") {
+			if strings.HasPrefix(ln, "points=") {
+				return ln
+			}
+		}
+		return ""
+	}
+	want := counts(localRep)
+	if !strings.HasPrefix(want, "points=8000 ") {
+		t.Fatalf("skyline -report counts line %q\n%s", want, localRep)
+	}
+	for name, rep := range map[string]string{"skydist": distRep, "skydist -stream": streamRep} {
+		if got := counts(rep); got != want {
+			t.Errorf("%s -report counts %q, skyline's %q", name, got, want)
+		}
+		if !strings.Contains(rep, "inputBalance: ") || !strings.Contains(rep, "candidateBalance: ") {
+			t.Errorf("%s -report has no balance lines:\n%s", name, rep)
+		}
+	}
+}
+
+// TestCLIWriteErrorExits: a skyline that cannot reach stdout fails the
+// run, in memory and out of core.
+func TestCLIWriteErrorExits(t *testing.T) {
+	bins := buildCmds(t, "skygen", "skyline")
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	zsky := filepath.Join(t.TempDir(), "anti.zsky")
+	run(t, bins["skygen"], nil, "-dist", "anti", "-n", "5000", "-d", "3", "-seed", "7", "-format", "binary", "-o", zsky)
+	for _, args := range [][]string{
+		{"-in", zsky, "-format", "binary", "-report"},
+		{"-in", zsky, "-format", "binary", "-ooc", "512"},
+	} {
+		cmd := exec.Command(bins["skyline"], args...)
+		cmd.Stdout = full
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("skyline %v > /dev/full exited 0; stderr: %s", args, stderr.String())
+		}
 	}
 }
 

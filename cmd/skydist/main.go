@@ -23,12 +23,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -139,7 +137,6 @@ func main() {
 
 	var sky []point.Point
 	var rep *dist.Report
-	var inputSize int
 	if *stream {
 		if *format != "binary" || *in == "-" {
 			fmt.Fprintln(os.Stderr, "skydist: -stream requires -format binary and a file path")
@@ -170,7 +167,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "skydist: %v\n", err)
 			os.Exit(1)
 		}
-		inputSize = ds.Len()
 		sky, rep, err = coord.Skyline(ctx, ds)
 	}
 	if err != nil {
@@ -202,25 +198,10 @@ func main() {
 	if *trace {
 		obs.WriteReport(os.Stderr, tr, reg)
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for _, p := range sky {
-		for i, v := range p {
-			if i > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		w.WriteByte('\n')
-	}
+	writeSkyline(sky)
 	if *report {
-		fmt.Fprintf(os.Stderr,
-			"workers=%d groups=%d partitions=%d\n"+
-				"points=%d skyline=%d candidates=%d filtered=%d\n"+
-				"preprocess=%v phase2=%v phase3=%v total=%v\n",
-			rep.Workers, rep.Groups, rep.Partitions,
-			inputSize, len(sky), rep.Candidates, rep.Filtered,
-			rep.Preprocess.Round(1000), rep.Phase2.Round(1000), rep.Phase3.Round(1000), rep.Total.Round(1000))
+		rep.WriteTo(os.Stderr)
+		fmt.Fprintf(os.Stderr, "workers=%d\n", rep.Workers)
 		for _, ln := range rep.Ledger {
 			fmt.Fprintf(os.Stderr, "rpc %s calls=%d req=%dB resp=%dB\n", ln.Method, ln.Calls, ln.ReqBytes, ln.RespBytes)
 		}
@@ -250,6 +231,13 @@ type clusterRun struct {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "skydist: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// writeSkyline prints sky to stdout as CSV; a failed write exits 1.
+func writeSkyline(sky []point.Point) {
+	if err := codec.WriteCSV(os.Stdout, &point.Dataset{Points: sky}); err != nil {
+		fatalf("%v", err)
+	}
 }
 
 // runCluster drives the sharded tier: build the cluster, insert the
@@ -380,17 +368,7 @@ func runCluster(rc clusterRun) {
 		}
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for _, p := range sky {
-		for i, v := range p {
-			if i > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		w.WriteByte('\n')
-	}
+	writeSkyline(sky)
 
 	if rc.shardReport {
 		m := c.Map()

@@ -7,17 +7,16 @@
 //	skygen -dist anti -n 100000 -d 5 > anti.csv
 //	skyline -in anti.csv -strategy zdg -local zs -merge zm -m 32
 //
-// The report flag prints the pipeline's phase timings, routed and
-// candidate counts, and both balance statistics.
+// The report flag prints the pipeline's report to stderr — phase
+// timings, routed and candidate counts, both balance statistics — and
+// the run's dominance and region test counts.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"zskyline/internal/codec"
@@ -84,17 +83,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
 			os.Exit(1)
 		}
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		for _, p := range sky {
-			for i, v := range p {
-				if i > 0 {
-					w.WriteByte(',')
-				}
-				w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-			}
-			w.WriteByte('\n')
-		}
+		writeSkyline(sky)
 		return
 	}
 
@@ -165,34 +154,20 @@ func main() {
 	tr.Finish()
 	reg.AbsorbTally(rep.Tally)
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for _, p := range sky {
-		for i, v := range p {
-			if i > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		w.WriteByte('\n')
-	}
+	writeSkyline(sky)
 	if *trace {
 		obs.WriteReport(os.Stderr, tr, reg)
 	}
 	if *report {
-		fmt.Fprintf(os.Stderr,
-			"strategy=%v local=%v merge=%v\n"+
-				"points=%d skyline=%d candidates=%d filtered=%d\n"+
-				"groups=%d partitions=%d pruned=%d sample=%d\n"+
-				"preprocess=%v phase2=%v phase3=%v total=%v\n"+
-				"routed=%d dominanceTests=%d regionTests=%d\n"+
-				"inputBalance: %v\n"+
-				"candidateBalance: %v\n",
-			rep.Strategy, rep.Local, rep.Merge,
-			ds.Len(), rep.SkylineSize, rep.Candidates, rep.MapperFiltered,
-			rep.Groups, rep.Partitions, rep.PrunedPartitions, rep.SampleSize,
-			rep.Preprocess.Round(1000), rep.Phase2.Round(1000), rep.Phase3.Round(1000), rep.Total.Round(1000),
-			int64(ds.Len())-rep.MapperFiltered, rep.Tally.DominanceTests, rep.Tally.RegionTests,
-			rep.InputBalance(), rep.CandidateBalance())
+		rep.WriteTo(os.Stderr)
+		fmt.Fprintf(os.Stderr, "dominanceTests=%d regionTests=%d\n", rep.Tally.DominanceTests, rep.Tally.RegionTests)
+	}
+}
+
+// writeSkyline prints sky to stdout as CSV; a failed write exits 1.
+func writeSkyline(sky []point.Point) {
+	if err := codec.WriteCSV(os.Stdout, &point.Dataset{Points: sky}); err != nil {
+		fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
+		os.Exit(1)
 	}
 }

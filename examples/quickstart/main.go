@@ -29,12 +29,12 @@ func main() {
 	fmt.Printf("input points:       %d\n", ds.Len())
 	fmt.Printf("skyline points:     %d\n", len(sky))
 	fmt.Printf("candidates merged:  %d\n", report.Candidates)
-	fmt.Printf("filtered by mapper: %d\n", report.MapperFiltered)
+	fmt.Printf("filtered by mapper: %d\n", report.Filtered)
 	fmt.Printf("groups / partitions: %d / %d\n", report.Groups, report.Partitions)
 	fmt.Printf("preprocess %v | compute %v | merge %v | total %v\n",
 		report.Preprocess.Round(1000), report.Phase2.Round(1000),
 		report.Phase3.Round(1000), report.Total.Round(1000))
-	fmt.Printf("routed to groups:   %d\n", int64(ds.Len())-report.MapperFiltered)
+	fmt.Printf("routed to groups:   %d\n", int64(ds.Len())-report.Filtered)
 
 	// Spot-check three skyline points.
 	for i, p := range sky {

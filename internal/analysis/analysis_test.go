@@ -94,7 +94,7 @@ func TestModelTracksMeasuredPruningCorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := float64(rep.MapperFiltered) + float64(ds.Len()-int(rep.MapperFiltered)-rep.Candidates)
+	measured := float64(rep.Filtered) + float64(ds.Len()-int(rep.Filtered)-rep.Candidates)
 	// Within a factor of 1.5 of the model (the model says nearly all
 	// points get pruned before or during candidate computation).
 	if measured < pred.PrunedPoints*2/3 || measured > pred.PrunedPoints*1.5 {

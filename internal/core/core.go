@@ -23,7 +23,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
@@ -167,59 +166,12 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Report describes one pipeline run: the numbers the paper's
-// evaluation plots.
+// Report describes one pipeline run: the plan's shared report and the
+// run's dominance, region and pruning tally.
 type Report struct {
-	Strategy Strategy
-	Local    LocalAlgo
-	Merge    MergeAlgo
-
-	// Phase wall-clock durations.
-	Preprocess time.Duration
-	Phase2     time.Duration
-	Phase3     time.Duration
-	Total      time.Duration
-
-	// SampleSize is the number of sampled points; SampleSkySize the
-	// size of the sample skyline loaded into every mapper.
-	SampleSize    int
-	SampleSkySize int
-
-	// Groups is the number of groups (= phase-2 reducers); Partitions
-	// the number of Z-partitions before grouping; PrunedPartitions how
-	// many were dropped as fully dominated.
-	Groups           int
-	Partitions       int
-	PrunedPartitions int
-
-	// MapperFiltered counts input points dropped by the SZB-tree filter
-	// or by pruned partitions before the shuffle.
-	MapperFiltered int64
-	// PerGroupInput are the rows routed to each group; they sum to the
-	// input size minus MapperFiltered.
-	PerGroupInput []int
-	// Candidates is the phase-2 output size (the paper's "number of
-	// skyline candidates", Figure 9).
-	Candidates int
-	// PerGroupCandidates are the candidate counts per group.
-	PerGroupCandidates []int
-	// SkylineSize is |S|.
-	SkylineSize int
-
+	plan.Report
 	// Tally aggregates dominance tests, region tests and pruned points.
 	Tally metrics.Snapshot
-}
-
-// InputBalance summarizes the spread of routed rows across groups — the
-// paper's first balance goal, and the straggler metric for phase 2.
-func (r *Report) InputBalance() metrics.Balance {
-	return metrics.NewBalance(r.PerGroupInput)
-}
-
-// CandidateBalance summarizes the spread of candidates across groups —
-// the paper's second balance goal, and the straggler metric for phase 3.
-func (r *Report) CandidateBalance() metrics.Balance {
-	return metrics.NewBalance(r.PerGroupCandidates)
 }
 
 // Engine executes the three-phase pipeline on its own worker pool.
@@ -242,33 +194,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Skyline computes the exact skyline of ds with the configured
 // strategy and returns it with a full Report.
 func (e *Engine) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point, *Report, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, &Report{Strategy: e.cfg.Strategy, Local: e.cfg.Local, Merge: e.cfg.Merge}, nil
-	}
 	tally := &metrics.Tally{}
-	sky, prep, err := plan.Run(ctx, e.cfg.spec(), ds, e.exec, tally)
+	sky, rep, err := plan.Run(ctx, e.cfg.spec(), ds, e.exec, tally)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{
-		Strategy:           e.cfg.Strategy,
-		Local:              e.cfg.Local,
-		Merge:              e.cfg.Merge,
-		Preprocess:         prep.Preprocess,
-		Phase2:             prep.Phase2,
-		Phase3:             prep.Phase3,
-		Total:              prep.Total,
-		SampleSize:         prep.SampleSize,
-		SampleSkySize:      prep.SampleSkySize,
-		Groups:             prep.Groups,
-		Partitions:         prep.Partitions,
-		PrunedPartitions:   prep.PrunedPartitions,
-		MapperFiltered:     prep.Filtered,
-		PerGroupInput:      prep.PerGroupInput,
-		Candidates:         prep.Candidates,
-		PerGroupCandidates: prep.PerGroupCandidates,
-		SkylineSize:        prep.SkylineSize,
-		Tally:              tally.Snapshot(),
-	}
-	return sky, rep, nil
+	return sky, &Report{Report: *rep, Tally: tally.Snapshot()}, nil
 }

@@ -178,8 +178,8 @@ func TestReportFields(t *testing.T) {
 	if rep.Candidates == 0 || rep.Candidates < rep.SkylineSize {
 		t.Errorf("candidates=%d skyline=%d", rep.Candidates, rep.SkylineSize)
 	}
-	if routed := sum(rep.PerGroupInput); routed == 0 || routed != ds.Len()-int(rep.MapperFiltered) {
-		t.Errorf("routed %d rows of %d with %d filtered", routed, ds.Len(), rep.MapperFiltered)
+	if routed := sum(rep.PerGroupInput); routed == 0 || routed != ds.Len()-int(rep.Filtered) {
+		t.Errorf("routed %d rows of %d with %d filtered", routed, ds.Len(), rep.Filtered)
 	}
 	if rep.Total <= 0 || rep.Phase2 <= 0 || rep.Phase3 <= 0 {
 		t.Errorf("phase durations: %+v", rep)
@@ -228,7 +228,7 @@ func TestPerGroupCountsAddUp(t *testing.T) {
 				t.Errorf("%s: %d input and %d candidate entries for %d groups",
 					label, len(rep.PerGroupInput), len(rep.PerGroupCandidates), rep.Groups)
 			}
-			if got, want := sum(rep.PerGroupInput), ds.Len()-int(rep.MapperFiltered); got != want {
+			if got, want := sum(rep.PerGroupInput), ds.Len()-int(rep.Filtered); got != want {
 				t.Errorf("%s: per-group input sums to %d, want n - filtered = %d", label, got, want)
 			}
 			if got := sum(rep.PerGroupCandidates); got != rep.Candidates {
@@ -254,7 +254,7 @@ func TestZDGPrunesMoreThanGrid(t *testing.T) {
 	}
 	zdg := run(ZDG)
 	grid := run(Grid)
-	if zdg.MapperFiltered == 0 {
+	if zdg.Filtered == 0 {
 		t.Error("ZDG filtered nothing on correlated data")
 	}
 	if z, g := sum(zdg.PerGroupInput), sum(grid.PerGroupInput); z >= g {
@@ -312,7 +312,7 @@ func TestSZBFilterAblation(t *testing.T) {
 		t.Errorf("filter increased candidates: %d with vs %d without",
 			repOn.Candidates, repOff.Candidates)
 	}
-	if repOn.MapperFiltered == 0 {
+	if repOn.Filtered == 0 {
 		t.Error("filter dropped nothing")
 	}
 }

@@ -149,17 +149,14 @@ func DefaultCoordinatorConfig() CoordinatorConfig {
 		RedialInterval: 500 * time.Millisecond, DialTimeout: 2 * time.Second}
 }
 
-// Report describes a distributed run.
+// Report describes a distributed run: the plan's shared report and
+// what the run cost across the workers. It carries no tally: the
+// workers count their own reduces, so a coordinator tally would
+// under-count.
 type Report struct {
-	Workers    int
-	Groups     int
-	Partitions int
-	Candidates int
-	Filtered   int64
-	Preprocess time.Duration
-	Phase2     time.Duration
-	Phase3     time.Duration
-	Total      time.Duration
+	plan.Report
+	// Workers is the coordinator's worker count.
+	Workers int
 	// Wire holds per-worker TCP byte totals since the coordinator
 	// connected (cumulative across queries and reconnects on a reused
 	// coordinator).
@@ -434,10 +431,10 @@ func (c *Coordinator) Close() error {
 // own pool, each group's survivors cross the wire once to a worker's
 // ReduceGroup, and the candidates are merged here.
 func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point, *Report, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, &Report{Workers: len(c.addrs)}, nil
+	shape := "skyline:n=0"
+	if ds != nil {
+		shape = fmt.Sprintf("skyline:n=%d,dims=%d", ds.Len(), ds.Dims)
 	}
-	shape := fmt.Sprintf("skyline:n=%d,dims=%d", ds.Len(), ds.Dims)
 	return c.runQuery(ctx, "dist/skyline", shape, func(ctx context.Context, ex plan.Executor) ([]point.Point, *plan.Report, error) {
 		return plan.Run(ctx, c.cfg.spec(), ds, ex, nil)
 	})
@@ -477,12 +474,7 @@ func (c *Coordinator) runQuery(ctx context.Context, route, shape string, q func(
 		c.events.RecordForced(*ev)
 		return nil, nil, err
 	}
-	rep := &Report{
-		Workers: len(c.addrs), Groups: prep.Groups, Partitions: prep.Partitions,
-		Candidates: prep.Candidates, Filtered: prep.Filtered,
-		Preprocess: prep.Preprocess, Phase2: prep.Phase2, Phase3: prep.Phase3, Total: prep.Total,
-		Wire: c.WireStats(), Ledger: led.sorted(),
-	}
+	rep := &Report{Report: *prep, Workers: len(c.addrs), Wire: c.WireStats(), Ledger: led.sorted()}
 	ev.SetPhase("preprocess", rep.Preprocess)
 	ev.SetPhase("phase2", rep.Phase2)
 	ev.SetPhase("phase3", rep.Phase3)

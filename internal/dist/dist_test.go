@@ -8,6 +8,7 @@ import (
 
 	"zskyline/internal/codec"
 	"zskyline/internal/gen"
+	"zskyline/internal/plan"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 )
@@ -137,9 +138,11 @@ func TestEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	sky, rep, err := coord.Skyline(context.Background(), &point.Dataset{Dims: 2})
-	if err != nil || len(sky) != 0 || rep == nil {
-		t.Fatalf("empty: %v %v %v", sky, rep, err)
+	for _, ds := range []*point.Dataset{{Dims: 2}, nil} {
+		sky, rep, err := coord.Skyline(context.Background(), ds)
+		if err != nil || len(sky) != 0 || rep == nil || rep.Points != 0 || rep.Workers != 1 || rep.Strategy != plan.ZDG {
+			t.Fatalf("empty: %v %+v %v", sky, rep, err)
+		}
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"zskyline/internal/codec"
+	"zskyline/internal/core"
 	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/obs"
@@ -204,9 +206,9 @@ func TestCoordinatorRejectsBadReduceReply(t *testing.T) {
 // TestSkylineFileReportsLikeSkyline: SkylineFile over a ZSKY copy of a
 // dataset runs the in-memory pipeline's driver in passes — the same
 // sample draws, rule, cuts and verify — so under ZDG, Pareto and a
-// non-transitive relation alike it reports the same groups,
-// partitions, candidates and filtered rows as Skyline on the dataset,
-// and the same answer.
+// non-transitive relation alike it reports the same plan as Skyline on
+// the dataset (every count and per-group slice of plan.Report), and the
+// same answer.
 func TestSkylineFileReportsLikeSkyline(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 5000, 4, 43)
 	addrs := startCluster(t, 2)
@@ -229,14 +231,57 @@ func TestSkylineFileReportsLikeSkyline(t *testing.T) {
 		c.Close()
 		label := desc.String()
 		sameSet(t, got, want, label)
-		if rep.Groups != wantRep.Groups || rep.Partitions != wantRep.Partitions ||
-			rep.Candidates != wantRep.Candidates || rep.Filtered != wantRep.Filtered {
-			t.Errorf("%s: file groups=%d partitions=%d candidates=%d filtered=%d, in memory %d/%d/%d/%d", label,
-				rep.Groups, rep.Partitions, rep.Candidates, rep.Filtered,
-				wantRep.Groups, wantRep.Partitions, wantRep.Candidates, wantRep.Filtered)
-		}
+		samePlan(t, rep.Report, wantRep.Report, label+": file vs in memory")
 		if rep.Filtered == 0 {
 			t.Errorf("%s: the filter dropped nothing, so the test proves little", label)
 		}
+	}
+}
+
+// TestCoreAndDistReportAlike: one spec run by core.Engine and by a
+// loopback Coordinator learns the same rule and routes the same rows,
+// so both report the same plan — groups, partitions, pruned, filtered,
+// per-group input and candidates, sample, skyline and points.
+func TestCoreAndDistReportAlike(t *testing.T) {
+	addrs := startCluster(t, 2)
+	for _, d := range []gen.Distribution{gen.AntiCorrelated, gen.Independent} {
+		ds := gen.Synthetic(d, 8000, 5, 47)
+		dcfg := DefaultCoordinatorConfig()
+		dcfg.M = 16
+		coord, err := NewCoordinator(dcfg, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, drep, err := coord.Skyline(context.Background(), ds)
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccfg := core.Defaults()
+		ccfg.M = 16
+		ccfg.Workers = 2
+		eng, err := core.NewEngine(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, crep, err := eng.Skyline(context.Background(), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, drep.Report, crep.Report, d.String()+": dist vs core")
+		if drep.Points != ds.Len() || drep.Filtered == 0 || drep.Workers != len(addrs) {
+			t.Errorf("%s: points=%d filtered=%d workers=%d", d, drep.Points, drep.Filtered, drep.Workers)
+		}
+	}
+}
+
+// samePlan fails unless got and want agree on everything but the
+// phase walls.
+func samePlan(t *testing.T, got, want plan.Report, label string) {
+	t.Helper()
+	got.Preprocess, got.Phase2, got.Phase3, got.Total = 0, 0, 0, 0
+	want.Preprocess, want.Phase2, want.Phase3, want.Total = 0, 0, 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: reports differ\n got  %+v\n want %+v", label, got, want)
 	}
 }

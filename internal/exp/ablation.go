@@ -79,7 +79,7 @@ func runAblSZB(ctx context.Context, p Params) (*Table, error) {
 			label = "off"
 		}
 		t.AddRow(label, ms(rep.Total), fmt.Sprint(rep.Candidates),
-			fmt.Sprint(int64(n)-rep.MapperFiltered), fmt.Sprint(rep.MapperFiltered))
+			fmt.Sprint(int64(n)-rep.Filtered), fmt.Sprint(rep.Filtered))
 	}
 	return t, nil
 }

@@ -78,7 +78,7 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured := rep.MapperFiltered + int64(n) - rep.MapperFiltered - int64(rep.Candidates)
+		measured := rep.Filtered + int64(n) - rep.Filtered - int64(rep.Candidates)
 		t.AddRow(dist.String(), fmt.Sprint(n),
 			fmt.Sprintf("%.0f", pred.PrunedPoints), fmt.Sprint(measured),
 			fmt.Sprintf("%.4f", vt), fmt.Sprintf("%.4f", q), cost.Class)

@@ -8,7 +8,6 @@ package ooc
 
 import (
 	"fmt"
-	"io"
 
 	"zskyline/internal/codec"
 	"zskyline/internal/maintain"
@@ -24,20 +23,6 @@ type Options struct {
 	// Mins/Maxs optionally give the data's bounding box. When nil, a
 	// first streaming pass computes it (two-pass mode).
 	Mins, Maxs []float64
-}
-
-// SkylineReader computes the skyline of a ZSKY stream. When no bounds
-// are supplied the source must be re-readable (use SkylineFile for
-// files); a one-pass run over an io.Reader requires bounds.
-func SkylineReader(r io.Reader, opts Options) ([]point.Point, error) {
-	if opts.Mins == nil || opts.Maxs == nil {
-		return nil, fmt.Errorf("ooc: one-pass streaming needs explicit bounds; use SkylineFile for two-pass")
-	}
-	br, err := codec.NewBinaryReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return streamSkyline(br, opts)
 }
 
 // SkylineFile computes the skyline of a ZSKY file. Without explicit
@@ -61,8 +46,21 @@ func SkylineFile(path string, opts Options) (sky []point.Point, err error) {
 		}
 		opts.Mins, opts.Maxs = mins, maxs
 	}
-	err = codec.ReadFile(path, func(br *codec.BinaryReader) (err error) {
-		sky, err = streamSkyline(br, opts)
+	err = codec.ReadFile(path, func(br *codec.BinaryReader) error {
+		if len(opts.Mins) != br.Dims() || len(opts.Maxs) != br.Dims() {
+			return fmt.Errorf("ooc: bounds have %d dims, stream has %d", len(opts.Mins), br.Dims())
+		}
+		m, err := maintain.New(br.Dims(), opts.Bits, opts.Mins, opts.Maxs)
+		if err != nil {
+			return err
+		}
+		err = br.Blocks(opts.batch, func(b point.Block) error {
+			_, err := m.InsertBlock(b)
+			return err
+		})
+		if err == nil {
+			sky = m.Skyline()
+		}
 		return err
 	})
 	return sky, err
@@ -80,22 +78,3 @@ func (o Options) normalize() Options {
 
 // batch is the rows a pass reads as block i: BatchSize, whatever i.
 func (o Options) batch(int) int { return o.BatchSize }
-
-func streamSkyline(br *codec.BinaryReader, opts Options) ([]point.Point, error) {
-	opts = opts.normalize()
-	if len(opts.Mins) != br.Dims() || len(opts.Maxs) != br.Dims() {
-		return nil, fmt.Errorf("ooc: bounds have %d dims, stream has %d", len(opts.Mins), br.Dims())
-	}
-	m, err := maintain.New(br.Dims(), opts.Bits, opts.Mins, opts.Maxs)
-	if err != nil {
-		return nil, err
-	}
-	err = br.Blocks(opts.batch, func(b point.Block) error {
-		_, err := m.InsertBlock(b)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.Skyline(), nil
-}

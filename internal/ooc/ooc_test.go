@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,25 +68,6 @@ func TestSkylineFileHalfBounds(t *testing.T) {
 	sameSet(t, got, seq.SB(ds.Points, nil), "mins only")
 	if !point.Point(mins).Equal(point.Point{0.5, 0.5, 0.5}) {
 		t.Errorf("caller's Mins rewritten to %v", mins)
-	}
-}
-
-func TestSkylineReaderOnePass(t *testing.T) {
-	ds := gen.Synthetic(gen.Correlated, 5000, 3, 5)
-	var buf bytes.Buffer
-	if err := codec.WriteBinary(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	mins := []float64{0, 0, 0}
-	maxs := []float64{1, 1, 1}
-	got, err := SkylineReader(&buf, Options{BatchSize: 512, Mins: mins, Maxs: maxs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, seq.SB(ds.Points, nil), "one-pass")
-	// One-pass without bounds refuses.
-	if _, err := SkylineReader(bytes.NewReader(nil), Options{}); err == nil {
-		t.Error("boundless one-pass accepted")
 	}
 }
 

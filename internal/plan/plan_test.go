@@ -198,8 +198,8 @@ func TestUnknownStrategyRejected(t *testing.T) {
 
 func TestRunEmptyAndCancelled(t *testing.T) {
 	sky, rep, err := Run(context.Background(), validSpec(), nil, NewLocalExec(2), nil)
-	if err != nil || sky != nil || rep == nil {
-		t.Errorf("empty run: %v %v %v", sky, rep, err)
+	if err != nil || sky != nil || rep == nil || rep.Strategy != ZDG || rep.Merge != MergeZM {
+		t.Errorf("empty run: %v %+v %v", sky, rep, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -226,8 +226,19 @@ func TestRunReportAndMergeAlgos(t *testing.T) {
 		if rep.SkylineSize != len(sky) || rep.Candidates < len(sky) {
 			t.Errorf("%v: report %+v", merge, rep)
 		}
-		if rep.Groups == 0 || rep.SampleSkySize == 0 || rep.Filtered == 0 {
+		if rep.Groups == 0 || rep.SampleSkySize == 0 || rep.Filtered == 0 || rep.Points != ds.Len() || rep.Merge != merge {
 			t.Errorf("%v: phase-1 fields empty: %+v", merge, rep)
+		}
+		var out bytes.Buffer
+		if _, err := rep.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		counts := fmt.Sprintf("points=%d skyline=%d candidates=%d filtered=%d routed=%d\n",
+			ds.Len(), len(sky), rep.Candidates, rep.Filtered, int64(ds.Len())-rep.Filtered)
+		for _, want := range []string{"merge=" + merge.String() + "\n", counts, "inputBalance: n=", "candidateBalance: n="} {
+			if !bytes.Contains(out.Bytes(), []byte(want)) {
+				t.Errorf("%v: report lacks %q:\n%s", merge, want, out.String())
+			}
 		}
 		var perGroup int
 		for _, n := range rep.PerGroupCandidates {

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"zskyline/internal/codec"
@@ -13,16 +14,24 @@ import (
 	"zskyline/internal/sample"
 )
 
-// Report describes one pipeline run at the plan level: the phase
-// numbers every substrate shares. Substrates wrap it with their own
-// execution statistics (worker counts, wire bytes).
+// Report describes one pipeline run: the numbers the paper's
+// evaluation plots, shared by every executor. Executors embed it beside
+// their own execution statistics (a tally, worker counts, wire bytes).
 type Report struct {
+	// Strategy, Local and Merge are the spec's algorithms.
+	Strategy Strategy
+	Local    LocalAlgo
+	Merge    MergeAlgo
+
 	// Phase wall-clock durations. Preprocess covers the bounds scan,
 	// sampling, rule learning, and the broadcast.
 	Preprocess time.Duration
 	Phase2     time.Duration
 	Phase3     time.Duration
 	Total      time.Duration
+
+	// Points is the number of input rows.
+	Points int
 
 	// SampleSize is the number of sampled points; SampleSkySize the
 	// size of the sample skyline loaded into every mapper.
@@ -41,15 +50,47 @@ type Report struct {
 	Filtered int64
 	// PerGroupInput counts the rows routed to each group (indexed by
 	// gid), as the reduce phase receives them: the paper's first balance
-	// goal. It sums to the input size minus Filtered.
+	// goal. It sums to Points minus Filtered.
 	PerGroupInput []int
-	// Candidates is the phase-2 output size; PerGroupCandidates its
-	// per-group breakdown (indexed by gid), the paper's second balance
-	// goal.
+	// Candidates is the phase-2 output size (the paper's "number of
+	// skyline candidates", Figure 9); PerGroupCandidates its per-group
+	// breakdown (indexed by gid), the paper's second balance goal.
 	Candidates         int
 	PerGroupCandidates []int
 	// SkylineSize is |S|.
 	SkylineSize int
+}
+
+// InputBalance summarizes the spread of routed rows across groups — the
+// paper's first balance goal, and the straggler metric for phase 2.
+func (r *Report) InputBalance() metrics.Balance {
+	return metrics.NewBalance(r.PerGroupInput)
+}
+
+// CandidateBalance summarizes the spread of candidates across groups —
+// the paper's second balance goal, and the straggler metric for phase 3.
+func (r *Report) CandidateBalance() metrics.Balance {
+	return metrics.NewBalance(r.PerGroupCandidates)
+}
+
+// WriteTo prints the lines every executor's report shares: the
+// algorithms, the row counts (routed = points - filtered), the plan's
+// shape, the phase walls and both balance goals.
+func (r *Report) WriteTo(w io.Writer) (int64, error) {
+	n, err := fmt.Fprintf(w,
+		"strategy=%v local=%v merge=%v\n"+
+			"points=%d skyline=%d candidates=%d filtered=%d routed=%d\n"+
+			"groups=%d partitions=%d pruned=%d sample=%d\n"+
+			"preprocess=%v phase2=%v phase3=%v total=%v\n"+
+			"inputBalance: %v\n"+
+			"candidateBalance: %v\n",
+		r.Strategy, r.Local, r.Merge,
+		r.Points, r.SkylineSize, r.Candidates, r.Filtered, int64(r.Points)-r.Filtered,
+		r.Groups, r.Partitions, r.PrunedPartitions, r.SampleSize,
+		r.Preprocess.Round(time.Microsecond), r.Phase2.Round(time.Microsecond),
+		r.Phase3.Round(time.Microsecond), r.Total.Round(time.Microsecond),
+		r.InputBalance(), r.CandidateBalance())
+	return int64(n), err
 }
 
 // driver is what the phases of one run share: what to compute, where,
@@ -63,7 +104,8 @@ type driver struct {
 }
 
 func newDriver(spec *Spec, ex Executor, tally *metrics.Tally) *driver {
-	return &driver{spec: spec, ex: ex, rep: &Report{}, tally: tally, start: time.Now()}
+	rep := &Report{Strategy: spec.Strategy, Local: spec.Local, Merge: spec.Merge}
+	return &driver{spec: spec, ex: ex, rep: rep, tally: tally, start: time.Now()}
 }
 
 // Run executes the full three-phase pipeline on ex over an in-memory
@@ -79,10 +121,11 @@ func newDriver(spec *Spec, ex Executor, tally *metrics.Tally) *driver {
 // merge/round-1 — under the context's current span, so every substrate
 // produces structurally identical trace reports.
 func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
+	d := newDriver(spec, ex, tally)
 	if ds == nil || ds.Len() == 0 {
-		return nil, &Report{}, nil
+		return nil, d.rep, nil
 	}
-	return newDriver(spec, ex, tally).run(ctx, memInput{ds})
+	return d.run(ctx, memInput{ds})
 }
 
 // RunFile is Run over the ZSKY file at path, read in passes so the
@@ -130,7 +173,7 @@ func (d *driver) run(ctx context.Context, in input) ([]point.Point, *Report, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.mergeAndReport(ctx, r, groups, cuts[len(cuts)-1][1], in)
+	return d.mergeAndReport(ctx, r, groups, in)
 }
 
 // memInput is an in-memory dataset, read through its row views.
@@ -240,6 +283,7 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	}
 	cuts := spec.cuts(sc.n)
 	rep.Preprocess = time.Since(d.start)
+	rep.Points = sc.n
 	rep.SampleSize = len(sc.smp)
 	rep.SampleSkySize = r.skySize
 	rep.Groups = r.groups
@@ -262,7 +306,7 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 // candidate groups, verify them against the full input when the
 // relation needs it, and stamp the run's totals on the report and on
 // ctx's current span.
-func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n int, in input) ([]point.Point, *Report, error) {
+func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, in input) ([]point.Point, *Report, error) {
 	rep := d.rep
 	for _, g := range groups {
 		rep.Candidates += g.Len()
@@ -284,11 +328,11 @@ func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, n 
 		if id := obs.RequestIDFrom(ctx); id != "" {
 			sp.SetAttr("request_id", id)
 		}
-		sp.SetAttr("points", n)
+		sp.SetAttr("points", rep.Points)
 		sp.SetAttr("skyline", rep.SkylineSize)
 		sp.SetAttr("candidates", rep.Candidates)
-		sp.SetAttr("input_balance", metrics.NewBalance(rep.PerGroupInput).String())
-		sp.SetAttr("candidate_balance", metrics.NewBalance(rep.PerGroupCandidates).String())
+		sp.SetAttr("input_balance", rep.InputBalance().String())
+		sp.SetAttr("candidate_balance", rep.CandidateBalance().String())
 	}
 	return sky, rep, nil
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"zskyline/internal/codec"
 )
 
 func mustRelation(t *testing.T, attrs []string, rows [][]float64) *Relation {
@@ -334,6 +338,26 @@ func TestFacadeApproxAndOutOfCore(t *testing.T) {
 	reps, err := RepresentativeSkyline(ds.Points, 5)
 	if err != nil || len(reps) != 5 {
 		t.Fatalf("representative: %d %v", len(reps), err)
+	}
+
+	path := filepath.Join(t.TempDir(), "data.zsky")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteBinary(f, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := SkylineFile(path, OutOfCoreOptions{BatchSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, "SkylineFile", got, full)
+	if _, err := SkylineFile(filepath.Join(t.TempDir(), "missing.zsky"), OutOfCoreOptions{}); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 
