@@ -15,7 +15,6 @@ package approx
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -45,12 +44,10 @@ func Epsilon(pts []point.Point, eps float64) ([]point.Point, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
+	// SB answers in point.SumOrder, ascending coordinate sum, so
+	// aggressive coverers come first; greedily keep points not yet
+	// covered.
 	sky := seq.SB(pts, nil)
-	// Visit in ascending coordinate-sum order so aggressive coverers
-	// come first, then greedily keep points not yet covered.
-	sort.SliceStable(sky, func(i, j int) bool {
-		return point.SumCoords(sky[i]) < point.SumCoords(sky[j])
-	})
 	var kept []point.Point
 	for _, q := range sky {
 		covered := false
@@ -95,14 +92,8 @@ func Representative(pts []point.Point, k int) ([]point.Point, error) {
 		return sky, nil
 	}
 	// Deterministic seed: the min-sum point, ties by lexicographic
-	// order.
+	// order — the first of SB's answer, which is in point.SumOrder.
 	seed := 0
-	for i := 1; i < len(sky); i++ {
-		si, ss := point.SumCoords(sky[i]), point.SumCoords(sky[seed])
-		if si < ss || (si == ss && point.Less(sky[i], sky[seed])) {
-			seed = i
-		}
-	}
 	chosen := []point.Point{sky[seed]}
 	dist := make([]float64, len(sky))
 	for i := range sky {

@@ -3,6 +3,8 @@ package dominance
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -149,6 +151,28 @@ func TestSkylineBlockMatchesBruteForce(t *testing.T) {
 			got := SkylineBlock(prov, b, nil).Points()
 			want := BruteForce(prov, pts)
 			assertSameMultiset(t, prov.Name(), got, want)
+		}
+	}
+}
+
+// TestSkylineBlockFloatTies runs every built-in provider over inputs
+// on which a plain float-sum sort puts the dominated row first: equal
+// sums in the first two, a NaN sum in the third. Pareto and robust walk
+// point.SumOrder; flex and kdom take the eviction window.
+func TestSkylineBlockFloatTies(t *testing.T) {
+	for _, pts := range [][]point.Point{
+		{{1e16, 1}, {1e16, 0}},
+		{{0.1, 0.2, 0.30000000000000004}, {0.1, 0.2, 0.3}},
+		{{math.Inf(-1), math.Inf(1)}, {math.Inf(-1), 5}},
+	} {
+		d := len(pts[0])
+		b := point.BlockOf(d, pts)
+		for _, prov := range testProviders(t, d) {
+			got := SkylineBlock(prov, b, nil).Points()
+			assertSameMultiset(t, fmt.Sprintf("%s on %v", prov.Name(), pts), got, BruteForce(prov, pts))
+		}
+		if got := SkylineBlock(Pareto{}, b, nil); got.Len() != 1 || !got.Row(0).Equal(pts[1]) {
+			t.Errorf("pareto on %v kept %v, want only %v", pts, got.Points(), pts[1])
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package dominance
 
 import (
-	"sort"
-
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
@@ -16,10 +14,10 @@ import (
 // SkylineBlock computes the exact provider skyline of b, compacting
 // survivors into a fresh block.
 //
-// When the relation implies Pareto, rows are processed in coordinate-
-// sum order, which is then a topological order for the provider (a
-// dominator always has a strictly smaller sum), so the window is
-// append-only — the seq.SB strategy. Otherwise rows are processed in
+// When the relation implies Pareto, rows are processed in
+// point.SumOrder, which is then a topological order for the provider
+// (a dominator always comes first), so the window is append-only — the
+// seq.SBRows strategy. Otherwise rows are processed in
 // input order with window eviction — the seq.BNL strategy. For
 // non-transitive relations the window is a candidate superset, so a
 // final verification pass retests every candidate against the full
@@ -34,15 +32,9 @@ func SkylineBlock(prov Provider, b point.Block, tally *metrics.Tally) point.Bloc
 	var window []int32
 	var tests int64
 	if caps.ImpliesPareto {
-		sums := make([]float64, n)
-		perm := make([]int32, n)
-		for i := 0; i < n; i++ {
-			sums[i] = point.SumCoords(b.Row(i))
-			perm[i] = int32(i)
-		}
-		sort.SliceStable(perm, func(i, j int) bool { return sums[perm[i]] < sums[perm[j]] })
-		window = make([]int32, 0, 64)
-		for _, ri := range perm {
+		order := point.SumOrder(b)
+		window = order[:0] // survivors overwrite the walked prefix
+		for _, ri := range order {
 			dominated := false
 			for _, wi := range window {
 				tests++

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -132,6 +133,58 @@ func (b Block) ChunkBy(size int) []Block {
 // Clone deep-copies the block.
 func (b Block) Clone() Block {
 	return Block{Dims: b.Dims, Data: append([]float64(nil), b.Data...)}
+}
+
+// SumOrder returns b's row indices in the one order every sort-filter
+// skyline walks, a linear extension of dominance: no row is dominated
+// by a row after it. The key is the sum of the coordinates, each
+// clamped to ±math.MaxFloat64; clamping and float addition are both
+// monotone, so a dominator's key is never larger, and a sum of finite
+// terms may overflow to ±Inf but never becomes NaN. Equal keys are
+// broken by lexicographic order on the coordinates, in which a
+// dominator comes first, and exact duplicates keep their input order.
+func SumOrder(b Block) []int32 {
+	type keyed struct {
+		sum float64
+		row int32
+	}
+	n := b.Len()
+	keys := make([]keyed, n)
+	for i := range keys {
+		s := 0.0
+		for _, v := range b.Row(i) {
+			if v > math.MaxFloat64 {
+				v = math.MaxFloat64
+			} else if v < -math.MaxFloat64 {
+				v = -math.MaxFloat64
+			}
+			s += v
+		}
+		keys[i] = keyed{s, int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y keyed) int {
+		if x.sum != y.sum {
+			if x.sum < y.sum {
+				return -1
+			}
+			return 1
+		}
+		p, q := b.Row(int(x.row)), b.Row(int(y.row))
+		for k, v := range p {
+			if v != q[k] {
+				if v < q[k] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return int(x.row) - int(y.row)
+	})
+	order := make([]int32, n)
+	for i, k := range keys {
+		order[i] = k.row
+	}
+	return order
 }
 
 // UpdateBounds folds the block's rows into a running per-dimension

@@ -265,17 +265,6 @@ func Less(p, q Point) bool {
 	return len(p) < len(q)
 }
 
-// SumCoords returns the L1 norm of p (used by sort-based skyline
-// algorithms as a topological order: if p dominates q then
-// SumCoords(p) < SumCoords(q)).
-func SumCoords(p Point) float64 {
-	s := 0.0
-	for _, v := range p {
-		s += v
-	}
-	return s
-}
-
 // MinCorner returns the componentwise minimum of p and q.
 func MinCorner(p, q Point) Point {
 	r := make(Point, len(p))

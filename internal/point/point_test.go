@@ -1,6 +1,7 @@
 package point
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,18 +116,31 @@ func TestDominanceIsStrictPartialOrder(t *testing.T) {
 	}
 }
 
-// Property: if p dominates q then SumCoords(p) < SumCoords(q).
-func TestSumCoordsIsTopologicalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 3000; iter++ {
+// Property: SumOrder is a linear extension of dominance — no row is
+// dominated by a row after it — even where float sums tie or a naive
+// sum is NaN, and exact duplicates keep their input order.
+func TestSumOrderIsLinearExtension(t *testing.T) {
+	vals := []float64{math.Inf(-1), -1, 0, 0.1, 0.2, 0.3, 0.30000000000000004, 1e16, math.Inf(1)}
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 500; iter++ {
 		d := 1 + rng.Intn(6)
-		p, q := make(Point, d), make(Point, d)
-		for i := 0; i < d; i++ {
-			p[i] = rng.Float64()
-			q[i] = rng.Float64()
+		b := Block{Dims: d, Data: make([]float64, d*rng.Intn(40))}
+		for i := range b.Data {
+			b.Data[i] = vals[rng.Intn(len(vals))]
 		}
-		if Dominates(p, q) && SumCoords(p) >= SumCoords(q) {
-			t.Fatalf("SumCoords order violated: %v %v", p, q)
+		order := SumOrder(b)
+		if len(order) != b.Len() {
+			t.Fatalf("SumOrder returned %d rows of %d", len(order), b.Len())
+		}
+		for i, ri := range order {
+			for _, rj := range order[i+1:] {
+				if DominatesRows(b, int(rj), b, int(ri)) {
+					t.Fatalf("row %v (index %d) precedes its dominator %v (index %d)", b.Row(int(ri)), ri, b.Row(int(rj)), rj)
+				}
+				if b.Row(int(ri)).Equal(b.Row(int(rj))) && ri > rj {
+					t.Fatalf("duplicate rows %d and %d out of input order", rj, ri)
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package seq
 
 import (
-	"sort"
-
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
@@ -11,42 +9,40 @@ import (
 // contiguous point.Blocks via row-index permutations — no per-point
 // slice headers on the hot path — and compact survivors into a fresh
 // block. Each is semantically identical to its slice counterpart
-// (same sort keys, same tie rules, same dominance tests), which the
-// property tests in block_test.go pin down against seq.BruteForce.
+// (same order, same dominance tests), which the property tests in
+// block_test.go pin down against seq.BruteForce.
 
-// SBBlock is SB over a block: stable-sort a permutation of row indices
-// by coordinate sum, then one filtering pass with an append-only
-// window of survivor rows.
-func SBBlock(b point.Block, tally *metrics.Tally) point.Block {
-	n := b.Len()
-	if n == 0 {
-		return point.Block{Dims: b.Dims}
-	}
-	sums := make([]float64, n)
-	perm := make([]int32, n)
-	for i := 0; i < n; i++ {
-		sums[i] = point.SumCoords(b.Row(i))
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(i, j int) bool { return sums[perm[i]] < sums[perm[j]] })
-	window := make([]int32, 0, 64)
+// SBRows is SB with row provenance: the indices of b's skyline rows,
+// in point.SumOrder. No row is dominated by a later one in that order,
+// so the window only grows, and each row is tested against a
+// contiguous copy of the survivors so far. Equal rows never dominate
+// each other, so every duplicate survives.
+func SBRows(b point.Block, tally *metrics.Tally) []int32 {
+	order := point.SumOrder(b)
+	kept := order[:0] // survivors overwrite the walked prefix
+	window := point.Block{Dims: b.Dims, Data: make([]float64, 0, min(len(order), 256)*b.Dims)}
 	var tests int64
-	for _, ri := range perm {
-		p := b.Row(int(ri))
+	for _, r := range order {
 		dominated := false
-		for _, wi := range window {
+		for w := range kept {
 			tests++
-			if point.Dominates(b.Row(int(wi)), p) {
+			if point.DominatesRows(window, w, b, int(r)) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			window = append(window, ri)
+			kept = append(kept, r)
+			window.Data = append(window.Data, b.Row(int(r))...)
 		}
 	}
 	tally.AddDominanceTests(tests)
-	return compactRows(b, window)
+	return kept
+}
+
+// SBBlock is SBRows with the survivors compacted into a fresh block.
+func SBBlock(b point.Block, tally *metrics.Tally) point.Block {
+	return compactRows(b, SBRows(b, tally))
 }
 
 // BNLBlock is BNL over a block: the window holds row indices and is

@@ -72,7 +72,7 @@ func TestBlockKernelsMatchSlice(t *testing.T) {
 			sbBlock := SBBlock(b, nil)
 			assertSameSet(t, kind+"/SB-oracle", sbSlice, oracle)
 			assertSameSet(t, kind+"/SBBlock", sbBlock.Points(), sbSlice)
-			// SB's output order is deterministic (stable sum sort):
+			// SB's output order is deterministic (point.SumOrder):
 			// block and slice must agree row for row, not just as sets.
 			for i, p := range sbSlice {
 				if !sbBlock.Row(i).Equal(p) {

@@ -3,9 +3,10 @@
 //
 //   - BNL: Börzsönyi et al.'s block-nested-loops over an unsorted
 //     input.
-//   - SB ("sort-based"): sort by the sum of coordinates first, then a
+//   - SB ("sort-based"): walk the rows in point.SumOrder, then a
 //     single filtering pass — the paper's SB local algorithm (§6.1).
-//     Sorting by a monotone score makes the window append-only.
+//     That order is a linear extension of dominance, so the window is
+//     append-only. SBRows is the one kernel; SB and SBBlock wrap it.
 //   - BruteForce: the quadratic oracle used by tests.
 //
 // The paper's third algorithm, Z-search (ZS), lives in package zbtree
@@ -13,8 +14,6 @@
 package seq
 
 import (
-	"sort"
-
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
@@ -75,33 +74,19 @@ func BNL(pts []point.Point, tally *metrics.Tally) []point.Point {
 	return window
 }
 
-// SB sorts the input by the sum of coordinates (a topological order
-// for dominance: a dominator always has a strictly smaller sum) and
-// then performs one filtering pass. After sorting, no later point can
-// dominate an earlier one, so the window only grows — this is the
-// paper's "sort data first, then Block-Nest-Loop" local algorithm.
+// SB is the paper's "sort data first, then Block-Nest-Loop" local
+// algorithm over a slice: SBRows on a block copy of pts, answered with
+// the caller's own points (in point.SumOrder, duplicates included).
+// Every point must have the first point's dimensionality.
 func SB(pts []point.Point, tally *metrics.Tally) []point.Point {
-	sorted := make([]point.Point, len(pts))
-	copy(sorted, pts)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return point.SumCoords(sorted[i]) < point.SumCoords(sorted[j])
-	})
-	var out []point.Point
-	var tests int64
-	for _, p := range sorted {
-		dominated := false
-		for _, q := range out {
-			tests++
-			if point.Dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
+	if len(pts) == 0 {
+		return nil
 	}
-	tally.AddDominanceTests(tests)
+	rows := SBRows(point.BlockOf(len(pts[0]), pts), tally)
+	out := make([]point.Point, len(rows))
+	for i, r := range rows {
+		out[i] = pts[r]
+	}
 	return out
 }
 

@@ -396,37 +396,30 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 	return cols, string(shape), nil
 }
 
-// queryRows computes the preference skyline over the retained relation
-// and maps it back to row indices (ingest order; duplicates consume
-// matching rows), sorted ascending.
+// queryRows returns, ascending, every row whose projection onto cols
+// (max columns negated) no row strictly dominates, duplicates
+// included: one flat projection copy, then the one SB kernel with row
+// provenance.
 func queryRows(data point.Block, cols []prefCol) []int {
 	n := data.Len()
-	proj := make([]point.Point, n)
-	flat := make([]float64, n*len(cols))
+	proj := point.Block{Dims: len(cols), Data: make([]float64, 0, n*len(cols))}
 	for i := 0; i < n; i++ {
 		row := data.Row(i)
-		p := flat[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-		for k, c := range cols {
+		for _, c := range cols {
 			v := row[c.idx]
 			if c.negate {
 				v = -v
 			}
-			p[k] = v
+			proj.Data = append(proj.Data, v)
 		}
-		proj[i] = p
 	}
-	sky := seq.SB(proj, nil)
-	byKey := map[string][]int{}
-	for i, p := range proj {
-		byKey[p.String()] = append(byKey[p.String()], i)
+	sky := seq.SBRows(proj, nil)
+	if len(sky) == 0 {
+		return nil
 	}
-	var rows []int
-	for _, p := range sky {
-		k := p.String()
-		if ids := byKey[k]; len(ids) > 0 {
-			rows = append(rows, ids[0])
-			byKey[k] = ids[1:]
-		}
+	rows := make([]int, len(sky))
+	for i, r := range sky {
+		rows[i] = int(r)
 	}
 	sort.Ints(rows)
 	return rows

@@ -14,6 +14,7 @@ import (
 
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
+	"zskyline/internal/seq"
 )
 
 // MaxCubeDims bounds SkyCube's dimensionality (2^d - 1 subspaces).
@@ -39,56 +40,25 @@ func Skyline(ds *point.Dataset, dims []int, tally *metrics.Tally) ([]int, error)
 		}
 		seen[d] = true
 	}
-	return skylineIndices(ds, dims, tally), nil
+	return skylineRows(ds, dims, tally), nil
 }
 
-// skylineIndices is the index-tracking sort-filter skyline over the
-// projection (the SB algorithm with provenance).
-func skylineIndices(ds *point.Dataset, dims []int, tally *metrics.Tally) []int {
-	n := ds.Len()
-	order := make([]int, n)
-	sums := make([]float64, n)
-	for i := 0; i < n; i++ {
-		order[i] = i
-		s := 0.0
+// skylineRows projects ds onto dims and runs the one SB kernel with
+// provenance over the projection, returning row indices ascending.
+func skylineRows(ds *point.Dataset, dims []int, tally *metrics.Tally) []int {
+	proj := point.Block{Dims: len(dims), Data: make([]float64, 0, ds.Len()*len(dims))}
+	for _, p := range ds.Points {
 		for _, d := range dims {
-			s += ds.Points[i][d]
-		}
-		sums[i] = s
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sums[order[a]] < sums[order[b]] })
-
-	dominates := func(a, b int) bool {
-		strict := false
-		for _, d := range dims {
-			av, bv := ds.Points[a][d], ds.Points[b][d]
-			if av > bv {
-				return false
-			}
-			if av < bv {
-				strict = true
-			}
-		}
-		return strict
-	}
-	var window []int
-	var tests int64
-	for _, i := range order {
-		dominated := false
-		for _, j := range window {
-			tests++
-			if dominates(j, i) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			window = append(window, i)
+			proj.Data = append(proj.Data, p[d])
 		}
 	}
-	tally.AddDominanceTests(tests)
-	sort.Ints(window)
-	return window
+	rows := seq.SBRows(proj, tally)
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = int(r)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Cube holds one skyline per non-empty dimension subset; keys are
@@ -125,7 +95,7 @@ func SkyCube(ds *point.Dataset, workers int, tally *metrics.Tally) (*Cube, error
 			defer wg.Done()
 			defer func() { <-sem }()
 			dims := maskDims(mask)
-			ids := skylineIndices(ds, dims, tally)
+			ids := skylineRows(ds, dims, tally)
 			mu.Lock()
 			cube.Skylines[mask] = ids
 			mu.Unlock()

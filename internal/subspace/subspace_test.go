@@ -1,6 +1,8 @@
 package subspace
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -99,6 +101,37 @@ func TestProjectionDuplicatesAllKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameInts(t, got, []int{0, 1}, "projection dups")
+}
+
+// TestFloatTies prepends a column on which row 0 wins to inputs where
+// a plain float-sum sort puts the dominated row 0 first (equal sums, or
+// a NaN sum): projected onto the other columns, only row 1 survives.
+func TestFloatTies(t *testing.T) {
+	inf := math.Inf(1)
+	for _, pts := range [][]point.Point{
+		{{0, 1e16, 1}, {9, 1e16, 0}},
+		{{0, 0.1, 0.2, 0.30000000000000004}, {9, 0.1, 0.2, 0.3}},
+		{{0, -inf, inf}, {9, -inf, 5}},
+	} {
+		d := len(pts[0])
+		ds := point.MustDataset(d, pts)
+		var rest []int
+		for k := 1; k < d; k++ {
+			rest = append(rest, k)
+		}
+		got, err := Skyline(ds, rest, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameInts(t, got, []int{1}, fmt.Sprint(pts))
+		cube, err := SkyCube(ds, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mask, ids := range cube.Skylines {
+			sameInts(t, ids, bruteSubspace(ds, maskDims(mask)), fmt.Sprintf("%v mask %b", pts, mask))
+		}
+	}
 }
 
 func TestSkyCube(t *testing.T) {
