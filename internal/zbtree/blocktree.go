@@ -1,13 +1,15 @@
 // Package zbtree implements the ZB-tree of Lee et al. [5] that the
 // paper builds on: a balanced tree over Z-addresses whose leaf nodes
-// hold data points and whose internal nodes hold the RZ-region of
-// their subtree. There is one tree type, BlockTree: its nodes live in a
-// slab and its entries are rows of a shared columnar Store. On top of
-// it the package provides
+// hold data points and whose internal nodes hold a region of their
+// subtree — here the tight grid box of its rows, where the paper keeps
+// the RZ-region of its first and last address (DESIGN.md §5). There is
+// one tree type, BlockTree: its nodes live in a slab and its entries
+// are rows of a shared columnar Store. On top of it the package
+// provides
 //
 //   - ZSearch: the state-of-the-art centralized skyline algorithm
 //     ("ZS" in the paper's evaluation), which visits points in Z-order
-//     and prunes whole subtrees with RZ-region dominance tests;
+//     and prunes whole subtrees with region dominance tests;
 //   - MergeBlock: the paper's Z-merge (Algorithm 4) for merging skyline
 //     candidate sets, over trees that share one Store;
 //   - DominatesPoint: the point probe of the SZB map filter
@@ -24,6 +26,7 @@ package zbtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"zskyline/internal/metrics"
@@ -35,16 +38,18 @@ import (
 const DefaultFanout = 16
 
 // Store is the shared columnar backing of a BlockTree: the flat point
-// block, its Z-address column, and the rows' grid coordinates, all
-// stride-indexed by row. Trees built over the same Store reference rows
-// by index instead of owning Entry copies, which is what lets the
-// pipeline encode each point's Z-address exactly once per query and
-// merge candidate sets without rematerializing them.
+// block, its Z-address column, the rows' grid coordinates and their
+// packed lanes (lanes.go), all stride-indexed by row. Trees built over
+// the same Store reference rows by index instead of owning Entry
+// copies, which is what lets the pipeline encode each point's
+// Z-address exactly once per query and merge candidate sets without
+// rematerializing them.
 type Store struct {
-	enc  *zorder.Encoder
-	blk  point.Block
-	zc   zorder.ZCol
-	grid []uint32 // Dims() stride per row, quantized once at store build
+	enc   *zorder.Encoder
+	blk   point.Block
+	zc    zorder.ZCol
+	grid  []uint32 // Dims() stride per row, quantized once at store build
+	lanes []uint64 // laneWords(Dims()) stride per row, packed from grid
 }
 
 // NewStore encodes b's rows into a fresh Z-address column and grid
@@ -52,6 +57,7 @@ type Store struct {
 func NewStore(enc *zorder.Encoder, b point.Block) *Store {
 	st := &Store{enc: enc, blk: b}
 	st.zc, st.grid = enc.EncodeBlockGrid(zorder.ZCol{}, nil, b)
+	st.fillLanes()
 	return st
 }
 
@@ -71,7 +77,17 @@ func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store
 	for i := 0; i < b.Len(); i++ {
 		enc.GridInto(st.grid[i*d:(i+1)*d], b.Row(i))
 	}
+	st.fillLanes()
 	return st
+}
+
+// fillLanes fills the lane arena from the grid arena.
+func (st *Store) fillLanes() {
+	n, d, lw, shift := st.Len(), st.enc.Dims(), laneWords(st.enc.Dims()), laneShift(st.enc.Bits())
+	st.lanes = make([]uint64, n*lw)
+	for i := 0; i < n; i++ {
+		packLanes(st.lanes[i*lw:(i+1)*lw], st.grid[i*d:(i+1)*d], shift)
+	}
 }
 
 // Len returns the number of rows in the store.
@@ -85,6 +101,13 @@ func (st *Store) Grid(i int32) []uint32 {
 	d := st.enc.Dims()
 	lo := int(i) * d
 	return st.grid[lo : lo+d : lo+d]
+}
+
+// rowLanes returns the packed lanes of row i (zero-copy view).
+func (st *Store) rowLanes(i int32) []uint64 {
+	lw := laneWords(st.enc.Dims())
+	lo := int(i) * lw
+	return st.lanes[lo : lo+lw : lo+lw]
 }
 
 // Z returns the Z-address of row i (zero-copy view).
@@ -109,16 +132,13 @@ func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
 }
 
 // bnode is one slab-allocated tree node, addressed by index into
-// BlockTree.nodes. kids == nil marks a leaf. minRow/maxRow reference
-// store rows whose Z-addresses bound the subtree; they (and the region
-// arenas) are left as stale supersets after RemoveDominatedBy
-// compaction — Z-merge re-balances once at the end.
+// BlockTree.nodes. kids == nil marks a leaf. A node's box lives in the
+// tree's arenas; RemoveDominatedBy leaves it a stale superset — Z-merge
+// re-balances once at the end.
 type bnode struct {
-	kids   []int32 // child node ids; nil for leaves
-	rows   []int32 // leaf rows in Z-order
-	count  int32
-	minRow int32
-	maxRow int32
+	kids  []int32 // child node ids; nil for leaves
+	rows  []int32 // leaf rows in Z-order
+	count int32
 }
 
 func (n *bnode) isLeaf() bool { return n.kids == nil }
@@ -133,9 +153,12 @@ type BlockTree struct {
 	fanout int
 	tally  *metrics.Tally
 	nodes  []bnode
-	// Region corner arenas, Dims() stride per node id.
+	// Box corner arenas, Dims() stride per node id, and the box's min
+	// corner packed into lanes, laneWords(Dims()) stride per node id.
 	regMin, regMax []uint32
+	minLanes       []uint64
 	root           int32 // -1 when empty
+	last           int32 // the largest row appended or built; Append's order check
 }
 
 // NewBlockTree returns an empty tree over st. fanout <= 0 selects
@@ -150,43 +173,53 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 	return &BlockTree{st: st, fanout: fanout, tally: tally, root: -1}
 }
 
-// newNode appends a zeroed node to the slab and grows the region
-// arenas in tandem, returning its id. Callers must re-index t.nodes
-// after calling (the slab may move).
+// newNode appends a zeroed node with an empty box to the slab, growing
+// the box arenas in tandem, and returns its id. Callers must re-index
+// t.nodes after calling (the slab may move).
 func (t *BlockTree) newNode() int32 {
 	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, bnode{minRow: -1, maxRow: -1})
+	t.nodes = append(t.nodes, bnode{})
 	d := t.st.enc.Dims()
 	for i := 0; i < d; i++ {
-		t.regMin = append(t.regMin, 0)
-		t.regMax = append(t.regMax, 0)
+		t.regMin = append(t.regMin, math.MaxUint32)
 	}
+	t.regMax = append(t.regMax, make([]uint32, d)...)
+	t.minLanes = append(t.minLanes, make([]uint64, laneWords(d))...)
 	return id
 }
 
-// region returns node n's RZ-region as views into the corner arenas.
+// region returns node n's box as views into the corner arenas: it
+// holds every row of the subtree, all any region test assumes.
 func (t *BlockTree) region(n int32) zorder.Region {
 	d := t.st.enc.Dims()
 	lo := int(n) * d
 	return zorder.Region{MinG: t.regMin[lo : lo+d : lo+d], MaxG: t.regMax[lo : lo+d : lo+d]}
 }
 
-// setRegion recomputes node n's RZ-region from bounding rows a and b,
-// writing straight into the arenas: a's grid coordinates, masked below
-// the prefix the two addresses share. Nothing is decoded — the store
-// already holds every row's grid.
-func (t *BlockTree) setRegion(n, a, b int32) {
-	r, enc := t.region(n), t.st.enc
-	cpl := zorder.CommonPrefixLen(t.st.Z(a), t.st.Z(b), enc.TotalBits())
-	enc.RegionFromGrid(r.MinG, r.MaxG, t.st.Grid(a), cpl)
+// boxLanes returns node n's box min corner in lanes (a view).
+func (t *BlockTree) boxLanes(n int32) []uint64 {
+	lw := laneWords(t.st.enc.Dims())
+	lo := int(n) * lw
+	return t.minLanes[lo : lo+lw : lo+lw]
 }
 
-// setPointRegion sets node n's region to the degenerate region of one
-// row.
-func (t *BlockTree) setPointRegion(n, row int32) {
-	r := t.region(n)
-	copy(r.MinG, t.st.Grid(row))
-	copy(r.MaxG, t.st.Grid(row))
+// growBox widens node n's box to hold the grids of rows and the boxes
+// of kids, then repacks its lane corner.
+func (t *BlockTree) growBox(n int32, rows, kids []int32) {
+	r, grid := t.region(n), t.st.grid
+	minG, maxG, d := r.MinG, r.MaxG[:len(r.MinG)], len(r.MinG)
+	for _, e := range rows {
+		for k, v := range grid[int(e)*d:][:d] {
+			minG[k], maxG[k] = min(minG[k], v), max(maxG[k], v)
+		}
+	}
+	for _, c := range kids {
+		kr := t.region(c)
+		for k, v := range kr.MinG[:d] {
+			minG[k], maxG[k] = min(minG[k], v), max(maxG[k], kr.MaxG[k])
+		}
+	}
+	packLanes(t.boxLanes(n), minG, laneShift(t.st.enc.Bits()))
 }
 
 // Len returns the number of rows in the tree.
@@ -246,7 +279,10 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 	})
 	// Leaves: subslices of the sorted permutation arena.
 	nLeaves := (len(rows) + t.fanout - 1) / t.fanout
-	t.nodes = make([]bnode, 0, nLeaves+nLeaves/(t.fanout-1)+2)
+	nNodes, d := nLeaves+nLeaves/(t.fanout-1)+2, st.enc.Dims()
+	t.nodes = make([]bnode, 0, nNodes)
+	t.regMin, t.regMax = make([]uint32, 0, nNodes*d), make([]uint32, 0, nNodes*d)
+	t.minLanes = make([]uint64, 0, nNodes*laneWords(d))
 	level := make([]int32, 0, nLeaves)
 	for lo := 0; lo < len(rows); lo += t.fanout {
 		hi := lo + t.fanout
@@ -257,9 +293,7 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 		nd := &t.nodes[id]
 		nd.rows = rows[lo:hi:hi]
 		nd.count = int32(hi - lo)
-		nd.minRow = rows[lo]
-		nd.maxRow = rows[hi-1]
-		t.setRegion(id, nd.minRow, nd.maxRow)
+		t.growBox(id, nd.rows, nil)
 		level = append(level, id)
 	}
 	// Internal levels: kid lists are subslices of one per-level arena.
@@ -278,14 +312,13 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 			for _, c := range kids {
 				nd.count += t.nodes[c].count
 			}
-			nd.minRow = t.nodes[kids[0]].minRow
-			nd.maxRow = t.nodes[kids[len(kids)-1]].maxRow
-			t.setRegion(id, nd.minRow, nd.maxRow)
+			t.growBox(id, nil, kids)
 			up = append(up, id)
 		}
 		level = up
 	}
 	t.root = level[0]
+	t.last = rows[len(rows)-1]
 	return t
 }
 
@@ -301,14 +334,14 @@ func (t *BlockTree) Append(row int32) {
 		nd.rows = make([]int32, 1, t.fanout)
 		nd.rows[0] = row
 		nd.count = 1
-		nd.minRow, nd.maxRow = row, row
-		t.setPointRegion(id, row)
-		t.root = id
+		t.growBox(id, nd.rows, nil)
+		t.root, t.last = id, row
 		return
 	}
-	if t.st.zc.Compare(int(row), int(t.nodes[t.root].maxRow)) < 0 {
-		panic(fmt.Sprintf("zbtree: Append out of Z-order: row %d < row %d", row, t.nodes[t.root].maxRow))
+	if t.st.zc.Compare(int(row), int(t.last)) < 0 {
+		panic(fmt.Sprintf("zbtree: Append out of Z-order: row %d < row %d", row, t.last))
 	}
+	t.last = row
 	if up := t.appendAt(t.root, row); up >= 0 {
 		id := t.newNode()
 		old, sib := t.root, up
@@ -316,23 +349,21 @@ func (t *BlockTree) Append(row int32) {
 		nd.kids = make([]int32, 2, t.fanout)
 		nd.kids[0], nd.kids[1] = old, sib
 		nd.count = t.nodes[old].count + t.nodes[sib].count
-		nd.minRow = t.nodes[old].minRow
-		nd.maxRow = t.nodes[sib].maxRow
-		t.setRegion(id, nd.minRow, nd.maxRow)
+		t.growBox(id, nil, nd.kids)
 		t.root = id
 	}
 }
 
 // appendAt inserts row under node n (rightmost path) and returns the
-// id of a new right sibling if n overflowed, else -1.
+// id of a new right sibling if n overflowed, else -1. Every node the
+// row joins widens its box to hold the row's grid.
 func (t *BlockTree) appendAt(n, row int32) int32 {
 	if t.nodes[n].isLeaf() {
 		if len(t.nodes[n].rows) < t.fanout {
 			nd := &t.nodes[n]
 			nd.rows = append(nd.rows, row)
 			nd.count++
-			nd.maxRow = row
-			t.setRegion(n, nd.minRow, nd.maxRow)
+			t.growBox(n, nd.rows[len(nd.rows)-1:], nil)
 			return -1
 		}
 		id := t.newNode()
@@ -340,8 +371,7 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 		nd.rows = make([]int32, 1, t.fanout)
 		nd.rows[0] = row
 		nd.count = 1
-		nd.minRow, nd.maxRow = row, row
-		t.setPointRegion(id, row)
+		t.growBox(id, nd.rows, nil)
 		return id
 	}
 	last := t.nodes[n].kids[len(t.nodes[n].kids)-1]
@@ -353,8 +383,7 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 	if up < 0 {
 		nd := &t.nodes[n]
 		nd.count++
-		nd.maxRow = row
-		t.setRegion(n, nd.minRow, nd.maxRow)
+		t.growBox(n, nil, nd.kids[len(nd.kids)-1:])
 		return -1
 	}
 	// n is full: push the new sibling up wrapped in a fresh node.
@@ -363,11 +392,7 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 	nd.kids = make([]int32, 1, t.fanout)
 	nd.kids[0] = up
 	nd.count = t.nodes[up].count
-	nd.minRow = t.nodes[up].minRow
-	nd.maxRow = t.nodes[up].maxRow
-	r, ur := t.region(id), t.region(up)
-	copy(r.MinG, ur.MinG)
-	copy(r.MaxG, ur.MaxG)
+	t.growBox(id, nil, nd.kids)
 	return id
 }
 
@@ -387,9 +412,9 @@ func (t *BlockTree) flush(c *probeCount) {
 }
 
 // DominatesRow reports whether some stored row strictly dominates row
-// (exact float semantics; grid tests only prune).
+// (exact float semantics; grid and lane tests only prune).
 func (t *BlockTree) DominatesRow(row int32) bool {
-	return t.DominatesPoint(t.st.Grid(row), t.st.Row(row))
+	return t.root >= 0 && t.dominates(t.st.Grid(row), t.st.rowLanes(row), t.st.Row(row))
 }
 
 // DominatesPoint is DominatesRow for a point outside the store: g must
@@ -399,36 +424,58 @@ func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
+	if zorder.GridStrictDominates(t.region(t.root).MaxG, g) {
+		// The root's own test: a far-off point needs no lanes.
+		t.flush(&probeCount{region: 1})
+		return true
+	}
+	var buf [8]uint64 // d <= 32 packs on the stack
+	pl := buf[:min(laneWords(len(g)), len(buf))]
+	if len(pl) < laneWords(len(g)) {
+		pl = make([]uint64, laneWords(len(g)))
+	}
+	packLanes(pl, g, laneShift(t.st.enc.Bits()))
+	return t.dominates(g, pl, p)
+}
+
+// dominates probes from the root; g and pl are p's grid and lanes.
+func (t *BlockTree) dominates(g []uint32, pl []uint64, p point.Point) bool {
 	var c probeCount
-	found := t.dominatesPoint(&c, t.root, g, p)
+	found := t.dominatesPoint(&c, t.root, g, pl, p)
 	t.flush(&c)
 	return found
 }
 
-func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, p point.Point) bool {
+func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint64, p point.Point) bool {
 	c.region++
-	r := t.region(n)
-	if zorder.RegionCannotDominatePointGrid(r, g) {
+	// The box's min corner in lanes: RegionCannotDominatePointGrid at
+	// 15 bits per dimension, two word operations at d = 8.
+	if lanesSomeGreater(t.boxLanes(n), pl) {
 		return false
 	}
-	if zorder.GridStrictDominates(r.MaxG, g) {
+	if zorder.GridStrictDominates(t.region(n).MaxG, g) {
 		return true
 	}
 	nd := &t.nodes[n]
 	if !nd.isLeaf() {
 		for _, kid := range nd.kids {
-			if t.dominatesPoint(c, kid, g, p) {
+			if t.dominatesPoint(c, kid, g, pl, p) {
 				return true
 			}
 		}
 		return false
 	}
 	// The leaf scan is point.Dominates(row, p) over the block's flat
-	// array: no row view, no call, four coordinates to a branch.
+	// array, after the lanes reject what they can: no row view, no
+	// call, four coordinates to a branch.
 	c.dom += int64(len(nd.rows))
 	data, d := t.st.blk.Data, len(p)
+	lanes, lw := t.st.lanes, len(pl)
 rows:
 	for _, e := range nd.rows {
+		if lanesSomeGreater(lanes[int(e)*lw:][:lw], pl) {
+			continue
+		}
 		q := data[int(e)*d:][:d]
 		k := 0
 		for ; k+4 <= d; k += 4 {
@@ -497,7 +544,7 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 		return 0
 	}
 	var c probeCount
-	removed := t.removeDominated(&c, t.root, t.st.Grid(row), row)
+	removed := t.removeDominated(&c, t.root, t.st.Grid(row), t.st.rowLanes(row), row)
 	t.flush(&c)
 	if t.nodes[t.root].count == 0 {
 		t.root = -1
@@ -505,8 +552,9 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 	return removed
 }
 
-// removeDominated is RemoveDominatedBy under node n; g is row's grid.
-func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, row int32) int {
+// removeDominated is RemoveDominatedBy under node n; g and rl are row's
+// grid and lanes.
+func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uint64, row int32) int {
 	c.region++
 	if zorder.GridSomeGreater(g, t.region(n).MaxG) {
 		return 0
@@ -516,7 +564,8 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, row int3
 		c.dom += int64(len(nd.rows))
 		kept := nd.rows[:0]
 		for _, e := range nd.rows {
-			if !point.DominatesRows(t.st.blk, int(row), t.st.blk, int(e)) {
+			// Row cannot dominate e when one of its lanes exceeds e's.
+			if lanesSomeGreater(rl, t.st.rowLanes(e)) || !point.DominatesRows(t.st.blk, int(row), t.st.blk, int(e)) {
 				kept = append(kept, e)
 			}
 		}
@@ -532,7 +581,7 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, row int3
 			removed += int(t.nodes[kid].count)
 			continue
 		}
-		removed += t.removeDominated(c, kid, g, row)
+		removed += t.removeDominated(c, kid, g, rl, row)
 		if t.nodes[kid].count > 0 {
 			kept = append(kept, kid)
 		}

@@ -6,9 +6,9 @@ import (
 )
 
 // Validate checks the tree's structural invariants: leaves at one
-// depth, no empty node, rows and children in Z-order, every row's grid
-// inside its leaf's region, every child region inside its parent's,
-// and counts that add up.
+// depth, no empty node, rows in Z-order, every row's grid inside its
+// leaf's box, every child box inside its parent's, and counts that add
+// up.
 func (t *BlockTree) Validate() error {
 	if t.root < 0 {
 		return nil
@@ -45,15 +45,12 @@ func (t *BlockTree) Validate() error {
 			return 0, fmt.Errorf("empty internal node")
 		}
 		var total int32
-		for i, kid := range nd.kids {
+		for _, kid := range nd.kids {
 			cnt, err := check(kid, depth+1)
 			if err != nil {
 				return 0, err
 			}
 			total += cnt
-			if i > 0 && t.st.zc.Compare(int(t.nodes[nd.kids[i-1]].maxRow), int(t.nodes[kid].minRow)) > 0 {
-				return 0, fmt.Errorf("children out of Z-order")
-			}
 			kr := t.region(kid)
 			for k := range kr.MinG {
 				if kr.MinG[k] < r.MinG[k] || kr.MaxG[k] > r.MaxG[k] {
@@ -66,6 +63,11 @@ func (t *BlockTree) Validate() error {
 		}
 		return total, nil
 	}
-	_, err := check(t.root, 0)
-	return err
+	if _, err := check(t.root, 0); err != nil {
+		return err
+	}
+	if !slices.IsSortedFunc(t.Rows(), func(a, b int32) int { return t.st.zc.Compare(int(a), int(b)) }) {
+		return fmt.Errorf("rows out of Z-order")
+	}
+	return nil
 }

@@ -32,6 +32,20 @@ func BenchmarkLocalSkylineBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkZSearchD12 is BenchmarkLocalSkylineBlock past d = 8, where
+// a node's RZ-region fixes less than a bit per dimension: the yardstick
+// of the tree walk at high d.
+func BenchmarkZSearchD12(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 20000, 12)
+	var tally metrics.Tally
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = ZSearchGroup(enc, 0, blk, zc, &tally)
+	}
+	b.ReportMetric(float64(tally.Snapshot().DominanceTests)/float64(b.N), "dom_tests/op")
+}
+
 // BenchmarkZMergeBlock Z-merges two candidate halves, rebuilding the
 // trees every iteration because the merge consumes them — exactly what
 // a two-group phase-3 task pays per query.

@@ -183,11 +183,15 @@ func TestDominatesPoint(t *testing.T) {
 	}
 }
 
-// Property: DominatesPoint agrees with a linear scan.
+// Property: DominatesPoint agrees with a linear scan, also past the
+// d = 32 its lane buffer holds on the stack.
 func TestDominatesPointAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 64; iter++ {
 		d := 1 + rng.Intn(5)
+		if iter >= 60 {
+			d = 40
+		}
 		enc := unitEnc(t, d, 6) // coarse grid: exercise tie handling
 		pts := randPts(rng, 150, d, 8)
 		tr := buildPts(enc, 4, pts, nil)

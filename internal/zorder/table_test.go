@@ -89,10 +89,9 @@ func TestTableInterleaveMatchesBitLoop(t *testing.T) {
 	})
 }
 
-// RegionInto and RegionFromGrid (from either boundary's grid) against
-// the definition, on random pairs and on the pairs that stress the
-// mask arithmetic: equal addresses, a split at the very first bit, a
-// split in the last bit, and prefixes that end mid-level.
+// RegionOf against the definition, on random pairs and on the pairs
+// that stress the mask arithmetic: equal addresses, a split at the very
+// first bit, a split in the last bit, and prefixes that end mid-level.
 func TestRegionFromGridMatchesReference(t *testing.T) {
 	eachKernelShape(t, func(t *testing.T, enc *Encoder, rng *rand.Rand) {
 		d, total := enc.Dims(), enc.TotalBits()
@@ -105,14 +104,6 @@ func TestRegionFromGridMatchesReference(t *testing.T) {
 			want := refRegion(enc, alpha, beta)
 			if got := enc.RegionOf(alpha, beta); !equalU32(got.MinG, want.MinG) || !equalU32(got.MaxG, want.MaxG) {
 				t.Fatalf("d=%d bits=%d %s: RegionOf = %v/%v, want %v/%v", d, enc.Bits(), label, got.MinG, got.MaxG, want.MinG, want.MaxG)
-			}
-			cpl := CommonPrefixLen(alpha, beta, total)
-			for _, g := range [][]uint32{ga, gb} {
-				got := enc.RegionFromGrid(make([]uint32, d), make([]uint32, d), g, cpl)
-				if !equalU32(got.MinG, want.MinG) || !equalU32(got.MaxG, want.MaxG) {
-					t.Fatalf("d=%d bits=%d %s cpl=%d: RegionFromGrid(%v) = %v/%v, want %v/%v",
-						d, enc.Bits(), label, cpl, g, got.MinG, got.MaxG, want.MinG, want.MaxG)
-				}
 			}
 		}
 		for trial := 0; trial < 100; trial++ {

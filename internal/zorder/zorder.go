@@ -305,38 +305,24 @@ type Region struct {
 
 // RegionOf computes the RZ-region spanned by two boundary addresses
 // alpha <= beta: the common prefix padded with zeros gives minpt, with
-// ones gives maxpt.
+// ones gives maxpt. Levels interleave most-significant first, one bit
+// per dimension, so the first cpl address bits fix the top cpl/d bits
+// of every coordinate plus one more in the first cpl%d dimensions;
+// minpt clears each coordinate's remaining low bits of alpha's grid and
+// maxpt sets them — one mask per dimension.
 func (e *Encoder) RegionOf(alpha, beta ZAddr) Region {
-	return e.RegionInto(make([]uint32, e.dims), make([]uint32, e.dims), alpha, beta)
-}
-
-// RegionInto computes RegionOf into caller-owned storage: minG and
-// maxG (Dims() entries each) receive the corner grids. Nothing
-// allocates, so index builds can compute one region per node into
-// slab arenas.
-func (e *Encoder) RegionInto(minG, maxG []uint32, alpha, beta ZAddr) Region {
-	e.DecodeGridInto(minG, alpha)
-	return e.RegionFromGrid(minG, maxG, minG, CommonPrefixLen(alpha, beta, e.TotalBits()))
-}
-
-// RegionFromGrid is RegionInto for a caller that already holds the grid
-// coordinates g of one boundary address and the length cpl of the
-// prefix the two share, so no address is decoded. Levels interleave
-// most-significant first, one bit per dimension, so the first cpl
-// address bits fix the top cpl/d bits of every coordinate plus one more
-// in the first cpl%d dimensions; minpt clears each coordinate's
-// remaining low bits and maxpt sets them — one mask per dimension.
-// minG may alias g.
-func (e *Encoder) RegionFromGrid(minG, maxG, g []uint32, cpl int) Region {
+	minG, maxG := e.DecodeGrid(alpha), make([]uint32, e.dims)
+	cpl := CommonPrefixLen(alpha, beta, e.TotalBits())
 	levels, extra := cpl/e.dims, cpl%e.dims
 	// A shift by the full width yields 0, so levels == 0 at 32 bits
 	// still gives the all-ones mask.
 	free := uint32(1)<<uint(e.bits-levels) - 1
-	for k := 0; k < extra; k++ {
-		minG[k], maxG[k] = g[k]&^(free>>1), g[k]|free>>1
-	}
-	for k := extra; k < e.dims; k++ {
-		minG[k], maxG[k] = g[k]&^free, g[k]|free
+	for k := range minG {
+		f := free
+		if k < extra {
+			f = free >> 1
+		}
+		minG[k], maxG[k] = minG[k]&^f, minG[k]|f
 	}
 	return Region{MinG: minG, MaxG: maxG}
 }
@@ -356,22 +342,6 @@ func GridStrictDominates(a, b []uint32) bool {
 		}
 	}
 	return true
-}
-
-// GridDominatesWeak reports a[i] <= b[i] for every dimension with at
-// least one strict. This does NOT certify float dominance; it is used
-// only where an exact leaf-level check follows.
-func GridDominatesWeak(a, b []uint32) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
 }
 
 // GridSomeGreater reports whether a[i] > b[i] in at least one

@@ -246,12 +246,6 @@ func TestGridDominanceHelpers(t *testing.T) {
 	if GridStrictDominates([]uint32{1, 4}, []uint32{3, 4}) {
 		t.Error("tie should not strict-dominate")
 	}
-	if !GridDominatesWeak([]uint32{1, 4}, []uint32{3, 4}) {
-		t.Error("weak dominate with tie failed")
-	}
-	if GridDominatesWeak([]uint32{3, 4}, []uint32{3, 4}) {
-		t.Error("equal grids should not weak-dominate")
-	}
 	if !GridSomeGreater([]uint32{5, 0}, []uint32{4, 9}) {
 		t.Error("some-greater failed")
 	}

@@ -2,6 +2,7 @@ package zskyline
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -179,16 +180,18 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 		return nil, err
 	}
 
-	// Map skyline points back to row ids. Multiple rows can share one
-	// preference vector; each skyline copy consumes one matching row.
+	// Map skyline points back to row ids by their exact bits: skyline
+	// points are bit copies of projected rows (NewRelation rejects NaN
+	// and ±Inf). Multiple rows can share one preference vector; each
+	// skyline copy consumes one matching row.
 	byKey := map[string][]int{}
 	for r, p := range pts {
-		k := p.String()
+		k := bitsKey(p)
 		byKey[k] = append(byKey[k], r)
 	}
 	var ids []int
 	for _, p := range sky {
-		k := point.Point(p).String()
+		k := bitsKey(p)
 		rows := byKey[k]
 		if len(rows) == 0 {
 			return nil, fmt.Errorf("zskyline: internal error: skyline point %v has no source row", p)
@@ -198,6 +201,15 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 	}
 	sort.Ints(ids)
 	return &Result{RowIDs: ids, Report: rep}, nil
+}
+
+// bitsKey is p's coordinates as their raw IEEE-754 bits.
+func bitsKey(p point.Point) string {
+	b := make([]byte, 0, 8*len(p))
+	for _, v := range p {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
 }
 
 func defaultQueryConfig(n int) Config {

@@ -3,9 +3,11 @@ package zskyline
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"zskyline/internal/codec"
@@ -112,6 +114,32 @@ func TestQueryDuplicateRowsAllReturned(t *testing.T) {
 	}
 	if len(res.RowIDs) != 2 || res.RowIDs[0] != 0 || res.RowIDs[1] != 1 {
 		t.Fatalf("duplicate handling: rows = %v", res.RowIDs)
+	}
+}
+
+// Rows map back to the skyline by their exact bits: a row a rounded
+// rendering confuses with its dominator is not returned for it, and
+// rows equal as floats but not as bits (0 and -0 under Max) are both
+// skyline rows, each returned once.
+func TestQueryRowIDsByExactBits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dirs []Direction
+		rows [][]float64
+		want []int
+	}{
+		{"dominated near-duplicate", []Direction{Min, Min}, [][]float64{{1.0000001, 1}, {1, 1}}, []int{1}},
+		{"exact duplicate", []Direction{Min, Min}, [][]float64{{1, 1}, {1, 1}}, []int{0, 1}},
+		{"signed zero under Max", []Direction{Max, Min}, [][]float64{{0, 1}, {math.Copysign(0, -1), 1}}, []int{0, 1}},
+	} {
+		rel := mustRelation(t, []string{"x", "y"}, tc.rows)
+		res, err := RunQuery(context.Background(), rel, Query{Prefer: []Pref{{"x", tc.dirs[0]}, {"y", tc.dirs[1]}}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(res.RowIDs, tc.want) {
+			t.Fatalf("%s: rows = %v, want %v", tc.name, res.RowIDs, tc.want)
+		}
 	}
 }
 
