@@ -130,6 +130,7 @@ func TestCLIDistributed(t *testing.T) {
 	distOut, distRep := run(t, bins["skydist"], nil, "-workers", pool, "-in", csv, "-m", "8", "-report")
 	streamOut, streamRep := run(t, bins["skydist"], nil, "-workers", pool, "-in", zsky, "-format", "binary", "-stream", "-m", "8", "-report")
 	localOut, localRep := run(t, bins["skyline"], nil, "-in", csv, "-m", "8", "-report")
+	oocOut, oocRep := run(t, bins["skyline"], nil, "-in", zsky, "-format", "binary", "-ooc", "512", "-m", "8", "-report")
 	norm := func(s string) string {
 		lines := strings.Split(strings.TrimSpace(s), "\n")
 		sort.Strings(lines)
@@ -138,8 +139,11 @@ func TestCLIDistributed(t *testing.T) {
 	if norm(distOut) != norm(localOut) || norm(streamOut) != norm(localOut) {
 		t.Error("distributed and local skylines differ")
 	}
+	if norm(oocOut) != norm(localOut) {
+		t.Error("skyline -ooc and in-memory skylines differ")
+	}
 	// Every -report prints the same plan report: the same counts line,
-	// in memory and streamed, and both balance goals.
+	// in memory and read from a file in passes, and both balance goals.
 	counts := func(rep string) string {
 		for _, ln := range strings.Split(rep, "\n") {
 			if strings.HasPrefix(ln, "points=") {
@@ -152,7 +156,7 @@ func TestCLIDistributed(t *testing.T) {
 	if !strings.HasPrefix(want, "points=8000 ") {
 		t.Fatalf("skyline -report counts line %q\n%s", want, localRep)
 	}
-	for name, rep := range map[string]string{"skydist": distRep, "skydist -stream": streamRep} {
+	for name, rep := range map[string]string{"skydist": distRep, "skydist -stream": streamRep, "skyline -ooc": oocRep} {
 		if got := counts(rep); got != want {
 			t.Errorf("%s -report counts %q, skyline's %q", name, got, want)
 		}

@@ -7,6 +7,10 @@
 //	skygen -dist anti -n 100000 -d 5 > anti.csv
 //	skyline -in anti.csv -strategy zdg -local zs -merge zm -m 32
 //
+// With -ooc N a ZSKY file is never loaded: the same pipeline reads it
+// in passes, in map tasks of N rows (skyline -in anti.zsky -format
+// binary -ooc 65536), and every other flag applies as in memory.
+//
 // The report flag prints the pipeline's report to stderr — phase
 // timings, routed and candidate counts, both balance statistics — and
 // the run's dominance and region test counts.
@@ -22,7 +26,6 @@ import (
 	"zskyline/internal/codec"
 	"zskyline/internal/core"
 	"zskyline/internal/obs"
-	"zskyline/internal/ooc"
 	"zskyline/internal/point"
 )
 
@@ -56,7 +59,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "sampling seed")
 		report   = flag.Bool("report", false, "print the pipeline report to stderr")
 		format   = flag.String("format", "csv", "input format: csv|binary")
-		oocBatch = flag.Int("ooc", 0, "out-of-core mode: stream a binary file in batches of this size (0 = load fully)")
+		oocBatch = flag.Int("ooc", 0, "out-of-core mode: run a binary file in passes, in map tasks of this many rows (0 = load fully)")
 		trace    = flag.Bool("trace", false, "print a per-run trace report (phase spans + counters) to stderr")
 		metrics_ = flag.String("metrics-addr", "", "serve GET /metrics and /debug/pprof/ on this address during the run")
 	)
@@ -73,48 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skyline: metrics on http://%s/metrics\n", addr)
 	}
 
-	if *oocBatch > 0 {
-		if *format != "binary" || *in == "-" {
-			fmt.Fprintln(os.Stderr, "skyline: -ooc requires -format binary and a file path")
-			os.Exit(2)
-		}
-		sky, err := ooc.SkylineFile(*in, ooc.Options{BatchSize: *oocBatch})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
-			os.Exit(1)
-		}
-		writeSkyline(sky)
-		return
-	}
-
-	r := os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		r = f
-	}
-	var ds *point.Dataset
-	var err error
-	switch *format {
-	case "csv":
-		ds, err = codec.ReadCSV(r)
-	case "binary":
-		ds, err = codec.ReadBinary(r)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
-		os.Exit(1)
-	}
-	if ds.Len() == 0 {
-		return
-	}
-
 	st, err := parseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
@@ -126,6 +87,7 @@ func main() {
 	cfg.Workers = *workers
 	cfg.SampleRatio = *ratio
 	cfg.Seed = *seed
+	cfg.ChunkSize = *oocBatch
 	if strings.EqualFold(*local, "sb") {
 		cfg.Local = core.SB
 	}
@@ -146,7 +108,21 @@ func main() {
 		tr = obs.NewTrace("skyline-query")
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
-	sky, rep, err := eng.Skyline(ctx, ds)
+
+	var sky []point.Point
+	var rep *core.Report
+	if *oocBatch > 0 {
+		if *format != "binary" || *in == "-" {
+			fmt.Fprintln(os.Stderr, "skyline: -ooc requires -format binary and a file path")
+			os.Exit(2)
+		}
+		sky, rep, err = eng.SkylineFile(ctx, *in)
+	} else {
+		var ds *point.Dataset
+		if ds, err = readInput(*in, *format); err == nil {
+			sky, rep, err = eng.Skyline(ctx, ds)
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skyline: %v\n", err)
 		os.Exit(1)
@@ -162,6 +138,26 @@ func main() {
 		rep.WriteTo(os.Stderr)
 		fmt.Fprintf(os.Stderr, "dominanceTests=%d regionTests=%d\n", rep.Tally.DominanceTests, rep.Tally.RegionTests)
 	}
+}
+
+// readInput loads the whole dataset at path ('-' for stdin) in format.
+func readInput(path, format string) (*point.Dataset, error) {
+	r := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	switch format {
+	case "csv":
+		return codec.ReadCSV(r)
+	case "binary":
+		return codec.ReadBinary(r)
+	}
+	return nil, fmt.Errorf("unknown format %q", format)
 }
 
 // writeSkyline prints sky to stdout as CSV; a failed write exits 1.

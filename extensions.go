@@ -6,11 +6,11 @@ import (
 	"io"
 
 	"zskyline/internal/approx"
+	"zskyline/internal/core"
 	"zskyline/internal/dist"
 	"zskyline/internal/dominance"
 	"zskyline/internal/estimate"
 	"zskyline/internal/maintain"
-	"zskyline/internal/ooc"
 	"zskyline/internal/parallel"
 	"zskyline/internal/point"
 	"zskyline/internal/rank"
@@ -284,14 +284,43 @@ func RepresentativeSkyline(pts []Point, k int) ([]Point, error) {
 
 // --- Out-of-core skylines ---
 
-// OutOfCoreOptions tunes streaming skyline computation.
-type OutOfCoreOptions = ooc.Options
+// OutOfCoreOptions tunes SkylineFile.
+type OutOfCoreOptions struct {
+	// BatchSize bounds the rows per map task, and so per read; 0
+	// selects 65536.
+	BatchSize int
+	// Bits is the Z-order grid resolution per dimension; 0 selects 16.
+	Bits int
+}
 
 // SkylineFile computes the skyline of a ZSKY binary file too large to
-// load, streaming bounded batches through the incremental maintainer
-// (two passes when no bounds are supplied).
+// load with the default pipeline (Engine.SkylineFile), which reads the
+// file in passes: the bounds and the sample, then map tasks of
+// BatchSize rows a wave at a time (and a verify pass under a
+// non-transitive relation). Memory holds one wave (Workers × BatchSize
+// rows, 8 × 65536 by default), the rows the filter routes, and phase 3
+// over the candidates; it does not track the skyline alone. On 10⁶
+// anti-correlated rows with default options (2-core box) the peak heap
+// was 107–113 MB at d = 8 and 278–303 MB at d = 12, about 4.3× and
+// 2.8× a sequential maintainer's, for walls 2.1× and 2.4× shorter
+// (3.1 s and 13.5–15 s); at 3·10⁶ × 8 with 2 workers it was 4.6× the
+// maintainer's peak (134 against 29 MB) for a wall 2.4× shorter (8.9
+// against 21.0 s). An empty file has an empty skyline.
 func SkylineFile(path string, opts OutOfCoreOptions) ([]Point, error) {
-	return ooc.SkylineFile(path, opts)
+	cfg := core.Defaults()
+	cfg.ChunkSize = 65536
+	if opts.BatchSize > 0 {
+		cfg.ChunkSize = opts.BatchSize
+	}
+	if opts.Bits > 0 {
+		cfg.Bits = opts.Bits
+	}
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sky, _, err := eng.SkylineFile(context.Background(), path)
+	return sky, err
 }
 
 // SaveMaintainer persists a maintainer's state (skyline + metadata) to

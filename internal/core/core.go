@@ -3,7 +3,8 @@
 // and merge algorithm, M, delta, sampling ratio. The phase logic itself
 // — rule learning, mapper filter/routing, local skylines, and candidate
 // merging — lives once in internal/plan; an Engine lowers its Config to
-// a plan.Spec and runs it with plan.Run on a plan.LocalExec it owns:
+// a plan.Spec and runs it with plan.Run (plan.RunFile for a ZSKY file)
+// on a plan.LocalExec it owns:
 //
 //	Phase 1  (§5.1)  master-side preprocessing: reservoir sample, learn
 //	                 the partitioning rule (Grid / Angle / Random /
@@ -101,6 +102,10 @@ type Config struct {
 	Workers int
 	// MapSplits is the number of map tasks; 0 selects 2x workers.
 	MapSplits int
+	// ChunkSize, when positive, bounds the rows per map task instead,
+	// and so the rows SkylineFile reads per block; 0 leaves the cut to
+	// MapSplits.
+	ChunkSize int
 	// Seed drives sampling (and nothing else; the pipeline is
 	// deterministic given data and seed).
 	Seed int64
@@ -144,6 +149,7 @@ func (c *Config) spec() *plan.Spec {
 		Seed:             c.Seed,
 		DisableSZBFilter: c.DisableSZBFilter,
 		MapTasks:         c.splits(),
+		ChunkSize:        c.ChunkSize,
 		Dominance:        c.Dominance,
 	}
 }
@@ -194,8 +200,28 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Skyline computes the exact skyline of ds with the configured
 // strategy and returns it with a full Report.
 func (e *Engine) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point, *Report, error) {
+	return report(func(tally *metrics.Tally) ([]point.Point, *plan.Report, error) {
+		return plan.Run(ctx, e.cfg.spec(), ds, e.exec, tally)
+	})
+}
+
+// SkylineFile is Skyline over a ZSKY binary file, which plan.RunFile
+// reads in passes and never loads: memory holds one wave of the file
+// (Workers map tasks of ChunkSize rows), the rows the SZB filter
+// routes, and phase 3 over the candidates. With ChunkSize 0 the file
+// is cut into MapSplits tasks, so one wave can be the whole file. The
+// run learns the same rule and reports the same plan as Skyline on the
+// file's rows; an empty file has an empty skyline.
+func (e *Engine) SkylineFile(ctx context.Context, path string) ([]point.Point, *Report, error) {
+	return report(func(tally *metrics.Tally) ([]point.Point, *plan.Report, error) {
+		return plan.RunFile(ctx, e.cfg.spec(), path, e.exec, tally)
+	})
+}
+
+// report runs q with a fresh tally and wraps its plan report.
+func report(q func(*metrics.Tally) ([]point.Point, *plan.Report, error)) ([]point.Point, *Report, error) {
 	tally := &metrics.Tally{}
-	sky, rep, err := plan.Run(ctx, e.cfg.spec(), ds, e.exec, tally)
+	sky, rep, err := q(tally)
 	if err != nil {
 		return nil, nil, err
 	}

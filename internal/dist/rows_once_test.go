@@ -28,17 +28,7 @@ type batchQuery func(context.Context, *Coordinator) ([]point.Point, *Report, err
 // memory, and SkylineFile over a ZSKY copy of ds written for the test.
 func batchQueries(t *testing.T, ds *point.Dataset) map[string]batchQuery {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "in.zsky")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := codec.WriteBinary(f, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeZSKY(t, ds)
 	return map[string]batchQuery{
 		"Skyline": func(ctx context.Context, c *Coordinator) ([]point.Point, *Report, error) {
 			return c.Skyline(ctx, ds)
@@ -241,38 +231,69 @@ func TestSkylineFileReportsLikeSkyline(t *testing.T) {
 // TestCoreAndDistReportAlike: one spec run by core.Engine and by a
 // loopback Coordinator learns the same rule and routes the same rows,
 // so both report the same plan — groups, partitions, pruned, filtered,
-// per-group input and candidates, sample, skyline and points.
+// per-group input and candidates, sample, skyline and points. The
+// engine reports it again over a ZSKY copy of the data, under Pareto
+// and under a non-transitive relation whose verify re-reads the file.
 func TestCoreAndDistReportAlike(t *testing.T) {
 	addrs := startCluster(t, 2)
-	for _, d := range []gen.Distribution{gen.AntiCorrelated, gen.Independent} {
-		ds := gen.Synthetic(d, 8000, 5, 47)
-		dcfg := DefaultCoordinatorConfig()
-		dcfg.M = 16
-		coord, err := NewCoordinator(dcfg, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, drep, err := coord.Skyline(context.Background(), ds)
-		coord.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ccfg := core.Defaults()
-		ccfg.M = 16
-		ccfg.Workers = 2
-		eng, err := core.NewEngine(ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, crep, err := eng.Skyline(context.Background(), ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, drep.Report, crep.Report, d.String()+": dist vs core")
-		if drep.Points != ds.Len() || drep.Filtered == 0 || drep.Workers != len(addrs) {
-			t.Errorf("%s: points=%d filtered=%d workers=%d", d, drep.Points, drep.Filtered, drep.Workers)
+	for _, desc := range []dominance.Descriptor{{}, {Kind: dominance.KindKDom, K: 3}} {
+		for _, d := range []gen.Distribution{gen.AntiCorrelated, gen.Independent} {
+			ds := gen.Synthetic(d, 8000, 5, 47)
+			label := desc.String() + "/" + d.String()
+			dcfg := DefaultCoordinatorConfig()
+			dcfg.M = 16
+			dcfg.Dominance = desc
+			coord, err := NewCoordinator(dcfg, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, drep, err := coord.Skyline(context.Background(), ds)
+			coord.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ccfg := core.Defaults()
+			ccfg.M = 16
+			ccfg.Workers = 2
+			ccfg.Dominance = desc
+			eng, err := core.NewEngine(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, crep, err := eng.Skyline(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, drep.Report, crep.Report, label+": dist vs core")
+			if drep.Points != ds.Len() || drep.Filtered == 0 || drep.Workers != len(addrs) {
+				t.Errorf("%s: points=%d filtered=%d workers=%d", label, drep.Points, drep.Filtered, drep.Workers)
+			}
+			got, frep, err := eng.SkylineFile(context.Background(), writeZSKY(t, ds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSet(t, got, want, label+": core file")
+			samePlan(t, frep.Report, crep.Report, label+": core file vs in memory")
 		}
 	}
+}
+
+// writeZSKY writes ds to a ZSKY file under t's temp dir and returns its
+// path.
+func writeZSKY(t *testing.T, ds *point.Dataset) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.zsky")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteBinary(f, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // samePlan fails unless got and want agree on everything but the

@@ -167,9 +167,9 @@ func (c combo) name() string {
 	return c.st.String() + "+" + c.local.String()
 }
 
-// runPipeline executes one pipeline configuration and returns its
-// report.
-func runPipeline(ctx context.Context, ds *point.Dataset, c combo, m int, p Params) (*core.Report, error) {
+// pipelineConfig is the engine configuration the experiments run combo
+// c at m groups with over ds.
+func pipelineConfig(ds *point.Dataset, c combo, m int, p Params) core.Config {
 	cfg := core.Defaults()
 	cfg.Strategy = c.st
 	cfg.Local = c.local
@@ -179,7 +179,13 @@ func runPipeline(ctx context.Context, ds *point.Dataset, c combo, m int, p Param
 	cfg.Seed = p.Seed
 	cfg.SampleRatio = sampleRatioFor(ds.Len())
 	cfg.Bits = bitsFor(ds.Dims)
-	eng, err := core.NewEngine(cfg)
+	return cfg
+}
+
+// runPipeline executes one pipeline configuration and returns its
+// report.
+func runPipeline(ctx context.Context, ds *point.Dataset, c combo, m int, p Params) (*core.Report, error) {
+	eng, err := core.NewEngine(pipelineConfig(ds, c, m, p))
 	if err != nil {
 		return nil, err
 	}

@@ -29,15 +29,21 @@ func reportRows(b *testing.B, rows int) {
 // words) through the interleave, the de-interleave and the region of
 // two neighbouring addresses.
 
-func BenchmarkEncodeGridD8B16(b *testing.B) {
-	enc := mustEnc(b, 8, 16)
+func BenchmarkEncodeGridD8B16(b *testing.B) { benchEncodeGrid(b, 8, 16) }
+
+// BenchmarkEncodeGridD12B16 is the d=12 shape, where the interleave
+// tables would outgrow their cap and EncodeGridInto runs the bit loop.
+func BenchmarkEncodeGridD12B16(b *testing.B) { benchEncodeGrid(b, 12, 16) }
+
+func benchEncodeGrid(b *testing.B, dims, bits int) {
+	enc := mustEnc(b, dims, bits)
 	const n = 4096
 	grid, _ := benchGrids(enc, n)
 	z := make(ZAddr, enc.Words())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < n; r++ {
-			enc.EncodeGridInto(z, grid[r*8:(r+1)*8])
+			enc.EncodeGridInto(z, grid[r*dims:(r+1)*dims])
 		}
 	}
 	reportRows(b, n)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"zskyline/internal/codec"
+	"zskyline/internal/seq"
 )
 
 func mustRelation(t *testing.T, attrs []string, rows [][]float64) *Relation {
@@ -368,6 +369,62 @@ func TestFacadeApproxAndOutOfCore(t *testing.T) {
 		t.Fatalf("representative: %d %v", len(reps), err)
 	}
 
+	path := writeZSKY(t, ds)
+	got, err := SkylineFile(path, OutOfCoreOptions{BatchSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, "SkylineFile", got, full)
+
+	t.Run("distributions", func(t *testing.T) {
+		for _, dist := range []Distribution{Independent, AntiCorrelated} {
+			ds := Generate(dist, 20000, 4, 9)
+			got, err := SkylineFile(writeZSKY(t, ds), OutOfCoreOptions{BatchSize: 700})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, dist.String(), got, seq.BruteForce(ds.Points))
+		}
+	})
+	t.Run("batch-1", func(t *testing.T) {
+		ds := Generate(Independent, 300, 2, 3)
+		got, err := SkylineFile(writeZSKY(t, ds), OutOfCoreOptions{BatchSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePoints(t, "batch=1", got, seq.BruteForce(ds.Points))
+	})
+	t.Run("corrupt", func(t *testing.T) {
+		raw, err := os.ReadFile(writeZSKY(t, Generate(Independent, 500, 3, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-1] ^= 0xff // the checksum
+		bad := filepath.Join(t.TempDir(), "bad.zsky")
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SkylineFile(bad, OutOfCoreOptions{}); err == nil {
+			t.Error("corrupted file accepted")
+		}
+	})
+	t.Run("missing-and-empty", func(t *testing.T) {
+		if _, err := SkylineFile(filepath.Join(t.TempDir(), "missing.zsky"), OutOfCoreOptions{}); err == nil {
+			t.Error("missing file accepted")
+		}
+		// An empty file is an empty dataset: no rows, no skyline, no
+		// error, as Engine.Skyline answers in memory.
+		got, err := SkylineFile(writeZSKY(t, &Dataset{Dims: 2}), OutOfCoreOptions{})
+		if err != nil || len(got) != 0 {
+			t.Errorf("empty file: %d points, err %v", len(got), err)
+		}
+	})
+}
+
+// writeZSKY writes ds to a ZSKY file under t's temp dir and returns its
+// path.
+func writeZSKY(t *testing.T, ds *Dataset) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.zsky")
 	f, err := os.Create(path)
 	if err != nil {
@@ -379,14 +436,7 @@ func TestFacadeApproxAndOutOfCore(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := SkylineFile(path, OutOfCoreOptions{BatchSize: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePoints(t, "SkylineFile", got, full)
-	if _, err := SkylineFile(filepath.Join(t.TempDir(), "missing.zsky"), OutOfCoreOptions{}); err == nil {
-		t.Error("missing file accepted")
-	}
+	return path
 }
 
 func TestFacadeMaintainerPersistence(t *testing.T) {
