@@ -7,6 +7,8 @@ package zskyline_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -233,8 +235,20 @@ func TestCLISkyServe(t *testing.T) {
 	if err := os.WriteFile(csv, []byte("price,rating\n100,5\n50,3\n90,3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Two 4096-row preload chunks and one more row: an anti-chain, so
+	// every row is also on the skyline.
+	const bigRows = 2*4096 + 1
+	var big strings.Builder
+	big.WriteString("x,y\n")
+	for i := 0; i < bigRows; i++ {
+		fmt.Fprintf(&big, "%d,%d\n", i, bigRows-i)
+	}
+	bigCSV := filepath.Join(dir, "big.csv")
+	if err := os.WriteFile(bigCSV, []byte(big.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	addr := "127.0.0.1:18432"
-	srv := exec.Command(bins["skyserve"], "-in", csv, "-listen", addr)
+	srv := exec.Command(bins["skyserve"], "-in", csv, "-dataset", "big="+bigCSV, "-listen", addr)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +274,33 @@ func TestCLISkyServe(t *testing.T) {
 	}
 	if !strings.Contains(resp, `"rows":[0,1]`) {
 		t.Errorf("query response: %s", resp)
+	}
+
+	resp, err = httpGet("http://" + addr + "/datasets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Datasets []struct {
+			Name    string `json:"name"`
+			Points  int    `json:"points"`
+			Skyline int    `json:"skyline"`
+		} `json:"datasets"`
+	}
+	if err := json.Unmarshal([]byte(resp), &list); err != nil {
+		t.Fatalf("GET /datasets: %v: %s", err, resp)
+	}
+	found := false
+	for _, d := range list.Datasets {
+		if d.Name == "big" {
+			found = true
+			if d.Points != bigRows || d.Skyline != bigRows {
+				t.Errorf("big dataset serves %d points, skyline %d; want %d of each", d.Points, d.Skyline, bigRows)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("GET /datasets lacks the big dataset: %s", resp)
 	}
 }
 

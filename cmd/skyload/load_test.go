@@ -13,7 +13,7 @@ import (
 	"zskyline/internal/server"
 )
 
-func startTarget(t *testing.T) (*server.Server, *httptest.Server) {
+func startTarget(t *testing.T) (*server.Service, *httptest.Server) {
 	t.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, 800, 3, 7)
 	s, err := server.New([]string{"price", "distance", "noise"}, ds, 12)

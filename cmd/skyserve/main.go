@@ -41,7 +41,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -228,17 +227,11 @@ func load(svc *server.Service, src namedCSV, dom string) error {
 	if err != nil {
 		return err
 	}
-	stream := point.NewDatasetSource(ds)
-	for {
-		b, err := stream.Next(ingestChunk)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := svc.Ingest(e, b); err != nil {
+	for lo := 0; lo < ds.Len(); lo += ingestChunk {
+		hi := min(lo+ingestChunk, ds.Len())
+		if _, err := svc.Ingest(e, point.BlockOf(ds.Dims, ds.Points[lo:hi])); err != nil {
 			return err
 		}
 	}
+	return nil
 }

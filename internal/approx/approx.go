@@ -115,21 +115,3 @@ func Representative(pts []point.Point, k int) ([]point.Point, error) {
 	}
 	return chosen, nil
 }
-
-// CoverRadius returns the max over skyline points of the distance to
-// the nearest representative — the quantity greedy k-center bounds.
-func CoverRadius(sky, reps []point.Point) float64 {
-	worst := 0.0
-	for _, q := range sky {
-		best := math.Inf(1)
-		for _, p := range reps {
-			if d := linf(p, q); d < best {
-				best = d
-			}
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	return worst
-}

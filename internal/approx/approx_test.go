@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestRepresentativeRadiusShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := CoverRadius(sky, reps)
+		r := coverRadius(sky, reps)
 		if prev >= 0 && r > prev {
 			t.Fatalf("radius grew with k: %v -> %v", prev, r)
 		}
@@ -146,4 +147,22 @@ func TestRepresentativeDeterministic(t *testing.T) {
 			t.Fatal("representatives not deterministic")
 		}
 	}
+}
+
+// coverRadius returns the max over skyline points of the distance to
+// the nearest representative — the quantity greedy k-center bounds.
+func coverRadius(sky, reps []point.Point) float64 {
+	worst := 0.0
+	for _, q := range sky {
+		best := math.Inf(1)
+		for _, p := range reps {
+			if d := linf(p, q); d < best {
+				best = d
+			}
+		}
+		if best > worst {
+			worst = best
+		}
+	}
+	return worst
 }

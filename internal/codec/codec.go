@@ -322,54 +322,3 @@ func (b *BinaryReader) Blocks(size func(i int) int, f func(point.Block) error) e
 	}
 	return nil
 }
-
-// Source adapts the reader to the point.Source streaming interface, so
-// a ZSKY file can feed any block-oriented consumer directly.
-func (b *BinaryReader) Source() point.Source { return readerSource{b} }
-
-type readerSource struct{ br *BinaryReader }
-
-func (s readerSource) Dims() int                         { return s.br.dims }
-func (s readerSource) Next(max int) (point.Block, error) { return s.br.NextBlock(max) }
-
-// WriteBlock writes one length-prefixed block frame — b's flat
-// [dims][rows][payload] encoding preceded by its uint32 byte length —
-// so a stream can carry consecutive blocks of varying sizes.
-func WriteBlock(w io.Writer, b point.Block) error {
-	frame, err := b.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// ReadBlock reads one length-prefixed block frame written by
-// WriteBlock. io.EOF is returned unwrapped at a clean stream end.
-func ReadBlock(r io.Reader) (point.Block, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return point.Block{}, io.EOF
-		}
-		return point.Block{}, fmt.Errorf("codec: reading block length: %w", err)
-	}
-	size := binary.LittleEndian.Uint32(hdr[:])
-	if size > 1<<30 {
-		return point.Block{}, fmt.Errorf("codec: implausible block frame size %d", size)
-	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return point.Block{}, fmt.Errorf("codec: truncated block frame: %w", err)
-	}
-	var b point.Block
-	if err := b.UnmarshalBinary(frame); err != nil {
-		return point.Block{}, err
-	}
-	return b, nil
-}

@@ -312,59 +312,6 @@ func TestBinaryReaderNextBlock(t *testing.T) {
 	if err == io.EOF {
 		t.Error("corrupted stream passed the checksum")
 	}
-
-	// Source adapter drains through plan-agnostic point.ReadAll.
-	br, err = NewBinaryReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := point.ReadAll(br.Source())
-	if err != nil || all.Len() != ds.Len() {
-		t.Fatalf("Source ReadAll = %dx%d, %v", all.Len(), all.Dims, err)
-	}
-}
-
-// WriteBlock/ReadBlock must carry consecutive frames of varying shape
-// on one stream and end with a clean io.EOF.
-func TestBlockFrameStream(t *testing.T) {
-	blocks := []point.Block{
-		point.BlockOf(2, []point.Point{{1, 2}, {3, 4}}),
-		point.BlockOf(5, nil),
-		point.BlockOf(1, []point.Point{{-0.5}}),
-	}
-	var buf bytes.Buffer
-	for _, b := range blocks {
-		if err := WriteBlock(&buf, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(buf.Bytes())
-	for i, want := range blocks {
-		got, err := ReadBlock(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Len() != want.Len() || (want.Len() > 0 && got.Dims != want.Dims) {
-			t.Fatalf("frame %d: %dx%d, want %dx%d", i, got.Len(), got.Dims, want.Len(), want.Dims)
-		}
-		for k := range want.Data {
-			if got.Data[k] != want.Data[k] {
-				t.Fatalf("frame %d coord %d drifted", i, k)
-			}
-		}
-	}
-	if _, err := ReadBlock(r); err != io.EOF {
-		t.Fatalf("stream end = %v, want io.EOF", err)
-	}
-	// A truncated tail frame must not be io.EOF.
-	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
-	var err error
-	for err == nil {
-		_, err = ReadBlock(trunc)
-	}
-	if err == io.EOF {
-		t.Error("truncated tail frame reported clean EOF")
-	}
 }
 
 // hostileHeader is a bare ZSKY header, with no payload, claiming count

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"zskyline/internal/point"
@@ -77,48 +78,49 @@ func mustTinyDataset() *point.Dataset {
 	return point.MustDataset(2, []point.Point{{1, 2}, {3, 4}})
 }
 
-// FuzzBlockRoundTrip hardens the length-prefixed block frame decoder:
-// arbitrary bytes must never panic, truncated frames and dims/payload
-// mismatches must fail cleanly, and anything accepted must round-trip.
+// FuzzBlockRoundTrip hardens point.Block's binary frame decoder, the
+// one behind every block in a dist wire payload: arbitrary bytes must
+// never panic, truncated frames and dims/payload mismatches must fail
+// cleanly, and anything accepted must round-trip.
 func FuzzBlockRoundTrip(f *testing.F) {
 	// Seed with a valid frame plus the corpus of classic corruptions.
-	var buf bytes.Buffer
-	b := point.BlockOf(3, []point.Point{{1, 2, 3}, {4, 5, 6}})
-	if err := WriteBlock(&buf, b); err != nil {
+	valid, err := point.BlockOf(3, []point.Point{{1, 2, 3}, {4, 5, 6}}).MarshalBinary()
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:3])                                   // truncated length prefix
+	f.Add(valid[:3])                                   // truncated dims field
 	f.Add(valid[:7])                                   // truncated frame header
 	f.Add(valid[:len(valid)-5])                        // truncated payload
 	f.Add(append(append([]byte(nil), valid...), 0xAA)) // trailing garbage
-	// Dims mismatch: header claims 3 dims but the payload holds a
-	// non-multiple number of coordinates.
-	mismatch := append([]byte(nil), valid...)
-	mismatch[0] -= 8 // shrink the length prefix by one float64
-	f.Add(mismatch[:len(mismatch)-8])
+	// Ragged: the payload loses one float64, so it no longer holds
+	// rows x dims coordinates.
+	f.Add(valid[:len(valid)-8])
 	// Huge declared dims with no payload.
-	f.Add([]byte{8, 0, 0, 0, 0xff, 0xff, 0x0f, 0x00, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		got, err := ReadBlock(r)
-		if err != nil {
+		var got point.Block
+		if err := got.UnmarshalBinary(data); err != nil {
 			return
 		}
 		if got.Dims > 0 && len(got.Data)%got.Dims != 0 {
 			t.Fatalf("accepted ragged block: %d coords, %d dims", len(got.Data), got.Dims)
 		}
-		var out bytes.Buffer
-		if err := WriteBlock(&out, got); err != nil {
+		out, err := got.MarshalBinary()
+		if err != nil {
 			t.Fatalf("accepted block fails to re-encode: %v", err)
 		}
-		back, err := ReadBlock(bytes.NewReader(out.Bytes()))
-		if err != nil {
+		var back point.Block
+		if err := back.UnmarshalBinary(out); err != nil {
 			t.Fatalf("re-encoded block fails to decode: %v", err)
 		}
 		if back.Len() != got.Len() || back.Dims != got.Dims {
 			t.Fatalf("round trip drifted: %dx%d -> %dx%d", got.Len(), got.Dims, back.Len(), back.Dims)
+		}
+		for i := range got.Data {
+			if math.Float64bits(back.Data[i]) != math.Float64bits(got.Data[i]) {
+				t.Fatalf("round trip drifted at coordinate %d", i)
+			}
 		}
 	})
 }

@@ -117,7 +117,7 @@ func runContractCase(t *testing.T, kind, fault string) (string, map[string]strin
 		}
 		faults = NewFaultPlan(FaultRule{Method: method, Nth: nth, Action: FaultSever})
 	}
-	wa, err := StartWorkerWithFaults("127.0.0.1:0", faults)
+	wa, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

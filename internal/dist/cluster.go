@@ -479,15 +479,9 @@ func (c *Cluster) SkylineRange(ctx context.Context, lo, hi zorder.ZAddr) ([]poin
 	return c.skyline(ctx, zorder.Range{Lo: lo, Hi: hi}, false)
 }
 
-// SkylineRangeBroadcast answers the same query as SkylineRange but
-// fans out to every shard, each filtering locally — the
-// broadcast-to-all baseline partition-aware routing is measured
-// against (see EXPERIMENTS.md). Results are identical; only the wire
-// traffic differs.
-func (c *Cluster) SkylineRangeBroadcast(ctx context.Context, lo, hi zorder.ZAddr) ([]point.Point, *ClusterReport, error) {
-	return c.skyline(ctx, zorder.Range{Lo: lo, Hi: hi}, true)
-}
-
+// skyline answers Skyline (empty rng) and SkylineRange. routeAll
+// contacts every shard even for a range query, each filtering locally;
+// only the wire traffic differs from routing by range.
 func (c *Cluster) skyline(ctx context.Context, rng zorder.Range, routeAll bool) ([]point.Point, *ClusterReport, error) {
 	if err := checkBounds(c.enc.Words(), rng.Lo, rng.Hi); err != nil {
 		return nil, nil, err

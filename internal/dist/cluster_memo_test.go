@@ -168,8 +168,8 @@ func TestClusterFullQueryAfterWorkerRestart(t *testing.T) {
 func TestClusterFullQueryDuringRepairCommit(t *testing.T) {
 	const dims, stall = 3, 1500 * time.Millisecond
 	a, _ := startGroup(t, 1)
-	b, err := StartWorkerWithFaults("127.0.0.1:0", NewFaultPlan(
-		FaultRule{Method: "Worker.CommitShard", Nth: 1, Count: 1, Action: FaultDelay, Delay: stall}))
+	b, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: NewFaultPlan(
+		FaultRule{Method: "Worker.CommitShard", Nth: 1, Count: 1, Action: FaultDelay, Delay: stall})})
 	if err != nil {
 		t.Fatal(err)
 	}

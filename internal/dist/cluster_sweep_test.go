@@ -72,11 +72,7 @@ func TestClusterSweepMatchesBruteForce(t *testing.T) {
 					pareto := dominance.IsPareto(prov)
 					check := func(label string, qr zorder.Range, broadcast bool) *ClusterReport {
 						t.Helper()
-						query := c.SkylineRange
-						if broadcast {
-							query = c.SkylineRangeBroadcast
-						}
-						got, rep, err := query(ctx, qr.Lo, qr.Hi)
+						got, rep, err := c.skyline(ctx, qr, broadcast)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -214,8 +210,8 @@ func TestClusterQueryMovesRowsOnce(t *testing.T) {
 // fatal — not the cancellation it induced on the other.
 func TestClusterFanOutFailsFast(t *testing.T) {
 	const stall = 2 * time.Second
-	slow, err := StartWorkerWithFaults("127.0.0.1:0", NewFaultPlan(
-		FaultRule{Method: "Worker.ShardSkyline", Nth: 2, Count: 1000, Action: FaultDelay, Delay: stall}))
+	slow, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: NewFaultPlan(
+		FaultRule{Method: "Worker.ShardSkyline", Nth: 2, Count: 1000, Action: FaultDelay, Delay: stall})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestClusterRangeQueryExact(t *testing.T) {
 		t.Errorf("routed %d/%d shards, want 1/4", rep.Routed, rep.Shards)
 	}
 
-	bGot, bRep, err := c.SkylineRangeBroadcast(context.Background(), lo, hi)
+	bGot, bRep, err := c.skyline(context.Background(), zorder.Range{Lo: lo, Hi: hi}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestClusterHandoffSeveredMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, err := StartWorkerWithFaults("127.0.0.1:0", faults)
+	wa, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestClusterHandoffRetryAfterAbortedStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close() })
-	dst, err := StartWorkerWithFaults("127.0.0.1:0", faults)
+	dst, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

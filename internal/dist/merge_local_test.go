@@ -58,7 +58,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 				start := func(p *FaultPlan) []string {
 					addrs := make([]string, 2)
 					for i := range addrs {
-						ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+						ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -108,7 +108,7 @@ func TestRowsCrossOnce(t *testing.T) {
 				}
 
 				sever := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultSever})
-				ws, err := StartWorkerWithFaults("127.0.0.1:0", sever)
+				ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: sever})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -390,7 +390,7 @@ func TestShardRangeBoundWidth(t *testing.T) {
 	if _, _, err := c.SkylineRange(context.Background(), short, nil); err == nil {
 		t.Error("cluster accepted a one-word lower bound")
 	}
-	if _, _, err := c.SkylineRangeBroadcast(context.Background(), nil, short); err == nil {
+	if _, _, err := c.skyline(context.Background(), zorder.Range{Hi: short}, true); err == nil {
 		t.Error("cluster accepted a one-word upper bound")
 	}
 	// An empty non-nil bound means "no bound", like nil.

@@ -39,7 +39,7 @@ func TestProvidersUnderFaults(t *testing.T) {
 			slow := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDelay, Delay: 100 * time.Millisecond})
 			var addrs []string
 			for _, p := range []*FaultPlan{dying, slow, nil} {
-				ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+				ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 				if err != nil {
 					t.Fatal(err)
 				}

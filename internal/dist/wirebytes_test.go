@@ -136,7 +136,7 @@ func TestClusterWireBytesRoutedVsBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bGot, bRep, err := c.SkylineRangeBroadcast(context.Background(), lo, hi)
+		bGot, bRep, err := c.skyline(context.Background(), zorder.Range{Lo: lo, Hi: hi}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

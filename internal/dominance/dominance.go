@@ -65,10 +65,6 @@ type Caps struct {
 	Transitive bool
 }
 
-// ZPrunable reports whether both directions of grid pruning are sound,
-// i.e. the provider agrees with Pareto on every comparable pair.
-func (c Caps) ZPrunable() bool { return c.ParetoImplies && c.ImpliesPareto }
-
 // Provider is a pluggable dominance relation. Implementations must be
 // irreflexive (no point dominates itself or a coordinate-equal copy)
 // and must answer identically through Dominates and DominatesRows.

@@ -18,7 +18,7 @@ import (
 // point.SumOrder, which is then a topological order for the provider
 // (a dominator always comes first), so the window is append-only — the
 // seq.SBRows strategy. Otherwise rows are processed in
-// input order with window eviction — the seq.BNL strategy. For
+// input order with window eviction (block-nested loops). For
 // non-transitive relations the window is a candidate superset, so a
 // final verification pass retests every candidate against the full
 // block; elimination by a real row is sound under any irreflexive
@@ -140,10 +140,9 @@ func VerifyBlock(prov Provider, cands, all point.Block, tally *metrics.Tally) po
 }
 
 // FilterBlock removes from candidates every row dominated by some row
-// of against, compacting survivors — the provider-generic counterpart
-// of seq.FilterBlock. Because eliminations cite a real point, the
-// filter is membership-sound under any irreflexive relation,
-// transitive or not.
+// of against under prov, compacting survivors. Because eliminations
+// cite a real point, the filter is membership-sound under any
+// irreflexive relation, transitive or not.
 func FilterBlock(prov Provider, candidates, against point.Block, tally *metrics.Tally) point.Block {
 	n := candidates.Len()
 	if n == 0 {

@@ -100,9 +100,8 @@ func synthInto(r *rand.Rand, dist Distribution, p point.Point) {
 }
 
 // Source streams a synthetic dataset as contiguous blocks without ever
-// materializing it whole — the generator-backed point.Source for
-// out-of-core pipelines and benchmarks. Its rows reproduce
-// Synthetic(dist, n, d, seed) exactly, in order.
+// materializing it whole — the insert streams of the benchmarks. Its
+// rows reproduce Synthetic(dist, n, d, seed) exactly, in order.
 type Source struct {
 	r         *rand.Rand
 	dist      Distribution
@@ -114,9 +113,6 @@ type Source struct {
 func NewSource(dist Distribution, n, d int, seed int64) *Source {
 	return &Source{r: rand.New(rand.NewSource(seed)), dist: dist, d: d, remaining: n}
 }
-
-// Dims implements point.Source.
-func (s *Source) Dims() int { return s.d }
 
 // Next generates up to max points into one freshly built block.
 func (s *Source) Next(max int) (point.Block, error) {
@@ -321,27 +317,4 @@ func clusteredHighDim(n, d, clusters int, spread float64, seed int64) *point.Dat
 		pts[i] = p
 	}
 	return point.MustDataset(d, pts)
-}
-
-// Scale synthetically enlarges ds by factor s while preserving its
-// distribution (the paper's §6.1 trick, after [24], [26]): each new
-// point is an existing point with a small relative jitter.
-func Scale(ds *point.Dataset, s int, seed int64) *point.Dataset {
-	if s <= 1 || ds.Len() == 0 {
-		return ds.Clone()
-	}
-	r := rand.New(rand.NewSource(seed))
-	out := make([]point.Point, 0, ds.Len()*s)
-	for _, p := range ds.Points {
-		out = append(out, p.Clone())
-	}
-	for len(out) < ds.Len()*s {
-		src := ds.Points[r.Intn(ds.Len())]
-		p := make(point.Point, ds.Dims)
-		for k := range p {
-			p[k] = clamp01(src[k] + r.NormFloat64()*0.01)
-		}
-		out = append(out, p)
-	}
-	return point.MustDataset(ds.Dims, out)
 }

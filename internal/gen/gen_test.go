@@ -195,29 +195,6 @@ func TestDBPediaSparsity(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	base := Synthetic(Independent, 100, 4, 11)
-	big := Scale(base, 5, 12)
-	if big.Len() != 500 {
-		t.Fatalf("Scale(5) len = %d, want 500", big.Len())
-	}
-	// Originals come first, untouched.
-	for i := range base.Points {
-		if !big.Points[i].Equal(base.Points[i]) {
-			t.Fatalf("Scale mutated original %d", i)
-		}
-	}
-	// s<=1 clones.
-	same := Scale(base, 1, 12)
-	if same.Len() != 100 {
-		t.Errorf("Scale(1) len = %d", same.Len())
-	}
-	same.Points[0][0] = 99
-	if base.Points[0][0] == 99 {
-		t.Error("Scale(1) shares memory with base")
-	}
-}
-
 func TestGammaSamplePositive(t *testing.T) {
 	ds := HOULike(50, 1)
 	_ = ds
@@ -234,9 +211,6 @@ func TestSourceMatchesSynthetic(t *testing.T) {
 	const n, d, seed = 1234, 5, 77
 	want := Synthetic(AntiCorrelated, n, d, seed)
 	src := NewSource(AntiCorrelated, n, d, seed)
-	if src.Dims() != d {
-		t.Fatalf("Dims = %d", src.Dims())
-	}
 	var rows int
 	for {
 		b, err := src.Next(97)

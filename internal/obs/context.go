@@ -2,21 +2,12 @@ package obs
 
 import "context"
 
-type traceKey struct{}
 type spanKey struct{}
 
-// ContextWithTrace attaches a trace to ctx and makes its root the
-// current span, so StartSpan calls downstream nest under it.
+// ContextWithTrace makes t's root the current span of ctx, so StartSpan
+// calls downstream nest under it.
 func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
-	ctx = context.WithValue(ctx, traceKey{}, t)
 	return context.WithValue(ctx, spanKey{}, t.Root())
-}
-
-// TraceFrom returns the trace attached to ctx, or nil (which is safe
-// to use everywhere).
-func TraceFrom(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
 }
 
 // ContextWithSpan makes sp the current span of ctx.

@@ -14,7 +14,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"zskyline/internal/dominance"
@@ -93,13 +92,4 @@ func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Poin
 	}
 	sky, _, err := plan.Run(ctx, spec, ds, plan.NewLocalExec(opts.Workers), opts.Tally)
 	return sky, err
-}
-
-// SkylineOf is a convenience wrapper over raw points.
-func SkylineOf(ctx context.Context, dims int, pts []point.Point, opts Options) ([]point.Point, error) {
-	ds, err := point.NewDataset(dims, pts)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	return Skyline(ctx, ds, opts)
 }

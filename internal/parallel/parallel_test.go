@@ -102,9 +102,6 @@ func TestEdgeCases(t *testing.T) {
 	if got, err := Skyline(context.Background(), nil, Options{}); err != nil || got != nil {
 		t.Errorf("nil dataset: %v %v", got, err)
 	}
-	if _, err := SkylineOf(context.Background(), 2, []point.Point{{1}}, Options{}); err == nil {
-		t.Error("dim mismatch accepted")
-	}
 	// A ragged dataset that bypassed NewDataset is an error, not a crash
 	// and not a silently misaligned block.
 	ragged := &point.Dataset{Dims: 2, Points: []point.Point{{1, 2}, {3}}}

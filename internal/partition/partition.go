@@ -4,7 +4,8 @@
 // partitioning [18], and the paper's own Z-order-curve partitioning of
 // §4.1, which cuts the curve at equal-frequency pivots learned from a
 // sample so that every partition receives ~|P|/M points regardless of
-// dimensionality.
+// dimensionality. Each partitioner is immutable after construction and
+// safe for concurrent use, so every mapper shares one instance.
 package partition
 
 import (
@@ -14,15 +15,6 @@ import (
 
 	"zskyline/internal/point"
 )
-
-// Partitioner assigns points to one of N partitions. Implementations
-// are immutable after construction and safe for concurrent use, which
-// lets every mapper share one instance.
-type Partitioner interface {
-	Name() string
-	N() int
-	Assign(p point.Point) int
-}
 
 // factorize splits m into per-dimension split counts whose product is
 // >= m and close to m: prime factors of m are dealt, largest first, to
@@ -98,13 +90,10 @@ func NewGrid(sample []point.Point, m int) (*Grid, error) {
 	return g, nil
 }
 
-// Name implements Partitioner.
-func (g *Grid) Name() string { return "grid" }
-
-// N implements Partitioner.
+// N returns the partition count.
 func (g *Grid) N() int { return g.n }
 
-// Assign implements Partitioner: locate the cell, row-major.
+// Assign returns p's partition: its cell, row-major.
 func (g *Grid) Assign(p point.Point) int {
 	id := 0
 	for i, w := range g.widths {
@@ -193,13 +182,10 @@ func Hyperspherical(p point.Point) []float64 {
 	return ang
 }
 
-// Name implements Partitioner.
-func (a *Angle) Name() string { return "angle" }
-
-// N implements Partitioner.
+// N returns the partition count.
 func (a *Angle) N() int { return a.n }
 
-// Assign implements Partitioner.
+// Assign returns p's partition.
 func (a *Angle) Assign(p point.Point) int {
 	if a.n == 1 {
 		return 0
@@ -229,13 +215,10 @@ func NewRandom(m int) (*Random, error) {
 	return &Random{m: m}, nil
 }
 
-// Name implements Partitioner.
-func (r *Random) Name() string { return "random" }
-
-// N implements Partitioner.
+// N returns the partition count.
 func (r *Random) N() int { return r.m }
 
-// Assign implements Partitioner using an FNV-style hash of the
+// Assign returns p's partition: an FNV-style hash of the
 // coordinates, so assignment is deterministic per point.
 func (r *Random) Assign(p point.Point) int {
 	h := uint64(1469598103934665603)

@@ -43,13 +43,19 @@ func TestFactorize(t *testing.T) {
 	}
 }
 
-func checkCoverage(t *testing.T, p Partitioner, pts []point.Point) []int {
+// assigner is what Grid, Angle, Random and ZCurve share.
+type assigner interface {
+	N() int
+	Assign(p point.Point) int
+}
+
+func checkCoverage(t *testing.T, p assigner, pts []point.Point) []int {
 	t.Helper()
 	counts := make([]int, p.N())
 	for _, pt := range pts {
 		id := p.Assign(pt)
 		if id < 0 || id >= p.N() {
-			t.Fatalf("%s: assignment %d out of range [0,%d)", p.Name(), id, p.N())
+			t.Fatalf("%T: assignment %d out of range [0,%d)", p, id, p.N())
 		}
 		counts[id]++
 	}
@@ -58,7 +64,7 @@ func checkCoverage(t *testing.T, p Partitioner, pts []point.Point) []int {
 		total += c
 	}
 	if total != len(pts) {
-		t.Fatalf("%s: assigned %d of %d points", p.Name(), total, len(pts))
+		t.Fatalf("%T: assigned %d of %d points", p, total, len(pts))
 	}
 	return counts
 }

@@ -147,13 +147,10 @@ func (z *ZCurve) intervalRegion(i int) zorder.Region {
 	return z.enc.RegionOf(lo, hi)
 }
 
-// Name implements Partitioner.
-func (z *ZCurve) Name() string { return "zcurve" }
-
-// N implements Partitioner.
+// N returns the partition count.
 func (z *ZCurve) N() int { return len(z.pivots) + 1 }
 
-// Assign implements Partitioner via binary search over the pivots
+// Assign returns p's partition by binary search over the pivots
 // (Algorithm 3's searchPT step).
 func (z *ZCurve) Assign(p point.Point) int {
 	return z.assignAddr(z.enc.Encode(p))

@@ -198,36 +198,34 @@ func TestBuilderDetaches(t *testing.T) {
 
 func TestSliceAndBlockSources(t *testing.T) {
 	pts := []Point{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}}
-	for name, src := range map[string]Source{
-		"slice": NewSliceSource(2, pts),
-		"block": NewBlockSource(BlockOf(2, pts)),
-	} {
-		var rows int
-		var batches int
-		s := src
-		for {
-			b, err := s.Next(2)
-			if err == io.EOF {
-				break
+	src := NewDatasetSource(MustDataset(2, pts))
+	if _, err := src.Next(0); err == nil {
+		t.Error("zero batch size accepted")
+	}
+	var rows, batches int
+	for {
+		b, err := src.Next(2)
+		if err == io.EOF {
+			if b.Len() != 0 {
+				t.Errorf("io.EOF with %d rows", b.Len())
 			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			rows += b.Len()
-			batches++
-			if b.Dims != 2 {
-				t.Fatalf("%s: dims %d", name, b.Dims)
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Dims != 2 {
+			t.Fatalf("dims %d", b.Dims)
+		}
+		for i := 0; i < b.Len(); i++ {
+			if !b.Row(i).Equal(pts[rows+i]) {
+				t.Fatalf("row %d drifted", rows+i)
 			}
 		}
-		if rows != 5 || batches != 3 {
-			t.Errorf("%s: drained %d rows in %d batches", name, rows, batches)
-		}
+		rows += b.Len()
+		batches++
 	}
-	all, err := ReadAll(NewSliceSource(2, pts))
-	if err != nil || all.Len() != 5 {
-		t.Fatalf("ReadAll = %dx%d, %v", all.Len(), all.Dims, err)
-	}
-	if !all.Row(4).Equal(pts[4]) {
-		t.Error("ReadAll row drifted")
+	if rows != 5 || batches != 3 {
+		t.Errorf("drained %d rows in %d batches", rows, batches)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDominatesBasics(t *testing.T) {
@@ -28,66 +27,6 @@ func TestDominatesBasics(t *testing.T) {
 		if got := Dominates(c.p, c.q); got != c.want {
 			t.Errorf("%s: Dominates(%v, %v) = %v, want %v", c.name, c.p, c.q, got, c.want)
 		}
-	}
-}
-
-func TestDominatesOrEqual(t *testing.T) {
-	if !DominatesOrEqual(Point{1, 2}, Point{1, 2}) {
-		t.Error("equal points should be DominatesOrEqual")
-	}
-	if DominatesOrEqual(Point{1, 3}, Point{1, 2}) {
-		t.Error("worse dim should fail DominatesOrEqual")
-	}
-	if DominatesOrEqual(Point{1}, Point{1, 2}) {
-		t.Error("mismatched dims should fail")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	cases := []struct {
-		p, q Point
-		want Relation
-	}{
-		{Point{1, 1}, Point{2, 2}, PDominatesQ},
-		{Point{2, 2}, Point{1, 1}, QDominatesP},
-		{Point{1, 2}, Point{1, 2}, Equal},
-		{Point{0, 5}, Point{5, 0}, Incomparable},
-	}
-	for _, c := range cases {
-		if got := Compare(c.p, c.q); got != c.want {
-			t.Errorf("Compare(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
-		}
-	}
-}
-
-// Property: Compare agrees with the two Dominates calls.
-func TestCompareAgreesWithDominates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(6)
-		p, q := make(Point, d), make(Point, d)
-		for i := 0; i < d; i++ {
-			// Small integer domain to generate plenty of ties.
-			p[i] = float64(r.Intn(4))
-			q[i] = float64(r.Intn(4))
-		}
-		rel := Compare(p, q)
-		pd, qd := Dominates(p, q), Dominates(q, p)
-		switch rel {
-		case PDominatesQ:
-			return pd && !qd
-		case QDominatesP:
-			return qd && !pd
-		case Equal:
-			return !pd && !qd && p.Equal(q)
-		default:
-			return !pd && !qd && !p.Equal(q)
-		}
-	}
-	cfg := &quick.Config{MaxCount: 2000, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -198,16 +137,6 @@ func TestSortLexicographic(t *testing.T) {
 		if !pts[i].Equal(want[i]) {
 			t.Fatalf("sorted[%d] = %v, want %v", i, pts[i], want[i])
 		}
-	}
-}
-
-func TestMinMaxCorner(t *testing.T) {
-	p, q := Point{1, 5}, Point{3, 2}
-	if got := MinCorner(p, q); !got.Equal(Point{1, 2}) {
-		t.Errorf("MinCorner = %v", got)
-	}
-	if got := MaxCorner(p, q); !got.Equal(Point{3, 5}) {
-		t.Errorf("MaxCorner = %v", got)
 	}
 }
 

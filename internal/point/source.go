@@ -5,45 +5,23 @@ import (
 	"io"
 )
 
-// Source streams a dataset as Blocks — the pull interface every bulk
-// consumer (the pipeline driver, the out-of-core maintainer, the
-// coordinators) reads from, whether the data lives in memory, in a
-// ZSKY file, or comes straight out of a generator.
-//
-// Next returns the next block of at most max rows and io.EOF (with an
-// empty block) once the stream is exhausted. Returned blocks are owned
-// by the caller: a Source must not reuse their backing arrays.
-type Source interface {
-	// Dims is the stream's row width.
-	Dims() int
-	// Next returns up to max rows; io.EOF ends the stream.
-	Next(max int) (Block, error)
-}
-
-// SliceSource streams an in-memory []Point, copying rows into
-// contiguous blocks — the bridge from the pointer-per-point world onto
-// the block data plane.
+// SliceSource streams an in-memory []Point as Blocks, copying rows into
+// contiguous storage block by block — the bridge from the
+// pointer-per-point world onto the block data plane.
 type SliceSource struct {
 	dims int
 	pts  []Point
 	off  int
 }
 
-// NewSliceSource wraps pts (each of width dims) without copying; the
-// copy into contiguous storage happens block by block in Next.
-func NewSliceSource(dims int, pts []Point) *SliceSource {
-	return &SliceSource{dims: dims, pts: pts}
-}
-
-// NewDatasetSource streams a Dataset.
+// NewDatasetSource streams a Dataset without copying it up front.
 func NewDatasetSource(ds *Dataset) *SliceSource {
 	return &SliceSource{dims: ds.Dims, pts: ds.Points}
 }
 
-// Dims implements Source.
-func (s *SliceSource) Dims() int { return s.dims }
-
-// Next implements Source.
+// Next returns the next block of at most max rows, and io.EOF (with an
+// empty block) once the stream is exhausted. The caller owns every
+// returned block.
 func (s *SliceSource) Next(max int) (Block, error) {
 	if max < 1 {
 		return Block{}, fmt.Errorf("point: batch size must be positive, got %d", max)
@@ -58,54 +36,4 @@ func (s *SliceSource) Next(max int) (Block, error) {
 	b := BlockOf(s.dims, s.pts[s.off:hi])
 	s.off = hi
 	return b, nil
-}
-
-// BlockSource streams an existing Block by zero-copy slicing.
-type BlockSource struct {
-	b   Block
-	off int
-}
-
-// NewBlockSource streams b. The emitted sub-blocks alias b's backing
-// array.
-func NewBlockSource(b Block) *BlockSource { return &BlockSource{b: b} }
-
-// Dims implements Source.
-func (s *BlockSource) Dims() int { return s.b.Dims }
-
-// Next implements Source.
-func (s *BlockSource) Next(max int) (Block, error) {
-	if max < 1 {
-		return Block{}, fmt.Errorf("point: batch size must be positive, got %d", max)
-	}
-	rows := s.b.Len()
-	if s.off >= rows {
-		return Block{Dims: s.b.Dims}, io.EOF
-	}
-	hi := s.off + max
-	if hi > rows {
-		hi = rows
-	}
-	b := s.b.Slice(s.off, hi)
-	s.off = hi
-	return b, nil
-}
-
-// ReadAll drains src into a single contiguous Block.
-func ReadAll(src Source) (Block, error) {
-	dims := src.Dims()
-	if dims <= 0 {
-		return Block{}, fmt.Errorf("point: source has no dimensionality")
-	}
-	bb := NewBlockBuilder(dims, 0)
-	for {
-		b, err := src.Next(1 << 16)
-		if err == io.EOF {
-			return bb.Build(), nil
-		}
-		if err != nil {
-			return Block{}, err
-		}
-		bb.AppendBlock(b)
-	}
 }

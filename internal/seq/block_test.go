@@ -57,9 +57,8 @@ func assertSameSet(t *testing.T, label string, got, want []point.Point) {
 	}
 }
 
-// Block kernels must return point-for-point identical results to their
-// slice counterparts and the brute-force oracle, across correlation
-// profiles and 2–10 dims.
+// SBBlock must return point-for-point identical results to SB and the
+// brute-force oracle, across correlation profiles and 2–10 dims.
 func TestBlockKernelsMatchSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, kind := range []string{"correlated", "independent", "anti"} {
@@ -79,26 +78,12 @@ func TestBlockKernelsMatchSlice(t *testing.T) {
 					t.Fatalf("%s d=%d: SBBlock row %d = %v, slice %v", kind, d, i, sbBlock.Row(i), p)
 				}
 			}
-
-			bnlSlice := BNL(pts, nil)
-			bnlBlock := BNLBlock(b, nil)
-			assertSameSet(t, kind+"/BNLBlock", bnlBlock.Points(), oracle)
-			for i, p := range bnlSlice {
-				if !bnlBlock.Row(i).Equal(p) {
-					t.Fatalf("%s d=%d: BNLBlock row %d = %v, slice %v", kind, d, i, bnlBlock.Row(i), p)
-				}
-			}
-
-			against := genTestBlock(rng, kind, 80, d)
-			fSlice := Filter(pts, against.Points(), nil)
-			fBlock := FilterBlock(b, against, nil)
-			assertSameSet(t, kind+"/FilterBlock", fBlock.Points(), fSlice)
 		}
 	}
 }
 
-// Tally accounting must be identical between slice and block variants:
-// they run the same comparisons in the same order.
+// Tally accounting must be identical between SB and SBBlock: they run
+// the same comparisons in the same order.
 func TestBlockKernelsSameTally(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	b := genTestBlock(rng, "independent", 500, 5)
@@ -109,15 +94,9 @@ func TestBlockKernelsSameTally(t *testing.T) {
 	if got, want := tb.Snapshot().DominanceTests, ts.Snapshot().DominanceTests; got != want {
 		t.Fatalf("SBBlock tests %d, SB %d", got, want)
 	}
-	var bs, bb metrics.Tally
-	BNL(pts, &bs)
-	BNLBlock(b, &bb)
-	if got, want := bb.Snapshot().DominanceTests, bs.Snapshot().DominanceTests; got != want {
-		t.Fatalf("BNLBlock tests %d, BNL %d", got, want)
-	}
 }
 
-// Quick property: for arbitrary seeds, SBBlock == BNLBlock == oracle.
+// Quick property: for arbitrary seeds, SBBlock == oracle.
 func TestQuickBlockKernels(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,15 +105,13 @@ func TestQuickBlockKernels(t *testing.T) {
 		b := genTestBlock(rng, []string{"correlated", "independent", "anti"}[rng.Intn(3)], n, d)
 		oracle := BruteForce(b.Points())
 		sb := SBBlock(b, nil)
-		bnl := BNLBlock(b, nil)
-		if sb.Len() != len(oracle) || bnl.Len() != len(oracle) {
+		if sb.Len() != len(oracle) {
 			return false
 		}
 		o := sortedCopy(oracle)
 		s := sortedCopy(sb.Points())
-		n2 := sortedCopy(bnl.Points())
 		for i := range o {
-			if !s[i].Equal(o[i]) || !n2[i].Equal(o[i]) {
+			if !s[i].Equal(o[i]) {
 				return false
 			}
 		}
@@ -150,12 +127,6 @@ func TestBlockKernelsDegenerate(t *testing.T) {
 	empty := point.Block{Dims: 3}
 	if got := SBBlock(empty, nil); got.Len() != 0 || got.Dims != 3 {
 		t.Fatalf("SBBlock(empty) = %v", got)
-	}
-	if got := BNLBlock(empty, nil); got.Len() != 0 {
-		t.Fatalf("BNLBlock(empty) = %v", got)
-	}
-	if got := FilterBlock(empty, empty, nil); got.Len() != 0 {
-		t.Fatalf("FilterBlock(empty) = %v", got)
 	}
 	// All-duplicate rows: equal points never dominate each other.
 	one := point.BlockOf(2, []point.Point{{1, 2}, {1, 2}, {1, 2}})

@@ -55,21 +55,14 @@ func TestKnownSkyline2D(t *testing.T) {
 	}
 	want := []point.Point{{1, 9}, {2, 6}, {4, 4}, {6, 3}, {7, 2}, {9, 1}}
 	sameSkyline(t, BruteForce(pts), want, "brute")
-	sameSkyline(t, BNL(pts, nil), want, "bnl")
 	sameSkyline(t, SB(pts, nil), want, "sb")
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if got := BNL(nil, nil); len(got) != 0 {
-		t.Errorf("BNL(nil) = %v", got)
-	}
 	if got := SB(nil, nil); len(got) != 0 {
 		t.Errorf("SB(nil) = %v", got)
 	}
 	one := []point.Point{{1, 2}}
-	if got := BNL(one, nil); len(got) != 1 {
-		t.Errorf("BNL singleton = %v", got)
-	}
 	if got := SB(one, nil); len(got) != 1 {
 		t.Errorf("SB singleton = %v", got)
 	}
@@ -77,13 +70,8 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func TestAllIdenticalPoints(t *testing.T) {
 	pts := []point.Point{{3, 3}, {3, 3}, {3, 3}}
-	for _, algo := range []struct {
-		name string
-		f    func([]point.Point, *metrics.Tally) []point.Point
-	}{{"bnl", BNL}, {"sb", SB}} {
-		if got := algo.f(pts, nil); len(got) != 3 {
-			t.Errorf("%s on identical points kept %d, want 3", algo.name, len(got))
-		}
+	if got := SB(pts, nil); len(got) != 3 {
+		t.Errorf("SB on identical points kept %d, want 3", len(got))
 	}
 }
 
@@ -94,7 +82,6 @@ func TestTotallyOrderedChain(t *testing.T) {
 		pts = append(pts, point.Point{float64(i), float64(i), float64(i)})
 	}
 	want := []point.Point{{1, 1, 1}}
-	sameSkyline(t, BNL(pts, nil), want, "bnl")
 	sameSkyline(t, SB(pts, nil), want, "sb")
 }
 
@@ -104,15 +91,12 @@ func TestAntiChain(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pts = append(pts, point.Point{float64(i), float64(19 - i)})
 	}
-	if got := BNL(pts, nil); len(got) != 20 {
-		t.Errorf("BNL kept %d, want 20", len(got))
-	}
 	if got := SB(pts, nil); len(got) != 20 {
 		t.Errorf("SB kept %d, want 20", len(got))
 	}
 }
 
-// Property: BNL and SB agree with BruteForce on random inputs, across
+// Property: SB agrees with BruteForce on random inputs, across
 // dimensionalities and tie-heavy integer domains.
 func TestAlgorithmsAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -125,7 +109,6 @@ func TestAlgorithmsAgreeWithOracle(t *testing.T) {
 		}
 		pts := randomPoints(rng, n, d, domain)
 		want := BruteForce(pts)
-		sameSkyline(t, BNL(pts, nil), want, "bnl")
 		sameSkyline(t, SB(pts, nil), want, "sb")
 	}
 }
@@ -137,7 +120,6 @@ func TestInputNotMutated(t *testing.T) {
 		orig[i] = p.Clone()
 	}
 	SB(pts, nil)
-	BNL(pts, nil)
 	for i := range pts {
 		if !pts[i].Equal(orig[i]) {
 			t.Fatalf("input mutated at %d: %v", i, pts[i])
@@ -149,44 +131,12 @@ func TestInputNotMutated(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	cands := []point.Point{{1, 5}, {4, 4}, {6, 6}}
-	against := []point.Point{{5, 5}, {2, 9}}
-	got := Filter(cands, against, nil)
-	// (6,6) dominated by (5,5); others survive.
-	sameSkyline(t, got, []point.Point{{1, 5}, {4, 4}}, "filter")
-	if got := Filter(nil, against, nil); len(got) != 0 {
-		t.Errorf("Filter(nil) = %v", got)
-	}
-	if got := Filter(cands, nil, nil); len(got) != 3 {
-		t.Errorf("Filter against nothing dropped points: %v", got)
-	}
-}
-
 func TestTallyCounts(t *testing.T) {
 	tal := &metrics.Tally{}
 	pts := randomPoints(rand.New(rand.NewSource(3)), 200, 3, 0)
-	BNL(pts, tal)
+	SB(pts, tal)
 	if tal.Snapshot().DominanceTests == 0 {
-		t.Error("BNL recorded no dominance tests")
-	}
-	tal2 := &metrics.Tally{}
-	SB(pts, tal2)
-	if tal2.Snapshot().DominanceTests == 0 {
 		t.Error("SB recorded no dominance tests")
-	}
-	// SB should need no more tests than BNL on the same input (its
-	// window is append-only and checks stop at first dominator).
-	if tal2.Snapshot().DominanceTests > tal.Snapshot().DominanceTests*2 {
-		t.Errorf("SB used %d tests vs BNL %d", tal2.Snapshot().DominanceTests, tal.Snapshot().DominanceTests)
-	}
-}
-
-func BenchmarkBNL1k5d(b *testing.B) {
-	pts := randomPoints(rand.New(rand.NewSource(1)), 1000, 5, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BNL(pts, nil)
 	}
 }
 
@@ -195,62 +145,5 @@ func BenchmarkSB1k5d(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SB(pts, nil)
-	}
-}
-
-func TestDCMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 100; iter++ {
-		d := 1 + rng.Intn(6)
-		n := rng.Intn(600)
-		domain := 0
-		if iter%2 == 0 {
-			domain = 2 + rng.Intn(5)
-		}
-		pts := randomPoints(rng, n, d, domain)
-		sameSkyline(t, DC(pts, nil), BruteForce(pts), "dc")
-	}
-}
-
-func TestDCEdgeCases(t *testing.T) {
-	if got := DC(nil, nil); got != nil {
-		t.Errorf("DC(nil) = %v", got)
-	}
-	// All identical: everything survives, recursion must terminate.
-	pts := make([]point.Point, 500)
-	for i := range pts {
-		pts[i] = point.Point{1, 2, 3}
-	}
-	if got := DC(pts, nil); len(got) != 500 {
-		t.Errorf("DC identical kept %d, want 500", len(got))
-	}
-	// One constant dimension, one varying.
-	var mixed []point.Point
-	for i := 0; i < 300; i++ {
-		mixed = append(mixed, point.Point{5, float64(i % 7)})
-	}
-	sameSkyline(t, DC(mixed, nil), BruteForce(mixed), "dc-mixed")
-}
-
-func TestDCDoesNotMutateInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pts := randomPoints(rng, 300, 3, 0)
-	orig := make([]point.Point, len(pts))
-	for i, p := range pts {
-		orig[i] = p.Clone()
-	}
-	DC(pts, nil)
-	for i := range pts {
-		if !pts[i].Equal(orig[i]) {
-			t.Fatal("DC mutated its input")
-		}
-	}
-}
-
-func BenchmarkDC10k5d(b *testing.B) {
-	pts := randomPoints(rand.New(rand.NewSource(1)), 10000, 5, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DC(pts, nil)
 	}
 }

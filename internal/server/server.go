@@ -95,10 +95,6 @@ type Service struct {
 	accessLogMu sync.Mutex
 }
 
-// Server is the Service's historical name; the alias keeps existing
-// call sites (server.New + methods) compiling unchanged.
-type Server = Service
-
 // NewService builds an empty multi-dataset service.
 func NewService(cfg Config) *Service {
 	return &Service{

@@ -15,7 +15,7 @@ import (
 	"zskyline/internal/seq"
 )
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server, *point.Dataset) {
+func newTestServer(t *testing.T) (*Service, *httptest.Server, *point.Dataset) {
 	t.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, 1000, 3, 7)
 	s, err := New([]string{"price", "distance", "noise"}, ds, 12)
@@ -325,7 +325,7 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-func snapshotEvents(t *testing.T, s *Server) []map[string]any {
+func snapshotEvents(t *testing.T, s *Service) []map[string]any {
 	t.Helper()
 	var out []map[string]any
 	for _, ev := range s.Events().Snapshot() {

@@ -75,16 +75,6 @@ func NewUnder(prov dominance.Provider, capacity, dims, bits int, mins, maxs []fl
 	}, nil
 }
 
-// NewUnit creates a window over the unit hypercube.
-func NewUnit(capacity, dims, bits int) (*Skyline, error) {
-	mins := make([]float64, dims)
-	maxs := make([]float64, dims)
-	for i := range maxs {
-		maxs[i] = 1
-	}
-	return New(capacity, dims, bits, mins, maxs)
-}
-
 // Len returns the number of live points in the window.
 func (w *Skyline) Len() int { return w.size }
 

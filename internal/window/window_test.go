@@ -25,11 +25,21 @@ func sameSet(t *testing.T, got, want []point.Point, label string) {
 	}
 }
 
+// newUnit creates a window over the unit hypercube.
+func newUnit(capacity, dims, bits int) (*Skyline, error) {
+	mins := make([]float64, dims)
+	maxs := make([]float64, dims)
+	for i := range maxs {
+		maxs[i] = 1
+	}
+	return New(capacity, dims, bits, mins, maxs)
+}
+
 func TestValidation(t *testing.T) {
-	if _, err := NewUnit(0, 2, 8); err == nil {
+	if _, err := newUnit(0, 2, 8); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	w, err := NewUnit(4, 2, 8)
+	w, err := newUnit(4, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +49,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestLiveTracksWindowContents(t *testing.T) {
-	w, err := NewUnit(3, 2, 8)
+	w, err := newUnit(3, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func TestSlidingMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		d := 2 + rng.Intn(3)
 		capacity := 20 + rng.Intn(80)
-		w, err := NewUnit(capacity, d, 8)
+		w, err := newUnit(capacity, d, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +109,7 @@ func TestSlidingMatchesOracle(t *testing.T) {
 }
 
 func TestPushReportsSkylineMembership(t *testing.T) {
-	w, _ := NewUnit(10, 2, 10)
+	w, _ := newUnit(10, 2, 10)
 	in, err := w.Push(point.Point{0.5, 0.5})
 	if err != nil || !in {
 		t.Fatalf("first point must be skyline: %v %v", in, err)
@@ -118,7 +128,7 @@ func TestPushReportsSkylineMembership(t *testing.T) {
 func TestExpiryResurrectsDominatedPoints(t *testing.T) {
 	// Capacity 3: push a dominator then two dominated points; when the
 	// dominator expires, both must resurface.
-	w, _ := NewUnit(3, 2, 10)
+	w, _ := newUnit(3, 2, 10)
 	w.Push(point.Point{0.1, 0.1}) // dominator
 	w.Push(point.Point{0.5, 0.6})
 	w.Push(point.Point{0.6, 0.5})
@@ -129,7 +139,7 @@ func TestExpiryResurrectsDominatedPoints(t *testing.T) {
 }
 
 func TestDuplicateExpiry(t *testing.T) {
-	w, _ := NewUnit(2, 2, 10)
+	w, _ := newUnit(2, 2, 10)
 	w.Push(point.Point{0.2, 0.2})
 	w.Push(point.Point{0.2, 0.2})
 	sameSet(t, w.Current(), []point.Point{{0.2, 0.2}, {0.2, 0.2}}, "dups")
@@ -140,7 +150,7 @@ func TestDuplicateExpiry(t *testing.T) {
 
 func TestAntiCorrelatedStream(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 3, 5)
-	w, _ := NewUnit(200, 3, 10)
+	w, _ := newUnit(200, 3, 10)
 	for _, p := range ds.Points {
 		if _, err := w.Push(p); err != nil {
 			t.Fatal(err)
@@ -154,7 +164,7 @@ func TestAntiCorrelatedStream(t *testing.T) {
 }
 
 func BenchmarkWindowPush(b *testing.B) {
-	w, _ := NewUnit(2000, 4, 12)
+	w, _ := newUnit(2000, 4, 12)
 	ds := gen.Synthetic(gen.Independent, 10000, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,0 +1,5 @@
+package deep
+
+import "testing"
+
+func TestDead(t *testing.T) { Dead() }

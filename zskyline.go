@@ -14,8 +14,8 @@
 // and candidate merging with Z-merge — executed by an Engine on its own
 // goroutine pool, the paper's two Hadoop jobs becoming map, reduce and
 // merge tasks. The classic Grid, Angle,
-// Random and MR-GPMRS schemes are included as baselines, as are the
-// sequential BNL/sort-based algorithms.
+// Random and MR-GPMRS schemes are included as baselines, as is the
+// sequential sort-based algorithm.
 //
 // The same pipeline also runs as a shared-memory parallel solver and,
 // via the skydist/skyworker commands, across real processes over TCP
