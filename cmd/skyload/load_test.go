@@ -10,14 +10,24 @@ import (
 	"time"
 
 	"zskyline/internal/gen"
+	"zskyline/internal/point"
 	"zskyline/internal/server"
 )
 
 func startTarget(t *testing.T) (*server.Service, *httptest.Server) {
 	t.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, 800, 3, 7)
-	s, err := server.New([]string{"price", "distance", "noise"}, ds, 12)
+	mins, maxs, err := ds.Bounds()
 	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.NewService(server.Config{Bits: 12})
+	e, err := s.CreateDataset(server.DatasetSpec{Name: server.DefaultDataset,
+		Attrs: []string{"price", "distance", "noise"}, Bits: 12, Mins: mins, Maxs: maxs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(e, point.BlockOf(ds.Dims, ds.Points)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -23,7 +23,6 @@ var exportAllowlist = map[string]string{
 	"internal/dominance.BruteForce":    "the all-pairs oracle the dominance, plan, parallel, maintain, window and zbtree tests check every provider against",
 	"internal/dominance.Register":      "the hook for custom provider kinds; the dominance and parallel tests register a test kind through it",
 	"internal/point.SortLexicographic": "the canonical row order the equivalence tests of a dozen packages compare skylines in",
-	"internal/server.New":              "the one-dataset constructor the server and cmd/skyload tests boot a service with",
 	"internal/zorder.Equal":            "Z-address equality the zorder, zbtree and plan tests compare encoded columns with",
 }
 

@@ -5,11 +5,15 @@ import (
 	"zskyline/internal/point"
 )
 
-// Generic skyline kernels parameterized by a Provider. They are the
-// fallback path for non-Pareto relations: callers on a hot path should
-// route IsPareto providers to the hardcoded kernels of package seq /
-// zbtree, which these kernels match point-for-point on the classic
-// relation (pinned by the property tests).
+// Generic skyline kernels parameterized by a Provider. The Z-order
+// kernels need none of them: a zbtree.Store carries the relation and
+// its one walk gates each cut on the relation's capabilities. What is
+// left here serves the other paths: SkylineBlock is the sort-based
+// kernel for non-Pareto relations (Pareto callers route to seq.SBBlock,
+// which it matches point-for-point on the classic relation), and
+// FilterBlock closes a candidate set under a non-transitive relation —
+// a local Z-search against its group, the pipeline's result against the
+// full input.
 
 // SkylineBlock computes the exact provider skyline of b, compacting
 // survivors into a fresh block.
@@ -104,45 +108,11 @@ func verifyRows(prov Provider, b point.Block, cands []int32, tests int64) ([]int
 	return kept, tests
 }
 
-// VerifyBlock retests every row of cands against the full block all,
-// keeping only rows no row of all dominates. Rows of cands are matched
-// to rows of all by coordinate equality so a candidate is never
-// eliminated by its own copy; across all four built-in providers (and
-// any irreflexive relation) coordinate-equal points never dominate
-// each other, so one surviving copy in all suffices to certify the
-// candidate. This is the pipeline-level verification pass for
-// non-transitive providers: local/merge phases produce candidate
-// supersets, and elimination against the full dataset makes the final
-// result exact.
-func VerifyBlock(prov Provider, cands, all point.Block, tally *metrics.Tally) point.Block {
-	n := cands.Len()
-	if n == 0 {
-		return point.Block{Dims: cands.Dims}
-	}
-	m := all.Len()
-	kept := make([]int32, 0, n)
-	var tests int64
-	for i := 0; i < n; i++ {
-		ok := true
-		for j := 0; j < m; j++ {
-			tests++
-			if prov.DominatesRows(all, j, cands, i) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, int32(i))
-		}
-	}
-	tally.AddDominanceTests(tests)
-	return compactRows(cands, kept)
-}
-
 // FilterBlock removes from candidates every row dominated by some row
 // of against under prov, compacting survivors. Because eliminations
 // cite a real point, the filter is membership-sound under any
-// irreflexive relation, transitive or not.
+// irreflexive relation, transitive or not; and since no row dominates
+// itself or a coordinate-equal copy, candidates may be rows of against.
 func FilterBlock(prov Provider, candidates, against point.Block, tally *metrics.Tally) point.Block {
 	n := candidates.Len()
 	if n == 0 {

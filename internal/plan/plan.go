@@ -256,32 +256,17 @@ func (f *Fold) Skyline() Group { return f.sky }
 
 // Add folds the batch g into the skyline and returns how many of g's
 // rows are on the new one. The batch is reduced to its own skyline
-// first. Under Pareto that skyline is Z-merged into the kept one, even
-// an empty one, so the result is always Z-sorted; the batch's rows come
-// after the kept rows in the merge's store, which is how the survivors
-// are counted. Other relations, which Add requires to be transitive,
-// keep the rows of either skyline that no row of the other dominates.
+// first, then Z-merged into the kept one, even an empty one, on a store
+// that carries the rule's relation, so the result is always Z-sorted.
+// Z-merge is exact under any transitive relation, which is all Add
+// accepts. The batch's rows come after the kept rows in the merge's
+// store, which is how the survivors are counted. Under another relation
+// than Pareto the skyline drops its column, like a local skyline.
 func (f *Fold) Add(g Group) (added int) {
 	if g.Len() == 0 {
 		return 0
 	}
 	batch := f.r.LocalSkylineGroup(g, f.tally)
-	if !f.r.pareto() {
-		kept, fresh := f.undominated(f.sky.Block, batch.Block), f.undominated(batch.Block, f.sky.Block)
-		bb := point.NewBlockBuilder(f.r.dims, len(kept)+len(fresh))
-		for _, i := range kept {
-			bb.Append(f.sky.Block.Row(i))
-		}
-		for _, j := range fresh {
-			bb.Append(batch.Block.Row(j))
-		}
-		// Kept in Z-order like the Pareto skyline, but without a column:
-		// the provider paths re-derive what they need.
-		st := zbtree.NewStore(f.r.enc, bb.Build())
-		f.sky = Group{}
-		f.sky.Block, _ = st.CompactRows(zbtree.BuildStore(st, f.r.fanout, nil).Rows())
-		return len(fresh)
-	}
 	st, ranges := f.r.candidateStore([]Group{f.sky, batch}, f.sky.Len()+batch.Len())
 	rows := f.r.zmerge(st, ranges, f.tally)
 	for _, row := range rows {
@@ -291,25 +276,10 @@ func (f *Fold) Add(g Group) (added int) {
 	}
 	f.sky = Group{}
 	f.sky.Block, f.sky.ZCol = st.CompactRows(rows)
-	return added
-}
-
-// undominated lists the rows of a that no row of b dominates.
-func (f *Fold) undominated(a, b point.Block) []int {
-	var out []int
-	tests := int64(0)
-rows:
-	for j := 0; j < a.Len(); j++ {
-		for i := 0; i < b.Len(); i++ {
-			tests++
-			if f.r.prov.DominatesRows(b, i, a, j) {
-				continue rows
-			}
-		}
-		out = append(out, j)
+	if !f.r.pareto() {
+		f.sky.ZCol = zorder.ZCol{}
 	}
-	f.tally.AddDominanceTests(tests)
-	return out
+	return added
 }
 
 // MapOutput is one map task's result: the chunk's surviving rows per

@@ -119,16 +119,18 @@ func (m *probeMerge) result() Group {
 	return out
 }
 
-// merge is phase 3's schedule on the pool. Under Pareto dominance with
-// Z-merge a candidate is on the skyline exactly when no candidate
-// dominates it, so the merge is a probe with no ordering precondition:
-// one group is its own skyline, two are a two-sided probeMerge (each
-// side probes the other's tree), and three or more share one ZB-tree
-// that every candidate probes. The ZS and SB recompute merges and the
-// other relations are one MergeGroupsZ task.
+// merge is phase 3's schedule on the pool. With Z-merge a candidate is
+// on the skyline exactly when no candidate dominates it — under a
+// non-transitive relation, on the candidates' skyline, which the
+// pipeline's verification closes — so the merge is a probe with no
+// ordering precondition: one group is its own skyline, two are a
+// two-sided probeMerge (each side probes the other's tree), and three
+// or more share one ZB-tree that every candidate probes. The trees
+// answer under the rule's relation. The ZS and SB recompute merges are
+// one MergeGroupsZ task.
 func (ex *LocalExec) merge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, error) {
 	switch {
-	case !r.pareto() || r.merge != MergeZM:
+	case r.merge != MergeZM:
 		return ex.mergeOne(ctx, r, groups, tally)
 	case len(groups) == 1:
 		return groups[0], nil

@@ -325,56 +325,59 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 }
 
 // LocalSkylineGroup is phase 2's reduce on the encode-once path: it
-// runs the configured local kernel over g, reusing the group's
-// Z-address column when its shape matches the rule's bounds encoder,
-// and returns candidates carrying their own column (unless the merge
-// phase is SB, which has no use for one).
+// runs the configured local kernel over g under the rule's relation,
+// reusing the group's Z-address column when its shape matches the
+// rule's bounds encoder, and returns the group's exact skyline. Under
+// Pareto the candidates carry their own column (unless the merge phase
+// is SB, which has no use for one); under any other relation they
+// travel without one, like the map's survivors.
 func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 	out := Group{Gid: g.Gid, Block: point.Block{Dims: g.Block.Dims}}
 	n := g.Block.Len()
 	if n == 0 {
 		return out
 	}
-	if !r.pareto() {
-		// Non-Pareto relations run the capability-gated kernels; the
-		// encode-once column is not carried (the provider merge path
-		// re-derives what it needs). For non-transitive relations the
-		// result is a candidate superset that the pipeline's final
-		// verification pass closes.
-		if r.local == ZS {
-			out.Block = zbtree.ZSearchBlockUnder(r.prov, r.localEnc, r.fanout, g.Block, tally)
-		} else {
-			out.Block = dominance.SkylineBlock(r.prov, g.Block, tally)
-		}
-		return out
-	}
-	carryZ := r.merge != MergeSB
-	if r.local == ZS {
-		if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
-			// Encode-once: the column is bounds-encoded, so the kernel must
-			// run under the bounds encoder to keep the store consistent. For
-			// every rule that produces columns localEnc == enc anyway.
-			out.Block, out.ZCol = zbtree.ZSearchGroup(r.enc, r.fanout, g.Block, g.ZCol, tally)
-		} else {
-			out.Block, out.ZCol = zbtree.ZSearchGroup(r.localEnc, r.fanout, g.Block, zorder.ZCol{}, tally)
-			if r.localEnc != r.enc {
-				// Wrong provenance for the merge phase: the column was built
-				// by the unit-box local encoder.
-				out.ZCol = zorder.ZCol{}
-			}
-		}
-		if !carryZ {
-			out.ZCol = zorder.ZCol{}
-		} else if out.ZCol.Len() != out.Block.Len() {
+	carryZ := r.merge != MergeSB && r.pareto()
+	if r.local != ZS {
+		out.Block = r.sortBased(g.Block, tally)
+		if carryZ {
 			out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 		}
 		return out
 	}
-	out.Block = seq.SBBlock(g.Block, tally)
-	if carryZ {
+	if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
+		// Encode-once: the column is bounds-encoded, so the kernel must
+		// run under the bounds encoder to keep the store consistent. For
+		// every rule that produces columns localEnc == enc anyway.
+		out.Block, out.ZCol = zbtree.ZSearchGroupUnder(r.prov, r.enc, r.fanout, g.Block, g.ZCol, tally)
+	} else {
+		out.Block, out.ZCol = zbtree.ZSearchGroupUnder(r.prov, r.localEnc, r.fanout, g.Block, zorder.ZCol{}, tally)
+		if r.localEnc != r.enc {
+			// Wrong provenance for the merge phase: the column was built
+			// by the unit-box local encoder.
+			out.ZCol = zorder.ZCol{}
+		}
+	}
+	if !r.caps.Transitive {
+		// The walk keeps rows that only a row it dropped dominates; the
+		// input closes it, as a window's rebuild needs an exact skyline.
+		out.Block = dominance.FilterBlock(r.prov, out.Block, g.Block, tally)
+	}
+	if !carryZ {
+		out.ZCol = zorder.ZCol{}
+	} else if out.ZCol.Len() != out.Block.Len() {
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out
+}
+
+// sortBased is the sort-based kernel under the rule's relation: the
+// hardcoded SB under Pareto, the provider's window otherwise.
+func (r *Rule) sortBased(b point.Block, tally *metrics.Tally) point.Block {
+	if r.pareto() {
+		return seq.SBBlock(b, tally)
+	}
+	return dominance.SkylineBlock(r.prov, b, tally)
 }
 
 // MapBlock is phase 2's map over one block: see mapRows.
@@ -398,8 +401,8 @@ const cancelStride = 1024
 // reduce, and merge reuse it. Once ctx is done the task stops mid-way
 // and returns nothing; the executor reports ctx.Err().
 func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
-	// Under a non-Pareto relation the provider kernels derive what they
-	// need themselves, so survivors travel without a column.
+	// Under a non-Pareto relation survivors travel without a column; the
+	// reduce encodes what its store needs.
 	keepZ := r.assignFn == nil && r.pareto()
 	// Positional's one group is sized by the filter's predicted
 	// survivors; routed groups grow as their rows arrive.
@@ -466,8 +469,10 @@ func (r *Rule) survivorsOf(n int) int {
 // index-based ZB-trees over row ranges of that store, and Z-merges (or
 // Z-searches) without materializing a single per-point entry. The
 // result carries its own column so a later merge reuses its addresses.
-// Phase 3 runs it for the recompute merges and the non-Pareto
-// relations; a Fold runs its Z-merge branch.
+// The store carries the rule's relation: the result is the union's
+// skyline under a transitive relation and a superset of it otherwise,
+// which the pipeline's final verification closes. Phase 3 runs it for
+// the recompute merges; a Fold runs its Z-merge branch.
 func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	total := 0
@@ -477,30 +482,12 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	if total == 0 {
 		return out
 	}
-	if !r.pareto() {
-		// Provider fallback: concatenate the candidate groups and
-		// recompute under the capability-gated kernels. Z-merge's
-		// branch stashing and the columnar block trees assume Pareto
-		// region semantics; recomputation over the union is exact for
-		// transitive providers and yields the candidate superset the
-		// final verification pass expects otherwise.
-		bb := point.NewBlockBuilder(r.dims, total)
-		for _, g := range groups {
-			bb.AppendBlock(g.Block)
-		}
-		if r.merge == MergeSB {
-			out.Block = dominance.SkylineBlock(r.prov, bb.Build(), tally)
-		} else {
-			out.Block = zbtree.ZSearchBlockUnder(r.prov, r.enc, r.fanout, bb.Build(), tally)
-		}
-		return out
-	}
 	if r.merge == MergeSB {
 		bb := point.NewBlockBuilder(r.dims, total)
 		for _, g := range groups {
 			bb.AppendBlock(g.Block)
 		}
-		out.Block = seq.SBBlock(bb.Build(), tally)
+		out.Block = r.sortBased(bb.Build(), tally)
 		return out
 	}
 	st, ranges := r.candidateStore(groups, total)
@@ -526,9 +513,9 @@ func (r *Rule) zmerge(st *zbtree.Store, ranges [][2]int32, tally *metrics.Tally)
 }
 
 // candidateStore concatenates candidate groups (total rows in all)
-// into one shared columnar store, reusing each group's Z-address column
-// where it carries one and encoding only the rest. ranges holds each
-// group's [lo,hi) store rows.
+// into one shared columnar store under the rule's relation, reusing
+// each group's Z-address column where it carries one and encoding only
+// the rest. ranges holds each group's [lo,hi) store rows.
 func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]int32) {
 	w := r.enc.Words()
 	bb := point.NewBlockBuilder(r.dims, total)
@@ -544,7 +531,7 @@ func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]in
 		}
 		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
 	}
-	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc), ranges
+	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc).Under(r.prov), ranges
 }
 
 // rowRange lists the store rows of one [lo,hi) range, for BuildRows to

@@ -31,9 +31,11 @@ type SweepStats struct {
 // sweep: a few representative rows of each earlier side take out most of
 // the dominated rows for a handful of tests each, ZB-trees over what is
 // left of the earlier sides settle the rest, and every step fans over
-// the pool. Other relations give no such direction; for them this is one
-// MergeGroupsZ over all the groups, whose provider fallback is exact for
-// any transitive relation.
+// the pool. Other relations give no such direction, and the
+// representatives are picked and tested under Pareto: for them this is
+// a probeMerge with no pre-pass whose one tree, over all the
+// candidates, answers under the relation — exact for any transitive
+// one.
 func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
 	sp, ctx := obs.StartSpan(ctx, "merge/sweep")
 	defer sp.End()
@@ -46,7 +48,7 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 	switch {
 	case stats.Candidates == 0:
 	case !r.pareto():
-		out, err = ex.mergeOne(ctx, r, groups, tally)
+		out, err = ex.probeGroups(ctx, r, groups, every, tally)
 	default:
 		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, stats.Candidates, tally)
 	}

@@ -425,13 +425,20 @@ func queryRows(data point.Block, cols []prefCol) []int {
 	return rows
 }
 
-// dominatorsOf returns the skyline points dominating p under the
-// dataset's relation. Transitivity (required by maintain mode and
-// eagerly recomputed in window mode) makes skyline members complete
-// witnesses: the list is non-empty iff p is dominated at all.
+// dominatorsOf returns the points dominating p under the dataset's
+// relation. Under a transitive relation every dominated point has a
+// skyline dominator, so the skyline's members are complete witnesses:
+// the list is non-empty iff p is dominated at all. A non-transitive
+// relation (window mode accepts kdom) gives no such guarantee — two
+// rows that dominate each other leave an empty skyline — so the live
+// rows are scanned instead.
 func (e *Engine) dominatorsOf(snap engineSnap, p point.Point) []point.Point {
+	witnesses := snap.sky
+	if !e.prov.Caps().Transitive {
+		witnesses = snap.data.Points()
+	}
 	var out []point.Point
-	for _, q := range snap.sky {
+	for _, q := range witnesses {
 		if e.prov.Dominates(q, p) {
 			out = append(out, q)
 		}

@@ -106,37 +106,6 @@ func NewService(cfg Config) *Service {
 	}
 }
 
-// New builds a service hosting ds as the "default" dataset — the
-// legacy single-dataset constructor. The skyline is built eagerly
-// here, at load time, so the first query pays no build cliff.
-func New(attrs []string, ds *point.Dataset, bits int) (*Service, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("server: empty dataset")
-	}
-	if len(attrs) != ds.Dims {
-		return nil, fmt.Errorf("server: %d attrs for %d dims", len(attrs), ds.Dims)
-	}
-	mins, maxs, err := ds.Bounds()
-	if err != nil {
-		return nil, err
-	}
-	s := NewService(Config{Bits: bits})
-	e, err := s.CreateDataset(DatasetSpec{
-		Name:  DefaultDataset,
-		Attrs: attrs,
-		Bits:  bits,
-		Mins:  mins,
-		Maxs:  maxs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.Ingest(e, point.BlockOf(ds.Dims, ds.Points)); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // CreateDataset validates spec, builds its engine, and registers it.
 func (s *Service) CreateDataset(spec DatasetSpec) (*Engine, error) {
 	e, err := newEngine(spec, s.cfg.Bits, s.cfg.CacheSize, s.cfg.MaxInFlight)

@@ -18,8 +18,19 @@ import (
 func newTestServer(t *testing.T) (*Service, *httptest.Server, *point.Dataset) {
 	t.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, 1000, 3, 7)
-	s, err := New([]string{"price", "distance", "noise"}, ds, 12)
+	mins, maxs, err := ds.Bounds()
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The "default" dataset, at its own bounds, is what the legacy
+	// routes serve.
+	s := NewService(Config{Bits: 12})
+	e, err := s.CreateDataset(DatasetSpec{Name: DefaultDataset,
+		Attrs: []string{"price", "distance", "noise"}, Bits: 12, Mins: mins, Maxs: maxs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(e, point.BlockOf(ds.Dims, ds.Points)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -40,22 +51,6 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]an
 		t.Fatal(err)
 	}
 	return resp, out
-}
-
-func TestNewValidation(t *testing.T) {
-	ds := gen.Synthetic(gen.Independent, 10, 2, 1)
-	if _, err := New([]string{"a"}, ds, 8); err == nil {
-		t.Error("attr/dims mismatch accepted")
-	}
-	if _, err := New([]string{"a", "a"}, ds, 8); err == nil {
-		t.Error("duplicate attrs accepted")
-	}
-	if _, err := New([]string{"a", ""}, ds, 8); err == nil {
-		t.Error("empty attr accepted")
-	}
-	if _, err := New([]string{"a", "b"}, &point.Dataset{Dims: 2}, 8); err == nil {
-		t.Error("empty dataset accepted")
-	}
 }
 
 func TestHealthAndSkyline(t *testing.T) {

@@ -324,6 +324,25 @@ func TestWindowedDataset(t *testing.T) {
 	}
 }
 
+// TestExplainNonTransitiveWindow: under kdom:1 the rows [0,1] and
+// [1,0] dominate each other, so the window's skyline is empty; yet both
+// dominate [0.5,0.5], and /explain must say so.
+func TestExplainNonTransitiveWindow(t *testing.T) {
+	_, ts := newTestService(t, Config{Bits: 10})
+	mustCreate(t, ts.URL, DatasetSpec{Name: "w", Attrs: []string{"x", "y"}, Window: 8, Dominance: "kdom:1"})
+	mustIngest(t, ts.URL, "w", [][]float64{{0, 1}, {1, 0}})
+	if _, sky := getJSON(t, ts.URL+"/datasets/w/skyline"); int(sky["count"].(float64)) != 0 {
+		t.Fatalf("kdom:1 skyline = %v, want empty", sky)
+	}
+	resp, out := postJSON(t, ts.URL+"/datasets/w/explain", map[string]any{"point": []float64{0.5, 0.5}})
+	if resp.StatusCode != http.StatusOK || out["dominated"] != true {
+		t.Fatalf("explain [0.5,0.5] = %d %v, want dominated", resp.StatusCode, out)
+	}
+	if doms, _ := out["dominators"].([]any); len(doms) != 2 {
+		t.Fatalf("dominators = %v, want both rows", out["dominators"])
+	}
+}
+
 // TestSubscribeLongPoll: a subscriber blocked on the current skyline
 // version is woken by the next skyline-changing ingest.
 func TestSubscribeLongPoll(t *testing.T) {

@@ -15,13 +15,21 @@
 //   - DominatesPoint: the point probe of the SZB map filter
 //     (Algorithm 3) and of every merge;
 //   - the index queries of the public Index: range, dominator and
-//     dominance-count walks and a progressive Z-search; and
-//   - ZSearchBlockUnder: Z-search under any dominance provider, with
-//     each grid-level cut gated on the capability that keeps it sound.
+//     dominance-count walks and a progressive Z-search.
 //
 // All region-level pruning uses the conservative grid tests of package
 // zorder, so results are exact with respect to the original float
 // coordinates (see DESIGN.md §5).
+//
+// A Store carries the dominance relation its trees answer under
+// (Store.Under; Pareto is the zero value), and the one set of walks
+// gates each grid-level cut on the relation's capabilities (see package
+// dominance): negative cuts and lane rejects ("nothing here can
+// dominate p") fire only when the relation implies Pareto, positive
+// cuts ("everything here is dominated") only when Pareto implies it,
+// and a leaf under any other relation than Pareto runs the provider's
+// exact test. Without a capability the walk tests row by row, which is
+// always sound. The index queries answer under Pareto.
 package zbtree
 
 import (
@@ -29,6 +37,7 @@ import (
 	"math"
 	"sort"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
@@ -39,17 +48,23 @@ const DefaultFanout = 16
 
 // Store is the shared columnar backing of a BlockTree: the flat point
 // block, its Z-address column, the rows' grid coordinates and their
-// packed lanes (lanes.go), all stride-indexed by row. Trees built over
-// the same Store reference rows by index instead of owning Entry
-// copies, which is what lets the pipeline encode each point's
-// Z-address exactly once per query and merge candidate sets without
-// rematerializing them.
+// packed lanes (lanes.go), all stride-indexed by row, and the dominance
+// relation its trees answer under. Trees built over the same Store
+// reference rows by index instead of owning Entry copies, which is what
+// lets the pipeline encode each point's Z-address exactly once per
+// query and merge candidate sets without rematerializing them.
 type Store struct {
 	enc   *zorder.Encoder
 	blk   point.Block
 	zc    zorder.ZCol
 	grid  []uint32 // Dims() stride per row, quantized once at store build
 	lanes []uint64 // laneWords(Dims()) stride per row, packed from grid
+
+	// The relation; the zero value is Pareto, whose exact test runs
+	// inline. prov is nil under Pareto; noPos and noNeg turn off the
+	// positive and the negative cuts the relation does not keep sound.
+	prov         dominance.Provider
+	noPos, noNeg bool
 }
 
 // NewStore encodes b's rows into a fresh Z-address column and grid
@@ -78,6 +93,18 @@ func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store
 		enc.GridInto(st.grid[i*d:(i+1)*d], b.Row(i))
 	}
 	st.fillLanes()
+	return st
+}
+
+// Under makes prov the relation that trees over st answer under and
+// returns st; nil or Pareto leaves the zero value. Set it before
+// building a tree over st.
+func (st *Store) Under(prov dominance.Provider) *Store {
+	st.prov, st.noPos, st.noNeg = nil, false, false
+	if !dominance.IsPareto(prov) {
+		caps := prov.Caps()
+		st.prov, st.noPos, st.noNeg = prov, !caps.ParetoImplies, !caps.ImpliesPareto
+	}
 	return st
 }
 
@@ -411,8 +438,9 @@ func (t *BlockTree) flush(c *probeCount) {
 	}
 }
 
-// DominatesRow reports whether some stored row strictly dominates row
-// (exact float semantics; grid and lane tests only prune).
+// DominatesRow reports whether some stored row dominates row under the
+// store's relation (exact float semantics; grid and lane tests only
+// prune).
 func (t *BlockTree) DominatesRow(row int32) bool {
 	return t.root >= 0 && t.dominates(t.st.Grid(row), t.st.rowLanes(row), t.st.Row(row))
 }
@@ -424,7 +452,7 @@ func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
-	if zorder.GridStrictDominates(t.region(t.root).MaxG, g) {
+	if !t.st.noPos && zorder.GridStrictDominates(t.region(t.root).MaxG, g) {
 		// The root's own test: a far-off point needs no lanes.
 		t.flush(&probeCount{region: 1})
 		return true
@@ -448,12 +476,13 @@ func (t *BlockTree) dominates(g []uint32, pl []uint64, p point.Point) bool {
 
 func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint64, p point.Point) bool {
 	c.region++
+	st := t.st
 	// The box's min corner in lanes: RegionCannotDominatePointGrid at
 	// 15 bits per dimension, two word operations at d = 8.
-	if lanesSomeGreater(t.boxLanes(n), pl) {
+	if !st.noNeg && lanesSomeGreater(t.boxLanes(n), pl) {
 		return false
 	}
-	if zorder.GridStrictDominates(t.region(n).MaxG, g) {
+	if !st.noPos && zorder.GridStrictDominates(t.region(n).MaxG, g) {
 		return true
 	}
 	nd := &t.nodes[n]
@@ -465,12 +494,15 @@ func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint
 		}
 		return false
 	}
-	// The leaf scan is point.Dominates(row, p) over the block's flat
-	// array, after the lanes reject what they can: no row view, no
-	// call, four coordinates to a branch.
 	c.dom += int64(len(nd.rows))
-	data, d := t.st.blk.Data, len(p)
-	lanes, lw := t.st.lanes, len(pl)
+	if st.prov != nil {
+		return st.someDominatesUnder(nd.rows, pl, p)
+	}
+	// The Pareto leaf scan is point.Dominates(row, p) over the block's
+	// flat array, after the lanes reject what they can: no row view, no
+	// call, four coordinates to a branch.
+	data, d := st.blk.Data, len(p)
+	lanes, lw := st.lanes, len(pl)
 rows:
 	for _, e := range nd.rows {
 		if lanesSomeGreater(lanes[int(e)*lw:][:lw], pl) {
@@ -498,9 +530,10 @@ rows:
 }
 
 // DominatesAllOfRegion reports whether some single stored row strictly
-// dominates every float point that could lie in region r.
+// dominates every float point that could lie in region r. It is a
+// positive cut: under a relation Pareto does not imply, it is false.
 func (t *BlockTree) DominatesAllOfRegion(r zorder.Region) bool {
-	if t.root < 0 {
+	if t.root < 0 || t.st.noPos {
 		return false
 	}
 	var c probeCount
@@ -535,10 +568,10 @@ func (t *BlockTree) dominatesRegion(c *probeCount, n int32, r zorder.Region) boo
 	return false
 }
 
-// RemoveDominatedBy deletes every stored row strictly dominated by row
-// and returns how many were removed. Interior regions are left as-is
-// (they remain valid supersets), matching the paper's strategy of
-// re-balancing once at the end of a merge.
+// RemoveDominatedBy deletes every stored row that row dominates under
+// the store's relation and returns how many were removed. Interior
+// regions are left as-is (they remain valid supersets), matching the
+// paper's strategy of re-balancing once at the end of a merge.
 func (t *BlockTree) RemoveDominatedBy(row int32) int {
 	if t.root < 0 {
 		return 0
@@ -556,17 +589,23 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 // grid and lanes.
 func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uint64, row int32) int {
 	c.region++
-	if zorder.GridSomeGreater(g, t.region(n).MaxG) {
+	st := t.st
+	if !st.noNeg && zorder.GridSomeGreater(g, t.region(n).MaxG) {
 		return 0
 	}
 	nd := &t.nodes[n]
 	if nd.isLeaf() {
 		c.dom += int64(len(nd.rows))
-		kept := nd.rows[:0]
-		for _, e := range nd.rows {
-			// Row cannot dominate e when one of its lanes exceeds e's.
-			if lanesSomeGreater(rl, t.st.rowLanes(e)) || !point.DominatesRows(t.st.blk, int(row), t.st.blk, int(e)) {
-				kept = append(kept, e)
+		var kept []int32
+		if st.prov != nil {
+			kept = st.undominatedUnder(nd.rows, rl, row)
+		} else {
+			kept = nd.rows[:0]
+			for _, e := range nd.rows {
+				// Row cannot dominate e when one of its lanes exceeds e's.
+				if lanesSomeGreater(rl, st.rowLanes(e)) || !point.DominatesRows(st.blk, int(row), st.blk, int(e)) {
+					kept = append(kept, e)
+				}
 			}
 		}
 		removed := len(nd.rows) - len(kept)
@@ -577,7 +616,7 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uin
 	removed := 0
 	kept := nd.kids[:0]
 	for _, kid := range nd.kids {
-		if zorder.PointGridDominatesRegion(g, t.region(kid)) {
+		if !st.noPos && zorder.PointGridDominatesRegion(g, t.region(kid)) {
 			removed += int(t.nodes[kid].count)
 			continue
 		}
@@ -591,6 +630,30 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uin
 	return removed
 }
 
+// someDominatesUnder is dominatesPoint's leaf test under the store's
+// provider: whether one of rows dominates p, whose lanes are pl.
+func (st *Store) someDominatesUnder(rows []int32, pl []uint64, p point.Point) bool {
+	for _, e := range rows {
+		if (st.noNeg || !lanesSomeGreater(st.rowLanes(e), pl)) && st.prov.Dominates(st.Row(e), p) {
+			return true
+		}
+	}
+	return false
+}
+
+// undominatedUnder is removeDominated's leaf test under the store's
+// provider: it compacts rows in place to those row, whose lanes are rl,
+// does not dominate.
+func (st *Store) undominatedUnder(rows []int32, rl []uint64, row int32) []int32 {
+	kept := rows[:0]
+	for _, e := range rows {
+		if (!st.noNeg && lanesSomeGreater(rl, st.rowLanes(e))) || !st.prov.DominatesRows(st.blk, int(row), st.blk, int(e)) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
 // SkylineRows runs Z-search over the tree and returns the skyline's
 // row indices in Z-order: a depth-first traversal in Z-order that
 // keeps the running skyline in a second BlockTree over the same store.
@@ -599,6 +662,11 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uin
 // to be tested against already-accepted rows; the only exception is
 // grid-level ties, which the per-acceptance RemoveDominatedBy sweep
 // repairs. The result is the exact skyline of the stored float points.
+// Under a relation that does not imply Pareto, Z-order is no
+// topological order, but that sweep evicts every accepted row a later
+// one dominates: the walk is then block-nested loops in Z-order, exact
+// under a transitive relation and otherwise a set of rows none of which
+// dominates another, which a caller closes against the input.
 func (t *BlockTree) SkylineRows() []int32 {
 	sky := NewBlockTree(t.st, t.fanout, t.tally)
 	t.zsearch(t.root, sky)
@@ -629,9 +697,11 @@ func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
 
 // incomparableWith is a conservative, depth-bounded check that no
 // stored row and no float point of region r can dominate one another,
-// so Z-merge can take a whole src branch without opening it.
+// so Z-merge can take a whole src branch without opening it. It is a
+// negative cut: under a relation that does not imply Pareto, it is
+// false.
 func (t *BlockTree) incomparableWith(r zorder.Region, depth int) bool {
-	if t.root < 0 {
+	if t.root < 0 || t.st.noNeg {
 		return false
 	}
 	var c probeCount
@@ -662,6 +732,8 @@ func (t *BlockTree) incomparable(c *probeCount, n int32, r zorder.Region, depth 
 // region-dominates, stash branches incomparable with the whole skyline,
 // and let surviving leaf rows prune dominated sky rows before the final
 // rebalance. Both inputs must individually be skyline candidate sets.
+// Under a transitive relation the result is their union's skyline;
+// under any other, a superset of it.
 func MergeBlock(sky, src *BlockTree) *BlockTree {
 	if sky.st != src.st {
 		panic("zbtree: MergeBlock requires both trees to share one Store")
@@ -717,6 +789,15 @@ func ZSearchBlock(enc *zorder.Encoder, fanout int, b point.Block, tally *metrics
 // sub-column of survivor addresses, both compacted so they never pin
 // the input arenas.
 func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (point.Block, zorder.ZCol) {
+	return ZSearchGroupUnder(nil, enc, fanout, b, zc, tally)
+}
+
+// ZSearchGroupUnder is ZSearchGroup under the relation prov (nil is
+// Pareto): the store carries it, so the walk gates its cuts on prov's
+// capabilities. Under a non-transitive relation the result is a set of
+// rows none of which dominates another, not yet the skyline (see
+// SkylineRows).
+func ZSearchGroupUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (point.Block, zorder.ZCol) {
 	if b.Len() == 0 {
 		return point.Block{Dims: b.Dims}, zorder.ZCol{Words: enc.Words()}
 	}
@@ -726,7 +807,7 @@ func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol
 	} else {
 		st = NewStore(enc, b)
 	}
-	rows := BuildStore(st, fanout, tally).SkylineRows()
+	rows := BuildStore(st.Under(prov), fanout, tally).SkylineRows()
 	return st.CompactRows(rows)
 }
 

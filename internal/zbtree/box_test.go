@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
@@ -179,19 +180,27 @@ var fuzzCoords = []float64{
 
 var fuzzBits = []int{4, 15, 16, 17, 32}
 
-// The Pareto probes against brute force on tie-heavy rows, over trees
-// built both ways, at every lane width and padding.
+// The probes against brute force on tie-heavy rows, over trees built
+// both ways, at every lane width and padding, under the relation the
+// fourth byte picks: Pareto, flex, kdom or robust (underProviders).
 func FuzzBlockTreeProbe(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 2, 3, 4})
-	f.Add([]byte{7, 2, 14, 5, 6, 7, 8, 5, 6, 7, 9, 0, 12, 12, 12, 7})
-	f.Add([]byte{16, 4, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4})
-	f.Add([]byte{2, 1, 0, 6, 7, 8, 6, 7, 8, 7, 7, 7, 8, 6, 7, 0, 12, 3})
+	// Pareto (fourth byte 0) on tie-heavy rows at every lane shape.
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 3, 4})
+	f.Add([]byte{7, 2, 14, 0, 5, 6, 7, 8, 5, 6, 7, 9, 0, 12, 12, 12, 7})
+	f.Add([]byte{16, 4, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4})
+	f.Add([]byte{2, 1, 0, 0, 6, 7, 8, 6, 7, 8, 7, 7, 7, 8, 6, 7, 0, 12, 3})
+	f.Add([]byte{4, 3, 2, 0, 6, 7, 8, 5, 5, 7, 8, 6, 7, 7, 7, 7, 12, 0, 4, 4})
+	// The same rows under flex (1), kdom (2) and robust (3).
+	f.Add([]byte{7, 2, 14, 1, 5, 6, 7, 8, 5, 6, 7, 9, 0, 12, 12, 12, 7})
+	f.Add([]byte{16, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4})
+	f.Add([]byte{2, 1, 0, 3, 6, 7, 8, 6, 7, 8, 7, 7, 7, 8, 6, 7, 0, 12, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 5 {
 			return
 		}
 		d, bits, fanout := 1+int(data[0])%17, fuzzBits[int(data[1])%len(fuzzBits)], 2+int(data[2])%15
-		data = data[3:]
+		prov := underProviders(t, d)[int(data[3])%4]
+		data = data[4:]
 		n := min(len(data)/d, 64)
 		if n == 0 {
 			return
@@ -201,46 +210,47 @@ func FuzzBlockTreeProbe(f *testing.F) {
 			b.Data[i] = fuzzCoords[int(data[i])%len(fuzzCoords)]
 		}
 		enc := unitEnc(t, d, bits)
-		st := NewStore(enc, b)
+		st := NewStore(enc, b).Under(prov)
 		bulk := BuildStore(st, fanout, nil)
 		app := NewBlockTree(st, fanout, nil)
 		for _, e := range bulk.Rows() {
 			app.Append(e)
 		}
 		for _, tr := range []*BlockTree{bulk, app} {
-			checkProbes(t, tr, allRows(n))
+			checkProbes(t, tr, prov, allRows(n))
 			live := allRows(n)
 			for _, row := range allRows(n) {
 				var want []int32
 				for _, e := range live {
-					if !point.Dominates(st.Row(row), st.Row(e)) {
+					if !prov.Dominates(st.Row(row), st.Row(e)) {
 						want = append(want, e)
 					}
 				}
 				if got := tr.RemoveDominatedBy(row); got != len(live)-len(want) {
-					t.Fatalf("d=%d bits=%d fanout=%d: RemoveDominatedBy(%d) removed %d, want %d", d, bits, fanout, row, got, len(live)-len(want))
+					t.Fatalf("%s d=%d bits=%d fanout=%d: RemoveDominatedBy(%d) removed %d, want %d", prov.Name(), d, bits, fanout, row, got, len(live)-len(want))
 				}
 				live = want
-				checkProbes(t, tr, live)
+				checkProbes(t, tr, prov, live)
 			}
 		}
 	})
 }
 
-// checkProbes holds tr to brute force over its live rows: the rows it
-// stores, DominatesRow of every store row, and DominatesPoint of every
-// store row nudged a ulp down in one coordinate.
-func checkProbes(t *testing.T, tr *BlockTree, live []int32) {
+// checkProbes holds tr to brute force under prov over its live rows:
+// the rows it stores, DominatesRow of every store row, and
+// DominatesPoint of every store row nudged a ulp down in one
+// coordinate.
+func checkProbes(t *testing.T, tr *BlockTree, prov dominance.Provider, live []int32) {
 	t.Helper()
 	st := tr.st
 	got := tr.Rows()
 	slices.Sort(got)
 	if !slices.Equal(got, live) {
-		t.Fatalf("tree rows %v, want %v", got, live)
+		t.Fatalf("%s: tree rows %v, want %v", prov.Name(), got, live)
 	}
 	dominated := func(p point.Point) bool {
 		for _, e := range live {
-			if point.Dominates(st.Row(e), p) {
+			if prov.Dominates(st.Row(e), p) {
 				return true
 			}
 		}
@@ -249,12 +259,12 @@ func checkProbes(t *testing.T, tr *BlockTree, live []int32) {
 	for r := int32(0); r < int32(st.Len()); r++ {
 		p := st.Row(r)
 		if got, want := tr.DominatesRow(r), dominated(p); got != want {
-			t.Fatalf("DominatesRow(%v) = %v, want %v", p, got, want)
+			t.Fatalf("%s: DominatesRow(%v) = %v, want %v", prov.Name(), p, got, want)
 		}
 		q := slices.Clone(p)
 		q[int(r)%len(q)] = math.Nextafter(q[int(r)%len(q)], math.Inf(-1))
 		if got, want := tr.DominatesPoint(st.enc.Grid(q), q), dominated(q); got != want {
-			t.Fatalf("DominatesPoint(%v) = %v, want %v", q, got, want)
+			t.Fatalf("%s: DominatesPoint(%v) = %v, want %v", prov.Name(), q, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
@@ -30,6 +31,37 @@ func BenchmarkLocalSkylineBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = ZSearchGroup(enc, 0, blk, zc, nil)
 	}
+}
+
+// BenchmarkLocalSkylineBlockFlex and BenchmarkLocalSkylineBlockRobust
+// run BenchmarkLocalSkylineBlock's walk on a store that carries the
+// relation: flex keeps the positive cuts only, robust the negative cuts
+// and lane rejects only, and both test leaves through the provider.
+func BenchmarkLocalSkylineBlockFlex(b *testing.B) {
+	benchLocalSkylineUnder(b, "flex:1,1,1,1,1,1,1,1;3,1,1,1,1,1,1,1")
+}
+
+func BenchmarkLocalSkylineBlockRobust(b *testing.B) {
+	benchLocalSkylineUnder(b, "robust:0.01")
+}
+
+func benchLocalSkylineUnder(b *testing.B, relation string) {
+	desc, err := dominance.ParseDescriptor(relation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prov, err := desc.Provider()
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, blk, zc := kernelBenchInput(b, 20000, 8)
+	var out point.Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _ = ZSearchGroupUnder(prov, enc, 0, blk, zc, nil)
+	}
+	b.ReportMetric(float64(out.Len()), "skyline")
 }
 
 // BenchmarkZSearchD12 is BenchmarkLocalSkylineBlock past d = 8, where
