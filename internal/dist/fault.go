@@ -154,13 +154,3 @@ func (p *FaultPlan) match(method string) *FaultRule {
 	}
 	return nil
 }
-
-// Injected reports how many calls have tripped a rule so far.
-func (p *FaultPlan) Injected() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits
-}

@@ -196,9 +196,9 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 					case op < 4: // store, sometimes an empty batch
 						b := randomBlock(rng.Intn(4) * rng.Intn(12))
 						storeBatch(t, w, enc, b)
-						held = append(held, b.Clone().Points()...)
+						held = append(held, b.Points()...)
 						if b.Len() > 0 {
-							batches = append(batches, b.Clone().Points())
+							batches = append(batches, b.Points())
 						}
 						resident = true
 					case op < 6:
@@ -223,8 +223,8 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 								BlockFrame: bf, ZFrame: zf}, &StageShardReply{}); err != nil {
 								t.Fatal(err)
 							}
-							held = append(held, b.Clone().Points()...)
-							batches = append(batches, b.Clone().Points())
+							held = append(held, b.Points()...)
+							batches = append(batches, b.Points())
 						}
 						version++
 						if err := w.CommitShard(CommitShardArgs{ShardID: 0, Epoch: epoch,

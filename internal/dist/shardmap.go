@@ -85,18 +85,6 @@ func (m ShardMap) table() (*partition.RangeTable, error) {
 	return partition.NewRangeTable(m.Words, cuts)
 }
 
-// Range returns the Z-range shard index i owns.
-func (m ShardMap) Range(i int) zorder.Range {
-	var r zorder.Range
-	if i > 0 {
-		r.Lo = zorder.ZAddr(m.Cuts[i-1])
-	}
-	if i < len(m.Cuts) {
-		r.Hi = zorder.ZAddr(m.Cuts[i])
-	}
-	return r
-}
-
 // IndexOf returns the index of the shard with the given stable ID, or
 // -1.
 func (m ShardMap) IndexOf(shardID int) int {

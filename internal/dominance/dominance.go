@@ -260,9 +260,6 @@ func NewKDom(k int) (*KDom, error) {
 	return &KDom{k: k}, nil
 }
 
-// K returns the parameter k.
-func (kd *KDom) K() int { return kd.k }
-
 // Name implements Provider.
 func (kd *KDom) Name() string { return KindKDom }
 
@@ -332,9 +329,6 @@ func NewRobust(rho float64) (*Robust, error) {
 	}
 	return &Robust{rho: rho}, nil
 }
-
-// Rho returns the margin.
-func (r *Robust) Rho() float64 { return r.rho }
 
 // Name implements Provider.
 func (r *Robust) Name() string { return KindRobust }

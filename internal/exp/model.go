@@ -3,11 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
 
-	"zskyline/internal/analysis"
 	"zskyline/internal/codec"
 	"zskyline/internal/core"
 	"zskyline/internal/gen"
@@ -57,17 +57,17 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vt := analysis.TotalDominanceVolume(enc, zc.Infos())
+		vt := totalDominanceVolume(enc, zc.Infos())
 		// V_t is computed over the sample; scale densities via Q.
-		q, err := analysis.DataVolume(ds)
+		q, err := dataVolume(ds)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := analysis.PredictPruning(dist.String(), n, m, vt, q)
+		pred, err := predictPruning(dist.String(), n, m, vt, q)
 		if err != nil {
 			return nil, err
 		}
-		cost, err := analysis.PredictZMergeCost(dist.String(), n/10, m, ds.Dims, 16)
+		cost, err := predictZMergeCost(dist.String(), n/10, m, ds.Dims, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -83,6 +83,126 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 			fmt.Sprintf("%.4f", vt), fmt.Sprintf("%.4f", q), cost.Class)
 	}
 	return t, nil
+}
+
+// The paper's §5.4 analytical model, which abl-model checks the
+// measured pruning against: the total dominance volume of a grouped
+// partitioning, the predicted number of points pruned before the merge
+// phase under each data distribution, and the predicted Z-merge cost
+// class.
+
+// totalDominanceVolume computes V_t = 1/2 * sum_{i,j} V_dom(Pt_i,
+// Pt_j) over the partitions' sample extents (§5.4).
+func totalDominanceVolume(enc *zorder.Encoder, infos []partition.Info) float64 {
+	total := 0.0
+	for i := range infos {
+		for j := i + 1; j < len(infos); j++ {
+			total += enc.DominanceVolume(infos[i].Extent, infos[j].Extent)
+		}
+	}
+	return total
+}
+
+// dataVolume computes Q, the volume of the dataset's bounding box
+// (§5.4's denominator for the independent case).
+func dataVolume(ds *point.Dataset) (float64, error) {
+	mins, maxs, err := ds.Bounds()
+	if err != nil {
+		return 0, err
+	}
+	q := 1.0
+	for k := range mins {
+		side := maxs[k] - mins[k]
+		if side <= 0 {
+			// Degenerate dimension contributes no volume but should not
+			// zero out the estimate; treat as unit thickness.
+			side = 1
+		}
+		q *= side
+	}
+	return q, nil
+}
+
+// prediction is the §5.4 pruning estimate for one distribution.
+type prediction struct {
+	// PrunedPoints is n_p, the predicted number of points removed
+	// before the shuffle.
+	PrunedPoints float64
+	// Rationale names the §5.4 case applied.
+	Rationale string
+}
+
+// predictPruning applies §5.4's case analysis.
+//
+//   - independent: n_p = n * V_t / Q, points uniform over the box;
+//   - correlated: one skyline point per group survives, n_p = n - M;
+//   - anti-correlated: between the extremes 0 (every point is skyline)
+//     and n - M (one skyline per group); the midpoint is reported and
+//     the bounds returned alongside.
+func predictPruning(dist string, n, m int, vt, q float64) (prediction, error) {
+	fn := float64(n)
+	switch dist {
+	case "independent":
+		if q <= 0 {
+			return prediction{}, fmt.Errorf("abl-model: non-positive data volume")
+		}
+		np := fn * vt / q
+		if np > fn {
+			np = fn
+		}
+		return prediction{PrunedPoints: np, Rationale: "uniform density: n*Vt/Q"}, nil
+	case "correlated":
+		return prediction{PrunedPoints: fn - float64(m), Rationale: "one skyline point per group survives"}, nil
+	case "anti-correlated":
+		return prediction{PrunedPoints: (fn - float64(m)) / 2,
+			Rationale: "midpoint of the extremes [0, n-M]"}, nil
+	default:
+		return prediction{}, fmt.Errorf("abl-model: unknown distribution %q", dist)
+	}
+}
+
+// zMergeCost classifies the §5.4 Z-merge processing-time estimate.
+type zMergeCost struct {
+	// Operations approximates the number of UDominate invocations times
+	// their per-call cost.
+	Operations float64
+	// Class is the asymptotic form used.
+	Class string
+}
+
+// predictZMergeCost applies §5.4's runtime analysis: for independent
+// and anti-correlated data most candidates are skyline points and the
+// cost is O(n_hat * d * log_f(n_hat)); for correlated data it is
+// O(M * d * log_f(|S|)).
+func predictZMergeCost(dist string, candidates, m, d, fanout int) (zMergeCost, error) {
+	if fanout < 2 {
+		fanout = 2
+	}
+	logf := func(x float64) float64 {
+		if x < 2 {
+			return 1
+		}
+		return math.Log(x) / math.Log(float64(fanout))
+	}
+	nhat := float64(candidates)
+	switch dist {
+	case "independent", "anti-correlated":
+		return zMergeCost{
+			Operations: nhat * float64(d) * logf(nhat),
+			Class:      "O(n_hat * d * log_f n_hat)",
+		}, nil
+	case "correlated":
+		s := nhat / float64(m)
+		if s < 1 {
+			s = 1
+		}
+		return zMergeCost{
+			Operations: float64(m) * float64(d) * logf(s),
+			Class:      "O(M * d * log_f |S|)",
+		}, nil
+	default:
+		return zMergeCost{}, fmt.Errorf("abl-model: unknown distribution %q", dist)
+	}
 }
 
 func init() {

@@ -1,4 +1,4 @@
-package analysis
+package exp
 
 import (
 	"context"
@@ -14,18 +14,18 @@ import (
 
 func TestDataVolume(t *testing.T) {
 	ds := point.MustDataset(2, []point.Point{{0, 0}, {2, 3}})
-	q, err := DataVolume(ds)
+	q, err := dataVolume(ds)
 	if err != nil || q != 6 {
 		t.Errorf("volume = %v, err %v", q, err)
 	}
 	// Degenerate dimension treated as unit thickness.
 	flat := point.MustDataset(2, []point.Point{{0, 5}, {2, 5}})
-	q, err = DataVolume(flat)
+	q, err = dataVolume(flat)
 	if err != nil || q != 2 {
 		t.Errorf("flat volume = %v, err %v", q, err)
 	}
 	empty := &point.Dataset{Dims: 2}
-	if _, err := DataVolume(empty); err == nil {
+	if _, err := dataVolume(empty); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
@@ -37,38 +37,38 @@ func TestTotalDominanceVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt := TotalDominanceVolume(enc, zc.Infos())
+	vt := totalDominanceVolume(enc, zc.Infos())
 	if vt <= 0 {
 		t.Errorf("V_t = %v, want positive", vt)
 	}
-	q, _ := DataVolume(ds)
+	q, _ := dataVolume(ds)
 	if vt > q*float64(len(zc.Infos())) {
 		t.Errorf("V_t = %v implausibly large vs Q=%v", vt, q)
 	}
 }
 
 func TestPredictPruningCases(t *testing.T) {
-	p, err := PredictPruning("correlated", 1000, 32, 0, 1)
+	p, err := predictPruning("correlated", 1000, 32, 0, 1)
 	if err != nil || p.PrunedPoints != 968 {
 		t.Errorf("correlated: %+v %v", p, err)
 	}
-	p, err = PredictPruning("anti-correlated", 1000, 32, 0, 1)
+	p, err = predictPruning("anti-correlated", 1000, 32, 0, 1)
 	if err != nil || p.PrunedPoints != 484 {
 		t.Errorf("anti: %+v %v", p, err)
 	}
-	p, err = PredictPruning("independent", 1000, 32, 0.5, 1)
+	p, err = predictPruning("independent", 1000, 32, 0.5, 1)
 	if err != nil || p.PrunedPoints != 500 {
 		t.Errorf("independent: %+v %v", p, err)
 	}
 	// Capped at n.
-	p, _ = PredictPruning("independent", 1000, 32, 99, 1)
+	p, _ = predictPruning("independent", 1000, 32, 99, 1)
 	if p.PrunedPoints != 1000 {
 		t.Errorf("cap: %+v", p)
 	}
-	if _, err := PredictPruning("independent", 10, 2, 1, 0); err == nil {
+	if _, err := predictPruning("independent", 10, 2, 1, 0); err == nil {
 		t.Error("zero volume accepted")
 	}
-	if _, err := PredictPruning("weird", 10, 2, 1, 1); err == nil {
+	if _, err := predictPruning("weird", 10, 2, 1, 1); err == nil {
 		t.Error("unknown distribution accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestModelTracksMeasuredPruningCorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := PredictPruning("correlated", ds.Len(), rep.Groups, 0, 1)
+	pred, err := predictPruning("correlated", ds.Len(), rep.Groups, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestModelTracksMeasuredPruningCorrelated(t *testing.T) {
 }
 
 func TestPredictZMergeCost(t *testing.T) {
-	ind, err := PredictZMergeCost("independent", 10000, 32, 5, 16)
+	ind, err := predictZMergeCost("independent", 10000, 32, 5, 16)
 	if err != nil || ind.Operations <= 0 {
 		t.Fatalf("independent: %+v %v", ind, err)
 	}
-	cor, err := PredictZMergeCost("correlated", 10000, 32, 5, 16)
+	cor, err := predictZMergeCost("correlated", 10000, 32, 5, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestPredictZMergeCost(t *testing.T) {
 		t.Errorf("correlated cost %v should be far below independent %v",
 			cor.Operations, ind.Operations)
 	}
-	if _, err := PredictZMergeCost("weird", 1, 1, 1, 1); err == nil {
+	if _, err := predictZMergeCost("weird", 1, 1, 1, 1); err == nil {
 		t.Error("unknown distribution accepted")
 	}
 	// Tiny inputs do not produce negative/zero logs.
-	small, _ := PredictZMergeCost("independent", 1, 1, 1, 0)
+	small, _ := predictZMergeCost("independent", 1, 1, 1, 0)
 	if small.Operations <= 0 {
 		t.Errorf("small input cost %v", small.Operations)
 	}

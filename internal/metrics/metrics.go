@@ -62,15 +62,6 @@ func (t *Tally) Snapshot() Snapshot {
 	}
 }
 
-// Add merges another snapshot into s.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		DominanceTests: s.DominanceTests + o.DominanceTests,
-		RegionTests:    s.RegionTests + o.RegionTests,
-		PointsPruned:   s.PointsPruned + o.PointsPruned,
-	}
-}
-
 // Sub returns the counter deltas from o to s — the work done between
 // two snapshots of the same tally.
 func (s Snapshot) Sub(o Snapshot) Snapshot {

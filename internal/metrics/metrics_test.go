@@ -37,11 +37,19 @@ func TestTallyConcurrent(t *testing.T) {
 	}
 }
 
+// What a tally adds between two snapshots is their difference.
 func TestSnapshotAdd(t *testing.T) {
-	a := Snapshot{DominanceTests: 1, RegionTests: 2, PointsPruned: 3}
-	b := a.Add(a)
-	if b.DominanceTests != 2 || b.PointsPruned != 6 || b.Sub(a) != a {
-		t.Errorf("Add = %+v", b)
+	tal := &Tally{}
+	tal.AddDominanceTests(1)
+	tal.AddRegionTests(2)
+	tal.AddPointsPruned(3)
+	before := tal.Snapshot()
+	tal.AddDominanceTests(4)
+	tal.AddRegionTests(5)
+	tal.AddPointsPruned(6)
+	want := Snapshot{DominanceTests: 4, RegionTests: 5, PointsPruned: 6}
+	if d := tal.Snapshot().Sub(before); d != want {
+		t.Errorf("Sub = %+v, want %+v", d, want)
 	}
 }
 

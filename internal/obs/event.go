@@ -243,16 +243,6 @@ func (l *EventLog) record(ev Event, forced bool) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of events currently held.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
 // Seen returns how many events were offered; Kept how many were
 // recorded (post-sampling, including forced records).
 func (l *EventLog) Seen() uint64 {

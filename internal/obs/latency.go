@@ -18,7 +18,6 @@ import (
 // and records nothing.
 type LatencyHistogram struct {
 	counts   [latBuckets]atomic.Int64
-	n        atomic.Int64
 	sumNanos atomic.Int64
 	maxNanos atomic.Int64
 }
@@ -67,7 +66,6 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.counts[latBucketIndex(d)].Add(1)
-	h.n.Add(1)
 	ns := d.Nanoseconds()
 	h.sumNanos.Add(ns)
 	for {
@@ -76,14 +74,6 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
 }
 
 // LatencySnapshot is a point-in-time quantile summary.

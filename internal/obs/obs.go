@@ -50,14 +50,6 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Start returns when the span began.
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Duration returns the span's recorded duration (elapsed-so-far if the
 // span has not ended).
 func (s *Span) Duration() time.Duration {

@@ -17,8 +17,7 @@ import (
 // A RangeTable is immutable after construction and safe for concurrent
 // use.
 type RangeTable struct {
-	cuts  []zorder.ZAddr
-	words int
+	cuts []zorder.ZAddr
 }
 
 // NewRangeTable builds a table over the given inner cut addresses,
@@ -36,7 +35,7 @@ func NewRangeTable(words int, cuts []zorder.ZAddr) (*RangeTable, error) {
 			return nil, fmt.Errorf("partition: cuts not strictly increasing at %d", i)
 		}
 	}
-	t := &RangeTable{words: words}
+	t := &RangeTable{}
 	for _, c := range cuts {
 		t.cuts = append(t.cuts, c.Clone())
 	}
@@ -64,9 +63,6 @@ func UniformCuts(words, n int) []zorder.ZAddr {
 
 // N returns the number of ranges.
 func (t *RangeTable) N() int { return len(t.cuts) + 1 }
-
-// Words returns the address width in uint64 words.
-func (t *RangeTable) Words() int { return t.words }
 
 // Locate returns the index of the unique range containing a.
 func (t *RangeTable) Locate(a zorder.ZAddr) int {
@@ -96,15 +92,6 @@ func (t *RangeTable) Overlapping(q zorder.Range) []int {
 		if t.Range(i).Overlaps(q) {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// Cuts returns clones of the inner cut addresses, in order.
-func (t *RangeTable) Cuts() []zorder.ZAddr {
-	out := make([]zorder.ZAddr, len(t.cuts))
-	for i, c := range t.cuts {
-		out[i] = c.Clone()
 	}
 	return out
 }

@@ -24,8 +24,8 @@ func TestRangeTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.N() != 4 || tab.Words() != 2 {
-		t.Fatalf("N=%d words=%d", tab.N(), tab.Words())
+	if tab.N() != 4 {
+		t.Fatalf("N=%d", tab.N())
 	}
 }
 

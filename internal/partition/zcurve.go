@@ -162,9 +162,6 @@ func (z *ZCurve) assignAddr(a zorder.ZAddr) int {
 	})
 }
 
-// Encoder returns the encoder the partitioner quantizes with.
-func (z *ZCurve) Encoder() *zorder.Encoder { return z.enc }
-
 // Infos returns the per-partition sample statistics, in partition
 // order. Callers must not mutate the returned slice.
 func (z *ZCurve) Infos() []Info { return z.infos }

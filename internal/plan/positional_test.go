@@ -52,25 +52,24 @@ func TestPositionalRowsAndBlocksAgree(t *testing.T) {
 	}
 }
 
-// A record-oriented substrate routes point by point and has no task
-// position to offer: every survivor of a Positional rule goes to group
-// 0, and nothing is lost.
+// Routed point by point, every survivor of a Positional rule goes to
+// group 0, and the router keeps exactly the rows the map task keeps.
 func TestPositionalRouteIsTotal(t *testing.T) {
 	ds := gen.Synthetic(gen.Correlated, 2000, 3, 4)
 	r := learnRule(t, positionalSpec(), ds)
 	out := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)
-	kept := 0
+	rt, kept := r.newRouter(), 0
 	for _, p := range ds.Points {
-		gid, ok := r.Route(p)
+		gid, ok := rt.route(p)
 		if ok {
 			kept++
 		}
 		if gid != 0 {
-			t.Fatalf("Route(%v) = group %d", p, gid)
+			t.Fatalf("route(%v) = group %d", p, gid)
 		}
 	}
 	if want := len(ds.Points) - int(out.Filtered); kept != want || out.Filtered == 0 {
-		t.Errorf("Route kept %d rows, the map task kept %d (filtered %d)", kept, want, out.Filtered)
+		t.Errorf("route kept %d rows, the map task kept %d (filtered %d)", kept, want, out.Filtered)
 	}
 	if _, err := r.Data(); err == nil {
 		t.Error("positional rule serialized")

@@ -231,13 +231,6 @@ func (r *Rule) sampleSkyline(smp []point.Point, index bool, tally *metrics.Tally
 // Groups returns the number of groups (= phase-2 reducers).
 func (r *Rule) Groups() int { return r.groups }
 
-// Partitions returns the partition count before grouping.
-func (r *Rule) Partitions() int { return r.parts }
-
-// PrunedPartitions returns how many partitions grouping dropped as
-// fully dominated.
-func (r *Rule) PrunedPartitions() int { return r.pruned }
-
 // SampleSkySize returns the sample-skyline size (0 for the baselines).
 func (r *Rule) SampleSkySize() int { return r.skySize }
 
@@ -256,19 +249,6 @@ func (r *Rule) Provider() dominance.Provider {
 // pareto reports whether the rule runs under the classic relation —
 // the zero-overhead fast path every kernel branches on once.
 func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
-
-// Route maps a point to its group; ok is false when the point is
-// dropped (SZB-tree filtered, or routed to a pruned partition). A
-// Positional rule groups by map task, which a single point cannot name:
-// every survivor routes to group 0. This is the one-shot entry point;
-// per-point loops hold a router, which reuses its quantization scratch
-// across calls.
-func (r *Rule) Route(p point.Point) (gid int, ok bool) {
-	if r.assignFn != nil {
-		return r.assignFn(p)
-	}
-	return r.newRouter().route(p)
-}
 
 // router is per-task routing state: one grid/Z-address scratch pair
 // reused across every point the task routes, so a map task pays zero

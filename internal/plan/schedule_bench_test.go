@@ -160,7 +160,8 @@ func zsortSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return zorder.Compare(st.Z(order[i]), st.Z(order[j])) < 0 })
+	_, all := st.CompactRows(order)
+	sort.Slice(order, func(i, j int) bool { return zorder.Compare(all.At(int(order[i])), all.At(int(order[j]))) < 0 })
 	blk, zc := st.CompactRows(order)
 	sides := make([]Group, splitChunks*ex.workers)
 	err := ex.FanOut(ctx, len(sides), func(k int) {

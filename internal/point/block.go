@@ -50,10 +50,6 @@ func (b Block) Len() int {
 	return len(b.Data) / b.Dims
 }
 
-// Bytes returns the payload size of the backing array in bytes — the
-// wire-accounting estimate for one block.
-func (b Block) Bytes() int64 { return int64(len(b.Data)) * 8 }
-
 // Row returns a zero-copy view of row i.
 func (b Block) Row(i int) Point {
 	lo := i * b.Dims
@@ -128,11 +124,6 @@ func (b Block) ChunkBy(size int) []Block {
 		out = append(out, b.Slice(lo, hi))
 	}
 	return out
-}
-
-// Clone deep-copies the block.
-func (b Block) Clone() Block {
-	return Block{Dims: b.Dims, Data: append([]float64(nil), b.Data...)}
 }
 
 // SumOrder returns b's row indices in the one order every sort-filter
@@ -315,13 +306,6 @@ func (b *Block) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// GobEncode delegates to MarshalBinary so gob never falls back to
-// field-by-field struct encoding for blocks.
-func (b Block) GobEncode() ([]byte, error) { return b.MarshalBinary() }
-
-// GobDecode delegates to UnmarshalBinary.
-func (b *Block) GobDecode(data []byte) error { return b.UnmarshalBinary(data) }
-
 // BlockBuilder accumulates rows into one growing arena and hands the
 // result off as a Block. It amortizes growth the way bytes.Buffer
 // does; Build detaches the arena, so a builder can be reused without
@@ -343,9 +327,6 @@ func NewBlockBuilder(dims, capRows int) *BlockBuilder {
 	}
 	return bb
 }
-
-// Dims returns the row width.
-func (bb *BlockBuilder) Dims() int { return bb.dims }
 
 // Len returns the number of rows accumulated so far.
 func (bb *BlockBuilder) Len() int { return len(bb.data) / bb.dims }

@@ -94,9 +94,6 @@ func (s *Stream) AddBlock(b point.Block) {
 	}
 }
 
-// Seen returns how many points have been offered.
-func (s *Stream) Seen() int64 { return s.seen }
-
 // Sample returns a copy of the current reservoir.
 func (s *Stream) Sample() []point.Point {
 	out := make([]point.Point, len(s.res))

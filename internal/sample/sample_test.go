@@ -114,8 +114,8 @@ func TestStreamFillsThenSamples(t *testing.T) {
 	}
 	pts := seqPoints(5)
 	s.AddBlock(point.BlockOf(1, pts))
-	if s.Seen() != 5 || len(s.Sample()) != 5 {
-		t.Errorf("partial fill: seen=%d sample=%d", s.Seen(), len(s.Sample()))
+	if s.seen != 5 || len(s.Sample()) != 5 {
+		t.Errorf("partial fill: seen=%d sample=%d", s.seen, len(s.Sample()))
 	}
 	s.AddBlock(point.BlockOf(1, seqPoints(100)))
 	if len(s.Sample()) != 10 {

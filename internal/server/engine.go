@@ -187,12 +187,6 @@ func newEngine(spec DatasetSpec, defBits, cacheSize, maxInFlight int) (*Engine, 
 // Name returns the dataset name.
 func (e *Engine) Name() string { return e.name }
 
-// Attrs returns the attribute names.
-func (e *Engine) Attrs() []string { return e.attrs }
-
-// Descriptor returns the dataset's dominance descriptor.
-func (e *Engine) Descriptor() dominance.Descriptor { return e.desc }
-
 // Version returns the current data version.
 func (e *Engine) Version() uint64 {
 	e.mu.RLock()

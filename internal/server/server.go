@@ -128,9 +128,6 @@ func (s *Service) DropDataset(name string) bool {
 	return ok
 }
 
-// Dataset returns the named engine, or nil.
-func (s *Service) Dataset(name string) *Engine { return s.datasets.Get(name) }
-
 // Ingest merges a block into e, eagerly rebuilding its skyline, and
 // refreshes the dataset's gauges (points, skyline size, build time)
 // and the absorbed dominance-work counters.
@@ -163,11 +160,6 @@ func contextOf(r *http.Request) context.Context {
 	}
 	return context.Background()
 }
-
-// Metrics returns the service's observability registry (request
-// counters, latency histograms, per-dataset gauges, cache and
-// admission counters, and the absorbed dominance-work tally).
-func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // Events returns the per-query event log (also served at GET
 // /debug/events, filterable by ?dataset=).
@@ -266,8 +258,6 @@ func (r *respRecorder) Flush() {
 		f.Flush()
 	}
 }
-
-func (r *respRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // observe wraps a route with the query-level observability layer:
 //

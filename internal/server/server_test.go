@@ -393,7 +393,7 @@ func TestQueryLatencyQuantiles(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	snap := s.Metrics().Latency("zsky_query_seconds",
+	snap := s.reg.Latency("zsky_query_seconds",
 		obs.L("route", "/skyline"), obs.L("dataset", "default")).Snapshot()
 	if snap.Count != 5 || snap.P50 <= 0 || snap.P99 < snap.P50 {
 		t.Fatalf("latency snapshot = %+v", snap)

@@ -220,7 +220,7 @@ func TestAdmissionControl(t *testing.T) {
 	mustCreate(t, ts.URL, DatasetSpec{Name: "busy", Attrs: []string{"x", "y"}})
 	mustIngest(t, ts.URL, "busy", [][]float64{{0.5, 0.5}})
 
-	e := s.Dataset("busy")
+	e := s.datasets.Get("busy")
 	release, ok := e.tryAcquire()
 	if !ok {
 		t.Fatal("fresh engine saturated")

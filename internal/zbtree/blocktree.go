@@ -137,9 +137,6 @@ func (st *Store) rowLanes(i int32) []uint64 {
 	return st.lanes[lo : lo+lw : lo+lw]
 }
 
-// Z returns the Z-address of row i (zero-copy view).
-func (st *Store) Z(i int32) zorder.ZAddr { return st.zc.At(int(i)) }
-
 // CompactRows copies the given rows out into a fresh block and
 // Z-column, so results never pin the (potentially much larger) input
 // arenas.

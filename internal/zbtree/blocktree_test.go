@@ -156,10 +156,10 @@ func TestStoreWithZColMatchesNewStore(t *testing.T) {
 		fresh := NewStore(enc, b)
 		reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
 		for i := int32(0); i < int32(b.Len()); i++ {
-			if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
+			if !zorder.Equal(fresh.zc.At(int(i)), reused.zc.At(int(i))) {
 				t.Fatalf("%s row %d: z mismatch", name, i)
 			}
-			fg, rg, dg := fresh.Grid(i), reused.Grid(i), enc.DecodeGrid(reused.Z(i))
+			fg, rg, dg := fresh.Grid(i), reused.Grid(i), enc.DecodeGrid(reused.zc.At(int(i)))
 			for k := range fg {
 				if fg[k] != rg[k] || dg[k] != rg[k] {
 					t.Fatalf("%s row %d dim %d: grid %d, NewStore %d, decoded column %d", name, i, k, rg[k], fg[k], dg[k])

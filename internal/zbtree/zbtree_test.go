@@ -118,7 +118,7 @@ func TestEntriesAreZSorted(t *testing.T) {
 		t.Fatalf("Rows len = %d", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if zorder.Compare(tr.Store().Z(rows[i-1]), tr.Store().Z(rows[i])) > 0 {
+		if zorder.Compare(tr.Store().zc.At(int(rows[i-1])), tr.Store().zc.At(int(rows[i]))) > 0 {
 			t.Fatalf("rows out of Z-order at %d", i)
 		}
 	}

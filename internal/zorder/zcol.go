@@ -34,10 +34,6 @@ func (c ZCol) Len() int {
 	return len(c.Data) / c.Words
 }
 
-// Bytes returns the payload size of the backing array in bytes — the
-// wire-accounting estimate for one column.
-func (c ZCol) Bytes() int64 { return int64(len(c.Data)) * 8 }
-
 // At returns a zero-copy view of address i.
 func (c ZCol) At(i int) ZAddr {
 	lo := i * c.Words
@@ -63,11 +59,6 @@ func (c ZCol) Compare(i, j int) int {
 // Slice returns the zero-copy sub-column of addresses [lo, hi).
 func (c ZCol) Slice(lo, hi int) ZCol {
 	return ZCol{Words: c.Words, Data: c.Data[lo*c.Words : hi*c.Words : hi*c.Words]}
-}
-
-// Clone deep-copies the column.
-func (c ZCol) Clone() ZCol {
-	return ZCol{Words: c.Words, Data: append([]uint64(nil), c.Data...)}
 }
 
 // AppendAddr appends one address (which must have Words words) to the
@@ -218,10 +209,3 @@ func (c *ZCol) UnmarshalBinary(data []byte) error {
 	}
 	return nil
 }
-
-// GobEncode delegates to MarshalBinary so gob never falls back to
-// field-by-field struct encoding for columns.
-func (c ZCol) GobEncode() ([]byte, error) { return c.MarshalBinary() }
-
-// GobDecode delegates to UnmarshalBinary.
-func (c *ZCol) GobDecode(data []byte) error { return c.UnmarshalBinary(data) }

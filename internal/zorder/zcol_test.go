@@ -158,11 +158,6 @@ func TestZColAppend(t *testing.T) {
 			t.Fatalf("row %d mismatch after append", i)
 		}
 	}
-	clone := zc.Clone()
-	zc.Data[0] ^= 1
-	if Equal(clone.At(0), zc.At(0)) {
-		t.Fatal("Clone shares storage with source")
-	}
 }
 
 func TestZColMarshalRoundTrip(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"zskyline/internal/core"
@@ -51,36 +52,46 @@ type Pref struct {
 type Relation struct {
 	Attrs []string
 	Rows  [][]float64
-	index map[string]int
 }
 
 // NewRelation validates attribute names (non-empty, unique) and row
 // widths and builds a Relation.
 func NewRelation(attrs []string, rows [][]float64) (*Relation, error) {
-	if len(attrs) == 0 {
-		return nil, fmt.Errorf("zskyline: relation needs at least one attribute")
+	rel := &Relation{Attrs: attrs, Rows: rows}
+	if err := rel.validate(); err != nil {
+		return nil, err
 	}
-	index := make(map[string]int, len(attrs))
-	for i, a := range attrs {
+	return rel, nil
+}
+
+// validate runs NewRelation's checks, so that RunQuery and
+// RunGroupedQuery treat a Relation literal exactly like a constructed
+// one.
+func (r *Relation) validate() error {
+	if len(r.Attrs) == 0 {
+		return fmt.Errorf("zskyline: relation needs at least one attribute")
+	}
+	seen := make(map[string]bool, len(r.Attrs))
+	for i, a := range r.Attrs {
 		if a == "" {
-			return nil, fmt.Errorf("zskyline: attribute %d has empty name", i)
+			return fmt.Errorf("zskyline: attribute %d has empty name", i)
 		}
-		if _, dup := index[a]; dup {
-			return nil, fmt.Errorf("zskyline: duplicate attribute %q", a)
+		if seen[a] {
+			return fmt.Errorf("zskyline: duplicate attribute %q", a)
 		}
-		index[a] = i
+		seen[a] = true
 	}
-	for i, r := range rows {
-		if len(r) != len(attrs) {
-			return nil, fmt.Errorf("zskyline: row %d has %d values, want %d", i, len(r), len(attrs))
+	for i, row := range r.Rows {
+		if len(row) != len(r.Attrs) {
+			return fmt.Errorf("zskyline: row %d has %d values, want %d", i, len(row), len(r.Attrs))
 		}
-		for j, v := range r {
+		for j, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("zskyline: row %d attribute %q is not finite", i, attrs[j])
+				return fmt.Errorf("zskyline: row %d attribute %q is not finite", i, r.Attrs[j])
 			}
 		}
 	}
-	return &Relation{Attrs: attrs, Rows: rows, index: index}, nil
+	return nil
 }
 
 // Len returns the number of rows.
@@ -115,7 +126,13 @@ type Result struct {
 // callers. Ties and duplicates follow skyline-set semantics: rows with
 // identical preference vectors are all returned.
 func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
-	if rel == nil || rel.Len() == 0 {
+	if rel == nil {
+		return &Result{Report: &Report{}}, nil
+	}
+	if err := rel.validate(); err != nil {
+		return nil, err
+	}
+	if rel.Len() == 0 {
 		return &Result{Report: &Report{}}, nil
 	}
 	if len(q.Prefer) == 0 {
@@ -129,8 +146,8 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 	var cols []col
 	seen := map[string]bool{}
 	for _, p := range q.Prefer {
-		i, ok := rel.index[p.Attr]
-		if !ok {
+		i := slices.Index(rel.Attrs, p.Attr)
+		if i < 0 {
 			return nil, fmt.Errorf("zskyline: unknown attribute %q", p.Attr)
 		}
 		if seen[p.Attr] {
@@ -234,11 +251,17 @@ type GroupedResult struct {
 // inside each partition independently ("best hotels per city"). The
 // key attribute must not itself carry a Min/Max preference.
 func RunGroupedQuery(ctx context.Context, rel *Relation, keyAttr string, q Query) (*GroupedResult, error) {
-	if rel == nil || rel.Len() == 0 {
+	if rel == nil {
 		return &GroupedResult{Groups: map[float64][]int{}}, nil
 	}
-	ki, ok := rel.index[keyAttr]
-	if !ok {
+	if err := rel.validate(); err != nil {
+		return nil, err
+	}
+	if rel.Len() == 0 {
+		return &GroupedResult{Groups: map[float64][]int{}}, nil
+	}
+	ki := slices.Index(rel.Attrs, keyAttr)
+	if ki < 0 {
 		return nil, fmt.Errorf("zskyline: unknown grouping attribute %q", keyAttr)
 	}
 	for _, p := range q.Prefer {
@@ -257,11 +280,7 @@ func RunGroupedQuery(ctx context.Context, rel *Relation, keyAttr string, q Query
 		for i, id := range ids {
 			sub[i] = rel.Rows[id]
 		}
-		subRel, err := NewRelation(rel.Attrs, sub)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunQuery(ctx, subRel, q)
+		res, err := RunQuery(ctx, &Relation{Attrs: rel.Attrs, Rows: sub}, q)
 		if err != nil {
 			return nil, fmt.Errorf("zskyline: group %v: %w", key, err)
 		}

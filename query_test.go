@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -351,6 +352,53 @@ func TestRunGroupedQuery(t *testing.T) {
 	empty, err := RunGroupedQuery(context.Background(), nil, "city", q)
 	if err != nil || len(empty.Groups) != 0 {
 		t.Errorf("nil relation: %v %v", empty, err)
+	}
+}
+
+// A Relation literal answers like the relation NewRelation builds from
+// the same fields, and fails NewRelation's checks the same way.
+func TestRelationLiteral(t *testing.T) {
+	ctx := context.Background()
+	attrs := []string{"city", "price", "rating"}
+	rows := [][]float64{{1, 100, 5}, {1, 50, 3}, {1, 120, 4}, {2, 30, 2}, {2, 40, 5}, {2, 35, 1}}
+	q := Query{Prefer: []Pref{{"price", Min}, {"rating", Max}}}
+	lit, built := &Relation{Attrs: attrs, Rows: rows}, mustRelation(t, attrs, rows)
+	got, err := RunQuery(ctx, lit, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunQuery(ctx, built, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.RowIDs, want.RowIDs) {
+		t.Errorf("literal RunQuery = %v, constructed %v", got.RowIDs, want.RowIDs)
+	}
+	gotG, err := RunGroupedQuery(ctx, lit, "city", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantG, err := RunGroupedQuery(ctx, built, "city", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotG.Groups, wantG.Groups) {
+		t.Errorf("literal RunGroupedQuery = %v, constructed %v", gotG.Groups, wantG.Groups)
+	}
+	for name, bad := range map[string]*Relation{
+		"non-finite":    {Attrs: attrs, Rows: [][]float64{{1, math.NaN(), 5}}},
+		"duplicate":     {Attrs: []string{"city", "price", "price"}, Rows: rows},
+		"no attributes": {},
+	} {
+		if _, err := NewRelation(bad.Attrs, bad.Rows); err == nil {
+			t.Fatalf("%s: NewRelation accepted it", name)
+		}
+		if _, err := RunQuery(ctx, bad, q); err == nil {
+			t.Errorf("%s: RunQuery accepted it", name)
+		}
+		if _, err := RunGroupedQuery(ctx, bad, "city", q); err == nil {
+			t.Errorf("%s: RunGroupedQuery accepted it", name)
+		}
 	}
 }
 

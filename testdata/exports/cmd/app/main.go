@@ -1,5 +1,8 @@
 package main
 
-import l "example.com/fixture/internal/lib"
+import (
+	l "example.com/fixture/internal/lib"
+	"example.com/fixture/internal/lib/deep"
+)
 
-func main() { _ = l.Live() }
+func main() { _, _ = l.Live().N(), l.Total(deep.Box{}) }

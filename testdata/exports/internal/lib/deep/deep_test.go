@@ -2,4 +2,4 @@ package deep
 
 import "testing"
 
-func TestDead(t *testing.T) { Dead() }
+func TestDead(t *testing.T) { Dead(); _ = Box{}.TestOnly() }
