@@ -6,6 +6,7 @@ import (
 
 	"zskyline/internal/core"
 	"zskyline/internal/gen"
+	"zskyline/internal/point"
 )
 
 // The ablation experiments quantify the design choices DESIGN.md calls
@@ -54,32 +55,47 @@ func ablConfig(p Params, ds int) core.Config {
 }
 
 func runAbl(ctx context.Context, cfg core.Config, p Params, n, d int) (*core.Report, error) {
+	return runAblOn(ctx, cfg, gen.Synthetic(gen.Independent, n, d, p.Seed))
+}
+
+func runAblOn(ctx context.Context, cfg core.Config, ds *point.Dataset) (*core.Report, error) {
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, rep, err := eng.Skyline(ctx, gen.Synthetic(gen.Independent, n, d, p.Seed))
+	_, rep, err := eng.Skyline(ctx, ds)
 	return rep, err
 }
 
+// runAblSZB runs ZDG with the SZB filter on and off, on independent
+// d = 5 data and on anti-correlated d = 8 data, where most of the
+// sample is on its skyline and the filter probes a few representatives
+// of it.
 func runAblSZB(ctx context.Context, p Params) (*Table, error) {
 	p = p.normalize()
 	t := &Table{ID: "abl-szb", Title: "SZB filter contribution",
-		Columns: []string{"filter", "total (ms)", "candidates", "routed rows", "filtered"}}
+		Columns: []string{"data", "filter", "filter rows", "total (ms)", "candidates", "routed rows", "filtered", "dominance tests"}}
 	n := p.n(50)
-	for _, off := range []bool{false, true} {
-		cfg := ablConfig(p, n)
-		cfg.DisableSZBFilter = off
-		rep, err := runAbl(ctx, cfg, p, n, 5)
-		if err != nil {
-			return nil, err
+	for _, data := range []struct {
+		dist gen.Distribution
+		d    int
+	}{{gen.Independent, 5}, {gen.AntiCorrelated, 8}} {
+		ds := gen.Synthetic(data.dist, n, data.d, p.Seed)
+		for _, off := range []bool{false, true} {
+			cfg := ablConfig(p, n)
+			cfg.DisableSZBFilter = off
+			rep, err := runAblOn(ctx, cfg, ds)
+			if err != nil {
+				return nil, err
+			}
+			label := "on"
+			if off {
+				label = "off"
+			}
+			t.AddRow(fmt.Sprintf("%v d=%d", data.dist, data.d), label, fmt.Sprint(rep.FilterRows),
+				ms(rep.Total), fmt.Sprint(rep.Candidates), fmt.Sprint(int64(n)-rep.Filtered),
+				fmt.Sprint(rep.Filtered), fmt.Sprint(rep.Tally.DominanceTests))
 		}
-		label := "on"
-		if off {
-			label = "off"
-		}
-		t.AddRow(label, ms(rep.Total), fmt.Sprint(rep.Candidates),
-			fmt.Sprint(int64(n)-rep.Filtered), fmt.Sprint(rep.Filtered))
 	}
 	return t, nil
 }

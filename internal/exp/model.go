@@ -36,7 +36,7 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		ID:    "abl-model",
 		Title: "predicted vs measured points removed before the merge phase",
 		Columns: []string{"distribution", "n", "predicted pruned", "measured pruned",
-			"V_t", "Q", "zmerge cost class"},
+			"rationale", "V_t", "Q", "zmerge cost class", "zmerge operations"},
 		Notes: "measured = mapper-filtered + (routed - candidates); prediction per §5.4 case analysis",
 	}
 	n := p.n(30)
@@ -79,8 +79,8 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		}
 		measured := rep.Filtered + int64(n) - rep.Filtered - int64(rep.Candidates)
 		t.AddRow(dist.String(), fmt.Sprint(n),
-			fmt.Sprintf("%.0f", pred.PrunedPoints), fmt.Sprint(measured),
-			fmt.Sprintf("%.4f", vt), fmt.Sprintf("%.4f", q), cost.Class)
+			fmt.Sprintf("%.0f", pred.PrunedPoints), fmt.Sprint(measured), pred.Rationale,
+			fmt.Sprintf("%.4f", vt), fmt.Sprintf("%.4f", q), cost.Class, fmt.Sprintf("%.0f", cost.Operations))
 	}
 	return t, nil
 }

@@ -240,7 +240,7 @@ func TestFilterEngaged(t *testing.T) {
 		t.Errorf("allocated %d bytes; one packed copy of the input is %d", got, packed)
 	}
 	// The learn span tells the truth about the sample and the shards.
-	if l := attrs["learn"]; l["sample"] != fmt.Sprint(n/50) || l["groups"] != "4" || l["sample_skyline"] == "0" {
+	if l := attrs["learn"]; l["sample"] != fmt.Sprint(n/50) || l["groups"] != "4" || l["sample_skyline"] == "0" || l["szb_rows"] == "0" {
 		t.Errorf("learn span = %v", l)
 	}
 }

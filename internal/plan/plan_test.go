@@ -233,9 +233,13 @@ func TestRunReportAndMergeAlgos(t *testing.T) {
 		if _, err := rep.WriteTo(&out); err != nil {
 			t.Fatal(err)
 		}
+		if want := min(repBudget, rep.SampleSkySize); rep.FilterRows != want {
+			t.Errorf("%v: filter holds %d rows, want %d", merge, rep.FilterRows, want)
+		}
 		counts := fmt.Sprintf("points=%d skyline=%d candidates=%d filtered=%d routed=%d\n",
 			ds.Len(), len(sky), rep.Candidates, rep.Filtered, int64(ds.Len())-rep.Filtered)
-		for _, want := range []string{"merge=" + merge.String() + "\n", counts, "inputBalance: n=", "candidateBalance: n="} {
+		filter := fmt.Sprintf(" sample=%d filter=%d\n", rep.SampleSize, rep.FilterRows)
+		for _, want := range []string{"merge=" + merge.String() + "\n", counts, filter, "inputBalance: n=", "candidateBalance: n="} {
 			if !bytes.Contains(out.Bytes(), []byte(want)) {
 				t.Errorf("%v: report lacks %q:\n%s", merge, want, out.String())
 			}
@@ -250,6 +254,15 @@ func TestRunReportAndMergeAlgos(t *testing.T) {
 		if tally.Snapshot().DominanceTests == 0 {
 			t.Errorf("%v: no dominance tests recorded", merge)
 		}
+	}
+	spec := validSpec()
+	spec.DisableSZBFilter = true
+	_, rep, err := Run(context.Background(), spec, ds, NewLocalExec(4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FilterRows != 0 {
+		t.Errorf("filter off: %d filter rows, want 0", rep.FilterRows)
 	}
 }
 

@@ -51,7 +51,8 @@ type Rule struct {
 	// positional marks the Positional strategy: no routing state, map
 	// task i's survivors are group i.
 	positional bool
-	// szb is the sample-skyline ZB-tree of Algorithm 3; nil when the
+	// szb is Algorithm 3's SZB filter: a ZB-tree over the repBudget
+	// sample-skyline rows of largest dominance volume; nil when the
 	// strategy or the relation does not filter.
 	szb *zbtree.BlockTree
 	// sampleSize is |sample|; with skySize it predicts the filter's
@@ -215,14 +216,19 @@ func (r *Rule) learnPositional(spec *Spec, smp []point.Point, tally *metrics.Tal
 
 // sampleSkyline computes the sample's skyline — the one Z-search of
 // phase 1, counted in tally — and, when index is set, builds the
-// SZB-tree of Algorithm 3 over it, reusing the search's compacted rows
-// and Z-column as the tree's store. Sample and tree stay on the slab
-// path, so learning costs a handful of allocations whatever the sample
-// size.
+// SZB-tree of Algorithm 3 over its repBudget representatives, reusing
+// the search's compacted rows and Z-column as the tree's store. Every
+// representative is an input row, so whatever it dominates is off the
+// skyline; the whole skyline (most of the sample on anti-correlated
+// data) would drop a few more rows for many more tests per probe. The
+// caller's partitioning reads the whole skyline. Sample and tree stay
+// on the slab path, so learning costs a handful of allocations
+// whatever the sample size.
 func (r *Rule) sampleSkyline(smp []point.Point, index bool, tally *metrics.Tally) point.Block {
 	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, point.BlockOf(r.dims, smp), zorder.ZCol{}, tally)
 	if index {
-		r.szb = zbtree.BuildStore(zbtree.NewStoreWithZCol(r.enc, sky, skyZ), r.fanout, tally)
+		st := zbtree.NewStoreWithZCol(r.enc, sky, skyZ)
+		r.szb = zbtree.BuildRows(st, r.fanout, st.Representatives(0, int32(st.Len()), repBudget), tally)
 	}
 	r.skySize, r.sampleSize = sky.Len(), len(smp)
 	return sky
@@ -430,10 +436,13 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 	return out
 }
 
-// survivorsOf predicts how many of n rows pass the SZB filter, to size
-// a map task's arenas. A row drawn like the sample escapes the sample
-// skyline about as often as a sample row sits on it, so the estimate is
-// n·|sample skyline|/|sample| plus slack; append growth absorbs a miss.
+// survivorsOf sizes a map task's arenas for the rows that pass the SZB
+// filter. A row drawn like the sample escapes the whole sample skyline
+// about as often as a sample row sits on it, so the estimate is
+// n·|sample skyline|/|sample| plus slack. The filter probes only the
+// representatives and lets more rows through; append growth absorbs
+// the miss, and sizing from the representatives' own drops measured no
+// smaller footprint.
 func (r *Rule) survivorsOf(n int) int {
 	if r.szb == nil {
 		return n

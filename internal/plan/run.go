@@ -34,9 +34,12 @@ type Report struct {
 	Points int
 
 	// SampleSize is the number of sampled points; SampleSkySize the
-	// size of the sample skyline loaded into every mapper.
+	// size of their skyline, which partitioning reads; FilterRows the
+	// number of those rows in the SZB filter every mapper probes (0
+	// when the filter is off).
 	SampleSize    int
 	SampleSkySize int
+	FilterRows    int
 
 	// Groups is the number of groups (= phase-2 reducers); Partitions
 	// the number of Z-partitions before grouping; PrunedPartitions how
@@ -80,13 +83,13 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	n, err := fmt.Fprintf(w,
 		"strategy=%v local=%v merge=%v\n"+
 			"points=%d skyline=%d candidates=%d filtered=%d routed=%d\n"+
-			"groups=%d partitions=%d pruned=%d sample=%d\n"+
+			"groups=%d partitions=%d pruned=%d sample=%d filter=%d\n"+
 			"preprocess=%v phase2=%v phase3=%v total=%v\n"+
 			"inputBalance: %v\n"+
 			"candidateBalance: %v\n",
 		r.Strategy, r.Local, r.Merge,
 		r.Points, r.SkylineSize, r.Candidates, r.Filtered, int64(r.Points)-r.Filtered,
-		r.Groups, r.Partitions, r.PrunedPartitions, r.SampleSize,
+		r.Groups, r.Partitions, r.PrunedPartitions, r.SampleSize, r.FilterRows,
 		r.Preprocess.Round(time.Microsecond), r.Phase2.Round(time.Microsecond),
 		r.Phase3.Round(time.Microsecond), r.Total.Round(time.Microsecond),
 		r.InputBalance(), r.CandidateBalance())
@@ -286,6 +289,9 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	rep.Points = sc.n
 	rep.SampleSize = len(sc.smp)
 	rep.SampleSkySize = r.skySize
+	if r.szb != nil {
+		rep.FilterRows = r.szb.Len()
+	}
 	rep.Groups = r.groups
 	rep.Partitions = r.parts
 	rep.PrunedPartitions = r.pruned
@@ -296,6 +302,7 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	span.SetAttr("points", sc.n)
 	span.SetAttr("sample", rep.SampleSize)
 	span.SetAttr("sample_skyline", rep.SampleSkySize)
+	span.SetAttr("szb_rows", rep.FilterRows)
 	span.SetAttr("groups", rep.Groups)
 	span.SetAttr("partitions", rep.Partitions)
 	span.SetAttr("pruned", rep.PrunedPartitions)

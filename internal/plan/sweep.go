@@ -8,12 +8,16 @@ import (
 	"zskyline/internal/point"
 )
 
-// sweepReps is how many representative rows each side lends to the
-// pre-pass. Across Z-range shards the first few buy most of the kills
-// (16 a side take 70 % of the dominated candidates of eight independent
-// d=8 shards, 64 take 84 %) while every one of them is a dominance test
-// against each later row that survives.
-const sweepReps = 16
+// repBudget is how many representative rows (zbtree's
+// Store.Representatives) stand in for a whole skyline: each side's
+// lenders in the sweep's pre-pass, and the rows of Learn's SZB filter.
+// The first few buy most of the kills while every one of them is a
+// dominance test against each row probed. Across Z-range shards 16 a
+// side take 70 % of the dominated candidates of eight independent d=8
+// shards (64 take 84 %); as the map filter, 16 sample-skyline rows
+// leave the fewest or nearly the fewest dominance tests of any budget
+// on anti-correlated d = 8 and d = 12 data (EXPERIMENTS.md).
+const repBudget = 16
 
 // SweepStats says what one SweepMerge moved: the candidate rows it was
 // handed, how many of those the representative pre-pass eliminated
@@ -82,7 +86,7 @@ func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total i
 	killed := make([]int, len(m.ranges))
 	var out Group
 	err := ex.runSteps(ctx,
-		step{len(reps), func(i int) { reps[i] = m.pickReps(i, r.bits) }},
+		step{len(reps), func(i int) { reps[i] = m.st.Representatives(m.sides[i][0], m.sides[i][1], repBudget) }},
 		step{len(m.ranges), func(i int) { killed[i] = m.repProbe(i, reps, tally) }},
 		step{len(groups) - 1, func(i int) { m.build(i, r.fanout, tally) }},
 		step{len(m.ranges), func(i int) { m.probe(ctx, i) }},
@@ -96,33 +100,6 @@ func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total i
 		repKilled += k
 	}
 	return out, repKilled, nil
-}
-
-// pickReps returns the up to sweepReps rows of side with the largest
-// dominance volume Π(1−x̂) — the share of the normalised box a row
-// dominates, read off its grid coordinates — largest first.
-func (m *probeMerge) pickReps(side, bits int) []int32 {
-	scale := 1 / float64(uint64(1)<<bits)
-	reps := make([]int32, 0, sweepReps)
-	vols := make([]float64, 0, sweepReps)
-	for i := m.sides[side][0]; i < m.sides[side][1]; i++ {
-		vol := 1.0
-		for _, g := range m.st.Grid(i) {
-			vol *= 1 - float64(g)*scale
-		}
-		if len(reps) == sweepReps {
-			if vol <= vols[sweepReps-1] {
-				continue
-			}
-			reps, vols = reps[:sweepReps-1], vols[:sweepReps-1]
-		}
-		reps, vols = append(reps, i), append(vols, vol)
-		for at := len(reps) - 1; at > 0 && vols[at-1] < vol; at-- {
-			reps[at-1], reps[at] = reps[at], reps[at-1]
-			vols[at-1], vols[at] = vols[at], vols[at-1]
-		}
-	}
-	return reps
 }
 
 // repProbe clears alive for the rows of probe range c that a

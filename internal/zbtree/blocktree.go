@@ -155,6 +155,36 @@ func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
 	return blk, zc
 }
 
+// Representatives returns the up to k rows of [lo,hi) with the largest
+// dominance volume Π(1−x̂) — the share of the encoder's box a row
+// dominates, read off its grid coordinates — largest first, ties in
+// store order. A handful of them takes out most of what the whole range
+// would for a fraction of the tests.
+func (st *Store) Representatives(lo, hi int32, k int) []int32 {
+	scale := 1 / float64(uint64(1)<<st.enc.Bits())
+	k = max(0, min(k, int(hi-lo)))
+	reps := make([]int32, 0, k)
+	vols := make([]float64, 0, k)
+	for i := lo; i < hi && k > 0; i++ {
+		vol := 1.0
+		for _, g := range st.Grid(i) {
+			vol *= 1 - float64(g)*scale
+		}
+		if len(reps) == k {
+			if vol <= vols[k-1] {
+				continue
+			}
+			reps, vols = reps[:k-1], vols[:k-1]
+		}
+		reps, vols = append(reps, i), append(vols, vol)
+		for at := len(reps) - 1; at > 0 && vols[at-1] < vol; at-- {
+			reps[at-1], reps[at] = reps[at], reps[at-1]
+			vols[at-1], vols[at] = vols[at], vols[at-1]
+		}
+	}
+	return reps
+}
+
 // bnode is one slab-allocated tree node, addressed by index into
 // BlockTree.nodes. kids == nil marks a leaf. A node's box lives in the
 // tree's arenas; RemoveDominatedBy leaves it a stale superset — Z-merge

@@ -156,7 +156,8 @@ func BenchmarkDominatesPointAntiD8(b *testing.B) {
 
 // benchmarkSZBProbe times the SZB map filter of Algorithm 3 on its own:
 // the skyline of a 2 % sample of a generated input (d = 8, 16 bits),
-// indexed the way plan.Learn indexes it, and every input row probing it
+// indexed the way plan.Learn indexes it — a tree over its 16
+// representatives, plan's repBudget — and every input row probing it
 // — grid, then DominatesPoint — from two goroutines that share the
 // tree's tally, as two map tasks do.
 func benchmarkSZBProbe(b *testing.B, dist gen.Distribution, n int) {
@@ -169,7 +170,8 @@ func benchmarkSZBProbe(b *testing.B, dist gen.Distribution, n int) {
 	enc := unitEnc(b, d, 16)
 	tally := &metrics.Tally{}
 	sky, skyZ := ZSearchGroup(enc, 0, point.BlockOf(d, smp), zorder.ZCol{}, tally)
-	szb := BuildStore(NewStoreWithZCol(enc, sky, skyZ), 0, tally)
+	st := NewStoreWithZCol(enc, sky, skyZ)
+	szb := BuildRows(st, 0, st.Representatives(0, int32(st.Len()), 16), tally)
 	blk := point.BlockOf(d, ds.Points)
 	var dropped atomic.Int64
 	b.ResetTimer()
