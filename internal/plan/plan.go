@@ -22,6 +22,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
@@ -290,9 +291,11 @@ type MapOutput struct {
 	Filtered int64
 }
 
-// Shuffle gathers map outputs into per-group row blocks in
-// deterministic first-seen group order — the coordinator-side shuffle
-// of the RPC and shared-memory substrates — and sums the filter drops.
+// Shuffle gathers map outputs into per-group row blocks in ascending
+// group id order — the coordinator-side shuffle of the RPC and
+// shared-memory substrates — and sums the filter drops. The order of the
+// groups, and so of phase 3's rows, does not depend on which rows the
+// map tasks dropped or in which order their outputs arrive.
 // Z-address columns are concatenated alongside their blocks; a group
 // whose contributions do not all carry a consistent column loses it
 // (the reduce kernel then re-encodes, trading speed, never
@@ -327,6 +330,7 @@ func Shuffle(outs []MapOutput) ([]Group, int64) {
 			}
 		}
 	}
+	slices.Sort(order)
 	groups := make([]Group, len(order))
 	for i, gid := range order {
 		a := byGroup[gid]

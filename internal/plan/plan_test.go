@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"zskyline/internal/gen"
@@ -98,17 +101,57 @@ func TestShuffleDeterministicOrder(t *testing.T) {
 	if filtered != 3 {
 		t.Errorf("filtered = %d, want 3", filtered)
 	}
-	wantOrder := []int{3, 1, 0}
+	wantOrder := []int{0, 1, 3}
 	if len(groups) != len(wantOrder) {
 		t.Fatalf("groups = %d, want %d", len(groups), len(wantOrder))
 	}
 	for i, gid := range wantOrder {
 		if groups[i].Gid != gid {
-			t.Errorf("group[%d].Gid = %d, want %d (first-seen order)", i, groups[i].Gid, gid)
+			t.Errorf("group[%d].Gid = %d, want %d (ascending id order)", i, groups[i].Gid, gid)
 		}
 	}
 	if groups[1].Len() != 2 {
 		t.Errorf("group 1 holds %d points, want 2 (concatenated)", groups[1].Len())
+	}
+}
+
+// Shuffle's output must not depend on the order map outputs arrive in:
+// every permutation of the same outputs gives the same group ids in the
+// same order, each group holding the same rows.
+func TestShuffleOrderIgnoresMapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	outs := make([]MapOutput, 6)
+	for i := range outs {
+		for _, gid := range rng.Perm(9)[:1+rng.Intn(4)] {
+			pts := make([]point.Point, 1+rng.Intn(3))
+			for k := range pts {
+				pts[k] = point.Point{float64(i), float64(gid), float64(k)}
+			}
+			outs[i].Groups = append(outs[i].Groups, NewGroup(gid, 3, pts))
+		}
+		outs[i].Filtered = int64(i)
+	}
+	key := func(groups []Group) string {
+		var b strings.Builder
+		for _, g := range groups {
+			rows := make([]string, g.Len())
+			for r := range rows {
+				rows[r] = fmt.Sprint(g.Block.Row(r))
+			}
+			sort.Strings(rows)
+			fmt.Fprintf(&b, "%d:%v ", g.Gid, rows)
+		}
+		return b.String()
+	}
+	wantGroups, wantFiltered := Shuffle(outs)
+	want := key(wantGroups)
+	for trial := 0; trial < 20; trial++ {
+		perm := append([]MapOutput(nil), outs...)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		groups, filtered := Shuffle(perm)
+		if got := key(groups); got != want || filtered != wantFiltered {
+			t.Fatalf("trial %d: permuted outputs gave %s (filtered %d), want %s (filtered %d)", trial, got, filtered, want, wantFiltered)
+		}
 	}
 }
 

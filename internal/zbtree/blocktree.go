@@ -35,7 +35,7 @@ package zbtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
@@ -205,10 +205,11 @@ func (n *bnode) isLeaf() bool { return n.kids == nil }
 type BlockTree struct {
 	st     *Store
 	fanout int
+	d, lw  int // the store's Dims() and laneWords(Dims()): the arenas' strides
 	tally  *metrics.Tally
 	nodes  []bnode
-	// Box corner arenas, Dims() stride per node id, and the box's min
-	// corner packed into lanes, laneWords(Dims()) stride per node id.
+	// Box corner arenas, d stride per node id, and the box's min corner
+	// packed into lanes, lw stride per node id.
 	regMin, regMax []uint32
 	minLanes       []uint64
 	root           int32 // -1 when empty
@@ -224,7 +225,8 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 	if fanout < 2 {
 		fanout = 2
 	}
-	return &BlockTree{st: st, fanout: fanout, tally: tally, root: -1}
+	d := st.enc.Dims()
+	return &BlockTree{st: st, fanout: fanout, d: d, lw: laneWords(d), tally: tally, root: -1}
 }
 
 // newNode appends a zeroed node with an empty box to the slab, growing
@@ -233,28 +235,31 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 func (t *BlockTree) newNode() int32 {
 	id := int32(len(t.nodes))
 	t.nodes = append(t.nodes, bnode{})
-	d := t.st.enc.Dims()
-	for i := 0; i < d; i++ {
+	for i := 0; i < t.d; i++ {
 		t.regMin = append(t.regMin, math.MaxUint32)
 	}
-	t.regMax = append(t.regMax, make([]uint32, d)...)
-	t.minLanes = append(t.minLanes, make([]uint64, laneWords(d))...)
+	t.regMax = append(t.regMax, make([]uint32, t.d)...)
+	t.minLanes = append(t.minLanes, make([]uint64, t.lw)...)
 	return id
 }
 
 // region returns node n's box as views into the corner arenas: it
 // holds every row of the subtree, all any region test assumes.
 func (t *BlockTree) region(n int32) zorder.Region {
-	d := t.st.enc.Dims()
-	lo := int(n) * d
-	return zorder.Region{MinG: t.regMin[lo : lo+d : lo+d], MaxG: t.regMax[lo : lo+d : lo+d]}
+	lo := int(n) * t.d
+	return zorder.Region{MinG: t.regMin[lo : lo+t.d : lo+t.d], MaxG: t.boxMax(n)}
+}
+
+// boxMax returns node n's box max corner (a view).
+func (t *BlockTree) boxMax(n int32) []uint32 {
+	lo := int(n) * t.d
+	return t.regMax[lo : lo+t.d : lo+t.d]
 }
 
 // boxLanes returns node n's box min corner in lanes (a view).
 func (t *BlockTree) boxLanes(n int32) []uint64 {
-	lw := laneWords(t.st.enc.Dims())
-	lo := int(n) * lw
-	return t.minLanes[lo : lo+lw : lo+lw]
+	lo := int(n) * t.lw
+	return t.minLanes[lo : lo+t.lw : lo+t.lw]
 }
 
 // growBox widens node n's box to hold the grids of rows and the boxes
@@ -321,22 +326,24 @@ func BuildStore(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 
 // BuildRows bulk-loads a balanced tree holding the given store rows,
 // sorting them by Z-address first (stably, so ties keep input order).
-// It takes ownership of rows and sorts it in place; the slice becomes
-// the leaf-row arena.
+// It takes ownership of rows and sorts it in place, allocating nothing
+// and skipping rows already in Z-order; the slice becomes the leaf-row
+// arena.
 func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *BlockTree {
 	t := NewBlockTree(st, fanout, tally)
 	if len(rows) == 0 {
 		return t
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return st.zc.Compare(int(rows[i]), int(rows[j])) < 0
-	})
+	byZ := func(a, b int32) int { return st.zc.Compare(int(a), int(b)) }
+	if !slices.IsSortedFunc(rows, byZ) {
+		slices.SortStableFunc(rows, byZ)
+	}
 	// Leaves: subslices of the sorted permutation arena.
 	nLeaves := (len(rows) + t.fanout - 1) / t.fanout
-	nNodes, d := nLeaves+nLeaves/(t.fanout-1)+2, st.enc.Dims()
+	nNodes := nLeaves + nLeaves/(t.fanout-1) + 2
 	t.nodes = make([]bnode, 0, nNodes)
-	t.regMin, t.regMax = make([]uint32, 0, nNodes*d), make([]uint32, 0, nNodes*d)
-	t.minLanes = make([]uint64, 0, nNodes*laneWords(d))
+	t.regMin, t.regMax = make([]uint32, 0, nNodes*t.d), make([]uint32, 0, nNodes*t.d)
+	t.minLanes = make([]uint64, 0, nNodes*t.lw)
 	level := make([]int32, 0, nLeaves)
 	for lo := 0; lo < len(rows); lo += t.fanout {
 		hi := lo + t.fanout
@@ -479,15 +486,15 @@ func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
-	if !t.st.noPos && zorder.GridStrictDominates(t.region(t.root).MaxG, g) {
+	if !t.st.noPos && zorder.GridStrictDominates(t.boxMax(t.root), g) {
 		// The root's own test: a far-off point needs no lanes.
 		t.flush(&probeCount{region: 1})
 		return true
 	}
 	var buf [8]uint64 // d <= 32 packs on the stack
-	pl := buf[:min(laneWords(len(g)), len(buf))]
-	if len(pl) < laneWords(len(g)) {
-		pl = make([]uint64, laneWords(len(g)))
+	pl := buf[:min(t.lw, len(buf))]
+	if len(pl) < t.lw {
+		pl = make([]uint64, t.lw)
 	}
 	packLanes(pl, g, laneShift(t.st.enc.Bits()))
 	return t.dominates(g, pl, p)
@@ -509,7 +516,7 @@ func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint
 	if !st.noNeg && lanesSomeGreater(t.boxLanes(n), pl) {
 		return false
 	}
-	if !st.noPos && zorder.GridStrictDominates(t.region(n).MaxG, g) {
+	if !st.noPos && zorder.GridStrictDominates(t.boxMax(n), g) {
 		return true
 	}
 	nd := &t.nodes[n]
@@ -617,7 +624,7 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uint64, row int32) int {
 	c.region++
 	st := t.st
-	if !st.noNeg && zorder.GridSomeGreater(g, t.region(n).MaxG) {
+	if !st.noNeg && zorder.GridSomeGreater(g, t.boxMax(n)) {
 		return 0
 	}
 	nd := &t.nodes[n]
@@ -628,9 +635,10 @@ func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uin
 			kept = st.undominatedUnder(nd.rows, rl, row)
 		} else {
 			kept = nd.rows[:0]
+			lanes, lw := st.lanes, len(rl)
 			for _, e := range nd.rows {
 				// Row cannot dominate e when one of its lanes exceeds e's.
-				if lanesSomeGreater(rl, st.rowLanes(e)) || !point.DominatesRows(st.blk, int(row), st.blk, int(e)) {
+				if lanesSomeGreater(rl, lanes[int(e)*lw:][:lw]) || !point.DominatesRows(st.blk, int(row), st.blk, int(e)) {
 					kept = append(kept, e)
 				}
 			}
@@ -686,14 +694,18 @@ func (st *Store) undominatedUnder(rows []int32, rl []uint64, row int32) []int32 
 // keeps the running skyline in a second BlockTree over the same store.
 // Because Z-order is a topological order for dominance (a dominator's
 // Z-address is never larger than its dominatee's), each row only needs
-// to be tested against already-accepted rows; the only exception is
-// grid-level ties, which the per-acceptance RemoveDominatedBy sweep
-// repairs. The result is the exact skyline of the stored float points.
-// Under a relation that does not imply Pareto, Z-order is no
-// topological order, but that sweep evicts every accepted row a later
-// one dominates: the walk is then block-nested loops in Z-order, exact
-// under a transitive relation and otherwise a set of rows none of which
-// dominates another, which a caller closes against the input.
+// to be tested against already-accepted rows. The only exception is
+// rows with equal Z-addresses (grid-level ties): a row that dominates an
+// accepted one has an address no larger than it, and so no larger than
+// the last accepted row's, which is no larger than its own — all three
+// are equal. So a RemoveDominatedBy sweep runs only when a row ties the
+// last accepted row's address. The result is the exact skyline of the
+// stored float points. Under a relation that does not imply Pareto,
+// Z-order is no topological order, and the sweep runs on every
+// acceptance, evicting every accepted row a later one dominates: the
+// walk is then block-nested loops in Z-order, exact under a transitive
+// relation and otherwise a set of rows none of which dominates another,
+// which a caller closes against the input.
 func (t *BlockTree) SkylineRows() []int32 {
 	sky := NewBlockTree(t.st, t.fanout, t.tally)
 	t.zsearch(t.root, sky)
@@ -712,7 +724,9 @@ func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
 			if sky.DominatesRow(e) {
 				continue
 			}
-			sky.RemoveDominatedBy(e)
+			if sky.st.noNeg || sky.tiesLast(e) {
+				sky.RemoveDominatedBy(e)
+			}
 			sky.Append(e)
 		}
 		return
@@ -720,6 +734,12 @@ func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
 	for _, c := range t.nodes[n].kids {
 		t.zsearch(c, sky)
 	}
+}
+
+// tiesLast reports whether row has the Z-address of the last row
+// appended to a non-empty t.
+func (t *BlockTree) tiesLast(row int32) bool {
+	return t.root >= 0 && t.st.zc.Compare(int(row), int(t.last)) == 0
 }
 
 // incomparableWith is a conservative, depth-bounded check that no

@@ -176,7 +176,9 @@ func (t *BlockTree) progressive(ctx context.Context, n int32, sky *BlockTree, pe
 		if sky.DominatesRow(e) {
 			continue
 		}
-		if sky.RemoveDominatedBy(e) > 0 {
+		// Only an accepted row of e's own address can be dominated by e,
+		// and those are exactly the pending ones (see SkylineRows).
+		if (len(*pending) > 0 || t.st.noNeg) && sky.RemoveDominatedBy(e) > 0 {
 			// Ties: drop evicted rows from the pending buffer too.
 			kept := (*pending)[:0]
 			for _, pe := range *pending {
