@@ -181,7 +181,7 @@ func runBenchConfig(name string, n, workers int, seed int64) (benchConfig, error
 	}
 	rep.Executors = append(rep.Executors, res)
 
-	// Executor 2: the shared-memory shard-and-merge path.
+	// Executor 2: the shared-memory executor, ZDG with one group per worker.
 	res, err = measure("parallel", func() (int, error) {
 		sky, err := parallel.Skyline(ctx, ds, parallel.Options{Workers: workers})
 		return len(sky), err

@@ -235,10 +235,10 @@ func NewWindowSkyline(capacity, dims, bits int, mins, maxs []float64) (*WindowSk
 type ParallelOptions = parallel.Options
 
 // ParallelSkyline computes the exact skyline on shared-memory
-// multicores: sample skyline -> per-shard filter and Z-encode of the
-// survivors -> per-shard Z-search -> parallel Z-merge reduction, the
-// paper's three phases on a goroutine pool with no shuffle. The
-// lightweight choice when the input already fits in memory on one
+// multicores: sample skyline -> per-task filter, Z-encode and routing
+// of the survivors into one ZDG group per worker -> per-group Z-search
+// -> parallel Z-merge, the paper's three phases on a goroutine pool.
+// The lightweight choice when the input already fits in memory on one
 // machine.
 func ParallelSkyline(ds *Dataset, opts ParallelOptions) ([]Point, error) {
 	return parallel.Skyline(context.Background(), ds, opts)

@@ -457,3 +457,32 @@ func TestQuickRandomConfigsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchEngine times Engine.Skyline at the defaults on two workers, as
+// bench/'s aux op runs it on a 2-core box, with allocations reported.
+func benchEngine(b *testing.B, ds *point.Dataset) {
+	cfg := Defaults()
+	cfg.Workers = 2
+	cfg.Seed = 42
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.Skyline(context.Background(), ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The two batch sizes of bench/ (anti-d8 and corr-d8), so the aux op's
+// engine can be iterated on without the 20 s driver.
+func BenchmarkEngineAnti16kD8(b *testing.B) {
+	benchEngine(b, gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42))
+}
+
+func BenchmarkEngineCorr120kD8(b *testing.B) {
+	benchEngine(b, gen.Synthetic(gen.Correlated, 120000, 8, 42))
+}

@@ -76,7 +76,7 @@ func runFig3(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
+		zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil)), parts)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +460,7 @@ func runFig4(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), 16)
+	zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil)), 16)
 	if err != nil {
 		return nil, err
 	}

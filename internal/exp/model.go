@@ -53,7 +53,7 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, smp, zbtree.ZSearch(enc, 0, smp, nil), m)
+		zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, smp, zbtree.ZSearch(enc, 0, smp, nil)), m)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func runAblSkew(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		zc, err := partition.NewZCurve(enc, smp, zbtree.ZSearch(enc, 0, smp, nil), m)
+		zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, smp, zbtree.ZSearch(enc, 0, smp, nil)), m)
 		if err != nil {
 			return nil, err
 		}

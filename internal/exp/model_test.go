@@ -33,7 +33,7 @@ func TestDataVolume(t *testing.T) {
 func TestTotalDominanceVolume(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 3000, 3, 5)
 	enc, _ := zorder.NewUnitEncoder(3, 10)
-	zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), 16)
+	zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil)), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func learn(t *testing.T, dist gen.Distribution, n, d, parts int) (*zorder.Encode
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
+	z, err := partition.NewZCurve(enc, partition.EncodeSample(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil)), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,15 +54,14 @@ func TestHeuristicCoversAllPartitions(t *testing.T) {
 }
 
 func TestHeuristicBalancesSkyline(t *testing.T) {
-	enc, z := learn(t, gen.AntiCorrelated, 5000, 4, 64)
+	_, z := learn(t, gen.AntiCorrelated, 5000, 4, 64)
 	m := 8
 	// Redistribute first, as ZHG prescribes.
-	ds := gen.Synthetic(gen.AntiCorrelated, 5000, 4, 7)
 	totalSky := 0
 	for _, in := range z.Infos() {
 		totalSky += in.SkyCount
 	}
-	rz := z.Redistribute(ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), totalSky/m)
+	rz := z.Redistribute(totalSky / m)
 	pg, err := Heuristic(rz.Infos(), m)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestQuickGroupingInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		zc, err := partition.NewZCurve(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), parts)
+		zc, err := partition.NewZCurve(enc, partition.EncodeSample(enc, ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil)), parts)
 		if err != nil {
 			return false
 		}

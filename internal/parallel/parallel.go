@@ -1,15 +1,17 @@
 // Package parallel computes skylines on shared-memory multicores: the
 // paper's three phases as internal/plan runs them, on a goroutine pool
-// (plan.LocalExec) and under the Positional strategy. Phase 1 learns
-// the data bounds and the skyline of a 2 % sample; the input is then
-// cut into one contiguous shard per worker, and each map task drops the
-// rows the sample skyline dominates and Z-encodes only the survivors,
-// reading the dataset's rows where they lie. Each shard's survivors are
-// solved with Z-search, and the shard skylines are merged on the same
-// workers: two shards probe each other's ZB-tree, three or more probe
-// one tree over all their rows. All of that is plan's; this package
-// only fixes the spec — the entry point for users who want the paper's
-// algorithms on one machine, not a simulated cluster.
+// (plan.LocalExec) and under ZDG with one group per worker. Phase 1
+// learns the data bounds and the skyline of a 2 % sample, and from it
+// the SZB filter and the Z-curve partitions, grouped into Workers
+// groups by dominance (§4.3). The input is cut into one contiguous map
+// task per worker; each drops the rows the sample skyline dominates,
+// Z-encodes only the survivors, reading the dataset's rows where they
+// lie, and routes them to their groups. Each group is solved with
+// Z-search, and the group skylines are merged on the same workers: two
+// groups probe each other's ZB-tree, three or more probe one tree over
+// all their rows. All of that is plan's; this package only fixes the
+// spec — the entry point for users who want the paper's algorithms on
+// one machine, not a simulated cluster.
 package parallel
 
 import (
@@ -24,7 +26,8 @@ import (
 
 // Options tunes Skyline.
 type Options struct {
-	// Workers is the shard/goroutine count; 0 selects GOMAXPROCS.
+	// Workers is the goroutine, map task and group count; 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// Bits is the Z-order resolution; 0 selects 16 (capped for very
 	// high dimensionality).
@@ -70,19 +73,20 @@ const (
 //
 // When ctx carries an obs trace, Skyline emits the library's uniform
 // span taxonomy, exactly as plan.Run produces it: learn (bounds, sample
-// skyline, SZB-tree), map (filter + encode, one task per shard),
-// local-skyline (per-shard Z-search) and merge/round-1 (the merge).
+// skyline, SZB-tree, partitions and groups), map (filter, encode and
+// route, one task per worker), local-skyline (per-group Z-search) and
+// merge/round-1 (the merge).
 func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Point, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil
 	}
 	opts = opts.normalize(ds.Dims)
 	spec := &plan.Spec{
-		Strategy:    plan.Positional,
+		Strategy:    plan.ZDG,
 		Local:       plan.ZS,
 		Merge:       plan.MergeZM,
 		M:           opts.Workers,
-		Delta:       1,
+		Delta:       4,
 		MapTasks:    opts.Workers,
 		SampleRatio: sampleRatio,
 		Seed:        sampleSeed,

@@ -258,8 +258,10 @@ func spanAttrs(tr *obs.Trace) map[string]map[string]string {
 	return attrs
 }
 
-// TestSpansCountRealShards: fewer rows than workers means fewer shards,
-// and the spans say so.
+// TestSpansCountRealShards: fewer rows than workers means fewer map
+// tasks, and the spans say so. The groups are what ZDG learned, not the
+// workers asked for: three rows sample one, and one sample row makes one
+// group, which every row reaches.
 func TestSpansCountRealShards(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 3, 2, 1)
 	tr := obs.NewTrace("small")
@@ -268,8 +270,11 @@ func TestSpansCountRealShards(t *testing.T) {
 	}
 	tr.Finish()
 	attrs := spanAttrs(tr)
-	if g, m := attrs["learn"]["groups"], attrs["map"]["tasks"]; g != "3" || m != "3" {
-		t.Errorf("learn groups = %q, map tasks = %q, want 3 and 3", g, m)
+	if g, m := attrs["learn"]["groups"], attrs["map"]["tasks"]; g != "1" || m != "3" {
+		t.Errorf("learn groups = %q, map tasks = %q, want 1 and 3", g, m)
+	}
+	if rg := attrs["local-skyline"]["groups"]; rg != "1" {
+		t.Errorf("local-skyline groups = %q, want 1", rg)
 	}
 }
 

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"zskyline/internal/gen"
@@ -303,7 +305,7 @@ func TestZCurveRedistribute(t *testing.T) {
 	if target < 1 {
 		target = 1
 	}
-	rz := z.Redistribute(ds.Points, zbtree.ZSearch(enc, 0, ds.Points, nil), target)
+	rz := z.Redistribute(target)
 	if rz.N() <= z.N() {
 		t.Fatalf("redistribute did not split: %d -> %d (maxSky=%d target=%d)",
 			z.N(), rz.N(), maxSky, target)
@@ -341,5 +343,43 @@ func TestZCurveDuplicateHeavySample(t *testing.T) {
 // newZCurve learns a Z-curve from pts, computing the sample skyline the
 // way plan.Learn does.
 func newZCurve(enc *zorder.Encoder, pts []point.Point, m int) (*ZCurve, error) {
-	return NewZCurve(enc, pts, zbtree.ZSearch(enc, 0, pts, nil), m)
+	return NewZCurve(enc, EncodeSample(enc, pts, zbtree.ZSearch(enc, 0, pts, nil)), m)
+}
+
+// EncodeSample returns the sample in Z-order, rows of equal address in
+// their input order, with each row's own address and grid cell beside
+// it; NewZCurve refuses a sample that is not in Z-order.
+func TestEncodeSampleSortsOnce(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 3, 5)
+	pts := append(ds.Points, ds.Points[:50]...) // equal addresses, equal rows
+	enc, _ := zorder.NewUnitEncoder(3, 4)       // a coarse grid: many equal addresses
+	s := EncodeSample(enc, pts, nil)
+	if s.Rows.Len() != len(pts) || s.Z.Len() != len(pts) || len(s.Grid) != 3*len(pts) || s.SkyZ.Len() != 0 {
+		t.Fatalf("rows %d, column %d, grid %d, sky %d for %d points", s.Rows.Len(), s.Z.Len(), len(s.Grid), s.SkyZ.Len(), len(pts))
+	}
+	inputs := map[string][]int{} // a row's input indices, in input order
+	for i, p := range pts {
+		key := fmt.Sprint([]float64(p))
+		inputs[key] = append(inputs[key], i)
+	}
+	prev := -1
+	for i := 0; i < s.Rows.Len(); i++ {
+		p := s.Rows.Row(i)
+		if !zorder.Equal(s.Z.At(i), enc.Encode(p)) || !slices.Equal(s.Grid[3*i:3*i+3], enc.Grid(p)) {
+			t.Fatalf("row %d: column or grid is not the row's own", i)
+		}
+		key := fmt.Sprint([]float64(p))
+		at := inputs[key][0]
+		inputs[key] = inputs[key][1:]
+		if i > 0 {
+			if c := s.Z.Compare(i-1, i); c > 0 || c == 0 && at < prev {
+				t.Fatalf("row %d (input %d) out of order after input %d", i, at, prev)
+			}
+		}
+		prev = at
+	}
+	s.Z.Data[0], s.Z.Data[len(s.Z.Data)-1] = s.Z.Data[len(s.Z.Data)-1], s.Z.Data[0]
+	if _, err := NewZCurve(enc, s, 4); err == nil {
+		t.Error("NewZCurve accepted a sample out of Z-order")
+	}
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"zskyline/internal/point"
@@ -31,41 +33,84 @@ type Info struct {
 	SkyCount int
 }
 
+// Sample is a sample as Z-curve partitioning reads it, encoded and
+// sorted into Z-order once by EncodeSample: the rows, each row's
+// Z-address and grid cell, and the Z-addresses of the sample's
+// skyline. Learning, redistributing and the per-partition statistics
+// all read these columns; none re-encodes or re-sorts a row.
+type Sample struct {
+	// Rows holds the sample's rows in Z-order, for the caller's skyline
+	// search, which then has nothing left to sort.
+	Rows point.Block
+	// Z holds one address per row of Rows, ascending.
+	Z zorder.ZCol
+	// Grid holds the grid cell of every row of Rows, Dims() per row.
+	Grid []uint32
+	// SkyZ holds one address per row of the sample's skyline.
+	SkyZ zorder.ZCol
+}
+
+// EncodeSample encodes sample, sorts it into Z-order (rows of equal
+// address keep their order) and encodes its skyline sky. sky may be
+// nil for a caller that searches the sorted rows and fills SkyZ itself.
+func EncodeSample(enc *zorder.Encoder, sample, sky []point.Point) Sample {
+	n, d, w := len(sample), enc.Dims(), enc.Words()
+	z := zorder.ZCol{Words: w, Data: make([]uint64, n*w)}
+	g := make([]uint32, d)
+	order := make([]int, n)
+	for i, p := range sample {
+		enc.EncodeGridInto(z.At(i), enc.GridInto(g, p))
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(z.Compare(a, b), cmp.Compare(a, b)) })
+	s := Sample{
+		Rows: point.Block{Dims: d, Data: make([]float64, 0, n*d)},
+		Z:    zorder.ZCol{Words: w, Data: make([]uint64, 0, n*w)},
+		Grid: make([]uint32, n*d),
+		SkyZ: enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(d, sky)),
+	}
+	for k, i := range order {
+		s.Rows.Data = append(s.Rows.Data, sample[i]...)
+		s.Z.AppendRow(z, i)
+		enc.GridInto(s.Grid[k*d:(k+1)*d], sample[i])
+	}
+	return s
+}
+
 // ZCurve partitions data by cutting the Z-order curve at pivot
 // addresses chosen as equal-frequency quantiles of the sample, the
 // paper's §4.1 scheme: each of the m partitions receives roughly
 // |sample|/m sample points, independent of dimensionality.
 type ZCurve struct {
 	enc    *zorder.Encoder
+	smp    Sample
 	pivots []zorder.ZAddr // m-1 sorted inner boundaries
 	infos  []Info
 }
 
-// NewZCurve learns a Z-curve partitioner with m partitions from
-// sample. sky is the sample's skyline, computed once by the caller; it
-// fills the per-partition skyline counts.
-func NewZCurve(enc *zorder.Encoder, sample, sky []point.Point, m int) (*ZCurve, error) {
-	if len(sample) == 0 {
+// NewZCurve learns a Z-curve partitioner with m partitions from the
+// sample s, which EncodeSample sorted, and whose skyline fills the
+// per-partition skyline counts.
+func NewZCurve(enc *zorder.Encoder, s Sample, m int) (*ZCurve, error) {
+	n := s.Z.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("partition: zcurve needs a non-empty sample")
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("partition: need at least one partition, got %d", m)
 	}
-	// One bulk columnar encode of the sample; the sort permutes row
-	// indices over the shared column instead of shuffling addresses.
-	zc := enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(enc.Dims(), sample))
-	perm := make([]int, zc.Len())
-	for i := range perm {
-		perm[i] = i
+	for i := 1; i < n; i++ {
+		if s.Z.Compare(i-1, i) > 0 {
+			return nil, fmt.Errorf("partition: zcurve sample is not in Z-order at row %d", i)
+		}
 	}
-	sort.Slice(perm, func(i, j int) bool { return zc.Compare(perm[i], perm[j]) < 0 })
-	z := &ZCurve{enc: enc}
+	z := &ZCurve{enc: enc, smp: s}
 	for c := 1; c < m; c++ {
 		// Pivots outlive the column, so they own their storage.
-		z.pivots = append(z.pivots, zc.At(perm[c*len(perm)/m]).Clone())
+		z.pivots = append(z.pivots, s.Z.At(c*n/m).Clone())
 	}
 	z.dedupePivots()
-	z.buildInfos(sample, sky)
+	z.buildInfos()
 	return z, nil
 }
 
@@ -81,47 +126,33 @@ func (z *ZCurve) dedupePivots() {
 	z.pivots = out
 }
 
-// buildInfos recomputes per-partition sample statistics and regions.
-func (z *ZCurve) buildInfos(sample, sky []point.Point) {
-	n := len(z.pivots) + 1
+// buildInfos recomputes per-partition sample statistics and regions
+// from the encoded sample.
+func (z *ZCurve) buildInfos() {
+	n, d := len(z.pivots)+1, z.enc.Dims()
 	z.infos = make([]Info, n)
-	type ext struct {
-		lo, hi []uint32
-	}
-	extents := make([]*ext, n)
 	for i := range z.infos {
 		z.infos[i].ID = i
 		z.infos[i].Interval = z.intervalRegion(i)
 	}
-	g := make([]uint32, z.enc.Dims())
-	a := make(zorder.ZAddr, z.enc.Words())
-	for _, p := range sample {
-		z.enc.EncodeInto(a, g, p)
-		id := z.assignAddr(a)
-		z.infos[id].Count++
-		if extents[id] == nil {
-			lo := append([]uint32(nil), g...)
-			hi := append([]uint32(nil), g...)
-			extents[id] = &ext{lo: lo, hi: hi}
+	for row := 0; row < z.smp.Z.Len(); row++ {
+		in := &z.infos[z.assignAddr(z.smp.Z.At(row))]
+		g := z.smp.Grid[row*d : (row+1)*d]
+		if in.Count == 0 {
+			in.Extent = zorder.Region{MinG: slices.Clone(g), MaxG: slices.Clone(g)}
 		} else {
-			for d, v := range g {
-				if v < extents[id].lo[d] {
-					extents[id].lo[d] = v
-				}
-				if v > extents[id].hi[d] {
-					extents[id].hi[d] = v
-				}
+			for k, v := range g {
+				in.Extent.MinG[k] = min(in.Extent.MinG[k], v)
+				in.Extent.MaxG[k] = max(in.Extent.MaxG[k], v)
 			}
 		}
+		in.Count++
 	}
-	for _, p := range sky {
-		z.enc.EncodeInto(a, g, p)
-		z.infos[z.assignAddr(a)].SkyCount++
+	for row := 0; row < z.smp.SkyZ.Len(); row++ {
+		z.infos[z.assignAddr(z.smp.SkyZ.At(row))].SkyCount++
 	}
 	for i := range z.infos {
-		if extents[i] != nil {
-			z.infos[i].Extent = zorder.Region{MinG: extents[i].lo, MaxG: extents[i].hi}
-		} else {
+		if z.infos[i].Count == 0 {
 			z.infos[i].Extent = z.infos[i].Interval
 		}
 	}
@@ -169,15 +200,15 @@ func (z *ZCurve) Infos() []Info { return z.infos }
 // Redistribute implements the redistribute() step of Algorithms 1 and
 // 2: every partition holding more than maxSky sample skyline points is
 // split at the Z-addresses of its sample skyline quantiles, so the
-// greedy grouping can spread skyline load. sky is the skyline of
-// sample. A new partitioner is returned; the receiver is unchanged.
-func (z *ZCurve) Redistribute(sample, sky []point.Point, maxSky int) *ZCurve {
+// greedy grouping can spread skyline load; the algorithms cap a
+// partition at |sample skyline|/M, and a cap below 1 counts as 1. A
+// new partitioner over the same encoded sample is returned; the
+// receiver is unchanged.
+func (z *ZCurve) Redistribute(maxSky int) *ZCurve {
 	if maxSky < 1 {
 		maxSky = 1
 	}
-	// One bulk encode of the sample skyline; partitions hold row
-	// indices into the shared column.
-	skyZ := z.enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(z.enc.Dims(), sky))
+	skyZ := z.smp.SkyZ
 	perPart := make(map[int][]int)
 	for i := 0; i < skyZ.Len(); i++ {
 		id := z.assignAddr(skyZ.At(i))
@@ -196,9 +227,9 @@ func (z *ZCurve) Redistribute(sample, sky []point.Point, maxSky int) *ZCurve {
 		}
 	}
 	sort.Slice(newPivots, func(i, j int) bool { return zorder.Compare(newPivots[i], newPivots[j]) < 0 })
-	nz := &ZCurve{enc: z.enc, pivots: newPivots}
+	nz := &ZCurve{enc: z.enc, smp: z.smp, pivots: newPivots}
 	nz.dedupePivots()
-	nz.buildInfos(sample, sky)
+	nz.buildInfos()
 	return nz
 }
 

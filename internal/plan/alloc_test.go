@@ -2,6 +2,8 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"zskyline/internal/dominance"
@@ -91,5 +93,39 @@ func TestParetoProviderNoRegression(t *testing.T) {
 	}
 	if namedAllocs <= 0 || namedAllocs*5 > n {
 		t.Errorf("pareto provider block map path: %.0f allocations for %d rows, want (0, %d]", namedAllocs, n, n/5)
+	}
+}
+
+// A ZDG map task sizes each group's arena from the group's share of the
+// sample, so over anti-correlated rows, where five in six pass the
+// filter, it allocates at most twice the bytes of the survivors it
+// returns (packed rows plus Z-column), at parallel's M = 2 and core's
+// M = 32 alike. Arenas grown by append from empty took 5.1 and 3.6
+// times.
+func TestMapBlockBytesNearSurvivors(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42)
+	blk := point.BlockOf(ds.Dims, ds.Points)
+	for _, m := range []int{2, 32} {
+		spec := &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: m, Delta: 4,
+			SampleRatio: 0.02, Bits: 16, Seed: 1}
+		r := learnRule(t, spec, ds)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out := r.MapBlock(blk, nil)
+		runtime.ReadMemStats(&after)
+		survivors := 0
+		for _, g := range out.Groups {
+			survivors += 8 * (len(g.Block.Data) + len(g.ZCol.Data))
+		}
+		label := fmt.Sprintf("M=%d", m)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d groups, map allocated %d B for %d B of survivors", label, len(out.Groups), got, survivors)
+		if out.Filtered == 0 || survivors == 0 {
+			t.Fatalf("%s: filtered %d rows, kept %d B", label, out.Filtered, survivors)
+		}
+		if got > 2*uint64(survivors) {
+			t.Errorf("%s: map allocated %d B, over twice its %d B of survivors", label, got, survivors)
+		}
 	}
 }

@@ -150,7 +150,7 @@ func TestExecutorsEquivalent(t *testing.T) {
 			}
 			sameSet(t, par, want, "parallel")
 
-			for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG, plan.Positional} {
+			for _, st := range []plan.Strategy{plan.NaiveZ, plan.ZHG, plan.ZDG} {
 				sameSet(t, planSkyline(t, tc.ds, st), want, "plan/"+st.String())
 			}
 		})

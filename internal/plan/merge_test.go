@@ -95,7 +95,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 	for _, d := range []int{2, 8} {
 		for name, ds := range mergeInputs(d) {
 			want := seq.BruteForce(ds.Points)
-			for _, st := range []Strategy{ZDG, ZHG, NaiveZ, Positional, Grid} {
+			for _, st := range []Strategy{ZDG, ZHG, NaiveZ, Grid} {
 				for _, w := range []int{1, 2, 3, 8} {
 					label := fmt.Sprintf("d%d/%s/%v/w%d", d, name, st, w)
 					spec := validSpec()
@@ -142,7 +142,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 // is empty or the sides share coordinate-equal rows.
 func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 4000, 5, 8)
-	r := learnRule(t, positionalSpec(), ds)
+	r := learnRule(t, validSpec(), ds)
 	half := func(lo, hi int) Group {
 		return r.LocalSkylineGroup(Group{Block: point.BlockOf(ds.Dims, ds.Points[lo:hi])}, nil)
 	}

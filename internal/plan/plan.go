@@ -7,9 +7,9 @@
 // Executor that says where tasks run:
 //
 //   - LocalExec is a shared-memory goroutine pool; internal/core runs
-//     the paper's strategies on it, internal/parallel runs the
-//     Positional strategy, and internal/gpmrs fans the MR-GPMRS
-//     baseline's own tasks over it (LocalExec.FanOut);
+//     the paper's strategies on it, internal/parallel runs ZDG with one
+//     group per worker, and internal/gpmrs fans the MR-GPMRS baseline's
+//     own tasks over it (LocalExec.FanOut);
 //   - internal/dist adapts a TCP coordinator, which maps and merges on
 //     its own LocalExec, and framed-transport workers that reduce
 //     (internal/transport).
@@ -49,13 +49,6 @@ const (
 	// ZDG is Z-order partitioning plus Dominance-based Grouping (§4.3),
 	// the paper's headline strategy.
 	ZDG
-	// Positional learns no routing at all: map task i's chunk is group
-	// i, as the input lies. Of phase 1 it keeps the sample skyline and
-	// its SZB-tree mapper filter (Algorithm 3). This is the shared-memory
-	// executor's strategy — with no shuffle to balance there is nothing
-	// for Z-partitioning to buy — and, like the baselines, it is
-	// in-process only.
-	Positional
 )
 
 // String names the strategy as the paper does.
@@ -73,8 +66,6 @@ func (s Strategy) String() string {
 		return "ZHG"
 	case ZDG:
 		return "ZDG"
-	case Positional:
-		return "Positional"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -295,16 +286,19 @@ type MapOutput struct {
 // group id order — the coordinator-side shuffle of the RPC and
 // shared-memory substrates — and sums the filter drops. The order of the
 // groups, and so of phase 3's rows, does not depend on which rows the
-// map tasks dropped or in which order their outputs arrive.
+// map tasks dropped or in which order their outputs arrive. A group's
+// rows are counted before they are copied, so its block and column are
+// allocated once at their exact size, and a group that one map output
+// alone contributed is passed through without a copy.
 // Z-address columns are concatenated alongside their blocks; a group
 // whose contributions do not all carry a consistent column loses it
 // (the reduce kernel then re-encodes, trading speed, never
 // correctness).
 func Shuffle(outs []MapOutput) ([]Group, int64) {
 	type acc struct {
-		bb *point.BlockBuilder
-		zc zorder.ZCol
-		ok bool // every contribution so far carried a matching column
+		pieces []Group
+		rows   int
+		ok     bool // every contribution carries a column of the first's width
 	}
 	byGroup := map[int]*acc{}
 	var order []int
@@ -317,27 +311,38 @@ func Shuffle(outs []MapOutput) ([]Group, int64) {
 			}
 			a, seen := byGroup[g.Gid]
 			if !seen {
-				a = &acc{bb: point.NewBlockBuilder(g.Block.Dims, g.Block.Len()),
-					zc: zorder.ZCol{Words: g.ZCol.Words}, ok: g.ZCol.Words > 0}
+				a = &acc{ok: g.ZCol.Words > 0}
 				byGroup[g.Gid] = a
 				order = append(order, g.Gid)
 			}
-			a.bb.AppendBlock(g.Block)
-			if a.ok && g.ZCol.Words == a.zc.Words && g.ZCol.Len() == g.Block.Len() {
-				a.zc.AppendCol(g.ZCol)
-			} else {
-				a.ok = false
-			}
+			a.pieces = append(a.pieces, g)
+			a.rows += g.Len()
+			a.ok = a.ok && g.ZCol.Words == a.pieces[0].ZCol.Words && g.ZCol.Len() == g.Len()
 		}
 	}
 	slices.Sort(order)
 	groups := make([]Group, len(order))
 	for i, gid := range order {
 		a := byGroup[gid]
-		groups[i] = Group{Gid: gid, Block: a.bb.Build()}
-		if a.ok {
-			groups[i].ZCol = a.zc
+		g := a.pieces[0]
+		if len(a.pieces) > 1 {
+			bb := point.NewBlockBuilder(g.Block.Dims, a.rows)
+			zc := zorder.ZCol{Words: g.ZCol.Words}
+			if a.ok {
+				zc.Data = make([]uint64, 0, a.rows*zc.Words)
+			}
+			for _, p := range a.pieces {
+				bb.AppendBlock(p.Block)
+				if a.ok {
+					zc.AppendCol(p.ZCol)
+				}
+			}
+			g.Block, g.ZCol = bb.Build(), zc
 		}
+		if !a.ok {
+			g.ZCol = zorder.ZCol{}
+		}
+		groups[i] = g
 	}
 	return groups, filtered
 }

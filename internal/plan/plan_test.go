@@ -15,6 +15,7 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/sample"
 	"zskyline/internal/seq"
+	"zskyline/internal/zorder"
 )
 
 func validSpec() *Spec {
@@ -52,7 +53,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	for _, s := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG, Positional, Strategy(42)} {
+	for _, s := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG, Strategy(42)} {
 		if s.String() == "" {
 			t.Errorf("strategy %d has empty name", int(s))
 		}
@@ -112,6 +113,56 @@ func TestShuffleDeterministicOrder(t *testing.T) {
 	}
 	if groups[1].Len() != 2 {
 		t.Errorf("group 1 holds %d points, want 2 (concatenated)", groups[1].Len())
+	}
+}
+
+// Shuffle counts a group's rows before it copies them: a group that
+// several map outputs contribute to gets one block and one column at
+// exactly their summed size, and a group that one output alone
+// contributes is passed through, sharing that output's arrays.
+func TestShuffleAllocatesOnce(t *testing.T) {
+	withZ := func(g Group) Group {
+		g.ZCol = zorder.ZCol{Words: 1}
+		for i := 0; i < g.Len(); i++ {
+			g.ZCol.AppendAddr(zorder.ZAddr{uint64(i)})
+		}
+		return g
+	}
+	rows := func(n int) []point.Point {
+		pts := make([]point.Point, n)
+		for i := range pts {
+			pts[i] = point.Point{float64(i), float64(n)}
+		}
+		return pts
+	}
+	outs := []MapOutput{
+		{Groups: []Group{withZ(NewGroup(0, 2, rows(3))), withZ(NewGroup(1, 2, rows(5)))}},
+		{Groups: []Group{withZ(NewGroup(0, 2, rows(4)))}},
+		{Groups: []Group{withZ(NewGroup(0, 2, rows(6)))}},
+	}
+	groups, _ := Shuffle(outs)
+	if len(groups) != 2 {
+		t.Fatalf("%d groups, want 2", len(groups))
+	}
+	multi, single := groups[0], groups[1]
+	if multi.Len() != 13 || cap(multi.Block.Data) != 13*2 || multi.ZCol.Len() != 13 || cap(multi.ZCol.Data) != 13 {
+		t.Errorf("group 0: %d rows, block cap %d, column %d rows cap %d; want 13 rows at exact capacity",
+			multi.Len(), cap(multi.Block.Data), multi.ZCol.Len(), cap(multi.ZCol.Data))
+	}
+	if !multi.Block.Row(3).Equal(point.Point{0, 4}) || !multi.Block.Row(7).Equal(point.Point{0, 6}) || multi.ZCol.At(12)[0] != 5 {
+		t.Errorf("group 0 rows out of output order: %v %v %v", multi.Block.Row(3), multi.Block.Row(7), multi.ZCol.At(12))
+	}
+	in := outs[0].Groups[1]
+	if single.Len() != 5 || &single.Block.Data[0] != &in.Block.Data[0] || &single.ZCol.Data[0] != &in.ZCol.Data[0] {
+		t.Errorf("group 1 was copied, not passed through")
+	}
+	// One contribution whose column does not line up: the block passes
+	// through and the column is dropped.
+	bad := withZ(NewGroup(2, 2, rows(3)))
+	bad.ZCol.Data = bad.ZCol.Data[:2]
+	groups, _ = Shuffle([]MapOutput{{Groups: []Group{bad}}})
+	if g := groups[0]; &g.Block.Data[0] != &bad.Block.Data[0] || g.ZCol.Len() != 0 {
+		t.Errorf("misaligned single contribution: copied or kept its %d-row column", g.ZCol.Len())
 	}
 }
 
@@ -323,4 +374,13 @@ func sameSet(t *testing.T, got, want []point.Point, label string) {
 			t.Fatalf("%s: [%d] = %v, want %v", label, i, g[i], w[i])
 		}
 	}
+}
+
+func mustBinary(t *testing.T, m interface{ MarshalBinary() ([]byte, error) }) []byte {
+	t.Helper()
+	b, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

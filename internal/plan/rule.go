@@ -48,15 +48,17 @@ type Rule struct {
 	// the Z-address into a partition, then map partition -> group.
 	pivots  []zorder.ZAddr
 	groupOf map[int]int
-	// positional marks the Positional strategy: no routing state, map
-	// task i's survivors are group i.
-	positional bool
+	// groupSample counts the sample rows of each group's partitions;
+	// over sampleSize it is the group's expected share of the routed
+	// rows, which sizes the map's arenas (see hint). Nil for the
+	// baselines.
+	groupSample []int
 	// szb is Algorithm 3's SZB filter: a ZB-tree over the repBudget
 	// sample-skyline rows of largest dominance volume; nil when the
 	// strategy or the relation does not filter.
 	szb *zbtree.BlockTree
 	// sampleSize is |sample|; with skySize it predicts the filter's
-	// survivor count (see survivorsOf).
+	// survivor count (see hint).
 	sampleSize int
 
 	dims       int
@@ -126,8 +128,6 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		r.assignFn = func(p point.Point) (int, bool) { return rp.Assign(p), true }
 		r.groups, r.parts = rp.N(), rp.N()
 		return r.withUnitLocalEncoder()
-	case Positional:
-		return r.learnPositional(spec, smp, tally), nil
 	case NaiveZ, ZHG, ZDG:
 	default:
 		return nil, fmt.Errorf("plan: unknown strategy %v", spec.Strategy)
@@ -138,11 +138,15 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	if spec.Strategy != NaiveZ {
 		parts = spec.M * spec.Delta
 	}
+	// The sample is encoded and sorted into Z-order once: its skyline
+	// search finds its rows in order, and the pivots and every
+	// partition statistic read its column and grid.
 	// Naive-Z is the bare §4.1 partitioner: pivots only, no sample
 	// skyline filter, no grouping. Only the grouped strategies run
 	// Algorithm 3's SZB-tree mapper filter.
-	skyPts := r.sampleSkyline(smp, spec.Strategy != NaiveZ && !r.filterOff, tally).Points()
-	zc, err := partition.NewZCurve(enc, smp, skyPts, parts)
+	s := partition.EncodeSample(enc, smp, nil)
+	s.SkyZ = r.sampleSkyline(s.Rows, s.Z, spec.Strategy != NaiveZ && !r.filterOff, tally)
+	zc, err := partition.NewZCurve(enc, s, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -152,10 +156,10 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	case NaiveZ:
 		pg = grouping.Identity(zc.Infos())
 	case ZHG:
-		zc = zc.Redistribute(smp, skyPts, sconsOf(skyPts, spec.M))
+		zc = zc.Redistribute(r.skySize / spec.M)
 		pg, err = grouping.Heuristic(zc.Infos(), spec.M)
 	case ZDG:
-		zc = zc.Redistribute(smp, skyPts, sconsOf(skyPts, spec.M))
+		zc = zc.Redistribute(r.skySize / spec.M)
 		if r.caps.ParetoImplies {
 			pg, err = grouping.Dominance(enc, zc.Infos(), spec.M)
 		} else {
@@ -174,17 +178,13 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	r.groups = pg.Groups
 	r.parts = zc.N()
 	r.pruned = len(pg.Pruned)
-	return r, nil
-}
-
-// sconsOf is the redistribute() skyline-per-partition cap of
-// Algorithms 1 and 2.
-func sconsOf(skyPts []point.Point, m int) int {
-	scons := len(skyPts) / m
-	if scons < 1 {
-		scons = 1
+	r.groupSample = make([]int, r.groups)
+	for _, in := range zc.Infos() {
+		if gid, ok := r.groupOf[in.ID]; ok {
+			r.groupSample[gid] += in.Count
+		}
 	}
-	return scons
+	return r, nil
 }
 
 // withUnitLocalEncoder swaps the local-skyline encoder for a unit-box
@@ -200,38 +200,25 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 	return r, nil
 }
 
-// learnPositional finishes Learn for the Positional strategy: spec.M
-// groups at most (the driver reports how many map tasks the input
-// actually filled), and — unless the relation or the spec turns the
-// filter off — the sample skyline indexed as the SZB-tree every map
-// task probes.
-func (r *Rule) learnPositional(spec *Spec, smp []point.Point, tally *metrics.Tally) *Rule {
-	r.positional = true
-	r.groups, r.parts = spec.M, spec.M
-	if !r.filterOff && len(smp) > 0 {
-		r.sampleSkyline(smp, true, tally)
-	}
-	return r
-}
-
-// sampleSkyline computes the sample's skyline — the one Z-search of
-// phase 1, counted in tally — and, when index is set, builds the
-// SZB-tree of Algorithm 3 over its repBudget representatives, reusing
-// the search's compacted rows and Z-column as the tree's store. Every
-// representative is an input row, so whatever it dominates is off the
-// skyline; the whole skyline (most of the sample on anti-correlated
-// data) would drop a few more rows for many more tests per probe. The
-// caller's partitioning reads the whole skyline. Sample and tree stay
-// on the slab path, so learning costs a handful of allocations
-// whatever the sample size.
-func (r *Rule) sampleSkyline(smp []point.Point, index bool, tally *metrics.Tally) point.Block {
-	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, point.BlockOf(r.dims, smp), zorder.ZCol{}, tally)
+// sampleSkyline computes the skyline of the sample blk, whose
+// Z-address column is zc — the one Z-search of phase 1, counted in
+// tally — and returns the skyline's Z-address column. When index is
+// set it builds the SZB-tree of Algorithm 3 over the skyline's
+// repBudget representatives, reusing the search's compacted rows and
+// column as the tree's store. Every representative is an input row, so
+// whatever it dominates is off the skyline; the whole skyline (most of
+// the sample on anti-correlated data) would drop a few more rows for
+// many more tests per probe. The caller's partitioning reads the whole
+// skyline. Sample and tree stay on the slab path, so learning costs a
+// handful of allocations whatever the sample size.
+func (r *Rule) sampleSkyline(blk point.Block, zc zorder.ZCol, index bool, tally *metrics.Tally) zorder.ZCol {
+	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, blk, zc, tally)
 	if index {
 		st := zbtree.NewStoreWithZCol(r.enc, sky, skyZ)
 		r.szb = zbtree.BuildRows(st, r.fanout, st.Representatives(0, int32(st.Len()), repBudget), tally)
 	}
-	r.skySize, r.sampleSize = sky.Len(), len(smp)
-	return sky
+	r.skySize, r.sampleSize = sky.Len(), blk.Len()
+	return skyZ
 }
 
 // Groups returns the number of groups (= phase-2 reducers).
@@ -288,9 +275,6 @@ func (rt *router) route(p point.Point) (gid int, ok bool) {
 		return 0, false
 	}
 	r.enc.EncodeGridInto(rt.z, rt.g)
-	if r.positional {
-		return 0, true
-	}
 	gid, ok = r.groupOf[r.partitionOf(rt.z)]
 	return gid, ok
 }
@@ -377,25 +361,19 @@ const cancelStride = 1024
 
 // mapRows is phase 2's map task over n rows, wherever they lie: filter
 // each row against the SZB-tree and route the survivors to their groups
-// (first-seen order), or under Positional keep them all as the task's
-// one group. There is no combine: the reduce computes each group's
-// skyline over the union anyway. Routing reuses one router's scratch
-// across all rows and routed rows accumulate in per-group arenas, so
-// the per-row cost is zero allocations. On the Z-order paths under
-// Pareto the address computed for routing is appended to the group's
-// Z-address column, so it is encoded exactly once per query: shuffle,
-// reduce, and merge reuse it. Once ctx is done the task stops mid-way
-// and returns nothing; the executor reports ctx.Err().
+// (first-seen order). There is no combine: the reduce computes each
+// group's skyline over the union anyway. Routing reuses one router's
+// scratch across all rows and routed rows accumulate in per-group
+// arenas sized by hint, so the per-row cost is zero allocations. On the
+// Z-order paths under Pareto the address computed for routing is
+// appended to the group's Z-address column, so it is encoded exactly
+// once per query: shuffle, reduce, and merge reuse it. Once ctx is done
+// the task stops mid-way and returns nothing; the executor reports
+// ctx.Err().
 func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
 	// Under a non-Pareto relation survivors travel without a column; the
 	// reduce encodes what its store needs.
 	keepZ := r.assignFn == nil && r.pareto()
-	// Positional's one group is sized by the filter's predicted
-	// survivors; routed groups grow as their rows arrive.
-	hint := 0
-	if r.positional {
-		hint = r.survivorsOf(n)
-	}
 	rt := r.newRouter()
 	at := map[int]int{} // gid -> its index in out.Groups and arenas
 	var arenas []*point.BlockBuilder
@@ -417,6 +395,7 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 		if !seen {
 			k = len(arenas)
 			at[gid] = k
+			hint := r.hint(gid, n)
 			arenas = append(arenas, point.NewBlockBuilder(r.dims, hint))
 			out.Groups = append(out.Groups, Group{Gid: gid})
 			if keepZ {
@@ -436,18 +415,23 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 	return out
 }
 
-// survivorsOf sizes a map task's arenas for the rows that pass the SZB
-// filter. A row drawn like the sample escapes the whole sample skyline
-// about as often as a sample row sits on it, so the estimate is
-// n·|sample skyline|/|sample| plus slack. The filter probes only the
-// representatives and lets more rows through; append growth absorbs
-// the miss, and sizing from the representatives' own drops measured no
-// smaller footprint.
-func (r *Rule) survivorsOf(n int) int {
-	if r.szb == nil {
-		return n
+// hint sizes group gid's arena in a map task of n rows: the rows
+// expected to pass the SZB filter, times the group's share of the
+// sample. A row drawn like the sample escapes the whole sample skyline
+// about as often as a sample row sits on it, so the survivors are
+// about n·|sample skyline|/|sample|, plus slack. The filter probes only
+// the representatives and lets more rows through; append growth
+// absorbs the miss. The baselines learn no shares and grow their
+// arenas as rows arrive.
+func (r *Rule) hint(gid, n int) int {
+	if r.groupSample == nil {
+		return 0
 	}
-	return min(n, n*r.skySize/r.sampleSize+n/16+16)
+	survivors := n
+	if r.szb != nil {
+		survivors = min(n, n*r.skySize/r.sampleSize+n/16+16)
+	}
+	return survivors * r.groupSample[gid] / r.sampleSize
 }
 
 // MergeGroupsZ is one merge task over candidate groups, in the given
@@ -553,9 +537,8 @@ type RuleData struct {
 
 // Data serializes the rule's reduce half. The baselines refuse: their
 // local kernels run under a unit-box encoder RuleData cannot express.
-// So does Positional, which is in-process only.
 func (r *Rule) Data() (*RuleData, error) {
-	if r.localEnc != r.enc || r.positional {
+	if r.localEnc != r.enc {
 		return nil, fmt.Errorf("plan: only Z-order rules serialize for broadcast")
 	}
 	return &RuleData{

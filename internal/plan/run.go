@@ -267,8 +267,7 @@ func (fi fileInput) each(spec *Spec, f func(point.Block) error) error {
 // learn is phase 1 under the taxonomy's learn span: scan the input for
 // its bounds and sample, learn the rule, broadcast it, fill the report,
 // and close the span with the taxonomy's attributes. It returns the map
-// tasks' cuts — under Positional also the groups, which Learn cannot
-// know — and a nil rule for an empty input.
+// tasks' cuts, and a nil rule for an empty input.
 func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	span, ctx := obs.StartSpan(ctx, "learn")
 	defer span.End()
@@ -295,9 +294,6 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	rep.Groups = r.groups
 	rep.Partitions = r.parts
 	rep.PrunedPartitions = r.pruned
-	if r.positional {
-		rep.Groups, rep.Partitions = len(cuts), len(cuts)
-	}
 	span.SetAttr("strategy", spec.Strategy)
 	span.SetAttr("points", sc.n)
 	span.SetAttr("sample", rep.SampleSize)
@@ -371,7 +367,7 @@ func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in inpu
 }
 
 // phase2 is phase 2 (§5.2): maps runs the phase's map tasks (tasks of
-// them) under the taxonomy's map span; their survivors are gathered into
+// them) under the taxonomy's map span; their survivors are shuffled into
 // groups, what each group receives is recorded, and every group is
 // reduced to its skyline candidates under the local-skyline span.
 func (d *driver) phase2(ctx context.Context, r *Rule, tasks int, maps func(context.Context) ([]MapOutput, error)) ([]Group, error) {
@@ -383,7 +379,7 @@ func (d *driver) phase2(ctx context.Context, r *Rule, tasks int, maps func(conte
 		mapSpan.End()
 		return nil, err
 	}
-	groups, filtered := gather(r, outs)
+	groups, filtered := Shuffle(outs)
 	mapSpan.SetAttr("filtered", filtered)
 	mapSpan.End()
 	d.rep.Filtered = filtered
@@ -404,25 +400,6 @@ func perGroup(n int, groups []Group) []int {
 		}
 	}
 	return counts
-}
-
-// gather turns map outputs into the reduce phase's groups: a shuffle by
-// group id, except under Positional, where map task i's survivors are
-// group i as they stand.
-func gather(r *Rule, outs []MapOutput) ([]Group, int64) {
-	if !r.positional {
-		return Shuffle(outs)
-	}
-	groups := make([]Group, 0, len(outs))
-	var filtered int64
-	for i, out := range outs {
-		filtered += out.Filtered
-		for _, g := range out.Groups {
-			g.Gid = i
-			groups = append(groups, g)
-		}
-	}
-	return groups, filtered
 }
 
 // reducePhase runs the local-skyline tasks under their taxonomy span.

@@ -21,23 +21,24 @@ import (
 //   - rounds: pairwise merge rounds, a round of fewer pairs than half the
 //     pool run as two-sided probes, a fuller one as MergeGroupsZ tasks;
 //   - partition-sweep: the candidates cut by Z-partition, in pivot order,
-//     then SweepMerge (ZDG only: Positional has no partitions);
+//     then SweepMerge;
 //   - zsort-sweep: the candidates Z-sorted and cut into a few ranges per
 //     worker, each range Z-searched, then SweepMerge;
 //   - one-tree: one ZB-tree over every candidate, probed in row ranges;
 //   - pair: the two-sided probe, where there are two groups.
 //
-// The candidates come from ZDG as core runs it (M=32, δ=4) and from
-// Positional with 4 and 2 map tasks, each on a pool of that many
-// workers. Run with -count 7 and read each schedule's best:
+// The candidates come from ZDG as core runs it (M=32, δ=4) and as
+// parallel runs it on 4 and 2 workers (M = map tasks = workers), each
+// on a pool of that many workers. Run with -count 7 and read each
+// schedule's best:
 //
 //	go test ./internal/plan -run '^$' -bench Phase3Schedules -count 7
 func BenchmarkPhase3Schedules(b *testing.B) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 1)
 	zdg := &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: 32, Delta: 4,
 		SampleRatio: 0.02, Bits: 16, Seed: 1, MapTasks: 4}
-	positional := func(w int) *Spec {
-		return &Spec{Strategy: Positional, Local: ZS, Merge: MergeZM, M: w, Delta: 1,
+	perWorker := func(w int) *Spec {
+		return &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: w, Delta: 4,
 			SampleRatio: 0.02, Bits: 16, Seed: 1, MapTasks: w}
 	}
 	type schedule struct {
@@ -61,8 +62,8 @@ func BenchmarkPhase3Schedules(b *testing.B) {
 		schedules []schedule
 	}{
 		{"ZDG/w2", zdg, 2, []schedule{fold, rounds, {"partition-sweep", partitionSweep}, {"zsort-sweep", zsortSweep}, oneTree}},
-		{"Positional/w4", positional(4), 4, []schedule{rounds, {"zsort-sweep", zsortSweep}, oneTree}},
-		{"Positional/w2", positional(2), 2, []schedule{pair, oneTree}},
+		{"ZDG-m4/w4", perWorker(4), 4, []schedule{rounds, {"zsort-sweep", zsortSweep}, oneTree}},
+		{"ZDG-m2/w2", perWorker(2), 2, []schedule{pair, oneTree}},
 	} {
 		ex := NewLocalExec(c.workers)
 		r, groups := candidates(b, c.spec, ds, ex)

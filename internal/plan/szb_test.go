@@ -32,9 +32,6 @@ func runRule(t *testing.T, spec *Spec, ds *point.Dataset, r *Rule, tally *metric
 	d := newDriver(spec, NewLocalExec(2), tally)
 	in, cuts := memInput{ds}, spec.cuts(ds.Len())
 	d.rep.Groups = r.groups
-	if r.positional {
-		d.rep.Groups = len(cuts)
-	}
 	groups, err := d.phase2(ctx, r, len(cuts), func(mctx context.Context) ([]MapOutput, error) {
 		return in.mapCuts(mctx, d, r, cuts)
 	})
@@ -66,7 +63,7 @@ func TestSZBRepresentativesFilter(t *testing.T) {
 		seeds = 1
 	}
 	specs := map[string]*Spec{
-		"parallel": {Strategy: Positional, Local: ZS, Merge: MergeZM, M: 2, Delta: 1,
+		"parallel": {Strategy: ZDG, Local: ZS, Merge: MergeZM, M: 2, Delta: 4,
 			MapTasks: 2, SampleRatio: 0.02, Seed: 1, Bits: 16},
 		"zdg": {Strategy: ZDG, Local: ZS, Merge: MergeZM, M: 32, Delta: 4,
 			MapTasks: 16, SampleRatio: 0.02, Bits: 16},

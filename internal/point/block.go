@@ -85,7 +85,8 @@ func (b Block) Slice(lo, hi int) Block {
 
 // SplitN cuts the block into n near-equal contiguous sub-blocks
 // without copying (at least one row each; fewer blocks when the input
-// is small) — the positional sharding of the shared-memory executor.
+// is small). Only the benchmark's stage-by-stage replay cuts its map
+// tasks this way; the pipeline cuts by Spec's own rule.
 func (b Block) SplitN(n int) []Block {
 	rows := b.Len()
 	if n < 1 {

@@ -85,8 +85,8 @@ func TestEncodeIntoAndRegionInto(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		b := randBlock(rng, 2, 5)
 		p, q := b.Row(0), b.Row(1)
-		if !Equal(enc.EncodeInto(z, g, p), enc.Encode(p)) {
-			t.Fatalf("EncodeInto disagrees with Encode for %v", p)
+		if !Equal(enc.EncodeGridInto(z, enc.GridInto(g, p)), enc.Encode(p)) {
+			t.Fatalf("scratch encode disagrees with Encode for %v", p)
 		}
 		zp, zq := enc.Encode(p), enc.Encode(q)
 		alpha, beta := zp, zq

@@ -163,14 +163,6 @@ func (e *Encoder) Encode(p point.Point) ZAddr {
 	return e.EncodeGrid(e.Grid(p))
 }
 
-// EncodeInto quantizes p into g and interleaves it into z, returning
-// z. g must have Dims() entries and z Words() entries; neither
-// allocates, making this the scalar building block for hot loops that
-// carry their own scratch (see also EncodeBlock for whole blocks).
-func (e *Encoder) EncodeInto(z ZAddr, g []uint32, p point.Point) ZAddr {
-	return e.EncodeGridInto(z, e.GridInto(g, p))
-}
-
 // EncodeGrid interleaves already-quantized grid coordinates.
 func (e *Encoder) EncodeGrid(g []uint32) ZAddr {
 	return e.EncodeGridInto(make(ZAddr, e.words), g)
@@ -390,10 +382,11 @@ func RegionCannotDominatePointGrid(r Region, g []uint32) bool {
 // is the caller's concern.
 func (e *Encoder) DominanceVolume(a, b Region) float64 {
 	vol := 1.0
-	aMin, aMax := e.CellMin(a.MinG), e.CellMax(a.MaxG)
-	bMin, bMax := e.CellMin(b.MinG), e.CellMax(b.MaxG)
 	for k := 0; k < e.dims; k++ {
-		x := [4]float64{aMin[k], aMax[k], bMin[k], bMax[k]}
+		// CellMin's and CellMax's corners, without their allocations:
+		// grouping asks for every pair of partitions.
+		lo, w := e.mins[k], e.width[k]
+		x := [4]float64{lo + float64(a.MinG[k])*w, lo + float64(a.MaxG[k]+1)*w, lo + float64(b.MinG[k])*w, lo + float64(b.MaxG[k]+1)*w}
 		// Find largest and second largest of the four.
 		first, second := math.Inf(-1), math.Inf(-1)
 		for _, v := range x {

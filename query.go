@@ -47,7 +47,7 @@ type Pref struct {
 }
 
 // Relation is a named-attribute dataset: the user-facing counterpart
-// to the positional Dataset. Rows are records; attribute order is
+// to the column-indexed Dataset. Rows are records; attribute order is
 // fixed by Attrs.
 type Relation struct {
 	Attrs []string
