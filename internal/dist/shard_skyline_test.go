@@ -551,13 +551,15 @@ func TestShardSuffixCacheIsNoFilter(t *testing.T) {
 	want := rule.LocalSkylineGroup(in, &alone)
 
 	var probed metrics.Tally
-	tree := zbtree.BuildRows(st, zbtree.DefaultFanout, cachedRows, &probed)
+	var probes metrics.Count
+	tree := zbtree.BuildRows(st, zbtree.DefaultFanout, cachedRows, nil)
 	var keep []int32
 	for i := int32(0); i < int32(in.Len()); i++ {
-		if !tree.DominatesRow(i) {
+		if !tree.DominatesRow(&probes, i) {
 			keep = append(keep, i)
 		}
 	}
+	probed.Add(probes)
 	survivors := plan.Group{}
 	survivors.Block, survivors.ZCol = st.CompactRows(keep)
 	got := rule.LocalSkylineGroup(survivors, &probed)

@@ -26,10 +26,25 @@ func (t *Tally) AddDominanceTests(n int64) {
 	}
 }
 
-// AddRegionTests records n grid-level RZ-region tests.
-func (t *Tally) AddRegionTests(n int64) {
-	if t != nil {
-		t.regionTests.Add(n)
+// Count is the test counters of one task: plain integers it bumps as
+// it works, without synchronization, and adds to a shared Tally once,
+// when it ends (Tally.Add). Tasks that run at once and bumped one Tally
+// per probe would pass its cache line between their cores.
+type Count struct {
+	DominanceTests int64 // exact point-vs-point dominance tests
+	RegionTests    int64 // grid-level region tests
+}
+
+// Add records a task's counts.
+func (t *Tally) Add(c Count) {
+	if t == nil {
+		return
+	}
+	if c.DominanceTests != 0 {
+		t.dominanceTests.Add(c.DominanceTests)
+	}
+	if c.RegionTests != 0 {
+		t.regionTests.Add(c.RegionTests)
 	}
 }
 

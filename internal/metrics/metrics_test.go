@@ -10,7 +10,7 @@ import (
 func TestNilTallyIsSafe(t *testing.T) {
 	var tal *Tally
 	tal.AddDominanceTests(5)
-	tal.AddRegionTests(5)
+	tal.Add(Count{DominanceTests: 5, RegionTests: 5})
 	tal.AddPointsPruned(5)
 	if s := tal.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil tally snapshot = %+v, want zero", s)
@@ -41,11 +41,11 @@ func TestTallyConcurrent(t *testing.T) {
 func TestSnapshotAdd(t *testing.T) {
 	tal := &Tally{}
 	tal.AddDominanceTests(1)
-	tal.AddRegionTests(2)
+	tal.Add(Count{RegionTests: 2})
 	tal.AddPointsPruned(3)
 	before := tal.Snapshot()
-	tal.AddDominanceTests(4)
-	tal.AddRegionTests(5)
+	tal.Add(Count{DominanceTests: 3, RegionTests: 5})
+	tal.AddDominanceTests(1)
 	tal.AddPointsPruned(6)
 	want := Snapshot{DominanceTests: 4, RegionTests: 5, PointsPruned: 6}
 	if d := tal.Snapshot().Sub(before); d != want {

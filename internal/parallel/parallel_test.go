@@ -359,11 +359,50 @@ func TestTallyPlumbed(t *testing.T) {
 	}
 }
 
+// Workers fixes the plan (M, map tasks, pool width), and every task
+// adds its counts to the tally once, when it ends: the counts of one
+// plan must not depend on how many of its tasks run at once. Each plan
+// runs on one OS thread and on all of them, and the two-worker plan's
+// counts are pinned (data seed 42), so a task that forgets to add its
+// counter fails too.
+func TestTallyIndependentOfConcurrency(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ds   *point.Dataset
+		two  metrics.Snapshot // at Workers 2
+	}{
+		{"anti16k", gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42),
+			metrics.Snapshot{DominanceTests: 2530574, RegionTests: 952432, PointsPruned: 2633}},
+		{"corr120k", gen.Synthetic(gen.Correlated, 120000, 8, 42),
+			metrics.Snapshot{DominanceTests: 8672, RegionTests: 120445, PointsPruned: 119996}},
+	} {
+		for _, w := range []int{1, 2, 3} {
+			var snaps [2]metrics.Snapshot
+			for k, procs := range []int{1, runtime.NumCPU()} {
+				prev := runtime.GOMAXPROCS(procs)
+				tal := &metrics.Tally{}
+				_, err := Skyline(context.Background(), c.ds, Options{Workers: w, Tally: tal})
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps[k] = tal.Snapshot()
+			}
+			if snaps[0] != snaps[1] {
+				t.Errorf("%s workers=%d: tally %+v on one thread, %+v on %d", c.name, w, snaps[0], snaps[1], runtime.NumCPU())
+			}
+			if w == 2 && snaps[0] != c.two {
+				t.Errorf("%s workers=2: tally %+v, want %+v", c.name, snaps[0], c.two)
+			}
+		}
+	}
+}
+
 // benchSkyline times Skyline at GOMAXPROCS workers and without a tally,
-// as bench/ calls it, and reports how much of the input the map filter
-// dropped and how many rows were Z-encoded (every survivor, exactly
-// once). The counts come from one untimed call: they repeat exactly,
-// and a shared tally costs the timed loop its cache line.
+// as bench/'s untraced cycles call it, and reports how much of the
+// input the map filter dropped and how many rows were Z-encoded (every
+// survivor, exactly once). The counts repeat exactly, so they come from
+// one untimed call.
 func benchSkyline(b *testing.B, ds *point.Dataset) {
 	tal := &metrics.Tally{}
 	if _, err := Skyline(context.Background(), ds, Options{Tally: tal}); err != nil {

@@ -323,6 +323,40 @@ func TestZCurveRedistribute(t *testing.T) {
 	}
 }
 
+// A ZDG Learn makes a curve of M·δ partitions, redistributes it at
+// once and reads only the result's statistics, three times (grouping,
+// then the groups' sample shares). The sample is assigned to partitions
+// once: the first curve never builds its statistics, the second builds
+// them at its first read and hands the same slice to every later one,
+// and they are what an eager build over the same pivots computes.
+func TestZCurveAssignsSampleOnce(t *testing.T) {
+	const m, delta = 2, 4
+	ds := gen.Synthetic(gen.AntiCorrelated, 2400, 8, 21)
+	enc, _ := zorder.NewUnitEncoder(8, 16)
+	z, err := newZCurve(enc, ds.Points, m*delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rz := z.Redistribute(z.smp.SkyZ.Len() / m)
+	if z.infos != nil || rz.infos != nil {
+		t.Fatal("a curve assigned its sample before its statistics were read")
+	}
+	first := rz.Infos()
+	for k := 0; k < 2; k++ {
+		if again := rz.Infos(); &again[0] != &first[0] {
+			t.Fatalf("read %d assigned the sample again", k+2)
+		}
+	}
+	if z.infos != nil {
+		t.Error("redistributing read the first curve's statistics")
+	}
+	eager := &ZCurve{enc: rz.enc, smp: rz.smp, pivots: rz.pivots}
+	eager.buildInfos()
+	if fmt.Sprint(eager.infos) != fmt.Sprint(first) {
+		t.Error("lazily built statistics differ from an eager build")
+	}
+}
+
 func TestZCurveDuplicateHeavySample(t *testing.T) {
 	// Many identical points: pivots collapse; partitioner must stay valid.
 	pts := make([]point.Point, 200)

@@ -85,7 +85,7 @@ type ZCurve struct {
 	enc    *zorder.Encoder
 	smp    Sample
 	pivots []zorder.ZAddr // m-1 sorted inner boundaries
-	infos  []Info
+	infos  []Info         // built by the first Infos call
 }
 
 // NewZCurve learns a Z-curve partitioner with m partitions from the
@@ -110,7 +110,6 @@ func NewZCurve(enc *zorder.Encoder, s Sample, m int) (*ZCurve, error) {
 		z.pivots = append(z.pivots, s.Z.At(c*n/m).Clone())
 	}
 	z.dedupePivots()
-	z.buildInfos()
 	return z, nil
 }
 
@@ -126,8 +125,8 @@ func (z *ZCurve) dedupePivots() {
 	z.pivots = out
 }
 
-// buildInfos recomputes per-partition sample statistics and regions
-// from the encoded sample.
+// buildInfos computes per-partition sample statistics and regions from
+// the encoded sample.
 func (z *ZCurve) buildInfos() {
 	n, d := len(z.pivots)+1, z.enc.Dims()
 	z.infos = make([]Info, n)
@@ -194,8 +193,16 @@ func (z *ZCurve) assignAddr(a zorder.ZAddr) int {
 }
 
 // Infos returns the per-partition sample statistics, in partition
-// order. Callers must not mutate the returned slice.
-func (z *ZCurve) Infos() []Info { return z.infos }
+// order. The first call assigns the sample to the partitions and the
+// later ones return its result, so a curve that is only redistributed
+// never pays for it; a curve is not safe for concurrent first calls.
+// Callers must not mutate the returned slice.
+func (z *ZCurve) Infos() []Info {
+	if z.infos == nil {
+		z.buildInfos()
+	}
+	return z.infos
+}
 
 // Redistribute implements the redistribute() step of Algorithms 1 and
 // 2: every partition holding more than maxSky sample skyline points is
@@ -229,7 +236,6 @@ func (z *ZCurve) Redistribute(maxSky int) *ZCurve {
 	sort.Slice(newPivots, func(i, j int) bool { return zorder.Compare(newPivots[i], newPivots[j]) < 0 })
 	nz := &ZCurve{enc: z.enc, smp: z.smp, pivots: newPivots}
 	nz.dedupePivots()
-	nz.buildInfos()
 	return nz
 }
 

@@ -184,8 +184,8 @@ func TestMergePhaseCancelled(t *testing.T) {
 	st, _ := r.candidateStore(groups, total)
 	m := newProbeMerge(st, [][2]int32{{0, int32(total)}}, every)
 	m.cut(0, 1)
-	m.build(0, r.fanout, nil)
-	m.probe(countdown(1), 0)
+	m.build(0, r.fanout)
+	m.probe(countdown(1), 0, nil)
 	for i, ok := range m.alive {
 		if ok != (i == 0 || i >= cancelStride) {
 			t.Fatalf("row %d of the cancelled range: alive=%v; the probe must stop at its second poll", i, ok)

@@ -74,22 +74,26 @@ func (m *probeMerge) answersTo(a, b int) bool {
 	return true
 }
 
-// build indexes the rows of one side that are still alive.
-func (m *probeMerge) build(side, fanout int, tally *metrics.Tally) {
+// build indexes the rows of one side that are still alive. Only probes
+// walk the tree, and they count into their own range's Count.
+func (m *probeMerge) build(side, fanout int) {
 	rows := make([]int32, 0, m.sides[side][1]-m.sides[side][0])
 	for i := m.sides[side][0]; i < m.sides[side][1]; i++ {
 		if m.alive[i] {
 			rows = append(rows, i)
 		}
 	}
-	m.trees[side] = zbtree.BuildRows(m.st, fanout, rows, tally)
+	m.trees[side] = zbtree.BuildRows(m.st, fanout, rows, nil)
 }
 
-// probe clears alive for the rows of probe range c that some side they
-// answer to dominates. It gives up, leaving the range half done, once
-// ctx is; the executor then reports ctx.Err().
-func (m *probeMerge) probe(ctx context.Context, c int) {
-	pr := m.ranges[c]
+// probe clears alive for the rows of probe range k that some side they
+// answer to dominates, and adds its tests to tally once, when it ends.
+// It gives up, leaving the range half done, once ctx is; the executor
+// then reports ctx.Err().
+func (m *probeMerge) probe(ctx context.Context, k int, tally *metrics.Tally) {
+	var c metrics.Count
+	defer func() { tally.Add(c) }()
+	pr := m.ranges[k]
 	for i := pr.lo; i < pr.hi; i++ {
 		if (i-pr.lo)%cancelStride == 0 && ctx.Err() != nil {
 			return
@@ -98,7 +102,7 @@ func (m *probeMerge) probe(ctx context.Context, c int) {
 			continue
 		}
 		for b, t := range m.trees {
-			if t != nil && m.answersTo(pr.side, b) && t.DominatesRow(i) {
+			if t != nil && m.answersTo(pr.side, b) && t.DominatesRow(&c, i) {
 				m.alive[i] = false
 				break
 			}
@@ -158,8 +162,8 @@ func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, groups []Group, r
 		m.cut(side, splitChunks*ex.workers)
 	}
 	err := ex.runSteps(ctx,
-		step{len(m.sides), func(i int) { m.build(i, r.fanout, tally) }},
-		step{len(m.ranges), func(i int) { m.probe(ctx, i) }},
+		step{len(m.sides), func(i int) { m.build(i, r.fanout) }},
+		step{len(m.ranges), func(i int) { m.probe(ctx, i, tally) }},
 	)
 	if err != nil {
 		return Group{}, err

@@ -215,7 +215,7 @@ func (r *Rule) sampleSkyline(blk point.Block, zc zorder.ZCol, index bool, tally 
 	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, blk, zc, tally)
 	if index {
 		st := zbtree.NewStoreWithZCol(r.enc, sky, skyZ)
-		r.szb = zbtree.BuildRows(st, r.fanout, st.Representatives(0, int32(st.Len()), repBudget), tally)
+		r.szb = zbtree.BuildRows(st, r.fanout, st.Representatives(0, int32(st.Len()), repBudget), nil)
 	}
 	r.skySize, r.sampleSize = sky.Len(), blk.Len()
 	return skyZ
@@ -245,16 +245,19 @@ func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
 
 // router is per-task routing state: one grid/Z-address scratch pair
 // reused across every point the task routes, so a map task pays zero
-// allocations per point. A Rule is shared and immutable after Learn, so
-// the scratch cannot live on it — each task takes its own router.
+// allocations per point, and the count of the task's SZB probes, which
+// the task adds to the shared tally once, when it ends. A Rule is
+// shared and immutable after Learn, so neither can live on it — each
+// task takes its own router.
 type router struct {
-	r *Rule
-	g []uint32
-	z zorder.ZAddr
+	r     *Rule
+	g     []uint32
+	z     zorder.ZAddr
+	tests metrics.Count
 }
 
-func (r *Rule) newRouter() *router {
-	rt := &router{r: r}
+func (r *Rule) newRouter() router {
+	rt := router{r: r}
 	if r.assignFn == nil {
 		rt.g = make([]uint32, r.enc.Dims())
 		rt.z = make(zorder.ZAddr, r.enc.Words())
@@ -271,7 +274,7 @@ func (rt *router) route(p point.Point) (gid int, ok bool) {
 		return r.assignFn(p)
 	}
 	r.enc.GridInto(rt.g, p)
-	if r.szb != nil && r.szb.DominatesPoint(rt.g, p) {
+	if r.szb != nil && r.szb.DominatesPoint(&rt.tests, rt.g, p) {
 		return 0, false
 	}
 	r.enc.EncodeGridInto(rt.z, rt.g)
@@ -409,6 +412,7 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 		}
 	}
 	tally.AddPointsPruned(out.Filtered)
+	tally.Add(rt.tests)
 	for k, bb := range arenas {
 		out.Groups[k].Block = bb.Build()
 	}

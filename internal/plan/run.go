@@ -146,7 +146,7 @@ func RunFile(ctx context.Context, spec *Spec, path string, ex Executor, tally *m
 // input is a run's rows as the driver reads them, wherever they lie.
 type input interface {
 	// scan is phase 1's read: the rows' width, count, bounds and sample.
-	scan(spec *Spec) (scanned, error)
+	scan(ctx context.Context, d *driver) (scanned, error)
 	// mapCuts runs the map task of every cut on the pool, in cut order.
 	mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error)
 	// each streams every row through f, one block at a time.
@@ -182,13 +182,44 @@ func (d *driver) run(ctx context.Context, in input) ([]point.Point, *Report, err
 // memInput is an in-memory dataset, read through its row views.
 type memInput struct{ ds *point.Dataset }
 
-func (m memInput) scan(spec *Spec) (scanned, error) {
-	mins, maxs, err := m.ds.Bounds()
+// scan reads bounds and sample at once on the pool. Task 0 draws the
+// sample: sample.Ratio over every row, so its rows and their order are
+// the seed's whatever the pool's width, and a file copy learns the same
+// rule. The other tasks take the exact bounds of row cuts, reading the
+// rows where they lie, and fold in cut order: Dataset.Bounds's strict
+// comparisons in its own order, so the result is its result.
+func (m memInput) scan(ctx context.Context, d *driver) (scanned, error) {
+	pts, pool := m.ds.Points, d.ex.pool()
+	sc := scanned{dims: m.ds.Dims, n: len(pts)}
+	if sc.n == 0 {
+		return sc, nil
+	}
+	k := min(splitChunks*pool.workers, sc.n)
+	mins, maxs := make([][]float64, k), make([][]float64, k)
+	var smpErr error
+	err := pool.FanOut(ctx, 1+k, func(i int) {
+		if i == 0 {
+			sc.smp, smpErr = sample.Ratio(pts, d.spec.SampleRatio, d.spec.Seed)
+			return
+		}
+		cut := point.Dataset{Dims: m.ds.Dims, Points: pts[(i-1)*sc.n/k : i*sc.n/k]}
+		mins[i-1], maxs[i-1], _ = cut.Bounds()
+	})
 	if err != nil {
 		return scanned{}, err
 	}
-	smp, err := sample.Ratio(m.ds.Points, spec.SampleRatio, spec.Seed)
-	return scanned{dims: m.ds.Dims, n: m.ds.Len(), mins: mins, maxs: maxs, smp: smp}, err
+	sc.mins, sc.maxs = mins[0], maxs[0]
+	for c := 1; c < k; c++ {
+		for j, v := range mins[c] {
+			if v < sc.mins[j] {
+				sc.mins[j] = v
+			}
+			if w := maxs[c][j]; w > sc.maxs[j] {
+				sc.maxs[j] = w
+			}
+		}
+	}
+	return sc, smpErr
 }
 
 func (m memInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error) {
@@ -207,7 +238,8 @@ func (m memInput) each(_ *Spec, f func(point.Block) error) error {
 // fileInput is a ZSKY file, read in passes.
 type fileInput struct{ path string }
 
-func (fi fileInput) scan(spec *Spec) (in scanned, err error) {
+func (fi fileInput) scan(_ context.Context, d *driver) (in scanned, err error) {
+	spec := d.spec
 	err = codec.ReadFile(fi.path, func(br *codec.BinaryReader) error {
 		k, err := sample.Size(spec.SampleRatio, int(br.Remaining()))
 		if err != nil {
@@ -272,7 +304,7 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 	span, ctx := obs.StartSpan(ctx, "learn")
 	defer span.End()
 	spec, rep := d.spec, d.rep
-	sc, err := in.scan(spec)
+	sc, err := in.scan(ctx, d)
 	if err != nil || sc.n == 0 {
 		return nil, nil, err
 	}

@@ -88,8 +88,8 @@ func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total i
 	err := ex.runSteps(ctx,
 		step{len(reps), func(i int) { reps[i] = m.st.Representatives(m.sides[i][0], m.sides[i][1], repBudget) }},
 		step{len(m.ranges), func(i int) { killed[i] = m.repProbe(i, reps, tally) }},
-		step{len(groups) - 1, func(i int) { m.build(i, r.fanout, tally) }},
-		step{len(m.ranges), func(i int) { m.probe(ctx, i) }},
+		step{len(groups) - 1, func(i int) { m.build(i, r.fanout) }},
+		step{len(m.ranges), func(i int) { m.probe(ctx, i, tally) }},
 		step{1, func(int) { out = m.result() }},
 	)
 	if err != nil {

@@ -272,8 +272,8 @@ func TestSweepMergeCancelled(t *testing.T) {
 	st, sides := r.candidateStore(groups, 1+len(later))
 	m := newProbeMerge(st, sides, earlier)
 	m.cut(1, 1)
-	m.build(0, r.fanout, nil)
-	m.probe(countdown(1), 0)
+	m.build(0, r.fanout)
+	m.probe(countdown(1), 0, nil)
 	for i, ok := range m.alive[1:] {
 		if ok != (i >= cancelStride) {
 			t.Fatalf("row %d of the cancelled range: alive=%v; the probe must stop at its second poll", i, ok)

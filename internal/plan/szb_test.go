@@ -123,11 +123,11 @@ func checkSZBFilter(t *testing.T, label string, spec *Spec, ds *point.Dataset, w
 	g := make([]uint32, ds.Dims)
 	for _, p := range ds.Points {
 		g = r.enc.GridInto(g, p)
-		byFull := full.DominatesPoint(g, p)
+		byFull := full.DominatesPoint(new(metrics.Count), g, p)
 		if byFull {
 			fullDrops++
 		}
-		if !r.szb.DominatesPoint(g, p) {
+		if !r.szb.DominatesPoint(new(metrics.Count), g, p) {
 			continue
 		}
 		repDrops++

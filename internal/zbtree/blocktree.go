@@ -205,8 +205,8 @@ func (n *bnode) isLeaf() bool { return n.kids == nil }
 type BlockTree struct {
 	st     *Store
 	fanout int
-	d, lw  int // the store's Dims() and laneWords(Dims()): the arenas' strides
-	tally  *metrics.Tally
+	d, lw  int            // the store's Dims() and laneWords(Dims()): the arenas' strides
+	tally  *metrics.Tally // where the operations add their tests (see DominatesRow)
 	nodes  []bnode
 	// Box corner arenas, d stride per node id, and the box's min corner
 	// packed into lanes, lw stride per node id.
@@ -217,7 +217,8 @@ type BlockTree struct {
 }
 
 // NewBlockTree returns an empty tree over st. fanout <= 0 selects
-// DefaultFanout; tally may be nil.
+// DefaultFanout; tally, where the tree's operations add their tests,
+// may be nil.
 func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 	if fanout <= 0 {
 		fanout = DefaultFanout
@@ -457,38 +458,33 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 	return id
 }
 
-// probeCount tallies the tests of one top-level probe. Probes of one
-// tree run concurrently and share its tally, so they count on their own
-// stack and add to the shared counters once, at the end — an atomic add
-// per visited node is a cache line bouncing between cores.
-type probeCount struct{ region, dom int64 }
-
-func (t *BlockTree) flush(c *probeCount) {
-	if c.region != 0 {
-		t.tally.AddRegionTests(c.region)
-	}
-	if c.dom != 0 {
-		t.tally.AddDominanceTests(c.dom)
-	}
-}
+// Counting. A tree's walks come in two kinds, and both count into a
+// plain metrics.Count that one goroutine owns. The probes
+// (DominatesRow, DominatesPoint, DominatesAllOfRegion,
+// RemoveDominatedBy) add to the caller's Count and never touch a Tally:
+// tasks that probe one tree at once each pass their own, and add it to
+// the shared Tally once, when they end. The operations (SkylineRows,
+// SkylineProgressive, MergeBlock and the index queries in queries.go)
+// are such a task themselves: they count every probe they make into
+// one Count and add it to the tree's tally when they return.
 
 // DominatesRow reports whether some stored row dominates row under the
 // store's relation (exact float semantics; grid and lane tests only
-// prune).
-func (t *BlockTree) DominatesRow(row int32) bool {
-	return t.root >= 0 && t.dominates(t.st.Grid(row), t.st.rowLanes(row), t.st.Row(row))
+// prune), counting its tests into c.
+func (t *BlockTree) DominatesRow(c *metrics.Count, row int32) bool {
+	return t.root >= 0 && t.dominatesPoint(c, t.root, t.st.Grid(row), t.st.rowLanes(row), t.st.Row(row))
 }
 
 // DominatesPoint is DominatesRow for a point outside the store: g must
 // be p's grid coordinates under the store's encoder. It only reads the
-// tree, so concurrent probes of one tree are safe.
-func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
+// tree, so concurrent probes of one tree are safe, each with its own c.
+func (t *BlockTree) DominatesPoint(c *metrics.Count, g []uint32, p point.Point) bool {
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
 	if !t.st.noPos && zorder.GridStrictDominates(t.boxMax(t.root), g) {
 		// The root's own test: a far-off point needs no lanes.
-		t.flush(&probeCount{region: 1})
+		c.RegionTests++
 		return true
 	}
 	var buf [8]uint64 // d <= 32 packs on the stack
@@ -497,19 +493,12 @@ func (t *BlockTree) DominatesPoint(g []uint32, p point.Point) bool {
 		pl = make([]uint64, t.lw)
 	}
 	packLanes(pl, g, laneShift(t.st.enc.Bits()))
-	return t.dominates(g, pl, p)
+	return t.dominatesPoint(c, t.root, g, pl, p)
 }
 
-// dominates probes from the root; g and pl are p's grid and lanes.
-func (t *BlockTree) dominates(g []uint32, pl []uint64, p point.Point) bool {
-	var c probeCount
-	found := t.dominatesPoint(&c, t.root, g, pl, p)
-	t.flush(&c)
-	return found
-}
-
-func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint64, p point.Point) bool {
-	c.region++
+// dominatesPoint probes node n; g and pl are p's grid and lanes.
+func (t *BlockTree) dominatesPoint(c *metrics.Count, n int32, g []uint32, pl []uint64, p point.Point) bool {
+	c.RegionTests++
 	st := t.st
 	// The box's min corner in lanes: RegionCannotDominatePointGrid at
 	// 15 bits per dimension, two word operations at d = 8.
@@ -528,7 +517,7 @@ func (t *BlockTree) dominatesPoint(c *probeCount, n int32, g []uint32, pl []uint
 		}
 		return false
 	}
-	c.dom += int64(len(nd.rows))
+	c.DominanceTests += int64(len(nd.rows))
 	if st.prov != nil {
 		return st.someDominatesUnder(nd.rows, pl, p)
 	}
@@ -564,20 +553,15 @@ rows:
 }
 
 // DominatesAllOfRegion reports whether some single stored row strictly
-// dominates every float point that could lie in region r. It is a
-// positive cut: under a relation Pareto does not imply, it is false.
-func (t *BlockTree) DominatesAllOfRegion(r zorder.Region) bool {
-	if t.root < 0 || t.st.noPos {
-		return false
-	}
-	var c probeCount
-	found := t.dominatesRegion(&c, t.root, r)
-	t.flush(&c)
-	return found
+// dominates every float point that could lie in region r, counting its
+// tests into c. It is a positive cut: under a relation Pareto does not
+// imply, it is false.
+func (t *BlockTree) DominatesAllOfRegion(c *metrics.Count, r zorder.Region) bool {
+	return t.root >= 0 && !t.st.noPos && t.dominatesRegion(c, t.root, r)
 }
 
-func (t *BlockTree) dominatesRegion(c *probeCount, n int32, r zorder.Region) bool {
-	c.region++
+func (t *BlockTree) dominatesRegion(c *metrics.Count, n int32, r zorder.Region) bool {
+	c.RegionTests++
 	nr := t.region(n)
 	if !zorder.GridStrictDominates(nr.MinG, r.MinG) {
 		return false
@@ -603,16 +587,15 @@ func (t *BlockTree) dominatesRegion(c *probeCount, n int32, r zorder.Region) boo
 }
 
 // RemoveDominatedBy deletes every stored row that row dominates under
-// the store's relation and returns how many were removed. Interior
-// regions are left as-is (they remain valid supersets), matching the
-// paper's strategy of re-balancing once at the end of a merge.
-func (t *BlockTree) RemoveDominatedBy(row int32) int {
+// the store's relation, counting its tests into c, and returns how many
+// were removed. Interior regions are left as-is (they remain valid
+// supersets), matching the paper's strategy of re-balancing once at the
+// end of a merge.
+func (t *BlockTree) RemoveDominatedBy(c *metrics.Count, row int32) int {
 	if t.root < 0 {
 		return 0
 	}
-	var c probeCount
-	removed := t.removeDominated(&c, t.root, t.st.Grid(row), t.st.rowLanes(row), row)
-	t.flush(&c)
+	removed := t.removeDominated(c, t.root, t.st.Grid(row), t.st.rowLanes(row), row)
 	if t.nodes[t.root].count == 0 {
 		t.root = -1
 	}
@@ -621,15 +604,15 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 
 // removeDominated is RemoveDominatedBy under node n; g and rl are row's
 // grid and lanes.
-func (t *BlockTree) removeDominated(c *probeCount, n int32, g []uint32, rl []uint64, row int32) int {
-	c.region++
+func (t *BlockTree) removeDominated(c *metrics.Count, n int32, g []uint32, rl []uint64, row int32) int {
+	c.RegionTests++
 	st := t.st
 	if !st.noNeg && zorder.GridSomeGreater(g, t.boxMax(n)) {
 		return 0
 	}
 	nd := &t.nodes[n]
 	if nd.isLeaf() {
-		c.dom += int64(len(nd.rows))
+		c.DominanceTests += int64(len(nd.rows))
 		var kept []int32
 		if st.prov != nil {
 			kept = st.undominatedUnder(nd.rows, rl, row)
@@ -706,33 +689,37 @@ func (st *Store) undominatedUnder(rows []int32, rl []uint64, row int32) []int32 
 // walk is then block-nested loops in Z-order, exact under a transitive
 // relation and otherwise a set of rows none of which dominates another,
 // which a caller closes against the input.
+//
+// The search adds its tests to the tree's tally once, when it returns.
 func (t *BlockTree) SkylineRows() []int32 {
-	sky := NewBlockTree(t.st, t.fanout, t.tally)
-	t.zsearch(t.root, sky)
+	var c metrics.Count
+	sky := NewBlockTree(t.st, t.fanout, nil)
+	t.zsearch(&c, t.root, sky)
+	t.tally.Add(c)
 	return sky.Rows()
 }
 
-func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
+func (t *BlockTree) zsearch(c *metrics.Count, n int32, sky *BlockTree) {
 	if n < 0 {
 		return
 	}
-	if sky.DominatesAllOfRegion(t.region(n)) {
+	if sky.DominatesAllOfRegion(c, t.region(n)) {
 		return
 	}
 	if t.nodes[n].isLeaf() {
 		for _, e := range t.nodes[n].rows {
-			if sky.DominatesRow(e) {
+			if sky.DominatesRow(c, e) {
 				continue
 			}
 			if sky.st.noNeg || sky.tiesLast(e) {
-				sky.RemoveDominatedBy(e)
+				sky.RemoveDominatedBy(c, e)
 			}
 			sky.Append(e)
 		}
 		return
 	}
-	for _, c := range t.nodes[n].kids {
-		t.zsearch(c, sky)
+	for _, kid := range t.nodes[n].kids {
+		t.zsearch(c, kid, sky)
 	}
 }
 
@@ -747,18 +734,12 @@ func (t *BlockTree) tiesLast(row int32) bool {
 // so Z-merge can take a whole src branch without opening it. It is a
 // negative cut: under a relation that does not imply Pareto, it is
 // false.
-func (t *BlockTree) incomparableWith(r zorder.Region, depth int) bool {
-	if t.root < 0 || t.st.noNeg {
-		return false
-	}
-	var c probeCount
-	inc := t.incomparable(&c, t.root, r, depth)
-	t.flush(&c)
-	return inc
+func (t *BlockTree) incomparableWith(c *metrics.Count, r zorder.Region, depth int) bool {
+	return t.root >= 0 && !t.st.noNeg && t.incomparable(c, t.root, r, depth)
 }
 
-func (t *BlockTree) incomparable(c *probeCount, n int32, r zorder.Region, depth int) bool {
-	c.region++
+func (t *BlockTree) incomparable(c *metrics.Count, n int32, r zorder.Region, depth int) bool {
+	c.RegionTests++
 	if zorder.RegionsIncomparable(t.region(n), r) {
 		return true
 	}
@@ -780,7 +761,8 @@ func (t *BlockTree) incomparable(c *probeCount, n int32, r zorder.Region, depth 
 // and let surviving leaf rows prune dominated sky rows before the final
 // rebalance. Both inputs must individually be skyline candidate sets.
 // Under a transitive relation the result is their union's skyline;
-// under any other, a superset of it.
+// under any other, a superset of it. The merge adds its tests to sky's
+// tally once, when it returns.
 func MergeBlock(sky, src *BlockTree) *BlockTree {
 	if sky.st != src.st {
 		panic("zbtree: MergeBlock requires both trees to share one Store")
@@ -791,15 +773,16 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 	if sky.Empty() {
 		return src
 	}
+	var c metrics.Count
 	var stash, survivors []int32
 	queue := []int32{src.root}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if sky.DominatesAllOfRegion(src.region(n)) {
+		if sky.DominatesAllOfRegion(&c, src.region(n)) {
 			continue
 		}
-		if sky.incomparableWith(src.region(n), 2) {
+		if sky.incomparableWith(&c, src.region(n), 2) {
 			stash = src.appendRows(n, stash)
 			continue
 		}
@@ -809,13 +792,14 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 			continue
 		}
 		for _, e := range nd.rows {
-			if sky.DominatesRow(e) {
+			if sky.DominatesRow(&c, e) {
 				continue
 			}
-			sky.RemoveDominatedBy(e)
+			sky.RemoveDominatedBy(&c, e)
 			survivors = append(survivors, e)
 		}
 	}
+	sky.tally.Add(c)
 	all := sky.Rows()
 	all = append(all, survivors...)
 	all = append(all, stash...)

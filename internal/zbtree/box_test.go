@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zskyline/internal/dominance"
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
@@ -99,8 +100,8 @@ func TestBlockTreeBoxesCoverRows(t *testing.T) {
 
 				for i := 0; i < 20; i++ {
 					row := int32(rng.Intn(st.Len()))
-					bulk.RemoveDominatedBy(row)
-					app.RemoveDominatedBy(row)
+					bulk.RemoveDominatedBy(new(metrics.Count), row)
+					app.RemoveDominatedBy(new(metrics.Count), row)
 				}
 				checkBoxes(t, label("BuildRows+RemoveDominatedBy"), bulk, false)
 				checkBoxes(t, label("Append+RemoveDominatedBy"), app, false)
@@ -226,7 +227,7 @@ func FuzzBlockTreeProbe(f *testing.F) {
 						want = append(want, e)
 					}
 				}
-				if got := tr.RemoveDominatedBy(row); got != len(live)-len(want) {
+				if got := tr.RemoveDominatedBy(new(metrics.Count), row); got != len(live)-len(want) {
 					t.Fatalf("%s d=%d bits=%d fanout=%d: RemoveDominatedBy(%d) removed %d, want %d", prov.Name(), d, bits, fanout, row, got, len(live)-len(want))
 				}
 				live = want
@@ -258,12 +259,12 @@ func checkProbes(t *testing.T, tr *BlockTree, prov dominance.Provider, live []in
 	}
 	for r := int32(0); r < int32(st.Len()); r++ {
 		p := st.Row(r)
-		if got, want := tr.DominatesRow(r), dominated(p); got != want {
+		if got, want := tr.DominatesRow(new(metrics.Count), r), dominated(p); got != want {
 			t.Fatalf("%s: DominatesRow(%v) = %v, want %v", prov.Name(), p, got, want)
 		}
 		q := slices.Clone(p)
 		q[int(r)%len(q)] = math.Nextafter(q[int(r)%len(q)], math.Inf(-1))
-		if got, want := tr.DominatesPoint(st.enc.Grid(q), q), dominated(q); got != want {
+		if got, want := tr.DominatesPoint(new(metrics.Count), st.enc.Grid(q), q), dominated(q); got != want {
 			t.Fatalf("%s: DominatesPoint(%v) = %v, want %v", prov.Name(), q, got, want)
 		}
 	}

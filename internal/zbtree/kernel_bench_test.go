@@ -140,10 +140,11 @@ func BenchmarkDominatesPointAntiD8(b *testing.B) {
 	st := NewStoreWithZCol(enc, blk, zc)
 	sky := BuildRows(st, 0, BuildStore(st, 0, nil).SkylineRows(), nil)
 	hits := 0
+	var c metrics.Count
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < st.Len(); r++ {
-			if sky.DominatesPoint(st.Grid(int32(r)), st.Row(int32(r))) {
+			if sky.DominatesPoint(&c, st.Grid(int32(r)), st.Row(int32(r))) {
 				hits++
 			}
 		}
@@ -158,8 +159,9 @@ func BenchmarkDominatesPointAntiD8(b *testing.B) {
 // the skyline of a 2 % sample of a generated input (d = 8, 16 bits),
 // indexed the way plan.Learn indexes it — a tree over its 16
 // representatives, plan's repBudget — and every input row probing it
-// — grid, then DominatesPoint — from two goroutines that share the
-// tree's tally, as two map tasks do.
+// — grid, then DominatesPoint — from two goroutines, as two map tasks
+// do: each counts into its own metrics.Count and adds it to the shared
+// tally once, when it ends.
 func benchmarkSZBProbe(b *testing.B, dist gen.Distribution, n int) {
 	const d, workers = 8, 2
 	ds := gen.Synthetic(dist, n, d, 42)
@@ -182,13 +184,15 @@ func benchmarkSZBProbe(b *testing.B, dist gen.Distribution, n int) {
 			go func(w int) {
 				defer wg.Done()
 				g, k := make([]uint32, d), int64(0)
+				var c metrics.Count
 				for r := w; r < blk.Len(); r += workers {
 					p := blk.Row(r)
 					g = enc.GridInto(g, p)
-					if szb.DominatesPoint(g, p) {
+					if szb.DominatesPoint(&c, g, p) {
 						k++
 					}
 				}
+				tally.Add(c)
 				dropped.Add(k)
 			}(w)
 		}

@@ -3,13 +3,14 @@ package zbtree
 import (
 	"context"
 
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
 
-// The index queries: read-only walks that, like DominatesPoint, count on
-// their own stack and add to the tree's tally once per query, so any
-// number of them may run on one tree at once.
+// The index queries: read-only operations that count into their own
+// metrics.Count and add it to the tree's tally once, when they return,
+// so any number of them may run on one tree at once.
 
 // CountDominatedBy returns how many stored rows p strictly dominates; g
 // must be p's grid coordinates under the store's encoder. Whole
@@ -19,14 +20,14 @@ func (t *BlockTree) CountDominatedBy(g []uint32, p point.Point) int {
 	if t.root < 0 {
 		return 0
 	}
-	var c probeCount
+	var c metrics.Count
 	k := t.countDominated(&c, t.root, g, p)
-	t.flush(&c)
+	t.tally.Add(c)
 	return k
 }
 
-func (t *BlockTree) countDominated(c *probeCount, n int32, g []uint32, p point.Point) int {
-	c.region++
+func (t *BlockTree) countDominated(c *metrics.Count, n int32, g []uint32, p point.Point) int {
+	c.RegionTests++
 	r := t.region(n)
 	if zorder.GridSomeGreater(g, r.MaxG) {
 		return 0
@@ -37,7 +38,7 @@ func (t *BlockTree) countDominated(c *probeCount, n int32, g []uint32, p point.P
 	}
 	k := 0
 	if nd.isLeaf() {
-		c.dom += int64(len(nd.rows))
+		c.DominanceTests += int64(len(nd.rows))
 		for _, e := range nd.rows {
 			if point.Dominates(p, t.st.Row(e)) {
 				k++
@@ -59,20 +60,20 @@ func (t *BlockTree) DominatorsOf(g []uint32, p point.Point) []int32 {
 	if t.root < 0 {
 		return nil
 	}
-	var c probeCount
+	var c metrics.Count
 	out := t.dominatorsOf(&c, t.root, g, p, nil)
-	t.flush(&c)
+	t.tally.Add(c)
 	return out
 }
 
-func (t *BlockTree) dominatorsOf(c *probeCount, n int32, g []uint32, p point.Point, out []int32) []int32 {
-	c.region++
+func (t *BlockTree) dominatorsOf(c *metrics.Count, n int32, g []uint32, p point.Point, out []int32) []int32 {
+	c.RegionTests++
 	if zorder.RegionCannotDominatePointGrid(t.region(n), g) {
 		return out
 	}
 	nd := &t.nodes[n]
 	if nd.isLeaf() {
-		c.dom += int64(len(nd.rows))
+		c.DominanceTests += int64(len(nd.rows))
 		for _, e := range nd.rows {
 			if point.Dominates(t.st.Row(e), p) {
 				out = append(out, e)
@@ -93,14 +94,14 @@ func (t *BlockTree) RangeRows(lo, hi point.Point) []int32 {
 	if t.root < 0 {
 		return nil
 	}
-	var c probeCount
+	var c metrics.Count
 	out := t.rangeRows(&c, t.root, t.st.enc.Grid(lo), t.st.enc.Grid(hi), lo, hi, nil)
-	t.flush(&c)
+	t.tally.Add(c)
 	return out
 }
 
-func (t *BlockTree) rangeRows(c *probeCount, n int32, gLo, gHi []uint32, lo, hi point.Point, out []int32) []int32 {
-	c.region++
+func (t *BlockTree) rangeRows(c *metrics.Count, n int32, gLo, gHi []uint32, lo, hi point.Point, out []int32) []int32 {
+	c.RegionTests++
 	r := t.region(n)
 	for k := range gLo {
 		if r.MinG[k] > gHi[k] || r.MaxG[k] < gLo[k] {
@@ -130,9 +131,12 @@ func (t *BlockTree) rangeRows(c *probeCount, n int32, gLo, gHi []uint32, lo, hi 
 // soon as it is final, for first-results-fast consumers. Emission waits
 // until the traversal's Z-address moves strictly past the row's own: a
 // row can only ever be evicted by an equal-address tie. The walk stops
-// early when ctx is done or emit returns false.
+// early when ctx is done or emit returns false. It adds its tests to
+// the tree's tally once, when it returns.
 func (t *BlockTree) SkylineProgressive(ctx context.Context, emit func(row int32) bool) {
-	sky := NewBlockTree(t.st, t.fanout, t.tally)
+	var c metrics.Count
+	defer func() { t.tally.Add(c) }()
+	sky := NewBlockTree(t.st, t.fanout, nil)
 	var pending []int32 // accepted rows sharing the current address
 	flush := func() bool {
 		for _, e := range pending {
@@ -143,25 +147,25 @@ func (t *BlockTree) SkylineProgressive(ctx context.Context, emit func(row int32)
 		pending = pending[:0]
 		return true
 	}
-	if t.progressive(ctx, t.root, sky, &pending, flush) {
+	if t.progressive(ctx, &c, t.root, sky, &pending, flush) {
 		flush()
 	}
 }
 
-func (t *BlockTree) progressive(ctx context.Context, n int32, sky *BlockTree, pending *[]int32, flush func() bool) bool {
+func (t *BlockTree) progressive(ctx context.Context, c *metrics.Count, n int32, sky *BlockTree, pending *[]int32, flush func() bool) bool {
 	if n < 0 {
 		return true
 	}
 	if ctx.Err() != nil {
 		return false
 	}
-	if sky.DominatesAllOfRegion(t.region(n)) {
+	if sky.DominatesAllOfRegion(c, t.region(n)) {
 		return true
 	}
 	nd := &t.nodes[n]
 	if !nd.isLeaf() {
 		for _, kid := range nd.kids {
-			if !t.progressive(ctx, kid, sky, pending, flush) {
+			if !t.progressive(ctx, c, kid, sky, pending, flush) {
 				return false
 			}
 		}
@@ -173,12 +177,12 @@ func (t *BlockTree) progressive(ctx context.Context, n int32, sky *BlockTree, pe
 		if len(*pending) > 0 && t.st.zc.Compare(int((*pending)[0]), int(e)) < 0 && !flush() {
 			return false
 		}
-		if sky.DominatesRow(e) {
+		if sky.DominatesRow(c, e) {
 			continue
 		}
 		// Only an accepted row of e's own address can be dominated by e,
 		// and those are exactly the pending ones (see SkylineRows).
-		if (len(*pending) > 0 || t.st.noNeg) && sky.RemoveDominatedBy(e) > 0 {
+		if (len(*pending) > 0 || t.st.noNeg) && sky.RemoveDominatedBy(c, e) > 0 {
 			// Ties: drop evicted rows from the pending buffer too.
 			kept := (*pending)[:0]
 			for _, pe := range *pending {

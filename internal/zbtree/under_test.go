@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zskyline/internal/dominance"
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
@@ -177,16 +178,16 @@ func TestStoreRelationGatesEachCut(t *testing.T) {
 			st := NewStore(enc, point.BlockOf(2, []point.Point{tc.p, tc.q, tc.q, tc.q, tc.q})).Under(prov)
 			pTree, qTree := BuildRows(st, 2, []int32{0}, nil), BuildRows(st, 2, []int32{1, 2, 3, 4}, nil)
 			qBox := qTree.region(qTree.root)
-			if got := pTree.DominatesRow(1); got != want {
+			if got := pTree.DominatesRow(new(metrics.Count), 1); got != want {
 				t.Errorf("%s: DominatesRow = %v, want %v", label, got, want)
 			}
-			if got := pTree.DominatesPoint(enc.Grid(tc.q), tc.q); got != want {
+			if got := pTree.DominatesPoint(new(metrics.Count), enc.Grid(tc.q), tc.q); got != want {
 				t.Errorf("%s: DominatesPoint = %v, want %v", label, got, want)
 			}
-			if got := pTree.DominatesAllOfRegion(qBox); got && !want {
+			if got := pTree.DominatesAllOfRegion(new(metrics.Count), qBox); got && !want {
 				t.Errorf("%s: DominatesAllOfRegion fired on a box p does not dominate", label)
 			}
-			if got := pTree.incomparableWith(qBox, 2); got && want {
+			if got := pTree.incomparableWith(new(metrics.Count), qBox, 2); got && want {
 				t.Errorf("%s: incomparableWith fired on a box p dominates", label)
 			}
 			sky, removed := 5, 0 // p and every q survive; p removes none
@@ -196,7 +197,7 @@ func TestStoreRelationGatesEachCut(t *testing.T) {
 			if got := len(BuildStore(st, 2, nil).SkylineRows()); got != sky {
 				t.Errorf("%s: Z-search kept %d rows, want %d", label, got, sky)
 			}
-			if got := qTree.RemoveDominatedBy(0); got != removed {
+			if got := qTree.RemoveDominatedBy(new(metrics.Count), 0); got != removed {
 				t.Errorf("%s: RemoveDominatedBy removed %d, want %d", label, got, removed)
 			}
 		}

@@ -177,7 +177,7 @@ func TestDominatesPoint(t *testing.T) {
 		{point.Point{0.05, 0.05}, false},
 	}
 	for _, c := range cases {
-		if got := tr.DominatesPoint(enc.Grid(c.p), c.p); got != c.want {
+		if got := tr.DominatesPoint(new(metrics.Count), enc.Grid(c.p), c.p); got != c.want {
 			t.Errorf("DominatesPoint(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -204,7 +204,7 @@ func TestDominatesPointAgreesWithScan(t *testing.T) {
 					break
 				}
 			}
-			if got := tr.DominatesPoint(enc.Grid(q), q); got != want {
+			if got := tr.DominatesPoint(new(metrics.Count), enc.Grid(q), q); got != want {
 				t.Fatalf("DominatesPoint(%v) = %v, want %v", q, got, want)
 			}
 		}
@@ -227,7 +227,7 @@ func TestRemoveDominatedBy(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		if got := tr.RemoveDominatedBy(qRow); got != len(pts)-len(want) {
+		if got := tr.RemoveDominatedBy(new(metrics.Count), qRow); got != len(pts)-len(want) {
 			t.Fatalf("removed %d, want %d", got, len(pts)-len(want))
 		}
 		sameSet(t, rowPoints(tr, tr.Rows()), want, "survivors")
@@ -240,7 +240,7 @@ func TestRemoveDominatedBy(t *testing.T) {
 func TestRemoveAllThenEmpty(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
 	tr, q := withProbe(enc, 2, []point.Point{{0.5, 0.5}, {0.6, 0.6}, {0.9, 0.9}}, point.Point{0.01, 0.01})
-	if got := tr.RemoveDominatedBy(q); got != 3 {
+	if got := tr.RemoveDominatedBy(new(metrics.Count), q); got != 3 {
 		t.Fatalf("removed %d, want 3", got)
 	}
 	if !tr.Empty() {
@@ -254,12 +254,12 @@ func TestDominatesAllOfRegion(t *testing.T) {
 	// Region well above the point.
 	hi := enc.Encode(point.Point{0.6, 0.6})
 	r := enc.RegionOf(enc.Encode(point.Point{0.5, 0.5}), hi)
-	if !tr.DominatesAllOfRegion(r) {
+	if !tr.DominatesAllOfRegion(new(metrics.Count), r) {
 		t.Error("point should dominate the whole region")
 	}
 	// Region containing the point itself can never be fully dominated.
 	r2 := enc.RegionOf(enc.Encode(point.Point{0, 0}), hi)
-	if tr.DominatesAllOfRegion(r2) {
+	if tr.DominatesAllOfRegion(new(metrics.Count), r2) {
 		t.Error("region containing the dominator cannot be fully dominated")
 	}
 }
