@@ -24,7 +24,7 @@ func TestTallyIndependentOfWorkers(t *testing.T) {
 		{"anti16k", gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42),
 			metrics.Snapshot{DominanceTests: 2591611, RegionTests: 1421638, PointsPruned: 2376}},
 		{"corr120k", gen.Synthetic(gen.Correlated, 120000, 8, 42),
-			metrics.Snapshot{DominanceTests: 426460, RegionTests: 143122, PointsPruned: 115853}},
+			metrics.Snapshot{DominanceTests: 426412, RegionTests: 143122, PointsPruned: 115853}},
 	}
 	for _, c := range cases {
 		for _, w := range []int{1, 2, 3, 8} {

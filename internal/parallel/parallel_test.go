@@ -374,7 +374,7 @@ func TestTallyIndependentOfConcurrency(t *testing.T) {
 		{"anti16k", gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42),
 			metrics.Snapshot{DominanceTests: 2530574, RegionTests: 952432, PointsPruned: 2633}},
 		{"corr120k", gen.Synthetic(gen.Correlated, 120000, 8, 42),
-			metrics.Snapshot{DominanceTests: 8672, RegionTests: 120445, PointsPruned: 119996}},
+			metrics.Snapshot{DominanceTests: 8671, RegionTests: 120445, PointsPruned: 119996}},
 	} {
 		for _, w := range []int{1, 2, 3} {
 			var snaps [2]metrics.Snapshot

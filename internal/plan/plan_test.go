@@ -207,7 +207,7 @@ func TestShuffleOrderIgnoresMapOrder(t *testing.T) {
 }
 
 // learnRule builds a rule from a fresh sample of ds, as Run does.
-func learnRule(t *testing.T, spec *Spec, ds *point.Dataset) *Rule {
+func learnRule(t testing.TB, spec *Spec, ds *point.Dataset) *Rule {
 	t.Helper()
 	smp, err := sample.Ratio(ds.Points, spec.SampleRatio, spec.Seed)
 	if err != nil {

@@ -55,8 +55,12 @@ type Rule struct {
 	groupSample []int
 	// szb is Algorithm 3's SZB filter: a ZB-tree over the repBudget
 	// sample-skyline rows of largest dominance volume; nil when the
-	// strategy or the relation does not filter.
+	// strategy or the relation does not filter. top is the componentwise
+	// max of those rows in floats, the filter's float exit: a row above
+	// it in every coordinate is strictly dominated by every one of them.
+	// Nil when szb is nil or holds no row.
 	szb *zbtree.BlockTree
+	top []float64
 	// sampleSize is |sample|; with skySize it predicts the filter's
 	// survivor count (see hint).
 	sampleSize int
@@ -209,13 +213,23 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 // whatever it dominates is off the skyline; the whole skyline (most of
 // the sample on anti-correlated data) would drop a few more rows for
 // many more tests per probe. The caller's partitioning reads the whole
-// skyline. Sample and tree stay on the slab path, so learning costs a
-// handful of allocations whatever the sample size.
+// skyline. It also records the representatives' float max corner, top.
+// Sample and tree stay on the slab path, so learning costs a handful of
+// allocations whatever the sample size.
 func (r *Rule) sampleSkyline(blk point.Block, zc zorder.ZCol, index bool, tally *metrics.Tally) zorder.ZCol {
 	sky, skyZ := zbtree.ZSearchGroup(r.enc, r.fanout, blk, zc, tally)
 	if index {
 		st := zbtree.NewStoreWithZCol(r.enc, sky, skyZ)
-		r.szb = zbtree.BuildRows(st, r.fanout, st.Representatives(0, int32(st.Len()), repBudget), nil)
+		reps := st.Representatives(0, int32(st.Len()), repBudget)
+		if len(reps) > 0 {
+			r.top = st.Row(reps[0]).Clone()
+			for _, row := range reps[1:] {
+				for k, v := range st.Row(row) {
+					r.top[k] = max(r.top[k], v)
+				}
+			}
+		}
+		r.szb = zbtree.BuildRows(st, r.fanout, reps, nil)
 	}
 	r.skySize, r.sampleSize = sky.Len(), blk.Len()
 	return skyZ
@@ -266,12 +280,19 @@ func (r *Rule) newRouter() router {
 }
 
 // route maps a point to its group without allocating; ok is false when
-// the point is dropped. After a Z-routed accept, rt.z holds the encoded
-// address until the next call.
+// the point is dropped. A point above the representatives' float corner
+// in every coordinate leaves first, for one region test and without a
+// grid: on correlated data that is most of the input. Every other point
+// is quantized and probes the SZB tree. After a Z-routed accept, rt.z
+// holds the encoded address until the next call.
 func (rt *router) route(p point.Point) (gid int, ok bool) {
 	r := rt.r
 	if r.assignFn != nil {
 		return r.assignFn(p)
+	}
+	if r.top != nil && above(p, r.top) {
+		rt.tests.RegionTests++
+		return 0, false
 	}
 	r.enc.GridInto(rt.g, p)
 	if r.szb != nil && r.szb.DominatesPoint(&rt.tests, rt.g, p) {
@@ -280,6 +301,18 @@ func (rt *router) route(p point.Point) (gid int, ok bool) {
 	r.enc.EncodeGridInto(rt.z, rt.g)
 	gid, ok = r.groupOf[r.partitionOf(rt.z)]
 	return gid, ok
+}
+
+// above reports whether p exceeds top strictly in every coordinate,
+// leaving at the first that it does not.
+func above(p point.Point, top []float64) bool {
+	p = p[:len(top)]
+	for k, t := range top {
+		if !(p[k] > t) {
+			return false
+		}
+	}
+	return true
 }
 
 // partitionOf binary-searches the Z-address into its partition

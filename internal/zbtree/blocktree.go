@@ -482,11 +482,6 @@ func (t *BlockTree) DominatesPoint(c *metrics.Count, g []uint32, p point.Point) 
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
-	if !t.st.noPos && zorder.GridStrictDominates(t.boxMax(t.root), g) {
-		// The root's own test: a far-off point needs no lanes.
-		c.RegionTests++
-		return true
-	}
 	var buf [8]uint64 // d <= 32 packs on the stack
 	pl := buf[:min(t.lw, len(buf))]
 	if len(pl) < t.lw {

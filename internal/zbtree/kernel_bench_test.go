@@ -161,7 +161,11 @@ func BenchmarkDominatesPointAntiD8(b *testing.B) {
 // representatives, plan's repBudget — and every input row probing it
 // — grid, then DominatesPoint — from two goroutines, as two map tasks
 // do: each counts into its own metrics.Count and adds it to the shared
-// tally once, when it ends.
+// tally once, when it ends. It times the grid and the tree walk on every
+// row; a map task runs them only for the rows past its float exit (the
+// representatives' float max corner, plan.BenchmarkRoute*), so on
+// correlated data this is the cost of the few rows that exit misses,
+// paid here by all of them.
 func benchmarkSZBProbe(b *testing.B, dist gen.Distribution, n int) {
 	const d, workers = 8, 2
 	ds := gen.Synthetic(dist, n, d, 42)
