@@ -24,10 +24,9 @@ import (
 // "internal/<pkg>.<Name>" for a package-level name and
 // "internal/<pkg>.<Type>.<Method>" for a method, each with its reason.
 var exportAllowlist = map[string]string{
-	"internal/dominance.BruteForce":    "the all-pairs oracle the dominance, plan, parallel, maintain, window and zbtree tests check every provider against",
-	"internal/dominance.Register":      "the hook for custom provider kinds; the dominance and parallel tests register a test kind through it",
-	"internal/point.SortLexicographic": "the canonical row order the equivalence tests of a dozen packages compare skylines in",
-	"internal/zorder.Equal":            "Z-address equality the zorder, zbtree and plan tests compare encoded columns with",
+	"internal/dominance.BruteForce": "the all-pairs oracle the dominance, plan, parallel, maintain, window and zbtree tests check every provider against",
+	"internal/dominance.Register":   "the hook for custom provider kinds; the dominance and parallel tests register a test kind through it",
+	"internal/zorder.Equal":         "Z-address equality the zorder, zbtree and plan tests compare encoded columns with",
 }
 
 // TestInternalExportsHaveCallers fails when an exported package-level

@@ -104,9 +104,9 @@ func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, 
 // run the pipeline, hang up.
 func DistributedSkyline(ctx context.Context, ds *Dataset, workerAddrs []string) ([]Point, error) {
 	cfg := dist.DefaultCoordinatorConfig()
-	if ds != nil && ds.Len() < 10000 {
-		cfg.M = 8
-		cfg.SampleRatio = 0.1
+	if ds != nil {
+		sized := defaultConfig(ds.Len())
+		cfg.M, cfg.SampleRatio = sized.M, sized.SampleRatio
 	}
 	coord, err := dist.NewCoordinator(cfg, workerAddrs)
 	if err != nil {
@@ -141,14 +141,40 @@ func ParseDominance(s string) (DominanceDescriptor, error) {
 }
 
 // SkylineUnder computes the exact skyline of pts under the described
-// relation with the sequential reference algorithm — the oracle the
-// parallel executors are tested against.
+// relation with the sequential sort-filter algorithm — the oracle the
+// parallel executors are tested against — answered with the caller's
+// own points. Points NewDataset rejects (of different widths, or
+// holding NaN) are an error.
 func SkylineUnder(desc DominanceDescriptor, pts []Point) ([]Point, error) {
 	prov, err := desc.Provider()
 	if err != nil {
 		return nil, err
 	}
-	return seq.SkylineUnder(prov, pts, nil), nil
+	return skylineUnder(prov, pts)
+}
+
+// skylineUnder is SkylineUnder for a resolved relation.
+func skylineUnder(prov DominanceProvider, pts []Point) ([]Point, error) {
+	if err := checkPoints(pts); err != nil || len(pts) == 0 {
+		return nil, err
+	}
+	rows := seq.SBRows(prov, point.BlockOf(len(pts[0]), pts), nil)
+	out := make([]Point, len(rows))
+	for i, r := range rows {
+		out[i] = pts[r]
+	}
+	return out, nil
+}
+
+// checkPoints is NewDataset's check on pts at the first point's width:
+// nil for no points or for valid ones, else an error naming the first
+// point of another width or holding NaN.
+func checkPoints(pts []Point) error {
+	if len(pts) == 0 {
+		return nil
+	}
+	_, err := point.NewDataset(len(pts[0]), pts)
+	return err
 }
 
 // NewMaintainerUnder is NewMaintainer under a variant relation. Only
@@ -187,7 +213,8 @@ func KDominates(p, q Point, k int) bool {
 // to shrink unmanageably large high-dimensional skylines. k-dominance
 // is not transitive, so the candidate window is closed by a
 // verification scan against the full input. k == dims reproduces the
-// classic skyline; k outside [1, dims] is an error.
+// classic skyline; k outside [1, dims] is an error, and so are points
+// NewDataset rejects.
 func KDominantSkyline(pts []Point, k int) ([]Point, error) {
 	if len(pts) == 0 {
 		return nil, nil
@@ -199,7 +226,7 @@ func KDominantSkyline(pts []Point, k int) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dominance.Skyline(prov, pts, nil), nil
+	return skylineUnder(prov, pts)
 }
 
 // --- Cardinality estimation ---
@@ -208,8 +235,12 @@ func KDominantSkyline(pts []Point, k int) ([]Point, error) {
 type SkylineEstimate = estimate.Estimate
 
 // EstimateSkylineSize predicts |skyline(pts)| from a ratio-sample
-// scaled with the independent-dimensions growth model.
+// scaled with the independent-dimensions growth model. Points
+// NewDataset rejects are an error.
 func EstimateSkylineSize(pts []Point, ratio float64, seed int64) (*SkylineEstimate, error) {
+	if err := checkPoints(pts); err != nil {
+		return nil, err
+	}
 	return estimate.FromSample(pts, ratio, seed)
 }
 
@@ -272,13 +303,21 @@ func ComputeSkyCube(ds *Dataset, workers int) (*SkyCube, error) {
 
 // EpsilonSkyline returns an ε-cover subset of the skyline: every input
 // point q has a kept point p with p[i] <= q[i]+eps in all dimensions.
+// Points NewDataset rejects are an error.
 func EpsilonSkyline(pts []Point, eps float64) ([]Point, error) {
+	if err := checkPoints(pts); err != nil {
+		return nil, err
+	}
 	return approx.Epsilon(pts, eps)
 }
 
 // RepresentativeSkyline picks k diverse skyline points by greedy
-// k-center under the L-infinity metric.
+// k-center under the L-infinity metric. Points NewDataset rejects are
+// an error.
 func RepresentativeSkyline(pts []Point, k int) ([]Point, error) {
+	if err := checkPoints(pts); err != nil {
+		return nil, err
+	}
 	return approx.Representative(pts, k)
 }
 

@@ -30,14 +30,7 @@ func BuildIndex(ds *Dataset, bits int) (*Index, error) {
 		return nil, fmt.Errorf("zskyline: cannot index an empty dataset")
 	}
 	if bits <= 0 {
-		switch {
-		case ds.Dims <= 16:
-			bits = 16
-		case ds.Dims <= 64:
-			bits = 12
-		default:
-			bits = 8
-		}
+		bits = zorder.DefaultBits(ds.Dims)
 	}
 	mins, maxs, err := ds.Bounds()
 	if err != nil {

@@ -98,13 +98,12 @@ type Config struct {
 	Bits int
 	// Fanout is the ZB-tree node capacity.
 	Fanout int
-	// Workers is how many tasks the engine's pool runs at once.
+	// Workers is how many tasks the engine's pool runs at once; the
+	// input is cut into 2×Workers map tasks.
 	Workers int
-	// MapSplits is the number of map tasks; 0 selects 2x workers.
-	MapSplits int
 	// ChunkSize, when positive, bounds the rows per map task instead,
-	// and so the rows SkylineFile reads per block; 0 leaves the cut to
-	// MapSplits.
+	// and so the rows SkylineFile reads per block; 0 leaves the cut at
+	// 2×Workers tasks.
 	ChunkSize int
 	// Seed drives sampling (and nothing else; the pipeline is
 	// deterministic given data and seed).
@@ -148,18 +147,10 @@ func (c *Config) spec() *plan.Spec {
 		Fanout:           c.Fanout,
 		Seed:             c.Seed,
 		DisableSZBFilter: c.DisableSZBFilter,
-		MapTasks:         c.splits(),
+		MapTasks:         2 * c.Workers,
 		ChunkSize:        c.ChunkSize,
 		Dominance:        c.Dominance,
 	}
-}
-
-// splits resolves the map task count (0 selects 2x workers).
-func (c *Config) splits() int {
-	if c.MapSplits > 0 {
-		return c.MapSplits
-	}
-	return 2 * c.Workers
 }
 
 func (c *Config) validate() error {
@@ -209,7 +200,7 @@ func (e *Engine) Skyline(ctx context.Context, ds *point.Dataset) ([]point.Point,
 // reads in passes and never loads: memory holds one wave of the file
 // (Workers map tasks of ChunkSize rows), the rows the SZB filter
 // routes, and phase 3 over the candidates. With ChunkSize 0 the file
-// is cut into MapSplits tasks, so one wave can be the whole file. The
+// is cut into 2×Workers tasks, so one wave can be the whole file. The
 // run learns the same rule and reports the same plan as Skyline on the
 // file's rows; an empty file has an empty skyline.
 func (e *Engine) SkylineFile(ctx context.Context, path string) ([]point.Point, *Report, error) {

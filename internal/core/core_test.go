@@ -372,7 +372,7 @@ func TestEngineContextCancellation(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 50000, 5, 7)
 	cfg := smallCfg()
 	cfg.Workers = 1
-	cfg.MapSplits = 64
+	cfg.ChunkSize = 1000
 	e, _ := NewEngine(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before start: must fail fast, not hang

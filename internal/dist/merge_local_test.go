@@ -10,7 +10,6 @@ import (
 
 	"zskyline/internal/gen"
 	"zskyline/internal/obs"
-	"zskyline/internal/seq"
 )
 
 // cancelAtMerge is a context that cancels itself the first time it is
@@ -50,7 +49,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := seq.SkylineUnder(prov, ds.Points, nil)
+		want := sbUnder(prov, ds.Points)
 		for name, run := range paths {
 			t.Run(prov.Name()+"/"+name, func(t *testing.T) {
 				cfg := ftConfig()

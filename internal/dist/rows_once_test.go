@@ -62,7 +62,7 @@ func TestRowsCrossOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := seq.SkylineUnder(prov, ds.Points, nil)
+		want := sbUnder(prov, ds.Points)
 		for name, run := range batchQueries(t, ds) {
 			t.Run(prov.Name()+"/"+name, func(t *testing.T) {
 				cfg := ftConfig()

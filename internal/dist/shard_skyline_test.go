@@ -68,12 +68,21 @@ func storeBatch(t testing.TB, w *Worker, enc *zorder.Encoder, b point.Block) {
 }
 
 // oracleUnder is the reference skyline of pts under prov: all pairs for
-// Pareto, the sequential provider kernel otherwise.
+// Pareto, the sequential sort-filter kernel otherwise.
 func oracleUnder(prov dominance.Provider, pts []point.Point) []point.Point {
 	if dominance.IsPareto(prov) {
 		return seq.BruteForce(pts)
 	}
-	return seq.SkylineUnder(prov, pts, nil)
+	return sbUnder(prov, pts)
+}
+
+// sbUnder is the sequential sort-filter skyline of pts under prov.
+func sbUnder(prov dominance.Provider, pts []point.Point) []point.Point {
+	if len(pts) == 0 {
+		return nil
+	}
+	b := point.BlockOf(len(pts[0]), pts)
+	return b.Select(seq.SBRows(prov, b, nil)).Points()
 }
 
 // inRange keeps the points whose address falls in rng.

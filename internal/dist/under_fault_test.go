@@ -7,7 +7,6 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
-	"zskyline/internal/seq"
 )
 
 // Per provider, a distributed run under injected faults (a severed
@@ -58,7 +57,7 @@ func TestProvidersUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := seq.SkylineUnder(prov, ds.Points, nil)
+			want := sbUnder(prov, ds.Points)
 			sameSet(t, got, want, "skyline under faults")
 			if dying.Injected() == 0 {
 				t.Fatal("sever fault never fired; test exercised nothing")

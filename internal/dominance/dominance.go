@@ -372,3 +372,26 @@ func (r *Robust) Caps() Caps {
 
 // Descriptor implements Provider.
 func (r *Robust) Descriptor() Descriptor { return Descriptor{Kind: KindRobust, Rho: r.rho} }
+
+// BruteForce is the quadratic per-provider oracle: keep p iff no other
+// point dominates it under prov. The reference that every executor is
+// property-tested against.
+func BruteForce(prov Provider, pts []point.Point) []point.Point {
+	var out []point.Point
+	for i, p := range pts {
+		dominated := false
+		for j, q := range pts {
+			if i == j {
+				continue
+			}
+			if prov.Dominates(q, p) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, p)
+		}
+	}
+	return out
+}

@@ -1,4 +1,4 @@
-package dominance
+package dominance_test
 
 import (
 	"bytes"
@@ -9,14 +9,16 @@ import (
 	"reflect"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/point"
+	"zskyline/internal/seq"
 )
 
 // testProviders returns one instance of each built-in provider,
 // parameterized for d-dimensional data.
-func testProviders(t testing.TB, d int) []Provider {
+func testProviders(t testing.TB, d int) []dominance.Provider {
 	t.Helper()
-	flex, err := NewFlex([][]float64{allOnes(d), firstHeavy(d)})
+	flex, err := dominance.NewFlex([][]float64{allOnes(d), firstHeavy(d)})
 	if err != nil {
 		t.Fatalf("NewFlex: %v", err)
 	}
@@ -24,15 +26,15 @@ func testProviders(t testing.TB, d int) []Provider {
 	if k < 1 {
 		k = 1
 	}
-	kdom, err := NewKDom(k)
+	kdom, err := dominance.NewKDom(k)
 	if err != nil {
 		t.Fatalf("NewKDom: %v", err)
 	}
-	robust, err := NewRobust(0.05)
+	robust, err := dominance.NewRobust(0.05)
 	if err != nil {
 		t.Fatalf("NewRobust: %v", err)
 	}
-	return []Provider{Pareto{}, flex, kdom, robust}
+	return []dominance.Provider{dominance.Pareto{}, flex, kdom, robust}
 }
 
 func allOnes(d int) []float64 {
@@ -103,7 +105,7 @@ func TestProviderCapsSound(t *testing.T) {
 // TestKDomNotTransitiveWitness pins the reason KDom declares
 // Transitive=false with a concrete 3-cycle.
 func TestKDomNotTransitiveWitness(t *testing.T) {
-	kd, err := NewKDom(2)
+	kd, err := dominance.NewKDom(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +136,19 @@ func TestDominatesRowsMatchesDominates(t *testing.T) {
 	}
 }
 
+// The sort-filter kernel lives in package seq; the next four tests hold
+// seq.SBRows and seq.FilterRows to this package's oracle under every
+// built-in relation.
+
+// sbRows is seq.SBRows' answer on b under prov, as points.
+func sbRows(prov dominance.Provider, b point.Block) []point.Point {
+	return b.Select(seq.SBRows(prov, b, nil)).Points()
+}
+
 // TestSkylineBlockMatchesBruteForce is the kernel-level oracle test:
-// the generic window kernel (sum-order or BNL, plus verification for
-// non-transitive relations) must agree with the quadratic oracle as a
-// multiset for every provider.
+// the sort-filter kernel (sum-order or eviction window, closed by the
+// filter for non-transitive relations) must agree with the quadratic
+// oracle as a multiset for every provider.
 func TestSkylineBlockMatchesBruteForce(t *testing.T) {
 	const d = 4
 	rng := rand.New(rand.NewSource(3))
@@ -148,8 +159,8 @@ func TestSkylineBlockMatchesBruteForce(t *testing.T) {
 		}
 		b := point.BlockOf(d, pts)
 		for _, prov := range testProviders(t, d) {
-			got := SkylineBlock(prov, b, nil).Points()
-			want := BruteForce(prov, pts)
+			got := sbRows(prov, b)
+			want := dominance.BruteForce(prov, pts)
 			assertSameMultiset(t, prov.Name(), got, want)
 		}
 	}
@@ -168,16 +179,16 @@ func TestSkylineBlockFloatTies(t *testing.T) {
 		d := len(pts[0])
 		b := point.BlockOf(d, pts)
 		for _, prov := range testProviders(t, d) {
-			got := SkylineBlock(prov, b, nil).Points()
-			assertSameMultiset(t, fmt.Sprintf("%s on %v", prov.Name(), pts), got, BruteForce(prov, pts))
+			got := sbRows(prov, b)
+			assertSameMultiset(t, fmt.Sprintf("%s on %v", prov.Name(), pts), got, dominance.BruteForce(prov, pts))
 		}
-		if got := SkylineBlock(Pareto{}, b, nil); got.Len() != 1 || !got.Row(0).Equal(pts[1]) {
-			t.Errorf("pareto on %v kept %v, want only %v", pts, got.Points(), pts[1])
+		if got := sbRows(dominance.Pareto{}, b); len(got) != 1 || !got[0].Equal(pts[1]) {
+			t.Errorf("pareto on %v kept %v, want only %v", pts, got, pts[1])
 		}
 	}
 }
 
-// TestFilterBlockSound checks that FilterBlock removes exactly the
+// TestFilterBlockSound checks that seq.FilterRows removes exactly the
 // rows dominated by some row of against.
 func TestFilterBlockSound(t *testing.T) {
 	const d = 3
@@ -187,7 +198,7 @@ func TestFilterBlockSound(t *testing.T) {
 	cb := point.BlockOf(d, cands)
 	ab := point.BlockOf(d, against)
 	for _, prov := range testProviders(t, d) {
-		got := FilterBlock(prov, cb, ab, nil).Points()
+		got := cb.Select(seq.FilterRows(prov, cb, ab, nil)).Points()
 		var want []point.Point
 		for _, p := range cands {
 			dominated := false
@@ -215,8 +226,8 @@ func TestFilterBlockSelfExact(t *testing.T) {
 	pts := randomPoints(rng, 90, d)
 	b := point.BlockOf(d, pts)
 	for _, prov := range testProviders(t, d) {
-		got := FilterBlock(prov, b, b, nil).Points()
-		want := BruteForce(prov, pts)
+		got := b.Select(seq.FilterRows(prov, b, b, nil)).Points()
+		want := dominance.BruteForce(prov, pts)
 		assertSameMultiset(t, prov.Name(), got, want)
 	}
 }
@@ -236,7 +247,7 @@ func TestDescriptorRoundTrip(t *testing.T) {
 		if back.Caps() != prov.Caps() {
 			t.Fatalf("%s: caps drifted over the wire", prov.Name())
 		}
-		d2, err := ParseDescriptor(d.String())
+		d2, err := dominance.ParseDescriptor(d.String())
 		if err != nil {
 			t.Fatalf("%s: Parse(%q): %v", prov.Name(), d.String(), err)
 		}
@@ -255,7 +266,7 @@ func TestDescriptorGobRoundTrip(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(d); err != nil {
 			t.Fatalf("%s: gob encode: %v", prov.Name(), err)
 		}
-		var got Descriptor
+		var got dominance.Descriptor
 		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 			t.Fatalf("%s: gob decode: %v", prov.Name(), err)
 		}
@@ -272,7 +283,7 @@ func TestParseRejectsBadInput(t *testing.T) {
 		"flex:0,0", "flex:-1,2", "kdom", "kdom:x", "kdom:0", "kdom:-3",
 		"robust:x", "robust:-0.5", "robust:NaN",
 	} {
-		if _, err := Parse(s); err == nil {
+		if _, err := dominance.Parse(s); err == nil {
 			t.Errorf("Parse(%q): expected error, got none", s)
 		}
 	}
@@ -281,16 +292,16 @@ func TestParseRejectsBadInput(t *testing.T) {
 // TestParseAccepts covers the documented grammar.
 func TestParseAccepts(t *testing.T) {
 	for s, kind := range map[string]string{
-		"pareto":       KindPareto,
-		"":             KindPareto,
-		"flex:1,2,1":   KindFlex,
-		"flex:1,0;0,1": KindFlex,
-		"flex: 1 , 2":  KindFlex,
-		"kdom:3":       KindKDom,
-		"robust":       KindRobust,
-		"robust:0.25":  KindRobust,
+		"pareto":       dominance.KindPareto,
+		"":             dominance.KindPareto,
+		"flex:1,2,1":   dominance.KindFlex,
+		"flex:1,0;0,1": dominance.KindFlex,
+		"flex: 1 , 2":  dominance.KindFlex,
+		"kdom:3":       dominance.KindKDom,
+		"robust":       dominance.KindRobust,
+		"robust:0.25":  dominance.KindRobust,
 	} {
-		prov, err := Parse(s)
+		prov, err := dominance.Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", s, err)
 		}
@@ -303,12 +314,12 @@ func TestParseAccepts(t *testing.T) {
 // TestRegistryExtension registers a custom kind and reconstructs it
 // from a descriptor.
 func TestRegistryExtension(t *testing.T) {
-	if err := Register("test-custom", func(d Descriptor) (Provider, error) {
-		return Pareto{}, nil
+	if err := dominance.Register("test-custom", func(d dominance.Descriptor) (dominance.Provider, error) {
+		return dominance.Pareto{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	prov, err := Descriptor{Kind: "test-custom"}.Provider()
+	prov, err := dominance.Descriptor{Kind: "test-custom"}.Provider()
 	if err != nil {
 		t.Fatalf("custom kind: %v", err)
 	}
@@ -316,23 +327,23 @@ func TestRegistryExtension(t *testing.T) {
 		t.Fatal("custom kind returned nil provider")
 	}
 	found := false
-	for _, k := range Kinds() {
+	for _, k := range dominance.Kinds() {
 		if k == "test-custom" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Kinds() = %v missing test-custom", Kinds())
+		t.Fatalf("Kinds() = %v missing test-custom", dominance.Kinds())
 	}
 }
 
 // TestIsPareto pins the fast-path detection.
 func TestIsPareto(t *testing.T) {
-	if !IsPareto(nil) || !IsPareto(Pareto{}) {
+	if !dominance.IsPareto(nil) || !dominance.IsPareto(dominance.Pareto{}) {
 		t.Fatal("nil and Pareto{} must be the fast path")
 	}
-	kd, _ := NewKDom(2)
-	if IsPareto(kd) {
+	kd, _ := dominance.NewKDom(2)
+	if dominance.IsPareto(kd) {
 		t.Fatal("kdom must not take the Pareto fast path")
 	}
 }

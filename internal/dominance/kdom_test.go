@@ -1,6 +1,6 @@
 package dominance_test
 
-// k-dominance through the provider-generic kernels: the cases the
+// k-dominance through the sort-filter kernel, seq.SBRows: the cases the
 // retired internal/kdom facade carried, on dominance.NewKDom directly.
 
 import (
@@ -27,7 +27,11 @@ func kSkyline(t *testing.T, pts []point.Point, k int, tally *metrics.Tally) []po
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dominance.Skyline(prov, pts, tally)
+	if len(pts) == 0 {
+		return nil
+	}
+	b := point.BlockOf(len(pts[0]), pts)
+	return b.Select(seq.SBRows(prov, b, tally)).Points()
 }
 
 func TestKDominatesBasics(t *testing.T) {
@@ -99,7 +103,7 @@ func TestTwoScanMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := dominance.BruteForce(prov, pts)
-		got := dominance.Skyline(prov, pts, nil)
+		got := kSkyline(t, pts, k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("d=%d k=%d n=%d: got %d, want %d", d, k, n, len(got), len(want))
 		}

@@ -21,6 +21,7 @@ import (
 	"zskyline/internal/core"
 	"zskyline/internal/gpmrs"
 	"zskyline/internal/point"
+	"zskyline/internal/zorder"
 )
 
 // Params controls an experiment run.
@@ -178,7 +179,7 @@ func pipelineConfig(ds *point.Dataset, c combo, m int, p Params) core.Config {
 	cfg.Workers = p.Workers
 	cfg.Seed = p.Seed
 	cfg.SampleRatio = sampleRatioFor(ds.Len())
-	cfg.Bits = bitsFor(ds.Dims)
+	cfg.Bits = zorder.DefaultBits(ds.Dims)
 	return cfg
 }
 
@@ -204,19 +205,6 @@ func sampleRatioFor(n int) float64 {
 		return 0.02
 	default:
 		return 0.01
-	}
-}
-
-// bitsFor shrinks the per-dimension grid for very high-dimensional
-// data so Z-addresses stay compact.
-func bitsFor(d int) int {
-	switch {
-	case d <= 16:
-		return 16
-	case d <= 64:
-		return 12
-	default:
-		return 8
 	}
 }
 

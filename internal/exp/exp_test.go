@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zskyline/internal/zorder"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -113,7 +115,7 @@ func TestSampleRatioAndBits(t *testing.T) {
 	if sampleRatioFor(1000) != 0.05 || sampleRatioFor(100000) != 0.02 || sampleRatioFor(1e6) != 0.01 {
 		t.Error("sampleRatioFor thresholds wrong")
 	}
-	if bitsFor(5) != 16 || bitsFor(32) != 12 || bitsFor(512) != 8 {
-		t.Error("bitsFor thresholds wrong")
+	if zorder.DefaultBits(5) != 16 || zorder.DefaultBits(32) != 12 || zorder.DefaultBits(512) != 8 {
+		t.Error("zorder.DefaultBits thresholds wrong")
 	}
 }

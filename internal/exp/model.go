@@ -49,7 +49,7 @@ func runAblModel(ctx context.Context, p Params) (*Table, error) {
 			return nil, err
 		}
 		mins, maxs := mustBounds(ds)
-		enc, err := zorder.NewEncoder(ds.Dims, bitsFor(ds.Dims), mins, maxs)
+		enc, err := zorder.NewEncoder(ds.Dims, zorder.DefaultBits(ds.Dims), mins, maxs)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +252,7 @@ func runAblSkew(ctx context.Context, p Params) (*Table, error) {
 			return nil, err
 		}
 		mins, maxs := mustBounds(ds)
-		enc, err := zorder.NewEncoder(ds.Dims, bitsFor(ds.Dims), mins, maxs)
+		enc, err := zorder.NewEncoder(ds.Dims, zorder.DefaultBits(ds.Dims), mins, maxs)
 		if err != nil {
 			return nil, err
 		}

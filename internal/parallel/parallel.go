@@ -22,6 +22,7 @@ import (
 	"zskyline/internal/metrics"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
+	"zskyline/internal/zorder"
 )
 
 // Options tunes Skyline.
@@ -29,8 +30,8 @@ type Options struct {
 	// Workers is the goroutine, map task and group count; 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Bits is the Z-order resolution; 0 selects 16 (capped for very
-	// high dimensionality).
+	// Bits is the Z-order resolution; 0 selects zorder.DefaultBits (16,
+	// less for very high dimensionality).
 	Bits int
 	// Fanout is the ZB-tree fanout; 0 selects the default.
 	Fanout int
@@ -46,14 +47,7 @@ func (o Options) normalize(dims int) Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Bits <= 0 {
-		switch {
-		case dims <= 16:
-			o.Bits = 16
-		case dims <= 64:
-			o.Bits = 12
-		default:
-			o.Bits = 8
-		}
+		o.Bits = zorder.DefaultBits(dims)
 	}
 	return o
 }

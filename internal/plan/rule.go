@@ -345,7 +345,7 @@ func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 	}
 	carryZ := r.merge != MergeSB && r.pareto()
 	if r.local != ZS {
-		out.Block = r.sortBased(g.Block, tally)
+		out.Block = g.Block.Select(seq.SBRows(r.prov, g.Block, tally))
 		if carryZ {
 			out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 		}
@@ -367,7 +367,7 @@ func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 	if !r.caps.Transitive {
 		// The walk keeps rows that only a row it dropped dominates; the
 		// input closes it, as a window's rebuild needs an exact skyline.
-		out.Block = dominance.FilterBlock(r.prov, out.Block, g.Block, tally)
+		out.Block = out.Block.Select(seq.FilterRows(r.prov, out.Block, g.Block, tally))
 	}
 	if !carryZ {
 		out.ZCol = zorder.ZCol{}
@@ -375,15 +375,6 @@ func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out
-}
-
-// sortBased is the sort-based kernel under the rule's relation: the
-// hardcoded SB under Pareto, the provider's window otherwise.
-func (r *Rule) sortBased(b point.Block, tally *metrics.Tally) point.Block {
-	if r.pareto() {
-		return seq.SBBlock(b, tally)
-	}
-	return dominance.SkylineBlock(r.prov, b, tally)
 }
 
 // MapBlock is phase 2's map over one block: see mapRows.
@@ -497,7 +488,8 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 		for _, g := range groups {
 			bb.AppendBlock(g.Block)
 		}
-		out.Block = r.sortBased(bb.Build(), tally)
+		all := bb.Build()
+		out.Block = all.Select(seq.SBRows(r.prov, all, tally))
 		return out
 	}
 	st, ranges := r.candidateStore(groups, total)

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"zskyline/internal/codec"
-	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
 	"zskyline/internal/obs"
 	"zskyline/internal/point"
 	"zskyline/internal/sample"
+	"zskyline/internal/seq"
 )
 
 // Report describes one pipeline run: the numbers the paper's
@@ -391,7 +391,7 @@ func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in inpu
 	sp.SetAttr("candidates", len(sky))
 	cand := point.BlockOf(r.dims, sky)
 	err := in.each(d.spec, func(b point.Block) error {
-		cand = dominance.FilterBlock(r.prov, cand, b, d.tally)
+		cand = cand.Select(seq.FilterRows(r.prov, cand, b, d.tally))
 		return nil
 	})
 	sp.SetAttr("skyline", cand.Len())

@@ -73,7 +73,8 @@ func reference(prov dominance.Provider, pts []point.Point) []point.Point {
 	if dominance.IsPareto(prov) {
 		return seq.BruteForce(pts)
 	}
-	return seq.SkylineUnder(prov, pts, nil)
+	b := point.BlockOf(len(pts[0]), pts)
+	return b.Select(seq.SBRows(prov, b, nil)).Points()
 }
 
 // TestSweepMergeMatchesBruteForce: over 1, 2, 3 and 8 ranges of tie-heavy

@@ -78,6 +78,20 @@ func (b Block) AppendPoints(dst []Point) []Point {
 	return dst
 }
 
+// Select copies the given rows of b, in that order, into a fresh
+// block, so a result never pins the input arena.
+func (b Block) Select(rows []int32) Block {
+	out := Block{Dims: b.Dims}
+	if len(rows) == 0 {
+		return out
+	}
+	out.Data = make([]float64, 0, len(rows)*b.Dims)
+	for _, r := range rows {
+		out.Data = append(out.Data, b.Row(int(r))...)
+	}
+	return out
+}
+
 // Slice returns the zero-copy sub-block of rows [lo, hi).
 func (b Block) Slice(lo, hi int) Block {
 	return Block{Dims: b.Dims, Data: b.Data[lo*b.Dims : hi*b.Dims : hi*b.Dims]}

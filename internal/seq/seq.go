@@ -1,11 +1,12 @@
 // Package seq implements the centralized (single-worker) skyline
 // algorithms: the paper's SB local building block and the test oracle.
 //
-//   - SB ("sort-based"): walk the rows in point.SumOrder, then a
-//     single filtering pass — the paper's SB local algorithm (§6.1).
-//     That order is a linear extension of dominance, so the window is
-//     append-only. SBRows is the one kernel; SB and SBBlock wrap it.
-//   - BruteForce: the quadratic oracle used by tests.
+//   - SB ("sort-based"): sort the rows, then a single filtering pass —
+//     the paper's SB local algorithm (§6.1). SBRows is the one
+//     sort-filter kernel, under every dominance relation; SB and
+//     SBBlock wrap it for Pareto, and FilterRows closes a candidate
+//     set under a non-transitive relation.
+//   - BruteForce: the quadratic Pareto oracle used by tests.
 //
 // The paper's other local algorithm, Z-search (ZS), lives in package
 // zbtree because it is built on the ZB-tree index.
@@ -48,7 +49,7 @@ func SB(pts []point.Point, tally *metrics.Tally) []point.Point {
 	if len(pts) == 0 {
 		return nil
 	}
-	rows := SBRows(point.BlockOf(len(pts[0]), pts), tally)
+	rows := SBRows(nil, point.BlockOf(len(pts[0]), pts), tally)
 	out := make([]point.Point, len(rows))
 	for i, r := range rows {
 		out[i] = pts[r]

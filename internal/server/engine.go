@@ -24,7 +24,7 @@ import (
 	"zskyline/internal/obs"
 	"zskyline/internal/point"
 	"zskyline/internal/rank"
-	"zskyline/internal/seq"
+	"zskyline/internal/subspace"
 	"zskyline/internal/window"
 )
 
@@ -392,31 +392,13 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 
 // queryRows returns, ascending, every row whose projection onto cols
 // (max columns negated) no row strictly dominates, duplicates
-// included: one flat projection copy, then the one SB kernel with row
-// provenance.
+// included: subspace.Rows over the snapshot's rows.
 func queryRows(data point.Block, cols []prefCol) []int {
-	n := data.Len()
-	proj := point.Block{Dims: len(cols), Data: make([]float64, 0, n*len(cols))}
-	for i := 0; i < n; i++ {
-		row := data.Row(i)
-		for _, c := range cols {
-			v := row[c.idx]
-			if c.negate {
-				v = -v
-			}
-			proj.Data = append(proj.Data, v)
-		}
+	sc := make([]subspace.Column, len(cols))
+	for k, c := range cols {
+		sc[k] = subspace.Column{Dim: c.idx, Negate: c.negate}
 	}
-	sky := seq.SBRows(proj, nil)
-	if len(sky) == 0 {
-		return nil
-	}
-	rows := make([]int, len(sky))
-	for i, r := range sky {
-		rows[i] = int(r)
-	}
-	sort.Ints(rows)
-	return rows
+	return subspace.Rows(data.Len(), data.Row, sc, nil)
 }
 
 // dominatorsOf returns the points dominating p under the dataset's

@@ -43,18 +43,51 @@ func Skyline(ds *point.Dataset, dims []int, tally *metrics.Tally) ([]int, error)
 	return skylineRows(ds, dims, tally), nil
 }
 
-// skylineRows projects ds onto dims and runs the one SB kernel with
-// provenance over the projection, returning row indices ascending.
+// skylineRows is Rows over ds's points, every column taken as it is.
 func skylineRows(ds *point.Dataset, dims []int, tally *metrics.Tally) []int {
-	proj := point.Block{Dims: len(dims), Data: make([]float64, 0, ds.Len()*len(dims))}
-	for _, p := range ds.Points {
-		for _, d := range dims {
-			proj.Data = append(proj.Data, p[d])
+	cols := make([]Column, len(dims))
+	for k, d := range dims {
+		cols[k] = Column{Dim: d}
+	}
+	return Rows(ds.Len(), func(i int) point.Point { return ds.Points[i] }, cols, tally)
+}
+
+// Column is one coordinate of a preference projection: source
+// dimension Dim, negated when larger values are preferred, so that
+// smaller is better in the projection.
+type Column struct {
+	Dim    int
+	Negate bool
+}
+
+// Project copies the projection onto cols of n rows, row(i) being
+// source row i, into one block.
+func Project(n int, row func(int) point.Point, cols []Column) point.Block {
+	proj := point.Block{Dims: len(cols), Data: make([]float64, 0, n*len(cols))}
+	for i := 0; i < n; i++ {
+		src := row(i)
+		for _, c := range cols {
+			v := src[c.Dim]
+			if c.Negate {
+				v = -v
+			}
+			proj.Data = append(proj.Data, v)
 		}
 	}
-	rows := seq.SBRows(proj, tally)
-	out := make([]int, len(rows))
-	for i, r := range rows {
+	return proj
+}
+
+// Rows returns, ascending, every one of n rows whose projection onto
+// cols no row's projection dominates, duplicates included: one Project
+// copy, then the sort-filter kernel with row positions. It answers nil
+// for no rows.
+func Rows(n int, row func(int) point.Point, cols []Column, tally *metrics.Tally) []int {
+	sky := seq.SBRows(nil, Project(n, row, cols), tally)
+	if len(sky) == 0 {
+		return nil
+	}
+	out := make([]int, len(sky))
+	for i, r := range sky {
 		out[i] = int(r)
 	}
 	sort.Ints(out)

@@ -141,15 +141,13 @@ func (st *Store) rowLanes(i int32) []uint64 {
 // Z-column, so results never pin the (potentially much larger) input
 // arenas.
 func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
-	blk := point.Block{Dims: st.blk.Dims}
+	blk := st.blk.Select(rows)
 	zc := zorder.ZCol{Words: st.zc.Words}
 	if len(rows) == 0 {
 		return blk, zc
 	}
-	blk.Data = make([]float64, 0, len(rows)*st.blk.Dims)
 	zc.Data = make([]uint64, 0, len(rows)*st.zc.Words)
 	for _, r := range rows {
-		blk.Data = append(blk.Data, st.Row(r)...)
 		zc.AppendRow(st.zc, int(r))
 	}
 	return blk, zc

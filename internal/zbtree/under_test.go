@@ -9,6 +9,7 @@ import (
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
+	"zskyline/internal/seq"
 	"zskyline/internal/zorder"
 )
 
@@ -51,7 +52,7 @@ func skylineUnder(prov dominance.Provider, d, bits int, pts []point.Point) []poi
 	b := point.BlockOf(d, pts)
 	out, _ := ZSearchGroupUnder(prov, enc, 4, b, zorder.ZCol{}, nil)
 	if prov != nil && !prov.Caps().Transitive {
-		out = dominance.FilterBlock(prov, out, b, nil)
+		out = out.Select(seq.FilterRows(prov, out, b, nil))
 	}
 	return out.Points()
 }
@@ -127,7 +128,8 @@ func TestMergeUnderMatchesOracle(t *testing.T) {
 		}
 		// Candidate superset: every true result point must survive the
 		// pipeline, and verification closes it.
-		closed := dominance.FilterBlock(prov, point.BlockOf(d, merged), point.BlockOf(d, pts), nil)
+		cand := point.BlockOf(d, merged)
+		closed := cand.Select(seq.FilterRows(prov, cand, point.BlockOf(d, pts), nil))
 		sameSet(t, closed.Points(), want, prov.Name()+" after verify")
 	}
 }

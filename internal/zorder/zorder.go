@@ -27,6 +27,20 @@ import (
 // MaxBits is the largest supported grid resolution per dimension.
 const MaxBits = 32
 
+// DefaultBits is the grid resolution per dimension for dims
+// dimensions when the caller leaves it open: 16 up to 16 dimensions,
+// 12 up to 64 and 8 beyond, so an address stays a few words wide.
+func DefaultBits(dims int) int {
+	switch {
+	case dims <= 16:
+		return 16
+	case dims <= 64:
+		return 12
+	default:
+		return 8
+	}
+}
+
 // ZAddr is a packed Z-address: d*b bits, big-endian within and across
 // uint64 words, padded with zero bits at the tail of the last word.
 type ZAddr []uint64

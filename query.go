@@ -2,7 +2,6 @@ package zskyline
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +9,7 @@ import (
 
 	"zskyline/internal/core"
 	"zskyline/internal/point"
+	"zskyline/internal/subspace"
 )
 
 // Direction states which way an attribute is preferred.
@@ -139,11 +139,7 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 		return nil, fmt.Errorf("zskyline: query has no preferences")
 	}
 	// Resolve the participating attribute columns.
-	type col struct {
-		idx    int
-		negate bool
-	}
-	var cols []col
+	var cols []subspace.Column
 	seen := map[string]bool{}
 	for _, p := range q.Prefer {
 		i := slices.Index(rel.Attrs, p.Attr)
@@ -157,31 +153,15 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 		if p.Dir == Ignore {
 			continue
 		}
-		cols = append(cols, col{idx: i, negate: p.Dir == Max})
+		cols = append(cols, subspace.Column{Dim: i, Negate: p.Dir == Max})
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("zskyline: query ignores every attribute")
 	}
 
-	// Project rows into preference space.
-	pts := make([]point.Point, rel.Len())
-	for r, row := range rel.Rows {
-		p := make(point.Point, len(cols))
-		for k, c := range cols {
-			v := row[c.idx]
-			if c.negate {
-				v = -v
-			}
-			p[k] = v
-		}
-		pts[r] = p
-	}
-	ds, err := point.NewDataset(len(cols), pts)
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := defaultQueryConfig(rel.Len())
+	proj := subspace.Project(rel.Len(), func(r int) point.Point { return rel.Rows[r] }, cols)
+	pts := proj.Points()
+	cfg := defaultConfig(rel.Len())
 	if q.Config != nil {
 		cfg = *q.Config
 	}
@@ -192,44 +172,29 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sky, rep, err := eng.Skyline(ctx, ds)
+	sky, rep, err := eng.Skyline(ctx, &point.Dataset{Dims: proj.Dims, Points: pts})
 	if err != nil {
 		return nil, err
 	}
 
-	// Map skyline points back to row ids by their exact bits: skyline
-	// points are bit copies of projected rows (NewRelation rejects NaN
-	// and ±Inf). Multiple rows can share one preference vector; each
-	// skyline copy consumes one matching row.
-	byKey := map[string][]int{}
-	for r, p := range pts {
-		k := bitsKey(p)
-		byKey[k] = append(byKey[k], r)
-	}
+	// Row r is in the answer when its projection is in the skyline.
+	// Two vectors equal as floats (NewRelation rejects NaN) have the
+	// same dominance status under every relation, so every copy of a
+	// skyline vector is an answer row.
+	point.SortLexicographic(sky)
 	var ids []int
-	for _, p := range sky {
-		k := bitsKey(p)
-		rows := byKey[k]
-		if len(rows) == 0 {
-			return nil, fmt.Errorf("zskyline: internal error: skyline point %v has no source row", p)
+	for r, p := range pts {
+		i := sort.Search(len(sky), func(i int) bool { return !point.Less(sky[i], p) })
+		if i < len(sky) && !point.Less(p, sky[i]) {
+			ids = append(ids, r)
 		}
-		ids = append(ids, rows[0])
-		byKey[k] = rows[1:]
 	}
-	sort.Ints(ids)
 	return &Result{RowIDs: ids, Report: rep}, nil
 }
 
-// bitsKey is p's coordinates as their raw IEEE-754 bits.
-func bitsKey(p point.Point) string {
-	b := make([]byte, 0, 8*len(p))
-	for _, v := range p {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return string(b)
-}
-
-func defaultQueryConfig(n int) Config {
+// defaultConfig is Defaults sized for an input of n rows: small inputs
+// need fewer groups and a denser sample.
+func defaultConfig(n int) Config {
 	cfg := core.Defaults()
 	if n < 10000 {
 		cfg.M = 8
@@ -286,9 +251,8 @@ func RunGroupedQuery(ctx context.Context, rel *Relation, keyAttr string, q Query
 		}
 		rows := make([]int, len(res.RowIDs))
 		for i, sid := range res.RowIDs {
-			rows[i] = ids[sid]
+			rows[i] = ids[sid] // ascending, as ids and res.RowIDs are
 		}
-		sort.Ints(rows)
 		out.Groups[key] = rows
 	}
 	return out, nil

@@ -518,3 +518,31 @@ func TestKDominantSkylineValidation(t *testing.T) {
 		t.Errorf("empty input: %v %v", got, err)
 	}
 }
+
+// TestMixedWidthInputIsAnError: every facade over a []Point answers
+// rows of different widths with an error, as Skyline does, instead of
+// panicking.
+func TestMixedWidthInputIsAnError(t *testing.T) {
+	pts := []Point{{1, 2}, {1, 2, 3}}
+	kdom, err := ParseDominance("kdom:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Skyline", func() error { _, err := Skyline(context.Background(), 2, pts); return err }},
+		{"SkylineUnder", func() error { _, err := SkylineUnder(kdom, pts); return err }},
+		{"KDominantSkyline", func() error { _, err := KDominantSkyline(pts, 2); return err }},
+		{"EpsilonSkyline", func() error { _, err := EpsilonSkyline(pts, 0.1); return err }},
+		{"RepresentativeSkyline", func() error { _, err := RepresentativeSkyline(pts, 1); return err }},
+		{"EstimateSkylineSize", func() error { _, err := EstimateSkylineSize(pts, 1, 1); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.call(); err == nil {
+				t.Errorf("%s accepted rows of widths 2 and 3", c.name)
+			}
+		})
+	}
+}

@@ -113,13 +113,7 @@ func Skyline(ctx context.Context, dims int, pts []Point) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Defaults()
-	if n := ds.Len(); n < 10000 {
-		// Small inputs need fewer groups and a denser sample.
-		cfg.M = 8
-		cfg.SampleRatio = 0.1
-	}
-	eng, err := core.NewEngine(cfg)
+	eng, err := core.NewEngine(defaultConfig(ds.Len()))
 	if err != nil {
 		return nil, err
 	}
