@@ -77,6 +77,26 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestRaggedDatasetIsAnError: a dataset that bypassed NewDataset with a
+// row of the wrong width fails phase 1 with a *point.WidthError naming
+// the row — short or long, first or not, sampled or not — never a panic.
+func TestRaggedDatasetIsAnError(t *testing.T) {
+	e, err := NewEngine(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pts []point.Point
+		row int
+	}{{[]point.Point{{1, 2}, {3}}, 1}, {[]point.Point{{3}, {1, 2}}, 0}, {[]point.Point{{1, 2}, {1, 2, 3}}, 1}} {
+		var we *point.WidthError
+		_, _, err := e.Skyline(context.Background(), &point.Dataset{Dims: 2, Points: c.pts})
+		if !errors.As(err, &we) || we.Row != c.row {
+			t.Errorf("ragged dataset %v: err = %v, want a *point.WidthError at row %d", c.pts, err, c.row)
+		}
+	}
+}
+
 // The central correctness property: every strategy x local x merge
 // combination computes the exact skyline on every distribution.
 func TestAllStrategiesExact(t *testing.T) {

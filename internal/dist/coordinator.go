@@ -21,7 +21,6 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/transport"
 	"zskyline/internal/zbtree"
-	"zskyline/internal/zorder"
 )
 
 // CoordinatorConfig parameterizes a distributed run; it mirrors
@@ -1031,43 +1030,44 @@ func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
 }
 
 // RunReduces implements plan.Executor via Worker.ReduceGroup RPCs: each
-// group's rows and Z-column travel out once, its candidates come back
-// once, and checkReduceReply vets them before the merge sees them.
+// group's rows and Z-column travel out once and its skyline comes back
+// as positions into it, which checkReduceRows vets before the group's
+// candidates are copied out of the coordinator's own rows.
 func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
 	outs := make([]plan.Group, len(groups))
 	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
-		var reply ReduceReply
+		var reply ReduceRowsReply
 		_, err := ex.c.call(ctx, "Worker.ReduceGroup",
 			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply, callOpts{from: worker, hedge: true})
 		if err == nil {
-			err = checkReduceReply(r.Encoder(), groups[i], reply.Candidates)
+			err = checkReduceRows(groups[i], reply.Rows)
 		}
-		outs[i] = reply.Candidates
-		outs[i].Gid = groups[i].Gid
+		if err == nil {
+			outs[i] = r.Candidates(groups[i], reply.Rows)
+		}
 		return err
 	})
 	return outs, err
 }
 
-// checkReduceReply verifies what the merge takes on trust from a
-// ReduceGroup reply: rows of the rule's width, no more of them than the
-// group sent, and a Z-address column that is either absent (relations
-// other than Pareto send none) or one address of the rule's width per
-// row. Anything else is errBadReduceReply.
-func checkReduceReply(enc *zorder.Encoder, sent, got plan.Group) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("dist: group %d: %w: %s", sent.Gid, errBadReduceReply, fmt.Sprintf(format, args...))
+// checkReduceRows verifies what the merge takes on trust from a
+// ReduceGroup reply: no more positions than rows sent, each a row of
+// the group sent, none twice. Only rows the coordinator sent can then
+// reach the skyline. Anything else is errBadReduceReply.
+func checkReduceRows(sent plan.Group, rows []int32) error {
+	n := sent.Len()
+	if len(rows) > n {
+		return fmt.Errorf("dist: group %d: %w: %d positions from %d rows", sent.Gid, errBadReduceReply, len(rows), n)
 	}
-	n := got.Len()
-	switch {
-	case n > 0 && got.Block.Dims != enc.Dims():
-		return bad("%d-dimensional rows, want %d", got.Block.Dims, enc.Dims())
-	case n > sent.Len():
-		return bad("%d candidates from %d rows", n, sent.Len())
-	case len(got.ZCol.Data) > 0 && got.ZCol.Words != enc.Words():
-		return bad("%d-word addresses, want %d", got.ZCol.Words, enc.Words())
-	case len(got.ZCol.Data) > 0 && len(got.ZCol.Data) != n*got.ZCol.Words:
-		return bad("%d address words for %d rows", len(got.ZCol.Data), n)
+	seen := make([]uint64, (n+63)/64)
+	for _, p := range rows {
+		if p < 0 || int(p) >= n {
+			return fmt.Errorf("dist: group %d: %w: position %d outside its %d rows", sent.Gid, errBadReduceReply, p, n)
+		}
+		if seen[p/64]&(1<<(p%64)) != 0 {
+			return fmt.Errorf("dist: group %d: %w: position %d twice", sent.Gid, errBadReduceReply, p)
+		}
+		seen[p/64] |= 1 << (p % 64)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -146,13 +147,35 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestRaggedDatasetIsAnError: a dataset that bypassed NewDataset with a
+// row of the wrong width fails the coordinator's phase 1 with a
+// *point.WidthError naming the row — short or long, first or not — before
+// any of it is shipped, and never panics the coordinator.
+func TestRaggedDatasetIsAnError(t *testing.T) {
+	coord, err := NewCoordinator(DefaultCoordinatorConfig(), startCluster(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for _, c := range []struct {
+		pts []point.Point
+		row int
+	}{{[]point.Point{{1, 2}, {3}}, 1}, {[]point.Point{{3}, {1, 2}}, 0}, {[]point.Point{{1, 2}, {1, 2, 3}}, 1}} {
+		var we *point.WidthError
+		_, _, err := coord.Skyline(context.Background(), &point.Dataset{Dims: 2, Points: c.pts})
+		if !errors.As(err, &we) || we.Row != c.row {
+			t.Errorf("ragged dataset %v: err = %v, want a *point.WidthError at row %d", c.pts, err, c.row)
+		}
+	}
+}
+
 func TestUnknownRuleRejected(t *testing.T) {
 	ws, err := StartWorker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	var reply ReduceReply
+	var reply ReduceRowsReply
 	w := ws.worker
 	if err := w.ReduceGroup(ReduceArgs{RuleID: 999}, &reply); err == nil {
 		t.Error("unknown rule accepted")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,8 @@ import (
 
 	"zskyline/internal/gen"
 	"zskyline/internal/obs"
+	"zskyline/internal/plan"
+	"zskyline/internal/point"
 	"zskyline/internal/seq"
 	"zskyline/internal/transport"
 )
@@ -461,12 +464,41 @@ func TestFatalErrorNotRetried(t *testing.T) {
 	if n := counterTotal(t, coord.Metrics(), "zsky_dist_retries_total"); n != 0 {
 		t.Errorf("fatal error was retried %v times", n)
 	}
-	// A coordinator from before the map and merge RPCs were retired
-	// still sends ids 3 and 5; the worker answers with the same typed,
-	// fatal verdict.
-	for _, id := range []uint16{3, 5} {
+	// A coordinator from before the map and merge RPCs were retired, or
+	// from before ReduceGroup answered with positions, still sends ids
+	// 3, 4 and 5; the worker answers with the same typed, fatal verdict.
+	for _, id := range []uint16{3, 4, 5} {
 		if _, err := ws.worker.ServeFrame(id, nil); !errors.Is(err, errUnknownMethod) || classify(err) != classFatal {
 			t.Errorf("retired method id %d: err = %v, want fatal errUnknownMethod", id, err)
 		}
+	}
+}
+
+// TestRetiredReduceIDUnknown: a coordinator from before ReduceGroup
+// answered with positions sends its reduce on id 4 and would misread a
+// positions reply as a group. Over a real connection the worker answers
+// that call with errUnknownMethod, a verdict the old coordinator classes
+// fatal, so its query fails at once.
+func TestRetiredReduceIDUnknown(t *testing.T) {
+	ws, err := StartWorker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ws.Close() })
+	conn, err := net.Dial("tcp", ws.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := transport.NewClient(conn)
+	defer cl.Close()
+	blk := point.BlockOf(2, []point.Point{{0.1, 0.9}, {0.9, 0.1}})
+	var reply ReduceReply
+	_, _, err = cl.Call(context.Background(), 4, ReduceArgs{RuleID: 1, Group: plan.Group{Block: blk}}, &reply)
+	var se transport.ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, errUnknownMethod.Error()) || classify(err) != classFatal {
+		t.Fatalf("a call on retired id 4: err = %v, want a fatal %q verdict", err, errUnknownMethod)
+	}
+	if reply.Candidates.Len() != 0 {
+		t.Errorf("the refused call filled a reply of %d rows", reply.Candidates.Len())
 	}
 }

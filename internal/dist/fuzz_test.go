@@ -192,6 +192,7 @@ const (
 	kindDropShardReply
 	kindShardStatsArgs
 	kindShardStats
+	kindReduceRows
 	wireKinds
 )
 
@@ -218,12 +219,12 @@ var controlMsgs = map[int]func() wireMsg{
 }
 
 // wireCorpus is the seed corpus of FuzzWireMessages, keyed by message
-// kind: well-formed ReduceArgs / ReduceReply / LoadRuleArgs /
-// StoreShardArgs / StageShardArgs / PullShardReply payloads, and each way
-// a payload can lie about its own size — cut short, trailing bytes, a
-// frame length or row count announcing more than follows, a frame whose
-// header disagrees with its payload, block and Z frames that disagree
-// with each other.
+// kind: well-formed ReduceArgs / ReduceRowsReply / ReduceReply /
+// LoadRuleArgs / StoreShardArgs / StageShardArgs / PullShardReply
+// payloads, and each way a payload can lie about its own size — cut
+// short, trailing bytes, a frame length or row count announcing more
+// than follows, a frame whose header disagrees with its payload, block
+// and Z frames that disagree with each other.
 func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	t.Helper()
 	encode := func(m interface {
@@ -245,6 +246,7 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	empty := plan.Group{Block: point.Block{Dims: 3}}
 	args := encode(ReduceArgs{RuleID: 7, Group: g})
 	reply := encode(ReduceReply{Candidates: g})
+	rows := encode(ReduceRowsReply{Rows: []int32{2, 0, 1}})
 	rule := encode(LoadRuleArgs{Rule: RuleBlob{ID: 7,
 		Data:   plan.RuleData{Dims: 3, Bits: 12, Mins: []float64{0, 0, 0}, Maxs: []float64{1, 1, 1}, Local: plan.ZS},
 		Shards: UniformShardMap(1, 4, 2)}})
@@ -301,12 +303,18 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 		kindReduceReply: {"reply": reply, "reply-bare": encode(ReduceReply{Candidates: bare}),
 			"reply-empty": encode(ReduceReply{Candidates: empty})},
 		kindLoadRule: {"rule": rule},
+		kindReduceRows: {"rows": rows, "rows-empty": encode(ReduceRowsReply{}),
+			"rows-negative": encode(ReduceRowsReply{Rows: []int32{-1}})}, // the coordinator's to reject
 	}
 	bad = map[int]map[string][]byte{
 		kindReduceArgs:  lies(args, 16),
 		kindReduceReply: lies(reply, 8),
 		kindLoadRule: {"truncated": rule[:len(rule)/2], "empty": nil,
 			"trailing": append(append([]byte(nil), rule...), 0), "garbage": []byte("not a gob stream")},
+		kindReduceRows: {"empty": nil, "count-only-truncated": rows[:3],
+			"truncated": rows[:len(rows)-1], "trailing": append(append([]byte(nil), rows...), 0),
+			"count-oversized":  patched(rows, 0, 0xFFFFFFFF), // ≈16 GiB of positions announced, 12 bytes sent
+			"count-undersized": patched(rows, 0, 2)},
 	}
 	one := blk.Slice(0, 1)
 	for kind, at := range framesAt {
@@ -362,6 +370,15 @@ func decodeWire(t testing.TB, kind int, data []byte) error {
 			return err
 		}
 		g, m = a.Candidates, a
+	case kindReduceRows:
+		var a ReduceRowsReply
+		if err := a.DecodeFrom(data); err != nil {
+			return err
+		}
+		if held := 4 + 4*len(a.Rows); held > len(data) {
+			t.Fatalf("a %d-byte payload decoded into %d positions", len(data), len(a.Rows))
+		}
+		m = a
 	case kindStoreShard:
 		var a StoreShardArgs
 		if err := a.DecodeFrom(data); err != nil {
@@ -436,7 +453,8 @@ func TestWireMessagesCorpus(t *testing.T) {
 }
 
 // FuzzWireMessages throws arbitrary bytes at the decoders a batch query
-// runs — the ReduceGroup request and reply and the rule broadcast — at
+// runs — the ReduceGroup request and reply (and the retired group
+// reply, whose codec bench still times) and the rule broadcast — at
 // the shard tier's batch carriers: the StoreShard and StageShard
 // requests and the PullShard reply, with the block and Z frames inside
 // them decoded as the worker decodes them — and at every control

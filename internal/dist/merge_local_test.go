@@ -94,8 +94,7 @@ func TestCoordinatorMergesLocally(t *testing.T) {
 				// whichever worker it lands on — retired merge id included.
 				calls["Worker.Ping"] = len(healthy) // the startup probes
 				var rules []FaultRule
-				for id := mPing; id <= mShardStats; id++ {
-					m := methodName(id)
+				for _, m := range methodNames {
 					rules = append(rules, FaultRule{Method: m, Nth: calls[m] + 1, Count: 1 << 30, Action: FaultSever})
 				}
 				hostile := NewFaultPlan(rules...)

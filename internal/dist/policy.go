@@ -31,9 +31,9 @@ var ErrShardDown = errors.New("dist: shard has no live replica")
 var ErrBadShardReply = errors.New("dist: malformed shard skyline reply")
 
 // errBadReduceReply reports a ReduceGroup reply the coordinator cannot
-// merge soundly: rows of the wrong width, more rows than the group sent,
-// or a Z-address column that does not line up with them. The query
-// fails rather than answer from it.
+// merge soundly: more positions than the group sent rows, a position
+// outside the group, or one position twice. The query fails rather than
+// answer from it.
 var errBadReduceReply = errors.New("dist: malformed reduce reply")
 
 // errCoordinatorClosed is returned by calls racing Close.

@@ -86,9 +86,19 @@ type ReduceArgs struct {
 	Group  GroupPoints
 }
 
-// ReduceReply returns the group's skyline candidates as one group:
-// the candidate block plus its Z-address column, so the merge phase
-// never re-encodes what the reducer already computed.
+// ReduceRowsReply answers a ReduceGroup call with the group's skyline
+// as positions into the group it was sent, in the kernel's output
+// order. The coordinator still holds every row it sent, so it rebuilds
+// the candidates from its own copy (plan.Rule.Candidates) and no row
+// crosses the wire twice.
+type ReduceRowsReply struct {
+	Rows []int32
+}
+
+// ReduceReply carried a group's candidates back as a whole group, rows
+// and Z-addresses, in the reply of the retired method id 4. No call
+// sends it any more; bench/layers.go, which still times its codec, is
+// its last user.
 type ReduceReply struct {
 	Candidates GroupPoints
 }

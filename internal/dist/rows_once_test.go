@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -18,7 +19,6 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 	"zskyline/internal/transport"
-	"zskyline/internal/zorder"
 )
 
 // batchQuery is one way to ask a Coordinator for a batch skyline.
@@ -53,8 +53,10 @@ var batchDescriptors = []dominance.Descriptor{
 // every row itself, so the workers are asked for the rule and the
 // reduces only, and the rows over all ReduceGroup requests are exactly
 // the n − Filtered survivors: each crosses the wire once, with its
-// Z-address under Pareto and without one otherwise. The answer is the
-// oracle's, also when a ReduceGroup call is severed.
+// Z-address under Pareto and without one otherwise. No row comes back:
+// each reduce reply is its frame header, a count and 4 bytes per
+// candidate. The answer is the oracle's, also when a ReduceGroup call
+// is severed.
 func TestRowsCrossOnce(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 6000, 4, 41)
 	for _, desc := range batchDescriptors {
@@ -76,13 +78,17 @@ func TestRowsCrossOnce(t *testing.T) {
 					return c
 				}
 
-				var rows, encoded atomic.Int64
+				var rows, encoded, replies, positions atomic.Int64
 				record := func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler {
 					var args ReduceArgs
 					if method == mReduceGroup && args.DecodeFrom(payload) == nil {
 						rows.Add(int64(args.Group.Len()))
 						if args.Group.ZCol.Len() == args.Group.Len() {
 							encoded.Add(int64(args.Group.Len()))
+						}
+						if red, ok := reply.(ReduceRowsReply); ok {
+							replies.Add(1)
+							positions.Add(int64(len(red.Rows)))
 						}
 					}
 					return reply
@@ -106,6 +112,19 @@ func TestRowsCrossOnce(t *testing.T) {
 				if encoded.Load() != wantEncoded {
 					t.Errorf("%d of %d shipped rows carry their Z-address, want %d", encoded.Load(), rows.Load(), wantEncoded)
 				}
+				if positions.Load() != int64(rep.Candidates) || replies.Load() == 0 {
+					t.Errorf("%d reduce replies held %d positions, want the %d candidates", replies.Load(), positions.Load(), rep.Candidates)
+				}
+				for _, ln := range rep.Ledger {
+					if ln.Method != "Worker.ReduceGroup" {
+						continue
+					}
+					want := int64(ln.Calls)*(transport.HeaderLen+4) + 4*int64(rep.Candidates)
+					if ln.RespBytes != want || int64(ln.Calls) != replies.Load() {
+						t.Errorf("%d ReduceGroup replies took %d bytes, want %d: a header, a count and 4 bytes for each of the %d candidates",
+							ln.Calls, ln.RespBytes, want, rep.Candidates)
+					}
+				}
 
 				sever := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultSever})
 				ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: sever})
@@ -127,45 +146,57 @@ func TestRowsCrossOnce(t *testing.T) {
 }
 
 // TestCoordinatorRejectsBadReduceReply: a worker whose ReduceGroup
-// replies carry rows of the wrong width, more rows than it was sent, or
-// a Z-address column of the wrong width or length gets the query failed
-// with errBadReduceReply — classed fatal, recorded — never a skyline. A
-// reply that merely leaves its column out is merged exactly.
+// replies name a row past the group's end, a negative row, one row
+// twice, or more rows than it was sent, or whose reply is not a list of
+// positions at all (the retired whole-group reply), gets the query
+// failed with errBadReduceReply — classed fatal, recorded — never a
+// skyline. A reply of positions alone, with no column, in the kernel's
+// order or another, is merged exactly.
 func TestCoordinatorRejectsBadReduceReply(t *testing.T) {
-	const dims = 3
-	ds := gen.Synthetic(gen.Independent, 2000, dims, 3)
+	ds := gen.Synthetic(gen.Independent, 2000, 3, 3)
+	positions := func(rows []int32) transport.Marshaler { return ReduceRowsReply{Rows: rows} }
 	cases := []struct {
-		name   string
-		bad    bool
-		mutate func(sent plan.Group, got *plan.Group)
+		name string
+		bad  bool
+		lie  func(sent plan.Group, rows []int32) transport.Marshaler
 	}{
-		{"narrow rows", true, func(_ plan.Group, g *plan.Group) {
-			g.Block, g.ZCol = point.Block{Dims: dims - 1, Data: make([]float64, dims-1)}, zorder.ZCol{}
+		{"out of range", true, func(sent plan.Group, rows []int32) transport.Marshaler {
+			return positions(append(rows[:len(rows)-1], int32(sent.Len())))
 		}},
-		{"more rows than sent", true, func(sent plan.Group, g *plan.Group) {
-			bb := point.NewBlockBuilder(dims, sent.Len()+1)
-			bb.AppendBlock(sent.Block)
-			bb.Append(sent.Block.Row(0))
-			g.Block, g.ZCol = bb.Build(), zorder.ZCol{}
+		{"negative", true, func(_ plan.Group, rows []int32) transport.Marshaler {
+			rows[0] = -1
+			return positions(rows)
 		}},
-		{"short column", true, func(_ plan.Group, g *plan.Group) {
-			g.ZCol = g.ZCol.Slice(0, g.ZCol.Len()-1)
+		{"duplicate", true, func(_ plan.Group, rows []int32) transport.Marshaler {
+			if len(rows) > 1 { // one position twice, the count and range still right
+				rows[len(rows)-1] = rows[0]
+			}
+			return positions(rows)
 		}},
-		{"wide addresses", true, func(_ plan.Group, g *plan.Group) {
-			w := g.ZCol.Words + 1
-			g.ZCol = zorder.ZCol{Words: w, Data: make([]uint64, g.Len()*w)}
+		{"more rows than sent", true, func(sent plan.Group, _ []int32) transport.Marshaler {
+			rows := make([]int32, sent.Len()+1)
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			return positions(rows)
 		}},
-		{"no column", false, func(_ plan.Group, g *plan.Group) {
-			g.ZCol = zorder.ZCol{}
+		{"whole group", true, func(sent plan.Group, _ []int32) transport.Marshaler {
+			return ReduceReply{Candidates: sent}
+		}},
+		{"no column", false, func(_ plan.Group, rows []int32) transport.Marshaler {
+			return positions(rows)
+		}},
+		{"reordered", false, func(_ plan.Group, rows []int32) transport.Marshaler {
+			slices.Reverse(rows)
+			return positions(rows)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			liar := startLyingWorker(t, func(method uint16, payload []byte, reply transport.Marshaler) transport.Marshaler {
 				var args ReduceArgs
-				if red, ok := reply.(ReduceReply); ok && args.DecodeFrom(payload) == nil {
-					tc.mutate(args.Group, &red.Candidates)
-					return red
+				if red, ok := reply.(ReduceRowsReply); ok && len(red.Rows) > 0 && args.DecodeFrom(payload) == nil {
+					return tc.lie(args.Group, red.Rows)
 				}
 				return reply
 			})

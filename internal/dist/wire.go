@@ -22,7 +22,7 @@ const (
 	mPing uint16 = iota + 1
 	mLoadRule
 	_ // 3 was the retired per-chunk map call; reserved so the ids after it never shift
-	mReduceGroup
+	_ // 4 was Worker.ReduceGroup answering with whole candidate groups; reserved likewise
 	_ // 5 was Worker.MergeGroups; reserved likewise
 	mStoreShard
 	mShardSkyline
@@ -32,6 +32,7 @@ const (
 	mDropStaged
 	mDropShard
 	mShardStats
+	mReduceGroup // answers with row positions (ReduceRowsReply)
 )
 
 var methodNames = map[uint16]string{
@@ -373,6 +374,34 @@ func (a *ReduceArgs) DecodeFrom(data []byte) error {
 	a.RuleID = r.u64()
 	a.Group = r.group()
 	return r.done()
+}
+
+// AppendTo encodes the positions: a u32 count, then one u32 each.
+func (a ReduceRowsReply) AppendTo(dst []byte) ([]byte, error) {
+	dst = appendU32(dst, uint32(len(a.Rows)))
+	for _, r := range a.Rows {
+		dst = appendU32(dst, uint32(r))
+	}
+	return dst, nil
+}
+
+// DecodeFrom decodes the positions. The count must be exactly what the
+// payload holds, checked before anything is allocated; a position is
+// vetted against the group it indexes by the caller, which holds it.
+// A payload that is not a positions list is errBadReduceReply: the
+// worker speaks another protocol, and would again.
+func (a *ReduceRowsReply) DecodeFrom(data []byte) error {
+	a.Rows = nil
+	if len(data) < 4 || uint64(len(data)-4) != 4*uint64(binary.LittleEndian.Uint32(data)) {
+		return fmt.Errorf("%w: %d payload bytes are not a count and its positions", errBadReduceReply, len(data))
+	}
+	if n := (len(data) - 4) / 4; n > 0 {
+		a.Rows = make([]int32, n)
+		for i := range a.Rows {
+			a.Rows[i] = int32(binary.LittleEndian.Uint32(data[4+4*i:]))
+		}
+	}
+	return nil
 }
 
 // AppendTo encodes the reduced candidates.

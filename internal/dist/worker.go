@@ -270,13 +270,14 @@ func verdictf(s transport.Status, format string, args ...any) error {
 }
 
 // ReduceGroup is phase 2's reduce: the skyline of one group's routed
-// points. It is the worker's only batch task: the coordinator filters
-// and routes every row itself.
-func (w *Worker) ReduceGroup(args ReduceArgs, reply *ReduceReply) error {
+// points, answered as positions into the group, which the coordinator
+// still holds. It is the worker's only batch task: the coordinator
+// filters and routes every row itself.
+func (w *Worker) ReduceGroup(args ReduceArgs, reply *ReduceRowsReply) error {
 	r, err := w.rule(args.RuleID)
 	if err != nil {
 		return err
 	}
-	reply.Candidates = r.LocalSkylineGroup(args.Group, nil)
+	reply.Rows = r.LocalSkylineRows(args.Group, nil)
 	return nil
 }

@@ -102,11 +102,18 @@ func TestEdgeCases(t *testing.T) {
 	if got, err := Skyline(context.Background(), nil, Options{}); err != nil || got != nil {
 		t.Errorf("nil dataset: %v %v", got, err)
 	}
-	// A ragged dataset that bypassed NewDataset is an error, not a crash
-	// and not a silently misaligned block.
-	ragged := &point.Dataset{Dims: 2, Points: []point.Point{{1, 2}, {3}}}
-	if _, err := Skyline(context.Background(), ragged, Options{Workers: 1}); err == nil {
-		t.Error("ragged dataset accepted")
+	// A ragged dataset that bypassed NewDataset is phase 1's typed error,
+	// not a crash and not a silently misaligned block: whichever row is
+	// off, whether the sample draws it or not, short or long.
+	for _, c := range []struct {
+		pts []point.Point
+		row int
+	}{{[]point.Point{{1, 2}, {3}}, 1}, {[]point.Point{{3}, {1, 2}}, 0}, {[]point.Point{{1, 2}, {1, 2, 3}}, 1}} {
+		var we *point.WidthError
+		_, err := Skyline(context.Background(), &point.Dataset{Dims: 2, Points: c.pts}, Options{Workers: 1})
+		if !errors.As(err, &we) || we.Row != c.row {
+			t.Errorf("ragged dataset %v: err = %v, want a *point.WidthError at row %d", c.pts, err, c.row)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
@@ -265,6 +266,58 @@ func TestRuleDataRoundTrip(t *testing.T) {
 		cand1, cand2 = append(cand1, c1), append(cand2, c2)
 	}
 	same(r.MergeGroupsZ(cand1, nil), r2.MergeGroupsZ(cand2, nil), "merge")
+}
+
+// TestLocalSkylineRowsSelectCandidates: per relation, local kernel and
+// merge, LocalSkylineRows names each row of a group's exact skyline
+// once, by its position in the group, and Candidates copies those rows
+// out with the Z-address column exactly when the relation is Pareto and
+// the merge reads one: the rows' own encoding.
+func TestLocalSkylineRowsSelectCandidates(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 3000, 4, 13)
+	for _, desc := range []dominance.Descriptor{{},
+		{Kind: dominance.KindFlex, Weights: [][]float64{{1, 1, 1, 1}, {3, 1, 1, 1}}},
+		{Kind: dominance.KindKDom, K: 3}} {
+		prov, err := desc.Provider()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, local := range []LocalAlgo{ZS, SB} {
+			for _, merge := range []MergeAlgo{MergeZM, MergeSB} {
+				spec := validSpec()
+				spec.Dominance, spec.Local, spec.Merge = desc, local, merge
+				r := learnRule(t, spec, ds)
+				label := fmt.Sprintf("%s/%v/%v", prov.Name(), local, merge)
+				for _, g := range r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups {
+					rows := r.LocalSkylineRows(g, nil)
+					seen := make(map[int32]bool, len(rows))
+					for _, p := range rows {
+						if p < 0 || int(p) >= g.Len() || seen[p] {
+							t.Fatalf("%s: group %d of %d rows: position %d out of range or repeated", label, g.Gid, g.Len(), p)
+						}
+						seen[p] = true
+					}
+					got := r.Candidates(g, rows)
+					if got.Gid != g.Gid {
+						t.Fatalf("%s: group %d's candidates carry gid %d", label, g.Gid, got.Gid)
+					}
+					wantZ := dominance.IsPareto(prov) && merge != MergeSB && got.Len() > 0
+					if wantZ != (got.ZCol.Len() == got.Len() && got.Len() > 0) || (!wantZ && got.ZCol.Len() != 0) {
+						t.Fatalf("%s: group %d: %d addresses for %d candidates", label, g.Gid, got.ZCol.Len(), got.Len())
+					}
+					if wantZ && string(mustBinary(t, got.ZCol)) != string(mustBinary(t, r.Encoder().EncodeBlock(zorder.ZCol{}, got.Block))) {
+						t.Fatalf("%s: group %d: the candidates' column is not their encoding", label, g.Gid)
+					}
+					sky, oracle := got.Block.Points(), dominance.BruteForce(prov, g.Block.Points())
+					point.SortLexicographic(sky)
+					point.SortLexicographic(oracle)
+					if fmt.Sprint(sky) != fmt.Sprint(oracle) {
+						t.Fatalf("%s: group %d: %d candidates, the oracle %d", label, g.Gid, len(sky), len(oracle))
+					}
+				}
+			}
+		}
+	}
 }
 
 // Baseline rules close over in-memory partitioners; they must refuse

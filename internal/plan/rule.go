@@ -330,48 +330,62 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 	return lo
 }
 
-// LocalSkylineGroup is phase 2's reduce on the encode-once path: it
-// runs the configured local kernel over g under the rule's relation,
-// reusing the group's Z-address column when its shape matches the
-// rule's bounds encoder, and returns the group's exact skyline. Under
-// Pareto the candidates carry their own column (unless the merge phase
-// is SB, which has no use for one); under any other relation they
-// travel without one, like the map's survivors.
+// LocalSkylineGroup is phase 2's reduce on the encode-once path: the
+// group's exact skyline under the rule's relation, copied out as
+// Candidates of the rows LocalSkylineRows keeps.
 func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
-	out := Group{Gid: g.Gid, Block: point.Block{Dims: g.Block.Dims}}
+	return r.Candidates(g, r.LocalSkylineRows(g, tally))
+}
+
+// LocalSkylineRows runs the configured local kernel over g under the
+// rule's relation, reusing the group's Z-address column when its shape
+// matches the rule's bounds encoder, and returns the group's exact
+// skyline as positions into g, in the kernel's output order. Only a
+// non-transitive relation's close copies rows, and none leaves, so a
+// reducer that answers a caller holding g can answer with the positions
+// alone.
+func (r *Rule) LocalSkylineRows(g Group, tally *metrics.Tally) []int32 {
 	n := g.Block.Len()
 	if n == 0 {
-		return out
+		return nil
 	}
-	carryZ := r.merge != MergeSB && r.pareto()
 	if r.local != ZS {
-		out.Block = g.Block.Select(seq.SBRows(r.prov, g.Block, tally))
-		if carryZ {
-			out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
-		}
-		return out
+		return seq.SBRows(r.prov, g.Block, tally)
 	}
-	if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
-		// Encode-once: the column is bounds-encoded, so the kernel must
-		// run under the bounds encoder to keep the store consistent. For
-		// every rule that produces columns localEnc == enc anyway.
-		out.Block, out.ZCol = zbtree.ZSearchGroupUnder(r.prov, r.enc, r.fanout, g.Block, g.ZCol, tally)
-	} else {
-		out.Block, out.ZCol = zbtree.ZSearchGroupUnder(r.prov, r.localEnc, r.fanout, g.Block, zorder.ZCol{}, tally)
-		if r.localEnc != r.enc {
-			// Wrong provenance for the merge phase: the column was built
-			// by the unit-box local encoder.
-			out.ZCol = zorder.ZCol{}
-		}
+	// Encode-once: a bounds-encoded column makes the kernel run under the
+	// bounds encoder, to keep the store consistent. For every rule that
+	// produces columns localEnc == enc anyway.
+	enc, zc := r.enc, g.ZCol
+	if zc.Len() != n || zc.Words != r.enc.Words() {
+		enc, zc = r.localEnc, zorder.ZCol{}
 	}
+	rows := zbtree.ZSearchRowsUnder(r.prov, enc, r.fanout, g.Block, zc, tally)
 	if !r.caps.Transitive {
 		// The walk keeps rows that only a row it dropped dominates; the
 		// input closes it, as a window's rebuild needs an exact skyline.
-		out.Block = out.Block.Select(seq.FilterRows(r.prov, out.Block, g.Block, tally))
+		kept := seq.FilterRows(r.prov, g.Block.Select(rows), g.Block, tally)
+		for i, k := range kept {
+			kept[i] = rows[k]
+		}
+		rows = kept
 	}
-	if !carryZ {
-		out.ZCol = zorder.ZCol{}
-	} else if out.ZCol.Len() != out.Block.Len() {
+	return rows
+}
+
+// Candidates copies rows of g (positions LocalSkylineRows returned) out
+// as a candidate group. Under Pareto they carry their Z-address column,
+// selected from g's when g carries the rule's own and encoded
+// otherwise, unless the merge phase is SB, which has no use for one;
+// under any other relation they travel without one, like the map's
+// survivors.
+func (r *Rule) Candidates(g Group, rows []int32) Group {
+	out := Group{Gid: g.Gid, Block: g.Block.Select(rows)}
+	if len(rows) == 0 || r.merge == MergeSB || !r.pareto() {
+		return out
+	}
+	if g.ZCol.Len() == g.Block.Len() && g.ZCol.Words == r.enc.Words() {
+		out.ZCol = g.ZCol.Select(rows)
+	} else {
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out

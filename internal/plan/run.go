@@ -187,7 +187,9 @@ type memInput struct{ ds *point.Dataset }
 // the seed's whatever the pool's width, and a file copy learns the same
 // rule. The other tasks take the exact bounds of row cuts, reading the
 // rows where they lie, and fold in cut order: Dataset.Bounds's strict
-// comparisons in its own order, so the result is its result.
+// comparisons in its own order, so the result is its result. The same
+// pass checks every row's width, so a row that is not Dims wide is a
+// *point.WidthError here, before the sample it may sit in is encoded.
 func (m memInput) scan(ctx context.Context, d *driver) (scanned, error) {
 	pts, pool := m.ds.Points, d.ex.pool()
 	sc := scanned{dims: m.ds.Dims, n: len(pts)}
@@ -195,18 +197,27 @@ func (m memInput) scan(ctx context.Context, d *driver) (scanned, error) {
 		return sc, nil
 	}
 	k := min(splitChunks*pool.workers, sc.n)
-	mins, maxs := make([][]float64, k), make([][]float64, k)
+	mins, maxs, errs := make([][]float64, k), make([][]float64, k), make([]error, k)
 	var smpErr error
 	err := pool.FanOut(ctx, 1+k, func(i int) {
 		if i == 0 {
 			sc.smp, smpErr = sample.Ratio(pts, d.spec.SampleRatio, d.spec.Seed)
 			return
 		}
-		cut := point.Dataset{Dims: m.ds.Dims, Points: pts[(i-1)*sc.n/k : i*sc.n/k]}
-		mins[i-1], maxs[i-1], _ = cut.Bounds()
+		lo := (i - 1) * sc.n / k
+		cut := point.Dataset{Dims: m.ds.Dims, Points: pts[lo : i*sc.n/k]}
+		mins[i-1], maxs[i-1], errs[i-1] = cut.Bounds()
+		if we, ok := errs[i-1].(*point.WidthError); ok {
+			we.Row += lo
+		}
 	})
 	if err != nil {
 		return scanned{}, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return scanned{}, err
+		}
 	}
 	sc.mins, sc.maxs = mins[0], maxs[0]
 	for c := 1; c < k; c++ {

@@ -138,7 +138,7 @@ func NewDataset(dims int, pts []Point) (*Dataset, error) {
 	}
 	for i, p := range pts {
 		if len(p) != dims {
-			return nil, fmt.Errorf("point: point %d has %d dims, want %d", i, len(p), dims)
+			return nil, &WidthError{Row: i, Width: len(p), Dims: dims}
 		}
 		for k, v := range p {
 			if math.IsNaN(v) {
@@ -147,6 +147,16 @@ func NewDataset(dims int, pts []Point) (*Dataset, error) {
 		}
 	}
 	return &Dataset{Dims: dims, Points: pts}, nil
+}
+
+// WidthError reports a row whose width is not its dataset's Dims, as a
+// Dataset built without NewDataset can hold.
+type WidthError struct {
+	Row, Width, Dims int
+}
+
+func (e *WidthError) Error() string {
+	return fmt.Sprintf("point: point %d has %d dims, want %d", e.Row, e.Width, e.Dims)
 }
 
 // MustDataset is NewDataset that panics on error; intended for tests
@@ -173,16 +183,23 @@ func (d *Dataset) Clone() *Dataset {
 
 // Bounds returns the per-dimension minimum and maximum over the
 // dataset. It returns an error for an empty dataset, because bounds of
-// nothing are undefined and downstream quantizers need real intervals.
+// nothing are undefined and downstream quantizers need real intervals,
+// and a *WidthError for the first row whose width is not d.Dims.
 func (d *Dataset) Bounds() (mins, maxs []float64, err error) {
 	if len(d.Points) == 0 {
 		return nil, nil, errors.New("point: bounds of empty dataset")
 	}
 	mins = make([]float64, d.Dims)
 	maxs = make([]float64, d.Dims)
+	if p := d.Points[0]; len(p) != d.Dims {
+		return nil, nil, &WidthError{Row: 0, Width: len(p), Dims: d.Dims}
+	}
 	copy(mins, d.Points[0])
 	copy(maxs, d.Points[0])
-	for _, p := range d.Points[1:] {
+	for i, p := range d.Points[1:] {
+		if len(p) != d.Dims {
+			return nil, nil, &WidthError{Row: i + 1, Width: len(p), Dims: d.Dims}
+		}
 		for k, v := range p {
 			if v < mins[k] {
 				mins[k] = v

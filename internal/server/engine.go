@@ -344,18 +344,12 @@ func (e *Engine) tallyDelta() metrics.Snapshot {
 
 // ---- queries over a snapshot ----
 
-// prefCol is one resolved preference column.
-type prefCol struct {
-	idx    int
-	negate bool
-}
-
 // resolvePrefs validates a preference list against the dataset's
 // attributes and returns the projection columns plus the canonical
 // query shape (columns in attribute order, so equivalent preference
 // lists share one cache entry).
-func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
-	var cols []prefCol
+func (e *Engine) resolvePrefs(prefer []preferTerm) ([]subspace.Column, string, error) {
+	var cols []subspace.Column
 	for _, p := range prefer {
 		i, ok := e.index[p.Attr]
 		if !ok {
@@ -363,9 +357,9 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 		}
 		switch p.Dir {
 		case "min":
-			cols = append(cols, prefCol{i, false})
+			cols = append(cols, subspace.Column{Dim: i})
 		case "max":
-			cols = append(cols, prefCol{i, true})
+			cols = append(cols, subspace.Column{Dim: i, Negate: true})
 		case "ignore":
 		default:
 			return nil, "", fmt.Errorf("direction %q (want min|max|ignore)", p.Dir)
@@ -374,14 +368,14 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 	if len(cols) == 0 {
 		return nil, "", fmt.Errorf("every attribute ignored")
 	}
-	sort.SliceStable(cols, func(i, j int) bool { return cols[i].idx < cols[j].idx })
+	sort.SliceStable(cols, func(i, j int) bool { return cols[i].Dim < cols[j].Dim })
 	var shape []byte
 	for k, c := range cols {
 		if k > 0 {
 			shape = append(shape, ',')
 		}
-		shape = append(shape, e.attrs[c.idx]...)
-		if c.negate {
+		shape = append(shape, e.attrs[c.Dim]...)
+		if c.Negate {
 			shape = append(shape, ":max"...)
 		} else {
 			shape = append(shape, ":min"...)
@@ -393,12 +387,8 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 // queryRows returns, ascending, every row whose projection onto cols
 // (max columns negated) no row strictly dominates, duplicates
 // included: subspace.Rows over the snapshot's rows.
-func queryRows(data point.Block, cols []prefCol) []int {
-	sc := make([]subspace.Column, len(cols))
-	for k, c := range cols {
-		sc[k] = subspace.Column{Dim: c.idx, Negate: c.negate}
-	}
-	return subspace.Rows(data.Len(), data.Row, sc, nil)
+func queryRows(data point.Block, cols []subspace.Column) []int {
+	return subspace.Rows(data.Len(), data.Row, cols, nil)
 }
 
 // dominatorsOf returns the points dominating p under the dataset's

@@ -12,16 +12,17 @@ import (
 
 	"zskyline/internal/gen"
 	"zskyline/internal/point"
+	"zskyline/internal/subspace"
 )
 
 // bruteQueryRows is queryRows' oracle: every row whose projection onto
 // cols no row strictly dominates, ascending.
-func bruteQueryRows(data point.Block, cols []prefCol) []int {
+func bruteQueryRows(data point.Block, cols []subspace.Column) []int {
 	proj := func(i int) point.Point {
 		p := make(point.Point, len(cols))
 		for k, c := range cols {
-			p[k] = data.Row(i)[c.idx]
-			if c.negate {
+			p[k] = data.Row(i)[c.Dim]
+			if c.Negate {
 				p[k] = -p[k]
 			}
 		}
@@ -61,9 +62,9 @@ func TestQueryRowsExact(t *testing.T) {
 			}
 		}
 		k := 1 + rng.Intn(d)
-		var cols []prefCol
+		var cols []subspace.Column
 		for _, idx := range rng.Perm(d)[:k] {
-			cols = append(cols, prefCol{idx, rng.Intn(2) == 0})
+			cols = append(cols, subspace.Column{Dim: idx, Negate: rng.Intn(2) == 0})
 		}
 		got, want := queryRows(data, cols), bruteQueryRows(data, cols)
 		if !slices.Equal(got, want) {
@@ -84,14 +85,14 @@ func TestQueryRowsFloatTies(t *testing.T) {
 	} {
 		d := len(pts[0])
 		data := point.BlockOf(d, pts)
-		var cols []prefCol
+		var cols []subspace.Column
 		for k := 0; k < d; k++ {
-			cols = append(cols, prefCol{k, false})
+			cols = append(cols, subspace.Column{Dim: k})
 		}
 		if got := queryRows(data, cols); !slices.Equal(got, []int{1}) {
 			t.Errorf("%v: queryRows = %v, want [1]", pts, got)
 		}
-		cols[d-1].negate = true
+		cols[d-1].Negate = true
 		if got, want := queryRows(data, cols), bruteQueryRows(data, cols); !slices.Equal(got, want) {
 			t.Errorf("%v with the last column max: queryRows = %v, want %v", pts, got, want)
 		}
@@ -138,9 +139,9 @@ func BenchmarkQueryRows(b *testing.B) {
 	const n, d = 15000, 6
 	data := point.BlockOf(d, gen.Synthetic(gen.AntiCorrelated, n, d, 4242).Points)
 	for k := 2; k <= 5; k++ {
-		cols := make([]prefCol, k)
+		cols := make([]subspace.Column, k)
 		for i := range cols {
-			cols[i] = prefCol{i, false}
+			cols[i] = subspace.Column{Dim: i}
 		}
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()

@@ -17,6 +17,7 @@ import (
 
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
+	"zskyline/internal/subspace"
 )
 
 func newTestService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -432,7 +433,7 @@ func TestConcurrentIngestQueryOracle(t *testing.T) {
 	// the ingest stream (including the empty one).
 	validSky := map[string]bool{skySetKey(nil): true}
 	validRows := map[string]bool{fmt.Sprint([]int(nil)): true}
-	cols := []prefCol{{0, false}, {1, false}}
+	cols := []subspace.Column{{Dim: 0}, {Dim: 1}}
 	for i := range blocks {
 		pts := make([]point.Point, perBlock)
 		for j := range pts {

@@ -141,16 +141,7 @@ func (st *Store) rowLanes(i int32) []uint64 {
 // Z-column, so results never pin the (potentially much larger) input
 // arenas.
 func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
-	blk := st.blk.Select(rows)
-	zc := zorder.ZCol{Words: st.zc.Words}
-	if len(rows) == 0 {
-		return blk, zc
-	}
-	zc.Data = make([]uint64, 0, len(rows)*st.zc.Words)
-	for _, r := range rows {
-		zc.AppendRow(st.zc, int(r))
-	}
-	return blk, zc
+	return st.blk.Select(rows), st.zc.Select(rows)
 }
 
 // Representatives returns the up to k rows of [lo,hi) with the largest
@@ -825,14 +816,31 @@ func ZSearchGroupUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int,
 	if b.Len() == 0 {
 		return point.Block{Dims: b.Dims}, zorder.ZCol{Words: enc.Words()}
 	}
+	st, rows := zsearchStore(prov, enc, fanout, b, zc, tally)
+	return st.CompactRows(rows)
+}
+
+// ZSearchRowsUnder is ZSearchGroupUnder without the copy: the skyline
+// as positions into b, in Z-order, for callers that hold b already.
+func ZSearchRowsUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) []int32 {
+	if b.Len() == 0 {
+		return nil
+	}
+	_, rows := zsearchStore(prov, enc, fanout, b, zc, tally)
+	return rows
+}
+
+// zsearchStore indexes the non-empty block b under enc, reusing zc when
+// it holds one enc-encoded address per row, Z-searches it under prov,
+// and returns the store (its row i is b's row i) and the skyline's rows.
+func zsearchStore(prov dominance.Provider, enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (*Store, []int32) {
 	var st *Store
 	if zc.Len() == b.Len() && zc.Words == enc.Words() {
 		st = NewStoreWithZCol(enc, b, zc)
 	} else {
 		st = NewStore(enc, b)
 	}
-	rows := BuildStore(st.Under(prov), fanout, tally).SkylineRows()
-	return st.CompactRows(rows)
+	return st, BuildStore(st.Under(prov), fanout, tally).SkylineRows()
 }
 
 // ZSearch is the slice entry point of the "ZS" algorithm: the skyline

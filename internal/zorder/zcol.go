@@ -61,6 +61,21 @@ func (c ZCol) Slice(lo, hi int) ZCol {
 	return ZCol{Words: c.Words, Data: c.Data[lo*c.Words : hi*c.Words : hi*c.Words]}
 }
 
+// Select copies the given addresses, in that order, into a fresh
+// column — point.Block.Select's twin, so a column selected with its
+// block keeps row i of one the address of row i of the other.
+func (c ZCol) Select(rows []int32) ZCol {
+	out := ZCol{Words: c.Words}
+	if len(rows) == 0 {
+		return out
+	}
+	out.Data = make([]uint64, 0, len(rows)*c.Words)
+	for _, r := range rows {
+		out.AppendRow(c, int(r))
+	}
+	return out
+}
+
 // AppendAddr appends one address (which must have Words words) to the
 // column's arena.
 func (c *ZCol) AppendAddr(z ZAddr) {

@@ -280,20 +280,32 @@ func TestConservativeDominanceSoundness(t *testing.T) {
 	}
 }
 
+// TestRegionRelations pins Lemma 1's region tests on hand-drawn 2-d
+// regions, each relation both ways: one that holds and one that does
+// not.
 func TestRegionRelations(t *testing.T) {
 	a := Region{MinG: []uint32{0, 0}, MaxG: []uint32{1, 1}}
 	b := Region{MinG: []uint32{2, 2}, MaxG: []uint32{3, 3}}
 	c := Region{MinG: []uint32{2, 0}, MaxG: []uint32{3, 1}}
+	d := Region{MinG: []uint32{0, 2}, MaxG: []uint32{1, 3}}
 	if !RegionDominatesRegion(a, b) {
 		t.Error("a should dominate b")
 	}
 	if RegionDominatesRegion(b, a) {
 		t.Error("b should not dominate a")
 	}
-	if !RegionsIncomparable(b, c) {
-		// b min (2,2) vs c max (3,1): 2>1 in dim 1; c min (2,0) vs b
-		// max (3,3): no dim greater -> actually comparable.
-		t.Skip("relation depends on geometry; covered by property test below")
+	// c's corner (2,0) dominates b's (3,3), but not all of b: c may
+	// dominate part of b, so they are neither incomparable nor ordered.
+	if RegionsIncomparable(b, c) || RegionsIncomparable(c, b) {
+		t.Error("b and c should be comparable: c's min corner dominates b's max corner")
+	}
+	if RegionDominatesRegion(c, b) {
+		t.Error("c should not dominate all of b: c's max (3,1) is not below b's min (2,2) in x")
+	}
+	// c lies right of d and d above c: neither's min is below the other's
+	// max in every dimension.
+	if !RegionsIncomparable(c, d) || !RegionsIncomparable(d, c) {
+		t.Error("c and d should be incomparable: c is right of d, d is above c")
 	}
 }
 
