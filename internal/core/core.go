@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
@@ -85,8 +86,9 @@ type Config struct {
 	Local LocalAlgo
 	// Merge is the phase-3 candidate merging algorithm.
 	Merge MergeAlgo
-	// M is the target number of groups (the paper's M); also the grid /
-	// angle / random partition count for the baselines.
+	// M is the target number of groups (the paper's M, its number of
+	// reducers); also the grid / angle / random partition count for the
+	// baselines. Defaults sets it to Workers: one group per worker.
 	M int
 	// Delta is the partition expansion factor delta >= 1: Z-order
 	// strategies first cut the curve into M*Delta partitions (§4.2).
@@ -99,7 +101,8 @@ type Config struct {
 	// Fanout is the ZB-tree node capacity.
 	Fanout int
 	// Workers is how many tasks the engine's pool runs at once; the
-	// input is cut into 2×Workers map tasks.
+	// input is cut into 2×Workers map tasks. Defaults sets it to
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// ChunkSize, when positive, bounds the rows per map task instead,
 	// and so the rows SkylineFile reads per block; 0 leaves the cut at
@@ -118,19 +121,24 @@ type Config struct {
 	Dominance dominance.Descriptor
 }
 
-// Defaults returns the configuration used throughout the experiments:
-// ZDG + ZS + ZM, M=32 groups, delta=4, 2% sample, 16-bit grids.
+// Defaults returns the paper's pipeline sized to the pool: ZDG + ZS +
+// ZM, one worker per GOMAXPROCS and one group per worker (M = Workers),
+// delta=4, 2% sample, 16-bit grids. Every group beyond the workers adds
+// local-skyline rows that phase 3 must merge and no parallelism to
+// compute them. The experiments set M (32 for the paper's figures) and
+// Workers explicitly.
 func Defaults() Config {
+	w := runtime.GOMAXPROCS(0)
 	return Config{
 		Strategy:    ZDG,
 		Local:       ZS,
 		Merge:       MergeZM,
-		M:           32,
+		M:           w,
 		Delta:       4,
 		SampleRatio: 0.02,
 		Bits:        16,
 		Fanout:      zbtree.DefaultFanout,
-		Workers:     8,
+		Workers:     w,
 	}
 }
 

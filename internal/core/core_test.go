@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -478,11 +480,12 @@ func TestQuickRandomConfigsExact(t *testing.T) {
 	}
 }
 
-// benchEngine times Engine.Skyline at the defaults on two workers, as
-// bench/'s aux op runs it on a 2-core box, with allocations reported.
+// benchEngine times Engine.Skyline at the defaults on two workers and
+// two groups, as bench/'s aux op runs it on a 2-core box, with
+// allocations reported.
 func benchEngine(b *testing.B, ds *point.Dataset) {
 	cfg := Defaults()
-	cfg.Workers = 2
+	cfg.M, cfg.Workers = 2, 2
 	cfg.Seed = 42
 	eng, err := NewEngine(cfg)
 	if err != nil {
@@ -505,4 +508,63 @@ func BenchmarkEngineAnti16kD8(b *testing.B) {
 
 func BenchmarkEngineCorr120kD8(b *testing.B) {
 	benchEngine(b, gen.Synthetic(gen.Correlated, 120000, 8, 42))
+}
+
+// TestMergeScheduleSweepMatchesBruteForce sweeps M across phase 3's
+// switch from per-group trees (two to four groups) to one tree over
+// every candidate (five or more) under Pareto and under kdom, a relation
+// that implies no Pareto cut and is not transitive: every answer is the
+// all-pairs oracle's, and the merge span's group counts reach both
+// schedules.
+func TestMergeScheduleSweepMatchesBruteForce(t *testing.T) {
+	cases := []struct {
+		rel string
+		ds  *point.Dataset
+	}{
+		{"pareto", gen.Synthetic(gen.AntiCorrelated, 2000, 5, 52)},
+		{"kdom:5", gen.Synthetic(gen.Independent, 2000, 6, 52)},
+	}
+	merged := map[int]bool{}
+	for _, c := range cases {
+		desc, err := dominance.ParseDescriptor(c.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov, err := desc.Provider()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dominance.BruteForce(prov, c.ds.Points)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty oracle answer checks nothing", c.rel)
+		}
+		for m := 1; m <= 9; m++ {
+			cfg := smallCfg()
+			cfg.M, cfg.Workers, cfg.Dominance = m, 3, desc
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace("sweep")
+			got, _, err := e.Skyline(obs.ContextWithTrace(context.Background(), tr), c.ds)
+			if err != nil {
+				t.Fatalf("%s m=%d: %v", c.rel, m, err)
+			}
+			sameSet(t, got, want, fmt.Sprintf("%s m=%d", c.rel, m))
+			for _, sp := range tr.Root().Children() {
+				if sp.Name() != "merge/round-1" {
+					continue
+				}
+				for _, a := range sp.Attrs() {
+					if a.Key == "groups" {
+						n, _ := strconv.Atoi(a.Value)
+						merged[n] = true
+					}
+				}
+			}
+		}
+	}
+	if !merged[3] || !merged[4] || !merged[5] {
+		t.Errorf("phase 3 merged %v groups; the sweep must reach 3, 4 and 5", merged)
+	}
 }

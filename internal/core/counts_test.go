@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"zskyline/internal/gen"
@@ -13,9 +14,13 @@ import (
 // the run's tally once, when it ends, so the tally is the same however
 // many workers run the tasks: a task that forgot to add its counter, or
 // added it twice, shows up as a count that moves with Workers. The pins
-// are the counts at the defaults on the shapes of bench/'s two batch
-// workloads, data and sample seed 42.
+// are the counts at the defaults with M fixed at 32 (Defaults groups by
+// the pool, so its own M would move them from box to box) on the shapes
+// of bench/'s two batch workloads, data and sample seed 42.
 func TestTallyIndependentOfWorkers(t *testing.T) {
+	if d, procs := Defaults(), runtime.GOMAXPROCS(0); d.M != procs || d.Workers != procs {
+		t.Fatalf("Defaults: M=%d Workers=%d, want both GOMAXPROCS=%d", d.M, d.Workers, procs)
+	}
 	cases := []struct {
 		name string
 		ds   *point.Dataset
@@ -29,6 +34,7 @@ func TestTallyIndependentOfWorkers(t *testing.T) {
 	for _, c := range cases {
 		for _, w := range []int{1, 2, 3, 8} {
 			cfg := Defaults()
+			cfg.M = 32
 			cfg.Workers = w
 			cfg.Seed = 42
 			eng, err := NewEngine(cfg)

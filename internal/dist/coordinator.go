@@ -84,8 +84,9 @@ type CoordinatorConfig struct {
 }
 
 // spec lowers the config to the backend-agnostic plan parameters.
-// Phase 3 runs on the coordinator's own pool under plan's one schedule:
-// one ZB-tree over every candidate, probed in row ranges.
+// Phase 3 runs on the coordinator's own pool under plan's schedule: at
+// the default M = 32, one ZB-tree over every candidate, probed in row
+// ranges.
 func (cfg *CoordinatorConfig) spec() *plan.Spec {
 	strat := plan.ZDG
 	if cfg.Heuristic {
@@ -140,7 +141,10 @@ func (cfg *CoordinatorConfig) policy() policy {
 }
 
 // DefaultCoordinatorConfig mirrors core.Defaults for the distributed
-// deployment, with the fault-tolerance defaults spelled out.
+// deployment, with the fault-tolerance defaults spelled out, except M:
+// the coordinator cannot see how many cores its workers have, so it
+// keeps the paper's 32 groups rather than one per worker, which could
+// leave worker cores idle.
 func DefaultCoordinatorConfig() CoordinatorConfig {
 	return CoordinatorConfig{M: 32, Delta: 4, SampleRatio: 0.02, Bits: 16,
 		Fanout: zbtree.DefaultFanout, UseZS: true,

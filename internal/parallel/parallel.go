@@ -7,9 +7,9 @@
 // task per worker; each drops the rows the sample skyline dominates,
 // Z-encodes only the survivors, reading the dataset's rows where they
 // lie, and routes them to their groups. Each group is solved with
-// Z-search, and the group skylines are merged on the same workers: two
-// groups probe each other's ZB-tree, three or more probe one tree over
-// all their rows. All of that is plan's; this package only fixes the
+// Z-search, and the group skylines are merged on the same workers: up
+// to four groups each probe the other groups' ZB-trees, more probe one
+// tree over all their rows. All of that is plan's; this package only fixes the
 // spec — the entry point for users who want the paper's algorithms on
 // one machine, not a simulated cluster.
 package parallel

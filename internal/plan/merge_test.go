@@ -10,6 +10,7 @@ import (
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
+	"zskyline/internal/metrics"
 	"zskyline/internal/obs"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -88,8 +89,8 @@ func mergeSpanGroups(t *testing.T, tr *obs.Trace, label string) int {
 // workers (and as many groups asked for), plan.Run returns the
 // all-pairs skyline under one merge/round-1 span, and phase 3 on the
 // same candidates returns those rows with a Z-column that lines up with
-// them. Between them the cases reach every arm: one group, a pair, and
-// one tree over three or more.
+// them. Between them the cases reach every arm: one group, a tree per
+// group up to perGroupTrees groups, and one tree over more.
 func TestMergePhaseMatchesBruteForce(t *testing.T) {
 	arms := map[string]bool{}
 	for _, d := range []int{2, 8} {
@@ -111,8 +112,8 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 					switch n := mergeSpanGroups(t, tr, label); {
 					case n == 1:
 						arms["one"] = true
-					case n == 2:
-						arms["pair"] = true
+					case n <= perGroupTrees:
+						arms["per-group"] = true
 					default:
 						arms["tree"] = true
 					}
@@ -132,7 +133,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 		}
 	}
 	if len(arms) != 3 {
-		t.Errorf("arms reached: %v, want one, pair and tree", arms)
+		t.Errorf("arms reached: %v, want one, per-group and tree", arms)
 	}
 }
 
@@ -160,6 +161,41 @@ func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 		zc := r.Encoder().EncodeBlock(zorder.ZCol{}, got.Block)
 		if got.Block.Dims != ds.Dims || got.ZCol.Len() != got.Len() || string(mustBinary(t, zc)) != string(mustBinary(t, got.ZCol)) {
 			t.Errorf("%s: merged column does not match its rows", name)
+		}
+	}
+}
+
+// TestPerGroupTreesTestLess pins why phase 3 gives each group its own
+// tree up to perGroupTrees groups: on ZDG's candidates of anti-d8's
+// shape (anti-correlated, n = 16,000, d = 8) at M = 3 and 4, both
+// reaches keep the same survivors, and probing the other groups' trees
+// makes fewer dominance tests than probing one tree over every
+// candidate, each candidate's own group included.
+func TestPerGroupTreesTestLess(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42)
+	ex := NewLocalExec(2)
+	for _, m := range []int{3, 4} {
+		spec := &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: m, Delta: 4,
+			SampleRatio: 0.02, Bits: 16, Seed: 42, MapTasks: 4}
+		r, groups := candidates(t, spec, ds, ex)
+		if len(groups) != m || m > perGroupTrees {
+			t.Fatalf("M=%d: %d groups against a threshold of %d", m, len(groups), perGroupTrees)
+		}
+		var one, per metrics.Tally
+		whole, err := ex.probeGroups(context.Background(), r, groups, every, &one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		each, err := ex.probeGroups(context.Background(), r, groups, others, &per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("M=%d", m)
+		sameSet(t, each.Points(), whole.Points(), label)
+		o, p := one.Snapshot().DominanceTests, per.Snapshot().DominanceTests
+		t.Logf("%s: %d survivors; dominance tests one tree %d, per-group trees %d", label, each.Len(), o, p)
+		if p >= o {
+			t.Errorf("%s: per-group trees made %d dominance tests, one tree %d", label, p, o)
 		}
 	}
 }

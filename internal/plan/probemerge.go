@@ -26,8 +26,8 @@ type probeMerge struct {
 type reach int
 
 const (
-	// others is a pairwise Z-merge: each side is a skyline, so it answers
-	// only to the other.
+	// others is a tree per side: each side is a skyline, so it answers
+	// only to the other sides.
 	others reach = iota
 	// earlier is a sweep (sweep.go): a side answers to the sides before it.
 	earlier
@@ -127,22 +127,35 @@ func (m *probeMerge) result() Group {
 // on the skyline exactly when no candidate dominates it — under a
 // non-transitive relation, on the candidates' skyline, which the
 // pipeline's verification closes — so the merge is a probe with no
-// ordering precondition: one group is its own skyline, two are a
-// two-sided probeMerge (each side probes the other's tree), and three
-// or more share one ZB-tree that every candidate probes. The trees
-// answer under the rule's relation. The ZS and SB recompute merges are
-// one MergeGroupsZ task.
+// ordering precondition: one group is its own skyline, two to
+// perGroupTrees groups are a probeMerge with reach others (a tree per
+// group, each candidate probing every other group's tree), and more
+// share one ZB-tree that every candidate probes. The trees answer under
+// the rule's relation. The ZS and SB recompute merges are one
+// MergeGroupsZ task.
 func (ex *LocalExec) merge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, error) {
 	switch {
 	case r.merge != MergeZM:
 		return ex.mergeOne(ctx, r, groups, tally)
 	case len(groups) == 1:
 		return groups[0], nil
-	case len(groups) == 2:
+	case len(groups) <= perGroupTrees:
 		return ex.probeGroups(ctx, r, groups, others, tally)
 	}
 	return ex.probeGroups(ctx, r, groups, every, tally)
 }
+
+// perGroupTrees is the most groups phase 3 gives a tree each. A group is
+// already a skyline, so one tree over every candidate spends part of
+// each probe on the candidate's own group; per-group trees skip it, but
+// each probe walks one root per other group. On ZDG's candidates of
+// 200,000 rows (anti-correlated, two seeds, and independent; d = 8 and
+// 12), per-group trees make fewer dominance tests and fewer region
+// tests on every input up to four groups (39–46 % fewer dominance
+// tests at three); from five, independent rows make more
+// region tests, and from seven more of both (EXPERIMENTS.md, "Core
+// groups by its pool").
+const perGroupTrees = 4
 
 // probeGroups packs the groups into one store — a side each, or one
 // side for them all when the reach is every — and runs a probeMerge over

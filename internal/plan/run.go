@@ -463,8 +463,10 @@ func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tall
 }
 
 // MergePhase is phase 3 (§5.3) on ex's pool, as one merge/round-1 span
-// whatever the schedule (see LocalExec.merge). tree is ignored: it
-// chose pairwise merge rounds, which one probed tree replaced.
+// whatever the schedule (see LocalExec.merge): a tree per group, each
+// candidate probing the others', up to four groups, one tree over every
+// candidate above. tree is ignored: it chose pairwise merge rounds,
+// which the probed trees replaced.
 func MergePhase(ctx context.Context, ex *LocalExec, r *Rule, groups []Group, tree bool, tally *metrics.Tally) ([]point.Point, error) {
 	if len(groups) == 0 {
 		return nil, nil

@@ -193,11 +193,11 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 }
 
 // defaultConfig is Defaults sized for an input of n rows: small inputs
-// need fewer groups and a denser sample.
+// need a denser sample and at most 8 groups.
 func defaultConfig(n int) Config {
 	cfg := core.Defaults()
 	if n < 10000 {
-		cfg.M = 8
+		cfg.M = min(cfg.M, 8)
 		cfg.SampleRatio = 0.1
 	}
 	return cfg

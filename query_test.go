@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -141,6 +142,28 @@ func TestQueryRowIDsByExactBits(t *testing.T) {
 		}
 		if !slices.Equal(res.RowIDs, tc.want) {
 			t.Fatalf("%s: rows = %v, want %v", tc.name, res.RowIDs, tc.want)
+		}
+	}
+}
+
+// TestDefaultConfigCapsSmallInputs: RunQuery's default config is
+// core's, which groups by the pool, except that an input under 10,000
+// rows takes a denser sample and at most 8 groups — never more groups
+// than the pool gives it.
+func TestDefaultConfigCapsSmallInputs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, n, m int }{
+		{2, 500, 2}, {2, 50000, 2}, {12, 500, 8}, {12, 9999, 8}, {12, 10000, 12},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		cfg := defaultConfig(c.n)
+		ratio := Defaults().SampleRatio
+		if c.n < 10000 {
+			ratio = 0.1
+		}
+		if cfg.M != c.m || cfg.Workers != c.procs || cfg.SampleRatio != ratio {
+			t.Errorf("GOMAXPROCS=%d n=%d: M=%d Workers=%d ratio=%v, want M=%d Workers=%d ratio=%v",
+				c.procs, c.n, cfg.M, cfg.Workers, cfg.SampleRatio, c.m, c.procs, ratio)
 		}
 	}
 }
