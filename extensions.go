@@ -338,13 +338,8 @@ type OutOfCoreOptions struct {
 // BatchSize rows a wave at a time (and a verify pass under a
 // non-transitive relation). Memory holds one wave (Workers × BatchSize
 // rows, GOMAXPROCS × 65536 by default), the rows the filter routes, and
-// phase 3 over the candidates; it does not track the skyline alone. On
-// 10⁶ anti-correlated rows with 8 workers and 32 groups (2-core box)
-// the peak heap was 107–113 MB at d = 8 and 278–303 MB at d = 12, about
-// 4.3× and 2.8× a sequential maintainer's, for walls 2.1× and 2.4× shorter
-// (3.1 s and 13.5–15 s); at 3·10⁶ × 8 with 2 workers it was 4.6× the
-// maintainer's peak (134 against 29 MB) for a wall 2.4× shorter (8.9
-// against 21.0 s). An empty file has an empty skyline.
+// phase 3 over the candidates; it does not track the skyline alone. An
+// empty file has an empty skyline.
 func SkylineFile(path string, opts OutOfCoreOptions) ([]Point, error) {
 	cfg := core.Defaults()
 	cfg.ChunkSize = 65536

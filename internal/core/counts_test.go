@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"zskyline/internal/gen"
 	"zskyline/internal/metrics"
+	"zskyline/internal/plan"
 	"zskyline/internal/point"
 )
 
@@ -49,5 +51,76 @@ func TestTallyIndependentOfWorkers(t *testing.T) {
 				t.Errorf("%s workers=%d: tally %+v, want %+v", c.name, w, rep.Tally, c.want)
 			}
 		}
+	}
+}
+
+// scaled returns a copy of pts with every coordinate times f. A power
+// of two keeps every comparison, every ratio and every quantized grid
+// cell of the bounds encoder exact.
+func scaled(pts []point.Point, f float64) []point.Point {
+	out := make([]point.Point, len(pts))
+	for i, p := range pts {
+		out[i] = make(point.Point, len(p))
+		for k, v := range p {
+			out[i][k] = v * f
+		}
+	}
+	return out
+}
+
+// TestStrategiesScaleFree: every strategy quantizes under the bounds
+// encoder learned from the data, so rows scaled by a power of two give
+// the scaled skyline for exactly the same dominance and region tests —
+// for the Grid and Angle baselines as for ZDG (the control). Random
+// hashes the float bits, so it routes scaled rows elsewhere; only its
+// local kernel is scale-free, which LocalSkylineRows over one group and
+// over the group's scaled copy checks.
+func TestStrategiesScaleFree(t *testing.T) {
+	const f = 512
+	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 11)
+	big := point.MustDataset(ds.Dims, scaled(ds.Points, f))
+	for _, st := range []Strategy{Grid, Angle, ZDG} {
+		cfg := Defaults()
+		cfg.Strategy, cfg.M, cfg.Workers, cfg.Seed = st, 8, 2, 11
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sky, rep, err := eng.Skyline(context.Background(), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bigSky, bigRep, err := eng.Skyline(context.Background(), big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSet(t, bigSky, scaled(sky, f), st.String())
+		if rep.Tally != bigRep.Tally {
+			t.Errorf("%v: tally %+v, scaled by %d %+v", st, rep.Tally, f, bigRep.Tally)
+		}
+	}
+
+	cfg := Defaults()
+	cfg.Strategy, cfg.M = Random, 8
+	learn := func(ds *point.Dataset) *plan.Rule {
+		mins, maxs, err := ds.Bounds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := plan.Learn(cfg.spec(), ds.Dims, mins, maxs, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := learn(ds)
+	g := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups[0]
+	bigG := plan.Group{Gid: g.Gid, Block: point.BlockOf(ds.Dims, scaled(g.Block.Points(), f))}
+	var tally, bigTally metrics.Tally
+	rows := r.LocalSkylineRows(g, &tally)
+	bigRows := learn(big).LocalSkylineRows(bigG, &bigTally)
+	if !slices.Equal(rows, bigRows) || tally.Snapshot() != bigTally.Snapshot() {
+		t.Errorf("Random's local skyline of %d rows: %d rows for %+v, scaled by %d %d rows for %+v",
+			g.Len(), len(rows), tally.Snapshot(), f, len(bigRows), bigTally.Snapshot())
 	}
 }

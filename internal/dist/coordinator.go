@@ -1025,12 +1025,8 @@ type rpcExec struct {
 // Broadcast serializes the rule and installs it on every live worker
 // (the distributed-cache step).
 func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
-	rd, err := r.Data()
-	if err != nil {
-		return err
-	}
 	ex.ruleID = ex.c.salt<<32 | ruleCounter.Add(1)
-	return ex.c.broadcast(ctx, RuleBlob{ID: ex.ruleID, Data: *rd})
+	return ex.c.broadcast(ctx, RuleBlob{ID: ex.ruleID, Data: *r.Data()})
 }
 
 // RunReduces implements plan.Executor via Worker.ReduceGroup RPCs: each

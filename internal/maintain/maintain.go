@@ -65,7 +65,7 @@ func NewUnder(prov dominance.Provider, dims, bits int, mins, maxs []float64) (*M
 	if prov == nil {
 		prov = dominance.Pareto{}
 	}
-	if !dominance.IsPareto(prov) && !prov.Caps().Transitive {
+	if !prov.Caps().Transitive {
 		return nil, fmt.Errorf("maintain: relation %q is not transitive; incremental maintenance would be unsound", prov.Name())
 	}
 	rule, err := plan.FromData(&plan.RuleData{Dims: dims, Bits: bits, Mins: mins, Maxs: maxs,

@@ -225,47 +225,49 @@ func learnRule(t testing.TB, spec *Spec, ds *point.Dataset) *Rule {
 	return r
 }
 
-// TestRuleDataRoundTrip broadcasts a rule through gob — the dist wire
-// format — and checks the compiled copy reduces and merges exactly as
-// the original: the same local skyline of every routed group and the
-// same merge of them, rows and Z-address columns byte for byte.
+// TestRuleDataRoundTrip broadcasts each strategy's rule through gob —
+// the dist wire format — and checks the compiled copy reduces and
+// merges exactly as the original: the same local skyline of every
+// routed group and the same merge of them, rows and Z-address columns
+// byte for byte. The baselines' groups arrive without a column, so both
+// copies encode them under the one bounds encoder RuleData carries.
 func TestRuleDataRoundTrip(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 2000, 4, 5)
-	r := learnRule(t, validSpec(), ds)
-	rd, err := r.Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rd); err != nil {
-		t.Fatal(err)
-	}
-	var back RuleData
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := FromData(&back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(a, b Group, what string) {
-		t.Helper()
-		if string(mustBinary(t, a.Block)) != string(mustBinary(t, b.Block)) ||
-			string(mustBinary(t, a.ZCol)) != string(mustBinary(t, b.ZCol)) {
-			t.Fatalf("%s: the broadcast rule computes %d rows, the original %d", what, b.Len(), a.Len())
+	for _, st := range []Strategy{Grid, Angle, Random, NaiveZ, ZHG, ZDG} {
+		spec := validSpec()
+		spec.Strategy = st
+		r := learnRule(t, spec, ds)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(r.Data()); err != nil {
+			t.Fatal(err)
 		}
+		var back RuleData
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := FromData(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(a, b Group, what string) {
+			t.Helper()
+			if string(mustBinary(t, a.Block)) != string(mustBinary(t, b.Block)) ||
+				string(mustBinary(t, a.ZCol)) != string(mustBinary(t, b.ZCol)) {
+				t.Fatalf("%v %s: the broadcast rule computes %d rows, the original %d", st, what, b.Len(), a.Len())
+			}
+		}
+		routed := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups
+		if len(routed) < 2 {
+			t.Fatalf("%v: %d routed groups: nothing to merge", st, len(routed))
+		}
+		var cand1, cand2 []Group
+		for _, g := range routed {
+			c1, c2 := r.LocalSkylineGroup(g, nil), r2.LocalSkylineGroup(g, nil)
+			same(c1, c2, "local skyline")
+			cand1, cand2 = append(cand1, c1), append(cand2, c2)
+		}
+		same(r.MergeGroupsZ(cand1, nil), r2.MergeGroupsZ(cand2, nil), "merge")
 	}
-	routed := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups
-	if len(routed) < 2 {
-		t.Fatalf("%d routed groups: nothing to merge", len(routed))
-	}
-	var cand1, cand2 []Group
-	for _, g := range routed {
-		c1, c2 := r.LocalSkylineGroup(g, nil), r2.LocalSkylineGroup(g, nil)
-		same(c1, c2, "local skyline")
-		cand1, cand2 = append(cand1, c1), append(cand2, c2)
-	}
-	same(r.MergeGroupsZ(cand1, nil), r2.MergeGroupsZ(cand2, nil), "merge")
 }
 
 // TestLocalSkylineRowsSelectCandidates: per relation, local kernel and
@@ -316,20 +318,6 @@ func TestLocalSkylineRowsSelectCandidates(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// Baseline rules close over in-memory partitioners; they must refuse
-// to serialize rather than broadcast something non-executable.
-func TestBaselineRulesDoNotSerialize(t *testing.T) {
-	ds := gen.Synthetic(gen.Independent, 500, 3, 9)
-	for _, st := range []Strategy{Grid, Angle, Random} {
-		spec := validSpec()
-		spec.Strategy = st
-		r := learnRule(t, spec, ds)
-		if _, err := r.Data(); err == nil {
-			t.Errorf("%v rule serialized", st)
 		}
 	}
 }

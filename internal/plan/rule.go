@@ -16,9 +16,8 @@ import (
 
 // Rule is the learned phase-1 artifact: how to route a point to its
 // group (or drop it), how to compute a group's local skyline, and how
-// to merge candidate groups. One Rule drives every substrate; the
-// Z-order variants additionally serialize their reduce half to RuleData
-// for broadcast.
+// to merge candidate groups. One Rule drives every substrate and
+// serializes its reduce half to RuleData for broadcast.
 type Rule struct {
 	local     LocalAlgo
 	merge     MergeAlgo
@@ -35,12 +34,10 @@ type Rule struct {
 	prov dominance.Provider
 	caps dominance.Caps
 
-	// enc quantizes over the data bounds; merge always uses it. localEnc
-	// is the phase-2 local-skyline encoder: the same bounds encoder for
-	// Z-order strategies, a unit-box encoder for the baselines (which
-	// learn no bounds encoder of their own).
-	enc      *zorder.Encoder
-	localEnc *zorder.Encoder
+	// enc quantizes over the data bounds. Every strategy's local
+	// Z-search, candidate columns and merge run under it, so a store
+	// never mixes addresses from two grids.
+	enc *zorder.Encoder
 
 	// assignFn routes for the non-Z baselines (Grid / Angle / Random).
 	assignFn func(p point.Point) (gid int, ok bool)
@@ -94,7 +91,6 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		prov:      prov,
 		caps:      prov.Caps(),
 		enc:       enc,
-		localEnc:  enc,
 		dims:      dims,
 		bits:      spec.Bits,
 		mins:      mins,
@@ -115,7 +111,7 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		}
 		r.assignFn = func(p point.Point) (int, bool) { return g.Assign(p), true }
 		r.groups, r.parts = g.N(), g.N()
-		return r.withUnitLocalEncoder()
+		return r, nil
 	case Angle:
 		a, err := partition.NewAngle(smp, spec.M)
 		if err != nil {
@@ -123,7 +119,7 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		}
 		r.assignFn = func(p point.Point) (int, bool) { return a.Assign(p), true }
 		r.groups, r.parts = a.N(), a.N()
-		return r.withUnitLocalEncoder()
+		return r, nil
 	case Random:
 		rp, err := partition.NewRandom(spec.M)
 		if err != nil {
@@ -131,7 +127,7 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		}
 		r.assignFn = func(p point.Point) (int, bool) { return rp.Assign(p), true }
 		r.groups, r.parts = rp.N(), rp.N()
-		return r.withUnitLocalEncoder()
+		return r, nil
 	case NaiveZ, ZHG, ZDG:
 	default:
 		return nil, fmt.Errorf("plan: unknown strategy %v", spec.Strategy)
@@ -191,19 +187,6 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	return r, nil
 }
 
-// withUnitLocalEncoder swaps the local-skyline encoder for a unit-box
-// one. The baselines learn no bounds encoder, and exact correctness
-// does not depend on bounds (clamping only weakens pruning), so the
-// unit box — where generated data lives — is a safe default.
-func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
-	u, err := zorder.NewUnitEncoder(r.dims, r.bits)
-	if err != nil {
-		return nil, err
-	}
-	r.localEnc = u
-	return r, nil
-}
-
 // sampleSkyline computes the skyline of the sample blk, whose
 // Z-address column is zc — the one Z-search of phase 1, counted in
 // tally — and returns the skyline's Z-address column. When index is
@@ -246,12 +229,7 @@ func (r *Rule) Encoder() *zorder.Encoder { return r.enc }
 
 // Provider returns the dominance relation the rule's kernels compute
 // under (never nil).
-func (r *Rule) Provider() dominance.Provider {
-	if r.prov == nil {
-		return dominance.Pareto{}
-	}
-	return r.prov
-}
+func (r *Rule) Provider() dominance.Provider { return r.prov }
 
 // pareto reports whether the rule runs under the classic relation —
 // the zero-overhead fast path every kernel branches on once.
@@ -352,14 +330,11 @@ func (r *Rule) LocalSkylineRows(g Group, tally *metrics.Tally) []int32 {
 	if r.local != ZS {
 		return seq.SBRows(r.prov, g.Block, tally)
 	}
-	// Encode-once: a bounds-encoded column makes the kernel run under the
-	// bounds encoder, to keep the store consistent. For every rule that
-	// produces columns localEnc == enc anyway.
-	enc, zc := r.enc, g.ZCol
+	zc := g.ZCol
 	if zc.Len() != n || zc.Words != r.enc.Words() {
-		enc, zc = r.localEnc, zorder.ZCol{}
+		zc = zorder.ZCol{}
 	}
-	rows := zbtree.ZSearchRowsUnder(r.prov, enc, r.fanout, g.Block, zc, tally)
+	rows := zbtree.ZSearchRowsUnder(r.prov, r.enc, r.fanout, g.Block, zc, tally)
 	if !r.caps.Transitive {
 		// The walk keeps rows that only a row it dropped dominates; the
 		// input closes it, as a window's rebuild needs an exact skyline.
@@ -487,7 +462,9 @@ func (r *Rule) hint(gid, n int) int {
 // The store carries the rule's relation: the result is the union's
 // skyline under a transitive relation and a superset of it otherwise,
 // which the pipeline's final verification closes. Phase 3 runs it for
-// the recompute merges; a Fold runs its Z-merge branch.
+// the recompute merges. Its Z-merge branch is the serial Algorithm-4
+// reference that only tests reach: phase 3 Z-merges as a probe merge,
+// and Fold.Add calls zmerge directly.
 func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	total := 0
@@ -560,8 +537,8 @@ func rowRange(rg [2]int32) []int32 {
 	return rows
 }
 
-// RuleData is the gob-serializable reduce half of a Z-order rule — what
-// a coordinator broadcasts to remote workers (the paper's
+// RuleData is the gob-serializable reduce half of a rule — what a
+// coordinator broadcasts to remote workers (the paper's
 // distributed-cache step). Workers only reduce and merge: the
 // coordinator filters and routes every row itself, so nothing only the
 // map reads (pivots, the partition->group map, the sample skyline)
@@ -578,12 +555,10 @@ type RuleData struct {
 	Dominance dominance.Descriptor
 }
 
-// Data serializes the rule's reduce half. The baselines refuse: their
-// local kernels run under a unit-box encoder RuleData cannot express.
-func (r *Rule) Data() (*RuleData, error) {
-	if r.localEnc != r.enc {
-		return nil, fmt.Errorf("plan: only Z-order rules serialize for broadcast")
-	}
+// Data serializes the rule's reduce half: the bounds encoder, the
+// kernels and the relation, which every strategy's reduce and merge run
+// under alike.
+func (r *Rule) Data() *RuleData {
 	return &RuleData{
 		Dims:      r.dims,
 		Bits:      r.bits,
@@ -592,8 +567,8 @@ func (r *Rule) Data() (*RuleData, error) {
 		Fanout:    r.fanout,
 		Local:     r.local,
 		Merge:     r.merge,
-		Dominance: r.Provider().Descriptor(),
-	}, nil
+		Dominance: r.prov.Descriptor(),
+	}
 }
 
 // FromData compiles a broadcast rule into a reduce-and-merge rule: its
@@ -609,17 +584,16 @@ func FromData(rd *RuleData) (*Rule, error) {
 		return nil, err
 	}
 	r := &Rule{
-		local:    rd.Local,
-		merge:    rd.Merge,
-		fanout:   rd.Fanout,
-		prov:     prov,
-		caps:     prov.Caps(),
-		enc:      enc,
-		localEnc: enc,
-		dims:     rd.Dims,
-		bits:     rd.Bits,
-		mins:     rd.Mins,
-		maxs:     rd.Maxs,
+		local:  rd.Local,
+		merge:  rd.Merge,
+		fanout: rd.Fanout,
+		prov:   prov,
+		caps:   prov.Caps(),
+		enc:    enc,
+		dims:   rd.Dims,
+		bits:   rd.Bits,
+		mins:   rd.Mins,
+		maxs:   rd.Maxs,
 	}
 	if r.fanout <= 0 {
 		r.fanout = zbtree.DefaultFanout

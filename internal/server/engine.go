@@ -347,14 +347,21 @@ func (e *Engine) tallyDelta() metrics.Snapshot {
 // resolvePrefs validates a preference list against the dataset's
 // attributes and returns the projection columns plus the canonical
 // query shape (columns in attribute order, so equivalent preference
-// lists share one cache entry).
+// lists share one cache entry). An attribute named twice is an error,
+// as in RunQuery: min and max on one column would leave every row on
+// the skyline.
 func (e *Engine) resolvePrefs(prefer []preferTerm) ([]subspace.Column, string, error) {
 	var cols []subspace.Column
+	seen := make([]bool, len(e.attrs))
 	for _, p := range prefer {
 		i, ok := e.index[p.Attr]
 		if !ok {
 			return nil, "", fmt.Errorf("unknown attribute %q", p.Attr)
 		}
+		if seen[i] {
+			return nil, "", fmt.Errorf("attribute %q preferred twice", p.Attr)
+		}
+		seen[i] = true
 		switch p.Dir {
 		case "min":
 			cols = append(cols, subspace.Column{Dim: i})

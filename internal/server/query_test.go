@@ -130,6 +130,36 @@ func TestQueryFloatTieHTTP(t *testing.T) {
 	}
 }
 
+// TestQueryAttributeTwiceHTTP: a preference list that names one
+// attribute twice is a 400 on /query and on /datasets/{name}/query, as
+// RunQuery rejects it; min and max on one column would otherwise
+// project every row off every other's dominance and answer all of them.
+func TestQueryAttributeTwiceHTTP(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	mustCreate(t, ts.URL, DatasetSpec{Name: "twice", Attrs: []string{"x", "y"}})
+	mustIngest(t, ts.URL, "twice", [][]float64{{1, 4}, {2, 3}, {3, 2}, {4, 1}})
+	for _, c := range []struct{ url, attr string }{
+		{"/datasets/twice/query", "x"},
+		{"/query", "price"},
+	} {
+		for _, prefer := range [][]map[string]string{
+			{{"attr": c.attr, "dir": "min"}, {"attr": c.attr, "dir": "max"}},
+			{{"attr": c.attr, "dir": "min"}, {"attr": c.attr, "dir": "min"}},
+			{{"attr": c.attr, "dir": "ignore"}, {"attr": c.attr, "dir": "min"}},
+		} {
+			body, _ := json.Marshal(map[string]any{"prefer": prefer})
+			resp, err := http.Post(ts.URL+c.url, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %v: status %d, want 400", c.url, prefer, resp.StatusCode)
+			}
+		}
+	}
+}
+
 var queryRowsSink []int
 
 // BenchmarkQueryRows is one uncached /query solve at serve-churn's

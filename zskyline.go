@@ -100,7 +100,8 @@ const (
 )
 
 // Defaults returns the paper's default configuration: ZDG partitioning,
-// Z-search locally, Z-merge globally, M=32 groups.
+// Z-search locally, Z-merge globally, one group per worker (M = Workers
+// = GOMAXPROCS).
 func Defaults() Config { return core.Defaults() }
 
 // New builds an Engine from cfg.
