@@ -42,7 +42,7 @@ func main() {
 		workers   = flag.String("workers", "", "comma-separated worker addresses (required)")
 		in        = flag.String("in", "-", "input file ('-' for stdin)")
 		format    = flag.String("format", "csv", "input format: csv|binary")
-		m         = flag.Int("m", 32, "number of groups")
+		m         = flag.Int("m", 0, "number of groups (0 = one group per worker)")
 		ratio     = flag.Float64("sample", 0.02, "sampling ratio")
 		heuristic = flag.Bool("zhg", false, "use heuristic grouping instead of dominance-based")
 		useSB     = flag.Bool("sb", false, "use sort-based local skylines instead of Z-search")

@@ -101,12 +101,14 @@ func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, 
 }
 
 // DistributedSkyline is the one-call distributed API: dial workers,
-// run the pipeline, hang up.
+// run the pipeline, hang up. The coordinator makes one group per
+// worker; an input under smallInput rows takes RunQuery's denser sample
+// and group cap.
 func DistributedSkyline(ctx context.Context, ds *Dataset, workerAddrs []string) ([]Point, error) {
 	cfg := dist.DefaultCoordinatorConfig()
-	if ds != nil {
-		sized := defaultConfig(ds.Len())
-		cfg.M, cfg.SampleRatio = sized.M, sized.SampleRatio
+	if ds != nil && ds.Len() < smallInput {
+		cfg.M = min(len(workerAddrs), smallInputGroups)
+		cfg.SampleRatio = defaultConfig(ds.Len()).SampleRatio
 	}
 	coord, err := dist.NewCoordinator(cfg, workerAddrs)
 	if err != nil {

@@ -27,7 +27,9 @@ import (
 // core.Config where the concepts overlap and adds the fault-tolerance
 // policy every RPC obeys.
 type CoordinatorConfig struct {
-	// M is the target group count.
+	// M is the target group count. 0 selects one group per worker, as
+	// core has one per reducer: NewCoordinator resolves it to the
+	// number of worker addresses.
 	M int
 	// Delta is the partition expansion factor.
 	Delta int
@@ -83,10 +85,11 @@ type CoordinatorConfig struct {
 	Events *obs.EventLog
 }
 
-// spec lowers the config to the backend-agnostic plan parameters.
-// Phase 3 runs on the coordinator's own pool under plan's schedule: at
-// the default M = 32, one ZB-tree over every candidate, probed in row
-// ranges.
+// spec lowers the config to the backend-agnostic plan parameters; M is
+// already resolved. Phase 3 runs on the coordinator's own pool under
+// plan's schedule: a tree per group up to four groups (the default M
+// over up to four workers), one ZB-tree over every candidate above,
+// probed in row ranges.
 func (cfg *CoordinatorConfig) spec() *plan.Spec {
 	strat := plan.ZDG
 	if cfg.Heuristic {
@@ -141,12 +144,12 @@ func (cfg *CoordinatorConfig) policy() policy {
 }
 
 // DefaultCoordinatorConfig mirrors core.Defaults for the distributed
-// deployment, with the fault-tolerance defaults spelled out, except M:
-// the coordinator cannot see how many cores its workers have, so it
-// keeps the paper's 32 groups rather than one per worker, which could
-// leave worker cores idle.
+// deployment, with the fault-tolerance defaults spelled out. As core
+// makes one group per worker of its pool, M = 0 makes one group per
+// worker: acquire runs one reduce per worker at a time, so more groups
+// only queue.
 func DefaultCoordinatorConfig() CoordinatorConfig {
-	return CoordinatorConfig{M: 32, Delta: 4, SampleRatio: 0.02, Bits: 16,
+	return CoordinatorConfig{Delta: 4, SampleRatio: 0.02, Bits: 16,
 		Fanout: zbtree.DefaultFanout, UseZS: true,
 		RPCTimeout: 15 * time.Second, Retries: 3,
 		RedialInterval: 500 * time.Millisecond, DialTimeout: 2 * time.Second}
@@ -316,9 +319,13 @@ type Coordinator struct {
 // NewCoordinator dials every worker address (with the configured dial
 // timeout) and verifies liveness. Startup is strict: any unreachable
 // worker fails construction. After that, fault handling takes over.
+// M = 0 resolves to len(workerAddrs).
 func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, error) {
 	if len(workerAddrs) == 0 {
 		return nil, fmt.Errorf("dist: no workers")
+	}
+	if cfg.M == 0 {
+		cfg.M = len(workerAddrs)
 	}
 	if cfg.M < 1 || cfg.Delta < 1 || cfg.SampleRatio <= 0 || cfg.SampleRatio > 1 {
 		return nil, fmt.Errorf("dist: invalid config %+v", cfg)

@@ -50,9 +50,11 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(DefaultCoordinatorConfig(), nil); err == nil {
 		t.Error("no workers accepted")
 	}
+	// M = 0 is the default, one group per worker. A negative M is
+	// rejected; a live worker keeps a failed dial from passing for it.
 	cfg := DefaultCoordinatorConfig()
-	cfg.M = 0
-	if _, err := NewCoordinator(cfg, []string{"127.0.0.1:1"}); err == nil {
+	cfg.M = -1
+	if _, err := NewCoordinator(cfg, startCluster(t, 1)); err == nil {
 		t.Error("bad config accepted")
 	}
 	// Dead address fails fast.

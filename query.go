@@ -192,12 +192,18 @@ func RunQuery(ctx context.Context, rel *Relation, q Query) (*Result, error) {
 	return &Result{RowIDs: ids, Report: rep}, nil
 }
 
-// defaultConfig is Defaults sized for an input of n rows: small inputs
-// need a denser sample and at most 8 groups.
+// An input under smallInput rows needs a denser sample and at most
+// smallInputGroups groups.
+const (
+	smallInput       = 10000
+	smallInputGroups = 8
+)
+
+// defaultConfig is Defaults sized for an input of n rows.
 func defaultConfig(n int) Config {
 	cfg := core.Defaults()
-	if n < 10000 {
-		cfg.M = min(cfg.M, 8)
+	if n < smallInput {
+		cfg.M = min(cfg.M, smallInputGroups)
 		cfg.SampleRatio = 0.1
 	}
 	return cfg
