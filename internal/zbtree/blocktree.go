@@ -35,7 +35,6 @@ package zbtree
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
@@ -48,17 +47,21 @@ const DefaultFanout = 16
 
 // Store is the shared columnar backing of a BlockTree: the flat point
 // block, its Z-address column, the rows' grid coordinates and their
-// packed lanes (lanes.go), all stride-indexed by row, and the dominance
-// relation its trees answer under. Trees built over the same Store
-// reference rows by index instead of owning Entry copies, which is what
-// lets the pipeline encode each point's Z-address exactly once per
-// query and merge candidate sets without rematerializing them.
+// packed lanes (lanes.go: a prefix and a tail arena), all stride-indexed
+// by row, and the dominance relation its trees answer under. Trees built
+// over the same Store reference rows by index instead of owning Entry
+// copies, which is what lets the pipeline encode each point's Z-address
+// exactly once per query and merge candidate sets without
+// rematerializing them.
 type Store struct {
-	enc   *zorder.Encoder
-	blk   point.Block
-	zc    zorder.ZCol
-	grid  []uint32 // Dims() stride per row, quantized once at store build
-	lanes []uint64 // laneWords(Dims()) stride per row, packed from grid
+	enc  *zorder.Encoder
+	blk  point.Block
+	zc   zorder.ZCol
+	grid []uint32 // Dims() stride per row, quantized once at store build
+	// The rows' lanes packed from grid: the prefix, prefixWords stride
+	// per row, and the tail, tw = laneWords(Dims())−prefixWords stride.
+	pre, tail []uint64
+	tw        int
 
 	// The relation; the zero value is Pareto, whose exact test runs
 	// inline. prov is nil under Pareto; noPos and noNeg turn off the
@@ -108,12 +111,13 @@ func (st *Store) Under(prov dominance.Provider) *Store {
 	return st
 }
 
-// fillLanes fills the lane arena from the grid arena.
+// fillLanes fills the lane arenas from the grid arena.
 func (st *Store) fillLanes() {
-	n, d, lw, shift := st.Len(), st.enc.Dims(), laneWords(st.enc.Dims()), laneShift(st.enc.Bits())
-	st.lanes = make([]uint64, n*lw)
+	n, d, shift := st.Len(), st.enc.Dims(), laneShift(st.enc.Bits())
+	st.tw = laneWords(d) - prefixWords
+	st.pre, st.tail = make([]uint64, n*prefixWords), make([]uint64, n*st.tw)
 	for i := 0; i < n; i++ {
-		packLanes(st.lanes[i*lw:(i+1)*lw], st.grid[i*d:(i+1)*d], shift)
+		packSplit(st.pre[i*prefixWords:(i+1)*prefixWords], st.tail[i*st.tw:(i+1)*st.tw], st.grid[i*d:(i+1)*d], shift)
 	}
 }
 
@@ -130,11 +134,37 @@ func (st *Store) Grid(i int32) []uint32 {
 	return st.grid[lo : lo+d : lo+d]
 }
 
-// rowLanes returns the packed lanes of row i (zero-copy view).
-func (st *Store) rowLanes(i int32) []uint64 {
-	lw := laneWords(st.enc.Dims())
-	lo := int(i) * lw
-	return st.lanes[lo : lo+lw : lo+lw]
+// rowLanes copies the packed lanes of row i, prefix then tail, into
+// dst (laneWords(Dims()) long) and returns it.
+func (st *Store) rowLanes(dst []uint64, i int32) []uint64 {
+	copy(dst, st.pre[int(i)*prefixWords:][:prefixWords])
+	copy(dst[prefixWords:], st.tail[int(i)*st.tw:][:st.tw])
+	return dst
+}
+
+// laneAbove reports whether some lane of row e exceeds the same lane of
+// pl, p's lanes: then e cannot dominate p.
+func (st *Store) laneAbove(e int32, pl []uint64) bool {
+	q := st.pre[int(e)*prefixWords:][:prefixWords]
+	return !prefixPasses(q[0], q[1], pl[0]|laneGuard, pl[1]|laneGuard) ||
+		st.tw > 0 && lanesSomeGreater(st.tail[int(e)*st.tw:][:st.tw], pl[prefixWords:])
+}
+
+// laneBelow reports whether some lane of rl, a row's lanes, exceeds the
+// same lane of row e: then that row cannot dominate e.
+func (st *Store) laneBelow(e int32, rl []uint64) bool {
+	q := st.pre[int(e)*prefixWords:][:prefixWords]
+	return !prefixPasses(rl[0], rl[1], q[0]|laneGuard, q[1]|laneGuard) ||
+		st.tw > 0 && lanesSomeGreater(rl[prefixWords:], st.tail[int(e)*st.tw:][:st.tw])
+}
+
+// laneBuf returns buf[:lw] when it fits, a fresh slice otherwise: the
+// probes' lanes for p stay on the stack up to d = 32.
+func laneBuf(buf []uint64, lw int) []uint64 {
+	if lw <= len(buf) {
+		return buf[:lw]
+	}
+	return make([]uint64, lw)
 }
 
 // CompactRows copies the given rows out into a fresh block and
@@ -194,15 +224,15 @@ func (n *bnode) isLeaf() bool { return n.kids == nil }
 type BlockTree struct {
 	st     *Store
 	fanout int
-	d, lw  int            // the store's Dims() and laneWords(Dims()): the arenas' strides
+	d, tw  int            // the store's Dims() and tail lane words: the arenas' strides
 	tally  *metrics.Tally // where the operations add their tests (see DominatesRow)
 	nodes  []bnode
 	// Box corner arenas, d stride per node id, and the box's min corner
-	// packed into lanes, lw stride per node id.
-	regMin, regMax []uint32
-	minLanes       []uint64
-	root           int32 // -1 when empty
-	last           int32 // the largest row appended or built; Append's order check
+	// packed into lanes like a row's: prefix and tail arenas.
+	regMin, regMax  []uint32
+	minPre, minTail []uint64
+	root            int32 // -1 when empty
+	last            int32 // the largest row appended or built; Append's order check
 }
 
 // NewBlockTree returns an empty tree over st. fanout <= 0 selects
@@ -216,7 +246,7 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 		fanout = 2
 	}
 	d := st.enc.Dims()
-	return &BlockTree{st: st, fanout: fanout, d: d, lw: laneWords(d), tally: tally, root: -1}
+	return &BlockTree{st: st, fanout: fanout, d: d, tw: laneWords(d) - prefixWords, tally: tally, root: -1}
 }
 
 // newNode appends a zeroed node with an empty box to the slab, growing
@@ -229,7 +259,8 @@ func (t *BlockTree) newNode() int32 {
 		t.regMin = append(t.regMin, math.MaxUint32)
 	}
 	t.regMax = append(t.regMax, make([]uint32, t.d)...)
-	t.minLanes = append(t.minLanes, make([]uint64, t.lw)...)
+	t.minPre = append(t.minPre, 0, 0)
+	t.minTail = append(t.minTail, make([]uint64, t.tw)...)
 	return id
 }
 
@@ -244,12 +275,6 @@ func (t *BlockTree) region(n int32) zorder.Region {
 func (t *BlockTree) boxMax(n int32) []uint32 {
 	lo := int(n) * t.d
 	return t.regMax[lo : lo+t.d : lo+t.d]
-}
-
-// boxLanes returns node n's box min corner in lanes (a view).
-func (t *BlockTree) boxLanes(n int32) []uint64 {
-	lo := int(n) * t.lw
-	return t.minLanes[lo : lo+t.lw : lo+t.lw]
 }
 
 // growBox widens node n's box to hold the grids of rows and the boxes
@@ -268,7 +293,7 @@ func (t *BlockTree) growBox(n int32, rows, kids []int32) {
 			minG[k], maxG[k] = min(minG[k], v), max(maxG[k], kr.MaxG[k])
 		}
 	}
-	packLanes(t.boxLanes(n), minG, laneShift(t.st.enc.Bits()))
+	packSplit(t.minPre[int(n)*prefixWords:][:prefixWords], t.minTail[int(n)*t.tw:][:t.tw], minG, laneShift(t.st.enc.Bits()))
 }
 
 // Len returns the number of rows in the tree.
@@ -316,24 +341,21 @@ func BuildStore(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 
 // BuildRows bulk-loads a balanced tree holding the given store rows,
 // sorting them by Z-address first (stably, so ties keep input order).
-// It takes ownership of rows and sorts it in place, allocating nothing
-// and skipping rows already in Z-order; the slice becomes the leaf-row
-// arena.
+// It takes ownership of rows and sorts it in place (sortByZ: one scan
+// for rows already in Z-order, a radix sort otherwise); the slice
+// becomes the leaf-row arena.
 func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *BlockTree {
 	t := NewBlockTree(st, fanout, tally)
 	if len(rows) == 0 {
 		return t
 	}
-	byZ := func(a, b int32) int { return st.zc.Compare(int(a), int(b)) }
-	if !slices.IsSortedFunc(rows, byZ) {
-		slices.SortStableFunc(rows, byZ)
-	}
+	sortByZ(st.zc, rows)
 	// Leaves: subslices of the sorted permutation arena.
 	nLeaves := (len(rows) + t.fanout - 1) / t.fanout
 	nNodes := nLeaves + nLeaves/(t.fanout-1) + 2
 	t.nodes = make([]bnode, 0, nNodes)
 	t.regMin, t.regMax = make([]uint32, 0, nNodes*t.d), make([]uint32, 0, nNodes*t.d)
-	t.minLanes = make([]uint64, 0, nNodes*t.lw)
+	t.minPre, t.minTail = make([]uint64, 0, nNodes*prefixWords), make([]uint64, 0, nNodes*t.tw)
 	level := make([]int32, 0, nLeaves)
 	for lo := 0; lo < len(rows); lo += t.fanout {
 		hi := lo + t.fanout
@@ -461,7 +483,11 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 // store's relation (exact float semantics; grid and lane tests only
 // prune), counting its tests into c.
 func (t *BlockTree) DominatesRow(c *metrics.Count, row int32) bool {
-	return t.root >= 0 && t.dominatesPoint(c, t.root, t.st.Grid(row), t.st.rowLanes(row), t.st.Row(row))
+	if t.root < 0 {
+		return false
+	}
+	var buf [8]uint64 // d <= 32 stays on the stack
+	return t.dominatesPoint(c, t.st.Grid(row), t.st.rowLanes(laneBuf(buf[:], t.tw+prefixWords), row), t.st.Row(row))
 }
 
 // DominatesPoint is DominatesRow for a point outside the store: g must
@@ -471,64 +497,55 @@ func (t *BlockTree) DominatesPoint(c *metrics.Count, g []uint32, p point.Point) 
 	if t.root < 0 || len(p) != t.st.blk.Dims {
 		return false
 	}
-	var buf [8]uint64 // d <= 32 packs on the stack
-	pl := buf[:min(t.lw, len(buf))]
-	if len(pl) < t.lw {
-		pl = make([]uint64, t.lw)
-	}
+	var buf [8]uint64
+	pl := laneBuf(buf[:], t.tw+prefixWords)
 	packLanes(pl, g, laneShift(t.st.enc.Bits()))
-	return t.dominatesPoint(c, t.root, g, pl, p)
+	return t.dominatesPoint(c, g, pl, p)
 }
 
-// dominatesPoint probes node n; g and pl are p's grid and lanes.
-func (t *BlockTree) dominatesPoint(c *metrics.Count, n int32, g []uint32, pl []uint64, p point.Point) bool {
-	c.RegionTests++
+// dominatesPoint walks the tree depth-first in Z-order on an explicit
+// stack, kids pushed in reverse; g and pl are p's grid and lanes.
+func (t *BlockTree) dominatesPoint(c *metrics.Count, g []uint32, pl []uint64, p point.Point) bool {
 	st := t.st
-	// The box's min corner in lanes: RegionCannotDominatePointGrid at
-	// 15 bits per dimension, two word operations at d = 8.
-	if !st.noNeg && lanesSomeGreater(t.boxLanes(n), pl) {
-		return false
-	}
-	if !st.noPos && zorder.GridStrictDominates(t.boxMax(n), g) {
-		return true
-	}
-	nd := &t.nodes[n]
-	if !nd.isLeaf() {
-		for _, kid := range nd.kids {
-			if t.dominatesPoint(c, kid, g, pl, p) {
-				return true
-			}
-		}
-		return false
-	}
-	c.DominanceTests += int64(len(nd.rows))
-	if st.prov != nil {
-		return st.someDominatesUnder(nd.rows, pl, p)
-	}
-	// The Pareto leaf scan is point.Dominates(row, p) over the block's
-	// flat array, after the lanes reject what they can: no row view, no
-	// call, four coordinates to a branch.
-	data, d := st.blk.Data, len(p)
-	lanes, lw := st.lanes, len(pl)
-rows:
-	for _, e := range nd.rows {
-		if lanesSomeGreater(lanes[int(e)*lw:][:lw], pl) {
+	p0, p1, ptail := pl[0]|laneGuard, pl[1]|laneGuard, pl[prefixWords:]
+	var buf [64]int32 // depth × (fanout−1) + 1 nodes: four levels of 16
+	stack := append(buf[:0], t.root)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c.RegionTests++
+		// The box's min corner in lanes: RegionCannotDominatePointGrid at
+		// 15 bits per dimension, two word operations up to d = 8.
+		if k := int(n) * prefixWords; !st.noNeg && (!prefixPasses(t.minPre[k], t.minPre[k+1], p0, p1) ||
+			t.tw > 0 && lanesSomeGreater(t.minTail[int(n)*t.tw:][:t.tw], ptail)) {
 			continue
 		}
-		q := data[int(e)*d:][:d]
-		k := 0
-		for ; k+4 <= d; k += 4 {
-			if point.AnyGreater4(q[k:], p[k:]) {
-				continue rows
-			}
+		if !st.noPos && zorder.GridStrictDominates(t.boxMax(n), g) {
+			return true
 		}
-		for ; k < d; k++ {
-			if q[k] > p[k] {
-				continue rows
+		nd := &t.nodes[n]
+		if !nd.isLeaf() {
+			for k := len(nd.kids) - 1; k >= 0; k-- {
+				stack = append(stack, nd.kids[k])
 			}
+			continue
 		}
-		for k, pv := range p {
-			if q[k] < pv {
+		c.DominanceTests += int64(len(nd.rows))
+		if st.prov != nil {
+			if st.someDominatesUnder(nd.rows, pl, p) {
+				return true
+			}
+			continue
+		}
+		// The Pareto leaf scan: the prefix rejects almost every row in
+		// passPrefix; the tail and the float test run for the rest.
+		rows := nd.rows
+		for i := passPrefix(rows, 0, st.pre, p0, p1); i < len(rows); i = passPrefix(rows, i+1, st.pre, p0, p1) {
+			e := rows[i]
+			if st.tw > 0 && lanesSomeGreater(st.tail[int(e)*st.tw:][:st.tw], ptail) {
+				continue
+			}
+			if point.Dominates(st.Row(e), p) {
 				return true
 			}
 		}
@@ -579,7 +596,8 @@ func (t *BlockTree) RemoveDominatedBy(c *metrics.Count, row int32) int {
 	if t.root < 0 {
 		return 0
 	}
-	removed := t.removeDominated(c, t.root, t.st.Grid(row), t.st.rowLanes(row), row)
+	var buf [8]uint64
+	removed := t.removeDominated(c, t.root, t.st.Grid(row), t.st.rowLanes(laneBuf(buf[:], t.tw+prefixWords), row), row)
 	if t.nodes[t.root].count == 0 {
 		t.root = -1
 	}
@@ -602,10 +620,9 @@ func (t *BlockTree) removeDominated(c *metrics.Count, n int32, g []uint32, rl []
 			kept = st.undominatedUnder(nd.rows, rl, row)
 		} else {
 			kept = nd.rows[:0]
-			lanes, lw := st.lanes, len(rl)
 			for _, e := range nd.rows {
 				// Row cannot dominate e when one of its lanes exceeds e's.
-				if lanesSomeGreater(rl, lanes[int(e)*lw:][:lw]) || !point.DominatesRows(st.blk, int(row), st.blk, int(e)) {
+				if st.laneBelow(e, rl) || !point.DominatesRows(st.blk, int(row), st.blk, int(e)) {
 					kept = append(kept, e)
 				}
 			}
@@ -636,7 +653,7 @@ func (t *BlockTree) removeDominated(c *metrics.Count, n int32, g []uint32, rl []
 // provider: whether one of rows dominates p, whose lanes are pl.
 func (st *Store) someDominatesUnder(rows []int32, pl []uint64, p point.Point) bool {
 	for _, e := range rows {
-		if (st.noNeg || !lanesSomeGreater(st.rowLanes(e), pl)) && st.prov.Dominates(st.Row(e), p) {
+		if (st.noNeg || !st.laneAbove(e, pl)) && st.prov.Dominates(st.Row(e), p) {
 			return true
 		}
 	}
@@ -649,7 +666,7 @@ func (st *Store) someDominatesUnder(rows []int32, pl []uint64, p point.Point) bo
 func (st *Store) undominatedUnder(rows []int32, rl []uint64, row int32) []int32 {
 	kept := rows[:0]
 	for _, e := range rows {
-		if (!st.noNeg && lanesSomeGreater(rl, st.rowLanes(e))) || !st.prov.DominatesRows(st.blk, int(row), st.blk, int(e)) {
+		if (!st.noNeg && st.laneBelow(e, rl)) || !st.prov.DominatesRows(st.blk, int(row), st.blk, int(e)) {
 			kept = append(kept, e)
 		}
 	}
@@ -757,6 +774,13 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 	if sky.Empty() {
 		return src
 	}
+	return BuildRows(sky.st, sky.fanout, zmergeRows(sky, src), sky.tally)
+}
+
+// zmergeRows is MergeBlock's walk over two non-empty trees: it returns
+// the merge's rows unsorted, as the three runs sky.Rows(), survivors and
+// stash laid end to end, for BuildRows to order.
+func zmergeRows(sky, src *BlockTree) []int32 {
 	var c metrics.Count
 	var stash, survivors []int32
 	queue := []int32{src.root}
@@ -786,8 +810,7 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 	sky.tally.Add(c)
 	all := sky.Rows()
 	all = append(all, survivors...)
-	all = append(all, stash...)
-	return BuildRows(sky.st, sky.fanout, all, sky.tally)
+	return append(all, stash...)
 }
 
 // ZSearchBlock is the block-native "ZS" entry point: index b's rows

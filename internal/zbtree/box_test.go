@@ -33,8 +33,8 @@ func checkBoxes(t *testing.T, label string, tr *BlockTree, exact bool) {
 			for k, v := range st.Grid(e) {
 				lo[k], hi[k] = min(lo[k], v), max(hi[k], v)
 			}
-			if lanesSomeGreater(tr.boxLanes(n), st.rowLanes(e)) {
-				t.Fatalf("%s: node %d lane corner %x above row %d lanes %x", label, n, tr.boxLanes(n), e, st.rowLanes(e))
+			if lanesSomeGreater(tr.boxLanes(n), st.lanesOf(e)) {
+				t.Fatalf("%s: node %d lane corner %x above row %d lanes %x", label, n, tr.boxLanes(n), e, st.lanesOf(e))
 			}
 		}
 		for k := 0; k < d; k++ {
@@ -182,8 +182,9 @@ var fuzzCoords = []float64{
 var fuzzBits = []int{4, 15, 16, 17, 32}
 
 // The probes against brute force on tie-heavy rows, over trees built
-// both ways, at every lane width and padding, under the relation the
-// fourth byte picks: Pareto, flex, kdom or robust (underProviders).
+// both ways, at every lane width and padding (d up to 40: a prefix and
+// a tail of up to eight words), under the relation the fourth byte
+// picks: Pareto, flex, kdom or robust (underProviders).
 func FuzzBlockTreeProbe(f *testing.F) {
 	// Pareto (fourth byte 0) on tie-heavy rows at every lane shape.
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 3, 4})
@@ -195,11 +196,17 @@ func FuzzBlockTreeProbe(f *testing.F) {
 	f.Add([]byte{7, 2, 14, 1, 5, 6, 7, 8, 5, 6, 7, 9, 0, 12, 12, 12, 7})
 	f.Add([]byte{16, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 1, 2, 3, 4})
 	f.Add([]byte{2, 1, 0, 3, 6, 7, 8, 6, 7, 8, 7, 7, 7, 8, 6, 7, 0, 12, 3})
+	// Tail lanes (d = 33) at fanout 64.
+	wide := []byte{32, 2, 62, 0}
+	for i := 0; i < 3*33; i++ {
+		wide = append(wide, byte(i*7%13))
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
-		d, bits, fanout := 1+int(data[0])%17, fuzzBits[int(data[1])%len(fuzzBits)], 2+int(data[2])%15
+		d, bits, fanout := 1+int(data[0])%40, fuzzBits[int(data[1])%len(fuzzBits)], 2+int(data[2])%63
 		prov := underProviders(t, d)[int(data[3])%4]
 		data = data[4:]
 		n := min(len(data)/d, 64)

@@ -71,3 +71,14 @@ func (t *BlockTree) Validate() error {
 	}
 	return nil
 }
+
+// boxLanes returns a copy of node n's box min corner in lanes, prefix
+// then tail.
+func (t *BlockTree) boxLanes(n int32) []uint64 {
+	return append(slices.Clone(t.minPre[int(n)*prefixWords:][:prefixWords]), t.minTail[int(n)*t.tw:][:t.tw]...)
+}
+
+// lanesOf returns a copy of row i's lanes, prefix then tail.
+func (st *Store) lanesOf(i int32) []uint64 {
+	return st.rowLanes(make([]uint64, prefixWords+st.tw), i)
+}

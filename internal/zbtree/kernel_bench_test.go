@@ -1,7 +1,9 @@
 package zbtree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,18 +123,69 @@ func BenchmarkBuildRows16kD8(b *testing.B) {
 	st := NewStoreWithZCol(enc, blk, zc)
 	// Sorted once here, so an iteration is the bulk load and its one
 	// region per node, not the sort.
-	sorted := BuildStore(st, 0, nil).Rows()
-	rows := make([]int32, len(sorted))
+	benchBuildRows(b, st, BuildStore(st, 0, nil).Rows())
+}
+
+// BenchmarkBuildRowsRandom7kD8 builds over a phase-2 group: 7,000 rows
+// in generation order, which is random in Z-order (BuildStore's input).
+func BenchmarkBuildRowsRandom7kD8(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 7000, 8)
+	st := NewStoreWithZCol(enc, blk, zc)
+	benchBuildRows(b, st, allRows(st.Len()))
+}
+
+// BenchmarkBuildRowsRuns16kD8 builds over sorted runs laid end to end:
+// three, as Z-merge's rebuild concatenates the skyline, the survivors
+// and the stash, and eight and 32, as the one-tree probe of that many
+// candidate groups does. The last shape, rows in Z-order but for a
+// shuffled last 1,000, no caller hands BuildRows. It is the one shape
+// SortStableFunc's merges absorb and the radix sort does not: the two
+// tie at this size, and at 31,000 rows the radix sort is the slower.
+func BenchmarkBuildRowsRuns16kD8(b *testing.B) {
+	enc, blk, zc := kernelBenchInput(b, 16384, 8)
+	st := NewStoreWithZCol(enc, blk, zc)
+	for _, runs := range []int{3, 8, 32} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			benchBuildRows(b, st, sortedRuns(st, runs))
+		})
+	}
+	b.Run("shuffled-tail=1000", func(b *testing.B) {
+		rows := sortedRuns(st, 1)
+		tail := rows[len(rows)-1000:]
+		rand.New(rand.NewSource(1)).Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+		benchBuildRows(b, st, rows)
+	})
+}
+
+// sortedRuns splits st's rows into runs contiguous ranges and returns
+// each range in Z-order, one after another.
+func sortedRuns(st *Store, runs int) []int32 {
+	var rows []int32
+	for k := 0; k < runs; k++ {
+		lo, hi := k*st.Len()/runs, (k+1)*st.Len()/runs
+		run := make([]int32, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			run = append(run, int32(r))
+		}
+		slices.SortStableFunc(run, func(a, b int32) int { return st.zc.Compare(int(a), int(b)) })
+		rows = append(rows, run...)
+	}
+	return rows
+}
+
+// benchBuildRows times BuildRows over a fresh copy of in each iteration.
+func benchBuildRows(b *testing.B, st *Store, in []int32) {
+	rows := make([]int32, len(in))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(rows, sorted)
+		copy(rows, in)
 		_ = BuildRows(st, 0, rows, nil)
 	}
 	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// Every row of the input probes the tree of its own skyline (about 4k
+// Every row of the input probes the tree of its own skyline (3,002
 // rows): the call Z-search, Z-merge, the SZB filter and the cross-shard
 // sweep all spend their time in.
 func BenchmarkDominatesPointAntiD8(b *testing.B) {
@@ -150,6 +203,8 @@ func BenchmarkDominatesPointAntiD8(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.Len())*float64(b.N)/b.Elapsed().Seconds(), "probes/s")
+	b.ReportMetric(float64(c.DominanceTests)/float64(b.N), "dom_tests/op")
+	b.ReportMetric(float64(c.RegionTests)/float64(b.N), "region_tests/op")
 	if want := (st.Len() - sky.Len()) * b.N; hits != want {
 		b.Fatalf("%d probes dominated, want %d", hits, want)
 	}
