@@ -194,9 +194,10 @@ func BenchmarkAblSkew(b *testing.B)       { benchFigure(b, "abl-skew") }
 func BenchmarkAblStragglers(b *testing.B) { benchFigure(b, "abl-stragglers") }
 func BenchmarkAblOOC(b *testing.B)        { benchFigure(b, "abl-ooc") }
 
-// Phase-2 map-path memory benchmarks: MapBlock (scratch reuse and
-// per-group arenas) over the whole dataset as one task, so allocs/op is
-// the map/route path itself.
+// Phase-2 map-path memory benchmarks: MapBlock (router scratch reuse,
+// routed rows listed by position and none copied) over the whole
+// dataset as one task, so allocs/op is the map/route path itself, not
+// Shuffle's gather.
 func mapPhaseFixture(b *testing.B, n, d int) (*plan.Rule, point.Block) {
 	b.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, n, d, 42)

@@ -60,7 +60,9 @@ type benchExecutor struct {
 }
 
 // benchMapPath is the phase-2 map path's allocation count: MapBlock
-// over the whole dataset as one task, same fixture as bench_test.go.
+// over the whole dataset as one task, which lists its routed rows by
+// position and copies none (Shuffle's gather is not counted), same
+// fixture as bench_test.go.
 type benchMapPath struct {
 	Points           int     `json:"points"`
 	Dims             int     `json:"dims"`

@@ -114,7 +114,8 @@ func TestStrategiesScaleFree(t *testing.T) {
 		return r
 	}
 	r := learn(ds)
-	g := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups[0]
+	groups, _ := plan.Shuffle([]plan.MapOutput{r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)})
+	g := groups[0]
 	bigG := plan.Group{Gid: g.Gid, Block: point.BlockOf(ds.Dims, scaled(g.Block.Points(), f))}
 	var tally, bigTally metrics.Tally
 	rows := r.LocalSkylineRows(g, &tally)

@@ -12,12 +12,12 @@ import (
 	"zskyline/internal/sample"
 )
 
-// The map path allocates per group, never per row: over a packed block
-// and over the row views Run reads in place alike, a map task of 20000
-// rows routed into 32 groups costs fewer than one allocation per five
-// rows — the gate the per-point path this replaced failed by a wide
-// margin. Both paths only filter and route, so the count measures
-// routing alone.
+// The map path never allocates per row: over a packed block and over
+// the row views Run reads in place alike, a map task of 20000 rows
+// routed into 32 groups costs fewer than one allocation per five rows —
+// the gate the per-point path this replaced failed by a wide margin.
+// Both paths only filter, route and list the routed rows, so the count
+// measures routing alone.
 func TestMapBlockAllocReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
@@ -96,12 +96,13 @@ func TestParetoProviderNoRegression(t *testing.T) {
 	}
 }
 
-// A ZDG map task sizes each group's arena from the group's share of the
-// sample, so over anti-correlated rows, where five in six pass the
-// filter, it allocates at most twice the bytes of the survivors it
-// returns (packed rows plus Z-column), at parallel's M = 2 and core's
-// M = 32 alike. Arenas grown by append from empty took 5.1 and 3.6
-// times.
+// A map task lists its routed rows by position and the gather copies
+// each once into a group sized exactly, so over anti-correlated rows,
+// where five in six pass the filter, map plus gather allocate at most
+// twice the bytes of the survivors they return (packed rows plus
+// Z-column), over one, two or four map tasks, at parallel's M = 2 and
+// core's M = 32 alike. Per-task arenas that the gather copied again took
+// up to three times, at two tasks or more.
 func TestMapBlockBytesNearSurvivors(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42)
 	blk := point.BlockOf(ds.Dims, ds.Points)
@@ -109,23 +110,31 @@ func TestMapBlockBytesNearSurvivors(t *testing.T) {
 		spec := &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: m, Delta: 4,
 			SampleRatio: 0.02, Bits: 16, Seed: 1}
 		r := learnRule(t, spec, ds)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		out := r.MapBlock(blk, nil)
-		runtime.ReadMemStats(&after)
-		survivors := 0
-		for _, g := range out.Groups {
-			survivors += 8 * (len(g.Block.Data) + len(g.ZCol.Data))
-		}
-		label := fmt.Sprintf("M=%d", m)
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d groups, map allocated %d B for %d B of survivors", label, len(out.Groups), got, survivors)
-		if out.Filtered == 0 || survivors == 0 {
-			t.Fatalf("%s: filtered %d rows, kept %d B", label, out.Filtered, survivors)
-		}
-		if got > 2*uint64(survivors) {
-			t.Errorf("%s: map allocated %d B, over twice its %d B of survivors", label, got, survivors)
+		for _, tasks := range []int{1, 2, 4} {
+			chunks := blk.SplitN(tasks)
+			outs := make([]MapOutput, len(chunks))
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i, c := range chunks {
+				outs[i] = r.MapBlock(c, nil)
+			}
+			groups, filtered := Shuffle(outs)
+			runtime.ReadMemStats(&after)
+			survivors := 0
+			for _, g := range groups {
+				survivors += 8 * (len(g.Block.Data) + len(g.ZCol.Data))
+			}
+			label := fmt.Sprintf("M=%d/%d tasks", m, len(chunks))
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s: %d groups, map and gather allocated %d B for %d B of survivors (%.2f×)",
+				label, len(groups), got, survivors, float64(got)/float64(survivors))
+			if filtered == 0 || survivors == 0 {
+				t.Fatalf("%s: filtered %d rows, kept %d B", label, filtered, survivors)
+			}
+			if got > 2*uint64(survivors) {
+				t.Errorf("%s: map and gather allocated %d B, over twice their %d B of survivors", label, got, survivors)
+			}
 		}
 	}
 }

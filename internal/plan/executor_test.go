@@ -117,6 +117,68 @@ func TestRunFileMatchesRun(t *testing.T) {
 	}
 }
 
+// A file pass gathers each wave's routed rows into groups that grow
+// across waves, and those groups are the in-memory gather's row for
+// row, Z-column included, whatever the pool's width and so the waves'.
+// The whole run prints the in-memory run's count line.
+func TestRunFileGathersLikeRun(t *testing.T) {
+	ds := gen.Synthetic(gen.AntiCorrelated, 16384, 8, 42)
+	path := writeZSKY(t, ds)
+	spec := &Spec{Strategy: ZDG, Local: ZS, Merge: MergeZM, M: 8, Delta: 4,
+		SampleRatio: 0.02, Bits: 16, ChunkSize: 512}
+	ctx := context.Background()
+	gathered := func(in input, ex *LocalExec) ([]Group, int64) {
+		t.Helper()
+		d := newDriver(spec, ex, nil)
+		r, cuts, err := d.learn(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, filtered, err := in.mapCuts(ctx, d, r, cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return groups, filtered
+	}
+	countLine := func(rep *Report) string {
+		var b strings.Builder
+		if _, err := rep.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(b.String(), "\n")[1]
+	}
+	want, wantFiltered := gathered(memInput{ds}, NewLocalExec(2))
+	if len(want) < 2 || wantFiltered == 0 {
+		t.Fatalf("in memory: %d groups, %d rows filtered: nothing to compare", len(want), wantFiltered)
+	}
+	_, wantRep, err := Run(ctx, spec, ds, NewLocalExec(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 3} {
+		got, filtered := gathered(fileInput{path}, NewLocalExec(width))
+		if len(got) != len(want) || filtered != wantFiltered {
+			t.Fatalf("width %d: %d groups, %d filtered; in memory %d, %d", width, len(got), filtered, len(want), wantFiltered)
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.Gid != w.Gid || g.ZCol.Len() != g.Len() ||
+				string(mustBinary(t, g.Block)) != string(mustBinary(t, w.Block)) ||
+				string(mustBinary(t, g.ZCol)) != string(mustBinary(t, w.ZCol)) {
+				t.Fatalf("width %d: group %d (%d rows, %d addresses) differs from memory's group %d (%d rows)",
+					width, g.Gid, g.Len(), g.ZCol.Len(), w.Gid, w.Len())
+			}
+		}
+		_, rep, err := RunFile(ctx, spec, path, NewLocalExec(width), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := countLine(rep), countLine(wantRep); got != want {
+			t.Errorf("width %d: file run prints %q, in memory %q", width, got, want)
+		}
+	}
+}
+
 // Under k-dominance, which is not transitive, the SZB filter still
 // drops rows, and only a verify pass that reads them back from the file
 // returns the exact answer.

@@ -49,9 +49,7 @@ func candidates(t testing.TB, spec *Spec, ds *point.Dataset, ex *LocalExec) (*Ru
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := d.phase2(context.Background(), r, len(cuts), func(ctx context.Context) ([]MapOutput, error) {
-		return in.mapCuts(ctx, d, r, cuts)
-	})
+	groups, err := d.phase2(context.Background(), r, in, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,8 +198,8 @@ func (s *Spec) fanout() int {
 // re-encodes. An empty ZCol is always legal — consumers fall back to
 // encoding locally — but a non-empty one MUST satisfy the invariant
 // (row count equal to the block's, addresses from the rule's bounds
-// encoder); Shuffle and the kernels check shape and drop columns that
-// do not line up.
+// encoder); the kernels check shape and drop columns that do not line
+// up.
 type Group struct {
 	Gid   int
 	Block point.Block
@@ -274,77 +274,85 @@ func (f *Fold) Add(g Group) (added int) {
 	return added
 }
 
-// MapOutput is one map task's result: the chunk's surviving rows per
-// group, plus how many input points the task dropped (SZB-tree filter
-// or pruned partitions).
+// MapOutput is one map task's result. It copies no row: it lists the
+// rows the task routed by their positions in its input, in input order,
+// with each row's group and, on the Z-order paths under Pareto, its
+// Z-address, and it counts the rows of each group and the input rows
+// the task dropped (SZB-tree filter or pruned partitions). Shuffle
+// reads the routed rows from the task's input, which must stay
+// unchanged until then.
 type MapOutput struct {
-	Groups   []Group
+	rows, gids []int32     // routed rows' input positions and groups
+	z          zorder.ZCol // their addresses; empty when the rule keeps none
+	counts     []int       // routed rows per gid
+	// Filtered is how many input rows the task dropped.
 	Filtered int64
+	dims     int
+	row      func(i int) point.Point // the task's input
 }
 
 // Shuffle gathers map outputs into per-group row blocks in ascending
 // group id order — the coordinator-side shuffle of the RPC and
-// shared-memory substrates — and sums the filter drops. The order of the
-// groups, and so of phase 3's rows, does not depend on which rows the
-// map tasks dropped or in which order their outputs arrive. A group's
-// rows are counted before they are copied, so its block and column are
-// allocated once at their exact size, and a group that one map output
-// alone contributed is passed through without a copy.
-// Z-address columns are concatenated alongside their blocks; a group
-// whose contributions do not all carry a consistent column loses it
-// (the reduce kernel then re-encodes, trading speed, never
-// correctness).
+// shared-memory substrates — and sums the filter drops: see gather.
 func Shuffle(outs []MapOutput) ([]Group, int64) {
-	type acc struct {
-		pieces []Group
-		rows   int
-		ok     bool // every contribution carries a column of the first's width
-	}
-	byGroup := map[int]*acc{}
-	var order []int
+	byGid, filtered := gather(nil, outs)
+	return nonEmpty(byGid), filtered
+}
+
+// gather copies the rows outs route into byGid, the groups indexed by
+// gid, and returns them with the outputs' summed drops. Each row is
+// copied once, straight from its map task's input, with its Z-address
+// beside it, in output order and then in each output's routing order.
+// Groups are indexed by id, so their order, and so phase 3's, does not
+// depend on which rows the map tasks dropped or on the order of the
+// outputs. The counts are summed first, so a group grows once per call:
+// an empty one is allocated at its exact size. A file pass gathers each
+// wave into the groups of the waves before it. Every output comes from
+// one rule, so all share a row width and an address width.
+func gather(byGid []Group, outs []MapOutput) ([]Group, int64) {
 	var filtered int64
 	for _, out := range outs {
 		filtered += out.Filtered
-		for _, g := range out.Groups {
-			if g.Block.Dims <= 0 {
-				continue
-			}
-			a, seen := byGroup[g.Gid]
-			if !seen {
-				a = &acc{ok: g.ZCol.Words > 0}
-				byGroup[g.Gid] = a
-				order = append(order, g.Gid)
-			}
-			a.pieces = append(a.pieces, g)
-			a.rows += g.Len()
-			a.ok = a.ok && g.ZCol.Words == a.pieces[0].ZCol.Words && g.ZCol.Len() == g.Len()
+		for len(byGid) < len(out.counts) {
+			byGid = append(byGid, Group{Gid: len(byGid),
+				Block: point.Block{Dims: out.dims}, ZCol: zorder.ZCol{Words: out.z.Words}})
 		}
 	}
-	slices.Sort(order)
-	groups := make([]Group, len(order))
-	for i, gid := range order {
-		a := byGroup[gid]
-		g := a.pieces[0]
-		if len(a.pieces) > 1 {
-			bb := point.NewBlockBuilder(g.Block.Dims, a.rows)
-			zc := zorder.ZCol{Words: g.ZCol.Words}
-			if a.ok {
-				zc.Data = make([]uint64, 0, a.rows*zc.Words)
-			}
-			for _, p := range a.pieces {
-				bb.AppendBlock(p.Block)
-				if a.ok {
-					zc.AppendCol(p.ZCol)
-				}
-			}
-			g.Block, g.ZCol = bb.Build(), zc
+	need := make([]int, len(byGid))
+	for _, out := range outs {
+		for gid, c := range out.counts {
+			need[gid] += c
 		}
-		if !a.ok {
-			g.ZCol = zorder.ZCol{}
-		}
-		groups[i] = g
 	}
-	return groups, filtered
+	for gid, c := range need {
+		g := &byGid[gid]
+		g.Block.Data = reserve(g.Block.Data, c*g.Block.Dims)
+		g.ZCol.Data = reserve(g.ZCol.Data, c*g.ZCol.Words)
+	}
+	for _, out := range outs {
+		for k, pos := range out.rows {
+			g := &byGid[out.gids[k]]
+			g.Block.Data = append(g.Block.Data, out.row(int(pos))...)
+			if g.ZCol.Words > 0 {
+				g.ZCol.AppendRow(out.z, k)
+			}
+		}
+	}
+	return byGid, filtered
+}
+
+// nonEmpty returns the groups of byGid that hold a row, in ascending id.
+func nonEmpty(byGid []Group) []Group {
+	return slices.DeleteFunc(byGid, func(g Group) bool { return g.Len() == 0 })
+}
+
+// reserve returns s with room for n more elements: exactly n when s is
+// nil and n is not 0, else as append grows.
+func reserve[E any](s []E, n int) []E {
+	if s == nil && n > 0 {
+		return make([]E, 0, n)
+	}
+	return slices.Grow(s, n)
 }
 
 // cuts splits n input rows into the map tasks' [lo,hi) row ranges:

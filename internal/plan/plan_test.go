@@ -94,10 +94,34 @@ func TestSpecCuts(t *testing.T) {
 	}
 }
 
+// mapped builds the output of a map task whose input is gs's rows, in
+// order, each routed to its group, with its Z-address when gs carry
+// columns (all or none do), and filtered dropped rows.
+func mapped(filtered int64, gs ...Group) MapOutput {
+	out := MapOutput{Filtered: filtered, z: zorder.ZCol{Words: gs[0].ZCol.Words}, dims: gs[0].Block.Dims}
+	var in []point.Point
+	for _, g := range gs {
+		for len(out.counts) <= g.Gid {
+			out.counts = append(out.counts, 0)
+		}
+		for i := 0; i < g.Len(); i++ {
+			out.rows = append(out.rows, int32(len(in)))
+			out.gids = append(out.gids, int32(g.Gid))
+			in = append(in, g.Block.Row(i))
+			if g.ZCol.Words > 0 {
+				out.z.AppendAddr(g.ZCol.At(i))
+			}
+		}
+		out.counts[g.Gid] += g.Len()
+	}
+	out.row = func(i int) point.Point { return in[i] }
+	return out
+}
+
 func TestShuffleDeterministicOrder(t *testing.T) {
 	outs := []MapOutput{
-		{Groups: []Group{NewGroup(3, 1, []point.Point{{1}}), NewGroup(1, 1, []point.Point{{2}})}, Filtered: 2},
-		{Groups: []Group{NewGroup(1, 1, []point.Point{{3}}), NewGroup(0, 1, []point.Point{{4}})}, Filtered: 1},
+		mapped(2, NewGroup(3, 1, []point.Point{{1}}), NewGroup(1, 1, []point.Point{{2}})),
+		mapped(1, NewGroup(1, 1, []point.Point{{3}}), NewGroup(0, 1, []point.Point{{4}})),
 	}
 	groups, filtered := Shuffle(outs)
 	if filtered != 3 {
@@ -117,10 +141,10 @@ func TestShuffleDeterministicOrder(t *testing.T) {
 	}
 }
 
-// Shuffle counts a group's rows before it copies them: a group that
-// several map outputs contribute to gets one block and one column at
-// exactly their summed size, and a group that one output alone
-// contributes is passed through, sharing that output's arrays.
+// Shuffle counts a group's rows before it copies them: every group, fed
+// by several map outputs or by one, gets one block and one column at
+// exactly their summed size, holding its rows in output order, then in
+// each output's routing order.
 func TestShuffleAllocatesOnce(t *testing.T) {
 	withZ := func(g Group) Group {
 		g.ZCol = zorder.ZCol{Words: 1}
@@ -137,33 +161,27 @@ func TestShuffleAllocatesOnce(t *testing.T) {
 		return pts
 	}
 	outs := []MapOutput{
-		{Groups: []Group{withZ(NewGroup(0, 2, rows(3))), withZ(NewGroup(1, 2, rows(5)))}},
-		{Groups: []Group{withZ(NewGroup(0, 2, rows(4)))}},
-		{Groups: []Group{withZ(NewGroup(0, 2, rows(6)))}},
+		mapped(0, withZ(NewGroup(0, 2, rows(3))), withZ(NewGroup(1, 2, rows(5)))),
+		mapped(0, withZ(NewGroup(0, 2, rows(4)))),
+		mapped(0, withZ(NewGroup(0, 2, rows(6)))),
 	}
 	groups, _ := Shuffle(outs)
 	if len(groups) != 2 {
 		t.Fatalf("%d groups, want 2", len(groups))
 	}
-	multi, single := groups[0], groups[1]
-	if multi.Len() != 13 || cap(multi.Block.Data) != 13*2 || multi.ZCol.Len() != 13 || cap(multi.ZCol.Data) != 13 {
-		t.Errorf("group 0: %d rows, block cap %d, column %d rows cap %d; want 13 rows at exact capacity",
-			multi.Len(), cap(multi.Block.Data), multi.ZCol.Len(), cap(multi.ZCol.Data))
+	for _, tc := range []struct {
+		g    Group
+		rows int
+	}{{groups[0], 13}, {groups[1], 5}} {
+		g := tc.g
+		if g.Len() != tc.rows || cap(g.Block.Data) != tc.rows*2 || g.ZCol.Len() != tc.rows || cap(g.ZCol.Data) != tc.rows {
+			t.Errorf("group %d: %d rows, block cap %d, column %d rows cap %d; want %d rows at exact capacity",
+				g.Gid, g.Len(), cap(g.Block.Data), g.ZCol.Len(), cap(g.ZCol.Data), tc.rows)
+		}
 	}
+	multi := groups[0]
 	if !multi.Block.Row(3).Equal(point.Point{0, 4}) || !multi.Block.Row(7).Equal(point.Point{0, 6}) || multi.ZCol.At(12)[0] != 5 {
 		t.Errorf("group 0 rows out of output order: %v %v %v", multi.Block.Row(3), multi.Block.Row(7), multi.ZCol.At(12))
-	}
-	in := outs[0].Groups[1]
-	if single.Len() != 5 || &single.Block.Data[0] != &in.Block.Data[0] || &single.ZCol.Data[0] != &in.ZCol.Data[0] {
-		t.Errorf("group 1 was copied, not passed through")
-	}
-	// One contribution whose column does not line up: the block passes
-	// through and the column is dropped.
-	bad := withZ(NewGroup(2, 2, rows(3)))
-	bad.ZCol.Data = bad.ZCol.Data[:2]
-	groups, _ = Shuffle([]MapOutput{{Groups: []Group{bad}}})
-	if g := groups[0]; &g.Block.Data[0] != &bad.Block.Data[0] || g.ZCol.Len() != 0 {
-		t.Errorf("misaligned single contribution: copied or kept its %d-row column", g.ZCol.Len())
 	}
 }
 
@@ -174,14 +192,15 @@ func TestShuffleOrderIgnoresMapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	outs := make([]MapOutput, 6)
 	for i := range outs {
+		var gs []Group
 		for _, gid := range rng.Perm(9)[:1+rng.Intn(4)] {
 			pts := make([]point.Point, 1+rng.Intn(3))
 			for k := range pts {
 				pts[k] = point.Point{float64(i), float64(gid), float64(k)}
 			}
-			outs[i].Groups = append(outs[i].Groups, NewGroup(gid, 3, pts))
+			gs = append(gs, NewGroup(gid, 3, pts))
 		}
-		outs[i].Filtered = int64(i)
+		outs[i] = mapped(int64(i), gs...)
 	}
 	key := func(groups []Group) string {
 		var b strings.Builder
@@ -256,7 +275,7 @@ func TestRuleDataRoundTrip(t *testing.T) {
 				t.Fatalf("%v %s: the broadcast rule computes %d rows, the original %d", st, what, b.Len(), a.Len())
 			}
 		}
-		routed := r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups
+		routed, _ := Shuffle([]MapOutput{r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)})
 		if len(routed) < 2 {
 			t.Fatalf("%v: %d routed groups: nothing to merge", st, len(routed))
 		}
@@ -290,7 +309,8 @@ func TestLocalSkylineRowsSelectCandidates(t *testing.T) {
 				spec.Dominance, spec.Local, spec.Merge = desc, local, merge
 				r := learnRule(t, spec, ds)
 				label := fmt.Sprintf("%s/%v/%v", prov.Name(), local, merge)
-				for _, g := range r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil).Groups {
+				groups, _ := Shuffle([]MapOutput{r.MapBlock(point.BlockOf(ds.Dims, ds.Points), nil)})
+				for _, g := range groups {
 					rows := r.LocalSkylineRows(g, nil)
 					seen := make(map[int32]bool, len(rows))
 					for _, p := range rows {

@@ -45,11 +45,6 @@ type Rule struct {
 	// the Z-address into a partition, then map partition -> group.
 	pivots  []zorder.ZAddr
 	groupOf map[int]int
-	// groupSample counts the sample rows of each group's partitions;
-	// over sampleSize it is the group's expected share of the routed
-	// rows, which sizes the map's arenas (see hint). Nil for the
-	// baselines.
-	groupSample []int
 	// szb is Algorithm 3's SZB filter: a ZB-tree over the repBudget
 	// sample-skyline rows of largest dominance volume; nil when the
 	// strategy or the relation does not filter. top is the componentwise
@@ -58,9 +53,6 @@ type Rule struct {
 	// Nil when szb is nil or holds no row.
 	szb *zbtree.BlockTree
 	top []float64
-	// sampleSize is |sample|; with skySize it predicts the filter's
-	// survivor count (see hint).
-	sampleSize int
 
 	dims       int
 	bits       int
@@ -178,12 +170,6 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	r.groups = pg.Groups
 	r.parts = zc.N()
 	r.pruned = len(pg.Pruned)
-	r.groupSample = make([]int, r.groups)
-	for _, in := range zc.Infos() {
-		if gid, ok := r.groupOf[in.ID]; ok {
-			r.groupSample[gid] += in.Count
-		}
-	}
 	return r, nil
 }
 
@@ -214,7 +200,7 @@ func (r *Rule) sampleSkyline(blk point.Block, zc zorder.ZCol, index bool, tally 
 		}
 		r.szb = zbtree.BuildRows(st, r.fanout, reps, nil)
 	}
-	r.skySize, r.sampleSize = sky.Len(), blk.Len()
+	r.skySize = sky.Len()
 	return skyZ
 }
 
@@ -376,24 +362,25 @@ func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 const cancelStride = 1024
 
 // mapRows is phase 2's map task over n rows, wherever they lie: filter
-// each row against the SZB-tree and route the survivors to their groups
-// (first-seen order). There is no combine: the reduce computes each
-// group's skyline over the union anyway. Routing reuses one router's
-// scratch across all rows and routed rows accumulate in per-group
-// arenas sized by hint, so the per-row cost is zero allocations. On the
-// Z-order paths under Pareto the address computed for routing is
-// appended to the group's Z-address column, so it is encoded exactly
-// once per query: shuffle, reduce, and merge reuse it. Once ctx is done
-// the task stops mid-way and returns nothing; the executor reports
-// ctx.Err().
+// each row against the SZB-tree and route the survivors to their groups.
+// There is no combine: the reduce computes each group's skyline over
+// the union anyway. The task copies no row: it lists the routed rows'
+// positions and groups, which Shuffle copies from row, and routing
+// reuses one router's scratch across all rows, so the task allocates
+// only as its lists grow. On the Z-order paths under Pareto the address
+// computed for routing is listed beside its row, so it is encoded
+// exactly once per query: shuffle, reduce, and merge reuse it. Once ctx
+// is done the task stops mid-way and returns nothing; the executor
+// reports ctx.Err().
 func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
 	// Under a non-Pareto relation survivors travel without a column; the
 	// reduce encodes what its store needs.
-	keepZ := r.assignFn == nil && r.pareto()
+	w := 0
+	if r.assignFn == nil && r.pareto() {
+		w = r.enc.Words()
+	}
 	rt := r.newRouter()
-	at := map[int]int{} // gid -> its index in out.Groups and arenas
-	var arenas []*point.BlockBuilder
-	var out MapOutput
+	out := MapOutput{z: zorder.ZCol{Words: w}, counts: make([]int, r.groups), dims: r.dims, row: row}
 	for i := 0; i < n; i++ {
 		if i%cancelStride == 0 && ctx.Err() != nil {
 			return MapOutput{}
@@ -407,48 +394,26 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 			out.Filtered++
 			continue
 		}
-		k, seen := at[gid]
-		if !seen {
-			k = len(arenas)
-			at[gid] = k
-			hint := r.hint(gid, n)
-			arenas = append(arenas, point.NewBlockBuilder(r.dims, hint))
-			out.Groups = append(out.Groups, Group{Gid: gid})
-			if keepZ {
-				w := r.enc.Words()
-				out.Groups[k].ZCol = zorder.ZCol{Words: w, Data: make([]uint64, 0, hint*w)}
-			}
+		if len(out.rows) == cap(out.rows) {
+			// Doubling from 256, capped at n, copies each position about
+			// once; append's 1.25× growth of large slices copies it
+			// several times, and n up front holds room for every row the
+			// filter drops.
+			c := min(max(2*cap(out.rows), 256), n)
+			out.rows = append(make([]int32, 0, c), out.rows...)
+			out.gids = append(make([]int32, 0, c), out.gids...)
+			out.z.Data = append(make([]uint64, 0, c*w), out.z.Data...)
 		}
-		arenas[k].Append(p)
-		if keepZ {
-			out.Groups[k].ZCol.AppendAddr(rt.z)
+		out.rows = append(out.rows, int32(i))
+		out.gids = append(out.gids, int32(gid))
+		if w > 0 {
+			out.z.AppendAddr(rt.z)
 		}
+		out.counts[gid]++
 	}
 	tally.AddPointsPruned(out.Filtered)
 	tally.Add(rt.tests)
-	for k, bb := range arenas {
-		out.Groups[k].Block = bb.Build()
-	}
 	return out
-}
-
-// hint sizes group gid's arena in a map task of n rows: the rows
-// expected to pass the SZB filter, times the group's share of the
-// sample. A row drawn like the sample escapes the whole sample skyline
-// about as often as a sample row sits on it, so the survivors are
-// about n·|sample skyline|/|sample|, plus slack. The filter probes only
-// the representatives and lets more rows through; append growth
-// absorbs the miss. The baselines learn no shares and grow their
-// arenas as rows arrive.
-func (r *Rule) hint(gid, n int) int {
-	if r.groupSample == nil {
-		return 0
-	}
-	survivors := n
-	if r.szb != nil {
-		survivors = min(n, n*r.skySize/r.sampleSize+n/16+16)
-	}
-	return survivors * r.groupSample[gid] / r.sampleSize
 }
 
 // MergeGroupsZ is one merge task over candidate groups, in the given

@@ -147,8 +147,10 @@ func RunFile(ctx context.Context, spec *Spec, path string, ex Executor, tally *m
 type input interface {
 	// scan is phase 1's read: the rows' width, count, bounds and sample.
 	scan(ctx context.Context, d *driver) (scanned, error)
-	// mapCuts runs the map task of every cut on the pool, in cut order.
-	mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error)
+	// mapCuts runs the map task of every cut on the pool and gathers
+	// the routed rows into their groups in cut order, returning them
+	// and the count of rows the tasks dropped.
+	mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]Group, int64, error)
 	// each streams every row through f, one block at a time.
 	each(spec *Spec, f func(point.Block) error) error
 }
@@ -170,9 +172,7 @@ func (d *driver) run(ctx context.Context, in input) ([]point.Point, *Report, err
 	if r == nil {
 		return nil, d.rep, nil
 	}
-	groups, err := d.phase2(ctx, r, len(cuts), func(mctx context.Context) ([]MapOutput, error) {
-		return in.mapCuts(mctx, d, r, cuts)
-	})
+	groups, err := d.phase2(ctx, r, in, cuts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,13 +233,14 @@ func (m memInput) scan(ctx context.Context, d *driver) (scanned, error) {
 	return sc, smpErr
 }
 
-func (m memInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error) {
+func (m memInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]Group, int64, error) {
 	outs := make([]MapOutput, len(cuts))
 	err := d.ex.pool().FanOut(ctx, len(cuts), func(i int) {
 		rows := m.ds.Points[cuts[i][0]:cuts[i][1]]
 		outs[i] = r.mapRows(ctx, len(rows), func(j int) point.Point { return rows[j] }, d.tally)
 	})
-	return outs, err
+	groups, filtered := Shuffle(outs)
+	return groups, filtered, err
 }
 
 func (m memInput) each(_ *Spec, f func(point.Block) error) error {
@@ -273,16 +274,23 @@ func (fi fileInput) scan(_ context.Context, d *driver) (in scanned, err error) {
 	return in, err
 }
 
-func (fi fileInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]MapOutput, error) {
+// mapCuts gathers each wave's routed rows as soon as its tasks end, so
+// the wave's blocks are dropped before the next wave is read.
+func (fi fileInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]int) ([]Group, int64, error) {
 	pool := d.ex.pool()
-	outs := make([]MapOutput, 0, len(cuts))
+	var byGid []Group
+	var filtered int64
 	wave := make([]point.Block, 0, pool.workers)
 	flush := func() error {
 		got := make([]MapOutput, len(wave))
 		err := pool.FanOut(ctx, len(wave), func(i int) {
 			got[i] = r.mapRows(ctx, wave[i].Len(), wave[i].Row, d.tally)
 		})
-		outs, wave = append(outs, got...), wave[:0]
+		var f int64
+		byGid, f = gather(byGid, got)
+		filtered += f
+		clear(wave)
+		wave = wave[:0]
 		return err
 	}
 	n := cuts[len(cuts)-1][1]
@@ -300,7 +308,7 @@ func (fi fileInput) mapCuts(ctx context.Context, d *driver, r *Rule, cuts [][2]i
 	if err == nil && len(wave) > 0 {
 		err = flush()
 	}
-	return outs, err
+	return nonEmpty(byGid), filtered, err
 }
 
 func (fi fileInput) each(spec *Spec, f func(point.Block) error) error {
@@ -409,20 +417,19 @@ func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in inpu
 	return cand.Points(), err
 }
 
-// phase2 is phase 2 (§5.2): maps runs the phase's map tasks (tasks of
-// them) under the taxonomy's map span; their survivors are shuffled into
-// groups, what each group receives is recorded, and every group is
-// reduced to its skyline candidates under the local-skyline span.
-func (d *driver) phase2(ctx context.Context, r *Rule, tasks int, maps func(context.Context) ([]MapOutput, error)) ([]Group, error) {
+// phase2 is phase 2 (§5.2): the map task of every cut of in runs under
+// the taxonomy's map span, and its survivors are gathered into groups;
+// what each group receives is recorded, and every group is reduced to
+// its skyline candidates under the local-skyline span.
+func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) ([]Group, error) {
 	start := time.Now()
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
-	mapSpan.SetAttr("tasks", tasks)
-	outs, err := maps(mctx)
+	mapSpan.SetAttr("tasks", len(cuts))
+	groups, filtered, err := in.mapCuts(mctx, d, r, cuts)
 	if err != nil {
 		mapSpan.End()
 		return nil, err
 	}
-	groups, filtered := Shuffle(outs)
 	mapSpan.SetAttr("filtered", filtered)
 	mapSpan.End()
 	d.rep.Filtered = filtered

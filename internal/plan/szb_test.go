@@ -32,9 +32,7 @@ func runRule(t *testing.T, spec *Spec, ds *point.Dataset, r *Rule, tally *metric
 	d := newDriver(spec, NewLocalExec(2), tally)
 	in, cuts := memInput{ds}, spec.cuts(ds.Len())
 	d.rep.Groups = r.groups
-	groups, err := d.phase2(ctx, r, len(cuts), func(mctx context.Context) ([]MapOutput, error) {
-		return in.mapCuts(mctx, d, r, cuts)
-	})
+	groups, err := d.phase2(ctx, r, in, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
