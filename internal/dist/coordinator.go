@@ -1038,10 +1038,10 @@ func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
 
 // RunReduces implements plan.Executor via Worker.ReduceGroup RPCs: each
 // group's rows and Z-column travel out once and its skyline comes back
-// as positions into it, which checkReduceRows vets before the group's
-// candidates are copied out of the coordinator's own rows.
-func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
-	outs := make([]plan.Group, len(groups))
+// as positions into it, which checkReduceRows vets before phase 3
+// gathers the candidates out of the coordinator's own rows.
+func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([][]int32, error) {
+	rows := make([][]int32, len(groups))
 	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
 		var reply ReduceRowsReply
 		_, err := ex.c.call(ctx, "Worker.ReduceGroup",
@@ -1050,11 +1050,11 @@ func (ex *rpcExec) RunReduces(ctx context.Context, r *plan.Rule, groups []plan.G
 			err = checkReduceRows(groups[i], reply.Rows)
 		}
 		if err == nil {
-			outs[i] = r.Candidates(groups[i], reply.Rows)
+			rows[i] = reply.Rows
 		}
 		return err
 	})
-	return outs, err
+	return rows, err
 }
 
 // checkReduceRows verifies what the merge takes on trust from a

@@ -19,6 +19,7 @@ import (
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 	"zskyline/internal/transport"
+	"zskyline/internal/zorder"
 )
 
 // batchQuery is one way to ask a Coordinator for a batch skyline.
@@ -221,6 +222,62 @@ func TestCoordinatorRejectsBadReduceReply(t *testing.T) {
 				t.Errorf("query event error=%q message=%q, want fatal / %q", last.Error, last.Message, err)
 			}
 		})
+	}
+}
+
+// TestRPCReducesReturnPositions: the RPC executor's reduce answers with
+// the positions its workers reply, once vetted, and they are the
+// positions the in-process reduce computes, group by group and in order:
+// under Pareto, where every group carries its column, and under
+// k-dominance, where a group's skyline can be empty and its reply an
+// empty list.
+func TestRPCReducesReturnPositions(t *testing.T) {
+	coord, err := NewCoordinator(ftConfig(), startCluster(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := context.Background()
+	blk := point.BlockOf(4, gen.Synthetic(gen.AntiCorrelated, 3000, 4, 5).Points)
+	for name, desc := range map[string]dominance.Descriptor{"pareto": {}, "kdom:3": {Kind: dominance.KindKDom, K: 3}} {
+		rd := plan.RuleData{Dims: 4, Bits: 12, Mins: []float64{0, 0, 0, 0}, Maxs: []float64{1, 1, 1, 1},
+			Local: plan.ZS, Merge: plan.MergeZM, Dominance: desc}
+		rule, err := plan.FromData(&rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []plan.Group
+		for i, b := range blk.SplitN(3) {
+			g := plan.Group{Gid: i, Block: b}
+			if name == "pareto" {
+				g.ZCol = rule.Encoder().EncodeBlock(zorder.ZCol{}, b)
+			}
+			groups = append(groups, g)
+		}
+		ex := &rpcExec{LocalExec: coord.exec, c: coord}
+		if err := ex.Broadcast(ctx, rule); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ex.RunReduces(ctx, rule, groups, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := plan.NewLocalExec(1).RunReduces(ctx, rule, groups, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty := 0
+		for i := range groups {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%s: group %d: %d positions from the workers, %d in process", name, i, len(got[i]), len(want[i]))
+			}
+			if len(want[i]) == 0 {
+				empty++
+			}
+		}
+		if name == "kdom:3" && empty == 0 {
+			t.Errorf("%s: no group has an empty skyline; the empty reply was not exercised", name)
+		}
 	}
 }
 

@@ -281,7 +281,7 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 
 // rangeSkyline is the shard skyline restricted to rng, from the rows:
 // filter each batch, concatenate, run the shard-local kernel.
-// MergeGroupsZ would be wrong here: it assumes its inputs are already
+// Phase 3's merge would be wrong here: it assumes its inputs are already
 // candidate skylines and only eliminates across groups.
 func rangeSkyline(r *plan.Rule, groups []plan.Group, rng zorder.Range) plan.Group {
 	filtered := make([]plan.Group, 0, len(groups))

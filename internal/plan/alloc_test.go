@@ -96,13 +96,14 @@ func TestParetoProviderNoRegression(t *testing.T) {
 	}
 }
 
-// A map task lists its routed rows by position and the gather copies
-// each once into a group sized exactly, so over anti-correlated rows,
-// where five in six pass the filter, map plus gather allocate at most
-// twice the bytes of the survivors they return (packed rows plus
-// Z-column), over one, two or four map tasks, at parallel's M = 2 and
-// core's M = 32 alike. Per-task arenas that the gather copied again took
-// up to three times, at two tasks or more.
+// A map task lists its routed rows by position in chunks it never
+// copies, and the gather copies each row once into a group sized
+// exactly, so over anti-correlated rows, where five in six pass the
+// filter, map plus gather allocate at most 1.4 times the bytes of the
+// survivors they return (packed rows plus Z-column), over one, two or
+// four map tasks, at parallel's M = 2 and core's M = 32 alike: the lists
+// cost 24 bytes a routed row against a survivor's 80, and measure 1.33
+// to 1.34 times.
 func TestMapBlockBytesNearSurvivors(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 16000, 8, 42)
 	blk := point.BlockOf(ds.Dims, ds.Points)
@@ -132,8 +133,8 @@ func TestMapBlockBytesNearSurvivors(t *testing.T) {
 			if filtered == 0 || survivors == 0 {
 				t.Fatalf("%s: filtered %d rows, kept %d B", label, filtered, survivors)
 			}
-			if got > 2*uint64(survivors) {
-				t.Errorf("%s: map and gather allocated %d B, over twice their %d B of survivors", label, got, survivors)
+			if got*10 > 14*uint64(survivors) {
+				t.Errorf("%s: map and gather allocated %d B, over 1.4 times their %d B of survivors", label, got, survivors)
 			}
 		}
 	}

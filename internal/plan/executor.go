@@ -13,8 +13,11 @@ import (
 // Executor runs the pipeline's reduce tasks on some substrate; the map
 // tasks run on its in-process pool, next to the input. Implementations
 // decide placement, transport, and fault handling; the phase semantics
-// stay in plan. Bulk data crosses the interface as point.Blocks —
-// contiguous batches that substrates can ship as single payloads.
+// stay in plan. Routed rows cross the interface as point.Blocks —
+// contiguous batches that substrates can ship as single payloads — and
+// a reduce answers with positions into the block it was handed, which
+// phase 3 gathers its candidates from, so no candidate is copied before
+// phase 3's store.
 //
 // Error contract: the driver (Run, RunFile, MergePhase) returns
 // executor errors unwrapped, so typed sentinels an implementation
@@ -32,9 +35,11 @@ type Executor interface {
 	// Broadcast installs the rule wherever tasks will run (the paper's
 	// distributed-cache step). In-process executors may no-op.
 	Broadcast(ctx context.Context, r *Rule) error
-	// RunReduces executes r.LocalSkylineGroup over each group, preserving
-	// group order and ids.
-	RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error)
+	// RunReduces computes each group's local skyline, as
+	// r.LocalSkylineRows would: rows[i] lists the positions in groups[i]
+	// of its skyline rows, in the kernel's output order, each a row of
+	// the group and none twice.
+	RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (rows [][]int32, err error)
 	// pool is the in-process pool the map tasks and phase 3 run on: the
 	// driver reads the input where it lies and the candidates land
 	// there. An executor gets it by embedding *LocalExec.
@@ -110,12 +115,12 @@ func (ex *LocalExec) FanOut(ctx context.Context, n int, f func(i int)) error {
 const splitChunks = 2
 
 // RunReduces implements Executor.
-func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error) {
-	outs := make([]Group, len(groups))
+func (ex *LocalExec) RunReduces(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) ([][]int32, error) {
+	rows := make([][]int32, len(groups))
 	err := ex.FanOut(ctx, len(groups), func(i int) {
-		outs[i] = r.LocalSkylineGroup(groups[i], tally)
+		rows[i] = r.LocalSkylineRows(groups[i], tally)
 	})
-	return outs, err
+	return rows, err
 }
 
 func (ex *LocalExec) pool() *LocalExec { return ex }

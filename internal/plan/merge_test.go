@@ -39,8 +39,8 @@ func mergeInputs(d int) map[string]*point.Dataset {
 }
 
 // candidates runs phases 1 and 2 of spec over a ZSKY copy of ds on ex
-// as RunFile does, and returns the rule and the groups phase 3 is
-// handed.
+// as RunFile does, and returns the rule and the candidates phase 3 is
+// handed, each group's copied out as its own group by Candidates.
 func candidates(t testing.TB, spec *Spec, ds *point.Dataset, ex *LocalExec) (*Rule, []Group) {
 	t.Helper()
 	d := newDriver(spec, ex, nil)
@@ -49,9 +49,13 @@ func candidates(t testing.TB, spec *Spec, ds *point.Dataset, ex *LocalExec) (*Ru
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := d.phase2(context.Background(), r, in, cuts)
+	parts, err := d.phase2(context.Background(), r, in, cuts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	groups := make([]Group, len(parts))
+	for i, p := range parts {
+		groups[i] = r.Candidates(p.g, p.rows)
 	}
 	return r, groups
 }
@@ -117,7 +121,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 					}
 
 					r, groups := candidates(t, spec, ds, ex)
-					got, err := ex.merge(context.Background(), r, groups, nil)
+					got, err := ex.merge(context.Background(), r, whole(groups), nil)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -136,7 +140,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 }
 
 // TestPairMergeMatchesMergeGroupsZ: two groups merge as a two-sided
-// probe on the pool; the result must be the merge MergeGroupsZ computes,
+// probe on the pool; the result must be the merge mergeGroupsZ computes,
 // as a set, with a column that still lines up — including when one side
 // is empty or the sides share coordinate-equal rows.
 func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
@@ -151,11 +155,11 @@ func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 	ex := NewLocalExec(4)
 	for name, pair := range map[string][]Group{"a+b": {a, b}, "a+a": {a, dup}, "a+empty": {a, empty},
 		"empty+b": {empty, b}, "empty+empty": {empty, empty}} {
-		got, err := ex.merge(context.Background(), r, pair, nil)
+		got, err := ex.merge(context.Background(), r, whole(pair), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSet(t, got.Points(), r.MergeGroupsZ(pair, nil).Points(), name)
+		sameSet(t, got.Points(), r.mergeGroupsZ(whole(pair), nil).Points(), name)
 		zc := r.Encoder().EncodeBlock(zorder.ZCol{}, got.Block)
 		if got.Block.Dims != ds.Dims || got.ZCol.Len() != got.Len() || string(mustBinary(t, zc)) != string(mustBinary(t, got.ZCol)) {
 			t.Errorf("%s: merged column does not match its rows", name)
@@ -180,16 +184,16 @@ func TestPerGroupTreesTestLess(t *testing.T) {
 			t.Fatalf("M=%d: %d groups against a threshold of %d", m, len(groups), perGroupTrees)
 		}
 		var one, per metrics.Tally
-		whole, err := ex.probeGroups(context.Background(), r, groups, every, &one)
+		oneTree, err := ex.probeGroups(context.Background(), r, whole(groups), every, &one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		each, err := ex.probeGroups(context.Background(), r, groups, others, &per)
+		each, err := ex.probeGroups(context.Background(), r, whole(groups), others, &per)
 		if err != nil {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("M=%d", m)
-		sameSet(t, each.Points(), whole.Points(), label)
+		sameSet(t, each.Points(), oneTree.Points(), label)
 		o, p := one.Snapshot().DominanceTests, per.Snapshot().DominanceTests
 		t.Logf("%s: %d survivors; dominance tests one tree %d, per-group trees %d", label, each.Len(), o, p)
 		if p >= o {
@@ -215,7 +219,7 @@ func TestMergePhaseCancelled(t *testing.T) {
 	groups := []Group{NewGroup(0, 2, []point.Point{{0.1, 0.1}}), equal(1), equal(2)}
 
 	total := 1 + 6*cancelStride
-	st, _ := r.candidateStore(groups, total)
+	st, _ := r.candidateStore(whole(groups))
 	m := newProbeMerge(st, [][2]int32{{0, int32(total)}}, every)
 	m.cut(0, 1)
 	m.build(0, r.fanout)

@@ -251,15 +251,16 @@ func (f *Fold) Skyline() Group { return f.sky }
 // first, then Z-merged into the kept one, even an empty one, on a store
 // that carries the rule's relation, so the result is always Z-sorted.
 // Z-merge is exact under any transitive relation, which is all Add
-// accepts. The batch's rows come after the kept rows in the merge's
-// store, which is how the survivors are counted. Under another relation
-// than Pareto the skyline drops its column, like a local skyline.
+// accepts. The batch's skyline is gathered into the merge's store
+// straight from g, after the kept rows, which is how the survivors are
+// counted. Under another relation than Pareto the skyline drops its
+// column, like a local skyline.
 func (f *Fold) Add(g Group) (added int) {
 	if g.Len() == 0 {
 		return 0
 	}
-	batch := f.r.LocalSkylineGroup(g, f.tally)
-	st, ranges := f.r.candidateStore([]Group{f.sky, batch}, f.sky.Len()+batch.Len())
+	batch := pick(g, f.r.LocalSkylineRows(g, f.tally))
+	st, ranges := f.r.candidateStore([]part{{g: f.sky}, batch})
 	rows := f.r.zmerge(st, ranges, f.tally)
 	for _, row := range rows {
 		if row >= ranges[1][0] {
@@ -274,21 +275,80 @@ func (f *Fold) Add(g Group) (added int) {
 	return added
 }
 
+// part is one candidate group as phase 3 takes it: the rows of g at
+// rows, in that order, or every row of g when rows is nil. A reduce
+// names its local skyline by position, so phase 3 copies each
+// candidate once, out of the group the map gathered, into its store.
+type part struct {
+	g    Group
+	rows []int32
+}
+
+// pick is the part of g at rows, as a local skyline kernel returns
+// them; nil rows pick none.
+func pick(g Group, rows []int32) part {
+	if rows == nil {
+		rows = []int32{}
+	}
+	return part{g: g, rows: rows}
+}
+
+// whole is every row of each group, one part per group.
+func whole(groups []Group) []part {
+	parts := make([]part, len(groups))
+	for i, g := range groups {
+		parts[i].g = g
+	}
+	return parts
+}
+
+// len returns the part's row count.
+func (p part) len() int {
+	if p.rows == nil {
+		return p.g.Len()
+	}
+	return len(p.rows)
+}
+
+// partsLen returns the parts' total row count.
+func partsLen(parts []part) int {
+	n := 0
+	for _, p := range parts {
+		n += p.len()
+	}
+	return n
+}
+
 // MapOutput is one map task's result. It copies no row: it lists the
 // rows the task routed by their positions in its input, in input order,
 // with each row's group and, on the Z-order paths under Pareto, its
-// Z-address, and it counts the rows of each group and the input rows
-// the task dropped (SZB-tree filter or pruned partitions). Shuffle
-// reads the routed rows from the task's input, which must stay
-// unchanged until then.
+// Z-address, and it counts the input rows the task dropped (SZB-tree
+// filter or pruned partitions). Shuffle reads the routed rows from the
+// task's input, which must stay unchanged until then.
 type MapOutput struct {
-	rows, gids []int32     // routed rows' input positions and groups
-	z          zorder.ZCol // their addresses; empty when the rule keeps none
-	counts     []int       // routed rows per gid
+	lists  []routed // the routed rows' full chunks, in routing order
+	tail   routed   // the chunk after them, which may have room left
+	words  int      // address width; 0 when the rule keeps no addresses
+	groups int      // the rule's group count
 	// Filtered is how many input rows the task dropped.
 	Filtered int64
 	dims     int
 	row      func(i int) point.Point // the task's input
+}
+
+// routed is one chunk of a map task's lists, allocated at its full size
+// and never copied: routed rows' input positions, their groups and
+// their addresses (empty when the rule keeps none).
+type routed struct {
+	rows, gids []int32
+	z          zorder.ZCol
+}
+
+// newRouted allocates an empty chunk with room for c rows of w-word
+// addresses.
+func newRouted(c, w int) routed {
+	return routed{rows: make([]int32, 0, c), gids: make([]int32, 0, c),
+		z: zorder.ZCol{Words: w, Data: make([]uint64, 0, c*w)}}
 }
 
 // Shuffle gathers map outputs into per-group row blocks in ascending
@@ -305,40 +365,69 @@ func Shuffle(outs []MapOutput) ([]Group, int64) {
 // beside it, in output order and then in each output's routing order.
 // Groups are indexed by id, so their order, and so phase 3's, does not
 // depend on which rows the map tasks dropped or on the order of the
-// outputs. The counts are summed first, so a group grows once per call:
-// an empty one is allocated at its exact size. A file pass gathers each
-// wave into the groups of the waves before it. Every output comes from
-// one rule, so all share a row width and an address width.
+// outputs. The rows of each group are counted first, so a group grows
+// once per call, and the groups that are still empty share one block
+// arena and one column arena, each cut at its exact size: two
+// allocations, with no size-class slack per group. A file pass gathers
+// each wave into the groups of the waves before it. Every output comes
+// from one rule, so all share a row width and an address width.
 func gather(byGid []Group, outs []MapOutput) ([]Group, int64) {
 	var filtered int64
 	for _, out := range outs {
 		filtered += out.Filtered
-		for len(byGid) < len(out.counts) {
+		for len(byGid) < out.groups {
 			byGid = append(byGid, Group{Gid: len(byGid),
-				Block: point.Block{Dims: out.dims}, ZCol: zorder.ZCol{Words: out.z.Words}})
+				Block: point.Block{Dims: out.dims}, ZCol: zorder.ZCol{Words: out.words}})
 		}
 	}
 	need := make([]int, len(byGid))
 	for _, out := range outs {
-		for gid, c := range out.counts {
-			need[gid] += c
+		for _, l := range out.lists {
+			l.count(need)
+		}
+		out.tail.count(need)
+	}
+	fresh := 0 // rows bound for groups that are still empty
+	for gid, c := range need {
+		if byGid[gid].Block.Data == nil {
+			fresh += c
 		}
 	}
-	for gid, c := range need {
-		g := &byGid[gid]
-		g.Block.Data = reserve(g.Block.Data, c*g.Block.Dims)
-		g.ZCol.Data = reserve(g.ZCol.Data, c*g.ZCol.Words)
+	if len(byGid) > 0 {
+		rows := make([]float64, fresh*byGid[0].Block.Dims)
+		zs := make([]uint64, fresh*byGid[0].ZCol.Words)
+		for gid, c := range need {
+			g := &byGid[gid]
+			g.Block.Data, rows = reserve(g.Block.Data, c*g.Block.Dims, rows)
+			g.ZCol.Data, zs = reserve(g.ZCol.Data, c*g.ZCol.Words, zs)
+		}
 	}
 	for _, out := range outs {
-		for k, pos := range out.rows {
-			g := &byGid[out.gids[k]]
-			g.Block.Data = append(g.Block.Data, out.row(int(pos))...)
-			if g.ZCol.Words > 0 {
-				g.ZCol.AppendRow(out.z, k)
-			}
+		for _, l := range out.lists {
+			l.copyTo(byGid, out.row)
 		}
+		out.tail.copyTo(byGid, out.row)
 	}
 	return byGid, filtered
+}
+
+// count adds the chunk's rows of each group to need, indexed by gid.
+func (l *routed) count(need []int) {
+	for _, gid := range l.gids {
+		need[gid]++
+	}
+}
+
+// copyTo appends the chunk's rows, read through row, and their
+// addresses to their groups in byGid.
+func (l *routed) copyTo(byGid []Group, row func(i int) point.Point) {
+	for k, pos := range l.rows {
+		g := &byGid[l.gids[k]]
+		g.Block.Data = append(g.Block.Data, row(int(pos))...)
+		if g.ZCol.Words > 0 {
+			g.ZCol.AppendRow(l.z, k)
+		}
+	}
 }
 
 // nonEmpty returns the groups of byGid that hold a row, in ascending id.
@@ -346,13 +435,14 @@ func nonEmpty(byGid []Group) []Group {
 	return slices.DeleteFunc(byGid, func(g Group) bool { return g.Len() == 0 })
 }
 
-// reserve returns s with room for n more elements: exactly n when s is
-// nil and n is not 0, else as append grows.
-func reserve[E any](s []E, n int) []E {
+// reserve returns s with room for n more elements, and what is left of
+// arena: a nil s takes exactly n off the arena's front, capped there so
+// it never appends into the next; any other s grows as append grows it.
+func reserve[E any](s []E, n int, arena []E) ([]E, []E) {
 	if s == nil && n > 0 {
-		return make([]E, 0, n)
+		return arena[:0:n], arena[n:]
 	}
-	return slices.Grow(s, n)
+	return slices.Grow(s, n), arena
 }
 
 // cuts splits n input rows into the map tasks' [lo,hi) row ranges:

@@ -96,23 +96,24 @@ func TestSpecCuts(t *testing.T) {
 
 // mapped builds the output of a map task whose input is gs's rows, in
 // order, each routed to its group, with its Z-address when gs carry
-// columns (all or none do), and filtered dropped rows.
+// columns (all or none do), and filtered dropped rows. Each group's rows
+// fill a list chunk of their own.
 func mapped(filtered int64, gs ...Group) MapOutput {
-	out := MapOutput{Filtered: filtered, z: zorder.ZCol{Words: gs[0].ZCol.Words}, dims: gs[0].Block.Dims}
+	w := gs[0].ZCol.Words
+	out := MapOutput{Filtered: filtered, words: w, dims: gs[0].Block.Dims}
 	var in []point.Point
 	for _, g := range gs {
-		for len(out.counts) <= g.Gid {
-			out.counts = append(out.counts, 0)
-		}
+		out.groups = max(out.groups, g.Gid+1)
+		l := newRouted(g.Len(), w)
 		for i := 0; i < g.Len(); i++ {
-			out.rows = append(out.rows, int32(len(in)))
-			out.gids = append(out.gids, int32(g.Gid))
+			l.rows = append(l.rows, int32(len(in)))
+			l.gids = append(l.gids, int32(g.Gid))
 			in = append(in, g.Block.Row(i))
-			if g.ZCol.Words > 0 {
-				out.z.AppendAddr(g.ZCol.At(i))
+			if w > 0 {
+				l.z.AppendAddr(g.ZCol.At(i))
 			}
 		}
-		out.counts[g.Gid] += g.Len()
+		out.lists = append(out.lists, l)
 	}
 	out.row = func(i int) point.Point { return in[i] }
 	return out
@@ -285,7 +286,7 @@ func TestRuleDataRoundTrip(t *testing.T) {
 			same(c1, c2, "local skyline")
 			cand1, cand2 = append(cand1, c1), append(cand2, c2)
 		}
-		same(r.MergeGroupsZ(cand1, nil), r2.MergeGroupsZ(cand2, nil), "merge")
+		same(r.mergeGroupsZ(whole(cand1), nil), r2.mergeGroupsZ(whole(cand2), nil), "merge")
 	}
 }
 

@@ -132,17 +132,20 @@ func (m *probeMerge) result() Group {
 // group, each candidate probing every other group's tree), and more
 // share one ZB-tree that every candidate probes. The trees answer under
 // the rule's relation. The ZS and SB recompute merges are one
-// MergeGroupsZ task.
-func (ex *LocalExec) merge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, error) {
+// mergeGroupsZ task. Every schedule gathers each candidate out of its
+// group once; a whole single group is returned as it is.
+func (ex *LocalExec) merge(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) (Group, error) {
 	switch {
 	case r.merge != MergeZM:
-		return ex.mergeOne(ctx, r, groups, tally)
-	case len(groups) == 1:
-		return groups[0], nil
-	case len(groups) <= perGroupTrees:
-		return ex.probeGroups(ctx, r, groups, others, tally)
+		return ex.mergeOne(ctx, r, parts, tally)
+	case len(parts) == 1 && parts[0].rows == nil:
+		return parts[0].g, nil
+	case len(parts) == 1:
+		return Group{Gid: parts[0].g.Gid, Block: parts[0].g.Block.Select(parts[0].rows)}, nil
+	case len(parts) <= perGroupTrees:
+		return ex.probeGroups(ctx, r, parts, others, tally)
 	}
-	return ex.probeGroups(ctx, r, groups, every, tally)
+	return ex.probeGroups(ctx, r, parts, every, tally)
 }
 
 // perGroupTrees is the most groups phase 3 gives a tree each. A group is
@@ -157,18 +160,14 @@ func (ex *LocalExec) merge(ctx context.Context, r *Rule, groups []Group, tally *
 // groups by its pool").
 const perGroupTrees = 4
 
-// probeGroups packs the groups into one store — a side each, or one
+// probeGroups gathers the parts into one store — a side each, or one
 // side for them all when the reach is every — and runs a probeMerge over
 // it: index the sides, probe a few row ranges per worker and side,
 // compact.
-func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, groups []Group, rc reach, tally *metrics.Tally) (Group, error) {
-	total := 0
-	for _, g := range groups {
-		total += g.Len()
-	}
-	st, sides := r.candidateStore(groups, total)
+func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc reach, tally *metrics.Tally) (Group, error) {
+	st, sides := r.candidateStore(parts)
 	if rc == every {
-		sides = [][2]int32{{0, int32(total)}}
+		sides = [][2]int32{{0, int32(st.Len())}}
 	}
 	m := newProbeMerge(st, sides, rc)
 	for side := range m.sides {
@@ -184,10 +183,10 @@ func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, groups []Group, r
 	return m.result(), nil
 }
 
-// mergeOne runs MergeGroupsZ over all the groups as one pool task.
-func (ex *LocalExec) mergeOne(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, error) {
+// mergeOne runs mergeGroupsZ over all the parts as one pool task.
+func (ex *LocalExec) mergeOne(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) (Group, error) {
 	var out Group
-	err := ex.FanOut(ctx, 1, func(int) { out = r.MergeGroupsZ(groups, tally) })
+	err := ex.FanOut(ctx, 1, func(int) { out = r.mergeGroupsZ(parts, tally) })
 	return out, err
 }
 

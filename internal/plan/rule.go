@@ -294,9 +294,12 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 	return lo
 }
 
-// LocalSkylineGroup is phase 2's reduce on the encode-once path: the
-// group's exact skyline under the rule's relation, copied out as
-// Candidates of the rows LocalSkylineRows keeps.
+// LocalSkylineGroup is the group's exact skyline under the rule's
+// relation, copied out as Candidates of the rows LocalSkylineRows keeps.
+// The pipeline's reduce stops at the positions and phase 3 gathers the
+// candidates itself; this copy is for callers that hold a skyline apart
+// from its group: a bench's stage replay, a window's rebuild, a shard's
+// range skyline.
 func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
 	return r.Candidates(g, r.LocalSkylineRows(g, tally))
 }
@@ -334,11 +337,12 @@ func (r *Rule) LocalSkylineRows(g Group, tally *metrics.Tally) []int32 {
 }
 
 // Candidates copies rows of g (positions LocalSkylineRows returned) out
-// as a candidate group. Under Pareto they carry their Z-address column,
-// selected from g's when g carries the rule's own and encoded
-// otherwise, unless the merge phase is SB, which has no use for one;
-// under any other relation they travel without one, like the map's
-// survivors.
+// as a candidate group of its own, for callers that keep it apart from
+// g; phase 3 gathers the same rows straight into its store instead.
+// Under Pareto they carry their Z-address column, selected from g's
+// when g carries the rule's own and encoded otherwise, unless the merge
+// phase is SB, which has no use for one; under any other relation they
+// travel without one, like the map's survivors.
 func (r *Rule) Candidates(g Group, rows []int32) Group {
 	out := Group{Gid: g.Gid, Block: g.Block.Select(rows)}
 	if len(rows) == 0 || r.merge == MergeSB || !r.pareto() {
@@ -361,17 +365,25 @@ func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 // at its context.
 const cancelStride = 1024
 
+// firstChunk is the most rows a map task's first list chunk holds: a
+// task over correlated rows, which routes a handful of them, allocates
+// no more than that.
+const firstChunk = 256
+
 // mapRows is phase 2's map task over n rows, wherever they lie: filter
 // each row against the SZB-tree and route the survivors to their groups.
 // There is no combine: the reduce computes each group's skyline over
 // the union anyway. The task copies no row: it lists the routed rows'
 // positions and groups, which Shuffle copies from row, and routing
 // reuses one router's scratch across all rows, so the task allocates
-// only as its lists grow. On the Z-order paths under Pareto the address
-// computed for routing is listed beside its row, so it is encoded
-// exactly once per query: shuffle, reduce, and merge reuse it. Once ctx
-// is done the task stops mid-way and returns nothing; the executor
-// reports ctx.Err().
+// only its lists. They fill chunks that are never copied: the first
+// holds firstChunk rows, each later one half the rows the chunks before
+// it hold (firstChunk at least), and none more than the task has rows
+// left, so only the last chunk has room left over. On the Z-order paths
+// under Pareto the address computed for routing is listed beside its
+// row, so it is encoded exactly once per query: shuffle, reduce, and
+// merge reuse it. Once ctx is done the task stops mid-way and returns
+// nothing; the executor reports ctx.Err().
 func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, tally *metrics.Tally) MapOutput {
 	// Under a non-Pareto relation survivors travel without a column; the
 	// reduce encodes what its store needs.
@@ -380,7 +392,8 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 		w = r.enc.Words()
 	}
 	rt := r.newRouter()
-	out := MapOutput{z: zorder.ZCol{Words: w}, counts: make([]int, r.groups), dims: r.dims, row: row}
+	out := MapOutput{words: w, groups: r.groups, dims: r.dims, row: row}
+	held := 0 // rows in the full chunks
 	for i := 0; i < n; i++ {
 		if i%cancelStride == 0 && ctx.Err() != nil {
 			return MapOutput{}
@@ -394,61 +407,50 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 			out.Filtered++
 			continue
 		}
-		if len(out.rows) == cap(out.rows) {
-			// Doubling from 256, capped at n, copies each position about
-			// once; append's 1.25× growth of large slices copies it
-			// several times, and n up front holds room for every row the
-			// filter drops.
-			c := min(max(2*cap(out.rows), 256), n)
-			out.rows = append(make([]int32, 0, c), out.rows...)
-			out.gids = append(make([]int32, 0, c), out.gids...)
-			out.z.Data = append(make([]uint64, 0, c*w), out.z.Data...)
+		if t := &out.tail; len(t.rows) == cap(t.rows) {
+			if len(t.rows) > 0 {
+				out.lists = append(out.lists, *t)
+				held += len(t.rows)
+			}
+			*t = newRouted(min(max(held/2, firstChunk), n-i), w)
 		}
-		out.rows = append(out.rows, int32(i))
-		out.gids = append(out.gids, int32(gid))
+		t := &out.tail
+		t.rows = append(t.rows, int32(i))
+		t.gids = append(t.gids, int32(gid))
 		if w > 0 {
-			out.z.AppendAddr(rt.z)
+			t.z.AppendAddr(rt.z)
 		}
-		out.counts[gid]++
 	}
 	tally.AddPointsPruned(out.Filtered)
 	tally.Add(rt.tests)
 	return out
 }
 
-// MergeGroupsZ is one merge task over candidate groups, in the given
-// order: Z-merge one ZB-tree per group (Algorithm 4), or the ZS / SB
-// recompute baselines. For the Z-order merges it concatenates the
-// groups' blocks and Z-address columns into one shared columnar store
-// (encoding only rows whose groups arrived without a column), builds
-// index-based ZB-trees over row ranges of that store, and Z-merges (or
-// Z-searches) without materializing a single per-point entry. The
-// result carries its own column so a later merge reuses its addresses.
-// The store carries the rule's relation: the result is the union's
-// skyline under a transitive relation and a superset of it otherwise,
-// which the pipeline's final verification closes. Phase 3 runs it for
-// the recompute merges. Its Z-merge branch is the serial Algorithm-4
-// reference that only tests reach: phase 3 Z-merges as a probe merge,
-// and Fold.Add calls zmerge directly.
-func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
+// mergeGroupsZ is one merge task over candidate parts, in the given
+// order: Z-merge one ZB-tree per part (Algorithm 4), or the ZS / SB
+// recompute baselines. For the Z-order merges it gathers the parts'
+// rows and Z-addresses into one shared columnar store (encoding only
+// rows whose groups carry no column), builds index-based ZB-trees over
+// row ranges of that store, and Z-merges (or Z-searches) without
+// materializing a single per-point entry. The result carries its own
+// column so a later merge reuses its addresses. The store carries the
+// rule's relation: the result is the union's skyline under a transitive
+// relation and a superset of it otherwise, which the pipeline's final
+// verification closes. Phase 3 runs it for the recompute merges. Its
+// Z-merge branch is the serial Algorithm-4 reference that only tests
+// reach: phase 3 Z-merges as a probe merge, and Fold.Add calls zmerge
+// directly.
+func (r *Rule) mergeGroupsZ(parts []part, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
-	total := 0
-	for _, g := range groups {
-		total += g.Len()
-	}
-	if total == 0 {
+	if partsLen(parts) == 0 {
 		return out
 	}
 	if r.merge == MergeSB {
-		bb := point.NewBlockBuilder(r.dims, total)
-		for _, g := range groups {
-			bb.AppendBlock(g.Block)
-		}
-		all := bb.Build()
+		all, _, _ := r.gatherParts(parts, false)
 		out.Block = all.Select(seq.SBRows(r.prov, all, tally))
 		return out
 	}
-	st, ranges := r.candidateStore(groups, total)
+	st, ranges := r.candidateStore(parts)
 	var rows []int32
 	if r.merge == MergeZS {
 		rows = zbtree.BuildStore(st, r.fanout, tally).SkylineRows()
@@ -470,26 +472,56 @@ func (r *Rule) zmerge(st *zbtree.Store, ranges [][2]int32, tally *metrics.Tally)
 	return acc.Rows()
 }
 
-// candidateStore concatenates candidate groups (total rows in all)
-// into one shared columnar store under the rule's relation, reusing
-// each group's Z-address column where it carries one and encoding only
-// the rest. ranges holds each group's [lo,hi) store rows.
-func (r *Rule) candidateStore(groups []Group, total int) (*zbtree.Store, [][2]int32) {
-	w := r.enc.Words()
-	bb := point.NewBlockBuilder(r.dims, total)
-	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
-	ranges := make([][2]int32, 0, len(groups))
-	for _, g := range groups {
-		lo := int32(bb.Len())
-		bb.AppendBlock(g.Block)
-		if g.ZCol.Len() == g.Block.Len() && g.ZCol.Words == w {
-			zc.AppendCol(g.ZCol)
-		} else {
-			zc.AppendCol(r.enc.EncodeBlock(zorder.ZCol{}, g.Block))
-		}
-		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
+// candidateStore gathers candidate parts into one shared columnar store
+// under the rule's relation (see gatherParts). ranges holds each part's
+// [lo,hi) store rows.
+func (r *Rule) candidateStore(parts []part) (*zbtree.Store, [][2]int32) {
+	blk, zc, ranges := r.gatherParts(parts, true)
+	return zbtree.NewStoreWithZCol(r.enc, blk, zc).Under(r.prov), ranges
+}
+
+// gatherParts copies the parts' rows, in part order, into one block
+// allocated at its exact size — each candidate crosses into phase 3
+// once — and returns it with each part's [lo,hi) rows. With col set it
+// also fills the rows' Z-address column: copied from a part's group
+// where the group carries the rule's column, encoded in place
+// otherwise.
+func (r *Rule) gatherParts(parts []part, col bool) (point.Block, zorder.ZCol, [][2]int32) {
+	total, w := partsLen(parts), 0
+	if col {
+		w = r.enc.Words()
 	}
-	return zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc).Under(r.prov), ranges
+	blk := point.Block{Dims: r.dims, Data: make([]float64, 0, total*r.dims)}
+	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
+	ranges := make([][2]int32, 0, len(parts))
+	for _, p := range parts {
+		if p.len() > 0 && p.g.Block.Dims != r.dims {
+			panic(fmt.Sprintf("plan: candidate group %d has %d dims, want %d", p.g.Gid, p.g.Block.Dims, r.dims))
+		}
+		lo := blk.Len()
+		if p.rows == nil {
+			blk.Data = append(blk.Data, p.g.Block.Data...)
+		} else {
+			for _, i := range p.rows {
+				blk.Data = append(blk.Data, p.g.Block.Row(int(i))...)
+			}
+		}
+		hi := blk.Len()
+		ranges = append(ranges, [2]int32{int32(lo), int32(hi)})
+		switch {
+		case w == 0:
+		case p.g.ZCol.Len() != p.g.Block.Len() || p.g.ZCol.Words != w:
+			seg := r.enc.EncodeBlock(zorder.ZCol{Data: zc.Data[len(zc.Data):]}, blk.Slice(lo, hi))
+			zc.Data = zc.Data[:len(zc.Data)+len(seg.Data)]
+		case p.rows == nil:
+			zc.AppendCol(p.g.ZCol)
+		default:
+			for _, i := range p.rows {
+				zc.AppendRow(p.g.ZCol, int(i))
+			}
+		}
+	}
+	return blk, zc, ranges
 }
 
 // rowRange lists the store rows of one [lo,hi) range, for BuildRows to

@@ -172,11 +172,11 @@ func (d *driver) run(ctx context.Context, in input) ([]point.Point, *Report, err
 	if r == nil {
 		return nil, d.rep, nil
 	}
-	groups, err := d.phase2(ctx, r, in, cuts)
+	parts, err := d.phase2(ctx, r, in, cuts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.mergeAndReport(ctx, r, groups, in)
+	return d.mergeAndReport(ctx, r, parts, in)
 }
 
 // memInput is an in-memory dataset, read through its row views.
@@ -357,18 +357,16 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 }
 
 // mergeAndReport is phase 3 and the close of the report: merge the
-// candidate groups, verify them against the full input when the
-// relation needs it, and stamp the run's totals on the report and on
-// ctx's current span.
-func (d *driver) mergeAndReport(ctx context.Context, r *Rule, groups []Group, in input) ([]point.Point, *Report, error) {
+// candidates, each group's by position, verify them against the full
+// input when the relation needs it, and stamp the run's totals on the
+// report and on ctx's current span.
+func (d *driver) mergeAndReport(ctx context.Context, r *Rule, parts []part, in input) ([]point.Point, *Report, error) {
 	rep := d.rep
-	for _, g := range groups {
-		rep.Candidates += g.Len()
-	}
-	rep.PerGroupCandidates = perGroup(rep.Groups, groups)
+	rep.Candidates = partsLen(parts)
+	rep.PerGroupCandidates = perGroup(rep.Groups, parts, part.len)
 
 	t2 := time.Now()
-	sky, err := MergePhase(ctx, d.ex.pool(), r, groups, false, d.tally)
+	sky, err := mergePhase(ctx, d.ex.pool(), r, parts, d.tally)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -420,8 +418,9 @@ func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in inpu
 // phase2 is phase 2 (§5.2): the map task of every cut of in runs under
 // the taxonomy's map span, and its survivors are gathered into groups;
 // what each group receives is recorded, and every group is reduced to
-// its skyline candidates under the local-skyline span.
-func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) ([]Group, error) {
+// its skyline candidates, named by position, under the local-skyline
+// span.
+func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) ([]part, error) {
 	start := time.Now()
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
 	mapSpan.SetAttr("tasks", len(cuts))
@@ -433,55 +432,63 @@ func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) (
 	mapSpan.SetAttr("filtered", filtered)
 	mapSpan.End()
 	d.rep.Filtered = filtered
-	d.rep.PerGroupInput = perGroup(d.rep.Groups, groups)
-	if groups, err = reducePhase(ctx, d.ex, r, groups, d.tally); err != nil {
+	parts, err := reducePhase(ctx, d.ex, r, groups, d.tally)
+	if err != nil {
 		return nil, err
 	}
+	d.rep.PerGroupInput = perGroup(d.rep.Groups, parts, func(p part) int { return p.g.Len() })
 	d.rep.Phase2 = time.Since(start)
-	return groups, nil
+	return parts, nil
 }
 
-// perGroup counts the rows of groups per gid, over n groups.
-func perGroup(n int, groups []Group) []int {
+// perGroup sums size over the parts of each gid, over n groups.
+func perGroup(n int, parts []part, size func(part) int) []int {
 	counts := make([]int, n)
-	for _, g := range groups {
-		if g.Gid >= 0 && g.Gid < n {
-			counts[g.Gid] += g.Len()
+	for _, p := range parts {
+		if gid := p.g.Gid; gid >= 0 && gid < n {
+			counts[gid] += size(p)
 		}
 	}
 	return counts
 }
 
-// reducePhase runs the local-skyline tasks under their taxonomy span.
-func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tally *metrics.Tally) ([]Group, error) {
+// reducePhase runs the local-skyline tasks under their taxonomy span
+// and returns each group's candidates as its part.
+func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tally *metrics.Tally) ([]part, error) {
 	redSpan, rctx := obs.StartSpan(ctx, "local-skyline")
 	defer redSpan.End()
 	redSpan.SetAttr("groups", len(groups))
-	groups, err := ex.RunReduces(rctx, r, groups, tally)
+	rows, err := ex.RunReduces(rctx, r, groups, tally)
 	if err != nil {
 		return nil, err
 	}
-	candidates := 0
-	for _, g := range groups {
-		candidates += g.Len()
+	parts := make([]part, len(groups))
+	for i, g := range groups {
+		parts[i] = pick(g, rows[i])
 	}
-	redSpan.SetAttr("candidates", candidates)
-	return groups, nil
+	redSpan.SetAttr("candidates", partsLen(parts))
+	return parts, nil
 }
 
-// MergePhase is phase 3 (§5.3) on ex's pool, as one merge/round-1 span
-// whatever the schedule (see LocalExec.merge): a tree per group, each
-// candidate probing the others', up to four groups, one tree over every
-// candidate above. tree is ignored: it chose pairwise merge rounds,
-// which the probed trees replaced.
+// MergePhase is phase 3 (§5.3) on ex's pool over every row of the
+// candidate groups, as one merge/round-1 span whatever the schedule
+// (see LocalExec.merge): a tree per group, each candidate probing the
+// others', up to four groups, one tree over every candidate above. tree
+// is ignored: it chose pairwise merge rounds, which the probed trees
+// replaced. The pipeline runs the same phase on its reduces' positions.
 func MergePhase(ctx context.Context, ex *LocalExec, r *Rule, groups []Group, tree bool, tally *metrics.Tally) ([]point.Point, error) {
-	if len(groups) == 0 {
+	return mergePhase(ctx, ex, r, whole(groups), tally)
+}
+
+// mergePhase is MergePhase over candidate parts.
+func mergePhase(ctx context.Context, ex *LocalExec, r *Rule, parts []part, tally *metrics.Tally) ([]point.Point, error) {
+	if len(parts) == 0 {
 		return nil, nil
 	}
 	sp, mctx := obs.StartSpan(ctx, "merge/round-1")
 	defer sp.End()
-	sp.SetAttr("groups", len(groups))
-	out, err := ex.merge(mctx, r, groups, tally)
+	sp.SetAttr("groups", len(parts))
+	out, err := ex.merge(mctx, r, parts, tally)
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,9 @@ import (
 // sub-benchmark per schedule:
 //
 //   - fold: Algorithm 4's Z-merge fold over every group, one task
-//     (MergeGroupsZ);
+//     (mergeGroupsZ);
 //   - rounds: pairwise merge rounds, a round of fewer pairs than half the
-//     pool run as two-sided probes, a fuller one as MergeGroupsZ tasks;
+//     pool run as two-sided probes, a fuller one as mergeGroupsZ tasks;
 //   - partition-sweep: the candidates cut by Z-partition, in pivot order,
 //     then SweepMerge;
 //   - zsort-sweep: the candidates Z-sorted and cut into a few ranges per
@@ -46,14 +46,14 @@ func BenchmarkPhase3Schedules(b *testing.B) {
 		run  func(context.Context, *LocalExec, *Rule, []Group) (Group, error)
 	}
 	fold := schedule{"fold", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return ex.mergeOne(ctx, r, gs, nil)
+		return ex.mergeOne(ctx, r, whole(gs), nil)
 	}}
 	rounds := schedule{"rounds", pairRounds}
 	oneTree := schedule{"one-tree", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return ex.probeGroups(ctx, r, gs, every, nil)
+		return ex.probeGroups(ctx, r, whole(gs), every, nil)
 	}}
 	pair := schedule{"pair", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return ex.probeGroups(ctx, r, gs, others, nil)
+		return ex.probeGroups(ctx, r, whole(gs), others, nil)
 	}}
 	for _, c := range []struct {
 		name      string
@@ -96,7 +96,7 @@ func BenchmarkPhase3Schedules(b *testing.B) {
 // pairRounds is phase 3 as pairwise rounds: each round merges groups two
 // by two, an odd one out waiting for the next. A round of fewer pairs
 // than half the pool runs each pair as a two-sided probe over the whole
-// pool; a fuller round runs one MergeGroupsZ task per pair.
+// pool; a fuller round runs one mergeGroupsZ task per pair.
 func pairRounds(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Group, error) {
 	for len(groups) > 1 {
 		var tasks [][]Group
@@ -107,11 +107,11 @@ func pairRounds(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 		if ex.workers >= 2*len(tasks) {
 			for i, t := range tasks {
 				var err error
-				if next[i], err = ex.probeGroups(ctx, r, t, others, nil); err != nil {
+				if next[i], err = ex.probeGroups(ctx, r, whole(t), others, nil); err != nil {
 					return Group{}, err
 				}
 			}
-		} else if err := ex.FanOut(ctx, len(tasks), func(i int) { next[i] = r.MergeGroupsZ(tasks[i], nil) }); err != nil {
+		} else if err := ex.FanOut(ctx, len(tasks), func(i int) { next[i] = r.mergeGroupsZ(whole(tasks[i]), nil) }); err != nil {
 			return Group{}, err
 		}
 		if len(groups)%2 == 1 {
@@ -156,7 +156,7 @@ func zsortSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 	for _, g := range groups {
 		total += g.Len()
 	}
-	st, _ := r.candidateStore(groups, total)
+	st, _ := r.candidateStore(whole(groups))
 	order := make([]int32, total)
 	for i := range order {
 		order[i] = int32(i)
@@ -184,7 +184,7 @@ func TestPhase3SchedulesAgree(t *testing.T) {
 		SampleRatio: 0.05, Bits: 12, Seed: 1, MapTasks: 3}
 	ex := NewLocalExec(3)
 	r, groups := candidates(t, spec, ds, ex)
-	want, err := ex.merge(context.Background(), r, groups, nil)
+	want, err := ex.merge(context.Background(), r, whole(groups), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,9 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 	switch {
 	case stats.Candidates == 0:
 	case !r.pareto():
-		out, err = ex.probeGroups(ctx, r, groups, every, tally)
+		out, err = ex.probeGroups(ctx, r, whole(groups), every, tally)
 	default:
-		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, stats.Candidates, tally)
+		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, tally)
 	}
 	if err != nil {
 		return Group{}, stats, err
@@ -68,14 +68,14 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 }
 
 // sweep is the Pareto case of SweepMerge as a one-way probeMerge over
-// groups' total rows: pack, pick each side's representatives, clear the
+// every row of groups: pack, pick each side's representatives, clear the
 // rows a representative of an earlier side dominates, index what is left
 // of every side but the last, probe, compact. A row the pre-pass cleared
 // is dominated by a row of an earlier side, which by transitivity also
 // dominates whatever the cleared row would have — so the trees lose
 // nothing by leaving it out.
-func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, total int, tally *metrics.Tally) (Group, int, error) {
-	st, sides := r.candidateStore(groups, total)
+func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, int, error) {
+	st, sides := r.candidateStore(whole(groups))
 	m := newProbeMerge(st, sides, earlier)
 	// Side 0 answers to nothing. Later sides answer to more trees, so
 	// their ranges go first and the cheap ones fill in at the end.

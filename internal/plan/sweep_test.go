@@ -80,7 +80,7 @@ func reference(prov dominance.Provider, pts []point.Point) []point.Point {
 // TestSweepMergeMatchesBruteForce: over 1, 2, 3 and 8 ranges of tie-heavy
 // and continuous data, Z-sorted (ZS) and unsorted (SB) shard skylines,
 // Pareto and flex, the sweep returns the all-pairs skyline and the merge
-// MergeGroupsZ computes, with a column that lines up with its rows.
+// mergeGroupsZ computes, with a column that lines up with its rows.
 func TestSweepMergeMatchesBruteForce(t *testing.T) {
 	flexFor := func(dims int) dominance.Descriptor {
 		w := [][]float64{make([]float64, dims), make([]float64, dims)}
@@ -134,7 +134,7 @@ func TestSweepMergeMatchesBruteForce(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					sameSet(t, got.Points(), want, label)
-					sameSet(t, got.Points(), r.MergeGroupsZ(groups, nil).Points(), label+" vs MergeGroupsZ")
+					sameSet(t, got.Points(), r.mergeGroupsZ(whole(groups), nil).Points(), label+" vs mergeGroupsZ")
 					cands := 0
 					for _, g := range groups {
 						cands += g.Len()
@@ -270,7 +270,7 @@ func TestSweepMergeCancelled(t *testing.T) {
 	}
 	groups := []Group{NewGroup(0, 2, []point.Point{{0.1, 0.1}}), NewGroup(1, 2, later)}
 
-	st, sides := r.candidateStore(groups, 1+len(later))
+	st, sides := r.candidateStore(whole(groups))
 	m := newProbeMerge(st, sides, earlier)
 	m.cut(1, 1)
 	m.build(0, r.fanout)
@@ -320,14 +320,14 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 			across = append(across, p)
 		}
 	}
-	whole, straddle := rangeSkylines(r, pts, cuts), rangeSkylines(r, across, cuts[3:4])
+	all, straddle := rangeSkylines(r, pts, cuts), rangeSkylines(r, across, cuts[3:4])
 	ex := NewLocalExec(0)
 	sweep := func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
 		return ex.SweepMerge(context.Background(), r, groups, tally)
 	}
 	probe := func(rc reach) func([]Group, *metrics.Tally) (Group, SweepStats, error) {
 		return func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
-			out, err := ex.probeGroups(context.Background(), r, groups, rc, tally)
+			out, err := ex.probeGroups(context.Background(), r, whole(groups), rc, tally)
 			return out, SweepStats{}, err
 		}
 	}
@@ -336,8 +336,8 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 		groups []Group
 		merge  func([]Group, *metrics.Tally) (Group, SweepStats, error)
 	}{
-		{"sweep", whole, sweep},
-		{"one-tree", whole, probe(every)},
+		{"sweep", all, sweep},
+		{"one-tree", all, probe(every)},
 		{"straddle/sweep", straddle, sweep},
 		{"straddle/pair", straddle, probe(others)},
 	} {

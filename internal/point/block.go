@@ -343,9 +343,6 @@ func NewBlockBuilder(dims, capRows int) *BlockBuilder {
 	return bb
 }
 
-// Len returns the number of rows accumulated so far.
-func (bb *BlockBuilder) Len() int { return len(bb.data) / bb.dims }
-
 // Append copies one point into the arena.
 func (bb *BlockBuilder) Append(p Point) {
 	if len(p) != bb.dims {
