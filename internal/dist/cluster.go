@@ -375,8 +375,9 @@ func (c *Cluster) Insert(ctx context.Context, pts []point.Point) error {
 	return c.InsertBlock(ctx, point.BlockOf(c.enc.Dims(), pts))
 }
 
-// InsertBlock is Insert over a contiguous block: one bulk encode, one
-// owner split, then per-shard replicated appends. The Z-address column
+// InsertBlock is Insert over a contiguous block: one bulk encode, the
+// rows' positions listed per owning range, then per-shard replicated
+// appends of each range's rows, in range order. The Z-address column
 // computed for routing travels with each batch (encode-once), so
 // workers never re-encode inserted points.
 func (c *Cluster) InsertBlock(ctx context.Context, blk point.Block) error {
@@ -386,14 +387,19 @@ func (c *Cluster) InsertBlock(ctx context.Context, blk point.Block) error {
 	if blk.Dims != c.enc.Dims() {
 		return fmt.Errorf("dist: insert block has %d dims, want %d", blk.Dims, c.enc.Dims())
 	}
-	zc := c.enc.EncodeBlock(zorder.ZCol{}, blk)
-	parts := plan.SplitByOwner(plan.Group{Block: blk, ZCol: zc},
-		func(row int) int { return c.table.Locate(zc.At(row)) })
-	for _, p := range parts {
+	g := plan.Group{Block: blk, ZCol: c.enc.EncodeBlock(zorder.ZCol{}, blk)}
+	rows := make([][]int32, len(c.shardIDs))
+	for i := range blk.Len() {
+		at := c.table.Locate(g.ZCol.At(i))
+		rows[at] = append(rows[at], int32(i))
+	}
+	for at, rs := range rows {
 		// Cuts never change across map versions, so the range index ->
 		// shard ID mapping is stable even while a handoff runs.
-		if err := c.insertShard(ctx, c.shardIDs[p.Gid], p); err != nil {
-			return err
+		if len(rs) > 0 {
+			if err := c.insertShard(ctx, c.shardIDs[at], g.Select(rs)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -412,16 +418,7 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 	if len(members) == 0 {
 		return fmt.Errorf("dist: shard %d: %w", sid, ErrShardDown)
 	}
-	blockFrame, err := g.Block.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	zFrame, err := g.ZCol.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	args := StoreShardArgs{RuleID: c.ruleID, MapVersion: version, ShardID: sid,
-		BlockFrame: blockFrame, ZFrame: zFrame}
+	args := StoreShardArgs{RuleID: c.ruleID, MapVersion: version, ShardID: sid, Batch: g}
 	ok := 0
 	for mi, w := range members {
 		if _, err := c.inner.call(ctx, "Worker.StoreShard", args, &StoreShardReply{}, pinned(w)); err != nil {
@@ -617,7 +614,7 @@ func (c *Cluster) full(ctx context.Context, targets []int, rep *ClusterReport, e
 			isDelta = isDelta && batches[i] >= m.since[c.shardIDs[idx]]
 		}
 		if isDelta {
-			d := concatGroups(deltas)
+			d := plan.Concat(deltas)
 			m.fold.Add(d)
 			for i, idx := range targets {
 				m.since[c.shardIDs[idx]] = batches[i]
@@ -753,12 +750,12 @@ func rangeKind(rng zorder.Range) string {
 
 // shardSkyline asks one fresh replica of the shard's owning group for
 // the shard skyline restricted to rng, or its delta from batch since
-// on, retrying inside the group with the shard's policy and hedging to
-// another member. When a replica answers shard-moved — the query raced
-// a rebalance — the loop re-reads the shard map (the handoff updates it
-// before dropping the source) and re-routes; every address keeps
-// exactly one owner at every version, so convergence takes one hop per
-// concurrent move.
+// on, retrying inside the group under the coordinator's policy and
+// hedging to another member. When a replica answers shard-moved — the
+// query raced a rebalance — the loop re-reads the shard map (the
+// handoff updates it before dropping the source) and re-routes; every
+// address keeps exactly one owner at every version, so convergence
+// takes one hop per concurrent move.
 func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, since int) (ShardSkyReply, error) {
 	kind := rangeKind(rng)
 	const maxHops = 4
@@ -796,12 +793,10 @@ func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, s
 // skipped.
 func (c *Cluster) ShardStats(ctx context.Context) map[string]ShardStatsReply {
 	out := make(map[string]ShardStatsReply)
-	once := c.inner.pol
-	once.retries = 0
 	for w, addr := range c.inner.addrs {
 		var reply ShardStatsReply
 		if _, err := c.inner.call(ctx, "Worker.ShardStats", ShardStatsArgs{}, &reply,
-			callOpts{pool: []int{w}, pin: true, pol: &once}); err == nil {
+			callOpts{pool: []int{w}, pin: true, once: true}); err == nil {
 			out[addr] = reply
 		}
 	}

@@ -122,6 +122,60 @@ func TestClusterEmptyAndSingleShardQueries(t *testing.T) {
 	}
 }
 
+// TestInsertBlockSplitsByOwner holds InsertBlock's split to the shard
+// map: one insert leaves one batch on each shard it touches, every row
+// of it owned by that shard, its column cut alongside (row i's entry is
+// row i's address), and no row lost or stored twice.
+func TestInsertBlockSplitsByOwner(t *testing.T) {
+	g0, s0 := startGroup(t, 1)
+	g1, s1 := startGroup(t, 1)
+	cfg := testClusterConfig(3)
+	cfg.Shards = 4
+	c, err := NewCluster(context.Background(), cfg, [][]string{g0, g1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := gen.Synthetic(gen.Independent, 300, 3, 7)
+	if err := c.InsertBlock(context.Background(), point.BlockOf(3, ds.Points)); err != nil {
+		t.Fatal(err)
+	}
+	total, shards := 0, 0
+	for _, ws := range append(s0, s1...) {
+		w := ws.worker
+		w.smu.RLock()
+		for sid, res := range w.resident {
+			if len(res.groups) == 0 {
+				continue
+			}
+			shards++
+			if len(res.groups) != 1 {
+				t.Errorf("shard %d holds %d batches of one insert", sid, len(res.groups))
+			}
+			p := res.groups[0]
+			if p.Gid != sid || p.ZCol.Len() != p.Len() {
+				t.Errorf("shard %d holds gid %d with %d addresses for %d rows", sid, p.Gid, p.ZCol.Len(), p.Len())
+				continue
+			}
+			for i := range p.Len() {
+				if !zorder.Equal(p.ZCol.At(i), c.enc.Encode(p.Block.Row(i))) {
+					t.Errorf("shard %d row %d: column out of step with the block", sid, i)
+					break
+				}
+				if owner := c.shardIDs[c.table.Locate(p.ZCol.At(i))]; owner != sid {
+					t.Errorf("shard %d row %d belongs to shard %d", sid, i, owner)
+					break
+				}
+			}
+			total += p.Len()
+		}
+		w.smu.RUnlock()
+	}
+	if total != len(ds.Points) || shards < 2 {
+		t.Fatalf("shards hold %d rows in %d shards, want all %d in at least 2", total, shards, len(ds.Points))
+	}
+}
+
 // rangeOracle computes the exact skyline of the points whose Z-address
 // falls in rng, using the same encoder geometry as the cluster.
 func rangeOracle(t *testing.T, cfg ClusterConfig, pts []point.Point, rng zorder.Range) []point.Point {

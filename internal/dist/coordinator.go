@@ -808,10 +808,9 @@ type callOpts struct {
 	// the policy's hedge delay (reduce tasks and shard reads only: they
 	// are idempotent and few, so duplicates are cheap insurance).
 	hedge bool
-	// pol, when non-nil, overrides the coordinator's policy for this
-	// call — how the sharded tier applies per-shard timeout/retry/hedge
-	// settings. attempt takes it resolved.
-	pol *policy
+	// once makes the call a single attempt, with no retry: a rule offer
+	// or an inventory read whose miss costs nothing.
+	once bool
 	// note, when non-nil, annotates the call's span and event with its
 	// outcome before they are recorded.
 	note func(sp *obs.Span, ev *obs.Event, err error)
@@ -839,10 +838,7 @@ func (c *Coordinator) call(ctx context.Context, method string, args transport.Ma
 		}
 		done(served, err)
 	}()
-	if opt.pol == nil {
-		opt.pol = &c.pol
-	}
-	pol, pool := opt.pol, opt.pool
+	pool := opt.pool
 	if pool == nil {
 		pool = c.all
 	}
@@ -894,15 +890,15 @@ func (c *Coordinator) call(ctx context.Context, method string, args transport.Ma
 			if blob == nil {
 				c.markSuspect(served)
 			} else if _, err := c.attempt(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: *blob},
-				&LoadRuleReply{}, served, callOpts{pol: pol}); err != nil {
+				&LoadRuleReply{}, served, callOpts{}); err != nil {
 				c.markSuspect(served)
 			}
 		}
-		if attempt >= pol.retries {
+		if opt.once || attempt >= c.pol.retries {
 			return served, fmt.Errorf("dist: %s: attempts exhausted: %w", method, lastErr)
 		}
 		c.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.bo.delay(pol, attempt))
+		sleep(ctx, c.bo.delay(&c.pol, attempt))
 		if served >= 0 {
 			from = slices.Index(pool, served) + 1
 		}
@@ -928,7 +924,6 @@ func (c *Coordinator) attempt(ctx context.Context, method string, args transport
 	if err != nil {
 		return -1, err
 	}
-	pol := opt.pol
 	resCh := make(chan legRes, 2)
 	leg := func(w int) {
 		c.mu.Lock()
@@ -941,8 +936,8 @@ func (c *Coordinator) attempt(ctx context.Context, method string, args transport
 		rv := newReplyLike(reply)
 		call := cl.Go(id, args, rv, make(chan *transport.Call, 1))
 		var timeout <-chan time.Time
-		if pol.rpcTimeout > 0 {
-			t := time.NewTimer(pol.rpcTimeout)
+		if c.pol.rpcTimeout > 0 {
+			t := time.NewTimer(c.pol.rpcTimeout)
 			defer t.Stop()
 			timeout = t.C
 		}
@@ -958,8 +953,8 @@ func (c *Coordinator) attempt(ctx context.Context, method string, args transport
 	go leg(primary)
 	legs := 1
 	var hedgeC <-chan time.Time
-	if opt.hedge && pol.hedge > 0 {
-		t := time.NewTimer(pol.hedge)
+	if opt.hedge && c.pol.hedge > 0 {
+		t := time.NewTimer(c.pol.hedge)
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -1091,8 +1086,6 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 	c.mu.Unlock()
 	// An offer is one attempt: a worker that misses the rule gets it on
 	// resurrection instead.
-	once := c.pol
-	once.retries = 0
 	for {
 		// Offer the rule to every live worker, waiting while none is.
 		var targets []int
@@ -1124,7 +1117,7 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 			go func(w int) {
 				defer wg.Done()
 				_, err := c.call(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: blob}, &LoadRuleReply{},
-					callOpts{pool: []int{w}, pin: true, pol: &once})
+					callOpts{pool: []int{w}, pin: true, once: true})
 				mu.Lock()
 				defer mu.Unlock()
 				if err == nil {

@@ -137,8 +137,8 @@ func TestShardSkyWireCorpus(t *testing.T) {
 	w, rule := bareWorker(t, 3, 12, plan.ZS, dominance.Descriptor{})
 	w.rules[7] = rule
 	for i := 0; i < 6; i++ { // six incomparable one-row batches
-		bf, zf := shardFrames(t, rule.Encoder(), point.BlockOf(3, []point.Point{{0.05 * float64(i), 0.9 - 0.05*float64(i), 0.5}}))
-		if err := w.StoreShard(StoreShardArgs{RuleID: 7, ShardID: 3, BlockFrame: bf, ZFrame: zf}, &StoreShardReply{}); err != nil {
+		b := shardBatch(rule.Encoder(), point.BlockOf(3, []point.Point{{0.05 * float64(i), 0.9 - 0.05*float64(i), 0.5}}))
+		if err := w.StoreShard(StoreShardArgs{RuleID: 7, ShardID: 3, Batch: b}, &StoreShardReply{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,24 +250,15 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	rule := encode(LoadRuleArgs{Rule: RuleBlob{ID: 7,
 		Data:   plan.RuleData{Dims: 3, Bits: 12, Mins: []float64{0, 0, 0}, Maxs: []float64{1, 1, 1}, Local: plan.ZS},
 		Shards: UniformShardMap(1, 4, 2)}})
-	frame := func(m interface{ MarshalBinary() ([]byte, error) }) []byte {
-		b, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	bf, zf := frame(blk), frame(g.ZCol)
-	ebf, ezf := frame(empty.Block), frame(zorder.ZCol{Words: 1})
-	// One message of a frame-carrying kind around the given frames.
-	shardMsg := func(kind int, bf, zf []byte) []byte {
+	// One message of a batch-carrying kind around the given batch.
+	shardMsg := func(kind int, b plan.Group) []byte {
 		switch kind {
 		case kindStoreShard:
-			return encode(StoreShardArgs{RuleID: 7, MapVersion: 2, ShardID: 3, BlockFrame: bf, ZFrame: zf})
+			return encode(StoreShardArgs{RuleID: 7, MapVersion: 2, ShardID: 3, Batch: b})
 		case kindStageShard:
-			return encode(StageShardArgs{ShardID: 3, Epoch: 9, BlockFrame: bf, ZFrame: zf})
+			return encode(StageShardArgs{ShardID: 3, Epoch: 9, Batch: b})
 		}
-		return encode(PullShardReply{Rows: blk.Len(), Next: 4, Done: true, BlockFrame: bf, ZFrame: zf})
+		return encode(PullShardReply{Rows: blk.Len(), Next: 4, Done: true, Batch: b})
 	}
 	// Where each such kind's block frame length sits: after the rule ID,
 	// map version and shard ID; the shard ID and epoch; or the row count,
@@ -316,16 +307,20 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 			"count-oversized":  patched(rows, 0, 0xFFFFFFFF), // ≈16 GiB of positions announced, 12 bytes sent
 			"count-undersized": patched(rows, 0, 2)},
 	}
-	one := blk.Slice(0, 1)
+	one := g.ZCol.Slice(0, 1)
 	for kind, at := range framesAt {
-		good[kind] = map[string][]byte{"batch": shardMsg(kind, bf, zf),
-			"seed": shardMsg(kind, nil, nil), "empty": shardMsg(kind, ebf, ezf)}
-		bad[kind] = lies(shardMsg(kind, bf, zf), at)
-		bad[kind]["frames-disagree"] = shardMsg(kind, bf, frame(enc.EncodeBlock(zorder.ZCol{}, one)))
-		bad[kind]["block-only"] = shardMsg(kind, bf, nil)
-		bad[kind]["zcol-only"] = shardMsg(kind, nil, zf)
+		headers := shardMsg(kind, plan.Group{Block: empty.Block, ZCol: zorder.ZCol{Words: 1}})
+		good[kind] = map[string][]byte{"batch": shardMsg(kind, g),
+			"seed": shardMsg(kind, plan.Group{}), "empty": headers}
+		bad[kind] = lies(shardMsg(kind, g), at)
+		bad[kind]["frames-disagree"] = shardMsg(kind, plan.Group{Block: blk, ZCol: one})
+		bad[kind]["block-only"] = shardMsg(kind, bare)
+		bad[kind]["zcol-only"] = shardMsg(kind, plan.Group{ZCol: g.ZCol})
+		// A seed's frames are zero-length; a header of no width is not one.
+		bad[kind]["block-no-dims"] = patched(headers, at+4, 0)
+		bad[kind]["zcol-no-words"] = patched(headers, at+4+8+4, 0)
 	}
-	done := shardMsg(kindPullShard, bf, zf)
+	done := shardMsg(kindPullShard, g)
 	done[framesAt[kindPullShard]-1] = 2 // a bool byte no encoder writes
 	bad[kindPullShard]["done-not-bool"] = done
 	for kind, sample := range controlMsgs {
@@ -345,15 +340,13 @@ func wireCorpus(t testing.TB) (good, bad map[int]map[string][]byte) {
 	return good, bad
 }
 
-// decodeWire decodes data as the message of the given kind — for a shard
-// message, also its raw frames, as the worker does — and, when the
+// decodeWire decodes data as the message of the given kind and, when the
 // decoders accept a hand-written frame, checks what acceptance promises:
 // nothing was allocated beyond what the payload itself holds, and
 // encoding the message again gives the payload back byte for byte.
 func decodeWire(t testing.TB, kind int, data []byte) error {
 	t.Helper()
 	var g plan.Group
-	var frames [][]byte // a shard message's block and Z frames, still raw
 	var m interface {
 		AppendTo([]byte) ([]byte, error)
 	}
@@ -384,19 +377,19 @@ func decodeWire(t testing.TB, kind int, data []byte) error {
 		if err := a.DecodeFrom(data); err != nil {
 			return err
 		}
-		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
+		g, m = a.Batch, a
 	case kindStageShard:
 		var a StageShardArgs
 		if err := a.DecodeFrom(data); err != nil {
 			return err
 		}
-		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
+		g, m = a.Batch, a
 	case kindPullShard:
 		var a PullShardReply
 		if err := a.DecodeFrom(data); err != nil {
 			return err
 		}
-		frames, m = [][]byte{a.BlockFrame, a.ZFrame}, a
+		g, m = a.Batch, a
 	case kindShardStats:
 		var a ShardStatsReply
 		return a.DecodeFrom(data) // gob: not canonical, so no round trip
@@ -409,15 +402,6 @@ func decodeWire(t testing.TB, kind int, data []byte) error {
 			return err
 		}
 		m = a
-	}
-	if frames != nil {
-		if held := len(frames[0]) + len(frames[1]); held > len(data) {
-			t.Fatalf("a %d-byte payload decoded into %d bytes of frames", len(data), held)
-		}
-		var err error
-		if g, err = decodeShardFrames(3, frames[0], frames[1]); err != nil {
-			return err
-		}
 	}
 	if held := len(g.Block.Data)*8 + len(g.ZCol.Data)*8; held > len(data) {
 		t.Fatalf("a %d-byte payload decoded into %d bytes of rows and addresses", len(data), held)
@@ -456,8 +440,7 @@ func TestWireMessagesCorpus(t *testing.T) {
 // runs — the ReduceGroup request and reply (and the retired group
 // reply, whose codec bench still times) and the rule broadcast — at
 // the shard tier's batch carriers: the StoreShard and StageShard
-// requests and the PullShard reply, with the block and Z frames inside
-// them decoded as the worker decodes them — and at every control
+// requests and the PullShard reply — and at every control
 // message: the pull, commit and drop requests, the small replies and
 // the shard inventory. Each must turn truncated, oversized-count and mismatched-width input into
 // an error — never a panic, and never an allocation sized by a length

@@ -17,7 +17,6 @@ type HandoffReport struct {
 	MapVersion uint64 // version the cluster serves under after the move
 	Rows       int    // rows streamed
 	Replicas   int    // target members that committed
-	WireBytes  int64  // frame bytes pulled (same bytes are pushed per replica)
 }
 
 // Handoff moves one shard to another worker group while the cluster
@@ -26,15 +25,15 @@ type HandoffReport struct {
 // The protocol is pull → stage → commit → flip → drop:
 //
 //  1. Pull: stream the shard's resident data off a fresh source
-//     replica in block frames (PullShard). The cursor is a group-list
+//     replica in batches (PullShard). The cursor is a group-list
 //     index and replicas hold identical group lists, so when the
 //     source dies or the stream is severed mid-pull, the pull resumes
 //     at the same cursor on another member — the resurrection state
 //     machine supplies the liveness verdicts. A source that answers
 //     shard-moved no longer holds the shard; it leaves the sources and
 //     the cursor is pulled from the next.
-//  2. Stage: forward each pulled frame pair verbatim (no decode and
-//     re-encode on the coordinator) to every member of the target
+//  2. Stage: send each pulled batch, decoded and checked like any
+//     batch (one address per row), to every member of the target
 //     group under a staging epoch. A member that fails staging is
 //     dropped from the transfer; at least one must survive.
 //  3. Commit: promote the staging area to resident on each surviving
@@ -123,9 +122,7 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 			return fail(fmt.Errorf("dist: pull of shard %d: %w", sid, err))
 		}
 		rep.Rows += reply.Rows
-		rep.WireBytes += int64(len(reply.BlockFrame) + len(reply.ZFrame))
-		sargs := StageShardArgs{ShardID: sid, Epoch: epoch,
-			BlockFrame: reply.BlockFrame, ZFrame: reply.ZFrame}
+		sargs := StageShardArgs{ShardID: sid, Epoch: epoch, Batch: reply.Batch}
 		for i := 0; i < len(staging); {
 			_, err := c.inner.call(ctx, "Worker.StageShard", sargs, &StageShardReply{}, pinned(staging[i]))
 			if err != nil {

@@ -2,7 +2,7 @@
 // processes: a coordinator and N workers that speak the framed binary
 // protocol of internal/transport over TCP. Every wire type below
 // carries its own AppendTo/DecodeFrom pair, so bulk payloads (point
-// blocks, Z-address columns, shard frames) travel as the same flat
+// blocks, Z-address columns) travel as the same flat
 // little-endian arrays they occupy in memory; only the two
 // control structs with maps inside (the rule blob, the shard-stats
 // report) ride an embedded gob payload. It is the share-*nothing*
@@ -121,16 +121,16 @@ type PingReply struct {
 
 // ---- sharded-tier wire types ----
 //
-// The shard data plane ships raw block frames ([]byte produced by
-// point.Block.MarshalBinary and zorder.ZCol.MarshalBinary) instead of
-// the typed values: gob then moves one opaque byte slice per call, and
-// the handoff can forward the exact frames it pulled from the source
-// to the staging targets without a decode/re-encode round trip.
+// A shard batch is a plan.Group whose column holds one address per row.
+// It travels as the two length-prefixed block and column frames
+// ReduceArgs' group carries, without the gid (the message names the
+// shard); the zero group, which stores nothing, is two zero-length
+// frames.
 
 // StoreShardArgs appends one routed insert batch to a shard replica.
-// Nil frames are legal and store nothing — the residency seed a new
-// cluster (or a committed handoff target) uses to mark a shard served
-// here even before its first insert.
+// The zero batch is legal and stores nothing — the residency seed a new
+// cluster uses to mark a shard served here even before its first
+// insert.
 type StoreShardArgs struct {
 	// RuleID names the cluster rule the shard computes under.
 	RuleID uint64
@@ -139,10 +139,7 @@ type StoreShardArgs struct {
 	MapVersion uint64
 	// ShardID is the stable shard identifier.
 	ShardID int
-	// BlockFrame is the batch's point.Block frame; ZFrame its
-	// zorder.ZCol frame, one address per block row.
-	BlockFrame []byte
-	ZFrame     []byte
+	Batch   plan.Group
 }
 
 // StoreShardReply acknowledges a store with the replica's new resident
@@ -222,11 +219,9 @@ type PullShardArgs struct {
 	MaxRows int
 }
 
-// PullShardReply carries one pulled batch as raw frames plus the
-// resume position.
+// PullShardReply carries one pulled batch plus the resume position.
 type PullShardReply struct {
-	BlockFrame []byte
-	ZFrame     []byte
+	Batch plan.Group
 	// Rows is the batch's row count; Next the cursor for the following
 	// pull; Done reports that the shard is fully streamed.
 	Rows int
@@ -242,9 +237,8 @@ type StageShardArgs struct {
 	// Epoch identifies the handoff attempt. It is unique per attempt
 	// (not the target map version, which an aborted attempt reuses), so
 	// a retry never appends onto a failed attempt's leftover stage.
-	Epoch      uint64
-	BlockFrame []byte
-	ZFrame     []byte
+	Epoch uint64
+	Batch plan.Group
 }
 
 // StageShardReply acknowledges staging with the staged row count.

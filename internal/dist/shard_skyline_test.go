@@ -41,27 +41,18 @@ func bareWorker(t testing.TB, dims, bits int, local plan.LocalAlgo, desc dominan
 		staged:   make(map[stageKey]*residentShard)}, rule
 }
 
-// shardFrames encodes a batch the way Cluster.insertShard ships it.
-func shardFrames(t testing.TB, enc *zorder.Encoder, b point.Block) (blockFrame, zFrame []byte) {
-	t.Helper()
+// shardBatch is b as Cluster.InsertBlock ships it: with its column, or
+// the zero batch when b holds no rows.
+func shardBatch(enc *zorder.Encoder, b point.Block) plan.Group {
 	if b.Len() == 0 {
-		return nil, nil
+		return plan.Group{}
 	}
-	blockFrame, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	zFrame, err = enc.EncodeBlock(zorder.ZCol{}, b).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blockFrame, zFrame
+	return plan.Group{Block: b, ZCol: enc.EncodeBlock(zorder.ZCol{}, b)}
 }
 
 func storeBatch(t testing.TB, w *Worker, enc *zorder.Encoder, b point.Block) {
 	t.Helper()
-	bf, zf := shardFrames(t, enc, b)
-	if err := w.StoreShard(StoreShardArgs{RuleID: 1, ShardID: 0, BlockFrame: bf, ZFrame: zf},
+	if err := w.StoreShard(StoreShardArgs{RuleID: 1, ShardID: 0, Batch: shardBatch(enc, b)},
 		&StoreShardReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +218,8 @@ func TestShardSkylineCacheMatchesBruteForce(t *testing.T) {
 						held, batches = held[:0], nil
 						for i := rng.Intn(3); i > 0; i-- {
 							b := randomBlock(1 + rng.Intn(30))
-							bf, zf := shardFrames(t, enc, b)
 							if err := w.StageShard(StageShardArgs{ShardID: 0, Epoch: epoch,
-								BlockFrame: bf, ZFrame: zf}, &StageShardReply{}); err != nil {
+								Batch: shardBatch(enc, b)}, &StageShardReply{}); err != nil {
 								t.Fatal(err)
 							}
 							held = append(held, b.Points()...)
@@ -537,11 +527,7 @@ func TestShardSuffixCacheIsNoFilter(t *testing.T) {
 	}
 	res, rule := w.resident[0], w.rules[1]
 	suffix := zorder.Range{Lo: mid}
-	filtered := make([]plan.Group, len(res.groups))
-	for i, g := range res.groups {
-		filtered[i] = filterGroupRange(g, suffix)
-	}
-	in := concatGroups(filtered)
+	in := rangeRows(res.groups, suffix)
 	st := zbtree.NewStoreWithZCol(enc, in.Block, in.ZCol)
 	sky := res.sky.fold.Skyline()
 	from := sort.Search(sky.Len(), func(i int) bool { return zorder.Compare(sky.ZCol.At(i), mid) >= 0 })

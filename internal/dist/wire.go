@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -89,10 +90,10 @@ func shortMethodName(id uint16) string {
 //
 // Wire types encode to flat little-endian frames by appending onto the
 // transport's shared scratch buffer: fixed-width integers, 1-byte
-// bools, u32-length-prefixed byte strings, and u32-count-prefixed
-// uint64 slices (count 0 decodes to nil — the "no bound" marker
-// ShardSkyArgs leans on). Block and ZCol travel as their existing
-// binary frames, length-prefixed when they are not the payload's tail.
+// bools, and u32-count-prefixed uint64 slices (count 0 decodes to nil —
+// the "no bound" marker ShardSkyArgs leans on). Block and ZCol travel as
+// their existing binary frames, length-prefixed when they are not the
+// payload's tail.
 
 func appendU32(dst []byte, v uint32) []byte {
 	var b [4]byte
@@ -115,11 +116,6 @@ func appendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
 func appendU64s(dst []byte, v []uint64) []byte {
 	dst = appendU32(dst, uint32(len(v)))
 	for _, w := range v {
@@ -128,13 +124,17 @@ func appendU64s(dst []byte, v []uint64) []byte {
 	return dst
 }
 
-// appendBlockFrame appends a length-prefixed point.Block frame.
-func appendBlockFrame(dst []byte, b interface {
+// appendFrame appends v's binary frame, length-prefixed; with empty set,
+// a zero-length frame instead.
+func appendFrame(dst []byte, v interface {
 	AppendBinary(dst []byte) ([]byte, error)
-}) ([]byte, error) {
+}, empty bool) ([]byte, error) {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst, err := b.AppendBinary(dst)
+	if empty {
+		return dst, nil
+	}
+	dst, err := v.AppendBinary(dst)
 	if err != nil {
 		return dst, err
 	}
@@ -145,12 +145,19 @@ func appendBlockFrame(dst []byte, b interface {
 // appendGroup appends one plan.Group: gid, then its length-prefixed
 // block and Z-column frames.
 func appendGroup(dst []byte, g plan.Group) ([]byte, error) {
-	dst = appendI64(dst, int64(g.Gid))
-	dst, err := appendBlockFrame(dst, g.Block)
+	return appendFrames(appendI64(dst, int64(g.Gid)), g, false)
+}
+
+// appendFrames appends g's length-prefixed block and Z-column frames.
+// With seedable set, the zero block or column (a residency seed, an
+// empty pull) is a zero-length frame, as the shard tier's batches
+// carry it.
+func appendFrames(dst []byte, g plan.Group, seedable bool) ([]byte, error) {
+	dst, err := appendFrame(dst, g.Block, seedable && g.Block.Dims == 0 && len(g.Block.Data) == 0)
 	if err != nil {
 		return dst, err
 	}
-	return appendBlockFrame(dst, g.ZCol)
+	return appendFrame(dst, g.ZCol, seedable && g.ZCol.Words == 0 && len(g.ZCol.Data) == 0)
 }
 
 // wireReader is a cursor over one payload frame. The first decode
@@ -208,17 +215,6 @@ func (r *wireReader) bool() bool {
 	return b != nil && b[0] == 1
 }
 
-// bytes reads a u32-length-prefixed byte string, copied out of the
-// frame (decode buffers are reused). Length 0 decodes to nil.
-func (r *wireReader) bytes() []byte {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // u64s reads a u32-count-prefixed uint64 slice; count 0 decodes to nil.
 func (r *wireReader) u64s() []uint64 {
 	n := int(r.u32())
@@ -235,19 +231,46 @@ func (r *wireReader) u64s() []uint64 {
 
 // group reads one appendGroup frame.
 func (r *wireReader) group() plan.Group {
-	var g plan.Group
-	g.Gid = int(r.i64())
-	if b := r.take(int(r.u32())); b != nil {
-		if err := g.Block.UnmarshalBinary(b); err != nil {
-			r.fail("dist: group block frame: %v", err)
-		}
-	}
-	if b := r.take(int(r.u32())); b != nil {
-		if err := g.ZCol.UnmarshalBinary(b); err != nil {
-			r.fail("dist: group zcol frame: %v", err)
-		}
+	gid := int(r.i64())
+	g := r.frames(false)
+	g.Gid = gid
+	return g
+}
+
+// batch reads one shard batch: the appendFrames of a group whose column
+// holds one address per row, or of the zero group.
+func (r *wireReader) batch() plan.Group {
+	g := r.frames(true)
+	if g.ZCol.Len() != g.Block.Len() {
+		r.fail("dist: batch frames disagree: %d addresses for %d rows", g.ZCol.Len(), g.Block.Len())
 	}
 	return g
+}
+
+// frames reads the two frames appendFrames writes. With seedable set a
+// zero-length frame is the zero block or column, and a frame that
+// decodes to one is malformed: the encoder writes it zero-length.
+func (r *wireReader) frames(seedable bool) plan.Group {
+	var g plan.Group
+	block := r.frame(&g.Block, "block", seedable)
+	col := r.frame(&g.ZCol, "zcol", seedable)
+	if seedable && (block && g.Block.Dims == 0 || col && g.ZCol.Words == 0) {
+		r.fail("dist: batch frame of no width")
+	}
+	return g
+}
+
+// frame decodes one length-prefixed frame into v and reports whether it
+// did; with seedable set a zero-length frame leaves v alone.
+func (r *wireReader) frame(v encoding.BinaryUnmarshaler, what string, seedable bool) bool {
+	b := r.take(int(r.u32()))
+	if b == nil || seedable && len(b) == 0 {
+		return false
+	}
+	if err := v.UnmarshalBinary(b); err != nil {
+		r.fail("dist: %s frame: %v", what, err)
+	}
+	return true
 }
 
 // rest consumes the remainder of the payload — for types whose final
@@ -441,14 +464,12 @@ func (a *MergeArgs) DecodeFrom(data []byte) error {
 	return r.done()
 }
 
-// AppendTo encodes a shard store batch; the block/Z frames are shipped
-// verbatim, length-prefixed.
+// AppendTo encodes a shard store batch.
 func (a StoreShardArgs) AppendTo(dst []byte) ([]byte, error) {
 	dst = appendU64(dst, a.RuleID)
 	dst = appendU64(dst, a.MapVersion)
 	dst = appendI64(dst, int64(a.ShardID))
-	dst = appendBytes(dst, a.BlockFrame)
-	return appendBytes(dst, a.ZFrame), nil
+	return appendFrames(dst, a.Batch, true)
 }
 
 // DecodeFrom decodes a shard store batch.
@@ -457,8 +478,7 @@ func (a *StoreShardArgs) DecodeFrom(data []byte) error {
 	a.RuleID = r.u64()
 	a.MapVersion = r.u64()
 	a.ShardID = int(r.i64())
-	a.BlockFrame = r.bytes()
-	a.ZFrame = r.bytes()
+	a.Batch = r.batch()
 	return r.done()
 }
 
@@ -536,8 +556,7 @@ func (a PullShardReply) AppendTo(dst []byte) ([]byte, error) {
 	dst = appendI64(dst, int64(a.Rows))
 	dst = appendI64(dst, int64(a.Next))
 	dst = appendBool(dst, a.Done)
-	dst = appendBytes(dst, a.BlockFrame)
-	return appendBytes(dst, a.ZFrame), nil
+	return appendFrames(dst, a.Batch, true)
 }
 
 // DecodeFrom decodes one pulled batch.
@@ -546,8 +565,7 @@ func (a *PullShardReply) DecodeFrom(data []byte) error {
 	a.Rows = int(r.i64())
 	a.Next = int(r.i64())
 	a.Done = r.bool()
-	a.BlockFrame = r.bytes()
-	a.ZFrame = r.bytes()
+	a.Batch = r.batch()
 	return r.done()
 }
 
@@ -555,8 +573,7 @@ func (a *PullShardReply) DecodeFrom(data []byte) error {
 func (a StageShardArgs) AppendTo(dst []byte) ([]byte, error) {
 	dst = appendI64(dst, int64(a.ShardID))
 	dst = appendU64(dst, a.Epoch)
-	dst = appendBytes(dst, a.BlockFrame)
-	return appendBytes(dst, a.ZFrame), nil
+	return appendFrames(dst, a.Batch, true)
 }
 
 // DecodeFrom decodes a staging append.
@@ -564,8 +581,7 @@ func (a *StageShardArgs) DecodeFrom(data []byte) error {
 	r := wireReader{b: data}
 	a.ShardID = int(r.i64())
 	a.Epoch = r.u64()
-	a.BlockFrame = r.bytes()
-	a.ZFrame = r.bytes()
+	a.Batch = r.batch()
 	return r.done()
 }
 

@@ -2,9 +2,13 @@ package dist
 
 import (
 	"context"
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"zskyline/internal/gen"
+	"zskyline/internal/plan"
+	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
 
@@ -152,5 +156,53 @@ func TestClusterWireBytesRoutedVsBroadcast(t *testing.T) {
 			bRep.WireSentBytes, bRep.WireRecvBytes, bRep.WireSentBytes+bRep.WireRecvBytes,
 			float64(bRep.WireSentBytes+bRep.WireRecvBytes)/float64(rRep.WireSentBytes+rRep.WireRecvBytes))
 		c.Close()
+	}
+}
+
+// TestShardBatchWireBytes pins the shard tier's batch messages to the
+// bytes the release before them put on the wire, when they carried raw
+// block and column frames, so workers and coordinators of the two
+// releases still understand each other: one 2-row, 3-d batch with its
+// column round-trips through each message as exactly these bytes, and
+// the older residency seed and empty pull, two zero-length frames,
+// decode to the zero batch and encode back to themselves.
+func TestShardBatchWireBytes(t *testing.T) {
+	const (
+		block = "380000000300000002000000000000000000d03f000000000000e03f000000000000e83f000000000000f03f000000000000c03f0000000000000040"
+		col   = "180000000100000002000000efcdab89674523011032547698badcfe"
+	)
+	g := plan.Group{Block: point.BlockOf(3, []point.Point{{0.25, 0.5, 0.75}, {1, 0.125, 2}}),
+		ZCol: zorder.ZCol{Words: 1, Data: []uint64{0x0123456789abcdef, 0xfedcba9876543210}}}
+	for _, c := range []struct {
+		name string
+		msg  wireMsg
+		hex  string
+	}{
+		{"store", &StoreShardArgs{RuleID: 7, MapVersion: 2, ShardID: 3, Batch: g},
+			"070000000000000002000000000000000300000000000000" + block + col},
+		{"stage", &StageShardArgs{ShardID: 3, Epoch: 9, Batch: g},
+			"03000000000000000900000000000000" + block + col},
+		{"pull", &PullShardReply{Rows: 2, Next: 4, Done: true, Batch: g},
+			"0200000000000000040000000000000001" + block + col},
+		{"seed", &StoreShardArgs{RuleID: 7, MapVersion: 1, ShardID: 3},
+			"0700000000000000010000000000000003000000000000000000000000000000"},
+		{"empty pull", &PullShardReply{Done: true},
+			"00000000000000000000000000000000010000000000000000"},
+	} {
+		got, err := c.msg.AppendTo(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if hex.EncodeToString(got) != c.hex {
+			t.Errorf("%s encodes to\n %x\nwant\n %s", c.name, got, c.hex)
+		}
+		want, _ := hex.DecodeString(c.hex)
+		m := reflect.New(reflect.TypeOf(c.msg).Elem()).Interface().(wireMsg)
+		if err := m.DecodeFrom(want); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(m, c.msg) {
+			t.Errorf("%s decodes to %+v, want %+v", c.name, m, c.msg)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"zskyline/internal/dominance"
 	"zskyline/internal/obs"
 	"zskyline/internal/plan"
-	"zskyline/internal/point"
 	"zskyline/internal/transport"
 	"zskyline/internal/zorder"
 )
@@ -62,28 +61,6 @@ func (w *Worker) installShardMap(version uint64) {
 	w.smu.Unlock()
 }
 
-// decodeShardFrames rebuilds one append batch from its wire frames.
-// Nil frames decode to an empty batch (residency seeding). A non-empty
-// block must arrive with a column of exactly one address per row — the
-// shard tier's queries and handoffs both lean on that invariant.
-func decodeShardFrames(shardID int, blockFrame, zFrame []byte) (plan.Group, error) {
-	g := plan.Group{Gid: shardID}
-	if len(blockFrame) == 0 && len(zFrame) == 0 {
-		return g, nil
-	}
-	if err := g.Block.UnmarshalBinary(blockFrame); err != nil {
-		return g, fmt.Errorf("dist: shard %d block frame: %w", shardID, err)
-	}
-	if err := g.ZCol.UnmarshalBinary(zFrame); err != nil {
-		return g, fmt.Errorf("dist: shard %d zcol frame: %w", shardID, err)
-	}
-	if g.ZCol.Len() != g.Block.Len() {
-		return g, fmt.Errorf("dist: shard %d frames disagree: %d addresses for %d rows",
-			shardID, g.ZCol.Len(), g.Block.Len())
-	}
-	return g, nil
-}
-
 // setShardGauge publishes one shard's resident row count.
 func (w *Worker) setShardGauge(shardID, rows int) {
 	w.reg.Gauge("zsky_shard_points", obs.L("shard", fmt.Sprint(shardID))).Set(float64(rows))
@@ -102,10 +79,8 @@ func (w *Worker) resetShardGauges(shardID, rows int) {
 // member of the owning group, under a per-shard lock, so replicas stay
 // byte-identical.
 func (w *Worker) StoreShard(args StoreShardArgs, reply *StoreShardReply) error {
-	g, err := decodeShardFrames(args.ShardID, args.BlockFrame, args.ZFrame)
-	if err != nil {
-		return err
-	}
+	g := args.Batch
+	g.Gid = args.ShardID
 	w.smu.Lock()
 	if args.MapVersion > w.shardVer {
 		w.shardVer = args.MapVersion
@@ -192,7 +167,9 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 			reply.Group = deltaRows(reply.Group, groups[args.Since:k])
 		}
 	} else {
-		reply.Group = rangeSkyline(r, groups, zorder.Range{Lo: args.Lo, Hi: args.Hi})
+		// Phase 3's merge would be wrong here: it assumes its inputs are
+		// already candidate skylines and only eliminates across groups.
+		reply.Group = r.LocalSkylineGroup(rangeRows(groups, zorder.Range{Lo: args.Lo, Hi: args.Hi}), nil)
 		reply.Outcome = SkyComputed
 	}
 	reply.Group.Gid = args.ShardID
@@ -211,7 +188,6 @@ func (w *Worker) ShardSkyline(args ShardSkyArgs, reply *ShardSkyReply) error {
 func deltaRows(sky plan.Group, batches []plan.Group) plan.Group {
 	n := sky.Len()
 	claimed := make([]bool, n)
-	found := 0
 	for _, b := range batches {
 		for i := 0; i < b.Len(); i++ {
 			z, row := b.ZCol.At(i), b.Block.Row(i)
@@ -219,19 +195,18 @@ func deltaRows(sky plan.Group, batches []plan.Group) plan.Group {
 			for ; j < n && zorder.Compare(sky.ZCol.At(j), z) == 0; j++ {
 				if !claimed[j] && slices.Equal(sky.Block.Row(j), row) {
 					claimed[j] = true
-					found++
 					break
 				}
 			}
 		}
 	}
-	bb := point.NewBlockBuilder(sky.Block.Dims, found)
+	var rows []int32
 	for j, ok := range claimed {
 		if ok {
-			bb.Append(sky.Block.Row(j))
+			rows = append(rows, int32(j))
 		}
 	}
-	return plan.Group{Block: bb.Build()}
+	return sky.Select(rows)
 }
 
 // checkBounds rejects a range bound that is neither absent nor exactly
@@ -267,7 +242,7 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 		if c.k > 0 {
 			outcome = SkyFolded
 		}
-		c.fold.Add(concatGroups(groups[c.k:]))
+		c.fold.Add(plan.Concat(groups[c.k:]))
 		c.k = len(groups)
 		c.rows.Store(int64(c.fold.Skyline().Len()))
 	}
@@ -279,88 +254,29 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 	return out, outcome, c.k
 }
 
-// rangeSkyline is the shard skyline restricted to rng, from the rows:
-// filter each batch, concatenate, run the shard-local kernel.
-// Phase 3's merge would be wrong here: it assumes its inputs are already
-// candidate skylines and only eliminates across groups.
-func rangeSkyline(r *plan.Rule, groups []plan.Group, rng zorder.Range) plan.Group {
-	filtered := make([]plan.Group, 0, len(groups))
+// rangeRows gathers the rows of groups whose Z-address falls inside
+// rng into one group, their column cut alongside.
+func rangeRows(groups []plan.Group, rng zorder.Range) plan.Group {
+	in := make([]plan.Group, 0, len(groups))
 	for _, g := range groups {
-		if fg := filterGroupRange(g, rng); fg.Len() > 0 {
-			filtered = append(filtered, fg)
+		if rows := rng.FilterRows(nil, g.ZCol); len(rows) == g.Len() {
+			in = append(in, g)
+		} else if len(rows) > 0 {
+			in = append(in, g.Select(rows))
 		}
 	}
-	return r.LocalSkylineGroup(concatGroups(filtered), nil)
-}
-
-// concatGroups flattens append batches into one group, carrying the
-// Z-address columns along when every batch has one.
-func concatGroups(groups []plan.Group) plan.Group {
-	if len(groups) == 1 {
-		return groups[0]
-	}
-	total, withCol := 0, true
-	words := 0
-	for _, g := range groups {
-		total += g.Len()
-		if g.ZCol.Len() != g.Block.Len() || g.ZCol.Words == 0 {
-			withCol = false
-		} else if words == 0 {
-			words = g.ZCol.Words
-		}
-	}
-	var out plan.Group
-	if total == 0 {
-		return out
-	}
-	var dims int
-	for _, g := range groups {
-		if g.Block.Dims > 0 {
-			dims = g.Block.Dims
-			break
-		}
-	}
-	bb := point.NewBlockBuilder(dims, total)
-	if withCol {
-		out.ZCol = zorder.ZCol{Words: words, Data: make([]uint64, 0, total*words)}
-	}
-	for _, g := range groups {
-		bb.AppendBlock(g.Block)
-		if withCol {
-			out.ZCol.AppendCol(g.ZCol)
-		}
-	}
-	out.Block = bb.Build()
-	return out
-}
-
-// filterGroupRange subsets one append batch to the rows whose
-// Z-address falls inside rng, cutting the column alongside the block.
-func filterGroupRange(g plan.Group, rng zorder.Range) plan.Group {
-	rows := rng.FilterRows(nil, g.ZCol)
-	if len(rows) == g.Block.Len() {
-		return g
-	}
-	out := plan.Group{Gid: g.Gid, ZCol: zorder.ZCol{Words: g.ZCol.Words}}
-	bb := point.NewBlockBuilder(g.Block.Dims, len(rows))
-	for _, i := range rows {
-		bb.Append(g.Block.Row(int(i)))
-		out.ZCol.AppendRow(g.ZCol, int(i))
-	}
-	out.Block = bb.Build()
-	return out
+	return plan.Concat(in)
 }
 
 // PullShard streams one batch of the shard's resident data, resuming
-// at Cursor (a group-list index). Batches pack whole append groups up
-// to roughly MaxRows rows into a single pair of frames, so the
-// transfer path moves flat arrays, not per-point gob.
+// at Cursor (a group-list index). A batch packs whole append groups up
+// to roughly MaxRows rows into one group.
 func (w *Worker) PullShard(args PullShardArgs, reply *PullShardReply) error {
 	w.smu.RLock()
 	res := w.resident[args.ShardID]
 	var groups []plan.Group
 	if res != nil {
-		groups = append(groups, res.groups...)
+		groups = res.groups[:len(res.groups):len(res.groups)]
 	}
 	w.smu.RUnlock()
 	if res == nil {
@@ -374,43 +290,21 @@ func (w *Worker) PullShard(args PullShardArgs, reply *PullShardReply) error {
 	if cur < 0 || cur > len(groups) {
 		return fmt.Errorf("dist: shard %d pull cursor %d of %d", args.ShardID, cur, len(groups))
 	}
-	var bb *point.BlockBuilder
-	var zc zorder.ZCol
-	for cur < len(groups) {
-		g := groups[cur]
-		if bb == nil {
-			bb = point.NewBlockBuilder(g.Block.Dims, g.Block.Len())
-			zc = zorder.ZCol{Words: g.ZCol.Words}
-		}
-		bb.AppendBlock(g.Block)
-		zc.AppendCol(g.ZCol)
-		cur++
-		reply.Rows += g.Len()
-		if reply.Rows >= maxRows {
-			break
-		}
+	end := cur
+	for ; end < len(groups) && reply.Rows < maxRows; end++ {
+		reply.Rows += groups[end].Len()
 	}
-	if bb != nil {
-		var err error
-		if reply.BlockFrame, err = bb.Build().MarshalBinary(); err != nil {
-			return err
-		}
-		if reply.ZFrame, err = zc.MarshalBinary(); err != nil {
-			return err
-		}
-	}
-	reply.Next = cur
-	reply.Done = cur >= len(groups)
+	reply.Batch = plan.Concat(groups[cur:end])
+	reply.Next = end
+	reply.Done = end >= len(groups)
 	return nil
 }
 
 // StageShard appends one pulled batch to the (shard, epoch) staging
 // area. Staged data is invisible to queries until CommitShard.
 func (w *Worker) StageShard(args StageShardArgs, reply *StageShardReply) error {
-	g, err := decodeShardFrames(args.ShardID, args.BlockFrame, args.ZFrame)
-	if err != nil {
-		return err
-	}
+	g := args.Batch
+	g.Gid = args.ShardID
 	key := stageKey{shard: args.ShardID, epoch: args.Epoch}
 	w.smu.Lock()
 	st := w.staged[key]

@@ -90,8 +90,7 @@ func mergeSpanGroups(t *testing.T, tr *obs.Trace, label string) int {
 // Z-carrying candidates, three inputs, d ∈ {2, 8} and 1, 2, 3 or 8
 // workers (and as many groups asked for), plan.Run returns the
 // all-pairs skyline under one merge/round-1 span, and phase 3 on the
-// same candidates returns those rows with a Z-column that lines up with
-// them. Between them the cases reach every arm: one group, a tree per
+// same candidates returns those rows. Between them the cases reach every arm: one group, a tree per
 // group up to perGroupTrees groups, and one tree over more.
 func TestMergePhaseMatchesBruteForce(t *testing.T) {
 	arms := map[string]bool{}
@@ -125,11 +124,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sameSet(t, got.Points(), want, label+"/merge")
-					zc := r.Encoder().EncodeBlock(zorder.ZCol{}, got.Block)
-					if got.ZCol.Len() != got.Len() || string(mustBinary(t, zc)) != string(mustBinary(t, got.ZCol)) {
-						t.Errorf("%s: merged column does not match its rows", label)
-					}
+					sameSet(t, got, want, label+"/merge")
 				}
 			}
 		}
@@ -141,8 +136,9 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 
 // TestPairMergeMatchesMergeGroupsZ: two groups merge as a two-sided
 // probe on the pool; the result must be the merge mergeGroupsZ computes,
-// as a set, with a column that still lines up — including when one side
-// is empty or the sides share coordinate-equal rows.
+// as a set, and the probe compacted must hold those rows with a column
+// that still lines up — including when one side is empty or the sides
+// share coordinate-equal rows.
 func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 4000, 5, 8)
 	r := learnRule(t, validSpec(), ds)
@@ -155,11 +151,16 @@ func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 	ex := NewLocalExec(4)
 	for name, pair := range map[string][]Group{"a+b": {a, b}, "a+a": {a, dup}, "a+empty": {a, empty},
 		"empty+b": {empty, b}, "empty+empty": {empty, empty}} {
-		got, err := ex.merge(context.Background(), r, whole(pair), nil)
+		views, err := ex.merge(context.Background(), r, whole(pair), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSet(t, got.Points(), r.mergeGroupsZ(whole(pair), nil).Points(), name)
+		sameSet(t, views, r.mergeGroupsZ(whole(pair), nil).Points(), name)
+		got, err := compacted(ex.probeGroups(context.Background(), r, whole(pair), others, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSet(t, got.Points(), views, name+"/compacted")
 		zc := r.Encoder().EncodeBlock(zorder.ZCol{}, got.Block)
 		if got.Block.Dims != ds.Dims || got.ZCol.Len() != got.Len() || string(mustBinary(t, zc)) != string(mustBinary(t, got.ZCol)) {
 			t.Errorf("%s: merged column does not match its rows", name)
@@ -184,11 +185,11 @@ func TestPerGroupTreesTestLess(t *testing.T) {
 			t.Fatalf("M=%d: %d groups against a threshold of %d", m, len(groups), perGroupTrees)
 		}
 		var one, per metrics.Tally
-		oneTree, err := ex.probeGroups(context.Background(), r, whole(groups), every, &one)
+		oneTree, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), every, &one))
 		if err != nil {
 			t.Fatal(err)
 		}
-		each, err := ex.probeGroups(context.Background(), r, whole(groups), others, &per)
+		each, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), others, &per))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,4 +245,13 @@ func TestMergePhaseCancelled(t *testing.T) {
 			t.Fatal("merge still cancelled after 1000 polls")
 		}
 	}
+}
+
+// compacted is a probe merge's result compacted with its column, for the
+// tests and benchmarks that look at a merge's rows as a group.
+func compacted(m *probeMerge, err error) (Group, error) {
+	if err != nil {
+		return Group{}, err
+	}
+	return m.result(), nil
 }

@@ -218,6 +218,53 @@ func (g Group) Len() int { return g.Block.Len() }
 // Points materializes zero-copy row views of the group's block.
 func (g Group) Points() []point.Point { return g.Block.Points() }
 
+// fullCol reports whether g's column holds an address for every row.
+func (g Group) fullCol() bool { return g.ZCol.Words > 0 && g.ZCol.Len() == g.Block.Len() }
+
+// Select copies the given rows of g, in that order, into a fresh group
+// with g's Gid; the column's rows are cut alongside when g's column
+// covers every row, and left out otherwise.
+func (g Group) Select(rows []int32) Group {
+	out := Group{Gid: g.Gid, Block: g.Block.Select(rows)}
+	if g.fullCol() {
+		out.ZCol = g.ZCol.Select(rows)
+	}
+	return out
+}
+
+// Concat copies the groups' rows, in order, into one fresh group, with
+// their columns concatenated when every group's column covers its rows
+// at one stride. A lone group is returned as it is; no rows at all give
+// the zero group.
+func Concat(groups []Group) Group {
+	if len(groups) == 1 {
+		return groups[0]
+	}
+	var out Group
+	total, withCol := 0, true
+	for _, g := range groups {
+		total += g.Len()
+		withCol = withCol && g.fullCol() && g.ZCol.Words == groups[0].ZCol.Words
+		if out.Block.Dims == 0 {
+			out.Block.Dims = g.Block.Dims
+		}
+	}
+	if total == 0 {
+		return Group{}
+	}
+	out.Block.Data = make([]float64, 0, total*out.Block.Dims)
+	if withCol {
+		out.ZCol = zorder.ZCol{Words: groups[0].ZCol.Words, Data: make([]uint64, 0, total*groups[0].ZCol.Words)}
+	}
+	for _, g := range groups {
+		out.Block.Data = append(out.Block.Data, g.Block.Data...)
+		if withCol {
+			out.ZCol.AppendCol(g.ZCol)
+		}
+	}
+	return out
+}
+
 // Fold is the skyline of every batch added so far under one rule: how a
 // skyline absorbs new data, by the paper's Z-merge (Algorithm 4).
 // Incremental maintenance and a worker's resident shard skyline are
@@ -308,6 +355,18 @@ func (p part) len() int {
 		return p.g.Len()
 	}
 	return len(p.rows)
+}
+
+// points returns row views of the part's rows of g.
+func (p part) points() []point.Point {
+	if p.rows == nil {
+		return p.g.Points()
+	}
+	out := make([]point.Point, len(p.rows))
+	for i, row := range p.rows {
+		out[i] = p.g.Block.Row(int(row))
+	}
+	return out
 }
 
 // partsLen returns the parts' total row count.

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"zskyline/internal/metrics"
+	"zskyline/internal/point"
 	"zskyline/internal/zbtree"
 )
 
@@ -110,16 +111,39 @@ func (m *probeMerge) probe(ctx context.Context, k int, tally *metrics.Tally) {
 	}
 }
 
-// result compacts the survivors of every side into the merged group.
-func (m *probeMerge) result() Group {
-	rows := make([]int32, 0, len(m.alive))
+// survivors lists the store rows of every side that are still alive.
+func (m *probeMerge) survivors() []int32 {
+	n := 0
+	for _, ok := range m.alive {
+		if ok {
+			n++
+		}
+	}
+	rows := make([]int32, 0, n)
 	for i, ok := range m.alive {
 		if ok {
 			rows = append(rows, int32(i))
 		}
 	}
+	return rows
+}
+
+// result compacts the survivors into the merged group, with their
+// column.
+func (m *probeMerge) result() Group {
 	var out Group
-	out.Block, out.ZCol = m.st.CompactRows(rows)
+	out.Block, out.ZCol = m.st.CompactRows(m.survivors())
+	return out
+}
+
+// points returns the survivors as row views of the store, which the
+// merge gathered for itself, so they are not copied again.
+func (m *probeMerge) points() []point.Point {
+	rows := m.survivors()
+	out := make([]point.Point, len(rows))
+	for i, row := range rows {
+		out[i] = m.st.Row(row)
+	}
 	return out
 }
 
@@ -133,19 +157,24 @@ func (m *probeMerge) result() Group {
 // share one ZB-tree that every candidate probes. The trees answer under
 // the rule's relation. The ZS and SB recompute merges are one
 // mergeGroupsZ task. Every schedule gathers each candidate out of its
-// group once; a whole single group is returned as it is.
-func (ex *LocalExec) merge(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) (Group, error) {
+// group once, and the result is row views of what was gathered: of the
+// probe's store, or of a single part's own group.
+func (ex *LocalExec) merge(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) ([]point.Point, error) {
+	rc := every
 	switch {
 	case r.merge != MergeZM:
-		return ex.mergeOne(ctx, r, parts, tally)
-	case len(parts) == 1 && parts[0].rows == nil:
-		return parts[0].g, nil
+		out, err := ex.mergeOne(ctx, r, parts, tally)
+		return out.Points(), err
 	case len(parts) == 1:
-		return Group{Gid: parts[0].g.Gid, Block: parts[0].g.Block.Select(parts[0].rows)}, nil
+		return parts[0].points(), nil
 	case len(parts) <= perGroupTrees:
-		return ex.probeGroups(ctx, r, parts, others, tally)
+		rc = others
 	}
-	return ex.probeGroups(ctx, r, parts, every, tally)
+	m, err := ex.probeGroups(ctx, r, parts, rc, tally)
+	if err != nil {
+		return nil, err
+	}
+	return m.points(), nil
 }
 
 // perGroupTrees is the most groups phase 3 gives a tree each. A group is
@@ -162,9 +191,8 @@ const perGroupTrees = 4
 
 // probeGroups gathers the parts into one store — a side each, or one
 // side for them all when the reach is every — and runs a probeMerge over
-// it: index the sides, probe a few row ranges per worker and side,
-// compact.
-func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc reach, tally *metrics.Tally) (Group, error) {
+// it: index the sides, then probe a few row ranges per worker and side.
+func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc reach, tally *metrics.Tally) (*probeMerge, error) {
 	st, sides := r.candidateStore(parts)
 	if rc == every {
 		sides = [][2]int32{{0, int32(st.Len())}}
@@ -177,10 +205,7 @@ func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc 
 		step{len(m.sides), func(i int) { m.build(i, r.fanout) }},
 		step{len(m.ranges), func(i int) { m.probe(ctx, i, tally) }},
 	)
-	if err != nil {
-		return Group{}, err
-	}
-	return m.result(), nil
+	return m, err
 }
 
 // mergeOne runs mergeGroupsZ over all the parts as one pool task.

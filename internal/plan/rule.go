@@ -344,13 +344,11 @@ func (r *Rule) LocalSkylineRows(g Group, tally *metrics.Tally) []int32 {
 // phase is SB, which has no use for one; under any other relation they
 // travel without one, like the map's survivors.
 func (r *Rule) Candidates(g Group, rows []int32) Group {
-	out := Group{Gid: g.Gid, Block: g.Block.Select(rows)}
-	if len(rows) == 0 || r.merge == MergeSB || !r.pareto() {
-		return out
-	}
-	if g.ZCol.Len() == g.Block.Len() && g.ZCol.Words == r.enc.Words() {
-		out.ZCol = g.ZCol.Select(rows)
-	} else {
+	out := g.Select(rows)
+	switch {
+	case len(rows) == 0 || r.merge == MergeSB || !r.pareto():
+		out.ZCol = zorder.ZCol{}
+	case out.ZCol.Words != r.enc.Words():
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out

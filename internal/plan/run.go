@@ -492,6 +492,6 @@ func mergePhase(ctx context.Context, ex *LocalExec, r *Rule, parts []part, tally
 	if err != nil {
 		return nil, err
 	}
-	sp.SetAttr("skyline", out.Len())
-	return out.Points(), nil
+	sp.SetAttr("skyline", len(out))
+	return out, nil
 }

@@ -52,7 +52,10 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 	switch {
 	case stats.Candidates == 0:
 	case !r.pareto():
-		out, err = ex.probeGroups(ctx, r, whole(groups), every, tally)
+		var m *probeMerge
+		if m, err = ex.probeGroups(ctx, r, whole(groups), every, tally); err == nil {
+			out = m.result()
+		}
 	default:
 		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, tally)
 	}

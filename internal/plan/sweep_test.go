@@ -327,7 +327,7 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 	}
 	probe := func(rc reach) func([]Group, *metrics.Tally) (Group, SweepStats, error) {
 		return func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
-			out, err := ex.probeGroups(context.Background(), r, whole(groups), rc, tally)
+			out, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), rc, tally))
 			return out, SweepStats{}, err
 		}
 	}

@@ -813,38 +813,26 @@ func zmergeRows(sky, src *BlockTree) []int32 {
 	return append(all, stash...)
 }
 
-// ZSearchBlock is the block-native "ZS" entry point: index b's rows
-// into a BlockTree and return the exact skyline as a compact block.
-func ZSearchBlock(enc *zorder.Encoder, fanout int, b point.Block, tally *metrics.Tally) point.Block {
-	out, _ := ZSearchGroup(enc, fanout, b, zorder.ZCol{}, tally)
-	return out
-}
-
-// ZSearchGroup is ZSearchBlock for callers that already hold b's
-// Z-address column (the pipeline's encode-once path): when zc has one
-// enc-encoded address per row it is reused verbatim, otherwise the
-// block is encoded here. Returns the skyline block and the matching
-// sub-column of survivor addresses, both compacted so they never pin
-// the input arenas.
+// ZSearchGroup is the block-native "ZS" entry point: index b's rows
+// into a BlockTree and return the exact skyline. When zc has one
+// enc-encoded address per row (the pipeline's encode-once path) it is
+// reused verbatim, otherwise the block is encoded here. Returns the
+// skyline block and the matching sub-column of survivor addresses, both
+// compacted so they never pin the input arenas.
 func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (point.Block, zorder.ZCol) {
-	return ZSearchGroupUnder(nil, enc, fanout, b, zc, tally)
-}
-
-// ZSearchGroupUnder is ZSearchGroup under the relation prov (nil is
-// Pareto): the store carries it, so the walk gates its cuts on prov's
-// capabilities. Under a non-transitive relation the result is a set of
-// rows none of which dominates another, not yet the skyline (see
-// SkylineRows).
-func ZSearchGroupUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (point.Block, zorder.ZCol) {
 	if b.Len() == 0 {
 		return point.Block{Dims: b.Dims}, zorder.ZCol{Words: enc.Words()}
 	}
-	st, rows := zsearchStore(prov, enc, fanout, b, zc, tally)
+	st, rows := zsearchStore(nil, enc, fanout, b, zc, tally)
 	return st.CompactRows(rows)
 }
 
-// ZSearchRowsUnder is ZSearchGroupUnder without the copy: the skyline
-// as positions into b, in Z-order, for callers that hold b already.
+// ZSearchRowsUnder is ZSearchGroup under the relation prov (nil is
+// Pareto), without the copy: the skyline as positions into b, in
+// Z-order, for callers that hold b already. The store carries prov, so
+// the walk gates its cuts on prov's capabilities. Under a
+// non-transitive relation the result is a set of rows none of which
+// dominates another, not yet the skyline (see SkylineRows).
 func ZSearchRowsUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) []int32 {
 	if b.Len() == 0 {
 		return nil
@@ -869,5 +857,6 @@ func zsearchStore(prov dominance.Provider, enc *zorder.Encoder, fanout int, b po
 // ZSearch is the slice entry point of the "ZS" algorithm: the skyline
 // of pts in Z-order, as fresh points that share nothing with pts.
 func ZSearch(enc *zorder.Encoder, fanout int, pts []point.Point, tally *metrics.Tally) []point.Point {
-	return ZSearchBlock(enc, fanout, point.BlockOf(enc.Dims(), pts), tally).Points()
+	b, _ := ZSearchGroup(enc, fanout, point.BlockOf(enc.Dims(), pts), zorder.ZCol{}, tally)
+	return b.Points()
 }

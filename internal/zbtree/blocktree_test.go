@@ -71,7 +71,7 @@ func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 			pts := b.Points()
 			oracle := seq.BruteForce(pts)
 			slice := ZSearch(enc, 8, pts, nil)
-			block := ZSearchBlock(enc, 8, b, nil)
+			block, _ := ZSearchGroup(enc, 8, b, zorder.ZCol{}, nil)
 			samePointSet(t, kind+"/slice", slice, oracle)
 			samePointSet(t, kind+"/block", block.Points(), oracle)
 
@@ -175,7 +175,7 @@ func TestQuickBlockSkylineMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 250, 6)
 		want := seq.BruteForce(pts)
-		got := ZSearchBlock(enc, 2+int(uint64(seed)%13), point.BlockOf(enc.Dims(), pts), nil)
+		got, _ := ZSearchGroup(enc, 2+int(uint64(seed)%13), point.BlockOf(enc.Dims(), pts), zorder.ZCol{}, nil)
 		if got.Len() != len(want) {
 			return false
 		}

@@ -61,7 +61,7 @@ func benchLocalSkylineUnder(b *testing.B, relation string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ = ZSearchGroupUnder(prov, enc, 0, blk, zc, nil)
+		out = blk.Select(ZSearchRowsUnder(prov, enc, 0, blk, zc, nil))
 	}
 	b.ReportMetric(float64(out.Len()), "skyline")
 }

@@ -50,7 +50,7 @@ func underProviders(t testing.TB, d int) []dominance.Provider {
 func skylineUnder(prov dominance.Provider, d, bits int, pts []point.Point) []point.Point {
 	enc, _ := zorder.NewUnitEncoder(d, bits)
 	b := point.BlockOf(d, pts)
-	out, _ := ZSearchGroupUnder(prov, enc, 4, b, zorder.ZCol{}, nil)
+	out := b.Select(ZSearchRowsUnder(prov, enc, 4, b, zorder.ZCol{}, nil))
 	if prov != nil && !prov.Caps().Transitive {
 		out = out.Select(seq.FilterRows(prov, out, b, nil))
 	}
