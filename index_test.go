@@ -2,9 +2,11 @@ package zskyline
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
 
@@ -23,6 +25,42 @@ func TestIndexBasics(t *testing.T) {
 	want := SequentialSkyline(ds.Points)
 	if got := ix.Skyline(); len(got) != len(want) {
 		t.Errorf("skyline %d, want %d", len(got), len(want))
+	}
+}
+
+// TestSkylineProgressiveIsTheSkylineWalk: the progressive skyline is
+// Z-search with an emit hook, so on anti-correlated rows at grids of 1,
+// 2 and 16 bits and d = 2, 8 and 12 it emits the batch skyline's rows in
+// its order and counts exactly its tests. At 16 bits and d = 12 both
+// read 1,316,045 dominance and 463,208 region tests.
+func TestSkylineProgressiveIsTheSkylineWalk(t *testing.T) {
+	for _, d := range []int{2, 8, 12} {
+		ds := Generate(AntiCorrelated, 5000, d, 7)
+		for _, bits := range []int{1, 2, 16} {
+			ix, err := BuildIndex(ds, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := ix.Stats()
+			want := ix.Skyline()
+			batch := ix.Stats()
+			var got []Point
+			for p := range ix.SkylineProgressive(context.Background()) {
+				got = append(got, p)
+			}
+			both := ix.Stats()
+			walk := metrics.Snapshot{DominanceTests: batch.DominanceTests - built.DominanceTests, RegionTests: batch.RegionTests - built.RegionTests}
+			prog := metrics.Snapshot{DominanceTests: both.DominanceTests - batch.DominanceTests, RegionTests: both.RegionTests - batch.RegionTests}
+			if !slices.EqualFunc(got, want, point.Point.Equal) {
+				t.Errorf("d=%d bits=%d: emitted %d rows, not the skyline's %d in order", d, bits, len(got), len(want))
+			}
+			if prog != walk {
+				t.Errorf("d=%d bits=%d: progressive counted %+v, the batch walk %+v", d, bits, prog, walk)
+			}
+			if d == 12 && bits == 16 && (walk.DominanceTests != 1316045 || walk.RegionTests != 463208) {
+				t.Errorf("d=12 bits=16: %+v, want 1316045 dominance and 463208 region tests", walk)
+			}
+		}
 	}
 }
 

@@ -397,7 +397,8 @@ func (c *Cluster) InsertBlock(ctx context.Context, blk point.Block) error {
 		// Cuts never change across map versions, so the range index ->
 		// shard ID mapping is stable even while a handoff runs.
 		if len(rs) > 0 {
-			if err := c.insertShard(ctx, c.shardIDs[at], g.Select(rs)); err != nil {
+			batch, _ := plan.Gather([]plan.Part{{Group: g, Rows: rs}}, nil)
+			if err := c.insertShard(ctx, c.shardIDs[at], batch); err != nil {
 				return err
 			}
 		}
@@ -557,7 +558,7 @@ func (c *Cluster) sweep(ctx context.Context, rng zorder.Range, targets []int, re
 	if len(groups) == 1 {
 		return groups[0], batches, nil
 	}
-	merged, _, err := c.inner.exec.SweepMerge(ctx, c.rule, groups, nil)
+	merged, err := c.inner.exec.SweepMerge(ctx, c.rule, groups, nil)
 	ev.SetPhase("merge/sweep", time.Since(fanned))
 	return merged, batches, err
 }
@@ -614,7 +615,7 @@ func (c *Cluster) full(ctx context.Context, targets []int, rep *ClusterReport, e
 			isDelta = isDelta && batches[i] >= m.since[c.shardIDs[idx]]
 		}
 		if isDelta {
-			d := plan.Concat(deltas)
+			d, _ := plan.Gather(plan.Whole(deltas), nil)
 			m.fold.Add(d)
 			for i, idx := range targets {
 				m.since[c.shardIDs[idx]] = batches[i]

@@ -3,7 +3,9 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -566,6 +568,46 @@ func TestShardSuffixCacheIsNoFilter(t *testing.T) {
 	t.Logf("probe, then kernel: %d dominance tests, %d region tests", p.DominanceTests, p.RegionTests)
 	if p.DominanceTests <= a.DominanceTests || p.RegionTests <= a.RegionTests {
 		t.Errorf("the probe saved tests: %+v against %+v", p, a)
+	}
+}
+
+// TestShardRangeCopiesRowsOnce: a suffix query's kernel input, the rows
+// of the shard's batches inside the range, is gathered by copying each
+// row once, straight from its batch. On BenchmarkShardSkylineSuffix's
+// shard, whose every batch straddles the range, building it allocates
+// at most 1.2 times the in-range rows' block and column bytes; the
+// rest is the position lists. Selecting each straddling batch and then
+// concatenating the selections took about twice.
+func TestShardRangeCopiesRowsOnce(t *testing.T) {
+	w, _, mid, _ := benchShard(t, 15000)
+	groups, suffix := w.resident[0].groups, zorder.Range{Lo: mid}
+	rows, straddling := 0, 0
+	for _, g := range groups {
+		n := len(suffix.FilterRows(nil, g.ZCol))
+		rows += n
+		if n > 0 && n < g.Len() {
+			straddling++
+		}
+	}
+	if straddling*10 < len(groups)*9 {
+		t.Fatalf("%d of %d batches straddle the range", straddling, len(groups))
+	}
+	in := rangeRows(groups, suffix)
+	if in.Len() != rows || in.ZCol.Len() != rows {
+		t.Fatalf("gathered %d rows and %d addresses, want %d", in.Len(), in.ZCol.Len(), rows)
+	}
+	want := uint64(8 * rows * (in.Block.Dims + in.ZCol.Words))
+	got := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rangeRows(groups, suffix)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d batches, %d straddling; %d rows in range, %d bytes, gathered with %d", len(groups), straddling, rows, want, got)
+	if got*5 > want*6 {
+		t.Errorf("gathering %d in-range rows allocated %d bytes, %.2f times their %d", rows, got, float64(got)/float64(want), want)
 	}
 }
 

@@ -206,7 +206,8 @@ func deltaRows(sky plan.Group, batches []plan.Group) plan.Group {
 			rows = append(rows, int32(j))
 		}
 	}
-	return sky.Select(rows)
+	out, _ := plan.Gather([]plan.Part{plan.Pick(sky, rows)}, nil)
+	return out
 }
 
 // checkBounds rejects a range bound that is neither absent nor exactly
@@ -242,7 +243,8 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 		if c.k > 0 {
 			outcome = SkyFolded
 		}
-		c.fold.Add(plan.Concat(groups[c.k:]))
+		batch, _ := plan.Gather(plan.Whole(groups[c.k:]), nil)
+		c.fold.Add(batch)
 		c.k = len(groups)
 		c.rows.Store(int64(c.fold.Skyline().Len()))
 	}
@@ -255,17 +257,24 @@ func (c *shardSkyline) below(r *plan.Rule, ruleID uint64, groups []plan.Group, h
 }
 
 // rangeRows gathers the rows of groups whose Z-address falls inside
-// rng into one group, their column cut alongside.
+// rng into one group, their column cut alongside: each row is copied
+// once, straight from its batch. The batches' in-range positions share
+// one list, sized for every row, so it never grows.
 func rangeRows(groups []plan.Group, rng zorder.Range) plan.Group {
-	in := make([]plan.Group, 0, len(groups))
+	n := 0
 	for _, g := range groups {
-		if rows := rng.FilterRows(nil, g.ZCol); len(rows) == g.Len() {
-			in = append(in, g)
-		} else if len(rows) > 0 {
-			in = append(in, g.Select(rows))
+		n += g.Len()
+	}
+	all := make([]int32, 0, n)
+	parts := make([]plan.Part, 0, len(groups))
+	for _, g := range groups {
+		lo := len(all)
+		if all = rng.FilterRows(all, g.ZCol); len(all) > lo {
+			parts = append(parts, plan.Part{Group: g, Rows: all[lo:]})
 		}
 	}
-	return plan.Concat(in)
+	out, _ := plan.Gather(parts, nil)
+	return out
 }
 
 // PullShard streams one batch of the shard's resident data, resuming
@@ -294,7 +303,7 @@ func (w *Worker) PullShard(args PullShardArgs, reply *PullShardReply) error {
 	for ; end < len(groups) && reply.Rows < maxRows; end++ {
 		reply.Rows += groups[end].Len()
 	}
-	reply.Batch = plan.Concat(groups[cur:end])
+	reply.Batch, _ = plan.Gather(plan.Whole(groups[cur:end]), nil)
 	reply.Next = end
 	reply.Done = end >= len(groups)
 	return nil

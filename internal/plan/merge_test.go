@@ -55,7 +55,7 @@ func candidates(t testing.TB, spec *Spec, ds *point.Dataset, ex *LocalExec) (*Ru
 	}
 	groups := make([]Group, len(parts))
 	for i, p := range parts {
-		groups[i] = r.Candidates(p.g, p.rows)
+		groups[i] = r.Candidates(p.Group, p.Rows)
 	}
 	return r, groups
 }
@@ -120,7 +120,7 @@ func TestMergePhaseMatchesBruteForce(t *testing.T) {
 					}
 
 					r, groups := candidates(t, spec, ds, ex)
-					got, err := ex.merge(context.Background(), r, whole(groups), nil)
+					got, err := ex.merge(context.Background(), r, Whole(groups), nil)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -151,12 +151,12 @@ func TestPairMergeMatchesMergeGroupsZ(t *testing.T) {
 	ex := NewLocalExec(4)
 	for name, pair := range map[string][]Group{"a+b": {a, b}, "a+a": {a, dup}, "a+empty": {a, empty},
 		"empty+b": {empty, b}, "empty+empty": {empty, empty}} {
-		views, err := ex.merge(context.Background(), r, whole(pair), nil)
+		views, err := ex.merge(context.Background(), r, Whole(pair), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSet(t, views, r.mergeGroupsZ(whole(pair), nil).Points(), name)
-		got, err := compacted(ex.probeGroups(context.Background(), r, whole(pair), others, nil))
+		sameSet(t, views, r.mergeGroupsZ(Whole(pair), nil).Points(), name)
+		got, err := compacted(ex.probeGroups(context.Background(), r, Whole(pair), others, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +185,11 @@ func TestPerGroupTreesTestLess(t *testing.T) {
 			t.Fatalf("M=%d: %d groups against a threshold of %d", m, len(groups), perGroupTrees)
 		}
 		var one, per metrics.Tally
-		oneTree, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), every, &one))
+		oneTree, err := compacted(ex.probeGroups(context.Background(), r, Whole(groups), every, &one))
 		if err != nil {
 			t.Fatal(err)
 		}
-		each, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), others, &per))
+		each, err := compacted(ex.probeGroups(context.Background(), r, Whole(groups), others, &per))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestMergePhaseCancelled(t *testing.T) {
 	groups := []Group{NewGroup(0, 2, []point.Point{{0.1, 0.1}}), equal(1), equal(2)}
 
 	total := 1 + 6*cancelStride
-	st, _ := r.candidateStore(whole(groups))
+	st, _ := r.candidateStore(Whole(groups))
 	m := newProbeMerge(st, [][2]int32{{0, int32(total)}}, every)
 	m.cut(0, 1)
 	m.build(0, r.fanout)

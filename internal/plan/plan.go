@@ -218,51 +218,135 @@ func (g Group) Len() int { return g.Block.Len() }
 // Points materializes zero-copy row views of the group's block.
 func (g Group) Points() []point.Point { return g.Block.Points() }
 
-// fullCol reports whether g's column holds an address for every row.
-func (g Group) fullCol() bool { return g.ZCol.Words > 0 && g.ZCol.Len() == g.Block.Len() }
+// fullCol reports whether g's column holds a w-word address for every
+// row.
+func (g Group) fullCol(w int) bool {
+	return w > 0 && g.ZCol.Words == w && g.ZCol.Len() == g.Block.Len()
+}
 
-// Select copies the given rows of g, in that order, into a fresh group
-// with g's Gid; the column's rows are cut alongside when g's column
-// covers every row, and left out otherwise.
-func (g Group) Select(rows []int32) Group {
-	out := Group{Gid: g.Gid, Block: g.Block.Select(rows)}
-	if g.fullCol() {
-		out.ZCol = g.ZCol.Select(rows)
+// Part is rows of one group to gather: the rows of Group at Rows, in
+// that order, or every row of Group when Rows is nil. A kernel names
+// its survivors by position, so each row is copied once, out of the
+// group it lies in, by Gather.
+type Part struct {
+	Group Group
+	Rows  []int32
+}
+
+// Pick is the part of g at rows, as a kernel returns them; nil rows
+// pick none.
+func Pick(g Group, rows []int32) Part {
+	if rows == nil {
+		rows = []int32{}
+	}
+	return Part{Group: g, Rows: rows}
+}
+
+// Whole is every row of each group, one part per group.
+func Whole(groups []Group) []Part {
+	parts := make([]Part, len(groups))
+	for i, g := range groups {
+		parts[i].Group = g
+	}
+	return parts
+}
+
+// len returns the part's row count.
+func (p Part) len() int {
+	if p.Rows == nil {
+		return p.Group.Len()
+	}
+	return len(p.Rows)
+}
+
+// points returns row views of the part's rows of its group.
+func (p Part) points() []point.Point {
+	if p.Rows == nil {
+		return p.Group.Points()
+	}
+	out := make([]point.Point, len(p.Rows))
+	for i, row := range p.Rows {
+		out[i] = p.Group.Block.Row(int(row))
 	}
 	return out
 }
 
-// Concat copies the groups' rows, in order, into one fresh group, with
-// their columns concatenated when every group's column covers its rows
-// at one stride. A lone group is returned as it is; no rows at all give
-// the zero group.
-func Concat(groups []Group) Group {
-	if len(groups) == 1 {
-		return groups[0]
+// partsLen returns the parts' total row count.
+func partsLen(parts []Part) int {
+	n := 0
+	for _, p := range parts {
+		n += p.len()
+	}
+	return n
+}
+
+// Gather is the one row copy out of groups. It copies the parts' rows,
+// in part order, into one group allocated at its exact size, and
+// returns it with each part's [lo,hi) rows. With an encoder every row
+// gets its address: copied where the part's group carries enc's full
+// column, encoded otherwise. Without one the column is kept only when
+// every part's group carries a full column of one width. A lone whole
+// part that needs no encoding passes through uncopied, a lone part
+// keeps its Gid and width, and no rows from several parts without an
+// encoder give the zero group.
+func Gather(parts []Part, enc *zorder.Encoder) (Group, [][2]int32) {
+	ranges := make([][2]int32, len(parts))
+	dims, w := 0, 0
+	switch {
+	case enc != nil:
+		dims, w = enc.Dims(), enc.Words()
+	case len(parts) > 0:
+		w = parts[0].Group.ZCol.Words
+	}
+	if len(parts) == 1 && parts[0].Rows == nil && (enc == nil || parts[0].Group.fullCol(w)) {
+		ranges[0][1] = int32(parts[0].len())
+		return parts[0].Group, ranges
+	}
+	total := 0
+	for _, p := range parts {
+		total += p.len()
+		if dims == 0 {
+			dims = p.Group.Block.Dims
+		}
+		if enc == nil && !p.Group.fullCol(w) {
+			w = 0
+		}
 	}
 	var out Group
-	total, withCol := 0, true
-	for _, g := range groups {
-		total += g.Len()
-		withCol = withCol && g.fullCol() && g.ZCol.Words == groups[0].ZCol.Words
-		if out.Block.Dims == 0 {
-			out.Block.Dims = g.Block.Dims
+	switch {
+	case len(parts) == 1:
+		out.Gid = parts[0].Group.Gid
+	case total == 0 && enc == nil:
+		return Group{}, ranges
+	}
+	out.Block = point.Block{Dims: dims, Data: make([]float64, 0, total*dims)}
+	out.ZCol = zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
+	for i, p := range parts {
+		g, lo := p.Group, out.Len()
+		if p.len() > 0 && g.Block.Dims != dims {
+			panic(fmt.Sprintf("plan: gathering group %d of %d dims into %d", g.Gid, g.Block.Dims, dims))
 		}
-	}
-	if total == 0 {
-		return Group{}
-	}
-	out.Block.Data = make([]float64, 0, total*out.Block.Dims)
-	if withCol {
-		out.ZCol = zorder.ZCol{Words: groups[0].ZCol.Words, Data: make([]uint64, 0, total*groups[0].ZCol.Words)}
-	}
-	for _, g := range groups {
-		out.Block.Data = append(out.Block.Data, g.Block.Data...)
-		if withCol {
+		if p.Rows == nil {
+			out.Block.Data = append(out.Block.Data, g.Block.Data...)
+		}
+		for _, row := range p.Rows {
+			out.Block.Data = append(out.Block.Data, g.Block.Row(int(row))...)
+		}
+		ranges[i] = [2]int32{int32(lo), int32(out.Len())}
+		switch {
+		case w == 0:
+		case !g.fullCol(w):
+			seg := enc.EncodeBlock(zorder.ZCol{Data: out.ZCol.Data[len(out.ZCol.Data):]}, out.Block.Slice(lo, out.Len()))
+			out.ZCol.Data = out.ZCol.Data[:len(out.ZCol.Data)+len(seg.Data)]
+		case p.Rows == nil:
 			out.ZCol.AppendCol(g.ZCol)
+		default:
+			for _, row := range p.Rows {
+				out.ZCol.AppendRow(g.ZCol, int(row))
+			}
 		}
 	}
-	return out
+	return out, ranges
 }
 
 // Fold is the skyline of every batch added so far under one rule: how a
@@ -306,8 +390,8 @@ func (f *Fold) Add(g Group) (added int) {
 	if g.Len() == 0 {
 		return 0
 	}
-	batch := pick(g, f.r.LocalSkylineRows(g, f.tally))
-	st, ranges := f.r.candidateStore([]part{{g: f.sky}, batch})
+	batch := Pick(g, f.r.LocalSkylineRows(g, f.tally))
+	st, ranges := f.r.candidateStore([]Part{{Group: f.sky}, batch})
 	rows := f.r.zmerge(st, ranges, f.tally)
 	for _, row := range rows {
 		if row >= ranges[1][0] {
@@ -320,62 +404,6 @@ func (f *Fold) Add(g Group) (added int) {
 		f.sky.ZCol = zorder.ZCol{}
 	}
 	return added
-}
-
-// part is one candidate group as phase 3 takes it: the rows of g at
-// rows, in that order, or every row of g when rows is nil. A reduce
-// names its local skyline by position, so phase 3 copies each
-// candidate once, out of the group the map gathered, into its store.
-type part struct {
-	g    Group
-	rows []int32
-}
-
-// pick is the part of g at rows, as a local skyline kernel returns
-// them; nil rows pick none.
-func pick(g Group, rows []int32) part {
-	if rows == nil {
-		rows = []int32{}
-	}
-	return part{g: g, rows: rows}
-}
-
-// whole is every row of each group, one part per group.
-func whole(groups []Group) []part {
-	parts := make([]part, len(groups))
-	for i, g := range groups {
-		parts[i].g = g
-	}
-	return parts
-}
-
-// len returns the part's row count.
-func (p part) len() int {
-	if p.rows == nil {
-		return p.g.Len()
-	}
-	return len(p.rows)
-}
-
-// points returns row views of the part's rows of g.
-func (p part) points() []point.Point {
-	if p.rows == nil {
-		return p.g.Points()
-	}
-	out := make([]point.Point, len(p.rows))
-	for i, row := range p.rows {
-		out[i] = p.g.Block.Row(int(row))
-	}
-	return out
-}
-
-// partsLen returns the parts' total row count.
-func partsLen(parts []part) int {
-	n := 0
-	for _, p := range parts {
-		n += p.len()
-	}
-	return n
 }
 
 // MapOutput is one map task's result. It copies no row: it lists the

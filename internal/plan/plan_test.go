@@ -286,7 +286,7 @@ func TestRuleDataRoundTrip(t *testing.T) {
 			same(c1, c2, "local skyline")
 			cand1, cand2 = append(cand1, c1), append(cand2, c2)
 		}
-		same(r.mergeGroupsZ(whole(cand1), nil), r2.mergeGroupsZ(whole(cand2), nil), "merge")
+		same(r.mergeGroupsZ(Whole(cand1), nil), r2.mergeGroupsZ(Whole(cand2), nil), "merge")
 	}
 }
 

@@ -119,7 +119,7 @@ func copiedAdd(f *Fold, g Group) (added int) {
 		return 0
 	}
 	batch := f.r.LocalSkylineGroup(g, f.tally)
-	st, ranges := f.r.candidateStore(whole([]Group{f.sky, batch}))
+	st, ranges := f.r.candidateStore(Whole([]Group{f.sky, batch}))
 	rows := f.r.zmerge(st, ranges, f.tally)
 	for _, row := range rows {
 		if row >= ranges[1][0] {

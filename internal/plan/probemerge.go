@@ -159,7 +159,7 @@ func (m *probeMerge) points() []point.Point {
 // mergeGroupsZ task. Every schedule gathers each candidate out of its
 // group once, and the result is row views of what was gathered: of the
 // probe's store, or of a single part's own group.
-func (ex *LocalExec) merge(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) ([]point.Point, error) {
+func (ex *LocalExec) merge(ctx context.Context, r *Rule, parts []Part, tally *metrics.Tally) ([]point.Point, error) {
 	rc := every
 	switch {
 	case r.merge != MergeZM:
@@ -192,7 +192,7 @@ const perGroupTrees = 4
 // probeGroups gathers the parts into one store — a side each, or one
 // side for them all when the reach is every — and runs a probeMerge over
 // it: index the sides, then probe a few row ranges per worker and side.
-func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc reach, tally *metrics.Tally) (*probeMerge, error) {
+func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []Part, rc reach, tally *metrics.Tally) (*probeMerge, error) {
 	st, sides := r.candidateStore(parts)
 	if rc == every {
 		sides = [][2]int32{{0, int32(st.Len())}}
@@ -209,7 +209,7 @@ func (ex *LocalExec) probeGroups(ctx context.Context, r *Rule, parts []part, rc 
 }
 
 // mergeOne runs mergeGroupsZ over all the parts as one pool task.
-func (ex *LocalExec) mergeOne(ctx context.Context, r *Rule, parts []part, tally *metrics.Tally) (Group, error) {
+func (ex *LocalExec) mergeOne(ctx context.Context, r *Rule, parts []Part, tally *metrics.Tally) (Group, error) {
 	var out Group
 	err := ex.FanOut(ctx, 1, func(int) { out = r.mergeGroupsZ(parts, tally) })
 	return out, err

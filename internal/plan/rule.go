@@ -344,13 +344,13 @@ func (r *Rule) LocalSkylineRows(g Group, tally *metrics.Tally) []int32 {
 // phase is SB, which has no use for one; under any other relation they
 // travel without one, like the map's survivors.
 func (r *Rule) Candidates(g Group, rows []int32) Group {
-	out := g.Select(rows)
-	switch {
-	case len(rows) == 0 || r.merge == MergeSB || !r.pareto():
-		out.ZCol = zorder.ZCol{}
-	case out.ZCol.Words != r.enc.Words():
-		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
+	var enc *zorder.Encoder
+	if r.merge != MergeSB && r.pareto() {
+		enc = r.enc
+	} else {
+		g.ZCol = zorder.ZCol{}
 	}
+	out, _ := Gather([]Part{Pick(g, rows)}, enc)
 	return out
 }
 
@@ -438,14 +438,19 @@ func (r *Rule) mapRows(ctx context.Context, n int, row func(i int) point.Point, 
 // Z-merge branch is the serial Algorithm-4 reference that only tests
 // reach: phase 3 Z-merges as a probe merge, and Fold.Add calls zmerge
 // directly.
-func (r *Rule) mergeGroupsZ(parts []part, tally *metrics.Tally) Group {
+func (r *Rule) mergeGroupsZ(parts []Part, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	if partsLen(parts) == 0 {
 		return out
 	}
 	if r.merge == MergeSB {
-		all, _, _ := r.gatherParts(parts, false)
-		out.Block = all.Select(seq.SBRows(r.prov, all, tally))
+		// The sort-filter reads no address: the rows gather without one.
+		bare := make([]Part, len(parts))
+		for i, p := range parts {
+			bare[i] = Part{Group: Group{Block: p.Group.Block}, Rows: p.Rows}
+		}
+		all, _ := Gather(bare, nil)
+		out.Block = all.Block.Select(seq.SBRows(r.prov, all.Block, tally))
 		return out
 	}
 	st, ranges := r.candidateStore(parts)
@@ -471,55 +476,11 @@ func (r *Rule) zmerge(st *zbtree.Store, ranges [][2]int32, tally *metrics.Tally)
 }
 
 // candidateStore gathers candidate parts into one shared columnar store
-// under the rule's relation (see gatherParts). ranges holds each part's
-// [lo,hi) store rows.
-func (r *Rule) candidateStore(parts []part) (*zbtree.Store, [][2]int32) {
-	blk, zc, ranges := r.gatherParts(parts, true)
-	return zbtree.NewStoreWithZCol(r.enc, blk, zc).Under(r.prov), ranges
-}
-
-// gatherParts copies the parts' rows, in part order, into one block
-// allocated at its exact size — each candidate crosses into phase 3
-// once — and returns it with each part's [lo,hi) rows. With col set it
-// also fills the rows' Z-address column: copied from a part's group
-// where the group carries the rule's column, encoded in place
-// otherwise.
-func (r *Rule) gatherParts(parts []part, col bool) (point.Block, zorder.ZCol, [][2]int32) {
-	total, w := partsLen(parts), 0
-	if col {
-		w = r.enc.Words()
-	}
-	blk := point.Block{Dims: r.dims, Data: make([]float64, 0, total*r.dims)}
-	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
-	ranges := make([][2]int32, 0, len(parts))
-	for _, p := range parts {
-		if p.len() > 0 && p.g.Block.Dims != r.dims {
-			panic(fmt.Sprintf("plan: candidate group %d has %d dims, want %d", p.g.Gid, p.g.Block.Dims, r.dims))
-		}
-		lo := blk.Len()
-		if p.rows == nil {
-			blk.Data = append(blk.Data, p.g.Block.Data...)
-		} else {
-			for _, i := range p.rows {
-				blk.Data = append(blk.Data, p.g.Block.Row(int(i))...)
-			}
-		}
-		hi := blk.Len()
-		ranges = append(ranges, [2]int32{int32(lo), int32(hi)})
-		switch {
-		case w == 0:
-		case p.g.ZCol.Len() != p.g.Block.Len() || p.g.ZCol.Words != w:
-			seg := r.enc.EncodeBlock(zorder.ZCol{Data: zc.Data[len(zc.Data):]}, blk.Slice(lo, hi))
-			zc.Data = zc.Data[:len(zc.Data)+len(seg.Data)]
-		case p.rows == nil:
-			zc.AppendCol(p.g.ZCol)
-		default:
-			for _, i := range p.rows {
-				zc.AppendRow(p.g.ZCol, int(i))
-			}
-		}
-	}
-	return blk, zc, ranges
+// under the rule's relation, every row with its Z-address (see Gather).
+// ranges holds each part's [lo,hi) store rows.
+func (r *Rule) candidateStore(parts []Part) (*zbtree.Store, [][2]int32) {
+	g, ranges := Gather(parts, r.enc)
+	return zbtree.NewStoreWithZCol(r.enc, g.Block, g.ZCol).Under(r.prov), ranges
 }
 
 // rowRange lists the store rows of one [lo,hi) range, for BuildRows to

@@ -360,10 +360,10 @@ func (d *driver) learn(ctx context.Context, in input) (*Rule, [][2]int, error) {
 // candidates, each group's by position, verify them against the full
 // input when the relation needs it, and stamp the run's totals on the
 // report and on ctx's current span.
-func (d *driver) mergeAndReport(ctx context.Context, r *Rule, parts []part, in input) ([]point.Point, *Report, error) {
+func (d *driver) mergeAndReport(ctx context.Context, r *Rule, parts []Part, in input) ([]point.Point, *Report, error) {
 	rep := d.rep
 	rep.Candidates = partsLen(parts)
-	rep.PerGroupCandidates = perGroup(rep.Groups, parts, part.len)
+	rep.PerGroupCandidates = perGroup(rep.Groups, parts, Part.len)
 
 	t2 := time.Now()
 	sky, err := mergePhase(ctx, d.ex.pool(), r, parts, d.tally)
@@ -420,7 +420,7 @@ func (d *driver) verify(ctx context.Context, r *Rule, sky []point.Point, in inpu
 // what each group receives is recorded, and every group is reduced to
 // its skyline candidates, named by position, under the local-skyline
 // span.
-func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) ([]part, error) {
+func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) ([]Part, error) {
 	start := time.Now()
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
 	mapSpan.SetAttr("tasks", len(cuts))
@@ -436,16 +436,16 @@ func (d *driver) phase2(ctx context.Context, r *Rule, in input, cuts [][2]int) (
 	if err != nil {
 		return nil, err
 	}
-	d.rep.PerGroupInput = perGroup(d.rep.Groups, parts, func(p part) int { return p.g.Len() })
+	d.rep.PerGroupInput = perGroup(d.rep.Groups, parts, func(p Part) int { return p.Group.Len() })
 	d.rep.Phase2 = time.Since(start)
 	return parts, nil
 }
 
 // perGroup sums size over the parts of each gid, over n groups.
-func perGroup(n int, parts []part, size func(part) int) []int {
+func perGroup(n int, parts []Part, size func(Part) int) []int {
 	counts := make([]int, n)
 	for _, p := range parts {
-		if gid := p.g.Gid; gid >= 0 && gid < n {
+		if gid := p.Group.Gid; gid >= 0 && gid < n {
 			counts[gid] += size(p)
 		}
 	}
@@ -454,7 +454,7 @@ func perGroup(n int, parts []part, size func(part) int) []int {
 
 // reducePhase runs the local-skyline tasks under their taxonomy span
 // and returns each group's candidates as its part.
-func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tally *metrics.Tally) ([]part, error) {
+func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tally *metrics.Tally) ([]Part, error) {
 	redSpan, rctx := obs.StartSpan(ctx, "local-skyline")
 	defer redSpan.End()
 	redSpan.SetAttr("groups", len(groups))
@@ -462,9 +462,9 @@ func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tall
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]part, len(groups))
+	parts := make([]Part, len(groups))
 	for i, g := range groups {
-		parts[i] = pick(g, rows[i])
+		parts[i] = Pick(g, rows[i])
 	}
 	redSpan.SetAttr("candidates", partsLen(parts))
 	return parts, nil
@@ -477,11 +477,11 @@ func reducePhase(ctx context.Context, ex Executor, r *Rule, groups []Group, tall
 // is ignored: it chose pairwise merge rounds, which the probed trees
 // replaced. The pipeline runs the same phase on its reduces' positions.
 func MergePhase(ctx context.Context, ex *LocalExec, r *Rule, groups []Group, tree bool, tally *metrics.Tally) ([]point.Point, error) {
-	return mergePhase(ctx, ex, r, whole(groups), tally)
+	return mergePhase(ctx, ex, r, Whole(groups), tally)
 }
 
 // mergePhase is MergePhase over candidate parts.
-func mergePhase(ctx context.Context, ex *LocalExec, r *Rule, parts []part, tally *metrics.Tally) ([]point.Point, error) {
+func mergePhase(ctx context.Context, ex *LocalExec, r *Rule, parts []Part, tally *metrics.Tally) ([]point.Point, error) {
 	if len(parts) == 0 {
 		return nil, nil
 	}

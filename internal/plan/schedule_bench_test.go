@@ -46,14 +46,14 @@ func BenchmarkPhase3Schedules(b *testing.B) {
 		run  func(context.Context, *LocalExec, *Rule, []Group) (Group, error)
 	}
 	fold := schedule{"fold", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return ex.mergeOne(ctx, r, whole(gs), nil)
+		return ex.mergeOne(ctx, r, Whole(gs), nil)
 	}}
 	rounds := schedule{"rounds", pairRounds}
 	oneTree := schedule{"one-tree", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return compacted(ex.probeGroups(ctx, r, whole(gs), every, nil))
+		return compacted(ex.probeGroups(ctx, r, Whole(gs), every, nil))
 	}}
 	pair := schedule{"pair", func(ctx context.Context, ex *LocalExec, r *Rule, gs []Group) (Group, error) {
-		return compacted(ex.probeGroups(ctx, r, whole(gs), others, nil))
+		return compacted(ex.probeGroups(ctx, r, Whole(gs), others, nil))
 	}}
 	for _, c := range []struct {
 		name      string
@@ -107,11 +107,11 @@ func pairRounds(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 		if ex.workers >= 2*len(tasks) {
 			for i, t := range tasks {
 				var err error
-				if next[i], err = compacted(ex.probeGroups(ctx, r, whole(t), others, nil)); err != nil {
+				if next[i], err = compacted(ex.probeGroups(ctx, r, Whole(t), others, nil)); err != nil {
 					return Group{}, err
 				}
 			}
-		} else if err := ex.FanOut(ctx, len(tasks), func(i int) { next[i] = r.mergeGroupsZ(whole(tasks[i]), nil) }); err != nil {
+		} else if err := ex.FanOut(ctx, len(tasks), func(i int) { next[i] = r.mergeGroupsZ(Whole(tasks[i]), nil) }); err != nil {
 			return Group{}, err
 		}
 		if len(groups)%2 == 1 {
@@ -144,7 +144,7 @@ func partitionSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group)
 		sides = append(sides, *g)
 	}
 	sort.Slice(sides, func(i, j int) bool { return sides[i].Gid < sides[j].Gid })
-	out, _, err := ex.SweepMerge(ctx, r, sides, nil)
+	out, err := ex.SweepMerge(ctx, r, sides, nil)
 	return out, err
 }
 
@@ -156,7 +156,7 @@ func zsortSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 	for _, g := range groups {
 		total += g.Len()
 	}
-	st, _ := r.candidateStore(whole(groups))
+	st, _ := r.candidateStore(Whole(groups))
 	order := make([]int32, total)
 	for i := range order {
 		order[i] = int32(i)
@@ -172,7 +172,7 @@ func zsortSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group) (Gr
 	if err != nil {
 		return Group{}, err
 	}
-	out, _, err := ex.SweepMerge(ctx, r, sides, nil)
+	out, err := ex.SweepMerge(ctx, r, sides, nil)
 	return out, err
 }
 
@@ -184,7 +184,7 @@ func TestPhase3SchedulesAgree(t *testing.T) {
 		SampleRatio: 0.05, Bits: 12, Seed: 1, MapTasks: 3}
 	ex := NewLocalExec(3)
 	r, groups := candidates(t, spec, ds, ex)
-	want, err := ex.merge(context.Background(), r, whole(groups), nil)
+	want, err := ex.merge(context.Background(), r, Whole(groups), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

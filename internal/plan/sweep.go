@@ -19,13 +19,6 @@ import (
 // on anti-correlated d = 8 and d = 12 data (EXPERIMENTS.md).
 const repBudget = 16
 
-// SweepStats says what one SweepMerge moved: the candidate rows it was
-// handed, how many of those the representative pre-pass eliminated
-// before any tree was probed, and the rows that survived.
-type SweepStats struct {
-	Candidates, RepKilled, Skyline int
-}
-
 // SweepMerge merges the skylines of disjoint Z-ranges given in ascending
 // range order — every address in groups[i] is at most every address in
 // groups[i+1], which the caller vouches for — under one merge/sweep
@@ -39,35 +32,36 @@ type SweepStats struct {
 // representatives are picked and tested under Pareto: for them this is
 // a probeMerge with no pre-pass whose one tree, over all the
 // candidates, answers under the relation — exact for any transitive
-// one.
-func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
+// one. The span records what the merge moved: the candidate rows it
+// was handed, how many of those the representative pre-pass eliminated
+// before any tree was probed (rep_killed), and the rows that survived.
+func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, error) {
 	sp, ctx := obs.StartSpan(ctx, "merge/sweep")
 	defer sp.End()
-	var stats SweepStats
+	candidates, repKilled := 0, 0
 	for _, g := range groups {
-		stats.Candidates += g.Len()
+		candidates += g.Len()
 	}
 	out := Group{Block: point.Block{Dims: r.dims}}
 	var err error
 	switch {
-	case stats.Candidates == 0:
+	case candidates == 0:
 	case !r.pareto():
 		var m *probeMerge
-		if m, err = ex.probeGroups(ctx, r, whole(groups), every, tally); err == nil {
+		if m, err = ex.probeGroups(ctx, r, Whole(groups), every, tally); err == nil {
 			out = m.result()
 		}
 	default:
-		out, stats.RepKilled, err = ex.sweep(ctx, r, groups, tally)
+		out, repKilled, err = ex.sweep(ctx, r, groups, tally)
 	}
 	if err != nil {
-		return Group{}, stats, err
+		return Group{}, err
 	}
-	stats.Skyline = out.Len()
 	sp.SetAttr("shards", len(groups))
-	sp.SetAttr("candidates", stats.Candidates)
-	sp.SetAttr("rep_killed", stats.RepKilled)
-	sp.SetAttr("skyline", stats.Skyline)
-	return out, stats, nil
+	sp.SetAttr("candidates", candidates)
+	sp.SetAttr("rep_killed", repKilled)
+	sp.SetAttr("skyline", out.Len())
+	return out, nil
 }
 
 // sweep is the Pareto case of SweepMerge as a one-way probeMerge over
@@ -78,7 +72,7 @@ func (ex *LocalExec) SweepMerge(ctx context.Context, r *Rule, groups []Group, ta
 // dominates whatever the cleared row would have — so the trees lose
 // nothing by leaving it out.
 func (ex *LocalExec) sweep(ctx context.Context, r *Rule, groups []Group, tally *metrics.Tally) (Group, int, error) {
-	st, sides := r.candidateStore(whole(groups))
+	st, sides := r.candidateStore(Whole(groups))
 	m := newProbeMerge(st, sides, earlier)
 	// Side 0 answers to nothing. Later sides answer to more trees, so
 	// their ranges go first and the cheap ones fill in at the end.

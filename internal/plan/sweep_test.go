@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -69,6 +70,25 @@ func quantileCuts(r *Rule, pts []point.Point, n int) []zorder.ZAddr {
 	return cuts
 }
 
+// tracedSweep runs SweepMerge under a fresh trace and returns its
+// result with its merge/sweep span's counts: shards, candidates,
+// rep_killed and skyline, the only record of what the sweep moved.
+func tracedSweep(ctx context.Context, ex *LocalExec, r *Rule, groups []Group, tally *metrics.Tally) (Group, map[string]int, error) {
+	tr := obs.NewTrace("q")
+	out, err := ex.SweepMerge(obs.ContextWithTrace(ctx, tr), r, groups, tally)
+	counts := map[string]int{}
+	for _, sp := range tr.Root().Children() {
+		if sp.Name() != "merge/sweep" {
+			continue
+		}
+		for _, a := range sp.Attrs() {
+			n, _ := strconv.Atoi(a.Value)
+			counts[a.Key] = n
+		}
+	}
+	return out, counts, err
+}
+
 func reference(prov dominance.Provider, pts []point.Point) []point.Point {
 	if dominance.IsPareto(prov) {
 		return seq.BruteForce(pts)
@@ -129,23 +149,23 @@ func TestSweepMergeMatchesBruteForce(t *testing.T) {
 				for _, n := range []int{1, 2, 3, 8} {
 					label := fmt.Sprintf("d%d/%s/%s/%d", dims, name, tc.label, n)
 					groups := rangeSkylines(r, pts, quantileCuts(r, pts, n))
-					got, stats, err := ex.SweepMerge(context.Background(), r, groups, nil)
+					got, stats, err := tracedSweep(context.Background(), ex, r, groups, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					sameSet(t, got.Points(), want, label)
-					sameSet(t, got.Points(), r.mergeGroupsZ(whole(groups), nil).Points(), label+" vs mergeGroupsZ")
+					sameSet(t, got.Points(), r.mergeGroupsZ(Whole(groups), nil).Points(), label+" vs mergeGroupsZ")
 					cands := 0
 					for _, g := range groups {
 						cands += g.Len()
 					}
-					if stats.Candidates != cands || stats.Skyline != len(want) ||
-						stats.RepKilled < 0 || stats.RepKilled > cands-len(want) {
-						t.Errorf("%s: stats %+v over %d groups, %d candidates, %d skyline rows", label, stats, len(groups), cands, len(want))
+					if stats["shards"] != len(groups) || stats["candidates"] != cands || stats["skyline"] != len(want) ||
+						stats["rep_killed"] < 0 || stats["rep_killed"] > cands-len(want) {
+						t.Errorf("%s: span counts %v over %d groups, %d candidates, %d skyline rows", label, stats, len(groups), cands, len(want))
 					}
 					if !r.pareto() {
-						if stats.RepKilled != 0 {
-							t.Errorf("%s: %d rows killed by direction under a relation that has none", label, stats.RepKilled)
+						if stats["rep_killed"] != 0 {
+							t.Errorf("%s: %d rows killed by direction under a relation that has none", label, stats["rep_killed"])
 						}
 						continue
 					}
@@ -197,44 +217,46 @@ func TestSweepMergeEmptyRanges(t *testing.T) {
 		if name == "one-range" && occupied != 1 || name == "quarter" && occupied > 2 {
 			t.Fatalf("%s: %d occupied ranges", name, occupied)
 		}
-		got, stats, err := ex.SweepMerge(context.Background(), r, groups, nil)
+		got, stats, err := tracedSweep(context.Background(), ex, r, groups, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameSet(t, got.Points(), seq.BruteForce(pts), name)
-		if got.Block.Dims != dims || stats.Skyline != got.Len() {
-			t.Errorf("%s: dims %d, stats %+v", name, got.Block.Dims, stats)
+		if got.Block.Dims != dims || stats["skyline"] != got.Len() {
+			t.Errorf("%s: dims %d, span counts %v", name, got.Block.Dims, stats)
 		}
 	}
 }
 
 // TestSweepRepresentativesKill: on independent data most dominated
-// candidates fall to the pre-pass, and the span says so.
+// candidates fall to the pre-pass, and the span says so: one merge/sweep
+// span under the root, its counts those of the merge.
 func TestSweepRepresentativesKill(t *testing.T) {
 	r := clusterRule(t, 4, 10, ZS, dominance.Descriptor{})
 	pts := gen.Synthetic(gen.Independent, 6000, 4, 21).Points
 	groups := rangeSkylines(r, pts, quantileCuts(r, pts, 8))
 	tr := obs.NewTrace("q")
-	_, stats, err := NewLocalExec(2).SweepMerge(obs.ContextWithTrace(context.Background(), tr), r, groups, nil)
+	got, err := NewLocalExec(2).SweepMerge(obs.ContextWithTrace(context.Background(), tr), r, groups, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if dominated := stats.Candidates - stats.Skyline; stats.RepKilled*2 < dominated {
-		t.Errorf("representatives killed %d of %d dominated candidates", stats.RepKilled, dominated)
 	}
 	kids := tr.Root().Children()
 	if len(kids) != 1 || kids[0].Name() != "merge/sweep" {
 		t.Fatalf("spans under the root: %v", kids)
 	}
-	attrs := map[string]string{}
+	counts := map[string]int{}
 	for _, a := range kids[0].Attrs() {
-		attrs[a.Key] = a.Value
+		counts[a.Key], _ = strconv.Atoi(a.Value)
 	}
-	for key, want := range map[string]int{"shards": 8, "candidates": stats.Candidates,
-		"rep_killed": stats.RepKilled, "skyline": stats.Skyline} {
-		if attrs[key] != fmt.Sprint(want) {
-			t.Errorf("merge/sweep %s = %v, want %d", key, attrs[key], want)
-		}
+	cands := 0
+	for _, g := range groups {
+		cands += g.Len()
+	}
+	if counts["shards"] != 8 || counts["candidates"] != cands || counts["skyline"] != got.Len() {
+		t.Errorf("merge/sweep counts %v, want 8 shards, %d candidates, %d skyline rows", counts, cands, got.Len())
+	}
+	if dominated := cands - got.Len(); counts["rep_killed"]*2 < dominated {
+		t.Errorf("representatives killed %d of %d dominated candidates", counts["rep_killed"], dominated)
 	}
 }
 
@@ -270,7 +292,7 @@ func TestSweepMergeCancelled(t *testing.T) {
 	}
 	groups := []Group{NewGroup(0, 2, []point.Point{{0.1, 0.1}}), NewGroup(1, 2, later)}
 
-	st, sides := r.candidateStore(whole(groups))
+	st, sides := r.candidateStore(Whole(groups))
 	m := newProbeMerge(st, sides, earlier)
 	m.cut(1, 1)
 	m.build(0, r.fanout)
@@ -283,7 +305,7 @@ func TestSweepMergeCancelled(t *testing.T) {
 
 	ex := NewLocalExec(1)
 	for budget := int64(0); ; budget++ {
-		got, _, err := ex.SweepMerge(countdown(budget), r, groups, nil)
+		got, err := ex.SweepMerge(countdown(budget), r, groups, nil)
 		if err == nil {
 			sameSet(t, got.Points(), groups[0].Points(), fmt.Sprintf("budget %d", budget))
 			return
@@ -322,19 +344,19 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 	}
 	all, straddle := rangeSkylines(r, pts, cuts), rangeSkylines(r, across, cuts[3:4])
 	ex := NewLocalExec(0)
-	sweep := func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
-		return ex.SweepMerge(context.Background(), r, groups, tally)
+	sweep := func(groups []Group, tally *metrics.Tally) (Group, map[string]int, error) {
+		return tracedSweep(context.Background(), ex, r, groups, tally)
 	}
-	probe := func(rc reach) func([]Group, *metrics.Tally) (Group, SweepStats, error) {
-		return func(groups []Group, tally *metrics.Tally) (Group, SweepStats, error) {
-			out, err := compacted(ex.probeGroups(context.Background(), r, whole(groups), rc, tally))
-			return out, SweepStats{}, err
+	probe := func(rc reach) func([]Group, *metrics.Tally) (Group, map[string]int, error) {
+		return func(groups []Group, tally *metrics.Tally) (Group, map[string]int, error) {
+			out, err := compacted(ex.probeGroups(context.Background(), r, Whole(groups), rc, tally))
+			return out, nil, err
 		}
 	}
 	for _, arm := range []struct {
 		name   string
 		groups []Group
-		merge  func([]Group, *metrics.Tally) (Group, SweepStats, error)
+		merge  func([]Group, *metrics.Tally) (Group, map[string]int, error)
 	}{
 		{"sweep", all, sweep},
 		{"one-tree", all, probe(every)},
@@ -360,7 +382,7 @@ func BenchmarkClusterSweep100kD8(b *testing.B) {
 				cands += g.Len()
 			}
 			b.ReportMetric(float64(cands), "candidates/op")
-			b.ReportMetric(float64(stats.RepKilled), "rep_killed/op")
+			b.ReportMetric(float64(stats["rep_killed"]), "rep_killed/op")
 			b.ReportMetric(float64(out.Len()), "skyline/op")
 			b.ReportMetric(float64(tally.Snapshot().DominanceTests), "dom_tests/op")
 			b.ReportMetric(float64(tally.Snapshot().RegionTests), "region_tests/op")

@@ -474,10 +474,11 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 // (DominatesRow, DominatesPoint, DominatesAllOfRegion,
 // RemoveDominatedBy) add to the caller's Count and never touch a Tally:
 // tasks that probe one tree at once each pass their own, and add it to
-// the shared Tally once, when they end. The operations (SkylineRows,
-// SkylineProgressive, MergeBlock and the index queries in queries.go)
-// are such a task themselves: they count every probe they make into
-// one Count and add it to the tree's tally when they return.
+// the shared Tally once, when they end. The operations (SkylineRows
+// and SkylineProgressive, one Z-search walk; MergeBlock; and the index
+// queries in queries.go) are such a task themselves: they count every
+// probe they make into one Count and add it to the tree's tally when
+// they return.
 
 // DominatesRow reports whether some stored row dominates row under the
 // store's relation (exact float semantics; grid and lane tests only
@@ -695,33 +696,49 @@ func (st *Store) undominatedUnder(rows []int32, rl []uint64, row int32) []int32 
 func (t *BlockTree) SkylineRows() []int32 {
 	var c metrics.Count
 	sky := NewBlockTree(t.st, t.fanout, nil)
-	t.zsearch(&c, t.root, sky)
+	t.zsearch(&c, t.root, sky, nil)
 	t.tally.Add(c)
 	return sky.Rows()
 }
 
-func (t *BlockTree) zsearch(c *metrics.Count, n int32, sky *BlockTree) {
+// zsearch is Z-search under node n into the running skyline sky. With
+// em set it hands each row to em once the row is final, and returns
+// false when em's context is done or its emit refuses a row.
+func (t *BlockTree) zsearch(c *metrics.Count, n int32, sky *BlockTree, em *emitter) bool {
 	if n < 0 {
-		return
+		return true
+	}
+	if em != nil && em.ctx.Err() != nil {
+		return false
 	}
 	if sky.DominatesAllOfRegion(c, t.region(n)) {
-		return
+		return true
 	}
-	if t.nodes[n].isLeaf() {
-		for _, e := range t.nodes[n].rows {
-			if sky.DominatesRow(c, e) {
-				continue
+	nd := &t.nodes[n]
+	if !nd.isLeaf() {
+		for _, kid := range nd.kids {
+			if !t.zsearch(c, kid, sky, em) {
+				return false
 			}
-			if sky.st.noNeg || sky.tiesLast(e) {
-				sky.RemoveDominatedBy(c, e)
-			}
-			sky.Append(e)
 		}
-		return
+		return true
 	}
-	for _, kid := range t.nodes[n].kids {
-		t.zsearch(c, kid, sky)
+	for _, e := range nd.rows {
+		if em != nil && !em.advance(t.st.zc, e) {
+			return false
+		}
+		if sky.DominatesRow(c, e) {
+			continue
+		}
+		if (sky.st.noNeg || sky.tiesLast(e)) && sky.RemoveDominatedBy(c, e) > 0 && em != nil {
+			em.evict(t.st.blk, e)
+		}
+		sky.Append(e)
+		if em != nil {
+			em.pending = append(em.pending, e)
+		}
 	}
+	return true
 }
 
 // tiesLast reports whether row has the Z-address of the last row

@@ -128,72 +128,57 @@ func (t *BlockTree) rangeRows(c *metrics.Count, n int32, gLo, gHi []uint32, lo, 
 }
 
 // SkylineProgressive is Z-search that hands each skyline row to emit as
-// soon as it is final, for first-results-fast consumers. Emission waits
-// until the traversal's Z-address moves strictly past the row's own: a
-// row can only ever be evicted by an equal-address tie. The walk stops
-// early when ctx is done or emit returns false. It adds its tests to
-// the tree's tally once, when it returns.
+// soon as it is final, for first-results-fast consumers: the walk of
+// SkylineRows, which counts alike. Emission waits until the traversal's
+// Z-address moves strictly past the row's own: a row can only ever be
+// evicted by an equal-address tie. The walk stops early when ctx is
+// done or emit returns false. It adds its tests to the tree's tally
+// once, when it returns.
 func (t *BlockTree) SkylineProgressive(ctx context.Context, emit func(row int32) bool) {
 	var c metrics.Count
-	defer func() { t.tally.Add(c) }()
-	sky := NewBlockTree(t.st, t.fanout, nil)
-	var pending []int32 // accepted rows sharing the current address
-	flush := func() bool {
-		for _, e := range pending {
-			if !emit(e) {
-				return false
-			}
-		}
-		pending = pending[:0]
-		return true
+	em := &emitter{ctx: ctx, emit: emit}
+	if t.zsearch(&c, t.root, NewBlockTree(t.st, t.fanout, nil), em) {
+		em.flush()
 	}
-	if t.progressive(ctx, &c, t.root, sky, &pending, flush) {
-		flush()
-	}
+	t.tally.Add(c)
 }
 
-func (t *BlockTree) progressive(ctx context.Context, c *metrics.Count, n int32, sky *BlockTree, pending *[]int32, flush func() bool) bool {
-	if n < 0 {
-		return true
-	}
-	if ctx.Err() != nil {
-		return false
-	}
-	if sky.DominatesAllOfRegion(c, t.region(n)) {
-		return true
-	}
-	nd := &t.nodes[n]
-	if !nd.isLeaf() {
-		for _, kid := range nd.kids {
-			if !t.progressive(ctx, c, kid, sky, pending, flush) {
-				return false
-			}
-		}
-		return true
-	}
-	blk := t.st.blk
-	for _, e := range nd.rows {
-		// The traversal's address advanced: everything pending is final.
-		if len(*pending) > 0 && t.st.zc.Compare(int((*pending)[0]), int(e)) < 0 && !flush() {
+// emitter is Z-search's hook for a progressive walk: pending holds the
+// accepted rows of the walk's current address, which only a row of
+// that address can still evict. After advance, pending is non-empty
+// exactly when the row ties the last accepted one, the walk's sweep
+// condition.
+type emitter struct {
+	ctx     context.Context
+	emit    func(row int32) bool
+	pending []int32
+}
+
+// advance emits every pending row once the walk reaches row at a larger
+// address, and reports whether emit took them all.
+func (em *emitter) advance(zc zorder.ZCol, row int32) bool {
+	return len(em.pending) == 0 || zc.Compare(int(em.pending[0]), int(row)) >= 0 || em.flush()
+}
+
+// flush emits every pending row, and reports whether emit took them all.
+func (em *emitter) flush() bool {
+	for _, e := range em.pending {
+		if !em.emit(e) {
 			return false
 		}
-		if sky.DominatesRow(c, e) {
-			continue
-		}
-		// Only an accepted row of e's own address can be dominated by e,
-		// and those are exactly the pending ones (see SkylineRows).
-		if (len(*pending) > 0 || t.st.noNeg) && sky.RemoveDominatedBy(c, e) > 0 {
-			// Ties: drop evicted rows from the pending buffer too.
-			kept := (*pending)[:0]
-			for _, pe := range *pending {
-				if !point.DominatesRows(blk, int(e), blk, int(pe)) {
-					kept = append(kept, pe)
-				}
-			}
-			*pending = kept
-		}
-		sky.Append(e)
-		*pending = append(*pending, e)
 	}
+	em.pending = em.pending[:0]
 	return true
+}
+
+// evict drops the pending rows that row dominates: the sweep just took
+// them off the skyline.
+func (em *emitter) evict(blk point.Block, row int32) {
+	kept := em.pending[:0]
+	for _, e := range em.pending {
+		if !point.DominatesRows(blk, int(row), blk, int(e)) {
+			kept = append(kept, e)
+		}
+	}
+	em.pending = kept
 }
